@@ -19,6 +19,23 @@ from repro.algorithms.wcc import WeaklyConnectedComponents
 #: graph (some programs need graph-derived parameters such as SSSP source).
 PAPER_BENCHMARKS = ("pagerank", "adsorption", "sssp", "kcore")
 
+#: name -> (program class, the keyword that defaults to the graph's
+#: highest-out-degree vertex — as one id or a one-element list — or None).
+_PROGRAMS = {
+    "pagerank": (PageRank, None),
+    "adsorption": (Adsorption, None),
+    "sssp": (SSSP, "source"),
+    "kcore": (KCore, None),
+    "bfs": (BFSLevels, "source"),
+    "wcc": (WeaklyConnectedComponents, None),
+    "ppr": (PersonalizedPageRank, "seeds"),
+    "reachability": (Reachability, "sources"),
+}
+
+#: Every algorithm :func:`make_program` builds (CLI choices, sweep
+#: validation and the conformance oracle all read this list).
+ALGORITHMS = tuple(_PROGRAMS)
+
 __all__ = [
     "PageRank",
     "Adsorption",
@@ -29,6 +46,7 @@ __all__ = [
     "Reachability",
     "WeaklyConnectedComponents",
     "PAPER_BENCHMARKS",
+    "ALGORITHMS",
     "make_program",
 ]
 
@@ -37,33 +55,16 @@ def make_program(name: str, graph, **kwargs):
     """Build a benchmark program by name for a given graph.
 
     Centralizes the per-algorithm setup the harness needs: SSSP and BFS
-    pick a deterministic high-out-degree source unless one is given.
+    pick a deterministic high-out-degree source unless one is given
+    (likewise the PPR seed and the reachability source set).
     """
     import numpy as np
 
     name = name.lower()
-    if name == "pagerank":
-        return PageRank(**kwargs)
-    if name == "adsorption":
-        return Adsorption(**kwargs)
-    if name == "sssp":
-        if "source" not in kwargs:
-            kwargs["source"] = int(np.argmax(graph.out_degree()))
-        return SSSP(**kwargs)
-    if name == "kcore":
-        return KCore(**kwargs)
-    if name == "bfs":
-        if "source" not in kwargs:
-            kwargs["source"] = int(np.argmax(graph.out_degree()))
-        return BFSLevels(**kwargs)
-    if name == "wcc":
-        return WeaklyConnectedComponents(**kwargs)
-    if name == "ppr":
-        if "seeds" not in kwargs:
-            kwargs["seeds"] = [int(np.argmax(graph.out_degree()))]
-        return PersonalizedPageRank(**kwargs)
-    if name == "reachability":
-        if "sources" not in kwargs:
-            kwargs["sources"] = [int(np.argmax(graph.out_degree()))]
-        return Reachability(**kwargs)
-    raise ValueError(f"unknown algorithm {name!r}")
+    if name not in _PROGRAMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    program_class, hub_keyword = _PROGRAMS[name]
+    if hub_keyword is not None and hub_keyword not in kwargs:
+        hub = int(np.argmax(graph.out_degree()))
+        kwargs[hub_keyword] = hub if hub_keyword == "source" else [hub]
+    return program_class(**kwargs)

@@ -18,27 +18,15 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    GPULostError,
-    PermanentInterconnectFault,
-)
+from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
-from repro.gpu.machine import Machine
 from repro.model.gas import VertexProgram
-from repro.model.state import StalenessView, VertexStates
-from repro.bench.results import ExecutionResult, RoundRecord
+from repro.model.rounds import drive_rounds, finish_run
+from repro.model.state import StalenessView
+from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE
-from repro.baselines.common import (
-    BaselineFaultHarness,
-    resolve_partition_target,
-    VertexRangePartition,
-    modeled_baseline_preprocess_seconds,
-    partition_of_vertex,
-    vertex_range_partitions,
-)
+from repro.baselines.common import BaselineFaultHarness, partition_of_vertex
 
 
 @dataclass(frozen=True)
@@ -84,106 +72,24 @@ class AsyncEngine:
         resume: bool = False,
     ) -> ExecutionResult:
         started = time.perf_counter()
-        machine = Machine(
-            self.spec, fault_injector=fault_injector, recovery=recovery
-        )
-        stats = machine.stats
-        stats.preprocess_time_s = modeled_baseline_preprocess_seconds(
-            graph, overhead_factor=1.04, n_workers=self.config.n_workers
-        )
-        partitions = vertex_range_partitions(
-            graph,
-            machine.num_gpus,
-            resolve_partition_target(
-                graph, self.config.target_edges_per_partition
-            ),
-        )
-        for partition in partitions:
-            machine.batched_transfer_to_gpu(partition.gpu, partition.nbytes)
-
-        states = VertexStates(graph, program)
-        round_records: List[RoundRecord] = []
-        converged = False
-        # With the fault machinery engaged, worklist pushes go through
-        # the modeled ack/checksum protocol (``deliver_replica_batch``)
-        # so they can be dropped, corrupted, retried, and escalated; the
-        # legacy path stays bit-identical for fault-free runs.
-        faulted = fault_injector is not None or recovery is not None
-        harness = BaselineFaultHarness(
-            machine, recovery, partitions, states, round_records
-        )
-        # Whole-job restart: reload the newest durable checkpoint and
-        # replay from its round (see docs/robustness.md).
-        round_index = harness.resume_from_store() if resume else 0
-        while round_index < self.config.max_rounds:
-            if not states.any_active():
-                converged = True
-                break
-            harness.maybe_checkpoint(round_index)
-            try:
-                self._async_round(
-                    graph, program, machine, partitions, states,
-                    round_records, round_index, faulted,
-                )
-            except (GPULostError, PermanentInterconnectFault) as exc:
-                round_index = harness.recover(exc, round_index)
-                continue
-            round_index += 1
-        harness.finish()
-
-        if not converged and strict_convergence:
-            raise ConvergenceError(
-                f"{program.name} did not converge within "
-                f"{self.config.max_rounds} rounds"
-            )
-        if self.config.verify_invariants and converged:
-            from repro.verify.report import VerificationReport
-            from repro.verify.structural import check_fixed_point_reached
-
-            VerificationReport(
-                [check_fixed_point_reached(program, graph, states.values)]
-            ).raise_if_failed()
-        extras = {"num_partitions": float(len(partitions))}
-        if faulted:
-            extras.update(
-                {
-                    "rollback_replay_rounds": float(
-                        stats.rollback_replay_rounds
-                    ),
-                    "checkpoints_taken": float(stats.checkpoints_taken),
-                    "checkpoint_bytes_spilled": float(
-                        stats.checkpoint_bytes_spilled
-                    ),
-                    "checkpoint_time_s": stats.checkpoint_time_s,
-                    "checkpoint_hidden_time_s": (
-                        stats.checkpoint_hidden_time_s
-                    ),
-                }
-            )
-        return ExecutionResult(
-            engine=self.name,
-            algorithm=program.name,
-            graph_name=graph_name,
-            converged=converged,
-            rounds=stats.rounds,
-            states=states.values.copy(),
-            stats=stats,
-            round_records=round_records,
-            wall_seconds=time.perf_counter() - started,
-            extras=extras,
+        run = _AsyncRun(self, graph, program, fault_injector, recovery)
+        converged = drive_rounds(run, self.config.max_rounds, resume)
+        return finish_run(
+            run, self.config, self.name, graph_name, converged,
+            strict_convergence, started,
         )
 
-    def _async_round(
-        self,
-        graph: DiGraphCSR,
-        program: VertexProgram,
-        machine: Machine,
-        partitions: List[VertexRangePartition],
-        states: VertexStates,
-        round_records: List[RoundRecord],
-        round_index: int,
-        faulted: bool,
-    ) -> None:
+
+class _AsyncRun(BaselineFaultHarness):
+    """One asynchronous execution: the harness plus its worklist round."""
+
+    preprocess_overhead = 1.04
+
+    def run_round(self, round_index: int) -> None:
+        graph, program, machine = self.graph, self.program, self.machine
+        partitions, states, faulted = (
+            self.partitions, self.states, self.faulted
+        )
         stats = machine.stats
         # GPU residency per vertex, for the staleness views. Recomputed
         # per round — recovery may re-place partitions mid-run.
@@ -310,19 +216,10 @@ class AsyncEngine:
         for key in delivered_pairs:
             states.activate(pair_activations.get(key, []))
 
-        stats.rounds += 1
-        round_records.append(
-            RoundRecord(
-                round_index=round_index,
-                partitions_processed=len(active_by_partition),
-                partitions_convergent=(
-                    len(partitions) - len(active_by_partition)
-                ),
-                active_fraction_nonconvergent=(
-                    active_snapshot_total / touched_vertex_total
-                    if touched_vertex_total
-                    else 0.0
-                ),
-                vertex_updates=updates_this_round,
-            )
+        self.record_round(
+            round_index,
+            len(active_by_partition),
+            active_snapshot_total,
+            touched_vertex_total,
+            updates_this_round,
         )

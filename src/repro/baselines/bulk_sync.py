@@ -17,29 +17,16 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    GPULostError,
-    PermanentInterconnectFault,
-)
+from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
-from repro.gpu.machine import Machine
 from repro.kernels.registry import resolve_kernel
 from repro.model.frontier import Frontier
 from repro.model.gas import VertexProgram
-from repro.model.state import VertexStates
-from repro.bench.results import ExecutionResult, RoundRecord
+from repro.model.rounds import drive_rounds, finish_run
+from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE
-from repro.baselines.common import (
-    BaselineFaultHarness,
-    resolve_partition_target,
-    VertexRangePartition,
-    modeled_baseline_preprocess_seconds,
-    partition_of_vertex,
-    vertex_range_partitions,
-)
+from repro.baselines.common import BaselineFaultHarness, partition_of_vertex
 
 #: Per-round barrier/allreduce payload per GPU pair (frontier sizes etc.).
 BARRIER_SYNC_BYTES = 64
@@ -93,139 +80,67 @@ class BulkSyncEngine:
         resume: bool = False,
     ) -> ExecutionResult:
         started = time.perf_counter()
-        machine = Machine(
-            self.spec, fault_injector=fault_injector, recovery=recovery
+        run = _BulkSyncRun(self, graph, program, fault_injector, recovery)
+        converged = drive_rounds(run, self.config.max_rounds, resume)
+        return finish_run(
+            run, self.config, self.name, graph_name, converged,
+            strict_convergence, started,
         )
-        stats = machine.stats
-        stats.preprocess_time_s = modeled_baseline_preprocess_seconds(
-            graph, overhead_factor=1.0, n_workers=self.config.n_workers
-        )
-        partitions = vertex_range_partitions(
-            graph,
-            machine.num_gpus,
-            resolve_partition_target(
-                graph, self.config.target_edges_per_partition
-            ),
-        )
-        # Initial distribution of the graph to the GPUs.
-        for partition in partitions:
-            machine.batched_transfer_to_gpu(partition.gpu, partition.nbytes)
 
-        states = VertexStates(graph, program)
-        round_records: List[RoundRecord] = []
-        converged = False
-        # With the fault machinery engaged, cross-GPU state broadcasts go
-        # through the modeled ack/checksum protocol
-        # (``deliver_replica_batch``) so they can be dropped, corrupted,
-        # retried, and escalated; the legacy path stays bit-identical for
-        # fault-free runs.
-        faulted = fault_injector is not None or recovery is not None
-        harness = BaselineFaultHarness(
-            machine, recovery, partitions, states, round_records
-        )
-        # Whole-job restart: reload the newest durable checkpoint and
-        # replay from its round (see docs/robustness.md).
-        start_round = harness.resume_from_store() if resume else 0
 
-        if self.config.use_vectorized_kernels:
-            converged = self._run_vectorized(
-                graph, program, machine, partitions, states, round_records,
-                harness, faulted, start_round,
-            )
+class _BulkSyncRun(BaselineFaultHarness):
+    """One BSP execution: the harness plus the round it runs.
+
+    The per-vertex round is the original code path and stays as the
+    differential reference; with ``use_vectorized_kernels`` the batched
+    round replaces it update for update — BSP gathers against the
+    round-start snapshot, which is exactly the batched formulation, so
+    states, round records, and every modeled counter (``apply_calls``,
+    ``edge_traversals``, ``load_global`` bytes, messages) match — the
+    loops just run as NumPy array operations instead of per-vertex
+    Python.
+    """
+
+    def __init__(self, engine, graph, program, fault_injector, recovery):
+        super().__init__(engine, graph, program, fault_injector, recovery)
+        self.kernel = (
+            resolve_kernel(program, graph)
+            if engine.config.use_vectorized_kernels
+            else None
+        )
+        # Vertex -> partition lookup array (the scalar round binary-
+        # searches per vertex). The gpu half is recomputed per round —
+        # recovery may re-place partitions mid-run.
+        self.part_lo = np.array(
+            [p.lo for p in self.partitions], dtype=np.int64
+        )
+
+    def run_round(self, round_index: int) -> None:
+        if self.kernel is None:
+            self._scalar_round(round_index)
         else:
-            converged = self._run_scalar(
-                graph, program, machine, partitions, states, round_records,
-                harness, faulted, start_round,
-            )
+            self._vectorized_round(round_index)
 
-        if not converged and strict_convergence:
-            raise ConvergenceError(
-                f"{program.name} did not converge within "
-                f"{self.config.max_rounds} rounds"
-            )
-        if self.config.verify_invariants and converged:
-            from repro.verify.report import VerificationReport
-            from repro.verify.structural import check_fixed_point_reached
-
-            VerificationReport(
-                [check_fixed_point_reached(program, graph, states.values)]
-            ).raise_if_failed()
-        extras = {"num_partitions": float(len(partitions))}
-        if faulted:
-            extras.update(
-                {
-                    "rollback_replay_rounds": float(
-                        stats.rollback_replay_rounds
-                    ),
-                    "checkpoints_taken": float(stats.checkpoints_taken),
-                    "checkpoint_bytes_spilled": float(
-                        stats.checkpoint_bytes_spilled
-                    ),
-                    "checkpoint_time_s": stats.checkpoint_time_s,
-                    "checkpoint_hidden_time_s": (
-                        stats.checkpoint_hidden_time_s
-                    ),
-                }
-            )
-        return ExecutionResult(
-            engine=self.name,
-            algorithm=program.name,
-            graph_name=graph_name,
-            converged=converged,
-            rounds=stats.rounds,
-            states=states.values.copy(),
-            stats=stats,
-            round_records=round_records,
-            wall_seconds=time.perf_counter() - started,
-            extras=extras,
-        )
-
-    def _run_scalar(
-        self,
-        graph: DiGraphCSR,
-        program: VertexProgram,
-        machine: Machine,
-        partitions: List[VertexRangePartition],
-        states: VertexStates,
-        round_records: List[RoundRecord],
-        harness: BaselineFaultHarness,
-        faulted: bool,
-        start_round: int = 0,
-    ) -> bool:
-        """The per-vertex round loop (the original code path)."""
-        stats = machine.stats
-        converged = False
-        round_index = start_round
-        while round_index < self.config.max_rounds:
-            frontier = Frontier.from_mask(states.active)
-            if not frontier:
-                converged = True
-                break
-            harness.maybe_checkpoint(round_index)
-            try:
-                self._scalar_round(
-                    graph, program, machine, partitions, states,
-                    round_records, round_index, frontier, faulted,
+    def _load_touched(self, touched_partitions: Set[int]) -> None:
+        """Whole-partition loads for every touched partition (Fig. 13's
+        denominator: many loaded vertices, few used)."""
+        for partition in self.partitions:
+            if partition.partition_id in touched_partitions:
+                self.machine.load_global(
+                    partition.gpu,
+                    nbytes=partition.nbytes,
+                    vertices=partition.num_vertices,
                 )
-            except (GPULostError, PermanentInterconnectFault) as exc:
-                round_index = harness.recover(exc, round_index)
-                continue
-            round_index += 1
-        harness.finish()
-        return converged
+                self.machine.stats.note_partition_processed(
+                    partition.partition_id
+                )
 
-    def _scalar_round(
-        self,
-        graph: DiGraphCSR,
-        program: VertexProgram,
-        machine: Machine,
-        partitions: List[VertexRangePartition],
-        states: VertexStates,
-        round_records: List[RoundRecord],
-        round_index: int,
-        frontier: Frontier,
-        faulted: bool,
-    ) -> None:
+    def _scalar_round(self, round_index: int) -> None:
+        graph, program, machine = self.graph, self.program, self.machine
+        partitions, states, faulted = (
+            self.partitions, self.states, self.faulted
+        )
+        frontier = Frontier.from_mask(states.active)
         stats = machine.stats
         snapshot = states.copy_values()
         work: Dict[int, List[int]] = {g: [] for g in range(machine.num_gpus)}
@@ -259,20 +174,7 @@ class BulkSyncEngine:
             work[partition.gpu].append(degree)
             atomics[partition.gpu].append(1 if changed else 0)
 
-        # Whole-partition loads for every touched partition (Fig. 13's
-        # denominator: many loaded vertices, few used).
-        convergent = 0
-        for partition in partitions:
-            if partition.partition_id in touched_partitions:
-                machine.load_global(
-                    partition.gpu,
-                    nbytes=partition.nbytes,
-                    vertices=partition.num_vertices,
-                )
-                stats.note_partition_processed(partition.partition_id)
-            else:
-                convergent += 1
-
+        self._load_touched(touched_partitions)
         machine.compute_round(work, atomics, barrier=True)
 
         # Barrier + state synchronization: changed vertices whose
@@ -328,83 +230,20 @@ class BulkSyncEngine:
         for gpu in machine.live_gpu_ids():
             machine.transfer(gpu, "host", BARRIER_SYNC_BYTES)
 
-        stats.rounds += 1
-        active_vertices = len(frontier)
-        touched_vertex_total = sum(
-            partitions[pid].num_vertices for pid in touched_partitions
-        )
-        round_records.append(
-            RoundRecord(
-                round_index=round_index,
-                partitions_processed=len(touched_partitions),
-                partitions_convergent=convergent,
-                active_fraction_nonconvergent=(
-                    active_vertices / touched_vertex_total
-                    if touched_vertex_total
-                    else 0.0
-                ),
-                vertex_updates=updates_this_round,
-            )
+        self.record_round(
+            round_index,
+            len(touched_partitions),
+            len(frontier),
+            sum(partitions[pid].num_vertices for pid in touched_partitions),
+            updates_this_round,
         )
 
-    def _run_vectorized(
-        self,
-        graph: DiGraphCSR,
-        program: VertexProgram,
-        machine: Machine,
-        partitions: List[VertexRangePartition],
-        states: VertexStates,
-        round_records: List[RoundRecord],
-        harness: BaselineFaultHarness,
-        faulted: bool,
-        start_round: int = 0,
-    ) -> bool:
-        """Batched round loop: one kernel call per round.
-
-        Equivalent to :meth:`_run_scalar` update for update: BSP gathers
-        against the round-start snapshot, which is exactly the batched
-        formulation, so states, round records, and every modeled counter
-        (``apply_calls``, ``edge_traversals``, ``load_global`` bytes,
-        messages) match the scalar path — the loops just run as NumPy
-        array operations instead of per-vertex Python.
-        """
-        kernel = resolve_kernel(program, graph)
-        # Vertex -> partition lookup array (the scalar path binary-
-        # searches per vertex). The gpu half is recomputed per round —
-        # recovery may re-place partitions mid-run.
-        part_lo = np.array([p.lo for p in partitions], dtype=np.int64)
-        converged = False
-        round_index = start_round
-        while round_index < self.config.max_rounds:
-            frontier = np.flatnonzero(states.active)
-            if frontier.size == 0:
-                converged = True
-                break
-            harness.maybe_checkpoint(round_index)
-            try:
-                self._vectorized_round(
-                    machine, partitions, states, round_records,
-                    round_index, frontier, kernel, part_lo, faulted,
-                )
-            except (GPULostError, PermanentInterconnectFault) as exc:
-                round_index = harness.recover(exc, round_index)
-                continue
-            round_index += 1
-        harness.finish()
-        return converged
-
-    def _vectorized_round(
-        self,
-        machine: Machine,
-        partitions: List[VertexRangePartition],
-        states: VertexStates,
-        round_records: List[RoundRecord],
-        round_index: int,
-        frontier: np.ndarray,
-        kernel,
-        part_lo: np.ndarray,
-        faulted: bool,
-    ) -> None:
+    def _vectorized_round(self, round_index: int) -> None:
+        machine, partitions, states = (
+            self.machine, self.partitions, self.states
+        )
+        kernel, part_lo, faulted = self.kernel, self.part_lo, self.faulted
+        frontier = np.flatnonzero(states.active)
         stats = machine.stats
         num_gpus = machine.num_gpus
         part_gpu = np.array([p.gpu for p in partitions], dtype=np.int64)
@@ -433,20 +272,7 @@ class BulkSyncEngine:
             work[gpu] = gpu_degrees.tolist()
             atomics[gpu] = changed[on_gpu].astype(np.int64).tolist()
 
-        # Whole-partition loads for every touched partition (Fig. 13's
-        # denominator: many loaded vertices, few used).
-        convergent = 0
-        for partition in partitions:
-            if partition.partition_id in touched_partitions:
-                machine.load_global(
-                    partition.gpu,
-                    nbytes=partition.nbytes,
-                    vertices=partition.num_vertices,
-                )
-                stats.note_partition_processed(partition.partition_id)
-            else:
-                convergent += 1
-
+        self._load_touched(touched_partitions)
         machine.compute_round(work, atomics, barrier=True)
 
         # Barrier + state synchronization.
@@ -520,21 +346,10 @@ class BulkSyncEngine:
         for gpu in machine.live_gpu_ids():
             machine.transfer(gpu, "host", BARRIER_SYNC_BYTES)
 
-        stats.rounds += 1
-        active_vertices = int(frontier.size)
-        touched_vertex_total = sum(
-            partitions[pid].num_vertices for pid in touched_partitions
-        )
-        round_records.append(
-            RoundRecord(
-                round_index=round_index,
-                partitions_processed=len(touched_partitions),
-                partitions_convergent=convergent,
-                active_fraction_nonconvergent=(
-                    active_vertices / touched_vertex_total
-                    if touched_vertex_total
-                    else 0.0
-                ),
-                vertex_updates=updates_this_round,
-            )
+        self.record_round(
+            round_index,
+            len(touched_partitions),
+            int(frontier.size),
+            sum(partitions[pid].num_vertices for pid in touched_partitions),
+            updates_this_round,
         )

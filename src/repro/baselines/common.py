@@ -9,12 +9,16 @@ is active — the low loaded-data utilization the paper measures in Fig. 13.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bench.results import RoundRecord
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
+from repro.gpu.machine import Machine
+from repro.model.rounds import checkpoint_manager
+from repro.model.state import VertexStates
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE
 from repro.core.storage import (
     BYTES_PER_EDGE_VALUE,
@@ -121,40 +125,59 @@ def partition_of_vertex(
 
 
 class BaselineFaultHarness:
-    """Checkpoint client + GPU-loss recovery shared by the baselines.
+    """Run object of a range-partitioned baseline (see
+    :mod:`repro.model.rounds` for the driver it is handed to).
 
-    The range-partitioned baselines have far simpler state than the
-    DiGraph engine — two vertex arrays plus the partition->GPU placement
-    — so one harness covers both. It doubles as the duck-typed client of
-    :class:`~repro.faults.checkpoint.CheckpointManager` (built through
-    ``recovery.make_checkpoint_manager`` so this layer never imports
-    ``repro.faults``) and owns the rollback + redistribution path a GPU
-    death takes. Dead GPUs' partitions are re-placed on the least-loaded
-    survivors by edge count (there is no dependency structure to keep
-    local in a 1-D vertex-range sharding).
+    The baselines have far simpler state than the DiGraph engine — two
+    vertex arrays plus the partition->GPU placement — so one harness
+    covers both: the shared setup (machine, 1-D sharding, initial
+    distribution, vertex states), the duck-typed client of
+    :class:`~repro.faults.checkpoint.CheckpointManager`, and the
+    redistribution rule a GPU death takes.
+    Each engine subclasses it with its own ``run_round``.
     """
+
+    #: The engine's constant in the preprocessing-time model (see
+    #: :func:`modeled_baseline_preprocess_seconds`).
+    preprocess_overhead = 1.0
 
     def __init__(
         self,
-        machine,
+        engine,
+        graph: DiGraphCSR,
+        program,
+        fault_injector,
         recovery,
-        partitions: List[VertexRangePartition],
-        states,
-        round_records: List,
     ) -> None:
-        self.machine = machine
-        self.recovery = recovery
-        self.partitions = partitions
-        self.states = states
-        self.round_records = round_records
-        self.rollbacks = 0
-        self.manager = None
-        if (
-            recovery is not None
-            and getattr(recovery, "checkpoint_rounds", False)
-            and hasattr(recovery, "make_checkpoint_manager")
-        ):
-            self.manager = recovery.make_checkpoint_manager(machine, self)
+        config = engine.config
+        self.machine = machine = Machine(
+            engine.spec, fault_injector=fault_injector, recovery=recovery
+        )
+        machine.stats.preprocess_time_s = modeled_baseline_preprocess_seconds(
+            graph, self.preprocess_overhead, n_workers=config.n_workers
+        )
+        self.partitions = vertex_range_partitions(
+            graph,
+            machine.num_gpus,
+            resolve_partition_target(
+                graph, config.target_edges_per_partition
+            ),
+        )
+        # Initial distribution of the graph to the GPUs.
+        for partition in self.partitions:
+            machine.batched_transfer_to_gpu(partition.gpu, partition.nbytes)
+        self.graph = graph
+        self.program = program
+        self.states = VertexStates(graph, program)
+        self.round_records: List[RoundRecord] = []
+        # With the fault machinery engaged, cross-GPU pushes go through
+        # the modeled ack/checksum protocol (``deliver_replica_batch``)
+        # so they can be dropped, corrupted, retried, and escalated; the
+        # legacy path stays bit-identical for fault-free runs.
+        self.faulted = fault_injector is not None or recovery is not None
+        #: Set by the round driver (ConvergenceError diagnostics).
+        self.last_max_delta = 0.0
+        self.checkpoints = checkpoint_manager(machine, self)
 
     # ------------------------------------------------------------------
     # CheckpointManager client protocol
@@ -184,89 +207,60 @@ class BaselineFaultHarness:
         del self.round_records[scalars["num_round_records"] :]
 
     # ------------------------------------------------------------------
-    # round-loop hooks
+    # round-driver hooks (``run_round`` comes from the engine subclass)
     # ------------------------------------------------------------------
-    def maybe_checkpoint(self, round_index: int) -> None:
-        if self.manager is not None and self.manager.due(round_index):
-            self.manager.checkpoint(round_index)
+    def prologue(self) -> None:
+        """Nothing runs before round 0: vertices without edges are
+        ordinary frontier members here."""
 
-    def finish(self) -> None:
-        """Settle any in-flight double-buffered checkpoint spill."""
-        if self.manager is not None:
-            self.manager.finish()
-
-    def resume_from_store(self) -> int:
-        """Whole-job restart: reload the last durable checkpoint.
-
-        Returns the round index the engine loop should resume from.
-        Requires a recovery policy with ``durability != "none"`` (the
-        manager then owns a :class:`~repro.faults.store.CheckpointStore`
-        under ``run_dir``); the placement restored by the scalar state
-        may reference GPUs that were already dead at the crash — those
-        deaths are replayed by the manager, and the normal ``recover``
-        path's redistribution logic never runs because the checkpointed
-        placement already post-dates it.
-        """
-        if self.manager is None or self.manager.store is None:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "resume requires a recovery policy with "
-                "durability != 'none' and a run_dir"
-            )
-        loaded = self.manager.resume_from_store()
-        return int(loaded.round_index)
-
-    def recover(self, exc: Exception, round_index: int) -> int:
-        """Roll back after a GPU loss; returns the round to resume from.
-
-        Re-raises ``exc`` when recovery is off, no checkpoint exists,
-        the loss budget is exhausted, no GPU survives, or the failure
-        names no GPU. A permanently failed link is pinned on the GPU at
-        its device endpoint, mirroring the DiGraph engine.
-        """
-        gpu_id = getattr(exc, "gpu_id", None)
-        if gpu_id is None:
-            dst = getattr(exc, "dst", None)
-            gpu_id = dst if isinstance(dst, int) else getattr(exc, "src", None)
-        if (
-            self.manager is None
-            or not self.manager.has_checkpoint
-            or not isinstance(gpu_id, int)
-        ):
-            raise exc
-        self.rollbacks += 1
-        if self.rollbacks > self.recovery.max_gpu_loss_recoveries:
-            raise exc
-        self.machine.kill_gpu(gpu_id)
-        resume = self.manager.rollback(round_index)
+    def redistribute(self, dead_gpus: Sequence[int]) -> List[int]:
+        """Re-place dead GPUs' partitions on the least-loaded survivors
+        by edge count (there is no dependency structure to keep local in
+        a 1-D vertex-range sharding). The dead GPU's memory is gone: the
+        survivor re-loads each partition from the host copy."""
         live = self.machine.live_gpu_ids()
-        if not live:
-            raise exc
-        # The restored placement predates any death since the checkpoint
-        # — sweep every dead GPU, not just today's casualty.
         load = {g: 0 for g in live}
         for partition in self.partitions:
             if partition.gpu in load:
                 load[partition.gpu] += partition.num_edges
-        moved = 0
+        moved: List[int] = []
         for i, partition in enumerate(self.partitions):
-            if partition.gpu not in self.machine.dead_gpus:
+            if partition.gpu not in dead_gpus:
                 continue
             target = min(live, key=lambda g: (load[g], g))
             self.partitions[i] = replace(partition, gpu=target)
             load[target] += partition.num_edges
-            moved += 1
-            # The dead GPU's memory is gone: the survivor re-loads the
-            # partition from the host copy.
             self.machine.batched_transfer_to_gpu(target, partition.nbytes)
-            self.machine.stats.retransferred_bytes += partition.nbytes
-        injector = self.machine._structured_injector
-        if injector is not None:
-            injector.note_recovery(
-                "gpu_loss", gpu=gpu_id, moved=moved, round=round_index
+            moved.append(partition.nbytes)
+        return moved
+
+    def invariant_checks(self) -> List:
+        return []
+
+    def extras(self) -> Dict[str, float]:
+        return {"num_partitions": float(len(self.partitions))}
+
+    def record_round(
+        self,
+        round_index: int,
+        processed: int,
+        active: int,
+        touched_vertices: int,
+        updates: int,
+    ) -> None:
+        """Append the round's Fig. 2 observation: ``active`` vertices
+        over the ``touched_vertices`` of the ``processed`` partitions."""
+        self.round_records.append(
+            RoundRecord(
+                round_index=round_index,
+                partitions_processed=processed,
+                partitions_convergent=len(self.partitions) - processed,
+                active_fraction_nonconvergent=(
+                    active / touched_vertices if touched_vertices else 0.0
+                ),
+                vertex_updates=updates,
             )
-        return resume
+        )
 
 
 def modeled_baseline_preprocess_seconds(

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algorithms import make_program
 from repro.baselines.async_engine import AsyncConfig, AsyncEngine
 from repro.baselines.bulk_sync import BulkSyncConfig, BulkSyncEngine
+from repro.baselines.sequential import SequentialEngine
 from repro.bench.results import ExecutionResult
 from repro.core.engine import DiGraphConfig, DiGraphEngine
 from repro.core.variants import digraph_t, digraph_w
@@ -22,13 +23,62 @@ from repro.errors import ConfigurationError
 from repro.gpu.config import SCALED_MACHINE, MachineSpec
 from repro.graph import datasets
 
-#: Engine names in the order the paper's figures list them.
-ENGINE_NAMES = ("bulk-sync", "async", "digraph-t", "digraph-w", "digraph")
 
-#: All runnable engines including the sequential topological reference
-#: (Fig. 2d), which the figures exclude but the conformance harness
-#: cross-checks against.
-ALL_ENGINE_NAMES = ("sequential",) + ENGINE_NAMES
+class EngineRow(NamedTuple):
+    """One registry row: how a name becomes an engine."""
+
+    constructor: Callable  #: ``(machine_spec, config) -> engine``
+    config: Optional[type]  #: config dataclass (None: takes no config)
+    pinned: Dict[str, object]  #: config fields this row fixes
+    #: Runtime the row's round loop lives in — "digraph" (the path
+    #: engine's) or "baseline" (the range-partitioned harness); None for
+    #: the round-less sequential reference (Fig. 2d).
+    family: Optional[str]
+
+
+_VEC = {"use_vectorized_kernels": True}
+
+#: The engine registry — the only place a name becomes a constructor —
+#: in the order the paper's figures list the engines. A ``-vec`` row is
+#: its scalar sibling with the batched kernels pinned on.
+ENGINES = {
+    "sequential": EngineRow(SequentialEngine, None, {}, None),
+    "bulk-sync": EngineRow(BulkSyncEngine, BulkSyncConfig, {}, "baseline"),
+    "bulk-sync-vec": EngineRow(
+        BulkSyncEngine, BulkSyncConfig, _VEC, "baseline"
+    ),
+    "async": EngineRow(AsyncEngine, AsyncConfig, {}, "baseline"),
+    "digraph-t": EngineRow(digraph_t, DiGraphConfig, {}, "digraph"),
+    "digraph-w": EngineRow(digraph_w, DiGraphConfig, {}, "digraph"),
+    "digraph": EngineRow(DiGraphEngine, DiGraphConfig, {}, "digraph"),
+    "digraph-vec": EngineRow(DiGraphEngine, DiGraphConfig, _VEC, "digraph"),
+}
+
+#: Vectorized rows certify against their *scalar* sibling's golden run.
+SCALAR_SIBLING = {
+    name: name[: -len("-vec")]
+    for name, row in ENGINES.items()
+    if row.pinned == _VEC
+}
+
+#: All runnable scalar engines including the sequential reference, which
+#: the figures exclude but the conformance harness cross-checks against.
+ALL_ENGINE_NAMES = tuple(n for n in ENGINES if n not in SCALAR_SIBLING)
+
+#: Engine names in the order the paper's figures list them.
+ENGINE_NAMES = tuple(n for n in ALL_ENGINE_NAMES if ENGINES[n].family)
+
+#: Engines the chaos harness drives from the DiGraph family (the fault
+#: machinery lives in their shared runtime), the baseline comparators
+#: under the same fault plans (they share the checkpoint manager through
+#: ``RecoveryPolicy.make_checkpoint_manager``), and both.
+CHAOS_ENGINES = tuple(
+    n for n, row in ENGINES.items() if row.family == "digraph"
+)
+BASELINE_CHAOS_ENGINES = tuple(
+    n for n, row in ENGINES.items() if row.family == "baseline"
+)
+ALL_CHAOS_ENGINES = CHAOS_ENGINES + BASELINE_CHAOS_ENGINES
 
 #: Default benchmark scale; override with the REPRO_BENCH_SCALE env var.
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
@@ -42,38 +92,26 @@ def make_engine(
     n_workers: int = 1,
     vectorized: bool = False,
 ):
-    """Build an engine by figure-legend name.
+    """Build an engine by registry name.
 
-    ``vectorized`` enables the batched gather-apply kernels
-    (:mod:`repro.kernels`) on the engines that support them (bulk-sync
-    and the DiGraph family's vertex-centric pass); the async baseline
-    processes vertices one worklist pop at a time and has no batched
-    formulation.
+    ``vectorized`` pins the batched gather-apply kernels
+    (:mod:`repro.kernels`) on, as a ``-vec`` row does, for any engine
+    whose config has the knob (bulk-sync and the DiGraph family's
+    vertex-centric pass); the async baseline processes vertices one
+    worklist pop at a time and has no batched formulation.
     """
-    machine = machine or SCALED_MACHINE
-    if name == "sequential":
-        from repro.baselines.sequential import SequentialEngine
-
-        return SequentialEngine(machine)
-    if name == "bulk-sync":
-        return BulkSyncEngine(
-            machine,
-            BulkSyncConfig(
-                n_workers=n_workers, use_vectorized_kernels=vectorized
-            ),
+    if name not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {name!r}; expected one of {tuple(ENGINES)}"
         )
-    if name == "async":
-        return AsyncEngine(machine, AsyncConfig(n_workers=n_workers))
-    digraph_config = DiGraphConfig(
-        n_workers=n_workers, use_vectorized_kernels=vectorized
-    )
-    if name == "digraph":
-        return DiGraphEngine(machine, digraph_config)
-    if name == "digraph-t":
-        return digraph_t(machine, digraph_config)
-    if name == "digraph-w":
-        return digraph_w(machine, digraph_config)
-    raise ConfigurationError(f"unknown engine {name!r}")
+    row = ENGINES[name]
+    machine = machine or SCALED_MACHINE
+    if row.config is None:
+        return row.constructor(machine)
+    fields = {"n_workers": n_workers, **row.pinned}
+    if vectorized and hasattr(row.config, "use_vectorized_kernels"):
+        fields.update(_VEC)
+    return row.constructor(machine, row.config(**fields))
 
 
 _GRAPH_CACHE: Dict[Tuple, object] = {}

@@ -45,8 +45,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.algorithms import ALGORITHMS
 from repro.bench import runner
-from repro.bench.runner import ENGINE_NAMES
+from repro.bench.runner import ALL_ENGINE_NAMES
 from repro.errors import ArtifactError, ConfigurationError
 from repro.graph import datasets
 
@@ -302,8 +303,6 @@ class SweepConfig:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any malformed axis."""
-        from repro.cli import ALGORITHMS
-
         _require(
             self.mode in ("run", "stream", "serve"),
             f"sweep mode must be 'run', 'stream' or 'serve', "
@@ -324,9 +323,9 @@ class SweepConfig:
                 )
             else:
                 _require(
-                    engine in ("sequential",) + ENGINE_NAMES,
+                    engine in ALL_ENGINE_NAMES,
                     f"unknown engine {engine!r}; known: "
-                    f"{('sequential',) + ENGINE_NAMES}",
+                    f"{ALL_ENGINE_NAMES}",
                 )
         if self.mode == "serve":
             from repro.serve.query import SERVE_ALGORITHMS

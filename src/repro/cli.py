@@ -39,25 +39,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from repro.algorithms import make_program
-from repro.bench.runner import ENGINE_NAMES, make_engine
+from repro.algorithms import ALGORITHMS, make_program
+from repro.bench.runner import (
+    ALL_CHAOS_ENGINES,
+    ALL_ENGINE_NAMES,
+    ENGINE_NAMES,
+    make_engine,
+)
 from repro.errors import ReproError
 from repro.graph import datasets
 from repro.graph.io import read_edge_list
 from repro.gpu.config import SCALED_MACHINE
-
-ALGORITHMS = (
-    "pagerank",
-    "adsorption",
-    "sssp",
-    "kcore",
-    "bfs",
-    "wcc",
-    "ppr",
-    "reachability",
-)
 
 
 def _load(args) -> object:
@@ -331,7 +326,6 @@ def cmd_kernels_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro.bench.runner import ALL_ENGINE_NAMES
     from repro.verify.fixtures import CANONICAL_GRAPHS
     from repro.verify.harness import verify_graph
 
@@ -408,21 +402,24 @@ def cmd_chaos(args) -> int:
             "kill_at_round": args.kill_round,
         }
 
+    recovery = RecoveryPolicy(
+        checkpoint_interval=args.checkpoint_interval,
+        incremental_checkpoints=args.incremental_checkpoints,
+        full_checkpoint_period=args.full_checkpoint_period,
+        overlap_checkpoint_spill=args.overlap_spill,
+        redistribution_policy=args.redistribution,
+    )
+
     def sweep(redistribution_policy):
-        recovery = RecoveryPolicy(
-            checkpoint_interval=args.checkpoint_interval,
-            incremental_checkpoints=args.incremental_checkpoints,
-            full_checkpoint_period=args.full_checkpoint_period,
-            overlap_checkpoint_spill=args.overlap_spill,
-            redistribution_policy=redistribution_policy,
-        )
         return chaos_sweep(
             graph,
             algorithms=tuple(args.algorithms),
             engine_names=tuple(args.engines),
             seeds=tuple(args.seeds),
             machine=spec,
-            recovery=recovery,
+            recovery=replace(
+                recovery, redistribution_policy=redistribution_policy
+            ),
             graph_name=name,
             plan_options=plan_options,
             disable_recovery=args.no_recovery,
@@ -433,13 +430,6 @@ def cmd_chaos(args) -> int:
     if args.crash_restart:
         from repro.faults import crash_restart_sweep
 
-        recovery = RecoveryPolicy(
-            checkpoint_interval=args.checkpoint_interval,
-            incremental_checkpoints=args.incremental_checkpoints,
-            full_checkpoint_period=args.full_checkpoint_period,
-            overlap_checkpoint_spill=args.overlap_spill,
-            redistribution_policy=args.redistribution,
-        )
         results = crash_restart_sweep(
             graph,
             algorithms=tuple(args.algorithms),
@@ -1338,15 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument(
         "--engines",
         nargs="+",
-        choices=[
-            "digraph",
-            "digraph-t",
-            "digraph-w",
-            "digraph-vec",
-            "bulk-sync",
-            "bulk-sync-vec",
-            "async",
-        ],
+        choices=ALL_CHAOS_ENGINES,
         default=["digraph"],
         help="engines to sweep: the DiGraph family (digraph-vec runs "
         "the vectorized batch kernels) and the baseline comparators "

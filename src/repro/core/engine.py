@@ -34,16 +34,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    GPULostError,
-    PermanentInterconnectFault,
-)
+from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
 from repro.gpu.machine import Machine
 from repro.model.gas import VertexProgram
+from repro.model.rounds import (
+    checkpoint_manager,
+    drive_rounds,
+    finish_run,
+)
 from repro.model.state import StalenessView, VertexStates
 from repro.bench.results import ExecutionResult, RoundRecord
 from repro.core.dependency import DependencyDAG, build_dependency_dag
@@ -247,76 +247,9 @@ class DiGraphEngine:
         converged = run.execute(resume=resume)
         if initial_values is not None or initial_active is not None:
             machine.stats.incremental_rounds += machine.stats.rounds
-        if not converged and strict_convergence:
-            raise ConvergenceError(
-                f"{program.name} did not converge within "
-                f"{cfg.max_rounds} rounds",
-                rounds=machine.stats.rounds,
-                active_vertices=run.states.num_active,
-                last_max_delta=run.last_max_delta,
-            )
-        if cfg.verify_invariants:
-            from repro.verify.conservation import verify_run_conservation
-            from repro.verify.report import VerificationReport
-            from repro.verify.structural import check_fixed_point_reached
-
-            report = VerificationReport(
-                verify_run_conservation(
-                    machine.stats, run.sync_sent_bytes
-                ).results
-                + (
-                    [
-                        check_fixed_point_reached(
-                            program, graph, run.states.values
-                        )
-                    ]
-                    if converged
-                    else []
-                )
-            )
-            report.raise_if_failed()
-        extras = {
-            "num_paths": float(pre.path_set.num_paths),
-            "avg_path_length": pre.path_set.average_length(),
-            "num_partitions": float(pre.storage.num_partitions),
-            "num_scc_vertices": float(pre.dag.num_scc_vertices),
-            "giant_scc_path_fraction": pre.dag.giant_scc_path_fraction(),
-            "steals": float(run.dispatcher.steal_count),
-        }
-        if fault_injector is not None:
-            stats = machine.stats
-            extras.update(
-                {
-                    "transfer_retries": float(stats.transfer_retries),
-                    "sync_retries": float(stats.sync_retries),
-                    "stragglers_detected": float(stats.stragglers_detected),
-                    "gpu_failures": float(stats.gpu_failures),
-                    "rounds_rolled_back": float(stats.rounds_rolled_back),
-                    "rollback_replay_rounds": float(
-                        stats.rollback_replay_rounds
-                    ),
-                    "checkpoints_taken": float(stats.checkpoints_taken),
-                    "checkpoint_bytes_spilled": float(
-                        stats.checkpoint_bytes_spilled
-                    ),
-                    "checkpoint_time_s": stats.checkpoint_time_s,
-                    "checkpoint_hidden_time_s": (
-                        stats.checkpoint_hidden_time_s
-                    ),
-                    "recovery_time_s": stats.recovery_time_s,
-                }
-            )
-        return ExecutionResult(
-            engine=self.engine_label(),
-            algorithm=program.name,
-            graph_name=graph_name,
-            converged=converged,
-            rounds=machine.stats.rounds,
-            states=run.states.values.copy(),
-            stats=machine.stats,
-            round_records=run.round_records,
-            wall_seconds=time.perf_counter() - started,
-            extras=extras,
+        return finish_run(
+            run, cfg, self.engine_label(), graph_name, converged,
+            strict_convergence, started,
         )
 
     def engine_label(self) -> str:
@@ -399,12 +332,10 @@ class _Run:
         # the replica batch the activation message rides on.
         self._processing_gpu: Optional[int] = None
         self._deferred_activations: List[Tuple[int, int, int]] = []
-        # Fault recovery: the machine's policy, rollback budget used,
-        # and the largest state change of the last completed round
-        # (diagnostic for ConvergenceError).
+        # Fault recovery: the machine's policy, and the largest state
+        # change of the budget's final round (set by the round driver,
+        # diagnostic for ConvergenceError).
         self.recovery = machine.recovery
-        self._rollbacks = 0
-        self._round_max_delta = 0.0
         self.last_max_delta = 0.0
         self._path_work_cache: Dict[int, int] = {}
         # Round stamp per vertex: a vertex is updated at most once per
@@ -419,7 +350,6 @@ class _Run:
         self._wave_counter = 0
         self._current_round = 0
         self._stamp_counter = 0
-        self._rounds_done = 0
         self._apply_layer_aware_owners()
         # Per-vertex owner partition (post-override), for the checkpoint
         # manager's spill attribution.
@@ -428,17 +358,8 @@ class _Run:
             pid = pre.replicas.owner_partition(v)
             if pid is not None:
                 self._owner_pid[v] = pid
-        # Checkpoint lifecycle: built by the policy itself (duck-typed),
-        # so this layer never imports repro.faults.
-        self.checkpoints = (
-            self.recovery.make_checkpoint_manager(
-                machine, _EngineCheckpointClient(self)
-            )
-            if self.recovery is not None
-            and getattr(self.recovery, "checkpoint_rounds", False)
-            and hasattr(self.recovery, "make_checkpoint_manager")
-            else None
-        )
+        # Checkpoint lifecycle (this run object is the manager's client).
+        self.checkpoints = checkpoint_manager(machine, self)
         self.scheduler.reset_counts(self.states.active)
         for v in self.states.active_vertices():
             self._bump_partitions(int(v), +1)
@@ -552,16 +473,6 @@ class _Run:
     def partition_is_active(self, pid: int) -> bool:
         return self.partition_active[pid] > 0
 
-    def _note_delta(self, old: float, new: float) -> None:
-        """Track the round's largest state change (ConvergenceError
-        diagnostics). Any move involving an infinity counts as inf."""
-        if np.isfinite(old) and np.isfinite(new):
-            delta = abs(new - old)
-        else:
-            delta = float("inf")
-        if delta > self._round_max_delta:
-            self._round_max_delta = delta
-
     def active_successor_partitions(self, pid: int) -> int:
         """Eviction-policy input: active direct successor partitions."""
         return sum(
@@ -571,7 +482,7 @@ class _Run:
         )
 
     # ------------------------------------------------------------------
-    # main loop
+    # main loop: what the round driver calls (repro.model.rounds)
     # ------------------------------------------------------------------
     def execute(self, resume: bool = False) -> bool:
         """Run topological sweeps until no vertex is active.
@@ -583,77 +494,18 @@ class _Run:
         layers). A partition runs at most once per sweep; a group that
         stays active (an iterating SCC) waits for the next sweep.
 
-        With a recovery policy, the checkpoint manager snapshots the
-        logical state every ``checkpoint_interval`` rounds (spill cost
-        charged on the PCIe ring): a GPU death (or a permanently failed
-        link) mid-round rolls back to the last checkpoint, fences the
-        dead GPU off, redistributes its partitions across the survivors,
-        and replays the discarded rounds. Replayed rounds do not consume
-        the convergence budget (they are bounded separately by
-        ``max_gpu_loss_recoveries``).
+        The loop itself — convergence test, checkpoints, GPU-loss
+        rollback, resume — is :func:`repro.model.rounds.drive_rounds`.
         """
-        stats = self.machine.stats
-        manager = self.checkpoints
-        if resume:
-            if manager is None or manager.store is None:
-                raise ConfigurationError(
-                    "resume requires a recovery policy with "
-                    "durability != 'none' and a run_dir"
-                )
-            # Every durable checkpoint was taken *after* the isolated-
-            # vertex preamble, so its effects are already in the
-            # restored state — re-running it would double-apply.
-            loaded = manager.resume_from_store()
-            self._rounds_done = int(loaded.round_index)
-        else:
-            self._process_isolated_vertices()
-            self._rounds_done = 0
-        try:
-            while self._rounds_done < self.cfg.max_rounds:
-                if not self.states.any_active():
-                    return True
-                if manager is not None and manager.due(self._rounds_done):
-                    manager.checkpoint(self._rounds_done)
-                try:
-                    swept_any = self._execute_round()
-                except GPULostError as exc:
-                    self._recover_gpu_loss(exc.gpu_id, exc)
-                    continue
-                except PermanentInterconnectFault as exc:
-                    # A link that stays dead is indistinguishable from
-                    # the GPU behind it being unreachable: fence off the
-                    # GPU at the failing endpoint and degrade onto the
-                    # survivors.
-                    gpu_id = (
-                        exc.dst if isinstance(exc.dst, int) else exc.src
-                    )
-                    if not isinstance(gpu_id, int):
-                        raise
-                    self._recover_gpu_loss(gpu_id, exc)
-                    continue
-                self._rounds_done += 1
-                stats.rounds += 1
-                if not swept_any:
-                    # Active vertices exist only outside any partition —
-                    # impossible once isolated vertices were handled.
-                    return True
-            return not self.states.any_active()
-        finally:
-            # Settle any in-flight double-buffered checkpoint spill: the
-            # last spill's exposed remainder must land on the timeline
-            # even when the run converges (or aborts) right after it.
-            if manager is not None:
-                manager.finish()
+        return drive_rounds(self, self.cfg.max_rounds, resume)
 
-    def _execute_round(self) -> bool:
-        """One sweep over the dependency frontier; True if anything ran."""
-        self._current_round += 1
-        self._round_max_delta = 0.0
+    def run_round(self, round_index: int) -> None:
+        """One sweep over the dependency frontier."""
+        self._current_round = round_index + 1
         processed_this_sweep: Set[int] = set()
         live = self.machine.live_gpu_ids()
         self._sweep_work = {g: [] for g in live}
         self._sweep_atomics = {g: [] for g in live}
-        swept_any = False
         while True:
             runnable = [
                 pid
@@ -662,7 +514,6 @@ class _Run:
             ]
             if not runnable:
                 break
-            swept_any = True
             processed_this_sweep.update(runnable)
             self._run_wave(runnable)
         # One kernel timeline per sweep: the waves above are
@@ -672,56 +523,46 @@ class _Run:
         # launch would serialize warp-quantization costs that the
         # real system pipelines away.
         self.machine.compute_round(self._sweep_work, self._sweep_atomics)
-        self.last_max_delta = self._round_max_delta
-        return swept_any
 
-    # ------------------------------------------------------------------
-    # GPU-loss recovery
-    # ------------------------------------------------------------------
-    def _recover_gpu_loss(
-        self, gpu_id: Optional[int], cause: Exception
-    ) -> None:
-        """Degrade gracefully after losing a GPU mid-round.
+    def redistribute(self, dead_gpus: Sequence[int]) -> List[int]:
+        """Re-place dead GPUs' partitions by the dispatcher's policy.
 
-        Fences the GPU off, rolls back to the checkpoint manager's last
-        snapshot, and redistributes every dead GPU's partitions across
-        the survivors (the restored placement predates *any* death since
-        the last checkpoint, so the sweep must cover earlier casualties
-        too, not just today's). The moved partitions' arrays are gone
-        with the dead GPUs' memory — survivors reload them from the host
-        (lazily, via ``ensure_resident``), accounted eagerly as
-        ``retransferred_bytes``. Re-raises ``cause`` when recovery is
-        off, no checkpoint exists, the loss budget is exhausted, or
-        nobody survives.
+        The moved partitions' arrays are gone with the dead GPUs' memory
+        — survivors reload them from the host lazily (via
+        ``ensure_resident``); the driver bills the returned byte sizes
+        eagerly as ``retransferred_bytes``.
         """
-        recovery = self.recovery
-        manager = self.checkpoints
-        if manager is None or not manager.has_checkpoint or gpu_id is None:
-            raise cause
-        self._rollbacks += 1
-        if self._rollbacks > recovery.max_gpu_loss_recoveries:
-            raise cause
-        # Idempotent: a compute-wave kill already marked the GPU dead; a
-        # permanently failed link reaches here with the GPU still "up".
-        self.machine.kill_gpu(gpu_id)
-        self._rounds_done = manager.rollback(self._rounds_done)
-        policy = getattr(recovery, "redistribution_policy", "edge-balance")
-        moved: List[int] = []
-        for dead in sorted(self.machine.dead_gpus):
-            moved.extend(
-                self.dispatcher.redistribute_dead_gpu(dead, policy=policy)
-            )
-        self.machine.stats.retransferred_bytes += sum(
-            self.pre.storage.partition_bytes(pid) for pid in moved
+        policy = getattr(
+            self.recovery, "redistribution_policy", "edge-balance"
         )
-        injector = self.machine._structured_injector
-        if injector is not None:
-            injector.note_recovery(
-                "gpu_loss",
-                gpu=gpu_id,
-                moved=len(moved),
-                round=self._current_round,
+        return [
+            self.pre.storage.partition_bytes(pid)
+            for dead in dead_gpus
+            for pid in self.dispatcher.redistribute_dead_gpu(
+                dead, policy=policy
             )
+        ]
+
+    def invariant_checks(self) -> List:
+        """Send-vs-receive message and write conservation ledgers."""
+        from repro.verify.conservation import verify_run_conservation
+
+        return list(
+            verify_run_conservation(
+                self.machine.stats, self.sync_sent_bytes
+            ).results
+        )
+
+    def extras(self) -> Dict[str, float]:
+        pre = self.pre
+        return {
+            "num_paths": float(pre.path_set.num_paths),
+            "avg_path_length": pre.path_set.average_length(),
+            "num_partitions": float(pre.storage.num_partitions),
+            "num_scc_vertices": float(pre.dag.num_scc_vertices),
+            "giant_scc_path_fraction": pre.dag.giant_scc_path_fraction(),
+            "steals": float(self.dispatcher.steal_count),
+        }
 
     def _run_wave(self, runnable: List[int]) -> None:
         """Process one set of runnable partitions concurrently.
@@ -797,7 +638,7 @@ class _Run:
             self._path_work_cache[path_id] = cached
         return cached
 
-    def _process_isolated_vertices(self) -> None:
+    def prologue(self) -> None:
         """Vertices on no path (no edges at all) get one apply up front."""
         for v in self.states.active_vertices():
             v = int(v)
@@ -1118,7 +959,6 @@ class _Run:
                 stats.vertex_updates += 1
                 changed_vertices.add(v)
                 write_counts[v] = write_counts.get(v, 0) + 1
-                self._note_delta(old, float(new))
                 self.activate(list(program.dependents(graph, v)))
             upstream_changed = changed
         return edges_walked
@@ -1173,7 +1013,6 @@ class _Run:
                 stats.vertex_updates += 1
                 changed_vertices.add(v)
                 write_counts[v] = write_counts.get(v, 0) + 1
-                self._note_delta(old, float(new))
                 self.activate(list(program.dependents(graph, v)))
         return items
 
@@ -1229,16 +1068,6 @@ class _Run:
         changed_batch = batch[changed]
         if changed_batch.size:
             stats.vertex_updates += int(changed_batch.size)
-            old_changed = old[changed]
-            new_changed = np.asarray(new)[changed]
-            finite = np.isfinite(old_changed) & np.isfinite(new_changed)
-            if not bool(finite.all()):
-                self._round_max_delta = float("inf")
-            else:
-                self._round_max_delta = max(
-                    self._round_max_delta,
-                    float(np.abs(new_changed - old_changed).max()),
-                )
             for v in changed_batch:
                 changed_vertices.add(int(v))
                 write_counts[int(v)] = write_counts.get(int(v), 0) + 1
@@ -1314,84 +1143,74 @@ class _Run:
         self._pending_sync_payload.clear()
         return lost_pairs
 
-
-class _EngineCheckpointClient:
-    """Checkpoint-protocol adapter for a DiGraph run.
-
-    Exposes the logical state a rollback must restore (see
-    ``repro.faults.checkpoint`` for the duck-typed protocol): vertex
-    values and activity, the staleness stamps, the partition/group
-    activity counters, pending cross-GPU messages, BOTH
-    replica-conservation ledgers (send side on the run, receive side in
-    ``MachineStats`` — restoring only one would leave a phantom mismatch
-    after replay), and partition placement. Time and work counters are
-    deliberately *not* covered: the aborted attempt really happened; its
-    cost is surfaced via ``recovery_time_s``.
-    """
-
-    def __init__(self, run: "_Run") -> None:
-        self._run = run
-
+    # ------------------------------------------------------------------
+    # CheckpointManager client protocol
+    # ------------------------------------------------------------------
+    # The logical state a rollback must restore (see
+    # ``repro.faults.checkpoint`` for the duck-typed protocol): vertex
+    # values and activity, the staleness stamps, the partition/group
+    # activity counters, pending cross-GPU messages, BOTH
+    # replica-conservation ledgers (send side on the run, receive side
+    # in ``MachineStats`` — restoring only one would leave a phantom
+    # mismatch after replay), and partition placement. Time and work
+    # counters are deliberately *not* covered: the aborted attempt
+    # really happened; its cost is surfaced via ``recovery_time_s``.
     def vertex_arrays(self) -> Dict[str, np.ndarray]:
-        run = self._run
         return {
-            "values": run.states.values,
-            "active": run.states.active,
-            "processed_stamp": run._processed_stamp,
-            "sweep_stamp": run._sweep_stamp,
-            "written_gpu": run._written_gpu,
-            "written_stamp": run._written_stamp,
+            "values": self.states.values,
+            "active": self.states.active,
+            "processed_stamp": self._processed_stamp,
+            "sweep_stamp": self._sweep_stamp,
+            "written_gpu": self._written_gpu,
+            "written_stamp": self._written_stamp,
         }
 
     def vertex_gpu(self) -> np.ndarray:
-        run = self._run
         pid_gpu = np.full(
-            run.pre.storage.num_partitions + 1, -1, dtype=np.int64
+            self.pre.storage.num_partitions + 1, -1, dtype=np.int64
         )
-        for pid, gpu in run.dispatcher.current_gpu.items():
+        for pid, gpu in self.dispatcher.current_gpu.items():
             pid_gpu[pid] = gpu
         # Unowned vertices (owner_pid == -1) map to the -1 sentinel slot.
-        return pid_gpu[run._owner_pid]
+        return pid_gpu[self._owner_pid]
 
     def capture_scalars(self) -> Dict[str, object]:
-        run = self._run
         return {
-            "partition_active": run.partition_active.copy(),
-            "group_active": run.group_active.copy(),
-            "was_active": run._partition_was_active.copy(),
-            "wave_counter": run._wave_counter,
-            "stamp_counter": run._stamp_counter,
-            "current_round": run._current_round,
-            "deferred": list(run._deferred_activations),
-            "pending_sync": dict(run._pending_sync_bytes),
+            "partition_active": self.partition_active.copy(),
+            "group_active": self.group_active.copy(),
+            "was_active": self._partition_was_active.copy(),
+            "wave_counter": self._wave_counter,
+            "stamp_counter": self._stamp_counter,
+            "current_round": self._current_round,
+            "deferred": list(self._deferred_activations),
+            "pending_sync": dict(self._pending_sync_bytes),
             "pending_payload": {
                 pair: list(vs)
-                for pair, vs in run._pending_sync_payload.items()
+                for pair, vs in self._pending_sync_payload.items()
             },
-            "sent_ledger": dict(run.sync_sent_bytes),
-            "recv_ledger": dict(run.machine.stats.replica_pair_bytes),
-            "current_gpu": dict(run.dispatcher.current_gpu),
-            "num_round_records": len(run.round_records),
+            "sent_ledger": dict(self.sync_sent_bytes),
+            "recv_ledger": dict(self.machine.stats.replica_pair_bytes),
+            "current_gpu": dict(self.dispatcher.current_gpu),
+            "num_round_records": len(self.round_records),
         }
 
     def restore_scalars(self, scalars: Dict[str, object]) -> None:
-        run = self._run
-        run.partition_active[:] = scalars["partition_active"]
-        run.group_active[:] = scalars["group_active"]
-        run._partition_was_active[:] = scalars["was_active"]
-        run._wave_counter = scalars["wave_counter"]
-        run._stamp_counter = scalars["stamp_counter"]
-        run._current_round = scalars["current_round"]
-        run._deferred_activations = list(scalars["deferred"])
-        run._pending_sync_bytes = dict(scalars["pending_sync"])
-        run._pending_sync_payload = {
+        self.partition_active[:] = scalars["partition_active"]
+        self.group_active[:] = scalars["group_active"]
+        self._partition_was_active[:] = scalars["was_active"]
+        self._wave_counter = scalars["wave_counter"]
+        self._stamp_counter = scalars["stamp_counter"]
+        self._current_round = scalars["current_round"]
+        self._deferred_activations = list(scalars["deferred"])
+        self._pending_sync_bytes = dict(scalars["pending_sync"])
+        self._pending_sync_payload = {
             pair: list(vs)
             for pair, vs in scalars["pending_payload"].items()
         }
-        run.sync_sent_bytes = dict(scalars["sent_ledger"])
-        run.machine.stats.replica_pair_bytes = dict(
+        self.sync_sent_bytes = dict(scalars["sent_ledger"])
+        self.machine.stats.replica_pair_bytes = dict(
             scalars["recv_ledger"]
         )
-        run.dispatcher.current_gpu = dict(scalars["current_gpu"])
-        del run.round_records[scalars["num_round_records"]:]
-        run.scheduler.reset_counts(run.states.active)
+        self.dispatcher.current_gpu = dict(scalars["current_gpu"])
+        del self.round_records[scalars["num_round_records"]:]
+        self.scheduler.reset_counts(self.states.active)

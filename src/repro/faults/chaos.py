@@ -28,10 +28,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.algorithms import make_program
-from repro.baselines.async_engine import AsyncEngine
-from repro.baselines.bulk_sync import BulkSyncConfig, BulkSyncEngine
-from repro.core.engine import DiGraphConfig, DiGraphEngine
-from repro.core.variants import digraph_t, digraph_w
+from repro.bench.runner import (  # noqa: F401  (re-exported engine sets)
+    ALL_CHAOS_ENGINES,
+    BASELINE_CHAOS_ENGINES,
+    CHAOS_ENGINES,
+    SCALAR_SIBLING,
+    make_engine,
+)
 from repro.errors import ConfigurationError, InjectedCrashError, ReproError
 from repro.faults.injector import FaultInjector, TraceEvent
 from repro.faults.plan import (
@@ -43,7 +46,7 @@ from repro.faults.plan import (
     StorageFault,
 )
 from repro.faults.recovery import RecoveryPolicy
-from repro.gpu.config import MachineSpec
+from repro.gpu.config import SCALED_MACHINE, MachineSpec
 from repro.verify.oracle import (
     CONTRACTION_ALGORITHMS,
     equivalence_band,
@@ -51,45 +54,12 @@ from repro.verify.oracle import (
 )
 from repro.verify.structural import check_fixed_point_reached
 
-#: Engines the chaos harness drives from the DiGraph family (the fault
-#: machinery lives in their shared runtime). ``digraph-vec`` runs the
-#: vectorized batch kernels under faults.
-CHAOS_ENGINES = ("digraph", "digraph-t", "digraph-w", "digraph-vec")
-#: Baseline comparators under the same fault plans (they share the
-#: checkpoint manager through ``RecoveryPolicy.make_checkpoint_manager``).
-BASELINE_CHAOS_ENGINES = ("bulk-sync", "bulk-sync-vec", "async")
-ALL_CHAOS_ENGINES = CHAOS_ENGINES + BASELINE_CHAOS_ENGINES
-
-#: Vectorized cells certify against their *scalar* sibling's golden run:
-#: a recovered vectorized run must land on the scalar fixed point, the
-#: strongest form of the batch-kernel equivalence contract under faults.
-_SCALAR_GOLDEN = {"digraph-vec": "digraph", "bulk-sync-vec": "bulk-sync"}
-
-
-def _chaos_engine(name: str, machine: Optional[MachineSpec]):
-    config = DiGraphConfig()
-    if name == "digraph":
-        return DiGraphEngine(machine, config)
-    if name == "digraph-t":
-        return digraph_t(machine, config)
-    if name == "digraph-w":
-        return digraph_w(machine, config)
-    if name == "digraph-vec":
-        return DiGraphEngine(
-            machine, replace(config, use_vectorized_kernels=True)
+def _require_round_engine(name: str) -> None:
+    """Only registry rows that run rounds take fault plans."""
+    if name not in ALL_CHAOS_ENGINES:
+        raise ConfigurationError(
+            f"chaos engine must be one of {ALL_CHAOS_ENGINES}, got {name!r}"
         )
-    if name == "bulk-sync":
-        return BulkSyncEngine(machine_spec=machine)
-    if name == "bulk-sync-vec":
-        return BulkSyncEngine(
-            machine_spec=machine,
-            config=BulkSyncConfig(use_vectorized_kernels=True),
-        )
-    if name == "async":
-        return AsyncEngine(machine_spec=machine)
-    raise ConfigurationError(
-        f"chaos engine must be one of {ALL_CHAOS_ENGINES}, got {name!r}"
-    )
 
 
 def recovery_digest(
@@ -128,6 +98,23 @@ def state_digest(states: np.ndarray, band: float = 0.0) -> str:
         digest.update(np.isneginf(arr).tobytes())
         return digest.hexdigest()
     return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+#: ``MachineStats`` counters a cell copies, under the same names.
+_STATS_FIELDS = (
+    "transfer_retries",
+    "sync_retries",
+    "stragglers_detected",
+    "gpu_failures",
+    "rounds_rolled_back",
+    "recovery_time_s",
+    "checkpoints_taken",
+    "incremental_checkpoints_taken",
+    "checkpoint_bytes_spilled",
+    "checkpoint_time_s",
+    "checkpoint_hidden_time_s",
+    "rollback_replay_rounds",
+)
 
 
 @dataclass
@@ -169,6 +156,76 @@ class ChaosCellResult:
     def label(self) -> str:
         return f"{self.algorithm}/{self.engine}/seed={self.seed}"
 
+    @classmethod
+    def from_run(
+        cls,
+        algorithm: str,
+        engine: str,
+        seed: Optional[int],
+        passed: bool,
+        detail: str,
+        injector: Optional[FaultInjector] = None,
+        golden=None,
+        recovered=None,
+        digests: Sequence[str] = ("", ""),
+        error: Optional[str] = None,
+    ) -> "ChaosCellResult":
+        """An engine cell from its legs: ``golden`` / ``recovered`` are
+        the two ``ExecutionResult``s, ``digests`` their state digests,
+        and every counter is read off the recovered leg's stats. A cell
+        that failed before producing a recovered leg passes neither; its
+        trace digest (given an ``injector``) covers the trace alone."""
+        cell = cls(algorithm, engine, seed, passed, detail, error=error)
+        if injector is not None:
+            cell.faults_injected = injector.faults_injected
+            cell.trace_digest = recovery_digest(
+                injector.trace,
+                np.zeros(0) if recovered is None else recovered.states,
+            )
+        if recovered is not None:
+            for name in _STATS_FIELDS:
+                setattr(cell, name, getattr(recovered.stats, name))
+            cell.golden_digest, cell.recovered_digest = digests
+            cell.digest_match = digests[0] == digests[1]
+            cell.golden_time_s = golden.stats.total_time_s
+            cell.recovered_time_s = recovered.stats.total_time_s
+        return cell
+
+    @classmethod
+    def from_serve(
+        cls,
+        algorithm: str,
+        seed: int,
+        passed: bool,
+        detail: str,
+        golden=None,
+        recovered=None,
+        error: Optional[str] = None,
+    ) -> "ChaosCellResult":
+        """A serving-layer cell from its two ``ServeReport`` legs (none
+        for a cell that failed before producing them): replays stand in
+        for rollbacks, the busy-time delta for recovery time."""
+        cell = cls(algorithm, "serve", seed, passed, detail, error=error)
+        if recovered is None:
+            return cell
+        # Imported lazily: repro.serve depends on repro.faults.plan, so
+        # a module-level import here would be circular.
+        from repro.serve.runner import serve_digest
+
+        cell.golden_digest = serve_digest(golden)
+        cell.recovered_digest = cell.trace_digest = serve_digest(recovered)
+        cell.digest_match = cell.golden_digest == cell.recovered_digest
+        cell.faults_injected = cell.gpu_failures = recovered.faults_injected
+        cell.rounds_rolled_back = recovered.replays
+        cell.recovery_time_s = max(
+            0.0, recovered.gpu_busy_s - golden.gpu_busy_s
+        )
+        cell.golden_time_s = golden.makespan_s
+        cell.recovered_time_s = recovered.makespan_s
+        if recovered.failed:
+            cell.error = recovered.failed[0].error
+        return cell
+
 
 def run_chaos_cell(
     graph,
@@ -195,13 +252,17 @@ def run_chaos_cell(
         recovery = None
     else:
         recovery = recovery if recovery is not None else RecoveryPolicy()
+    _require_round_engine(engine_name)
     kwargs = dict(program_kwargs or {})
+    machine = machine or MachineSpec()
 
     golden_program = make_program(algorithm, graph, **kwargs)
     # Vectorized cells take their golden from the scalar sibling: the
-    # recovered batched run must converge to the scalar fixed point.
-    golden_engine = _chaos_engine(
-        _SCALAR_GOLDEN.get(engine_name, engine_name), machine
+    # recovered batched run must converge to the scalar fixed point —
+    # the strongest form of the batch-kernel equivalence contract under
+    # faults.
+    golden_engine = make_engine(
+        SCALAR_SIBLING.get(engine_name, engine_name), machine
     )
     golden = golden_engine.run(
         graph, golden_program, graph_name=graph_name
@@ -209,7 +270,7 @@ def run_chaos_cell(
 
     injector = FaultInjector(plan)
     program = make_program(algorithm, graph, **kwargs)
-    engine = _chaos_engine(engine_name, machine)
+    engine = make_engine(engine_name, machine)
     try:
         faulted = engine.run(
             graph,
@@ -219,16 +280,13 @@ def run_chaos_cell(
             recovery=recovery,
         )
     except ReproError as exc:
-        return ChaosCellResult(
-            algorithm=algorithm,
-            engine=engine_name,
-            seed=plan.seed,
-            passed=False,
-            detail=f"faulted run raised {type(exc).__name__}",
-            faults_injected=injector.faults_injected,
-            trace_digest=recovery_digest(
-                injector.trace, np.zeros(0, dtype=np.float64)
-            ),
+        return ChaosCellResult.from_run(
+            algorithm,
+            engine_name,
+            plan.seed,
+            False,
+            f"faulted run raised {type(exc).__name__}",
+            injector,
             error=str(exc),
         )
 
@@ -248,32 +306,16 @@ def run_chaos_cell(
         detail = f"fixed point violated: {fixed.detail}"
     else:
         detail = cmp.detail
-    stats = faulted.stats
-    return ChaosCellResult(
-        algorithm=algorithm,
-        engine=engine_name,
-        seed=plan.seed,
-        passed=passed,
-        detail=detail,
-        faults_injected=injector.faults_injected,
-        transfer_retries=stats.transfer_retries,
-        sync_retries=stats.sync_retries,
-        stragglers_detected=stats.stragglers_detected,
-        gpu_failures=stats.gpu_failures,
-        rounds_rolled_back=stats.rounds_rolled_back,
-        recovery_time_s=stats.recovery_time_s,
-        trace_digest=recovery_digest(injector.trace, faulted.states),
-        checkpoints_taken=stats.checkpoints_taken,
-        incremental_checkpoints_taken=stats.incremental_checkpoints_taken,
-        checkpoint_bytes_spilled=stats.checkpoint_bytes_spilled,
-        checkpoint_time_s=stats.checkpoint_time_s,
-        checkpoint_hidden_time_s=stats.checkpoint_hidden_time_s,
-        rollback_replay_rounds=stats.rollback_replay_rounds,
-        golden_digest=golden_digest,
-        recovered_digest=recovered_digest,
-        digest_match=golden_digest == recovered_digest,
-        golden_time_s=golden.stats.total_time_s,
-        recovered_time_s=stats.total_time_s,
+    return ChaosCellResult.from_run(
+        algorithm,
+        engine_name,
+        plan.seed,
+        passed,
+        detail,
+        injector,
+        golden,
+        faulted,
+        (golden_digest, recovered_digest),
     )
 
 
@@ -316,9 +358,7 @@ def run_serve_chaos_cell(
         replay_on_fault=replay_on_fault,
         **common,
     )
-    golden_digest = serve_digest(golden)
-    recovered_digest = serve_digest(recovered)
-    digest_match = golden_digest == recovered_digest
+    digest_match = serve_digest(golden) == serve_digest(recovered)
     passed = bool(
         recovered.faults_injected > 0
         and not recovered.failed
@@ -338,29 +378,8 @@ def run_serve_chaos_cell(
             f"{len(recovered.completed)} served answers match golden "
             f"after {recovered.replays}-query batch replay"
         )
-    return ChaosCellResult(
-        algorithm=f"serve-{algorithm}",
-        engine="serve",
-        seed=seed,
-        passed=passed,
-        detail=detail,
-        faults_injected=recovered.faults_injected,
-        gpu_failures=recovered.faults_injected,
-        rounds_rolled_back=recovered.replays,
-        recovery_time_s=max(
-            0.0, recovered.gpu_busy_s - golden.gpu_busy_s
-        ),
-        trace_digest=recovered_digest,
-        golden_digest=golden_digest,
-        recovered_digest=recovered_digest,
-        digest_match=digest_match,
-        golden_time_s=golden.makespan_s,
-        recovered_time_s=recovered.makespan_s,
-        error=(
-            None
-            if not recovered.failed
-            else recovered.failed[0].error
-        ),
+    return ChaosCellResult.from_serve(
+        f"serve-{algorithm}", seed, passed, detail, golden, recovered
     )
 
 
@@ -422,16 +441,7 @@ def run_serve_storm_cell(
         deadline_ms is not None or max_queue is not None or brownout
     )
 
-    def fail(detail: str, error: Optional[str]) -> ChaosCellResult:
-        return ChaosCellResult(
-            algorithm=f"serve-storm-{algorithm}",
-            engine="serve",
-            seed=seed,
-            passed=False,
-            detail=detail,
-            error=error,
-        )
-
+    cell_algorithm = f"serve-storm-{algorithm}"
     try:
         golden = run_serve_cell(algorithm, graph_name, **common)
         stormed = run_serve_cell(
@@ -441,9 +451,12 @@ def run_serve_storm_cell(
             algorithm, graph_name, fault_plan=plan, **common
         )
     except ReproError as exc:
-        return fail(
+        return ChaosCellResult.from_serve(
+            cell_algorithm,
+            seed,
+            False,
             f"storm raised {type(exc).__name__} instead of degrading",
-            str(exc),
+            error=str(exc),
         )
 
     golden_digest = serve_digest(golden)
@@ -497,27 +510,8 @@ def run_serve_storm_cell(
                 f"{len(stormed.failed)} aborted — all structured"
             )
         )
-    return ChaosCellResult(
-        algorithm=f"serve-storm-{algorithm}",
-        engine="serve",
-        seed=seed,
-        passed=passed,
-        detail=detail,
-        faults_injected=stormed.faults_injected,
-        gpu_failures=stormed.faults_injected,
-        rounds_rolled_back=stormed.replays,
-        recovery_time_s=max(0.0, stormed.gpu_busy_s - golden.gpu_busy_s),
-        trace_digest=storm_digest,
-        golden_digest=golden_digest,
-        recovered_digest=storm_digest,
-        digest_match=storm_digest == golden_digest,
-        golden_time_s=golden.makespan_s,
-        recovered_time_s=stormed.makespan_s,
-        error=(
-            None
-            if not stormed.failed
-            else stormed.failed[0].error
-        ),
+    return ChaosCellResult.from_serve(
+        cell_algorithm, seed, passed, detail, golden, stormed
     )
 
 
@@ -618,22 +612,19 @@ def run_crash_restart_cell(
     of that same trajectory with identical placement — so the digest
     comparison is band 0 (bit-exact) for **every** algorithm.
     """
+    _require_round_engine(engine_name)
     durable = _durable_policy(recovery, run_dir)
     golden_policy = replace(durable, durability="none", run_dir="")
     kwargs = dict(program_kwargs or {})
+    machine = machine or MachineSpec()
     cell_algorithm = f"{algorithm}@{crash_point}"
 
     def fail(detail: str, error: Optional[str] = None) -> ChaosCellResult:
-        return ChaosCellResult(
-            algorithm=cell_algorithm,
-            engine=engine_name,
-            seed=None,
-            passed=False,
-            detail=detail,
-            error=error,
+        return ChaosCellResult.from_run(
+            cell_algorithm, engine_name, None, False, detail, error=error
         )
 
-    golden_engine = _chaos_engine(engine_name, machine)
+    golden_engine = make_engine(engine_name, machine)
     golden_program = make_program(algorithm, graph, **kwargs)
     golden = golden_engine.run(
         graph, golden_program, graph_name=graph_name,
@@ -642,7 +633,7 @@ def run_crash_restart_cell(
 
     plan = crash_plan(crash_point, engine_name, crash_round)
     injector = FaultInjector(plan)
-    engine = _chaos_engine(engine_name, machine)
+    engine = make_engine(engine_name, machine)
     program = make_program(algorithm, graph, **kwargs)
     try:
         engine.run(
@@ -662,7 +653,7 @@ def run_crash_restart_cell(
             str(exc),
         )
 
-    resume_engine = _chaos_engine(engine_name, machine)
+    resume_engine = make_engine(engine_name, machine)
     resume_program = make_program(algorithm, graph, **kwargs)
     try:
         resumed = resume_engine.run(
@@ -693,29 +684,16 @@ def run_crash_restart_cell(
             f"{crash_point} crash restarted bit-identical from the "
             "durable store"
         )
-    stats = resumed.stats
-    return ChaosCellResult(
-        algorithm=cell_algorithm,
-        engine=engine_name,
-        seed=None,
-        passed=passed,
-        detail=detail,
-        faults_injected=injector.faults_injected,
-        gpu_failures=stats.gpu_failures,
-        rounds_rolled_back=stats.rounds_rolled_back,
-        recovery_time_s=stats.recovery_time_s,
-        trace_digest=recovery_digest(injector.trace, resumed.states),
-        checkpoints_taken=stats.checkpoints_taken,
-        incremental_checkpoints_taken=stats.incremental_checkpoints_taken,
-        checkpoint_bytes_spilled=stats.checkpoint_bytes_spilled,
-        checkpoint_time_s=stats.checkpoint_time_s,
-        checkpoint_hidden_time_s=stats.checkpoint_hidden_time_s,
-        rollback_replay_rounds=stats.rollback_replay_rounds,
-        golden_digest=golden_digest,
-        recovered_digest=resumed_digest,
-        digest_match=digest_match,
-        golden_time_s=golden.stats.total_time_s,
-        recovered_time_s=stats.total_time_s,
+    return ChaosCellResult.from_run(
+        cell_algorithm,
+        engine_name,
+        None,
+        passed,
+        detail,
+        injector,
+        golden,
+        resumed,
+        (golden_digest, resumed_digest),
     )
 
 
@@ -763,22 +741,17 @@ def run_serve_crash_restart_cell(
     except InjectedCrashError:
         crashed = True
     if not crashed:
-        return ChaosCellResult(
-            algorithm=f"serve-crash-{algorithm}",
-            engine="serve",
-            seed=seed,
-            passed=False,
-            detail=(
-                f"vacuous: no crash fired at launch {crash_launch} "
-                f"(golden took {golden.launches} launches)"
-            ),
+        return ChaosCellResult.from_serve(
+            f"serve-crash-{algorithm}",
+            seed,
+            False,
+            f"vacuous: no crash fired at launch {crash_launch} "
+            f"(golden took {golden.launches} launches)",
         )
     resumed = run_serve_cell(
         algorithm, graph_name, journal_path=journal_path, **common
     )
-    golden_digest = serve_digest(golden)
-    resumed_digest = serve_digest(resumed)
-    digest_match = golden_digest == resumed_digest
+    digest_match = serve_digest(golden) == serve_digest(resumed)
     passed = bool(digest_match and not resumed.failed)
     if not digest_match:
         detail = "restarted serve run diverges from golden"
@@ -792,20 +765,13 @@ def run_serve_crash_restart_cell(
             f"restart replayed {replayed} journaled batches and "
             f"re-served the tail bit-identical to golden"
         )
-    return ChaosCellResult(
-        algorithm=f"serve-crash-{algorithm}",
-        engine="serve",
-        seed=seed,
-        passed=passed,
-        detail=detail,
-        faults_injected=1,
-        trace_digest=resumed_digest,
-        golden_digest=golden_digest,
-        recovered_digest=resumed_digest,
-        digest_match=digest_match,
-        golden_time_s=golden.makespan_s,
-        recovered_time_s=resumed.makespan_s,
+    cell = ChaosCellResult.from_serve(
+        f"serve-crash-{algorithm}", seed, passed, detail, golden, resumed
     )
+    # The restarted leg ran fault-free; the crash that killed its
+    # predecessor is the cell's one fault.
+    cell.faults_injected = 1
+    return cell
 
 
 def _load_header_graph(header: Dict):
@@ -851,9 +817,7 @@ def resume_run(
     so the resumed digest still matches the uninterrupted run — the
     repartition crash-restart test certifies exactly that.
     """
-    from repro.bench.runner import make_engine
     from repro.faults.store import CheckpointStore
-    from repro.gpu.config import SCALED_MACHINE
 
     store = CheckpointStore(run_dir)
     header = store.read_header()
@@ -908,9 +872,6 @@ def _resume_repartitioned(
     ``graph_dir`` store is additionally re-sharded on disk for the new
     count (bit-identical by construction) under the run directory.
     """
-    from repro.bench.runner import make_engine
-    from repro.gpu.config import SCALED_MACHINE
-
     if gpus < 1:
         raise ConfigurationError(f"--gpus must be >= 1, got {gpus}")
     if not str(header.get("engine", "")).startswith("digraph"):

@@ -24,13 +24,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms import make_program
+from repro.bench.runner import make_engine
 from repro.errors import ReproError
 from repro.gpu.config import SCALED_MACHINE, MachineSpec
 from repro.graph.builder import from_edges
 from repro.graph.digraph import DiGraphCSR
 from repro.verify.oracle import (
     CONTRACTION_ALGORITHMS,
-    _build_engine,
     equivalence_band,
     states_equivalent,
 )
@@ -101,7 +101,7 @@ def _canonical_partition(labels: np.ndarray) -> np.ndarray:
 
 def _run(engine_name, machine, graph, algo, kwargs):
     program = make_program(algo, graph, **kwargs)
-    engine = _build_engine(engine_name, machine, verify_digraph=False)
+    engine = make_engine(engine_name, machine)
     return engine.run(graph, program, graph_name="metamorphic").states
 
 

@@ -18,14 +18,15 @@ engines and certifies two things per engine, both grounded in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms import make_program
+from repro.algorithms import ALGORITHMS, make_program
 from repro.bench.results import ExecutionResult
-from repro.core.engine import DiGraphConfig, DiGraphEngine
-from repro.core.variants import digraph_t, digraph_w
+from repro.bench.runner import make_engine
+from repro.core.engine import DiGraphEngine
 from repro.errors import ReproError
 from repro.gpu.config import SCALED_MACHINE, MachineSpec
 from repro.verify.report import CheckResult, VerificationReport
@@ -43,7 +44,7 @@ DISCRETE_ALGORITHMS = frozenset(
 CONTRACTION_ALGORITHMS = frozenset({"pagerank", "adsorption", "ppr"})
 
 #: The eight conformance algorithms.
-ALL_ALGORITHMS = tuple(sorted(DISCRETE_ALGORITHMS | CONTRACTION_ALGORITHMS))
+ALL_ALGORITHMS = tuple(sorted(ALGORITHMS))
 
 #: Default engine panel: the sequential reference first (it anchors the
 #: comparison), then one of each parallel execution model.
@@ -61,21 +62,6 @@ def equivalence_band(program, graph) -> float:
     """
     max_in = int(graph.in_degree().max()) if graph.num_vertices else 0
     return max(program.tolerance, 1e-12) * max(max_in, 1) * 8
-
-
-def _build_engine(
-    name: str, machine: MachineSpec, verify_digraph: bool
-):
-    if name in ("digraph", "digraph-t", "digraph-w"):
-        config = DiGraphConfig(verify_invariants=verify_digraph)
-        if name == "digraph":
-            return DiGraphEngine(machine, config)
-        if name == "digraph-t":
-            return digraph_t(machine, config)
-        return digraph_w(machine, config)
-    from repro.bench.runner import make_engine
-
-    return make_engine(name, machine)
 
 
 def states_equivalent(
@@ -138,7 +124,9 @@ def cross_engine_check(
         # Fresh program per engine: programs cache graph-derived arrays
         # and engines must not share them.
         program = make_program(algo, graph, **kwargs)
-        engine = _build_engine(name, machine, verify_digraph)
+        engine = make_engine(name, machine)
+        if verify_digraph and isinstance(engine, DiGraphEngine):
+            engine.config = replace(engine.config, verify_invariants=True)
         try:
             result = engine.run(graph, program, graph_name=graph_name)
         except ReproError as exc:

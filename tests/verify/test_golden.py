@@ -14,14 +14,16 @@ Regenerate intentionally with:
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.algorithms import make_program
+from repro.bench.runner import make_engine
 from repro.gpu.config import SCALED_MACHINE
 from repro.verify.fixtures import CANONICAL_GRAPHS
-from repro.verify.oracle import ALL_ALGORITHMS, DEFAULT_ENGINES, _build_engine
+from repro.verify.oracle import ALL_ALGORITHMS, DEFAULT_ENGINES
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -29,7 +31,9 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 def _digest(graph_name, algo, engine_name):
     graph = CANONICAL_GRAPHS[graph_name]()
-    engine = _build_engine(engine_name, SCALED_MACHINE, verify_digraph=True)
+    engine = make_engine(engine_name, SCALED_MACHINE)
+    if engine.config is not None:
+        engine.config = replace(engine.config, verify_invariants=True)
     program = make_program(algo, graph)
     result = engine.run(graph, program, graph_name=graph_name)
     assert result.converged
