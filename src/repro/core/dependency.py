@@ -14,15 +14,16 @@ depends on have converged, so most paths are processed exactly once
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.graph.builder import GraphBuilder
+from repro.graph.builder import sorted_unique
 from repro.graph.digraph import DiGraphCSR
 from repro.graph.scc import condensation
 from repro.graph.traversal import dag_layers
-from repro.core.paths import PathSet
+from repro.kernels.segment import batch_segments
+from repro.core.paths import PathSet, flatten_vertices
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,36 @@ class DependencyDAG:
     dag: DiGraphCSR
     members: Tuple[Tuple[int, ...], ...]
     layer_of_scc: np.ndarray
+
+    @classmethod
+    def from_edges(
+        cls, num_paths: int, src: np.ndarray, dst: np.ndarray
+    ) -> "DependencyDAG":
+        """The dependency graph with edges ``src[i] -> dst[i]`` (any
+        order, repeats allowed), its DAG sketch and the sketch's layers.
+
+        Each path's successors are stored ascending, so equal edge sets
+        give equal objects however they were produced — the streaming
+        repairer's patched edge set and a from-scratch build alike.
+        """
+        base = max(num_paths, 1)
+        keys = sorted_unique(
+            np.asarray(src, dtype=np.int64) * base
+            + np.asarray(dst, dtype=np.int64)
+        )
+        indptr = np.zeros(num_paths + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(keys // base, minlength=num_paths), out=indptr[1:]
+        )
+        dependency_graph = DiGraphCSR(indptr, keys % base)
+        cond = condensation(dependency_graph)
+        return cls(
+            dependency_graph=dependency_graph,
+            scc_of_path=cond.labels,
+            dag=cond.dag,
+            members=cond.members,
+            layer_of_scc=dag_layers(cond.dag),
+        )
 
     @property
     def num_paths(self) -> int:
@@ -91,32 +122,38 @@ def build_dependency_dag(path_set: PathSet) -> DependencyDAG:
     """Construct the dependency graph, DAG sketch, and layers for a
     path decomposition."""
     num_paths = path_set.num_paths
-    writers = path_set.writer_paths()
-    readers = path_set.reader_paths()
+    if num_paths == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return DependencyDAG.from_edges(0, empty, empty)
+    vertex, lengths = flatten_vertices(path_set.paths)
+    path_of = np.repeat(np.arange(num_paths, dtype=np.int64), lengths)
+    ends = np.cumsum(lengths)
+    is_head = np.zeros(vertex.size, dtype=bool)
+    is_head[ends - lengths] = True
+    is_tail = np.zeros(vertex.size, dtype=bool)
+    is_tail[ends - 1] = True
 
-    edges: Set[Tuple[int, int]] = set()
-    for v, writing in writers.items():
-        reading = readers.get(v)
-        if not reading:
-            continue
-        for pi in writing:
-            for pj in reading:
-                if pi != pj:
-                    edges.add((pi, pj))
+    def incidence(keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct (vertex, path) pairs of the kept positions, sorted."""
+        keys = sorted_unique(vertex[keep] * num_paths + path_of[keep])
+        return keys // num_paths, keys % num_paths
 
-    builder = GraphBuilder(num_vertices=num_paths)
-    builder.add_edges(sorted(edges))
-    dependency_graph = builder.build()
+    # A path writes every vertex it enters (non-head positions) and reads
+    # every vertex it leaves (non-tail positions).
+    written, writer = incidence(~is_head)
+    read, reader = incidence(~is_tail)
 
-    cond = condensation(dependency_graph)
-    layers = dag_layers(cond.dag)
-    return DependencyDAG(
-        dependency_graph=dependency_graph,
-        scc_of_path=cond.labels,
-        dag=cond.dag,
-        members=cond.members,
-        layer_of_scc=layers,
+    # Per vertex, writers x readers: each writer entry is paired with
+    # every entry of its vertex's slice of the (vertex-sorted) readers.
+    readers_at = np.zeros(path_set.graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(read, minlength=readers_at.size - 1), out=readers_at[1:]
     )
+    positions, offsets = batch_segments(readers_at, written)
+    src = np.repeat(writer, np.diff(offsets))
+    dst = reader[positions]
+    distinct = src != dst
+    return DependencyDAG.from_edges(num_paths, src[distinct], dst[distinct])
 
 
 def scc_vertices_by_layer(dag: DependencyDAG) -> List[List[int]]:

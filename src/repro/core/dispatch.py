@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, GPULostError
-from repro.graph.builder import GraphBuilder
+from repro.graph.builder import GraphBuilder, first_occurrences
 from repro.graph.scc import condensation
 from repro.graph.traversal import dag_layers
 from repro.gpu.machine import Machine
@@ -60,6 +60,26 @@ class DispatchGroup:
     layer: int
 
 
+@dataclass(frozen=True)
+class PartitionDependencies:
+    """The path dependency graph lifted to partitions, and its layered
+    dispatch groups — a pure function of ``(storage, dag)``, shared
+    read-only by every :class:`Dispatcher` built over them."""
+
+    edges: Set[Tuple[int, int]]
+    groups: List[DispatchGroup]
+
+
+def lift_to_partitions(
+    storage: PathStorage, dag: DependencyDAG
+) -> PartitionDependencies:
+    """Lift path dependency edges to the partition level and group them."""
+    edges = _partition_dependency_edges(storage, dag)
+    return PartitionDependencies(
+        edges=edges, groups=_build_groups(storage.num_partitions, edges)
+    )
+
+
 class Dispatcher:
     """Layer-ordered partition dispatch over the simulated machine."""
 
@@ -70,7 +90,12 @@ class Dispatcher:
         machine: Machine,
         prefetch: bool = True,
         affinity_weight: float = 2.0,
+        partition_dependencies: Optional[PartitionDependencies] = None,
     ) -> None:
+        """``partition_dependencies`` is ``lift_to_partitions(storage,
+        dag)`` when the caller already holds it
+        (``Preprocessed.partition_dependencies`` lifts once for every
+        run over one preprocess)."""
         self._storage = storage
         self._dag = dag
         self._machine = machine
@@ -80,10 +105,10 @@ class Dispatcher:
         #: worth (the ablation bench sweeps this).
         self.affinity_weight = affinity_weight
 
-        self._partition_deps = _partition_dependency_edges(storage, dag)
-        self.groups = _build_groups(
-            storage.num_partitions, self._partition_deps
-        )
+        if partition_dependencies is None:
+            partition_dependencies = lift_to_partitions(storage, dag)
+        self._partition_deps = partition_dependencies.edges
+        self.groups = partition_dependencies.groups
         self._group_of_partition = np.empty(
             storage.num_partitions, dtype=np.int64
         )
@@ -414,16 +439,22 @@ class Dispatcher:
 def _partition_dependency_edges(
     storage: PathStorage, dag: DependencyDAG
 ) -> Set[Tuple[int, int]]:
-    """Lift path dependency edges to the partition level."""
-    edges: Set[Tuple[int, int]] = set()
+    """Lift path dependency edges to the partition level.
+
+    The pairs enter the set in the order the dependency CSR first reaches
+    them. That fixes the set's iteration order, which fixes the order of
+    :meth:`Dispatcher.partition_successors` and with it the order in
+    which prefetched transfer times are summed — modeled time is only
+    bit-stable across versions if this order is.
+    """
     dep = dag.dependency_graph
-    for pi in range(dep.num_vertices):
-        a = storage.partition_of_path(pi)
-        for pj in dep.successors(pi):
-            b = storage.partition_of_path(int(pj))
-            if a != b:
-                edges.add((a, b))
-    return edges
+    partition_of = storage.partition_of_paths
+    src = partition_of[dep.edge_sources()]
+    dst = partition_of[dep.indices]
+    cross = src != dst
+    src, dst = src[cross], dst[cross]
+    first = first_occurrences(src * storage.num_partitions + dst)
+    return set(zip(src[first].tolist(), dst[first].tolist()))
 
 
 def _build_groups(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -47,7 +48,11 @@ from repro.model.rounds import (
 from repro.model.state import StalenessView, VertexStates
 from repro.bench.results import ExecutionResult, RoundRecord
 from repro.core.dependency import DependencyDAG, build_dependency_dag
-from repro.core.dispatch import Dispatcher
+from repro.core.dispatch import (
+    Dispatcher,
+    PartitionDependencies,
+    lift_to_partitions,
+)
 from repro.core.partitioning import (
     D_MAX,
     decompose_into_paths,
@@ -123,6 +128,17 @@ class Preprocessed:
     replicas: ReplicaTable
     modeled_seconds: float
     wall_seconds: float
+
+    @cached_property
+    def partition_dependencies(self) -> PartitionDependencies:
+        """``storage`` and ``dag`` lifted to partitions, on first use.
+
+        Every run over this preprocess dispatches over the same lifted
+        graph, so it is built once and kept on the object it derives
+        from — a new ``Preprocessed`` (a streaming repair, a rebuild)
+        starts without one.
+        """
+        return lift_to_partitions(self.storage, self.dag)
 
 
 class DiGraphEngine:
@@ -292,7 +308,11 @@ class _Run:
             enabled=self.cfg.use_priority_scheduling,
         )
         self.dispatcher = Dispatcher(
-            pre.storage, pre.dag, machine, prefetch=self.cfg.prefetch
+            pre.storage,
+            pre.dag,
+            machine,
+            prefetch=self.cfg.prefetch,
+            partition_dependencies=pre.partition_dependencies,
         )
         # Batched gather-apply for the vertex-centric pass (scalar
         # fallback keeps unregistered programs on the same code path).
@@ -605,14 +625,7 @@ class _Run:
         Keyed by live GPU id — dead GPUs get no view (and can get no
         work)."""
         snapshot = self.states.copy_values()
-        owner_gpu = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        replicas = self.pre.replicas
-        current_gpu = self.dispatcher.current_gpu
-        for v in range(self.graph.num_vertices):
-            pid = replicas.owner_partition(v)
-            if pid is not None:
-                owner_gpu[v] = current_gpu[pid]
-        self._owner_gpu = owner_gpu
+        owner_gpu = self._owner_gpu = self.vertex_gpu()
         self._wave_counter += 1
         return {
             gpu: StalenessView(

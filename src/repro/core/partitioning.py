@@ -28,13 +28,13 @@ local subgraph" parallelization. The result is deterministic for a given
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import PartitioningError
 from repro.graph.digraph import DiGraphCSR
-from repro.core.paths import Path, PathSet, renumber
+from repro.core.paths import Path, PathSet, flatten_vertices
 
 #: The paper's default traversal-depth bound.
 D_MAX = 16
@@ -91,46 +91,31 @@ def decompose_into_paths(
 
     region = _walk_regions(graph, d_max) if scc_aware else None
 
-    segments: List[List[int]] = []  # edge-id lists
     n = graph.num_vertices
+    degrees = graph.degree()
+    walk = _Walk(graph, degrees if degree_greedy else None, region, d_max)
     bounds = np.linspace(0, n, n_workers + 1).astype(np.int64)
-    # Stamp 0 means "never visited"; each traversal uses a fresh stamp, and
-    # each shard gets a disjoint stamp range (shards touch disjoint vertex
-    # ranges anyway, but disjoint stamps keep the invariant obvious).
-    visit_stamp = np.zeros(n, dtype=np.int64)
-    visited_edge = np.zeros(graph.num_edges, dtype=bool)
-
-    stamp_base = 0
     for w in range(n_workers):
         lo, hi = int(bounds[w]), int(bounds[w + 1])
-        stamp_base = _decompose_shard(
-            graph,
-            lo,
-            hi,
-            d_max,
-            visit_stamp,
-            visited_edge,
-            segments,
-            degree_greedy,
-            stamp_base,
-            region,
-        )
+        # Roots in descending degree order: hot vertices start hot paths.
+        roots = np.arange(lo, hi, dtype=np.int64)
+        if degree_greedy:
+            roots = roots[np.argsort(-degrees[roots], kind="stable")]
+        walk.decompose_shard(lo, hi, roots.tolist())
 
-    if int(visited_edge.sum()) != graph.num_edges:
+    vertex_paths, segments = walk.vertex_paths, walk.segments
+    if sum(map(len, segments)) != graph.num_edges:
         raise PartitioningError("decomposition failed to cover all edges")
 
-    vertex_paths = [_segment_vertices(graph, seg) for seg in segments]
     if merge_short_paths:
         vertex_paths, segments = _merge_head_to_tail(
             graph, vertex_paths, segments, region, max_edges=d_max
         )
 
-    paths = renumber(
-        [
-            Path(path_id=0, vertices=tuple(vs), edge_ids=tuple(seg))
-            for vs, seg in zip(vertex_paths, segments)
-        ]
-    )
+    paths = [
+        Path(path_id=i, vertices=tuple(vs), edge_ids=tuple(seg))
+        for i, (vs, seg) in enumerate(zip(vertex_paths, segments))
+    ]
     hot_ids = _classify_hot(graph, paths, hot_fraction)
     return PathSet(
         graph=graph, paths=paths, hot_path_ids=hot_ids, d_max=d_max
@@ -178,163 +163,136 @@ def _walk_regions(graph: DiGraphCSR, d_max: int) -> np.ndarray:
     cond = condensation(graph)
     layers = dag_layers(cond.dag)
     band_width = max(2, d_max // 2)
-    sizes = cond.component_sizes()
     num_components = cond.num_components
-    region = np.empty(graph.num_vertices, dtype=np.int64)
     # Multi-vertex SCCs keep their own region ids; singleton layers band
     # together. Offset bands past the component-id space so ids never
     # collide.
-    for comp in range(num_components):
-        members = cond.members[comp]
-        if sizes[comp] > 1:
-            label = comp
-        else:
-            label = num_components + int(layers[comp]) // band_width
-        for v in members:
-            region[v] = label
-    return region
+    label = np.where(
+        cond.component_sizes() > 1,
+        np.arange(num_components, dtype=np.int64),
+        num_components + layers // band_width,
+    )
+    return label[cond.labels]
 
 
 # ----------------------------------------------------------------------
 # Algorithm 1 core
 # ----------------------------------------------------------------------
-def _decompose_shard(
-    graph: DiGraphCSR,
-    lo: int,
-    hi: int,
-    d_max: int,
-    visit_stamp: np.ndarray,
-    visited_edge: np.ndarray,
-    segments: List[List[int]],
-    degree_greedy: bool,
-    stamp_base: int,
-    region,
-) -> int:
-    """Decompose the out-edges owned by vertices ``[lo, hi)``.
+class _Walk:
+    """Algorithm 1's traversal state, shared by every shard.
 
-    Returns the last traversal stamp used (callers pass it on as the next
-    shard's ``stamp_base``).
+    All per-step reads are O(1) lookups in plain lists built once from
+    the CSR arrays:
 
-    Vertex *visited* marks are **per traversal** (one root invocation of
-    GRAPHP): they only prevent a single traversal from looping, so later
-    traversals may pass through the same vertices along different
-    (still edge-disjoint) paths. This is what lets walks keep consuming
-    unvisited edges and is required to reach the paper's reported average
-    path lengths (3.5-10.9) — with a single global visited mark every
-    edge into an already-seen vertex would become its own length-1 path.
-    Implemented with traversal-id stamps so no clearing is needed.
+    - ``succ_eid`` / ``succ_dst`` hold every vertex's out-edges in its
+      *static* preference order — hottest destination first, then lowest
+      destination id, then lowest edge id — at the vertex's own CSR
+      offsets, from one ``np.lexsort``;
+    - ``remaining_out[v]`` counts ``v``'s unvisited out-edges, so "is this
+      successor exhausted" does not scan its edges.
     """
-    degrees = graph.degree()
-    # Roots in descending degree order: hot vertices start hot paths.
-    shard = np.arange(lo, hi, dtype=np.int64)
-    if degree_greedy:
-        shard = shard[np.argsort(-degrees[shard], kind="stable")]
 
-    current: List[int] = []
-    # The active traversal's stamp, readable by the successor sort (walks
-    # prefer successors that are not already on the current path).
-    current_stamp = [0]
+    def __init__(
+        self,
+        graph: DiGraphCSR,
+        degrees: Optional[np.ndarray],
+        region: Optional[np.ndarray],
+        d_max: int,
+    ) -> None:
+        """``degrees`` ranks destinations hottest first (``None``: by id
+        only); ``region`` confines walks (``None``: unconfined)."""
+        eids = np.arange(graph.num_edges, dtype=np.int64)
+        keys = [eids, graph.indices]
+        if degrees is not None:
+            keys.append(-degrees[graph.indices])
+        keys.append(graph.edge_sources())
+        order = np.lexsort(keys)
+        self.indptr = graph.indptr.tolist()
+        self.succ_eid = order.tolist()
+        self.succ_dst = graph.indices[order].tolist()
+        self.remaining_out = graph.out_degree().tolist()
+        self.visited_edge = [False] * graph.num_edges
+        # Stamp 0 means "never visited"; every traversal gets a fresh one.
+        self.visit_stamp = [0] * graph.num_vertices
+        self.stamp = 0
+        self.region = region.tolist() if region is not None else None
+        self.d_max = d_max
+        self.segments: List[List[int]] = []      # edge ids per path
+        self.vertex_paths: List[List[int]] = []  # vertices per path
 
-    def new_path() -> None:
-        if current:
-            segments.append(current.copy())
-            current.clear()
+    def decompose_shard(self, lo: int, hi: int, roots: List[int]) -> None:
+        """Decompose the out-edges owned by vertices ``[lo, hi)``.
 
-    def sorted_successor_edges(v: int) -> List[Tuple[int, int]]:
-        """Unvisited local out-edges of ``v`` as (dst, edge_id), hottest
-        destination first (Algorithm 1 lines 4-5).
-
-        Successors that still have unvisited out-edges of their own rank
-        before exhausted ones: hub vertices attract every walk and drain
-        their out-edges quickly, so without this dead-end avoidance most
-        walks funnel into a drained hub after one hop and the average
-        path length collapses (far below the paper's 3.5-10.9).
+        Vertex *visited* marks are **per traversal** (one root invocation
+        of GRAPHP): they only prevent a single traversal from looping, so
+        later traversals may pass through the same vertices along
+        different (still edge-disjoint) paths. This is what lets walks
+        keep consuming unvisited edges and is required to reach the
+        paper's reported average path lengths (3.5-10.9) — with a single
+        global visited mark every edge into an already-seen vertex would
+        become its own length-1 path. Implemented with traversal-id
+        stamps so no clearing is needed.
         """
-        pairs = [
-            (int(graph.indices[eid]), eid)
-            for eid in graph.out_edge_ids(v)
-            if not visited_edge[eid]
-        ]
-        if degree_greedy:
-            pairs.sort(
-                key=lambda p: (
-                    visit_stamp[p[0]] == current_stamp[0],
-                    not has_unvisited_local_edges(p[0]),
-                    -degrees[p[0]],
-                    p[0],
-                )
-            )
-        else:
-            pairs.sort(
-                key=lambda p: (
-                    visit_stamp[p[0]] == current_stamp[0],
-                    not has_unvisited_local_edges(p[0]),
-                    p[0],
-                )
-            )
-        return pairs
+        for root in roots:
+            while self.remaining_out[root]:
+                self.stamp += 1
+                self._traverse(root, lo, hi)
 
-    def has_unvisited_local_edges(v: int) -> bool:
-        return any(
-            not visited_edge[eid] for eid in graph.out_edge_ids(v)
-        )
-
-    def traverse(root: int, stamp: int) -> None:
+    def _traverse(self, root: int, lo: int, hi: int) -> None:
         """Grow one path from ``root``: GRAPHP(root, p, 0).
 
-        The walk follows the hottest unvisited out-edge (lines 4-9),
-        bounded by ``d_max`` (line 3). The visited marks (this traversal's
-        ``stamp``) only stop the *current path* from looping: a walk that
-        reaches an on-path vertex takes that closing edge and ends there
-        (lines 12-14 — the junction becomes the path's tail, possibly
-        closing a cycle). Walks also end at non-local vertices (line 4's
-        local-subgraph restriction) and at vertices with no unvisited
-        out-edges.
+        The walk follows the best unvisited out-edge (lines 4-9), bounded
+        by ``d_max`` (line 3). Among the static preference order, edges
+        rank by ``(on the current path, exhausted)``: a successor not yet
+        on this path beats one that is, and one that still has unvisited
+        out-edges of its own beats an exhausted one — hub vertices
+        attract every walk and drain their out-edges quickly, so without
+        this dead-end avoidance most walks funnel into a drained hub
+        after one hop and the average path length collapses (far below
+        the paper's 3.5-10.9).
+
+        The visited marks only stop the *current path* from looping: a
+        walk that reaches an on-path vertex takes that closing edge and
+        ends there (lines 12-14 — the junction becomes the path's tail,
+        possibly closing a cycle). Walks also end at non-local vertices
+        (line 4's local-subgraph restriction) and at vertices with no
+        unvisited out-edges.
         """
+        indptr, succ_eid, succ_dst = self.indptr, self.succ_eid, self.succ_dst
+        remaining_out, visited_edge = self.remaining_out, self.visited_edge
+        visit_stamp, region, stamp = self.visit_stamp, self.region, self.stamp
+        edges: List[int] = []
+        vertices = [root]
         visit_stamp[root] = stamp
-        current_stamp[0] = stamp
         v = root
-        depth = 0
-        while depth < d_max:
-            candidates = sorted_successor_edges(v)
-            if not candidates:
+        while len(edges) < self.d_max:
+            # First edge of the best rank in the static order.
+            best_rank, eid, u = 4, -1, -1
+            for k in range(indptr[v], indptr[v + 1]):
+                if visited_edge[succ_eid[k]]:
+                    continue
+                dst = succ_dst[k]
+                rank = (2 if visit_stamp[dst] == stamp else 0) + (
+                    0 if remaining_out[dst] else 1
+                )
+                if rank < best_rank:
+                    best_rank, eid, u = rank, succ_eid[k], dst
+                    if rank == 0:
+                        break
+            if eid < 0:
                 break
-            u, eid = candidates[0]
             visited_edge[eid] = True
-            current.append(eid)
+            remaining_out[v] -= 1
+            edges.append(eid)
+            vertices.append(u)
             if visit_stamp[u] == stamp or not lo <= u < hi:
                 break  # path ends at an on-path or non-local vertex
             if region is not None and region[u] != region[v]:
                 break  # SCC-region boundary: the crossing edge ends the path
             visit_stamp[u] = stamp
             v = u
-            depth += 1
-        new_path()
-
-    stamp = stamp_base
-    for root in shard:
-        root = int(root)
-        while has_unvisited_local_edges(root):
-            stamp += 1
-            traverse(root, stamp)
-    return stamp
-
-
-def _segment_vertices(graph: DiGraphCSR, segment: Sequence[int]) -> List[int]:
-    """Vertex sequence of a connected edge-id segment."""
-    if not segment:
-        raise PartitioningError("empty path segment")
-    first_src, first_dst = graph.edge_endpoints(int(segment[0]))
-    vertices = [first_src, first_dst]
-    for eid in segment[1:]:
-        src, dst = graph.edge_endpoints(int(eid))
-        if src != vertices[-1]:
-            raise PartitioningError(
-                f"segment not connected: edge {eid} starts at {src}, "
-                f"previous vertex is {vertices[-1]}"
-            )
-        vertices.append(dst)
-    return vertices
+        self.segments.append(edges)
+        self.vertex_paths.append(vertices)
 
 
 # ----------------------------------------------------------------------
@@ -366,8 +324,10 @@ def _merge_head_to_tail(
         by_head[vs[0]].append(i)
     consumed = [False] * k
 
-    in_deg = graph.in_degree()
-    out_deg = graph.out_degree()
+    in_deg = graph.in_degree().tolist()
+    out_deg = graph.out_degree().tolist()
+    if region is not None:
+        region = region.tolist()
 
     def may_join(junction: int) -> bool:
         if in_deg[junction] > 1 and out_deg[junction] > 1:
@@ -430,7 +390,13 @@ def _classify_hot(
     """Mark the top ``hot_fraction`` of paths by average vertex degree."""
     if not paths or hot_fraction == 0.0:
         return frozenset()
-    avg_degrees = np.asarray([p.average_degree(graph) for p in paths])
+    vertex, lengths = flatten_vertices(paths)
+    # Same value as ``Path.average_degree``: an exact integer sum, one
+    # rounding in the division.
+    avg_degrees = (
+        np.add.reduceat(graph.degree()[vertex], np.cumsum(lengths) - lengths)
+        / lengths
+    )
     count = max(1, int(round(hot_fraction * len(paths))))
     hot = np.argsort(-avg_degrees, kind="stable")[:count]
     return frozenset(int(i) for i in hot)

@@ -203,6 +203,20 @@ class PathSet:
             )
 
 
+def flatten_vertices(paths: Sequence[Path]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every path's vertex sequence end to end, and the per-path vertex
+    counts that delimit them — the array form of a path list."""
+    lengths = np.fromiter(
+        (len(path.vertices) for path in paths), dtype=np.int64, count=len(paths)
+    )
+    vertex = np.fromiter(
+        (v for path in paths for v in path.vertices),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    return vertex, lengths
+
+
 def renumber(paths: Sequence[Path]) -> List[Path]:
     """Return paths with ``path_id`` matching their list position."""
     return [

@@ -127,6 +127,11 @@ class PathStorage:
     def partition_of_path(self, path_id: int) -> int:
         return int(self._partition_of_path[path_id])
 
+    @property
+    def partition_of_paths(self) -> np.ndarray:
+        """Partition id of every path, indexed by path id."""
+        return self._partition_of_path
+
     def path_slice(self, path_id: int) -> Tuple[int, int]:
         """``(start, end)`` of the path's vertices in ``e_idx``."""
         slot = int(self.slot_of_path[path_id])

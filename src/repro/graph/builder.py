@@ -16,6 +16,29 @@ from repro.graph.digraph import DiGraphCSR
 Edge = Union[Tuple[int, int], Tuple[int, int, float]]
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.
+
+    What ``np.unique(keys)`` returns, by sort-and-compare: NumPy >= 2.3
+    routes the plain call through a hash table that is ~30x slower than
+    one sort on the million-key arrays the dependency graph packs
+    (measured 0.66 s against 0.02 s).
+    """
+    keys = np.sort(keys, axis=None)
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return keys[distinct]
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct key:
+    ``keys[first_occurrences(keys)]`` is ``keys`` with later repeats
+    dropped and the order of what remains kept."""
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return first
+
+
 class GraphBuilder:
     """Accumulates directed edges and finalizes them into a CSR graph.
 
@@ -34,9 +57,13 @@ class GraphBuilder:
             raise GraphError("num_vertices must be non-negative")
         self._num_vertices = num_vertices
         self._deduplicate = deduplicate
+        #: Staged edges in insertion order: array chunks, then the scalar
+        #: edges added since the last chunk (folded into a chunk lazily).
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._srcs: List[int] = []
         self._dsts: List[int] = []
         self._wts: List[float] = []
+        self._staged = 0
 
     def add_edge(self, src: int, dst: int, weight: float = 1.0) -> "GraphBuilder":
         """Add one directed edge ``src -> dst``; returns self for chaining."""
@@ -52,6 +79,7 @@ class GraphBuilder:
         self._srcs.append(int(src))
         self._dsts.append(int(dst))
         self._wts.append(float(weight))
+        self._staged += 1
         return self
 
     def add_edges(self, edges: Iterable[Edge]) -> "GraphBuilder":
@@ -78,8 +106,9 @@ class GraphBuilder:
         sharded-store adapters feed edges through here so a large edge
         list is validated per chunk instead of per Python call.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        # Copies: a chunk reader may refill its buffers after this call.
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise GraphError(
                 f"edge arrays must be parallel 1-D arrays, got "
@@ -88,7 +117,7 @@ class GraphBuilder:
         if weight is None:
             wts = np.ones(src.size, dtype=np.float64)
         else:
-            wts = np.asarray(weight, dtype=np.float64)
+            wts = np.array(weight, dtype=np.float64)
             if wts.shape != src.shape:
                 raise GraphError(
                     f"weight array shape {wts.shape} does not match "
@@ -103,15 +132,27 @@ class GraphBuilder:
                     f"edge endpoint {hi} outside fixed vertex count "
                     f"{self._num_vertices}"
                 )
-        self._srcs.extend(src.tolist())
-        self._dsts.extend(dst.tolist())
-        self._wts.extend(wts.tolist())
+        self._flush_scalars()
+        self._chunks.append((src, dst, wts))
+        self._staged += src.size
         return self
+
+    def _flush_scalars(self) -> None:
+        """Fold the scalar edges staged so far into one array chunk."""
+        if self._srcs:
+            self._chunks.append(
+                (
+                    np.asarray(self._srcs, dtype=np.int64),
+                    np.asarray(self._dsts, dtype=np.int64),
+                    np.asarray(self._wts, dtype=np.float64),
+                )
+            )
+            self._srcs, self._dsts, self._wts = [], [], []
 
     @property
     def num_staged_edges(self) -> int:
         """Number of edges added so far (before deduplication)."""
-        return len(self._srcs)
+        return self._staged
 
     def build(self) -> DiGraphCSR:
         """Finalize into an immutable :class:`DiGraphCSR`.
@@ -119,9 +160,14 @@ class GraphBuilder:
         Out-edges of each vertex appear in insertion order, which keeps
         edge ids deterministic for a given edge sequence.
         """
-        srcs = np.asarray(self._srcs, dtype=np.int64)
-        dsts = np.asarray(self._dsts, dtype=np.int64)
-        wts = np.asarray(self._wts, dtype=np.float64)
+        self._flush_scalars()
+        if self._chunks:
+            srcs, dsts, wts = (
+                np.concatenate(column) for column in zip(*self._chunks)
+            )
+        else:
+            srcs = dsts = np.empty(0, dtype=np.int64)
+            wts = np.empty(0, dtype=np.float64)
 
         if self._num_vertices is not None:
             n = self._num_vertices
@@ -129,13 +175,8 @@ class GraphBuilder:
             n = int(max(srcs.max(initial=-1), dsts.max(initial=-1)) + 1)
 
         if self._deduplicate and srcs.size:
-            seen = set()
-            keep = np.zeros(srcs.size, dtype=bool)
-            for i in range(srcs.size):
-                key = (int(srcs[i]), int(dsts[i]))
-                if key not in seen:
-                    seen.add(key)
-                    keep[i] = True
+            # First occurrence of each (src, dst) wins, in insertion order.
+            keep = first_occurrences(srcs * n + dsts)
             srcs, dsts, wts = srcs[keep], dsts[keep], wts[keep]
 
         order = np.argsort(srcs, kind="stable")

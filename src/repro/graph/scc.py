@@ -38,47 +38,53 @@ def strongly_connected_components(graph: DiGraphCSR) -> np.ndarray:
     then ``label_of_a > label_of_b``.
     """
     n = graph.num_vertices
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    labels = np.full(n, -1, dtype=np.int64)
+    # Plain lists: the loop below reads and writes single elements, which
+    # costs several times more through numpy scalars.
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    labels = [-1] * n
     stack: List[int] = []
+    cursor = indptr[:n]
     next_index = 0
     next_label = 0
-
-    indptr, indices = graph.indptr, graph.indices
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # Each work-stack frame is (vertex, next edge offset to explore).
-        work = [(root, int(indptr[root]))]
+        # The work stack holds the DFS branch; ``cursor[v]`` is the next
+        # edge offset of ``v`` to explore.
+        work = [root]
         while work:
-            v, edge_pos = work[-1]
+            v = work[-1]
             if index[v] == -1:
                 index[v] = lowlink[v] = next_index
                 next_index += 1
                 stack.append(v)
                 on_stack[v] = True
+            pos, end = cursor[v], indptr[v + 1]
+            low = lowlink[v]
             advanced = False
-            while edge_pos < indptr[v + 1]:
-                u = int(indices[edge_pos])
-                edge_pos += 1
+            while pos < end:
+                u = indices[pos]
+                pos += 1
                 if index[u] == -1:
-                    work[-1] = (v, edge_pos)
-                    work.append((u, int(indptr[u])))
+                    work.append(u)
                     advanced = True
                     break
-                if on_stack[u] and index[u] < lowlink[v]:
-                    lowlink[v] = index[u]
+                if on_stack[u] and index[u] < low:
+                    low = index[u]
+            cursor[v] = pos
+            lowlink[v] = low
             if advanced:
                 continue
             work.pop()
             if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index[v]:
+                parent = work[-1]
+                if low < lowlink[parent]:
+                    lowlink[parent] = low
+            if low == index[v]:
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
@@ -86,7 +92,7 @@ def strongly_connected_components(graph: DiGraphCSR) -> np.ndarray:
                     if w == v:
                         break
                 next_label += 1
-    return labels
+    return np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -119,23 +125,35 @@ class Condensation:
         return int(np.argmax(self.component_sizes()))
 
 
+def _contract(
+    graph: DiGraphCSR, labels: np.ndarray, num_components: int
+) -> DiGraphCSR:
+    """The graph over ``labels`` ids: one edge per distinct pair of
+    different labels joined by an edge of ``graph``, a component's
+    successors in the order the edges first reach them."""
+    src, dst = labels[graph.edge_sources()], labels[graph.indices]
+    cross = src != dst
+    return (
+        GraphBuilder(num_vertices=num_components, deduplicate=True)
+        .add_edge_arrays(src[cross], dst[cross])
+        .build()
+    )
+
+
 def condensation(graph: DiGraphCSR) -> Condensation:
     """Contract SCCs into a DAG sketch (Section 3.2.1)."""
     labels = strongly_connected_components(graph)
     num_components = int(labels.max()) + 1 if labels.size else 0
-    builder = GraphBuilder(num_vertices=num_components, deduplicate=True)
-    for src, dst, _ in graph.edges():
-        a, b = int(labels[src]), int(labels[dst])
-        if a != b:
-            builder.add_edge(a, b)
-    dag = builder.build()
-    members: List[List[int]] = [[] for _ in range(num_components)]
-    for v in range(graph.num_vertices):
-        members[int(labels[v])].append(v)
+    # Vertices grouped by label, ascending within each component.
+    by_label = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=num_components)).tolist()
     return Condensation(
         labels=labels,
-        dag=dag,
-        members=tuple(tuple(m) for m in members),
+        dag=_contract(graph, labels, num_components),
+        members=tuple(
+            tuple(by_label[start:end])
+            for start, end in zip([0] + ends, ends)
+        ),
     )
 
 
@@ -175,12 +193,7 @@ def parallel_scc(graph: DiGraphCSR, n_workers: int = 1) -> np.ndarray:
         next_id += int(labels.max()) + 1 if labels.size else 0
 
     # Phase 2: contract local SCCs, keep every edge between distinct ones.
-    builder = GraphBuilder(num_vertices=next_id, deduplicate=True)
-    for src, dst, _ in graph.edges():
-        a, b = int(local_label[src]), int(local_label[dst])
-        if a != b:
-            builder.add_edge(a, b)
-    contracted = builder.build()
+    contracted = _contract(graph, local_label, next_id)
     global_of_local = strongly_connected_components(contracted)
     return global_of_local[local_label]
 

@@ -34,6 +34,7 @@ decomposition implied (the minimum average degree among its hot paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -42,10 +43,7 @@ from repro.core.dependency import DependencyDAG
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE, D_MAX
 from repro.core.paths import Path, PathSet
 from repro.errors import StreamingError
-from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraphCSR
-from repro.graph.scc import condensation
-from repro.graph.traversal import dag_layers
 from repro.streaming.mutations import AppliedBatch
 
 _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertices, edge_ids)
@@ -368,23 +366,18 @@ class PathRepairer:
         path_set = PathSet(
             graph=graph, paths=paths, hot_path_ids=hot, d_max=self.d_max
         )
-        edges = sorted(
-            (external[pi], external[pj])
-            for (pi, pj), count in self._witness.items()
-            if count > 0
-        )
-        builder = GraphBuilder(num_vertices=len(paths))
-        builder.add_edges(edges)
-        dependency_graph = builder.build()
-        cond = condensation(dependency_graph)
-        layers = dag_layers(cond.dag)
-        dag = DependencyDAG(
-            dependency_graph=dependency_graph,
-            scc_of_path=cond.labels,
-            dag=cond.dag,
-            members=cond.members,
-            layer_of_scc=layers,
-        )
+        # Every key of the witness counter has a positive count
+        # (``_decrement`` pops at zero). Pairs carry internal ids;
+        # ``order`` is ascending, so an id's external id is its position.
+        witnessed = np.fromiter(
+            chain.from_iterable(self._witness),
+            dtype=np.int64,
+            count=2 * len(self._witness),
+        ).reshape(-1, 2)
+        src, dst = np.searchsorted(
+            np.asarray(order, dtype=np.int64), witnessed
+        ).T
+        dag = DependencyDAG.from_edges(len(paths), src, dst)
         return path_set, dag
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dependency import build_dependency_dag
-from repro.core.dispatch import Dispatcher
+from repro.core.dispatch import Dispatcher, _partition_dependency_edges
 from repro.core.partitioning import decompose_into_paths
 from repro.core.storage import PathStorage, build_partitions
 from repro.gpu.config import GPUSpec, MachineSpec
@@ -55,6 +55,30 @@ class TestGroups:
                 gb = dispatcher.groups[dispatcher.group_of_partition(succ)]
                 if ga.group_id != gb.group_id:
                     assert gb.layer >= ga.layer
+
+
+class TestPartitionLift:
+    def test_matches_the_per_edge_loop_in_iteration_order(self, setup):
+        # The set's iteration order orders partition_successors(), and
+        # through the prefetcher the order queued transfer times are
+        # summed in — so the array form must build the very same set the
+        # per-edge loop did, not just an equal one.
+        storage, dag, _, dispatcher = setup
+        reference = set()
+        dep = dag.dependency_graph
+        for pi in range(dep.num_vertices):
+            a = storage.partition_of_path(pi)
+            for pj in dep.successors(pi):
+                b = storage.partition_of_path(int(pj))
+                if a != b:
+                    reference.add((a, b))
+        assert len(reference) > 64  # large enough to have been resized
+        lifted = _partition_dependency_edges(storage, dag)
+        assert list(lifted) == list(reference)
+        for a in range(storage.num_partitions):
+            assert list(dispatcher.partition_successors(a)) == [
+                dst for src, dst in reference if src == a
+            ]
 
 
 class TestPlacement:

@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms import make_program
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
-from repro.core.engine import DiGraphConfig, DiGraphEngine
+from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.builder import from_edges
 from repro.graph.generators import (
@@ -55,6 +55,73 @@ class TestPreprocess:
         a = engine.run(medium_graph, PageRank(), preprocessed=pre)
         b = engine.run(medium_graph, PageRank(), preprocessed=pre)
         assert np.array_equal(a.states, b.states)
+
+
+class TestPartitionLift:
+    """The partition-level lift is a pure function of one ``Preprocessed``:
+    built on first use, kept on that object, never anywhere else."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        import repro.core.dispatch as dispatch
+
+        calls = []
+        original = dispatch._partition_dependency_edges
+
+        def counted(storage, dag):
+            calls.append((storage, dag))
+            return original(storage, dag)
+
+        monkeypatch.setattr(dispatch, "_partition_dependency_edges", counted)
+        return calls
+
+    def test_four_runs_lift_once(self, medium_graph, test_machine, lifts):
+        engine = DiGraphEngine(test_machine)
+        pre = engine.preprocess(medium_graph)
+        assert lifts == []  # lazily: preprocessing alone does not lift
+        for algo in ("pagerank", "bfs", "wcc", "pagerank"):
+            engine.run(
+                medium_graph, make_program(algo, medium_graph), preprocessed=pre
+            )
+        assert lifts == [(pre.storage, pre.dag)]
+
+    def test_hand_built_preprocessed_lifts_its_own(
+        self, medium_graph, test_machine, lifts
+    ):
+        engine = DiGraphEngine(test_machine)
+        pre = engine.preprocess(medium_graph)
+        engine.run(medium_graph, PageRank(), preprocessed=pre)
+        rebuilt = Preprocessed(
+            path_set=pre.path_set,
+            dag=pre.dag,
+            storage=pre.storage,
+            replicas=pre.replicas,
+            modeled_seconds=pre.modeled_seconds,
+            wall_seconds=pre.wall_seconds,
+        )
+        engine.run(medium_graph, PageRank(), preprocessed=rebuilt)
+        assert len(lifts) == 2
+        ours, theirs = rebuilt.partition_dependencies, pre.partition_dependencies
+        assert ours is not theirs
+        assert (ours.edges, ours.groups) == (theirs.edges, theirs.groups)
+
+    def test_streaming_batches_never_see_a_stale_lift(
+        self, test_machine, lifts
+    ):
+        from repro.streaming import Mutation, MutationBatch, StreamingSession
+
+        graph = scc_profile_graph(80, 3.0, 0.4, 4.0, seed=11)
+        session = StreamingSession(graph, "pagerank", machine_spec=test_machine)
+        assert len(lifts) == 1  # the cold start
+        batch = MutationBatch(
+            [Mutation.insert(3, 70), Mutation.insert(70, 5)]
+        )
+        outcome = session.apply(batch, certify=True)
+        assert outcome.certification.passed
+        # One lift for the repaired decomposition, one for the golden
+        # rebuild — each over that run's own storage and DAG.
+        assert len(lifts) == 3
+        assert len({id(storage) for storage, _ in lifts}) == 3
 
 
 class TestCorrectness:

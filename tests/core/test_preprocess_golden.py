@@ -1,0 +1,134 @@
+"""Golden fingerprints of everything preprocessing produces.
+
+Preprocessing is deterministic, and every engine digest downstream rests
+on its exact output: path order, hot ids, the dependency CSR, SCC ids (a
+property of Tarjan's visiting order, not just of the graph), layers and
+the dispatch groups lifted from them. The fingerprints in
+``preprocess_fingerprints.json`` were captured on the commit *before*
+preprocessing was rewritten as array passes (PR 13), so a digest mismatch
+here means the rewrite — or a later change — moved an output, not just a
+clock.
+
+Regenerate intentionally with:
+
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/core/test_preprocess_golden.py
+"""
+
+import functools
+import hashlib
+import itertools
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.baselines.common import resolve_partition_target
+from repro.core.dependency import build_dependency_dag
+from repro.core.dispatch import Dispatcher
+from repro.core.partitioning import decompose_into_paths
+from repro.core.storage import PathStorage, build_partitions
+from repro.gpu.config import SCALED_MACHINE
+from repro.gpu.machine import Machine
+from repro.graph import datasets
+
+GOLDEN_PATH = Path(__file__).with_name("preprocess_fingerprints.json")
+REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
+
+#: Half-size stand-ins keep the 96-configuration cross product to a few
+#: seconds; they still have hubs, a giant SCC and multi-layer sketches.
+SCALE = 0.5
+
+CASES = [
+    (name, n_workers, greedy, scc_aware, merge)
+    for name in datasets.DATASET_NAMES
+    for n_workers in (1, 4)
+    for greedy, scc_aware, merge in itertools.product((True, False), repeat=3)
+]
+
+
+def _key(name, n_workers, greedy, scc_aware, merge):
+    flags = "".join(
+        letter if on else "-"
+        for letter, on in (("g", greedy), ("s", scc_aware), ("m", merge))
+    )
+    return f"{name}/w{n_workers}/{flags}"
+
+
+def _sha(*parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part = np.ascontiguousarray(part, dtype=np.int64).tobytes()
+        elif not isinstance(part, bytes):
+            part = repr(part).encode()
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _graph(name):
+    # Generation costs several times one preprocess; 16 cases share it.
+    return datasets.load(name, scale=SCALE)
+
+
+def fingerprint(name, n_workers, greedy, scc_aware, merge):
+    """One digest per preprocessing product, from public API only."""
+    graph = _graph(name)
+    path_set = decompose_into_paths(
+        graph,
+        n_workers=n_workers,
+        degree_greedy=greedy,
+        scc_aware=scc_aware,
+        merge_short_paths=merge,
+    )
+    dag = build_dependency_dag(path_set)
+    partitions = build_partitions(
+        path_set, dag, resolve_partition_target(graph, None)
+    )
+    storage = PathStorage(path_set, partitions)
+    dispatcher = Dispatcher(storage, dag, Machine(SCALED_MACHINE))
+    return {
+        "paths": _sha(
+            [(p.path_id, p.vertices, p.edge_ids) for p in path_set],
+            sorted(path_set.hot_path_ids),
+        ),
+        "dependency": _sha(
+            dag.dependency_graph.indptr, dag.dependency_graph.indices
+        ),
+        "sketch": _sha(
+            dag.scc_of_path,
+            dag.members,
+            dag.layer_of_scc,
+            dag.dag.indptr,
+            dag.dag.indices,
+        ),
+        "dispatch": _sha(
+            [(g.group_id, g.partition_ids, g.layer) for g in dispatcher.groups],
+            [
+                sorted(int(s) for s in dispatcher.partition_successors(pid))
+                for pid in range(storage.num_partitions)
+            ],
+            sorted(dispatcher.home_gpu.items()),
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    if REGEN:
+        digests = {_key(*case): fingerprint(*case) for case in CASES}
+        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
+        return digests
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))
+def test_preprocessing_fingerprint_pinned(golden, case):
+    assert fingerprint(*case) == golden[_key(*case)]
+
+
+def test_golden_file_covers_all_cases(golden):
+    assert sorted(golden) == sorted(_key(*case) for case in CASES)

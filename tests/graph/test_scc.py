@@ -67,6 +67,69 @@ class TestTarjan:
         assert len(set(labels.tolist())) == 5000
 
 
+def recursive_tarjan(graph):
+    """Textbook recursive Tarjan: roots ascending, successors in CSR
+    order, component ids in completion order."""
+    n = graph.num_vertices
+    index, lowlink, labels = [None] * n, [0] * n, [None] * n
+    stack, counter = [], [0, 0]
+
+    def visit(v):
+        index[v] = lowlink[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        for u in graph.successors(v).tolist():
+            if index[u] is None:
+                visit(u)
+                lowlink[v] = min(lowlink[v], lowlink[u])
+            elif labels[u] is None:  # still on the stack
+                lowlink[v] = min(lowlink[v], index[u])
+        if lowlink[v] == index[v]:
+            while True:
+                w = stack.pop()
+                labels[w] = counter[1]
+                if w == v:
+                    break
+            counter[1] += 1
+
+    for root in range(n):
+        if index[root] is None:
+            visit(root)
+    return labels
+
+
+class TestLabelOrder:
+    """SCC *ids* — not just the partition into components — feed the
+    dependency DAG's ``scc_of_path`` and every digest downstream, so the
+    iterative form must number components exactly like the textbook
+    recursion."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ids_match_recursive_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        # Multigraph on purpose: self-loops and parallel edges included.
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        g = from_edges([tuple(e) for e in edges.tolist()], num_vertices=n)
+        assert (
+            strongly_connected_components(g).tolist() == recursive_tarjan(g)
+        )
+
+    def test_condensation_lists_successors_in_first_reached_order(self):
+        # Components: {0,1} -> {4}, {0,1} -> {2,3}, {0,1} -> {4} again,
+        # {2,3} -> {4}. Tarjan completes {4} first, then {2,3}, then {0,1}.
+        g = from_edges(
+            [(0, 1), (1, 0), (0, 4), (1, 2), (1, 4), (2, 3), (3, 2), (3, 4)],
+            num_vertices=5,
+        )
+        cond = condensation(g)
+        assert cond.labels.tolist() == [2, 2, 1, 1, 0]
+        assert cond.members == ((4,), (2, 3), (0, 1))
+        assert cond.dag.successors(2).tolist() == [0, 1]
+        assert cond.dag.successors(1).tolist() == [0]
+        assert cond.dag.num_edges == 3
+
+
 class TestCondensation:
     def test_dag_is_acyclic(self):
         g = bowtie_graph(core=5, in_tail=3, out_tail=3, seed=1)

@@ -4,9 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dependency import build_dependency_dag
+from repro.core.engine import DiGraphConfig, DiGraphEngine
 from repro.core.partitioning import decompose_into_paths
+from repro.gpu.config import SCALED_MACHINE
 from repro.graph.builder import from_edges
 from repro.graph.traversal import topological_order
+from repro.verify.structural import verify_preprocessed
 
 
 @st.composite
@@ -76,3 +79,53 @@ def test_merge_never_loses_edges(graph):
     merged = decompose_into_paths(graph, merge_short_paths=True)
     plain = decompose_into_paths(graph, merge_short_paths=False)
     assert merged.total_edges() == plain.total_edges() == graph.num_edges
+
+
+@st.composite
+def multigraphs(draw):
+    """Directed multigraphs: self-loops, parallel edges, isolated
+    vertices, and the vertex-less / edge-less graphs all included."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    if n == 0:
+        return from_edges([], num_vertices=0)
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=50,
+        )
+    )
+    return from_edges(edges, num_vertices=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    graph=multigraphs(),
+    n_workers=st.integers(1, 4),
+    d_max=st.integers(1, 8),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_multigraph_preprocessing_is_structurally_sound(
+    graph, n_workers, d_max, flags
+):
+    """The independent from-first-principles checkers accept whatever the
+    array-form stages produce, on inputs the dataset stand-ins never
+    contain."""
+    degree_greedy, scc_aware, merge = flags
+    decompose_into_paths(
+        graph,
+        d_max=d_max,
+        n_workers=n_workers,
+        degree_greedy=degree_greedy,
+        scc_aware=scc_aware,
+        merge_short_paths=merge,
+    ).validate()
+    config = DiGraphConfig(
+        d_max=d_max,
+        n_workers=n_workers,
+        degree_greedy=degree_greedy,
+        merge_short_paths=merge,
+    )
+    pre = DiGraphEngine(SCALED_MACHINE, config).preprocess(graph)
+    pre.path_set.validate()
+    report = verify_preprocessed(pre)
+    assert report.passed, report.failures
