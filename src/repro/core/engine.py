@@ -66,6 +66,7 @@ from repro.core.storage import (
     PathStorage,
     build_partitions,
 )
+from repro.core.tables import ExecutionTables
 from repro.kernels.registry import resolve_kernel
 from repro.baselines.common import resolve_partition_target
 
@@ -139,6 +140,23 @@ class Preprocessed:
         starts without one.
         """
         return lift_to_partitions(self.storage, self.dag)
+
+    @cached_property
+    def execution_tables(self) -> ExecutionTables:
+        """The flat tables a partition pass indexes, on first use.
+
+        Kept on the object they derive from for the same reason as
+        :attr:`partition_dependencies`: every run over this preprocess
+        reads the same tables, and a new ``Preprocessed`` builds its own.
+        Building them pins ``replicas``' layer-aware owners.
+        """
+        return ExecutionTables.build(
+            self.path_set,
+            self.dag,
+            self.storage,
+            self.replicas,
+            self.partition_dependencies,
+        )
 
 
 class DiGraphEngine:
@@ -302,10 +320,13 @@ class _Run:
             initial_values=initial_values,
             initial_active=initial_active,
         )
+        #: Per-preprocess tables (shared by every run over ``pre``).
+        self.tables = tables = pre.execution_tables
         self.scheduler = PathScheduler(
             pre.path_set,
             pre.dag,
             enabled=self.cfg.use_priority_scheduling,
+            tables=tables.paths,
         )
         self.dispatcher = Dispatcher(
             pre.storage,
@@ -316,24 +337,26 @@ class _Run:
         )
         # Batched gather-apply for the vertex-centric pass (scalar
         # fallback keeps unregistered programs on the same code path).
-        self.kernel = (
-            resolve_kernel(program, graph)
-            if self.cfg.use_vectorized_kernels
-            else None
-        )
+        kernel = resolve_kernel(program, graph)
+        self.kernel = kernel if self.cfg.use_vectorized_kernels else None
         self.round_records: List[RoundRecord] = []
 
-        # Per-partition active-vertex counters (a vertex counts once per
-        # partition that replicates it).
-        self.partition_active = np.zeros(
-            pre.storage.num_partitions, dtype=np.int64
-        )
-        # Per-group active-partition counters.
+        # Per-run tables of the path walk: each vertex's gather edges
+        # and dependents as tuples, memoised on first touch from the
+        # program's own ``gather_edges`` / ``dependents``, and each
+        # path's expected gather work (sum of gather degrees along it —
+        # the pull-model analog of the paper's equal edges-per-thread
+        # balancing rule).
+        self._gather_edges: List[Optional[tuple]] = [None] * graph.num_vertices
+        self._dependents: List[Optional[tuple]] = [None] * graph.num_vertices
+        self._path_work: List[int] = np.add.reduceat(
+            kernel.gather_degrees(np.arange(graph.num_vertices))[
+                tables.paths.vertices
+            ],
+            tables.paths.starts,
+        ).tolist()
+
         self.groups = self.dispatcher.groups_in_layer_order()
-        self.group_active = np.zeros(len(self.dispatcher.groups), dtype=np.int64)
-        self._partition_was_active = np.zeros(
-            pre.storage.num_partitions, dtype=bool
-        )
         # Per-round replica-sync accumulator: (src_gpu, dst_gpu) -> bytes.
         self._pending_sync_bytes: Dict[Tuple[int, int], int] = {}
         # Vertices riding each pair's pending batch — tracked only under
@@ -357,7 +380,6 @@ class _Run:
         # diagnostic for ConvergenceError).
         self.recovery = machine.recovery
         self.last_max_delta = 0.0
-        self._path_work_cache: Dict[int, int] = {}
         # Round stamp per vertex: a vertex is updated at most once per
         # round (the paper walks each path once per round; replica
         # occurrences re-use the master state instead of recomputing).
@@ -370,46 +392,24 @@ class _Run:
         self._wave_counter = 0
         self._current_round = 0
         self._stamp_counter = 0
-        self._apply_layer_aware_owners()
-        # Per-vertex owner partition (post-override), for the checkpoint
-        # manager's spill attribution.
-        self._owner_pid = np.full(graph.num_vertices, -1, dtype=np.int64)
-        for v in range(graph.num_vertices):
-            pid = pre.replicas.owner_partition(v)
-            if pid is not None:
-                self._owner_pid[v] = pid
+        # Per-vertex owner partition (layer-aware; -1 on no path): where
+        # the vertex's activity is tracked, and the checkpoint manager's
+        # spill attribution.
+        self._owner_pid = tables.owner_partition
+        self.scheduler.reset_counts(self.states.active)
+        # Per-partition active-vertex counters (a vertex counts at its
+        # owner partition only) and per-group active-partition counters.
+        owners = self._owner_pid[self.states.active]
+        self.partition_active = np.bincount(
+            owners[owners >= 0], minlength=pre.storage.num_partitions
+        )
+        self._partition_was_active = self.partition_active > 0
+        self.group_active = np.bincount(
+            tables.group_of_partition[self._partition_was_active],
+            minlength=len(self.dispatcher.groups),
+        )
         # Checkpoint lifecycle (this run object is the manager's client).
         self.checkpoints = checkpoint_manager(machine, self)
-        self.scheduler.reset_counts(self.states.active)
-        for v in self.states.active_vertices():
-            self._bump_partitions(int(v), +1)
-
-    def _apply_layer_aware_owners(self) -> None:
-        """Pin each vertex's activity to its downstream-most writer.
-
-        Among the partitions where a vertex receives in-path updates, the
-        one whose dispatch group has the highest layer computes the
-        vertex's final value. Tracking activity anywhere earlier would
-        keep upstream groups flagged active while a downstream SCC
-        iterates, permanently blocking the dependency frontier.
-        """
-        replicas = self.pre.replicas
-        overrides: Dict[int, int] = {}
-        for v in range(self.graph.num_vertices):
-            writers = replicas.writer_partitions(v)
-            if not writers:
-                continue
-            best_pid = None
-            best_key = None
-            for pid, weight in writers.items():
-                group = self.dispatcher.group_of_partition(pid)
-                layer = self.dispatcher.groups[group].layer
-                key = (layer, weight, -pid)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_pid = pid
-            overrides[v] = int(best_pid)
-        replicas.set_owner_overrides(overrides)
 
     # ------------------------------------------------------------------
     # activity bookkeeping
@@ -419,18 +419,17 @@ class _Run:
         # counting every replica partition would keep upstream groups
         # flickering active (any downstream activation re-marks them),
         # permanently blocking the dependency frontier.
-        pid = self.pre.replicas.owner_partition(v)
-        if pid is None:
+        pid = self._owner_pid[v]
+        if pid < 0:
             return
         before = self.partition_active[pid]
         self.partition_active[pid] = max(0, before + delta)
         after = self.partition_active[pid]
-        group = self.dispatcher.group_of_partition(pid)
         if before == 0 and after > 0:
-            self.group_active[group] += 1
+            self.group_active[self.tables.group_of_partition[pid]] += 1
             self._partition_was_active[pid] = True
         elif before > 0 and after == 0:
-            self.group_active[group] -= 1
+            self.group_active[self.tables.group_of_partition[pid]] -= 1
             self._partition_was_active[pid] = False
 
     def activate(self, vertices: Sequence[int]) -> None:
@@ -446,10 +445,10 @@ class _Run:
         producing_gpu = self._processing_gpu
         for v in vertices:
             v = int(v)
-            owner = self.pre.replicas.owner_partition(v)
+            owner = int(self._owner_pid[v])
             if (
                 producing_gpu is not None
-                and owner is not None
+                and owner >= 0
                 and self.dispatcher.current_gpu[owner] != producing_gpu
             ):
                 # Always queued — even if currently active: the target may
@@ -495,10 +494,10 @@ class _Run:
 
     def active_successor_partitions(self, pid: int) -> int:
         """Eviction-policy input: active direct successor partitions."""
-        return sum(
-            1
-            for succ in self.dispatcher.partition_successors(pid)
-            if self.partition_is_active(succ)
+        return int(
+            np.count_nonzero(
+                self.partition_active[self.tables.partition_successors[pid]]
+            )
         )
 
     # ------------------------------------------------------------------
@@ -600,24 +599,46 @@ class _Run:
         self._record_round_start(runnable)
         views = self._wave_views()
         for gpu_id, pids in assignment.items():
-            gpu_work: List[int] = []
-            gpu_atomics: List[int] = []
-            self._processing_gpu = gpu_id
-            for pid in pids:
-                self.dispatcher.ensure_resident(
-                    pid, self.active_successor_partitions
-                )
-                items, item_atomics = self._process_partition(
-                    pid, gpu_id, views[gpu_id]
-                )
-                gpu_work.extend(items)
-                gpu_atomics.extend(item_atomics)
-            self._processing_gpu = None
-            self._sweep_work[gpu_id].extend(gpu_work)
-            self._sweep_atomics[gpu_id].extend(gpu_atomics)
+            self._run_turn(gpu_id, pids, views[gpu_id])
         self._prefetch_next(runnable)
         lost_pairs = self._flush_replica_sync()
         self._apply_deferred_activations(lost_pairs)
+
+    def _run_turn(
+        self, gpu_id: int, pids: List[int], view: StalenessView
+    ) -> None:
+        """One GPU's share of a wave: its partitions, one after another.
+
+        The path walk gathers from the view *materialised once*, at the
+        start of the turn, and writes every update through to that
+        array. This is exact, not an approximation of the per-read
+        view: during GPU ``g``'s turn only ``g`` writes vertex states,
+        and whatever ``g`` writes is fresh to ``g`` (it owns the vertex,
+        or ``written_gpu``/``written_stamp`` now name ``g`` and this
+        wave) — so the array and ``view.as_array()`` agree after every
+        write. Vertex ownership cannot move under it either:
+        ``dispatcher.current_gpu`` changes only in
+        ``balance_assignments`` (before the views are built) and between
+        rounds. The array must be taken at the *turn* start, not the
+        wave start: an earlier GPU's turn may have written a replica of
+        a vertex ``g`` owns, and that write is fresh to ``g``.
+        """
+        reads = view.as_array() if self.cfg.use_path_execution else view
+        gpu_work: List[int] = []
+        gpu_atomics: List[int] = []
+        self._processing_gpu = gpu_id
+        for pid in pids:
+            self.dispatcher.ensure_resident(
+                pid, self.active_successor_partitions
+            )
+            items, item_atomics = self._process_partition(
+                pid, gpu_id, reads
+            )
+            gpu_work.extend(items)
+            gpu_atomics.extend(item_atomics)
+        self._processing_gpu = None
+        self._sweep_work[gpu_id].extend(gpu_work)
+        self._sweep_atomics[gpu_id].extend(gpu_atomics)
 
     def _wave_views(self) -> Dict[int, StalenessView]:
         """Per-GPU read views for one wave (fresh local, snapshot remote).
@@ -626,6 +647,8 @@ class _Run:
         work)."""
         snapshot = self.states.copy_values()
         owner_gpu = self._owner_gpu = self.vertex_gpu()
+        # The same map as a list: the walk reads it per dependent.
+        self._owner_gpu_list: List[int] = owner_gpu.tolist()
         self._wave_counter += 1
         return {
             gpu: StalenessView(
@@ -640,23 +663,10 @@ class _Run:
             for gpu in self.machine.live_gpu_ids()
         }
 
-    def _path_gather_work(self, path_id: int) -> int:
-        """Expected gather work of one path (cached)."""
-        cached = self._path_work_cache.get(path_id)
-        if cached is None:
-            cached = sum(
-                self.program.gather_degree(self.graph, int(v))
-                for v in self.pre.path_set[path_id].vertices
-            )
-            self._path_work_cache[path_id] = cached
-        return cached
-
     def prologue(self) -> None:
         """Vertices on no path (no edges at all) get one apply up front."""
-        for v in self.states.active_vertices():
-            v = int(v)
-            if self.pre.replicas.mirror_partitions(v):
-                continue
+        on_no_path = self.states.active & (self._owner_pid < 0)
+        for v in np.flatnonzero(on_no_path).tolist():
             new, changed = self.program.update_vertex(
                 self.graph, v, self.states.values
             )
@@ -709,15 +719,10 @@ class _Run:
         return runnable
 
     def _active_predecessor_groups(self, group_id: int) -> int:
-        group = self.dispatcher.groups[group_id]
-        pred_groups: Set[int] = set()
-        for pid in group.partition_ids:
-            for pred in self.dispatcher.partition_predecessors(pid):
-                pred_group = self.dispatcher.group_of_partition(pred)
-                if pred_group != group_id:
-                    pred_groups.add(pred_group)
-        return sum(
-            1 for g in pred_groups if self.group_active[g] > 0
+        return int(
+            np.count_nonzero(
+                self.group_active[self.tables.group_predecessors[group_id]]
+            )
         )
 
     def _prefetch_next(self, runnable: Sequence[int]) -> None:
@@ -736,23 +741,16 @@ class _Run:
                     )
 
     def _record_round_start(self, runnable: Sequence[int]) -> None:
-        storage = self.pre.storage
-        num_partitions = storage.num_partitions
-        convergent = sum(
-            1
-            for pid in range(num_partitions)
-            if not self.partition_is_active(pid)
-        )
-        active_slots = 0
-        total_slots = 0
-        for pid in runnable:
-            active_slots += int(self.partition_active[pid])
-            total_slots += storage.partitions[pid].num_vertex_slots
+        partition_active = self.partition_active
+        active_slots = int(partition_active[runnable].sum())
+        total_slots = int(self.tables.partition_vertex_slots[runnable].sum())
         self.round_records.append(
             RoundRecord(
                 round_index=len(self.round_records),
                 partitions_processed=len(runnable),
-                partitions_convergent=convergent,
+                partitions_convergent=int(
+                    partition_active.size - np.count_nonzero(partition_active)
+                ),
                 active_fraction_nonconvergent=(
                     active_slots / total_slots if total_slots else 0.0
                 ),
@@ -764,217 +762,230 @@ class _Run:
     # partition processing
     # ------------------------------------------------------------------
     def _process_partition(
-        self, pid: int, gpu_id: int, view: StalenessView
+        self, pid: int, gpu_id: int, reads
     ) -> Tuple[List[int], List[int]]:
-        """Process one partition; returns per-thread (edges, atomics)."""
-        storage = self.pre.storage
-        partition = storage.partitions[pid]
-        path_set = self.pre.path_set
+        """Process one partition; returns per-thread (edges, atomics).
+
+        ``reads`` is what gather reads: the turn's write-through array
+        under path execution, the GPU's :class:`StalenessView` for the
+        vertex-centric pass (see :meth:`_run_turn`).
+        """
         stats = self.machine.stats
         stats.note_partition_processed(pid)
 
         changed_vertices: Set[int] = set()
         write_counts: Dict[int, int] = {}
-        work_items: List[int] = []
-        atomic_items: List[int] = []
         if self.cfg.use_path_execution:
-            # The SMX's warp scheduler keeps re-running its active paths
-            # until the partition settles (Section 3.2.3): one partition
-            # pass iterates to *local quiescence* — cross-partition
-            # effects wait for the next wave. Each iteration schedules
-            # and loads only the paths holding an active vertex this GPU
-            # owns ("only needs to access a few paths"), the mechanism
-            # behind DiGraph's loaded-data utilization (Fig. 13).
-            active = self.states.active
-            owner_gpu = self._owner_gpu
-            # Iterating to local quiescence is only productive when the
-            # pass computes *final* values: the partition must form its
-            # own dispatch group (no mutual dependence with other
-            # partitions) and every upstream group must have converged.
-            # Inside a multi-partition SCC group, or with live upstream
-            # inputs, iterating would churn against a stale snapshot, so
-            # the pass runs once and waits for the next delivery.
-            group_id = self.dispatcher.group_of_partition(pid)
-            group = self.dispatcher.groups[group_id]
-            inputs_final = len(group.partition_ids) == 1 and all(
-                not self.partition_is_active(pred)
-                for pred in self.dispatcher.partition_predecessors(pid)
+            work_items = self._walk_partition(
+                pid, gpu_id, reads, changed_vertices, write_counts
             )
-            max_iterations = _MAX_LOCAL_ITERATIONS if inputs_final else 1
-            for _iteration in range(max_iterations):
-                scheduled = []
-                for p in partition.path_ids:
-                    if self.scheduler.active_count[p] == 0:
-                        continue
-                    for v in path_set[p].vertices:
-                        if active[v] and owner_gpu[v] == gpu_id:
-                            scheduled.append(p)
-                            break
-                if not scheduled:
-                    break
-                self._stamp_counter += 1
-                loaded_vertices = sum(
-                    path_set[p].num_vertices for p in scheduled
-                )
-                loaded_edges = sum(
-                    path_set[p].num_edges for p in scheduled
-                )
-                self.machine.load_global(
-                    gpu_id,
-                    nbytes=loaded_vertices * 16 + loaded_edges * 8,
-                    vertices=loaded_vertices,
-                )
-                ordered = self.scheduler.order_paths(scheduled)
-                # Balance by expected gather work (sum of gather degrees
-                # along the path), the pull-model analog of the paper's
-                # equal edges-per-thread rule.
-                path_work = {
-                    p: self._path_gather_work(p) for p in ordered
-                }
-                buckets = balance_paths_to_threads(
-                    ordered,
-                    path_work,
-                    self.engine.spec.gpu.threads_per_smx,
-                )
-                for bucket in buckets:
-                    edges = 0
-                    for path_id in bucket:
-                        edges += self._walk_path(
-                            path_id,
-                            gpu_id,
-                            view,
-                            changed_vertices,
-                            write_counts,
-                            quiesce=inputs_final,
-                        )
-                    work_items.append(edges)
-                    atomic_items.append(0)
-            # Contention is accounted once per partition pass (proxies
-            # flush at pass end); the atomic pushes are issued by the
-            # threads that produced the writes, so spread them evenly
-            # over the pass's threads.
-            contention = self.pre.replicas.contention(write_counts)
-            stats.atomic_updates += contention.atomic_updates
-            stats.proxy_absorbed += contention.proxy_absorbed
-            stats.master_writes += contention.total_writes
-            if work_items and contention.atomic_updates:
-                share, remainder = divmod(
-                    contention.atomic_updates, len(atomic_items)
-                )
-                for i in range(len(atomic_items)):
-                    atomic_items[i] += share + (1 if i < remainder else 0)
         else:
             # DiGraph-t: traditional execution loads the whole partition
-            # and runs one worklist pass over its vertices.
+            # and runs one worklist pass over its vertices — one thread
+            # per processed vertex, same as the async baseline.
+            partition = self.pre.storage.partitions[pid]
             self.machine.load_global(
                 gpu_id,
                 nbytes=partition.nbytes,
                 vertices=partition.num_vertex_slots,
             )
-            per_vertex_items = self._process_vertex_centric(
-                partition, gpu_id, view, changed_vertices, write_counts
+            work_items = self._process_vertex_centric(
+                partition, gpu_id, reads, changed_vertices, write_counts
             )
-            contention = self.pre.replicas.contention(write_counts)
-            stats.atomic_updates += contention.atomic_updates
-            stats.proxy_absorbed += contention.proxy_absorbed
-            stats.master_writes += contention.total_writes
-            # Traditional execution: one thread per processed vertex,
-            # same as the async baseline.
-            work_items.extend(per_vertex_items)
-            atomic_items.extend([0] * len(per_vertex_items))
-            if atomic_items and contention.atomic_updates:
-                share, remainder = divmod(
-                    contention.atomic_updates, len(atomic_items)
-                )
-                for i in range(len(atomic_items)):
-                    atomic_items[i] += share + (1 if i < remainder else 0)
+        # Contention is accounted once per partition pass (proxies
+        # flush at pass end); the atomic pushes are issued by the
+        # threads that produced the writes, so spread them evenly
+        # over the pass's threads.
+        contention = self.pre.replicas.contention(write_counts)
+        stats.atomic_updates += contention.atomic_updates
+        stats.proxy_absorbed += contention.proxy_absorbed
+        stats.master_writes += contention.total_writes
+        atomic_items = [0] * len(work_items)
+        if work_items and contention.atomic_updates:
+            share, remainder = divmod(
+                contention.atomic_updates, len(atomic_items)
+            )
+            for i in range(len(atomic_items)):
+                atomic_items[i] += share + (1 if i < remainder else 0)
 
         self._synchronize_replicas(pid, gpu_id, changed_vertices)
         return work_items, atomic_items
 
-    def _walk_path(
+    def _walk_partition(
         self,
-        path_id: int,
+        pid: int,
         gpu_id: int,
-        view: StalenessView,
+        reads: np.ndarray,
         changed_vertices: Set[int],
         write_counts: Dict[int, int],
-        quiesce: bool = False,
-    ) -> int:
-        """Sequential in-path walk with immediate state reuse.
+    ) -> List[int]:
+        """Path execution of one partition; returns per-thread gather
+        edges walked.
+
+        The SMX's warp scheduler keeps re-running its active paths until
+        the partition settles (Section 3.2.3): one partition pass
+        iterates to *local quiescence* — cross-partition effects wait
+        for the next wave. Each iteration schedules and loads only the
+        paths holding an active vertex this GPU owns ("only needs to
+        access a few paths"), the mechanism behind DiGraph's loaded-data
+        utilization (Fig. 13), orders them by ``Pri(p)``, packs them
+        onto threads by expected gather work, and walks every thread's
+        paths sequentially with immediate in-path state reuse.
 
         A vertex's *active* flag may only be consumed by the GPU owning
         it: its pending activation encodes "new gather input has arrived
         here". A non-owner replica walking the same vertex on another GPU
         still refines it through the in-path chain (``upstream_changed``)
         but must not deactivate it — doing so would cancel a delivery the
-        stale remote pass never saw. Returns the number of gather edges
-        traversed (thread work).
+        stale remote pass never saw.
+
+        Everything loop-invariant is read from tables: the partition's
+        block of ``E_Idx`` (per preprocess), each vertex's gather edges
+        and dependents (per run, memoised from the program), the
+        owner-GPU map (per wave) and ``reads`` (per GPU turn).
         """
-        path = self.pre.path_set[path_id]
-        graph, program, states = self.graph, self.program, self.states
-        stats = self.machine.stats
-        # The walk streams every loaded slot of the path sequentially
-        # (it must, to follow the chain) — each streamed record is a use
-        # of loaded data, the coalescing win Fig. 13 measures.
-        self.machine.note_vertex_uses(path.num_vertices)
-        edges_walked = 0
-        upstream_changed = False
-        for position, v in enumerate(path.vertices):
-            v = int(v)
-            owner_local = self._owner_gpu[v] == gpu_id
-            consumes_active = states.active[v] and owner_local
-            if not (consumes_active or upstream_changed):
-                upstream_changed = False
-                continue
-            if self._processed_stamp[v] == self._stamp_counter:
-                # Already updated this local iteration (another path
-                # occurrence); its master state is fresh — reuse.
-                upstream_changed = False
-                continue
-            if (
-                not quiesce
-                and self._sweep_stamp[v] == self._current_round
-            ):
-                # Outside quiescence mode a vertex updates at most once
-                # per sweep: recomputing it again before the next replica
-                # delivery would just churn on the same stale inputs. If
-                # it was re-activated meanwhile it stays active and is
-                # picked up next sweep.
-                upstream_changed = False
-                continue
-            self._processed_stamp[v] = self._stamp_counter
-            self._sweep_stamp[v] = self._current_round
-            old = float(states.values[v])
-            new, changed = program.update_vertex(
-                graph, v, view, old_state=old
-            )
-            degree = program.gather_degree(graph, v)
-            edges_walked += degree
-            stats.apply_calls += 1
-            stats.edge_traversals += degree
-            # Data-use accounting (Fig. 13): the vertex record plus each
-            # neighbor read. One gather input — the in-path predecessor —
-            # sits in the already-loaded path block (the coalescing win);
-            # the rest are demand fetches of master records.
-            demand = degree - 1 if position > 0 else degree
-            if demand > 0:
-                self.machine.load_global(
-                    gpu_id, nbytes=8 * demand, vertices=demand
+        tables = self.tables
+        block = tables.blocks[pid]
+        sequences = tables.paths.sequences
+        machine, scheduler = self.machine, self.scheduler
+        load_global = machine.load_global
+        stats = machine.stats
+        graph, program = self.graph, self.program
+        identity = program.identity
+        gather, accumulate = program.gather, program.accumulate
+        apply, has_converged = program.apply, program.has_converged
+        gather_edges, dependents = self._gather_edges, self._dependents
+        values, active = self.states.values, self.states.active
+        processed_stamp, sweep_stamp = self._processed_stamp, self._sweep_stamp
+        written_gpu, written_stamp = self._written_gpu, self._written_stamp
+        wave, current_round = self._wave_counter, self._current_round
+        owner_gpu = self._owner_gpu_list
+        deferred = self._deferred_activations
+        activate_now, deactivate = self._activate_now, self.deactivate
+        path_work = self._path_work
+        threads = self.engine.spec.gpu.threads_per_smx
+
+        # Iterating to local quiescence is only productive when the
+        # pass computes *final* values: the partition must form its
+        # own dispatch group (no mutual dependence with other
+        # partitions) and every upstream group must have converged.
+        # Inside a multi-partition SCC group, or with live upstream
+        # inputs, iterating would churn against a stale snapshot, so
+        # the pass runs once and waits for the next delivery.
+        quiesce = bool(tables.alone_in_group[pid]) and not np.any(
+            self.partition_active[tables.partition_predecessors[pid]]
+        )
+        owned_here = self._owner_gpu[block.vertices] == gpu_id
+        work_items: List[int] = []
+        for _iteration in range(_MAX_LOCAL_ITERATIONS if quiesce else 1):
+            scheduled = np.flatnonzero(
+                np.logical_or.reduceat(
+                    active[block.vertices] & owned_here, block.starts
                 )
-            self.machine.note_vertex_uses(degree)
-            states.values[v] = new
-            self._written_gpu[v] = gpu_id
-            self._written_stamp[v] = self._wave_counter
-            if consumes_active:
-                self.deactivate(v)
-            if changed:
-                stats.vertex_updates += 1
-                changed_vertices.add(v)
-                write_counts[v] = write_counts.get(v, 0) + 1
-                self.activate(list(program.dependents(graph, v)))
-            upstream_changed = changed
-        return edges_walked
+            )
+            if scheduled.size == 0:
+                break
+            self._stamp_counter += 1
+            stamp = self._stamp_counter
+            loaded_vertices = int(block.lengths[scheduled].sum())
+            loaded_edges = loaded_vertices - scheduled.size
+            load_global(
+                gpu_id,
+                nbytes=loaded_vertices * 16 + loaded_edges * 8,
+                vertices=loaded_vertices,
+            )
+            buckets = balance_paths_to_threads(
+                scheduler.order_paths(block.path_ids[scheduled]),
+                path_work,
+                threads,
+            )
+            for bucket in buckets:
+                edges_walked = 0
+                for path_id in bucket:
+                    vertices = sequences[path_id]
+                    # The walk streams every loaded slot of the path
+                    # sequentially (it must, to follow the chain) — each
+                    # streamed record is a use of loaded data, the
+                    # coalescing win Fig. 13 measures.
+                    stats.vertex_uses += len(vertices)
+                    upstream_changed = False
+                    for position, v in enumerate(vertices):
+                        consumes_active = (
+                            active[v] and owner_gpu[v] == gpu_id
+                        )
+                        if not (consumes_active or upstream_changed):
+                            continue
+                        upstream_changed = False
+                        if processed_stamp[v] == stamp:
+                            # Already updated this local iteration
+                            # (another path occurrence); its master
+                            # state is fresh — reuse.
+                            continue
+                        if not quiesce and sweep_stamp[v] == current_round:
+                            # Outside quiescence mode a vertex updates at
+                            # most once per sweep: recomputing it again
+                            # before the next replica delivery would just
+                            # churn on the same stale inputs. If it was
+                            # re-activated meanwhile it stays active and
+                            # is picked up next sweep.
+                            continue
+                        processed_stamp[v] = stamp
+                        sweep_stamp[v] = current_round
+                        inputs = gather_edges[v]
+                        if inputs is None:
+                            inputs = gather_edges[v] = tuple(
+                                program.gather_edges(graph, v)
+                            )
+                        old = float(values[v])
+                        acc = identity
+                        for src, weight in inputs:
+                            acc = accumulate(
+                                acc, gather(float(reads[src]), weight, src, v)
+                            )
+                        new = apply(v, old, acc)
+                        changed = not has_converged(old, new)
+                        degree = len(inputs)
+                        edges_walked += degree
+                        stats.apply_calls += 1
+                        stats.edge_traversals += degree
+                        # Data-use accounting (Fig. 13): the vertex
+                        # record plus each neighbor read. One gather
+                        # input — the in-path predecessor — sits in the
+                        # already-loaded path block (the coalescing
+                        # win); the rest are demand fetches of master
+                        # records.
+                        demand = degree - 1 if position > 0 else degree
+                        if demand > 0:
+                            load_global(
+                                gpu_id, nbytes=8 * demand, vertices=demand
+                            )
+                        stats.vertex_uses += degree
+                        values[v] = reads[v] = new
+                        written_gpu[v] = gpu_id
+                        written_stamp[v] = wave
+                        if consumes_active:
+                            deactivate(v)
+                        if changed:
+                            stats.vertex_updates += 1
+                            changed_vertices.add(v)
+                            write_counts[v] = write_counts.get(v, 0) + 1
+                            targets = dependents[v]
+                            if targets is None:
+                                targets = dependents[v] = tuple(
+                                    map(int, program.dependents(graph, v))
+                                )
+                            # A changed state is visible at once on this
+                            # GPU but reaches the others only with the
+                            # end-of-wave replica sync (see ``activate``).
+                            for u in targets:
+                                target_gpu = owner_gpu[u]
+                                if target_gpu != gpu_id and target_gpu >= 0:
+                                    deferred.append((u, gpu_id, target_gpu))
+                                elif not active[u]:
+                                    activate_now(u)
+                            upstream_changed = True
+                work_items.append(edges_walked)
+        return work_items
 
     def _process_vertex_centric(
         self,
@@ -987,7 +998,7 @@ class _Run:
         """DiGraph-t: active vertices in id order, immediate visibility.
 
         Like the path walk, only the owner GPU consumes a vertex's active
-        flag (see :meth:`_walk_path`). Returns per-vertex work items
+        flag (see :meth:`_walk_partition`). Returns per-vertex work items
         (gather degrees)."""
         graph, program, states = self.graph, self.program, self.states
         stats = self.machine.stats

@@ -141,6 +141,43 @@ class ReplicaTable:
                 )
             self._owner_partition[v] = pid
 
+    def set_layer_aware_owners(self, partition_layer: np.ndarray) -> None:
+        """Pin each vertex's activity to its downstream-most writer.
+
+        Among the partitions where a vertex receives in-path updates, the
+        one whose dispatch group has the highest layer
+        (``partition_layer[pid]``) computes the vertex's final value;
+        ties go to the most writer occurrences, then the lowest id.
+        Tracking activity anywhere earlier would keep upstream groups
+        flagged active while a downstream SCC iterates, permanently
+        blocking the dependency frontier.
+        """
+        keys = np.array(list(self._writer_weight), dtype=np.int64)
+        vertex, pid = keys.reshape(-1, 2).T
+        weight = np.fromiter(
+            self._writer_weight.values(), dtype=np.int64, count=vertex.size
+        )
+        # Ascending by (vertex, layer, weight, -pid): a vertex's best
+        # writer is the last entry of its run.
+        order = np.lexsort((-pid, weight, partition_layer[pid], vertex))
+        vertex, pid = vertex[order], pid[order]
+        best = np.ones(vertex.size, dtype=bool)
+        np.not_equal(vertex[1:], vertex[:-1], out=best[:-1])
+        self.set_owner_overrides(
+            dict(zip(vertex[best].tolist(), pid[best].tolist()))
+        )
+
+    def owner_partitions(self) -> np.ndarray:
+        """:meth:`owner_partition` of every vertex; -1 where isolated."""
+        owners = np.full(self._path_set.graph.num_vertices, -1, dtype=np.int64)
+        count = len(self._owner_partition)
+        owners[
+            np.fromiter(self._owner_partition, dtype=np.int64, count=count)
+        ] = np.fromiter(
+            self._owner_partition.values(), dtype=np.int64, count=count
+        )
+        return owners
+
     # ------------------------------------------------------------------
     def mirror_partitions(self, v: int) -> Tuple[int, ...]:
         """Partitions holding a replica of ``v`` (empty if isolated)."""

@@ -18,13 +18,15 @@ DiGraph-w ablation removes exactly this policy).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+import heapq
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SchedulingError
 from repro.core.dependency import DependencyDAG
 from repro.core.paths import PathSet
+from repro.core.tables import PathTables
 
 
 class PathScheduler:
@@ -35,86 +37,90 @@ class PathScheduler:
         path_set: PathSet,
         dag: DependencyDAG,
         enabled: bool = True,
+        tables: Optional[PathTables] = None,
     ) -> None:
-        self._path_set = path_set
-        self._dag = dag
+        """``tables`` is ``PathTables.build(path_set, dag)`` when the
+        caller already holds it (``Preprocessed.execution_tables``
+        builds it once for every run over one preprocess)."""
         self.enabled = enabled
-        graph = path_set.graph
-
+        self._tables = tables or PathTables.build(path_set, dag)
         num_paths = path_set.num_paths
-        self._avg_degree = np.zeros(num_paths, dtype=np.float64)
-        self._layer = np.zeros(num_paths, dtype=np.float64)
-        self._num_vertices = np.zeros(num_paths, dtype=np.int64)
-        for path in path_set:
-            self._avg_degree[path.path_id] = path.average_degree(graph)
-            self._layer[path.path_id] = dag.layer_of_path(path.path_id)
-            self._num_vertices[path.path_id] = path.num_vertices
-
-        d_max = float(self._avg_degree.max()) if num_paths else 1.0
-        n_max = float(self._num_vertices.max()) if num_paths else 1.0
-        denominator = max(d_max * n_max, 1.0)
+        avg_degree = self._tables.avg_degree
+        lengths = self._tables.num_vertices
+        d_max = float(avg_degree.max()) if num_paths else 1.0
+        n_max = float(lengths.max()) if num_paths else 1.0
         #: The paper's preprocessing-time scaling factor.
-        self.alpha = 1.0 / denominator
+        self.alpha = 1.0 / max(d_max * n_max, 1.0)
 
         #: N(p): active vertices per path, updated incrementally.
         self.active_count = np.zeros(num_paths, dtype=np.int64)
         # vertex -> path ids containing it (for incremental N updates).
-        self._paths_of_vertex = path_set.paths_of_vertex()
+        self._paths_of_vertex = self._tables.paths_of_vertex
 
     # ------------------------------------------------------------------
     # N(p) maintenance
     # ------------------------------------------------------------------
     def reset_counts(self, active_mask: np.ndarray) -> None:
-        """Rebuild N(p) from a vertex active mask (run start)."""
-        self.active_count[:] = 0
-        for v in np.flatnonzero(active_mask):
-            for path_id in self._paths_of_vertex.get(int(v), ()):
-                self.active_count[path_id] += 1
+        """Rebuild N(p) from a vertex active mask (run start, rollback)."""
+        tables = self._tables
+        self.active_count[:] = np.bincount(
+            tables.incidence_path[active_mask[tables.incidence_vertex]],
+            minlength=self.active_count.size,
+        )
 
     def vertex_activated(self, v: int) -> None:
         """A vertex became active: bump N(p) for its paths."""
-        for path_id in self._paths_of_vertex.get(int(v), ()):
+        for path_id in self._paths_of_vertex[v]:
             self.active_count[path_id] += 1
 
     def vertex_deactivated(self, v: int) -> None:
         """A vertex converged: decrement N(p) for its paths."""
-        for path_id in self._paths_of_vertex.get(int(v), ()):
+        for path_id in self._paths_of_vertex[v]:
             if self.active_count[path_id] > 0:
                 self.active_count[path_id] -= 1
 
     def paths_of_vertex(self, v: int) -> Sequence[int]:
-        return self._paths_of_vertex.get(int(v), ())
+        return self._paths_of_vertex[v]
 
     # ------------------------------------------------------------------
     # Pri(p)
     # ------------------------------------------------------------------
     def priority(self, path_id: int) -> float:
         """``Pri(p) = α · D̄(p) · N(p) − L(p)``."""
-        if not 0 <= path_id < self._path_set.num_paths:
+        if not 0 <= path_id < self.active_count.size:
             raise SchedulingError(f"no path {path_id}")
-        return float(
+        return float(self._priorities(np.array([path_id]))[0])
+
+    def _priorities(self, path_ids: np.ndarray) -> np.ndarray:
+        tables = self._tables
+        return (
             self.alpha
-            * self._avg_degree[path_id]
-            * self.active_count[path_id]
-            - self._layer[path_id]
+            * tables.avg_degree[path_ids]
+            * self.active_count[path_ids]
+            - tables.layer[path_ids]
         )
 
-    def order_paths(self, path_ids: Iterable[int]) -> List[int]:
+    def order_paths(
+        self, path_ids: Union[np.ndarray, Iterable[int]]
+    ) -> List[int]:
         """Processing order for an SMX's paths.
 
         With scheduling enabled: descending ``Pri(p)`` (ties by id for
         determinism). Disabled (the DiGraph-w ablation): the warp
         scheduler's default round-robin order, i.e. the given id order.
         """
-        ids = list(path_ids)
-        if not self.enabled:
-            return ids
-        return sorted(ids, key=lambda p: (-self.priority(p), p))
+        if not isinstance(path_ids, np.ndarray):
+            path_ids = np.array(list(path_ids), dtype=np.int64)
+        if self.enabled:
+            path_ids = path_ids[
+                np.lexsort((path_ids, -self._priorities(path_ids)))
+            ]
+        return path_ids.tolist()
 
 
 def balance_paths_to_threads(
     path_ids: Sequence[int],
-    path_edges: Dict[int, int],
+    path_edges: Union[Mapping[int, int], Sequence[int]],
     num_threads: int,
 ) -> List[List[int]]:
     """Assign paths to threads so per-thread edge counts are almost equal.
@@ -123,19 +129,19 @@ def balance_paths_to_threads(
     differ, so paths are packed greedily — longest path to the currently
     lightest thread (LPT); several short paths share a thread that
     balances one long path. The *given order* of equal-length paths is
-    preserved (priority order from the scheduler).
+    preserved (priority order from the scheduler). ``path_edges`` is
+    anything indexable by path id.
     """
     if num_threads < 1:
         raise SchedulingError("num_threads must be >= 1")
     buckets: List[List[int]] = [[] for _ in range(num_threads)]
-    loads = [0] * num_threads
+    # ``(load, thread)`` min-heap: the lightest thread, lowest index
+    # among equals. Already a heap — all loads zero, indices ascending.
+    loads = [(0, thread) for thread in range(num_threads)]
     # Stable sort: keeps scheduler priority order among equal lengths.
-    ordered = sorted(
-        range(len(path_ids)), key=lambda i: -path_edges[path_ids[i]]
-    )
-    for i in ordered:
-        path_id = path_ids[i]
-        lightest = loads.index(min(loads))
+    ordered = sorted(path_ids, key=lambda path_id: -path_edges[path_id])
+    for path_id in ordered:
+        load, lightest = loads[0]
         buckets[lightest].append(path_id)
-        loads[lightest] += path_edges[path_id]
+        heapq.heapreplace(loads, (load + path_edges[path_id], lightest))
     return [bucket for bucket in buckets if bucket]

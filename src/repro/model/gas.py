@@ -75,10 +75,9 @@ class VertexProgram(abc.ABC):
         self, graph: DiGraphCSR, v: int
     ) -> Iterator[GatherEdge]:
         """Edges vertex ``v`` reads during gather; default: in-edges."""
-        preds = graph.predecessors(v)
-        weights = graph.in_weights(v)
-        for i in range(preds.size):
-            yield int(preds[i]), float(weights[i])
+        return zip(
+            graph.predecessors(v).tolist(), graph.in_weights(v).tolist()
+        )
 
     def gather_degree(self, graph: DiGraphCSR, v: int) -> int:
         """Number of gather edges of ``v`` (simulator work accounting)."""
@@ -101,7 +100,7 @@ class VertexProgram(abc.ABC):
         Default: out-neighbors, because their gather reads ``v``. Programs
         that gather over both directions must override this symmetrically.
         """
-        return (int(u) for u in graph.successors(v))
+        return graph.successors(v).tolist()
 
     # ------------------------------------------------------------------
     # conveniences used by engines

@@ -123,6 +123,50 @@ class TestPartitionLift:
         assert len(lifts) == 3
         assert len({id(storage) for storage, _ in lifts}) == 3
 
+    def test_execution_tables_follow_their_preprocess(
+        self, medium_graph, test_machine, monkeypatch
+    ):
+        """The flat execution tables live where the lift lives: built on
+        the first run over a ``Preprocessed``, shared by later runs, and
+        built afresh — over its own storage — for every decomposition a
+        streaming repair or a golden rebuild produces."""
+        from repro.core.tables import ExecutionTables
+        from repro.streaming import Mutation, MutationBatch, StreamingSession
+
+        built = []
+        original = ExecutionTables.build.__func__
+
+        def counted(cls, path_set, dag, storage, replicas, lifted):
+            built.append(storage)
+            return original(cls, path_set, dag, storage, replicas, lifted)
+
+        monkeypatch.setattr(ExecutionTables, "build", classmethod(counted))
+
+        engine = DiGraphEngine(test_machine)
+        pre = engine.preprocess(medium_graph)
+        assert built == []
+        for algo in ("pagerank", "bfs", "wcc"):
+            engine.run(
+                medium_graph, make_program(algo, medium_graph), preprocessed=pre
+            )
+        assert built == [pre.storage]
+
+        del built[:]
+        graph = scc_profile_graph(80, 3.0, 0.4, 4.0, seed=11)
+        session = StreamingSession(graph, "pagerank", machine_spec=test_machine)
+        assert len(built) == 1  # the cold start
+        outcome = session.apply(
+            MutationBatch([Mutation.insert(3, 70), Mutation.insert(70, 5)]),
+            certify=True,
+        )
+        assert outcome.certification.passed
+        # The repaired decomposition and the golden rebuild each run over
+        # tables cut from their own storage arrays, never the cold start's.
+        assert len(built) == 3
+        assert len({id(storage) for storage in built}) == 3
+        repaired = built[1]
+        assert repaired.path_set.graph is outcome.applied.graph
+
 
 class TestCorrectness:
     def test_bfs_exact(self, medium_graph, test_machine):

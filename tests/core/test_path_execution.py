@@ -1,0 +1,407 @@
+"""The table-driven partition pass: its tables against per-object
+references, the write-through exactness argument, and the walk's skip
+rules one by one."""
+
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.algorithms import make_program
+from repro.algorithms.pagerank import PageRank
+from repro.core.dependency import build_dependency_dag
+from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed, _Run
+from repro.core.paths import Path, PathSet
+from repro.core.replicas import ReplicaTable
+from repro.core.scheduling import PathScheduler, balance_paths_to_threads
+from repro.core.storage import PathStorage, build_partitions
+from repro.gpu.config import SCALED_MACHINE
+from repro.gpu.machine import Machine
+from repro.graph.builder import from_edges
+from repro.graph.generators import scc_profile_graph
+from repro.model.state import StalenessView
+
+
+# ----------------------------------------------------------------------
+# thread balancing: the heap against the rule it replaced
+# ----------------------------------------------------------------------
+def balance_by_scan(path_ids, path_edges, num_threads):
+    """``balance_paths_to_threads`` as it was: rescan every thread's load
+    per path and take the first lightest."""
+    buckets = [[] for _ in range(num_threads)]
+    loads = [0] * num_threads
+    ordered = sorted(
+        range(len(path_ids)), key=lambda i: -path_edges[path_ids[i]]
+    )
+    for i in ordered:
+        lightest = loads.index(min(loads))
+        buckets[lightest].append(path_ids[i])
+        loads[lightest] += path_edges[path_ids[i]]
+    return [bucket for bucket in buckets if bucket]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_heap_balancing_matches_the_scan_on_ties(seed):
+    rng = random.Random(seed)
+    num_paths = rng.randint(0, 120)
+    # Few distinct weights, zero included, and thread counts on both
+    # sides of the path count: nearly every choice is a tie.
+    weights = [rng.randint(0, 3) for _ in range(num_paths)]
+    path_ids = list(range(num_paths))
+    rng.shuffle(path_ids)
+    for num_threads in (1, 2, 7, 64, 256):
+        assert balance_paths_to_threads(
+            path_ids, weights, num_threads
+        ) == balance_by_scan(path_ids, weights, num_threads)
+        as_dict = dict(enumerate(weights))
+        assert balance_paths_to_threads(
+            path_ids, as_dict, num_threads
+        ) == balance_by_scan(path_ids, as_dict, num_threads)
+
+
+# ----------------------------------------------------------------------
+# tables against the per-object code they replaced
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def preprocessed():
+    graph = scc_profile_graph(260, 5.0, 0.6, 5.0, seed=9)
+    engine = DiGraphEngine(
+        SCALED_MACHINE, DiGraphConfig(target_edges_per_partition=60)
+    )
+    return graph, engine, engine.preprocess(graph)
+
+
+class TestTablesMatchTheObjects:
+    def test_path_tables(self, preprocessed):
+        graph, _, pre = preprocessed
+        paths = pre.execution_tables.paths
+        path_set, dag = pre.path_set, pre.dag
+        assert paths.sequences == [
+            tuple(int(v) for v in p.vertices) for p in path_set
+        ]
+        assert paths.avg_degree.tolist() == [
+            p.average_degree(graph) for p in path_set
+        ]
+        assert paths.layer.tolist() == [
+            float(dag.layer_of_path(p.path_id)) for p in path_set
+        ]
+        assert paths.num_vertices.tolist() == [
+            p.num_vertices for p in path_set
+        ]
+        occurrences = path_set.paths_of_vertex()
+        assert paths.paths_of_vertex == [
+            tuple(occurrences.get(v, ())) for v in range(graph.num_vertices)
+        ]
+
+    def test_reset_counts_is_the_incremental_count(self, preprocessed):
+        graph, _, pre = preprocessed
+        rng = np.random.default_rng(5)
+        mask = rng.random(graph.num_vertices) < 0.3
+        scheduler = PathScheduler(pre.path_set, pre.dag)
+        scheduler.reset_counts(mask)
+        one_by_one = PathScheduler(
+            pre.path_set, pre.dag, tables=pre.execution_tables.paths
+        )
+        for v in np.flatnonzero(mask):
+            one_by_one.vertex_activated(int(v))
+        assert np.array_equal(scheduler.active_count, one_by_one.active_count)
+        order = scheduler.order_paths(range(pre.path_set.num_paths))
+        assert order == sorted(
+            range(pre.path_set.num_paths),
+            key=lambda p: (-scheduler.priority(p), p),
+        )
+
+    def test_partition_blocks(self, preprocessed):
+        _, _, pre = preprocessed
+        tables, storage = pre.execution_tables, pre.storage
+        assert storage.num_partitions > 4
+        for partition, block in zip(storage.partitions, tables.blocks):
+            assert block.path_ids.tolist() == list(partition.path_ids)
+            bounds = block.starts.tolist() + [block.vertices.size]
+            for k, path_id in enumerate(partition.path_ids):
+                assert np.array_equal(
+                    block.vertices[bounds[k] : bounds[k + 1]],
+                    storage.path_vertices(path_id),
+                )
+            assert block.lengths.tolist() == np.diff(bounds).tolist()
+        assert tables.partition_vertex_slots.tolist() == [
+            p.num_vertex_slots for p in storage.partitions
+        ]
+
+    def test_owners_are_the_per_vertex_rule(self, preprocessed):
+        """``set_layer_aware_owners`` against the loop it replaced."""
+        graph, engine, pre = preprocessed
+        tables, replicas = pre.execution_tables, pre.replicas
+        dispatcher = _run(engine, graph, pre).dispatcher
+        for v in range(graph.num_vertices):
+            writers = replicas.writer_partitions(v)
+            owner = replicas.owner_partition(v)
+            assert tables.owner_partition[v] == (-1 if owner is None else owner)
+            if writers:
+                assert owner == max(
+                    writers,
+                    key=lambda pid: (
+                        dispatcher.groups[
+                            dispatcher.group_of_partition(pid)
+                        ].layer,
+                        writers[pid],
+                        -pid,
+                    ),
+                )
+
+    def test_group_and_partition_neighbours(self, preprocessed):
+        graph, engine, pre = preprocessed
+        tables = pre.execution_tables
+        dispatcher = _run(engine, graph, pre).dispatcher
+        assert any(len(g.partition_ids) > 1 for g in dispatcher.groups)
+        for pid in range(pre.storage.num_partitions):
+            group = dispatcher.group_of_partition(pid)
+            assert tables.group_of_partition[pid] == group
+            assert tables.alone_in_group[pid] == (
+                len(dispatcher.groups[group].partition_ids) == 1
+            )
+            assert tables.partition_predecessors[pid].tolist() == sorted(
+                dispatcher.partition_predecessors(pid)
+            )
+            assert tables.partition_successors[pid].tolist() == sorted(
+                dispatcher.partition_successors(pid)
+            )
+        for group in dispatcher.groups:
+            expected = {
+                dispatcher.group_of_partition(pred)
+                for pid in group.partition_ids
+                for pred in dispatcher.partition_predecessors(pid)
+            } - {group.group_id}
+            assert tables.group_predecessors[
+                group.group_id
+            ].tolist() == sorted(expected)
+
+
+def _run(engine, graph, pre, program=None, machine=None):
+    machine = machine or Machine(engine.spec)
+    return _Run(engine, machine, graph, program or PageRank(), pre)
+
+
+# ----------------------------------------------------------------------
+# (a) the write-through array is the view, turn by turn
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("algo", ["pagerank", "sssp", "wcc"])
+def test_write_through_array_equals_the_view_after_every_turn(
+    preprocessed, monkeypatch, algo
+):
+    """Four GPUs iterating one multi-partition SCC: at the end of every
+    GPU turn the array the walk gathered from and wrote through equals a
+    fresh materialisation of that GPU's per-read view, element-wise."""
+    graph, engine, pre = preprocessed
+    materialise = StalenessView.as_array
+    taken = {}
+
+    def recording(view):
+        taken[id(view)] = array = materialise(view)
+        return array
+
+    wave_start = {}
+    wave_views = _Run._wave_views
+
+    def views_and_wave_start_arrays(run):
+        views = wave_views(run)
+        wave_start.clear()
+        wave_start.update(
+            {id(view): materialise(view) for view in views.values()}
+        )
+        return views
+
+    turns = []
+    run_turn = _Run._run_turn
+
+    def checked_turn(run, gpu_id, pids, view):
+        stale_at_wave_start = not np.array_equal(
+            wave_start[id(view)], materialise(view)
+        )
+        updates_before = run.machine.stats.vertex_updates
+        run_turn(run, gpu_id, pids, view)
+        written_through = taken.pop(id(view))
+        assert np.array_equal(written_through, materialise(view))
+        in_scc = any(not run.tables.alone_in_group[pid] for pid in pids)
+        turns.append(
+            (
+                gpu_id,
+                in_scc,
+                run.machine.stats.vertex_updates - updates_before,
+                stale_at_wave_start,
+            )
+        )
+
+    monkeypatch.setattr(StalenessView, "as_array", recording)
+    monkeypatch.setattr(_Run, "_wave_views", views_and_wave_start_arrays)
+    monkeypatch.setattr(_Run, "_run_turn", checked_turn)
+
+    result = engine.run(graph, make_program(algo, graph), preprocessed=pre)
+    assert result.converged
+    # The run exercised what the argument is about: every GPU took
+    # turns inside the multi-partition SCC that changed states ...
+    assert {g for g, in_scc, updates, _ in turns if in_scc and updates} == {
+        0, 1, 2, 3,
+    }
+    # ... and some turn started from a view that had already moved since
+    # the wave began (an earlier GPU wrote a replica of a vertex this GPU
+    # owns), so taking the array at wave start would have been wrong.
+    assert any(stale for *_, stale in turns)
+
+
+# ----------------------------------------------------------------------
+# (b) the walk's skip rules
+# ----------------------------------------------------------------------
+TWO_GPUS = replace(SCALED_MACHINE, num_gpus=2)
+
+
+def hand_built_run(edges, vertex_paths, num_vertices, program=None):
+    """A ``_Run`` over an explicit decomposition in one partition, every
+    vertex owned by GPU 0 until a test says otherwise."""
+    graph = from_edges(edges, num_vertices=num_vertices)
+    edge_id = {
+        (src, int(dst)): eid
+        for src in range(num_vertices)
+        for eid, dst in zip(graph.out_edge_ids(src), graph.successors(src))
+    }
+    path_set = PathSet(
+        graph,
+        [
+            Path(
+                path_id=i,
+                vertices=tuple(vs),
+                edge_ids=tuple(edge_id[pair] for pair in zip(vs, vs[1:])),
+            )
+            for i, vs in enumerate(vertex_paths)
+        ],
+    )
+    path_set.validate()
+    dag = build_dependency_dag(path_set)
+    storage = PathStorage(path_set, build_partitions(path_set, dag, 10 ** 6))
+    assert storage.num_partitions == 1
+    pre = Preprocessed(
+        path_set=path_set,
+        dag=dag,
+        storage=storage,
+        replicas=ReplicaTable(path_set, storage),
+        modeled_seconds=0.0,
+        wall_seconds=0.0,
+    )
+    engine = DiGraphEngine(TWO_GPUS)
+    run = _run(engine, graph, pre, program)
+    run._wave_views()
+    run._current_round = 1
+    assert run._owner_gpu.tolist() == [0] * num_vertices
+    return run
+
+
+def give_to_other_gpu(run, vertices):
+    run._owner_gpu[list(vertices)] = 1
+    run._owner_gpu_list = run._owner_gpu.tolist()
+
+
+def only_active(run, vertices):
+    for v in range(run.graph.num_vertices):
+        if v in vertices:
+            run._activate_now(v)
+        else:
+            run.deactivate(v)
+
+
+def one_sweep_only(run):
+    """Take the pass out of quiescence mode, as inside a multi-partition
+    SCC: one local iteration, at most one update per vertex and sweep."""
+    run.tables = replace(
+        run.tables, alone_in_group=np.zeros_like(run.tables.alone_in_group)
+    )
+
+
+def walk(run, gpu_id=0):
+    changed, writes = set(), {}
+    run._walk_partition(0, gpu_id, run.states.values.copy(), changed, writes)
+    return changed
+
+
+class TestSkipRules:
+    def test_non_owner_replica_refines_but_does_not_deactivate(self):
+        # One path 0 -> 1 -> 2 -> 3; GPU 0 walks it but GPU 1 owns 2.
+        run = hand_built_run(
+            [(0, 1), (1, 2), (2, 3)], [(0, 1, 2, 3)], 4,
+            make_program("sssp", from_edges([(0, 1)]), source=0),
+        )
+        give_to_other_gpu(run, {2})
+        only_active(run, {1, 2})
+        changed = walk(run)
+        # 1 consumed its activation; the change chained into 2, which
+        # was refined on GPU 0 without consuming the activation its
+        # owner GPU 1 still has to see; 3 was activated locally by 2's
+        # change and consumed in the same walk.
+        assert changed == {1, 2, 3}
+        assert run.states.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert run.states.active.tolist() == [False, False, True, False]
+        assert run._deferred_activations == [(2, 0, 1)]
+        # With nothing upstream changing, the non-owner does not touch
+        # the still-active vertex at all.
+        applies = run.machine.stats.apply_calls
+        assert walk(run) == set()
+        assert run.machine.stats.apply_calls == applies
+        assert run.states.active[2]
+
+    def test_one_update_per_sweep_outside_quiescence(self):
+        run = hand_built_run([(0, 1), (1, 2)], [(0, 1, 2)], 3)
+        one_sweep_only(run)
+        only_active(run, {1})
+        run.states.values[0] = 3.0
+        assert walk(run) == {1, 2}
+        assert not run.states.active[1]
+        applies = run.machine.stats.apply_calls
+        # Re-activated within the same sweep with a new input waiting:
+        # a second pass skips it — and whatever would chain from it —
+        # and leaves it active.
+        run.states.values[0] = 7.0
+        run._activate_now(1)
+        assert walk(run) == set()
+        assert run.machine.stats.apply_calls == applies
+        assert run.states.active[1]
+        # The next sweep picks it up.
+        run._current_round += 1
+        assert walk(run) == {1, 2}
+        assert not run.states.active[1]
+
+    def test_quiescence_mode_updates_again_within_the_sweep(self):
+        run = hand_built_run([(0, 1), (1, 2)], [(0, 1, 2)], 3)
+        only_active(run, {1})
+        run.states.values[0] = 3.0
+        assert walk(run) == {1, 2}
+        run.states.values[0] = 7.0
+        run._activate_now(1)
+        assert walk(run) == {1, 2}
+        assert not run.states.active[1]
+
+    def test_stamped_occurrence_resets_the_chain(self):
+        # Two paths through vertex 1: 0 -> 1 -> 2 and 3 -> 1 -> 4. Both
+        # tails belong to GPU 1, so GPU 0 reaches them only through the
+        # in-path chain.
+        run = hand_built_run(
+            [(0, 1), (1, 2), (3, 1), (1, 4)], [(0, 1, 2), (3, 1, 4)], 5
+        )
+        one_sweep_only(run)
+        give_to_other_gpu(run, {2, 4})
+        only_active(run, {0, 1, 3})
+        before = run.states.values.copy()
+        changed = walk(run)
+        # Whichever path runs first updates head, 1 and — by the chain —
+        # its tail. On the other path the head changes too, but 1 was
+        # already updated this iteration: that occurrence reuses the
+        # fresh master state and *breaks the chain*, so the second tail
+        # is not recomputed.
+        assert run.machine.stats.apply_calls == 4
+        assert {0, 1, 3} <= changed
+        assert len(changed & {2, 4}) == 1
+        untouched = ({2, 4} - changed).pop()
+        assert run.states.values[untouched] == before[untouched]
+        assert run._processed_stamp[untouched] != run._stamp_counter
+        # 1 was re-activated by the second head after its update and,
+        # being stamped, kept that activation for the next sweep.
+        assert run.states.active[1]

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import make_program
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
 from repro.graph.builder import from_edges
 from repro.graph.generators import directed_path
+from repro.kernels.registry import resolve_kernel
+from repro.verify.oracle import ALL_ALGORITHMS
 
 
 @pytest.fixture
@@ -60,3 +63,35 @@ class TestGatherMachinery:
 
     def test_repr(self):
         assert "pagerank" in repr(PageRank())
+
+
+class TestGatherDegreeMatchesGatherEdges:
+    """The path walk charges ``len(gather_edges(v))`` per update and
+    balances threads by ``gather_degree``; the two must be one number,
+    also where the graph has self-loops and parallel edges."""
+
+    MULTIGRAPH = [
+        (0, 0), (0, 1), (0, 1), (1, 2), (2, 1), (2, 2), (2, 2),
+        (3, 0), (3, 0), (3, 0), (1, 3), (4, 4), (5, 2),
+    ]
+
+    @pytest.mark.parametrize("algo", ALL_ALGORITHMS)
+    def test_all_programs_on_a_multigraph(self, algo):
+        # Vertex 6 is isolated, 4 has only its self-loop.
+        g = from_edges(self.MULTIGRAPH, num_vertices=7)
+        prog = make_program(algo, g)
+        prog.initial_states(g)
+        for v in range(g.num_vertices):
+            edges = list(prog.gather_edges(g, v))
+            assert prog.gather_degree(g, v) == len(edges), v
+            assert all(
+                type(src) is int and type(weight) is float
+                for src, weight in edges
+            )
+            assert all(type(u) is int for u in prog.dependents(g, v))
+        kernel_degrees = resolve_kernel(prog, g).gather_degrees(
+            np.arange(g.num_vertices)
+        )
+        assert kernel_degrees.tolist() == [
+            prog.gather_degree(g, v) for v in range(g.num_vertices)
+        ]
