@@ -14,6 +14,7 @@ Unlike the other programs, k-core gathers over **both** edge directions
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,10 +50,11 @@ class KCore(VertexProgram):
         return a + b
 
     def gather_edges(self, graph: DiGraphCSR, v: int) -> Iterator[GatherEdge]:
-        for u in graph.predecessors(v):
-            yield int(u), 1.0
-        for u in graph.successors(v):
-            yield int(u), 1.0
+        # In-neighbors, then out-neighbors.
+        return zip(
+            graph.predecessors(v).tolist() + graph.successors(v).tolist(),
+            repeat(1.0),
+        )
 
     def gather_degree(self, graph: DiGraphCSR, v: int) -> int:
         return graph.in_degree(v) + graph.out_degree(v)
@@ -67,7 +69,4 @@ class KCore(VertexProgram):
 
     def dependents(self, graph: DiGraphCSR, v: int) -> Iterable[int]:
         # Symmetric: both out- and in-neighbors read v's aliveness.
-        for u in graph.successors(v):
-            yield int(u)
-        for u in graph.predecessors(v):
-            yield int(u)
+        return graph.successors(v).tolist() + graph.predecessors(v).tolist()

@@ -10,6 +10,7 @@ oracle in :mod:`repro.graph.traversal`).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,10 +39,11 @@ class WeaklyConnectedComponents(VertexProgram):
         return a if a <= b else b
 
     def gather_edges(self, graph: DiGraphCSR, v: int) -> Iterator[GatherEdge]:
-        for u in graph.predecessors(v):
-            yield int(u), 1.0
-        for u in graph.successors(v):
-            yield int(u), 1.0
+        # In-neighbors, then out-neighbors.
+        return zip(
+            graph.predecessors(v).tolist() + graph.successors(v).tolist(),
+            repeat(1.0),
+        )
 
     def gather_degree(self, graph: DiGraphCSR, v: int) -> int:
         return graph.in_degree(v) + graph.out_degree(v)
@@ -53,7 +55,5 @@ class WeaklyConnectedComponents(VertexProgram):
         return new_state == old_state
 
     def dependents(self, graph: DiGraphCSR, v: int) -> Iterable[int]:
-        for u in graph.successors(v):
-            yield int(u)
-        for u in graph.predecessors(v):
-            yield int(u)
+        # Out-neighbors, then in-neighbors.
+        return graph.successors(v).tolist() + graph.predecessors(v).tolist()

@@ -23,10 +23,9 @@ from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
 from repro.model.gas import VertexProgram
 from repro.model.rounds import drive_rounds, finish_run
-from repro.model.state import StalenessView
 from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE
-from repro.baselines.common import BaselineFaultHarness, partition_of_vertex
+from repro.baselines.common import BaselineFaultHarness
 
 
 @dataclass(frozen=True)
@@ -85,32 +84,38 @@ class _AsyncRun(BaselineFaultHarness):
 
     preprocess_overhead = 1.04
 
+    def __init__(self, engine, graph, program, fault_injector, recovery):
+        super().__init__(engine, graph, program, fault_injector, recovery)
+        # Each vertex's dependents as a tuple of ints, memoised on first
+        # touch from the program's own ``dependents``.
+        self._dependents: List[Optional[tuple]] = [None] * graph.num_vertices
+        #: The round's gather reads, one write-through list per GPU
+        #: (see :meth:`run_round`).
+        self.gpu_reads: Dict[int, List[float]] = {}
+
     def run_round(self, round_index: int) -> None:
         graph, program, machine = self.graph, self.program, self.machine
         partitions, states, faulted = (
             self.partitions, self.states, self.faulted
         )
         stats = machine.stats
-        # GPU residency per vertex, for the staleness views. Recomputed
-        # per round — recovery may re-place partitions mid-run.
-        gpu_of_vertex = np.empty(graph.num_vertices, dtype=np.int64)
-        for partition in partitions:
-            gpu_of_vertex[partition.lo : partition.hi] = partition.gpu
-        local_masks = [
-            gpu_of_vertex == gpu for gpu in range(machine.num_gpus)
-        ]
-        # Snapshot which partitions have active vertices at round start.
-        active_by_partition: Dict[int, List[int]] = {}
-        for v in states.active_vertices():
-            pid = partition_of_vertex(partitions, int(v)).partition_id
-            active_by_partition.setdefault(pid, []).append(int(v))
+        step, degree_of = self.step, self.gather_degree
+        dependents = self._dependents
+        values, active = states.values, states.active
+        gpu_of_vertex = self.gpu_of_vertex.tolist()
+        # Snapshot which partitions have active vertices at round start:
+        # the ascending frontier cut at the (contiguous) range bounds.
+        frontier = states.active_vertices()
+        active_pids, first = np.unique(
+            self.pid_of_vertex[frontier], return_index=True
+        )
+        worklists = np.split(frontier, first[1:])
 
         work: Dict[int, List[int]] = {g: [] for g in range(machine.num_gpus)}
         atomics: Dict[int, List[int]] = {
             g: [] for g in range(machine.num_gpus)
         }
         updates_this_round = 0
-        active_snapshot_total = 0
         touched_vertex_total = 0
         messages_between: Dict[tuple, int] = {}
         # Cross-GPU activations deliver with the end-of-round push:
@@ -126,70 +131,80 @@ class _AsyncRun(BaselineFaultHarness):
         # vertices but only round-start snapshots of remote ones (new
         # remote states arrive with the next transfer) — the paper's
         # Fig. 1/2 one-hop-per-round propagation across partitions.
-        snapshot = states.copy_values()
-        views = [
-            StalenessView(states.values, snapshot, mask)
-            for mask in local_masks
-        ]
+        # Each GPU gathers from its own copy of the round-start states
+        # and writes its updates through to it. That *is*
+        # ``StalenessView(values, snapshot, gpu_of_vertex == g)`` read
+        # by read: only the GPU owning ``v`` ever writes ``v``, and
+        # ``v`` is fresh only to that GPU. (Poison from a corrupted push
+        # lands after the loop, when no one reads any more.)
+        snapshot = values.tolist()
+        gpu_reads = self.gpu_reads = {}
 
-        for pid, worklist in sorted(active_by_partition.items()):
+        for pid, worklist in zip(active_pids.tolist(), worklists):
             partition = partitions[pid]
+            gpu = partition.gpu
             stats.note_partition_processed(pid)
             machine.load_global(
-                partition.gpu,
+                gpu,
                 nbytes=partition.nbytes,
                 vertices=partition.num_vertices,
             )
-            active_snapshot_total += len(worklist)
             touched_vertex_total += partition.num_vertices
+            reads = gpu_reads.get(gpu)
+            if reads is None:
+                reads = gpu_reads[gpu] = snapshot.copy()
+            gpu_work, gpu_atomics = work[gpu], atomics[gpu]
+            processed = degree_sum = updates = 0
 
-            for v in worklist:
-                if not states.active[v]:
+            for v in worklist.tolist():
+                if not active[v]:
                     continue
-                states.deactivate(v)
-                new, changed = program.update_vertex(
-                    graph,
-                    v,
-                    views[partition.gpu],
-                    old_state=float(states.values[v]),
-                )
-                degree = program.gather_degree(graph, v)
-                stats.apply_calls += 1
-                stats.edge_traversals += degree
-                # Demand fetches: gather reads pull each predecessor's
-                # record into cores individually (random access).
-                machine.load_global(
-                    partition.gpu, nbytes=8 * degree, vertices=degree
-                )
-                machine.note_vertex_uses(1 + degree)
-                states.values[v] = new
-                work[partition.gpu].append(degree)
-                atomics[partition.gpu].append(1 if changed else 0)
+                active[v] = False
+                new, changed = step(v, reads[v], reads)
+                degree = degree_of[v]
+                processed += 1
+                degree_sum += degree
+                values[v] = reads[v] = new
+                gpu_work.append(degree)
+                gpu_atomics.append(1 if changed else 0)
                 if not changed:
                     continue
-                updates_this_round += 1
-                stats.vertex_updates += 1
-                # No proxy vertices: every changed write is an atomic.
-                stats.atomic_updates += 1
+                updates += 1
+                targets = dependents[v]
+                if targets is None:
+                    targets = dependents[v] = tuple(
+                        map(int, program.dependents(graph, v))
+                    )
                 remote: Set[int] = set()
-                for u in program.dependents(graph, v):
-                    dst = partition_of_vertex(partitions, int(u))
-                    if dst.gpu != partition.gpu:
-                        remote.add(dst.gpu)
+                for u in targets:
+                    dst_gpu = gpu_of_vertex[u]
+                    if dst_gpu != gpu:
+                        remote.add(dst_gpu)
                         if faulted:
                             pair_activations.setdefault(
-                                (partition.gpu, dst.gpu), []
-                            ).append(int(u))
+                                (gpu, dst_gpu), []
+                            ).append(u)
                         else:
-                            deferred_activations.append(int(u))
+                            deferred_activations.append(u)
                     else:
-                        states.activate([u])
+                        active[u] = True
                 for dst_gpu in remote:
-                    key = (partition.gpu, dst_gpu)
+                    key = (gpu, dst_gpu)
                     messages_between[key] = (
                         messages_between.get(key, 0) + 1
                     )
                     pair_sources.setdefault(key, []).append(v)
+
+            stats.apply_calls += processed
+            stats.edge_traversals += degree_sum
+            # Demand fetches: gather reads pull each predecessor's
+            # record into cores individually (random access).
+            machine.load_global(gpu, nbytes=8 * degree_sum, vertices=degree_sum)
+            machine.note_vertex_uses(processed + degree_sum)
+            stats.vertex_updates += updates
+            # No proxy vertices: every changed write is an atomic.
+            stats.atomic_updates += updates
+            updates_this_round += updates
 
         delivered_pairs: List[tuple] = []
         for (src_gpu, dst_gpu), count in messages_between.items():
@@ -209,17 +224,17 @@ class _AsyncRun(BaselineFaultHarness):
             if outcome.status == "corrupted" and outcome.poison is not None:
                 # The garbled payload overwrites the states it carried.
                 for v in pair_sources[(src_gpu, dst_gpu)]:
-                    states.values[v] = outcome.poison
+                    values[v] = outcome.poison
             delivered_pairs.append((src_gpu, dst_gpu))
         machine.compute_round(work, atomics, barrier=False)
-        states.activate(deferred_activations)
+        active[deferred_activations] = True
         for key in delivered_pairs:
-            states.activate(pair_activations.get(key, []))
+            active[pair_activations.get(key, [])] = True
 
         self.record_round(
             round_index,
-            len(active_by_partition),
-            active_snapshot_total,
+            int(active_pids.size),
+            int(frontier.size),
             touched_vertex_total,
             updates_this_round,
         )

@@ -26,7 +26,7 @@ from repro.model.gas import VertexProgram
 from repro.model.rounds import drive_rounds, finish_run
 from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE
-from repro.baselines.common import BaselineFaultHarness, partition_of_vertex
+from repro.baselines.common import BaselineFaultHarness
 
 #: Per-round barrier/allreduce payload per GPU pair (frontier sizes etc.).
 BARRIER_SYNC_BYTES = 64
@@ -108,12 +108,6 @@ class _BulkSyncRun(BaselineFaultHarness):
             if engine.config.use_vectorized_kernels
             else None
         )
-        # Vertex -> partition lookup array (the scalar round binary-
-        # searches per vertex). The gpu half is recomputed per round —
-        # recovery may re-place partitions mid-run.
-        self.part_lo = np.array(
-            [p.lo for p in self.partitions], dtype=np.int64
-        )
 
     def run_round(self, round_index: int) -> None:
         if self.kernel is None:
@@ -140,39 +134,33 @@ class _BulkSyncRun(BaselineFaultHarness):
         partitions, states, faulted = (
             self.partitions, self.states, self.faulted
         )
+        step, degree_of = self.step, self.gather_degree
+        gpu_of_vertex = self.gpu_of_vertex.tolist()
         frontier = Frontier.from_mask(states.active)
+        touched_partitions = set(
+            np.unique(self.pid_of_vertex[states.active]).tolist()
+        )
         stats = machine.stats
-        snapshot = states.copy_values()
+        # Jacobi: every update of the round reads the round-start states.
+        snapshot = states.values.tolist()
         work: Dict[int, List[int]] = {g: [] for g in range(machine.num_gpus)}
         atomics: Dict[int, List[int]] = {
             g: [] for g in range(machine.num_gpus)
         }
         pending: List = []  # (v, new_state, changed)
-        touched_partitions: Set[int] = set()
 
         for v in frontier:
-            partition = partition_of_vertex(partitions, v)
-            touched_partitions.add(partition.partition_id)
-            acc = program.identity
-            degree = 0
-            for src, weight in program.gather_edges(graph, v):
-                acc = program.accumulate(
-                    acc, program.gather(float(snapshot[src]), weight, src, v)
-                )
-                degree += 1
-            old = float(snapshot[v])
-            new = program.apply(v, old, acc)
-            changed = not program.has_converged(old, new)
+            gpu = gpu_of_vertex[v]
+            new, changed = step(v, snapshot[v], snapshot)
+            degree = degree_of[v]
             pending.append((v, new, changed))
             stats.apply_calls += 1
             stats.edge_traversals += degree
             # Demand fetches for gather reads (random access).
-            machine.load_global(
-                partition.gpu, nbytes=8 * degree, vertices=degree
-            )
+            machine.load_global(gpu, nbytes=8 * degree, vertices=degree)
             machine.note_vertex_uses(1 + degree)
-            work[partition.gpu].append(degree)
-            atomics[partition.gpu].append(1 if changed else 0)
+            work[gpu].append(degree)
+            atomics[gpu].append(1 if changed else 0)
 
         self._load_touched(touched_partitions)
         machine.compute_round(work, atomics, barrier=True)
@@ -193,10 +181,10 @@ class _BulkSyncRun(BaselineFaultHarness):
                 continue
             updates_this_round += 1
             stats.vertex_updates += 1
-            src_gpu = partition_of_vertex(partitions, v).gpu
+            src_gpu = gpu_of_vertex[v]
             remote_gpus: Set[int] = set()
             for u in program.dependents(graph, v):
-                dst_gpu = partition_of_vertex(partitions, int(u)).gpu
+                dst_gpu = gpu_of_vertex[u]
                 if faulted and dst_gpu != src_gpu:
                     pair_activations.setdefault(
                         (src_gpu, dst_gpu), []
@@ -242,18 +230,19 @@ class _BulkSyncRun(BaselineFaultHarness):
         machine, partitions, states = (
             self.machine, self.partitions, self.states
         )
-        kernel, part_lo, faulted = self.kernel, self.part_lo, self.faulted
+        kernel, faulted = self.kernel, self.faulted
+        gpu_of_vertex = self.gpu_of_vertex
         frontier = np.flatnonzero(states.active)
         stats = machine.stats
         num_gpus = machine.num_gpus
-        part_gpu = np.array([p.gpu for p in partitions], dtype=np.int64)
         snapshot = states.copy_values()
         old = snapshot[frontier]
         new, changed = kernel.batch_update(frontier, snapshot, old)
         degrees = kernel.gather_degrees(frontier)
-        pidx = np.searchsorted(part_lo, frontier, side="right") - 1
-        gpus = part_gpu[pidx]
-        touched_partitions = set(int(p) for p in np.unique(pidx))
+        gpus = gpu_of_vertex[frontier]
+        touched_partitions = set(
+            np.unique(self.pid_of_vertex[frontier]).tolist()
+        )
 
         stats.apply_calls += int(frontier.size)
         stats.edge_traversals += int(degrees.sum())
@@ -288,9 +277,7 @@ class _BulkSyncRun(BaselineFaultHarness):
             # Replica messages: one per (changed vertex, remote GPU
             # holding a dependent) pair, accumulated per GPU pair.
             src_gpus = gpus[changed]
-            target_gpus = part_gpu[
-                np.searchsorted(part_lo, targets, side="right") - 1
-            ]
+            target_gpus = gpu_of_vertex[targets]
             seg_ids = np.repeat(
                 np.arange(changed_frontier.size, dtype=np.int64),
                 np.diff(seg_offsets),

@@ -17,6 +17,7 @@ from repro.bench.results import RoundRecord
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.machine import Machine
+from repro.kernels.steps import resolve_step
 from repro.model.rounds import checkpoint_manager
 from repro.model.state import VertexStates
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE
@@ -115,15 +116,6 @@ def vertex_range_partitions(
     return partitions
 
 
-def partition_of_vertex(
-    partitions: List[VertexRangePartition], v: int
-) -> VertexRangePartition:
-    """Binary-search the partition owning vertex ``v``."""
-    los = [p.lo for p in partitions]
-    idx = int(np.searchsorted(los, v, side="right") - 1)
-    return partitions[idx]
-
-
 class BaselineFaultHarness:
     """Run object of a range-partitioned baseline (see
     :mod:`repro.model.rounds` for the driver it is handed to).
@@ -131,7 +123,8 @@ class BaselineFaultHarness:
     The baselines have far simpler state than the DiGraph engine — two
     vertex arrays plus the partition->GPU placement — so one harness
     covers both: the shared setup (machine, 1-D sharding, initial
-    distribution, vertex states), the duck-typed client of
+    distribution, vertex states, the fused step kernel and the
+    vertex -> partition / GPU lookup arrays), the duck-typed client of
     :class:`~repro.faults.checkpoint.CheckpointManager`, and the
     redistribution rule a GPU death takes.
     Each engine subclasses it with its own ``run_round``.
@@ -166,9 +159,20 @@ class BaselineFaultHarness:
         # Initial distribution of the graph to the GPUs.
         for partition in self.partitions:
             machine.batched_transfer_to_gpu(partition.gpu, partition.nbytes)
+        #: Partition id per vertex (the ranges never move) and GPU per
+        #: vertex (recovery may re-place partitions mid-run:
+        #: :meth:`_refresh_placement`).
+        self.pid_of_vertex = np.repeat(
+            np.arange(len(self.partitions), dtype=np.int64),
+            [p.num_vertices for p in self.partitions],
+        )
+        self._refresh_placement()
         self.graph = graph
         self.program = program
         self.states = VertexStates(graph, program)
+        #: The fused gather-apply step of the scalar rounds, and each
+        #: vertex's gather degree.
+        self.step, self.gather_degree = resolve_step(program, graph)
         self.round_records: List[RoundRecord] = []
         # With the fault machinery engaged, cross-GPU pushes go through
         # the modeled ack/checksum protocol (``deliver_replica_batch``)
@@ -188,11 +192,14 @@ class BaselineFaultHarness:
             "active": self.states.active,
         }
 
+    def _refresh_placement(self) -> None:
+        """Rebuild ``gpu_of_vertex`` from the partitions' GPUs."""
+        self.gpu_of_vertex = np.array(
+            [p.gpu for p in self.partitions], dtype=np.int64
+        )[self.pid_of_vertex]
+
     def vertex_gpu(self) -> np.ndarray:
-        out = np.full(self.states.values.shape[0], -1, dtype=np.int64)
-        for partition in self.partitions:
-            out[partition.lo : partition.hi] = partition.gpu
-        return out
+        return self.gpu_of_vertex
 
     def capture_scalars(self) -> Dict:
         return {
@@ -204,6 +211,7 @@ class BaselineFaultHarness:
         for i, gpu in enumerate(scalars["partition_gpu"]):
             if self.partitions[i].gpu != gpu:
                 self.partitions[i] = replace(self.partitions[i], gpu=gpu)
+        self._refresh_placement()
         del self.round_records[scalars["num_round_records"] :]
 
     # ------------------------------------------------------------------
@@ -232,6 +240,7 @@ class BaselineFaultHarness:
             load[target] += partition.num_edges
             self.machine.batched_transfer_to_gpu(target, partition.nbytes)
             moved.append(partition.nbytes)
+        self._refresh_placement()
         return moved
 
     def invariant_checks(self) -> List:

@@ -26,6 +26,7 @@ from repro.gpu.stats import MachineStats
 from repro.graph.digraph import DiGraphCSR
 from repro.graph.scc import condensation
 from repro.graph.traversal import topological_order
+from repro.kernels.steps import resolve_step
 from repro.model.gas import VertexProgram
 from repro.model.state import VertexStates
 
@@ -59,6 +60,10 @@ def sequential_topological_run(
     order and count the updates needed."""
     started = time.perf_counter()
     states = VertexStates(graph, program)
+    step = resolve_step(program, graph).step
+    # One thread, one memory: every read is fresh. ``reads`` mirrors
+    # ``states.values`` as a list so an edge read is a list index.
+    reads = states.values.tolist()
     cond = condensation(graph)
     order = topological_order(cond.dag)
 
@@ -79,11 +84,9 @@ def sequential_topological_run(
                 if not states.active[v]:
                     continue
                 states.active[v] = False
-                new, changed = program.update_vertex(
-                    graph, v, states.values
-                )
+                new, changed = step(v, reads[v], reads)
                 apply_calls += 1
-                states.values[v] = new
+                states.values[v] = reads[v] = new
                 if changed:
                     updates += 1
                     update_count_per_vertex[v] = (
@@ -108,9 +111,9 @@ def sequential_topological_run(
         for v in states.active_vertices():
             v = int(v)
             states.active[v] = False
-            new, changed = program.update_vertex(graph, v, states.values)
+            new, changed = step(v, reads[v], reads)
             apply_calls += 1
-            states.values[v] = new
+            states.values[v] = reads[v] = new
             if changed:
                 updates += 1
                 update_count_per_vertex[v] = (

@@ -68,6 +68,7 @@ from repro.core.storage import (
 )
 from repro.core.tables import ExecutionTables
 from repro.kernels.registry import resolve_kernel
+from repro.kernels.steps import resolve_step
 from repro.baselines.common import resolve_partition_target
 
 #: Bound on SMX-local path iterations within one partition pass.
@@ -335,22 +336,29 @@ class _Run:
             prefetch=self.cfg.prefetch,
             partition_dependencies=pre.partition_dependencies,
         )
-        # Batched gather-apply for the vertex-centric pass (scalar
-        # fallback keeps unregistered programs on the same code path).
-        kernel = resolve_kernel(program, graph)
-        self.kernel = kernel if self.cfg.use_vectorized_kernels else None
+        # The fused gather-apply step every scalar update goes through
+        # (path walk, vertex-centric pass, prologue), and each vertex's
+        # gather degree.
+        self.step, self._gather_degree = resolve_step(program, graph)
+        # Batched gather-apply, which only the vertex-centric pass can
+        # use (scalar fallback keeps unregistered programs on the same
+        # code path); ``None``: every update goes through ``step``.
+        self.kernel = (
+            resolve_kernel(program, graph)
+            if self.cfg.use_vectorized_kernels
+            and not self.cfg.use_path_execution
+            else None
+        )
         self.round_records: List[RoundRecord] = []
 
-        # Per-run tables of the path walk: each vertex's gather edges
-        # and dependents as tuples, memoised on first touch from the
-        # program's own ``gather_edges`` / ``dependents``, and each
-        # path's expected gather work (sum of gather degrees along it —
-        # the pull-model analog of the paper's equal edges-per-thread
-        # balancing rule).
-        self._gather_edges: List[Optional[tuple]] = [None] * graph.num_vertices
+        # Per-run tables of the path walk: each vertex's dependents as a
+        # tuple, memoised on first touch from the program's own
+        # ``dependents``, and each path's expected gather work (sum of
+        # gather degrees along it — the pull-model analog of the paper's
+        # equal edges-per-thread balancing rule).
         self._dependents: List[Optional[tuple]] = [None] * graph.num_vertices
         self._path_work: List[int] = np.add.reduceat(
-            kernel.gather_degrees(np.arange(graph.num_vertices))[
+            np.asarray(self._gather_degree, dtype=np.int64)[
                 tables.paths.vertices
             ],
             tables.paths.starts,
@@ -396,7 +404,6 @@ class _Run:
         # the vertex's activity is tracked, and the checkpoint manager's
         # spill attribution.
         self._owner_pid = tables.owner_partition
-        self.scheduler.reset_counts(self.states.active)
         # Per-partition active-vertex counters (a vertex counts at its
         # owner partition only) and per-group active-partition counters.
         owners = self._owner_pid[self.states.active]
@@ -463,7 +470,6 @@ class _Run:
     def _activate_now(self, v: int) -> None:
         if not self.states.active[v]:
             self.states.active[v] = True
-            self.scheduler.vertex_activated(v)
             self._bump_partitions(v, +1)
 
     def _apply_deferred_activations(
@@ -478,15 +484,32 @@ class _Run:
         fixed-point checkers must catch.
         """
         pending, self._deferred_activations = self._deferred_activations, []
-        for v, src_gpu, dst_gpu in pending:
-            if (src_gpu, dst_gpu) in lost_pairs:
-                continue
-            self._activate_now(v)
+        if lost_pairs:
+            pending = [p for p in pending if p[1:] not in lost_pairs]
+        if not pending:
+            return
+        # Activation only, so the order the messages land in is
+        # immaterial: flip every not-yet-active target at once and bump
+        # the owner partitions' (and their groups') counters in bulk.
+        active = self.states.active
+        targets = np.array([p[0] for p in pending], dtype=np.int64)
+        woken = np.unique(targets[~active[targets]])
+        active[woken] = True
+        owners = self._owner_pid[woken]
+        gained = np.bincount(
+            owners[owners >= 0], minlength=self.partition_active.size
+        )
+        newly_active = (self.partition_active == 0) & (gained > 0)
+        self.partition_active += gained
+        self._partition_was_active[newly_active] = True
+        self.group_active += np.bincount(
+            self.tables.group_of_partition[newly_active],
+            minlength=self.group_active.size,
+        )
 
     def deactivate(self, v: int) -> None:
         if self.states.active[v]:
             self.states.active[v] = False
-            self.scheduler.vertex_deactivated(v)
             self._bump_partitions(int(v), -1)
 
     def partition_is_active(self, pid: int) -> bool:
@@ -609,21 +632,27 @@ class _Run:
     ) -> None:
         """One GPU's share of a wave: its partitions, one after another.
 
-        The path walk gathers from the view *materialised once*, at the
-        start of the turn, and writes every update through to that
-        array. This is exact, not an approximation of the per-read
-        view: during GPU ``g``'s turn only ``g`` writes vertex states,
-        and whatever ``g`` writes is fresh to ``g`` (it owns the vertex,
-        or ``written_gpu``/``written_stamp`` now name ``g`` and this
-        wave) — so the array and ``view.as_array()`` agree after every
-        write. Vertex ownership cannot move under it either:
+        The scalar passes (the path walk, and DiGraph-t's per-vertex
+        loop) gather from the view *materialised once*, at the start of
+        the turn, as a plain list — an edge read is a list index — and
+        write every update through to it. This is exact, not an
+        approximation of the per-read view: during GPU ``g``'s turn only
+        ``g`` writes vertex states, and whatever ``g`` writes is fresh
+        to ``g`` (it owns the vertex, or ``written_gpu`` /
+        ``written_stamp`` now name ``g`` and this wave) — so the list
+        and ``view.as_array()`` agree after every write. Vertex
+        ownership cannot move under it either:
         ``dispatcher.current_gpu`` changes only in
         ``balance_assignments`` (before the views are built) and between
-        rounds. The array must be taken at the *turn* start, not the
+        rounds. The list must be taken at the *turn* start, not the
         wave start: an earlier GPU's turn may have written a replica of
-        a vertex ``g`` owns, and that write is fresh to ``g``.
+        a vertex ``g`` owns, and that write is fresh to ``g``. The
+        batched DiGraph-t pass materialises the view itself, once per
+        partition pass.
         """
-        reads = view.as_array() if self.cfg.use_path_execution else view
+        reads = (
+            view.as_array().tolist() if self.kernel is None else view
+        )
         gpu_work: List[int] = []
         gpu_atomics: List[int] = []
         self._processing_gpu = gpu_id
@@ -666,14 +695,13 @@ class _Run:
     def prologue(self) -> None:
         """Vertices on no path (no edges at all) get one apply up front."""
         on_no_path = self.states.active & (self._owner_pid < 0)
+        reads = self.states.values.tolist() if on_no_path.any() else []
         for v in np.flatnonzero(on_no_path).tolist():
-            new, changed = self.program.update_vertex(
-                self.graph, v, self.states.values
-            )
+            new, changed = self.step(v, reads[v], reads)
             self.machine.stats.apply_calls += 1
             if changed:
                 self.machine.stats.vertex_updates += 1
-            self.states.values[v] = new
+            self.states.values[v] = reads[v] = new
             self.deactivate(v)
             if changed:
                 self.activate(list(self.program.dependents(self.graph, v)))
@@ -766,8 +794,8 @@ class _Run:
     ) -> Tuple[List[int], List[int]]:
         """Process one partition; returns per-thread (edges, atomics).
 
-        ``reads`` is what gather reads: the turn's write-through array
-        under path execution, the GPU's :class:`StalenessView` for the
+        ``reads`` is what gather reads: the turn's write-through list,
+        or the GPU's :class:`StalenessView` for the batched
         vertex-centric pass (see :meth:`_run_turn`).
         """
         stats = self.machine.stats
@@ -790,7 +818,7 @@ class _Run:
                 vertices=partition.num_vertex_slots,
             )
             work_items = self._process_vertex_centric(
-                partition, gpu_id, reads, changed_vertices, write_counts
+                pid, gpu_id, reads, changed_vertices, write_counts
             )
         # Contention is accounted once per partition pass (proxies
         # flush at pass end); the atomic pushes are issued by the
@@ -815,7 +843,7 @@ class _Run:
         self,
         pid: int,
         gpu_id: int,
-        reads: np.ndarray,
+        reads: List[float],
         changed_vertices: Set[int],
         write_counts: Dict[int, int],
     ) -> List[int]:
@@ -840,9 +868,12 @@ class _Run:
         stale remote pass never saw.
 
         Everything loop-invariant is read from tables: the partition's
-        block of ``E_Idx`` (per preprocess), each vertex's gather edges
-        and dependents (per run, memoised from the program), the
-        owner-GPU map (per wave) and ``reads`` (per GPU turn).
+        block of ``E_Idx`` (per preprocess), the fused step with each
+        vertex's gather inputs and the dependents (per run, memoised
+        from the program), the owner-GPU map (per wave) and ``reads``
+        (per GPU turn). Work counters are summed in locals and charged
+        once per local iteration — they are integers, so the totals are
+        the per-update charges.
         """
         tables = self.tables
         block = tables.blocks[pid]
@@ -851,10 +882,8 @@ class _Run:
         load_global = machine.load_global
         stats = machine.stats
         graph, program = self.graph, self.program
-        identity = program.identity
-        gather, accumulate = program.gather, program.accumulate
-        apply, has_converged = program.apply, program.has_converged
-        gather_edges, dependents = self._gather_edges, self._dependents
+        step, degree_of = self.step, self._gather_degree
+        dependents = self._dependents
         values, active = self.states.values, self.states.active
         processed_stamp, sweep_stamp = self._processed_stamp, self._sweep_stamp
         written_gpu, written_stamp = self._written_gpu, self._written_stamp
@@ -894,11 +923,21 @@ class _Run:
                 nbytes=loaded_vertices * 16 + loaded_edges * 8,
                 vertices=loaded_vertices,
             )
+            # N(p) where Pri(p) is evaluated: the path's distinct
+            # active vertices, owned here or not.
+            active_counts = np.add.reduceat(
+                active[block.vertices] & block.first_in_path,
+                block.starts,
+                dtype=np.int64,
+            )[scheduled]
             buckets = balance_paths_to_threads(
-                scheduler.order_paths(block.path_ids[scheduled]),
+                scheduler.order_paths(
+                    block.path_ids[scheduled], active_counts
+                ),
                 path_work,
                 threads,
             )
+            applies = updates = edges = uses = demand_fetches = 0
             for bucket in buckets:
                 edges_walked = 0
                 for path_id in bucket:
@@ -907,7 +946,7 @@ class _Run:
                     # sequentially (it must, to follow the chain) — each
                     # streamed record is a use of loaded data, the
                     # coalescing win Fig. 13 measures.
-                    stats.vertex_uses += len(vertices)
+                    uses += len(vertices)
                     upstream_changed = False
                     for position, v in enumerate(vertices):
                         consumes_active = (
@@ -931,23 +970,12 @@ class _Run:
                             continue
                         processed_stamp[v] = stamp
                         sweep_stamp[v] = current_round
-                        inputs = gather_edges[v]
-                        if inputs is None:
-                            inputs = gather_edges[v] = tuple(
-                                program.gather_edges(graph, v)
-                            )
-                        old = float(values[v])
-                        acc = identity
-                        for src, weight in inputs:
-                            acc = accumulate(
-                                acc, gather(float(reads[src]), weight, src, v)
-                            )
-                        new = apply(v, old, acc)
-                        changed = not has_converged(old, new)
-                        degree = len(inputs)
+                        # The master state, not ``reads[v]``: a replica
+                        # this GPU does not own reads stale here.
+                        new, changed = step(v, float(values[v]), reads)
+                        degree = degree_of[v]
                         edges_walked += degree
-                        stats.apply_calls += 1
-                        stats.edge_traversals += degree
+                        applies += 1
                         # Data-use accounting (Fig. 13): the vertex
                         # record plus each neighbor read. One gather
                         # input — the in-path predecessor — sits in the
@@ -956,17 +984,14 @@ class _Run:
                         # records.
                         demand = degree - 1 if position > 0 else degree
                         if demand > 0:
-                            load_global(
-                                gpu_id, nbytes=8 * demand, vertices=demand
-                            )
-                        stats.vertex_uses += degree
+                            demand_fetches += demand
                         values[v] = reads[v] = new
                         written_gpu[v] = gpu_id
                         written_stamp[v] = wave
                         if consumes_active:
                             deactivate(v)
                         if changed:
-                            stats.vertex_updates += 1
+                            updates += 1
                             changed_vertices.add(v)
                             write_counts[v] = write_counts.get(v, 0) + 1
                             targets = dependents[v]
@@ -984,17 +1009,28 @@ class _Run:
                                 elif not active[u]:
                                     activate_now(u)
                             upstream_changed = True
+                edges += edges_walked
                 work_items.append(edges_walked)
+            stats.apply_calls += applies
+            stats.vertex_updates += updates
+            stats.edge_traversals += edges
+            stats.vertex_uses += uses + edges
+            if demand_fetches:
+                load_global(
+                    gpu_id,
+                    nbytes=8 * demand_fetches,
+                    vertices=demand_fetches,
+                )
         return work_items
 
     def _process_vertex_centric(
         self,
-        partition,
+        pid: int,
         gpu_id: int,
-        view: StalenessView,
+        reads,
         changed_vertices: Set[int],
         write_counts: Dict[int, int],
-    ) -> int:
+    ) -> List[int]:
         """DiGraph-t: active vertices in id order, immediate visibility.
 
         Like the path walk, only the owner GPU consumes a vertex's active
@@ -1002,34 +1038,29 @@ class _Run:
         (gather degrees)."""
         graph, program, states = self.graph, self.program, self.states
         stats = self.machine.stats
-        vertices: Set[int] = set()
-        for path_id in partition.path_ids:
-            vertices.update(
-                int(v) for v in self.pre.path_set[path_id].vertices
-            )
+        # The partition's vertices this GPU owns, ascending. Ownership
+        # is fixed for the wave; activity is not — an update here may
+        # activate a later vertex of the same pass.
+        vertices = np.unique(self.tables.blocks[pid].vertices)
+        owned = vertices[self._owner_gpu[vertices] == gpu_id]
         if self.kernel is not None:
             return self._process_vertex_centric_batched(
-                vertices, gpu_id, view, changed_vertices, write_counts
+                owned[states.active[owned]],
+                gpu_id,
+                reads,
+                changed_vertices,
+                write_counts,
             )
+        step, degree_of = self.step, self._gather_degree
+        values, active = states.values, states.active
         items: List[int] = []
-        for v in sorted(vertices):
-            if not (states.active[v] and self._owner_gpu[v] == gpu_id):
+        for v in owned.tolist():
+            if not active[v]:
                 continue
-            old = float(states.values[v])
-            new, changed = program.update_vertex(
-                graph, v, view, old_state=old
-            )
-            degree = program.gather_degree(graph, v)
-            items.append(degree)
-            stats.apply_calls += 1
-            stats.edge_traversals += degree
-            # Demand fetches: no path block to amortize gather reads.
-            if degree > 0:
-                self.machine.load_global(
-                    gpu_id, nbytes=8 * degree, vertices=degree
-                )
-            self.machine.note_vertex_uses(1 + degree)
-            states.values[v] = new
+            # An owned vertex reads fresh: ``reads[v]`` is its master.
+            new, changed = step(v, reads[v], reads)
+            items.append(degree_of[v])
+            values[v] = reads[v] = new
             self._written_gpu[v] = gpu_id
             self._written_stamp[v] = self._wave_counter
             self.deactivate(v)
@@ -1038,11 +1069,20 @@ class _Run:
                 changed_vertices.add(v)
                 write_counts[v] = write_counts.get(v, 0) + 1
                 self.activate(list(program.dependents(graph, v)))
+        degree_sum = sum(items)
+        stats.apply_calls += len(items)
+        stats.edge_traversals += degree_sum
+        # Demand fetches: no path block to amortize gather reads.
+        if degree_sum > 0:
+            self.machine.load_global(
+                gpu_id, nbytes=8 * degree_sum, vertices=degree_sum
+            )
+        self.machine.note_vertex_uses(len(items) + degree_sum)
         return items
 
     def _process_vertex_centric_batched(
         self,
-        vertices: Set[int],
+        batch: np.ndarray,
         gpu_id: int,
         view: StalenessView,
         changed_vertices: Set[int],
@@ -1061,14 +1101,6 @@ class _Run:
         """
         states = self.states
         stats = self.machine.stats
-        batch = np.array(
-            sorted(
-                v
-                for v in vertices
-                if states.active[v] and self._owner_gpu[v] == gpu_id
-            ),
-            dtype=np.int64,
-        )
         if batch.size == 0:
             return []
         effective = view.as_array()
@@ -1237,4 +1269,3 @@ class _Run:
         )
         self.dispatcher.current_gpu = dict(scalars["current_gpu"])
         del self.round_records[scalars["num_round_records"]:]
-        self.scheduler.reset_counts(self.states.active)

@@ -3,8 +3,8 @@
 Each path gets ``Pri(p) = α · D̄(p) · N(p) − L(p)`` where
 
 - ``D̄(p)`` — average vertex degree of the path (hot paths score high),
-- ``N(p)`` — current number of active vertices on the path (maintained
-  incrementally at run time),
+- ``N(p)`` — current number of active vertices on the path (derived
+  from the active mask where the priority is evaluated),
 - ``L(p)`` — the path's DAG layer number (lower layers first),
 - ``α = 1 / (D̄_max · N_max)`` — a preprocessing-time scaling factor that
   keeps the degree-activity term below one, so the layer term dominates:
@@ -30,7 +30,13 @@ from repro.core.tables import PathTables
 
 
 class PathScheduler:
-    """Maintains per-path priorities and active-vertex counts."""
+    """Evaluates ``Pri(p)`` over the per-preprocess path tables.
+
+    ``N(p)`` is not kept: it is a function of the vertex active mask,
+    derived wherever ``Pri(p)`` is evaluated — by :meth:`active_counts`
+    over the whole decomposition, or by the engine's partition pass over
+    one ``PartitionBlock`` — so no vertex flip has to touch a counter.
+    """
 
     def __init__(
         self,
@@ -52,60 +58,48 @@ class PathScheduler:
         #: The paper's preprocessing-time scaling factor.
         self.alpha = 1.0 / max(d_max * n_max, 1.0)
 
-        #: N(p): active vertices per path, updated incrementally.
-        self.active_count = np.zeros(num_paths, dtype=np.int64)
-        # vertex -> path ids containing it (for incremental N updates).
-        self._paths_of_vertex = self._tables.paths_of_vertex
-
     # ------------------------------------------------------------------
-    # N(p) maintenance
+    # N(p)
     # ------------------------------------------------------------------
-    def reset_counts(self, active_mask: np.ndarray) -> None:
-        """Rebuild N(p) from a vertex active mask (run start, rollback)."""
+    def active_counts(self, active_mask: np.ndarray) -> np.ndarray:
+        """``N(p)`` of every path: its distinct active vertices (a path
+        that revisits a vertex counts it once)."""
         tables = self._tables
-        self.active_count[:] = np.bincount(
+        return np.bincount(
             tables.incidence_path[active_mask[tables.incidence_vertex]],
-            minlength=self.active_count.size,
+            minlength=tables.num_vertices.size,
         )
-
-    def vertex_activated(self, v: int) -> None:
-        """A vertex became active: bump N(p) for its paths."""
-        for path_id in self._paths_of_vertex[v]:
-            self.active_count[path_id] += 1
-
-    def vertex_deactivated(self, v: int) -> None:
-        """A vertex converged: decrement N(p) for its paths."""
-        for path_id in self._paths_of_vertex[v]:
-            if self.active_count[path_id] > 0:
-                self.active_count[path_id] -= 1
-
-    def paths_of_vertex(self, v: int) -> Sequence[int]:
-        return self._paths_of_vertex[v]
 
     # ------------------------------------------------------------------
     # Pri(p)
     # ------------------------------------------------------------------
-    def priority(self, path_id: int) -> float:
-        """``Pri(p) = α · D̄(p) · N(p) − L(p)``."""
-        if not 0 <= path_id < self.active_count.size:
+    def priority(self, path_id: int, active_mask: np.ndarray) -> float:
+        """``Pri(p) = α · D̄(p) · N(p) − L(p)`` under ``active_mask``."""
+        if not 0 <= path_id < self._tables.num_vertices.size:
             raise SchedulingError(f"no path {path_id}")
-        return float(self._priorities(np.array([path_id]))[0])
+        ids = np.array([path_id])
+        return float(
+            self._priorities(ids, self.active_counts(active_mask)[ids])[0]
+        )
 
-    def _priorities(self, path_ids: np.ndarray) -> np.ndarray:
+    def _priorities(
+        self, path_ids: np.ndarray, active_counts: np.ndarray
+    ) -> np.ndarray:
         tables = self._tables
         return (
-            self.alpha
-            * tables.avg_degree[path_ids]
-            * self.active_count[path_ids]
+            self.alpha * tables.avg_degree[path_ids] * active_counts
             - tables.layer[path_ids]
         )
 
     def order_paths(
-        self, path_ids: Union[np.ndarray, Iterable[int]]
+        self,
+        path_ids: Union[np.ndarray, Iterable[int]],
+        active_counts: np.ndarray,
     ) -> List[int]:
         """Processing order for an SMX's paths.
 
-        With scheduling enabled: descending ``Pri(p)`` (ties by id for
+        ``active_counts[i]`` is ``N(p)`` of ``path_ids[i]``. With
+        scheduling enabled: descending ``Pri(p)`` (ties by id for
         determinism). Disabled (the DiGraph-w ablation): the warp
         scheduler's default round-robin order, i.e. the given id order.
         """
@@ -113,7 +107,9 @@ class PathScheduler:
             path_ids = np.array(list(path_ids), dtype=np.int64)
         if self.enabled:
             path_ids = path_ids[
-                np.lexsort((path_ids, -self._priorities(path_ids)))
+                np.lexsort(
+                    (path_ids, -self._priorities(path_ids, active_counts))
+                )
             ]
         return path_ids.tolist()
 

@@ -32,7 +32,7 @@ from repro.core.dispatch import PartitionDependencies
 from repro.core.paths import PathSet, flatten_vertices
 from repro.core.replicas import ReplicaTable
 from repro.core.storage import PathStorage
-from repro.graph.builder import sorted_unique
+from repro.graph.builder import first_occurrences, sorted_unique
 
 
 def _split_by(
@@ -64,10 +64,9 @@ class PathTables:
     avg_degree: np.ndarray
     #: ``L(p)``: the path's DAG layer, as float for the ``Pri(p)`` term.
     layer: np.ndarray
-    #: Per vertex, the ids of the paths it occurs on — ascending, each
-    #: listed once however often the path revisits the vertex — and the
-    #: same incidence as parallel arrays for whole-mask rebuilds.
-    paths_of_vertex: List[Tuple[int, ...]]
+    #: The vertex -> paths incidence as parallel arrays sorted by
+    #: (vertex, path): each pair listed once however often the path
+    #: revisits the vertex — what ``N(p)`` counts over.
     incidence_vertex: np.ndarray
     incidence_path: np.ndarray
 
@@ -80,33 +79,23 @@ class PathTables:
         pairs = sorted_unique(
             vertices * stride + np.repeat(np.arange(lengths.size), lengths)
         )
-        incidence_vertex, incidence_path = pairs // stride, pairs % stride
-
-        def tuples(flat: np.ndarray, bounds: np.ndarray):
-            flat, bounds = flat.tolist(), bounds.tolist()
-            return [
-                tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-            ]
-
+        flat = vertices.tolist()
+        bounds = np.append(starts, vertices.size).tolist()
         return cls(
             vertices=vertices,
             starts=starts,
             num_vertices=lengths,
-            sequences=tuples(vertices, np.append(starts, vertices.size)),
+            sequences=[
+                tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            ],
             # Same value as ``Path.average_degree``: an exact integer
             # sum, one rounding in the division.
             avg_degree=(
                 np.add.reduceat(graph.degree()[vertices], starts) / lengths
             ),
             layer=dag.layer_of_scc[dag.scc_of_path].astype(np.float64),
-            paths_of_vertex=tuples(
-                incidence_path,
-                np.searchsorted(
-                    incidence_vertex, np.arange(graph.num_vertices + 1)
-                ),
-            ),
-            incidence_vertex=incidence_vertex,
-            incidence_path=incidence_path,
+            incidence_vertex=pairs // stride,
+            incidence_path=pairs % stride,
         )
 
 
@@ -123,6 +112,11 @@ class PartitionBlock:
     path_ids: np.ndarray
     #: Vertices per path; a path has one edge fewer.
     lengths: np.ndarray
+    #: Parallel to :attr:`vertices`: whether the slot is its vertex's
+    #: first occurrence *on its path*, so ``N(p)`` — a path's distinct
+    #: active vertices — is ``np.add.reduceat(active[vertices] &
+    #: first_in_path, starts)``.
+    first_in_path: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -166,6 +160,14 @@ class ExecutionTables:
         ptable, e_idx = storage.ptable, storage.e_idx
         path_of_slot = np.argsort(storage.slot_of_path, kind="stable")
         lengths = np.diff(ptable)
+        first_in_path = np.zeros(e_idx.size, dtype=bool)
+        first_in_path[
+            first_occurrences(
+                np.repeat(np.arange(lengths.size), lengths)
+                * max(path_set.graph.num_vertices, 1)
+                + e_idx
+            )
+        ] = True
 
         blocks: List[PartitionBlock] = []
         slot = 0
@@ -178,6 +180,7 @@ class ExecutionTables:
                     starts=ptable[slot:end] - first,
                     path_ids=path_of_slot[slot:end],
                     lengths=lengths[slot:end],
+                    first_in_path=first_in_path[first : ptable[end]],
                 )
             )
             slot = end

@@ -1,20 +1,32 @@
-"""Vectorized batch kernels for vertex updates.
+"""Compiled forms of the vertex program's gather-apply, on three axes.
 
-The scalar engines update vertices one ``VertexProgram.update_vertex``
-call at a time. This package flattens those gather-apply loops into
-NumPy segment reductions over the CSR/CSC arrays — the batched shape
-GPU graph compilers (GraphIt/G2) lower to — while preserving the scalar
-path's results bit for bit (see :mod:`repro.kernels.segment` for the
-ordering contract).
+A :class:`~repro.model.gas.VertexProgram` declares its algebra through
+the per-edge protocol (``gather_edges`` -> ``gather`` -> ``accumulate``
+-> ``apply`` -> ``has_converged``). The engines never run that protocol
+edge by edge; they own a *schedule* and resolve the kernel axis that
+fits it, each axis bit-identical to the protocol:
 
-Each algorithm registers a kernel next to its vectorized formulation;
-engines resolve one with :func:`resolve_kernel` and fall back to a
-per-vertex loop behind the same interface for unregistered programs.
+- **batch** (:mod:`repro.kernels.base`, :func:`resolve_kernel`) — a
+  whole frontier against one snapshot, the Jacobi schedules (the
+  vectorized bulk-sync round, DiGraph-t's ``--vectorized`` pass):
+  NumPy segment reductions over the CSR/CSC arrays, the shape GPU graph
+  compilers (GraphIt/G2) lower to (see :mod:`repro.kernels.segment` for
+  the ordering contract). Unregistered programs fall back to a
+  per-vertex loop behind the same interface.
+- **step** (:mod:`repro.kernels.steps`, :func:`resolve_step`) — one
+  vertex against what it can see now, the Gauss-Seidel schedules (the
+  path walk, DiGraph-t's per-vertex loop, the async worklist, the
+  scalar bulk-sync round, the sequential oracle): one fused closure per
+  algebra, ``step(v, old, reads) -> (new, changed)``. Unregistered
+  programs get the generic step, which is the protocol loop.
+- **lane** (:mod:`repro.kernels.lanes`, :func:`resolve_lane_kernel`) —
+  k same-algorithm point queries in one multi-source kernel with a
+  leading query-lane axis, bit-identical per lane to k single-source
+  runs (the serving layer). No fallback on this axis.
 
-The serving layer adds a second registry axis: **lane kernels**
-(:mod:`repro.kernels.lanes`) batch k same-algorithm point queries into
-one multi-source kernel with a leading query-lane axis, bit-identical
-per lane to k sequential single-source runs.
+The eight built-in programs fall into three algebras, and every axis is
+organised by them: ``linear`` (pagerank, ppr, adsorption), ``monotone``
+(sssp, bfs, wcc, reachability), ``structural`` (k-core).
 """
 
 from repro.kernels.base import (
@@ -52,8 +64,12 @@ from repro.kernels import structural as _structural  # noqa: F401
 from repro.kernels import lanes as _lanes  # noqa: F401
 
 from repro.kernels.lanes import InEdgeLaneKernel, LaneKernel
+from repro.kernels.steps import StepKernel, generic_step, resolve_step
 
 __all__ = [
+    "StepKernel",
+    "resolve_step",
+    "generic_step",
     "BatchKernel",
     "InEdgeKernel",
     "ScalarFallbackKernel",

@@ -1,6 +1,7 @@
 """The table-driven partition pass: its tables against per-object
-references, the write-through exactness argument, and the walk's skip
-rules one by one."""
+references, derived N(p) against the per-flip counters it replaced, the
+write-through exactness argument, and the walk's skip rules one by
+one."""
 
 import random
 from dataclasses import replace
@@ -14,7 +15,7 @@ from repro.core.dependency import build_dependency_dag
 from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed, _Run
 from repro.core.paths import Path, PathSet
 from repro.core.replicas import ReplicaTable
-from repro.core.scheduling import PathScheduler, balance_paths_to_threads
+from repro.core.scheduling import balance_paths_to_threads
 from repro.core.storage import PathStorage, build_partitions
 from repro.gpu.config import SCALED_MACHINE
 from repro.gpu.machine import Machine
@@ -90,27 +91,13 @@ class TestTablesMatchTheObjects:
             p.num_vertices for p in path_set
         ]
         occurrences = path_set.paths_of_vertex()
-        assert paths.paths_of_vertex == [
-            tuple(occurrences.get(v, ())) for v in range(graph.num_vertices)
+        assert list(
+            zip(paths.incidence_vertex.tolist(), paths.incidence_path.tolist())
+        ) == [
+            (v, path_id)
+            for v in range(graph.num_vertices)
+            for path_id in occurrences.get(v, ())
         ]
-
-    def test_reset_counts_is_the_incremental_count(self, preprocessed):
-        graph, _, pre = preprocessed
-        rng = np.random.default_rng(5)
-        mask = rng.random(graph.num_vertices) < 0.3
-        scheduler = PathScheduler(pre.path_set, pre.dag)
-        scheduler.reset_counts(mask)
-        one_by_one = PathScheduler(
-            pre.path_set, pre.dag, tables=pre.execution_tables.paths
-        )
-        for v in np.flatnonzero(mask):
-            one_by_one.vertex_activated(int(v))
-        assert np.array_equal(scheduler.active_count, one_by_one.active_count)
-        order = scheduler.order_paths(range(pre.path_set.num_paths))
-        assert order == sorted(
-            range(pre.path_set.num_paths),
-            key=lambda p: (-scheduler.priority(p), p),
-        )
 
     def test_partition_blocks(self, preprocessed):
         _, _, pre = preprocessed
@@ -184,23 +171,79 @@ def _run(engine, graph, pre, program=None, machine=None):
 
 
 # ----------------------------------------------------------------------
+# N(p) derived where Pri(p) is evaluated, against the per-flip counters
+# ----------------------------------------------------------------------
+def test_derived_active_counts_are_the_per_flip_counts():
+    """``PathScheduler`` used to keep N(p) in a counter array bumped on
+    every activation and deactivation. Flip vertices at random through
+    the run's own ``_activate_now`` / ``deactivate``, keep those counters
+    by hand, and at every step the two derivations — over the whole
+    decomposition and over the partition block — must read the same, on
+    a decomposition whose first path visits vertex 0 twice; so must the
+    order ``Pri(p)`` puts the paths in."""
+    run = hand_built_run(
+        [(0, 1), (1, 2), (2, 0), (0, 3), (4, 1), (3, 4), (4, 5), (5, 0)],
+        [(0, 1, 2, 0, 3), (4, 1), (3, 4, 5, 0)],
+        6,
+    )
+    sequences = run.tables.paths.sequences
+    assert sequences[0].count(0) == 2
+    paths_of_vertex = [
+        [p for p, vertices in enumerate(sequences) if v in vertices]
+        for v in range(run.graph.num_vertices)
+    ]
+    active, scheduler, block = run.states.active, run.scheduler, run.tables.blocks[0]
+    assert block.first_in_path.tolist() == [
+        v not in vertices[:i]
+        for path_id in block.path_ids.tolist()
+        for vertices in [sequences[path_id]]
+        for i, v in enumerate(vertices)
+    ]
+    per_flip = [0] * len(sequences)
+    for v in np.flatnonzero(active).tolist():  # as ``reset_counts`` did
+        for path_id in paths_of_vertex[v]:
+            per_flip[path_id] += 1
+    rng = random.Random(16)
+    for _ in range(200):
+        v = rng.randrange(run.graph.num_vertices)
+        was_active = bool(active[v])
+        if rng.random() < 0.5:
+            run._activate_now(v)
+        else:
+            run.deactivate(v)
+        if bool(active[v]) != was_active:  # as the per-flip hooks did
+            for path_id in paths_of_vertex[v]:
+                per_flip[path_id] += 1 if active[v] else -1
+        assert scheduler.active_counts(active).tolist() == per_flip
+        in_block = np.add.reduceat(
+            active[block.vertices] & block.first_in_path,
+            block.starts,
+            dtype=np.int64,
+        )
+        assert in_block.tolist() == [per_flip[p] for p in block.path_ids]
+        tables = run.tables.paths
+        assert scheduler.order_paths(block.path_ids, in_block) == sorted(
+            block.path_ids.tolist(),
+            key=lambda p: (
+                -(
+                    scheduler.alpha * tables.avg_degree[p] * per_flip[p]
+                    - tables.layer[p]
+                ),
+                p,
+            ),
+        )
+
+
+# ----------------------------------------------------------------------
 # (a) the write-through array is the view, turn by turn
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("algo", ["pagerank", "sssp", "wcc"])
-def test_write_through_array_equals_the_view_after_every_turn(
-    preprocessed, monkeypatch, algo
-):
-    """Four GPUs iterating one multi-partition SCC: at the end of every
-    GPU turn the array the walk gathered from and wrote through equals a
-    fresh materialisation of that GPU's per-read view, element-wise."""
-    graph, engine, pre = preprocessed
+def turns_checked_against_the_view(monkeypatch):
+    """Instrument ``_Run``: at the end of every GPU turn, the list the
+    pass gathered from and wrote through must equal a fresh
+    materialisation of that GPU's per-read view, element-wise. Returns
+    the log of turns: (gpu, inside a multi-partition SCC?, updates,
+    had the view moved since the wave began?)."""
     materialise = StalenessView.as_array
-    taken = {}
-
-    def recording(view):
-        taken[id(view)] = array = materialise(view)
-        return array
-
     wave_start = {}
     wave_views = _Run._wave_views
 
@@ -212,6 +255,14 @@ def test_write_through_array_equals_the_view_after_every_turn(
         )
         return views
 
+    gathered_from = {}
+    process_partition = _Run._process_partition
+
+    def recording(run, pid, gpu_id, reads):
+        # One list per turn, shared by the turn's partitions.
+        assert gathered_from.setdefault(gpu_id, reads) is reads
+        return process_partition(run, pid, gpu_id, reads)
+
     turns = []
     run_turn = _Run._run_turn
 
@@ -221,7 +272,9 @@ def test_write_through_array_equals_the_view_after_every_turn(
         )
         updates_before = run.machine.stats.vertex_updates
         run_turn(run, gpu_id, pids, view)
-        written_through = taken.pop(id(view))
+        written_through = gathered_from.pop(gpu_id)
+        assert type(written_through) is list
+        assert all(type(x) is float for x in written_through)
         assert np.array_equal(written_through, materialise(view))
         in_scc = any(not run.tables.alone_in_group[pid] for pid in pids)
         turns.append(
@@ -233,10 +286,21 @@ def test_write_through_array_equals_the_view_after_every_turn(
             )
         )
 
-    monkeypatch.setattr(StalenessView, "as_array", recording)
     monkeypatch.setattr(_Run, "_wave_views", views_and_wave_start_arrays)
+    monkeypatch.setattr(_Run, "_process_partition", recording)
     monkeypatch.setattr(_Run, "_run_turn", checked_turn)
+    return turns
 
+
+@pytest.mark.parametrize("algo", ["pagerank", "sssp", "wcc"])
+def test_write_through_array_equals_the_view_after_every_turn(
+    preprocessed, monkeypatch, algo
+):
+    """Four GPUs iterating one multi-partition SCC: at the end of every
+    GPU turn the list the walk gathered from and wrote through equals a
+    fresh materialisation of that GPU's per-read view, element-wise."""
+    graph, engine, pre = preprocessed
+    turns = turns_checked_against_the_view(monkeypatch)
     result = engine.run(graph, make_program(algo, graph), preprocessed=pre)
     assert result.converged
     # The run exercised what the argument is about: every GPU took
@@ -246,8 +310,24 @@ def test_write_through_array_equals_the_view_after_every_turn(
     }
     # ... and some turn started from a view that had already moved since
     # the wave began (an earlier GPU wrote a replica of a vertex this GPU
-    # owns), so taking the array at wave start would have been wrong.
+    # owns), so taking the list at wave start would have been wrong.
     assert any(stale for *_, stale in turns)
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "sssp", "wcc"])
+def test_write_through_list_equals_the_view_in_the_vertex_centric_pass(
+    preprocessed, monkeypatch, algo
+):
+    """The same, for DiGraph-t's per-vertex loop: it only ever writes
+    vertices the turn's GPU owns, which read fresh to it."""
+    graph, engine, pre = preprocessed
+    engine = DiGraphEngine(
+        engine.spec, replace(engine.config, use_path_execution=False)
+    )
+    turns = turns_checked_against_the_view(monkeypatch)
+    result = engine.run(graph, make_program(algo, graph), preprocessed=pre)
+    assert result.converged
+    assert {g for g, _, updates, _ in turns if updates} == {0, 1, 2, 3}
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +399,7 @@ def one_sweep_only(run):
 
 def walk(run, gpu_id=0):
     changed, writes = set(), {}
-    run._walk_partition(0, gpu_id, run.states.values.copy(), changed, writes)
+    run._walk_partition(0, gpu_id, run.states.values.tolist(), changed, writes)
     return changed
 
 

@@ -15,9 +15,11 @@ def scheduler():
     g = scc_profile_graph(150, 4.0, 0.5, 4.0, seed=1)
     ps = decompose_into_paths(g)
     dag = build_dependency_dag(ps)
-    sched = PathScheduler(ps, dag)
-    sched.reset_counts(np.ones(g.num_vertices, dtype=bool))
-    return g, ps, dag, sched
+    return g, ps, dag, PathScheduler(ps, dag)
+
+
+def everything_active(g):
+    return np.ones(g.num_vertices, dtype=bool)
 
 
 class TestPriority:
@@ -32,7 +34,8 @@ class TestPriority:
             assert term <= 1.0 + 1e-9
 
     def test_lower_layer_always_wins(self, scheduler):
-        _, ps, dag, sched = scheduler
+        g, ps, dag, sched = scheduler
+        active = everything_active(g)
         by_layer = {}
         for p in range(ps.num_paths):
             by_layer.setdefault(dag.layer_of_path(p), []).append(p)
@@ -40,45 +43,38 @@ class TestPriority:
             pytest.skip("graph produced a single layer")
         low = min(by_layer)
         high = max(by_layer)
-        assert sched.priority(by_layer[low][0]) > sched.priority(
-            by_layer[high][0]
+        assert sched.priority(by_layer[low][0], active) > sched.priority(
+            by_layer[high][0], active
         )
 
     def test_inactive_path_scores_lower(self, scheduler):
         g, ps, dag, sched = scheduler
         p = 0
-        before = sched.priority(p)
-        for v in ps[p].vertices:
-            sched.vertex_deactivated(int(v))
-        assert sched.priority(p) <= before
+        active = everything_active(g)
+        before = sched.priority(p, active)
+        active[list(ps[p].vertices)] = False
+        assert sched.priority(p, active) < before
 
     def test_priority_out_of_range(self, scheduler):
         sched = scheduler[3]
         with pytest.raises(SchedulingError):
-            sched.priority(10 ** 6)
+            sched.priority(10 ** 6, everything_active(scheduler[0]))
 
     def test_order_descending(self, scheduler):
-        _, ps, _, sched = scheduler
-        order = sched.order_paths(range(ps.num_paths))
-        priorities = [sched.priority(p) for p in order]
+        g, ps, _, sched = scheduler
+        active = everything_active(g)
+        active[::3] = False
+        order = sched.order_paths(
+            range(ps.num_paths), sched.active_counts(active)
+        )
+        priorities = [sched.priority(p, active) for p in order]
         assert priorities == sorted(priorities, reverse=True)
 
     def test_disabled_keeps_given_order(self, scheduler):
         g, ps, dag, _ = scheduler
         sched = PathScheduler(ps, dag, enabled=False)
         ids = list(range(min(10, ps.num_paths)))[::-1]
-        assert sched.order_paths(ids) == ids
-
-    def test_incremental_counts_match_reset(self, scheduler):
-        g, ps, dag, sched = scheduler
-        # deactivate then reactivate everything incrementally
-        for v in range(g.num_vertices):
-            sched.vertex_deactivated(v)
-        for v in range(g.num_vertices):
-            sched.vertex_activated(v)
-        fresh = PathScheduler(ps, dag)
-        fresh.reset_counts(np.ones(g.num_vertices, dtype=bool))
-        assert np.array_equal(sched.active_count, fresh.active_count)
+        assert sched.order_paths(ids, None) == ids
 
 
 class TestThreadBalancing:
