@@ -1059,8 +1059,6 @@ def durability_crash_restart(
     import shutil as _shutil
     import tempfile as _tempfile
 
-    from repro.algorithms import make_program as _make_program
-    from repro.bench.runner import make_engine
     from repro.bench.schema import validate_artifact
     from repro.faults.chaos import crash_restart_sweep
     from repro.faults.recovery import RecoveryPolicy
@@ -1100,11 +1098,9 @@ def durability_crash_restart(
                     durability=durability,
                     run_dir=run_dir if durability != "none" else "",
                 )
-                engine = make_engine(engine_name, SCALED_MACHINE)
-                program = _make_program(overhead_algo, graph)
-                result = engine.run(
-                    graph, program, graph_name=graph_name,
-                    recovery=policy,
+                result = run_cell(
+                    engine_name, overhead_algo, graph_name,
+                    machine=SCALED_MACHINE, graph=graph, recovery=policy,
                 )
                 leg = {
                     "total_time_s": result.stats.total_time_s,
@@ -1400,3 +1396,19 @@ def storage_scaling(
         "artifact": artifact,
         "table": table,
     }
+
+
+#: Every experiment `repro experiment NAME` can run. Each takes
+#: ``scale=`` and returns a dict with a printable ``table``.
+EXPERIMENTS = {
+    function.__name__: function
+    for function in (
+        table1, fig2_motivation, fig6_vs_digraph_t, fig7_vs_digraph_w,
+        fig8_preprocessing, fig9_breakdown, fig10_speedup, fig11_updates,
+        fig12_traffic, fig13_data_utilization, fig14_bidirectional,
+        fig15_gpu_utilization, fig16_scalability, fig16_faulted_scalability,
+        fig17_cpu_threads, ablation_dmax, ablation_features,
+        stream_speedup, serve_throughput, overload_resilience,
+        durability_crash_restart, storage_scaling,
+    )
+}

@@ -40,7 +40,9 @@ _VEC = {"use_vectorized_kernels": True}
 
 #: The engine registry — the only place a name becomes a constructor —
 #: in the order the paper's figures list the engines. A ``-vec`` row is
-#: its scalar sibling with the batched kernels pinned on.
+#: its scalar sibling with the batched kernels pinned on; ``digraph`` has
+#: none, because its path walk is scalar whatever the flag says (the
+#: batched pass is ``digraph-t``'s, reached with ``vectorized=True``).
 ENGINES = {
     "sequential": EngineRow(SequentialEngine, None, {}, None),
     "bulk-sync": EngineRow(BulkSyncEngine, BulkSyncConfig, {}, "baseline"),
@@ -51,7 +53,6 @@ ENGINES = {
     "digraph-t": EngineRow(digraph_t, DiGraphConfig, {}, "digraph"),
     "digraph-w": EngineRow(digraph_w, DiGraphConfig, {}, "digraph"),
     "digraph": EngineRow(DiGraphEngine, DiGraphConfig, {}, "digraph"),
-    "digraph-vec": EngineRow(DiGraphEngine, DiGraphConfig, _VEC, "digraph"),
 }
 
 #: Vectorized rows certify against their *scalar* sibling's golden run.
@@ -142,8 +143,9 @@ def run_cell(
     engine_factory: Optional[Callable] = None,
     vectorized: bool = False,
     recovery=None,
-    query_lanes: Optional[int] = None,
-    tenant_count: Optional[int] = None,
+    fault_injector=None,
+    resume: bool = False,
+    program_kwargs: Optional[Dict] = None,
 ) -> ExecutionResult:
     """Run one (engine, algorithm, graph) cell, memoized per process.
 
@@ -151,27 +153,39 @@ def run_cell(
     the Fig. 16 sweep. ``vectorized`` runs the batched kernels on the
     engines that support them; ``recovery`` (a
     :class:`repro.faults.RecoveryPolicy`) turns on checkpointing knobs.
-    ``graph`` / ``engine_factory`` / ``recovery`` bypass the memo cache —
-    those cells are custom and must not alias standard cells.
+    ``fault_injector`` / ``resume`` / ``program_kwargs`` are the chaos
+    harness's legs: a fault plan fired against the run, a restart from
+    the policy's durable store, and non-default program parameters.
+    Any of ``graph`` / ``engine_factory`` / ``recovery`` and those three
+    bypass the memo cache — such cells are custom and must not alias
+    standard cells.
 
     The key includes the machine spec: two cells that differ only in the
     simulated hardware are different cells, and the memoized
     :class:`ExecutionResult` (whose ``stats`` bundle is mutable and
     shared by every figure reading the cell) must never be served across
-    that boundary.  It likewise includes the serving axes
-    ``query_lanes`` / ``tenant_count``: batch cells pin both to None,
-    and serve cells (:func:`repro.serve.runner.run_serve_cell`, which
-    shares this process cache) always set them, so a serving cell can
-    never poison — or be poisoned by — a cached batch cell.
+    that boundary. Serve cells
+    (:func:`repro.serve.runner.run_serve_cell`) share this process
+    cache under keys that start with the literal ``"serve"``, which no
+    engine is named, so neither kind can shadow the other.
     """
-    custom = (
+    # Passed to ``engine.run`` only when set: the sequential reference
+    # takes none of them.
+    run_options: Dict[str, object] = {}
+    if recovery is not None:
+        run_options["recovery"] = recovery
+    if fault_injector is not None:
+        run_options["fault_injector"] = fault_injector
+    if resume:
+        run_options["resume"] = True
+    custom = bool(
         graph is not None or engine_factory is not None
-        or recovery is not None
+        or run_options or program_kwargs
     )
     spec = machine or SCALED_MACHINE
     key = (
         engine_name, algo, graph_name, scale, num_gpus, n_workers,
-        vectorized, spec, query_lanes, tenant_count,
+        vectorized, spec,
     )
     if use_cache and not custom and key in _CACHE:
         return _CACHE[key]
@@ -186,13 +200,10 @@ def run_cell(
         engine = make_engine(
             engine_name, spec, n_workers=n_workers, vectorized=vectorized
         )
-    program = make_program(algo, graph)
-    if recovery is not None:
-        result = engine.run(
-            graph, program, graph_name=graph_name, recovery=recovery
-        )
-    else:
-        result = engine.run(graph, program, graph_name=graph_name)
+    program = make_program(algo, graph, **(program_kwargs or {}))
+    result = engine.run(
+        graph, program, graph_name=graph_name, **run_options
+    )
     if use_cache and not custom:
         _CACHE[key] = result
     return result

@@ -49,7 +49,13 @@ from repro.algorithms import ALGORITHMS
 from repro.bench import runner
 from repro.bench.runner import ALL_ENGINE_NAMES
 from repro.errors import ArtifactError, ConfigurationError
+from repro.faults.recovery import RecoveryPolicy
 from repro.graph import datasets
+from repro.graph.generators import MUTATION_MIXES, mutation_trace
+from repro.knobs import Knob, field_values, knobs_of
+from repro.serve.query import SERVE_ALGORITHMS, TraceSpec
+from repro.serve.runner import KILL_LAUNCH, run_serve_cell, serve_digest
+from repro.serve.server import ServeConfig
 
 #: Artifact schema identity; bump the version on breaking layout changes.
 SWEEP_SCHEMA = "repro-sweep"
@@ -63,111 +69,50 @@ VOLATILE_KEYS = frozenset(
     {"wall_seconds", "wall_seconds_total", "environment"}
 )
 
-#: Knobs a ``mode="run"`` cell understands and their validators.
-RUN_KNOBS = (
-    "num_gpus",
-    "n_workers",
-    "use_vectorized_kernels",
-    "checkpoint_interval",
-    "incremental_checkpoints",
-    "full_checkpoint_period",
-    "redistribution",
-)
+def _knob_table(*sources) -> Dict[str, Knob]:
+    """Rows by external name: a free :class:`Knob` as given, a config
+    dataclass's swept knobs."""
+    rows: List[Knob] = []
+    for source in sources:
+        if isinstance(source, Knob):
+            rows.append(source)
+        else:
+            rows.extend(row for row in knobs_of(source) if row.sweep)
+    return {row.name: row for row in rows}
 
-#: Knobs a ``mode="stream"`` cell understands.
-STREAM_KNOBS = (
-    "num_gpus",
-    "stream_batches",
-    "stream_batch_size",
-    "stream_mix",
-)
 
-#: Knobs a ``mode="serve"`` cell understands (multi-tenant query
-#: serving through :func:`repro.serve.runner.run_serve_cell`).
-SERVE_KNOBS = (
-    "num_gpus",
-    "query_lanes",
-    "tenant_count",
-    "max_concurrent",
-    "tenant_quota",
-    "num_queries",
-    "mean_interarrival_us",
-    "kill_launch",
-    "replay_on_fault",
-    # Overload-resilience knobs (deadlines, shedding, brownout, retry).
-    "deadline_ms",
-    "deadline_policy",
-    "max_queue",
-    "brownout",
-    "max_replays",
-    "replay_backoff_us",
-    "arrival_model",
-    "mean_think_time_us",
-)
+_NUM_GPUS = Knob("num_gpus", int, None, minimum=1)
 
-#: Checkpoint-lifecycle knobs that require an engine with recovery
-#: support (every engine except the sequential reference).
-RECOVERY_KNOBS = (
-    "checkpoint_interval",
-    "incremental_checkpoints",
-    "full_checkpoint_period",
-    "redistribution",
-)
+#: Checkpoint-lifecycle knobs. Any of them turns on fault-free
+#: checkpointing, so the cell needs an engine with recovery support
+#: (every engine except the sequential reference).
+RECOVERY_KNOBS = _knob_table(RecoveryPolicy)
 
-#: Model metrics aggregated per run-mode cell.  All are deterministic
-#: functions of (engine, algorithm, graph, knobs) — their std over
-#: repeats must be 0, and the gate compares their means.
-RUN_METRICS = (
-    "processing_time_s",
-    "total_time_s",
-    "preprocess_time_s",
-    "rounds",
-    "vertex_updates",
-    "edge_traversals",
-    "traffic_bytes",
-)
+#: The knob table: what a cell of each mode can be varied in, by
+#: external name. Free rows pick the machine, the engine build or the
+#: mutation trace; the rest are declared on the config dataclass whose
+#: field they fill (a serve cell's two configs are built from them by
+#: :func:`repro.serve.runner.run_serve_cell`).
+MODE_KNOBS = {
+    "run": _knob_table(
+        _NUM_GPUS,
+        Knob("n_workers", int, 1, minimum=1),
+        Knob("use_vectorized_kernels", bool, False),
+        RecoveryPolicy,
+    ),
+    "stream": _knob_table(
+        _NUM_GPUS,
+        Knob("stream_batches", int, 3, minimum=0),
+        Knob("stream_batch_size", int, 4, minimum=1),
+        Knob("stream_mix", str, "insert", choices=MUTATION_MIXES),
+    ),
+    "serve": _knob_table(_NUM_GPUS, KILL_LAUNCH, TraceSpec, ServeConfig),
+}
 
-#: Metrics aggregated per stream-mode cell (summed over the trace).
-STREAM_METRICS = (
-    "incremental_s",
-    "rebuild_s",
-    "speedup",
-    "vertices_reactivated",
-    "paths_repaired",
-    "incremental_rounds",
-)
-
-#: Metrics aggregated per serve-mode cell (one trace end to end).
-SERVE_METRICS = (
-    "queries_total",
-    "queries_completed",
-    "queries_failed",
-    "queries_replayed",
-    "queries_per_s",
-    "latency_p50_s",
-    "latency_p99_s",
-    "latency_mean_s",
-    "latency_max_s",
-    "makespan_s",
-    "gpu_busy_s",
-    "batches",
-    "launches",
-    "edge_lane_work",
-    "peak_concurrency",
-    "faults_injected",
-    "replays",
-    # Overload outcomes (shed/rejected/degraded are deliberate under
-    # overload knobs; zero in unstressed cells).
-    "queries_degraded",
-    "queries_shed",
-    "queries_rejected",
-    "deadline_misses",
-    "goodput_queries",
-    "goodput_per_s",
-    "residual_bound_max",
-)
-
-#: Metrics the gate treats as "bigger is a regression".  Serve cells
+#: Metrics the gate treats as "bigger is a regression", out of the
+#: model metrics each ``_*_once`` records — all deterministic functions
+#: of (engine, algorithm, graph, knobs), so their std over repeats must
+#: be 0 and the gate compares means.  Serve cells
 #: gate on latency / busy-time / launch counts (all bigger-is-worse);
 #: ``queries_per_s`` is bigger-is-better and is covered indirectly —
 #: a throughput loss shows up as a gpu_busy_s or latency regression.
@@ -328,8 +273,6 @@ class SweepConfig:
                     f"{ALL_ENGINE_NAMES}",
                 )
         if self.mode == "serve":
-            from repro.serve.query import SERVE_ALGORITHMS
-
             servable = SERVE_ALGORITHMS + ("mixed",)
             for algo in self.algorithms:
                 _require(
@@ -381,17 +324,16 @@ class SweepConfig:
             isinstance(self.repeats, int) and self.repeats >= 1,
             f"repeats must be a positive integer, got {self.repeats!r}",
         )
-        allowed = {
-            "run": RUN_KNOBS,
-            "stream": STREAM_KNOBS,
-            "serve": SERVE_KNOBS,
-        }[self.mode]
-        for name in self.knobs:
+        table = MODE_KNOBS[self.mode]
+        for name, values in self.knobs.items():
             _require(
-                name in allowed,
-                f"unknown {self.mode}-mode knob {name!r}; known: {allowed}",
+                name in table,
+                f"unknown {self.mode}-mode knob {name!r}; "
+                f"known: {tuple(table)}",
             )
-        if any(name in self.knobs for name in RECOVERY_KNOBS):
+            for value in values:
+                table[name].convert(value)
+        if set(self.knobs) & set(RECOVERY_KNOBS):
             _require(
                 "sequential" not in self.engines,
                 "checkpoint knobs need recovery support; the sequential "
@@ -527,39 +469,38 @@ def _resolve_graph(spec: CellSpec, seed: int):
     )
 
 
-def _make_recovery(knobs: Dict[str, object]):
-    if not any(name in knobs for name in RECOVERY_KNOBS):
-        return None
-    from repro.faults import RecoveryPolicy
+def _custom_graph(spec: CellSpec, seed: int):
+    """``(graph, cell graph name)``: a built-in stand-in is loaded (and
+    memoized) by name, so its graph is ``None``; a generator draw or a
+    store is passed in under a per-seed name."""
+    if isinstance(spec.graph, str):
+        return None, spec.graph
+    return _resolve_graph(spec, seed), f"{spec.graph_label}@seed{seed}"
 
-    return RecoveryPolicy(
-        checkpoint_interval=int(knobs.get("checkpoint_interval", 1)),
-        incremental_checkpoints=bool(
-            knobs.get("incremental_checkpoints", False)
-        ),
-        full_checkpoint_period=int(knobs.get("full_checkpoint_period", 8)),
-        redistribution_policy=str(knobs.get("redistribution", "locality")),
-    )
+
+def _knob(spec: CellSpec, name: str):
+    """A free knob of the cell: its value or the default, typed."""
+    row = MODE_KNOBS[spec.mode][name]
+    return row.convert(spec.knobs.get(name, row.default))
 
 
 def _run_once(spec: CellSpec, seed: int) -> Dict[str, object]:
     """One execution of a run-mode cell: metrics + digest + counters."""
-    graph = None
-    graph_name = spec.graph_label
-    if not isinstance(spec.graph, str):
-        graph = _resolve_graph(spec, seed)
-        graph_name = f"{spec.graph_label}@seed{seed}"
-    knobs = spec.knobs
+    graph, graph_name = _custom_graph(spec, seed)
+    (policy,) = field_values(
+        {k: v for k, v in spec.knobs.items() if k in RECOVERY_KNOBS},
+        RecoveryPolicy,
+    )
     t0 = time.perf_counter()
     result = runner.run_cell(
         spec.engine,
         spec.algorithm,
-        spec.graph if isinstance(spec.graph, str) else graph_name,
+        graph_name,
         scale=spec.scale,
-        num_gpus=knobs.get("num_gpus"),
-        n_workers=int(knobs.get("n_workers", 1)),
-        vectorized=bool(knobs.get("use_vectorized_kernels", False)),
-        recovery=_make_recovery(knobs),
+        num_gpus=_knob(spec, "num_gpus"),
+        n_workers=_knob(spec, "n_workers"),
+        vectorized=_knob(spec, "use_vectorized_kernels"),
+        recovery=RecoveryPolicy(**policy) if policy else None,
         use_cache=False,
         graph=graph,
     )
@@ -583,22 +524,21 @@ def _run_once(spec: CellSpec, seed: int) -> Dict[str, object]:
 
 def _stream_once(spec: CellSpec, seed: int) -> Dict[str, object]:
     """One execution of a stream-mode cell: a certified trace replay."""
-    from repro.graph.generators import mutation_trace
     from repro.gpu.config import SCALED_MACHINE
     from repro.streaming import StreamingSession
 
-    knobs = spec.knobs
     machine = SCALED_MACHINE
-    if knobs.get("num_gpus"):
-        machine = machine.scaled(int(knobs["num_gpus"]))
+    num_gpus = _knob(spec, "num_gpus")
+    if num_gpus:
+        machine = machine.scaled(num_gpus)
     graph = _resolve_graph(spec, seed)
     t0 = time.perf_counter()
     trace = mutation_trace(
         graph,
-        int(knobs.get("stream_batches", 3)),
+        _knob(spec, "stream_batches"),
         seed=seed,
-        batch_size=int(knobs.get("stream_batch_size", 4)),
-        mix=str(knobs.get("stream_mix", "insert")),
+        batch_size=_knob(spec, "stream_batch_size"),
+        mix=_knob(spec, "stream_mix"),
     )
     session = StreamingSession(
         graph,
@@ -648,50 +588,16 @@ def _serve_once(spec: CellSpec, seed: int) -> Dict[str, object]:
     batching, or kernel change that alters a served answer — or which
     queries fail — flips the cell's determinism digest.
     """
-    from repro.serve.runner import run_serve_cell, serve_digest
-
-    knobs = spec.knobs
-    graph = None
-    graph_name = spec.graph_label
-    if not isinstance(spec.graph, str):
-        graph = _resolve_graph(spec, seed)
-        graph_name = f"{spec.graph_label}@seed{seed}"
-    kill = knobs.get("kill_launch")
+    graph, graph_name = _custom_graph(spec, seed)
     t0 = time.perf_counter()
     report = run_serve_cell(
         spec.algorithm,
         graph_name,
         scale=spec.scale,
         seed=seed,
-        num_queries=int(knobs.get("num_queries", 32)),
-        tenant_count=int(knobs.get("tenant_count", 4)),
-        query_lanes=int(knobs.get("query_lanes", 8)),
-        max_concurrent=int(knobs.get("max_concurrent", 32)),
-        tenant_quota=int(knobs.get("tenant_quota", 8)),
-        mean_interarrival_us=float(
-            knobs.get("mean_interarrival_us", 10.0)
-        ),
-        num_gpus=int(knobs["num_gpus"]) if knobs.get("num_gpus") else None,
-        kill_launch=int(kill) if kill is not None else None,
-        replay_on_fault=bool(knobs.get("replay_on_fault", True)),
-        deadline_ms=(
-            float(knobs["deadline_ms"])
-            if knobs.get("deadline_ms") is not None
-            else None
-        ),
-        deadline_policy=str(knobs.get("deadline_policy", "reject")),
-        max_queue=(
-            int(knobs["max_queue"])
-            if knobs.get("max_queue") is not None
-            else None
-        ),
-        brownout=bool(knobs.get("brownout", False)),
-        max_replays=int(knobs.get("max_replays", 1)),
-        replay_backoff_us=float(knobs.get("replay_backoff_us", 0.0)),
-        arrival_model=str(knobs.get("arrival_model", "open")),
-        mean_think_time_us=float(knobs.get("mean_think_time_us", 100.0)),
         use_cache=False,
         graph=graph,
+        **spec.knobs,
     )
     wall = time.perf_counter() - t0
     return {

@@ -42,27 +42,19 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from repro.algorithms import ALGORITHMS, make_program
+from repro.algorithms import ALGORITHMS
 from repro.bench.runner import (
     ALL_CHAOS_ENGINES,
     ALL_ENGINE_NAMES,
     ENGINE_NAMES,
-    make_engine,
+    run_cell,
 )
 from repro.errors import ReproError
 from repro.graph import datasets
+from repro.graph.generators import MUTATION_MIXES
 from repro.graph.io import read_edge_list
 from repro.gpu.config import SCALED_MACHINE
-
-
-def _load(args) -> object:
-    if getattr(args, "graph_dir", None):
-        return _open_graph_dir(args).materialize()
-    if args.edge_list:
-        return read_edge_list(args.edge_list)
-    return datasets.load(
-        args.dataset, scale=args.scale, weighted=(args.algorithm == "sssp")
-    )
+from repro.knobs import add_flags, field_values, from_args, knobs_of
 
 
 def _open_graph_dir(args):
@@ -70,34 +62,114 @@ def _open_graph_dir(args):
     from repro.storage import ShardedGraph
 
     return ShardedGraph(
-        args.graph_dir,
-        max_resident_bytes=getattr(args, "graph_cache_bytes", None),
+        args.graph_dir, max_resident_bytes=args.graph_cache_bytes
     )
 
 
-def _add_workload_args(parser: argparse.ArgumentParser) -> None:
+def _machine(args):
+    """The simulated machine, with ``--gpus`` applied."""
+    return SCALED_MACHINE.scaled(args.gpus) if args.gpus else SCALED_MACHINE
+
+
+def _workload(args, sharded=None):
+    """``(graph, name, machine)`` of a subcommand: the graph its
+    workload flags select (an open ``--graph-dir`` store, an
+    ``--edge-list`` file, else the ``--dataset`` stand-in — weighted
+    when the subcommand's one ``--algorithm`` is sssp), the name results
+    are labelled with, and the machine it runs on."""
+    if sharded is not None:
+        graph, name = sharded.materialize(), args.graph_dir
+    elif args.edge_list:
+        graph, name = read_edge_list(args.edge_list), args.edge_list
+    else:
+        weighted = getattr(args, "algorithm", None) == "sssp"
+        graph = datasets.load(
+            args.dataset, scale=args.scale, weighted=weighted
+        )
+        name = args.dataset
+    return graph, name, _machine(args)
+
+
+def _add_workload_args(
+    parser: argparse.ArgumentParser,
+    scale: float,
+    dataset: Optional[str] = "cnr",
+    edge_list: bool = True,
+    algorithms: str = "",
+) -> None:
+    """The workload flags six subcommands share; ``algorithms`` is the
+    verb of a subcommand that takes a list of them."""
     parser.add_argument(
         "--dataset",
         choices=datasets.DATASET_NAMES,
-        default="cnr",
-        help="built-in dataset stand-in (default: cnr)",
+        default=dataset,
+        help=(
+            f"built-in dataset stand-in (default: {dataset})"
+            if dataset
+            else "dataset stand-in to verify (default: canonical fixtures)"
+        ),
+    )
+    if edge_list:
+        parser.add_argument(
+            "--edge-list",
+            help="path to a 'src dst [weight]' file (overrides --dataset)",
+        )
+    parser.add_argument(
+        "--scale", type=float, default=scale, help="dataset scale factor"
     )
     parser.add_argument(
-        "--edge-list",
-        help="path to a 'src dst [weight]' file (overrides --dataset)",
+        "--gpus", type=int, default=None, help="override simulated GPU count"
     )
+    if algorithms:
+        parser.add_argument(
+            "--algorithms",
+            nargs="+",
+            choices=ALGORITHMS,
+            default=list(ALGORITHMS),
+            help=f"algorithms to {algorithms} (default: all eight)",
+        )
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """`repro run` / `repro compare`: one workload, one algorithm."""
+    _add_workload_args(parser, scale=1.0)
     parser.add_argument(
         "--algorithm",
         choices=ALGORITHMS,
         default="pagerank",
         help="vertex program to run (default: pagerank)",
     )
-    parser.add_argument(
-        "--scale", type=float, default=1.0, help="dataset scale factor"
-    )
-    parser.add_argument(
-        "--gpus", type=int, default=None, help="override simulated GPU count"
-    )
+
+
+#: The :class:`~repro.faults.recovery.RecoveryPolicy` knobs `repro run`
+#: and `repro chaos` expose as flags.
+_RUN_POLICY = (
+    "durability", "run_dir", "store_retain", "store_compact",
+    "checkpoint_interval", "incremental_checkpoints",
+)
+_CHAOS_POLICY = (
+    "overlap_checkpoint_spill", "checkpoint_interval",
+    "incremental_checkpoints", "full_checkpoint_period", "redistribution",
+)
+
+
+def _recovery_policy(args, names):
+    """The policy a subcommand's checkpoint flags describe."""
+    from repro.faults.recovery import RecoveryPolicy
+
+    knobs = from_args(args, knobs_of(RecoveryPolicy, *names))
+    (fields,) = field_values(knobs, RecoveryPolicy)
+    return RecoveryPolicy(**fields)
+
+
+def _serve_rows():
+    """Every serve-cell knob that is a `repro serve` flag."""
+    from repro.serve.query import TraceSpec
+    from repro.serve.runner import KILL_LAUNCH
+    from repro.serve.server import ServeConfig
+
+    rows = (*knobs_of(TraceSpec), *knobs_of(ServeConfig), KILL_LAUNCH)
+    return [row for row in rows if row.flag]
 
 
 def _durable_run_policy(args):
@@ -107,27 +179,19 @@ def _durable_run_policy(args):
     from dataclasses import asdict
 
     from repro.errors import ConfigurationError
-    from repro.faults.recovery import RecoveryPolicy
     from repro.faults.store import CheckpointStore
 
     if not args.run_dir:
         raise ConfigurationError(
             f"--durability {args.durability} requires --run-dir"
         )
-    if args.edge_list and not getattr(args, "graph_dir", None):
+    if args.edge_list and not args.graph_dir:
         raise ConfigurationError(
             "--durability requires a named --dataset or a --graph-dir "
             "store (an --edge-list workload cannot be rebuilt by "
             "`repro resume`)"
         )
-    policy = RecoveryPolicy(
-        durability=args.durability,
-        run_dir=args.run_dir,
-        store_retain=args.store_retain,
-        store_compact=not args.no_compact,
-        checkpoint_interval=args.checkpoint_interval,
-        incremental_checkpoints=args.incremental_checkpoints,
-    )
+    policy = _recovery_policy(args, _RUN_POLICY)
     header_policy = {
         k: v for k, v in asdict(policy).items() if k != "run_dir"
     }
@@ -143,7 +207,7 @@ def _durable_run_policy(args):
             "dataset": args.dataset,
             "scale": args.scale,
             "gpus": args.gpus,
-            "graph_dir": getattr(args, "graph_dir", None) or None,
+            "graph_dir": args.graph_dir or None,
             "policy": header_policy,
         }
     )
@@ -151,24 +215,18 @@ def _durable_run_policy(args):
 
 
 def cmd_run(args) -> int:
-    sharded = None
-    if args.graph_dir:
-        sharded = _open_graph_dir(args)
-        graph = sharded.materialize()
-    else:
-        graph = _load(args)
-    spec = SCALED_MACHINE
-    if args.gpus:
-        spec = spec.scaled(args.gpus)
-    engine = make_engine(args.engine, spec, vectorized=args.vectorized)
-    program = make_program(args.algorithm, graph)
+    sharded = _open_graph_dir(args) if args.graph_dir else None
+    graph, name, spec = _workload(args, sharded)
     recovery = None
     if args.durability != "none":
         recovery = _durable_run_policy(args)
-    result = engine.run(
-        graph,
-        program,
-        graph_name=args.graph_dir or args.edge_list or args.dataset,
+    result = run_cell(
+        args.engine,
+        args.algorithm,
+        name,
+        machine=spec,
+        graph=graph,
+        vectorized=args.vectorized,
         recovery=recovery,
     )
     print(result.summary())
@@ -183,7 +241,7 @@ def cmd_run(args) -> int:
         f"compute={breakdown['compute_s'] * 1e3:.3f}ms "
         f"communication={breakdown['communication_s'] * 1e3:.3f}ms"
     )
-    if getattr(args, "trace", False):
+    if args.trace:
         from repro.bench.trace import round_trace_summary
 
         print(round_trace_summary(result))
@@ -273,16 +331,11 @@ def cmd_scrub(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    graph = _load(args)
-    spec = SCALED_MACHINE
-    if args.gpus:
-        spec = spec.scaled(args.gpus)
+    graph, name, spec = _workload(args)
     baseline_time = None
-    for name in ENGINE_NAMES:
-        engine = make_engine(name, spec)
-        program = make_program(args.algorithm, graph)
-        result = engine.run(
-            graph, program, graph_name=args.edge_list or args.dataset
+    for engine_name in ENGINE_NAMES:
+        result = run_cell(
+            engine_name, args.algorithm, name, machine=spec, graph=graph
         )
         if baseline_time is None:
             baseline_time = result.processing_time_s
@@ -329,15 +382,10 @@ def cmd_verify(args) -> int:
     from repro.verify.fixtures import CANONICAL_GRAPHS
     from repro.verify.harness import verify_graph
 
-    spec = SCALED_MACHINE
-    if args.gpus:
-        spec = spec.scaled(args.gpus)
-    if args.edge_list:
-        workloads = [(args.edge_list, read_edge_list(args.edge_list))]
-    elif args.dataset:
-        workloads = [
-            (args.dataset, datasets.load(args.dataset, scale=args.scale))
-        ]
+    spec = _machine(args)
+    if args.edge_list or args.dataset:
+        graph, name, _ = _workload(args)
+        workloads = [(name, graph)]
     else:
         workloads = [
             (name, builder())
@@ -370,17 +418,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults import RecoveryPolicy, chaos_sweep
+    from repro.faults import chaos_sweep
 
-    if args.edge_list:
-        graph = read_edge_list(args.edge_list)
-        name = args.edge_list
-    else:
-        graph = datasets.load(args.dataset, scale=args.scale)
-        name = args.dataset
-    spec = SCALED_MACHINE
-    if args.gpus:
-        spec = spec.scaled(args.gpus)
+    graph, name, spec = _workload(args)
     if args.storm:
         # Correlated-failure schedules: plan options feed the storm
         # generator (overlapping kills + link flaps) instead of the
@@ -402,13 +442,7 @@ def cmd_chaos(args) -> int:
             "kill_at_round": args.kill_round,
         }
 
-    recovery = RecoveryPolicy(
-        checkpoint_interval=args.checkpoint_interval,
-        incremental_checkpoints=args.incremental_checkpoints,
-        full_checkpoint_period=args.full_checkpoint_period,
-        overlap_checkpoint_spill=args.overlap_spill,
-        redistribution_policy=args.redistribution,
-    )
+    recovery = _recovery_policy(args, _CHAOS_POLICY)
 
     def sweep(redistribution_policy):
         return chaos_sweep(
@@ -508,15 +542,7 @@ def cmd_stream(args) -> int:
     from repro.graph.generators import mutation_trace
     from repro.streaming import StreamingSession
 
-    if args.edge_list:
-        graph = read_edge_list(args.edge_list)
-        name = args.edge_list
-    else:
-        graph = datasets.load(args.dataset, scale=args.scale)
-        name = args.dataset
-    spec = SCALED_MACHINE
-    if args.gpus:
-        spec = spec.scaled(args.gpus)
+    graph, name, spec = _workload(args)
     if args.strict:
         args.certify = True  # strict mode is meaningless without the oracle
 
@@ -583,30 +609,17 @@ def cmd_stream(args) -> int:
 
 def cmd_serve(args) -> int:
     from repro.serve.runner import run_serve_cell, serve_digest
+    from repro.serve.server import OVERLOAD_KNOBS
 
+    knobs = from_args(args, _serve_rows())
     report = run_serve_cell(
         args.algorithm,
         args.dataset,
         scale=args.scale,
         seed=args.seed,
-        num_queries=args.queries,
-        tenant_count=args.tenants,
-        query_lanes=args.lanes,
-        max_concurrent=args.max_concurrent,
-        tenant_quota=args.tenant_quota,
-        mean_interarrival_us=args.interarrival_us,
         num_gpus=args.gpus,
-        kill_launch=args.kill_launch,
-        replay_on_fault=not args.no_replay,
-        deadline_ms=args.deadline_ms,
-        deadline_policy=args.deadline_policy,
-        max_queue=args.max_queue,
-        brownout=args.brownout,
-        max_replays=args.max_replays,
-        replay_backoff_us=args.replay_backoff_us,
-        arrival_model="closed" if args.closed_loop else "open",
-        mean_think_time_us=args.think_us,
         use_cache=False,
+        **knobs,
     )
     metrics = report.metrics()
     print(
@@ -618,11 +631,7 @@ def cmd_serve(args) -> int:
         f"{int(metrics['batches'])} batches / "
         f"{int(metrics['launches'])} launches"
     )
-    if (
-        args.deadline_ms is not None
-        or args.max_queue is not None
-        or args.brownout
-    ):
+    if any(knobs[name] for name in OVERLOAD_KNOBS):
         print(
             f"  overload: goodput={int(metrics['goodput_queries'])}"
             f"/{int(metrics['queries_total'])} "
@@ -672,11 +681,8 @@ def cmd_serve(args) -> int:
         from repro.serve.runner import serving_context_for
         from repro.verify.serve import verify_serve_report
 
-        spec = SCALED_MACHINE
-        if args.gpus:
-            spec = spec.scaled(args.gpus)
         context = serving_context_for(
-            args.dataset, args.algorithm, args.scale, spec
+            args.dataset, args.algorithm, args.scale, _machine(args)
         )
         verdict = verify_serve_report(context, report)
         status = "PASS" if verdict.passed else "FAIL"
@@ -785,25 +791,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.bench import experiments
+    from repro.bench.experiments import EXPERIMENTS
 
-    function = getattr(experiments, args.name, None)
-    if function is None:
-        names = [
-            name
-            for name in dir(experiments)
-            if name.startswith(
-                ("fig", "table", "ablation", "stream", "serve",
-                 "durability", "storage")
-            )
-        ]
-        print(
-            f"unknown experiment {args.name!r}; available: "
-            + ", ".join(sorted(names)),
-            file=sys.stderr,
-        )
-        return 2
-    result = function(scale=args.scale)
+    result = EXPERIMENTS[args.name](scale=args.scale)
     print(result["table"])
     return 0
 
@@ -820,9 +810,13 @@ def build_parser() -> argparse.ArgumentParser:
         "one-line 'error: ...' summary",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The knob rows and the experiment table load here, not at
+    # ``import repro.cli``.
+    from repro.bench.experiments import EXPERIMENTS
+    from repro.faults.recovery import RecoveryPolicy
 
     run = sub.add_parser("run", help="run one engine on one workload")
-    _add_workload_args(run)
+    _add_run_args(run)
     run.add_argument(
         "--graph-dir",
         default="",
@@ -854,40 +848,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the batched vertex-update kernels (bulk-sync and the "
         "DiGraph family; same modeled cost, faster simulation)",
     )
-    run.add_argument(
-        "--durability",
-        choices=("none", "durable", "durable-verify"),
-        default="none",
-        help="commit checkpoints to a durable on-disk store under "
-        "--run-dir so a killed job can `repro resume` (default: none)",
-    )
-    run.add_argument(
-        "--run-dir",
-        default="",
-        help="run directory for the durable checkpoint store "
-        "(required with --durability)",
-    )
-    run.add_argument(
-        "--store-retain",
-        type=int,
-        default=2,
-        help="durable checkpoints retained before GC (default: 2)",
-    )
-    run.add_argument(
-        "--no-compact",
-        action="store_true",
-        help="disable zlib compression of cold durable pages",
-    )
-    run.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=1,
-        help="checkpoint every K rounds when durable (default: 1)",
-    )
-    run.add_argument(
-        "--incremental-checkpoints",
-        action="store_true",
-        help="spill per-round dirty deltas instead of full snapshots",
+    add_flags(
+        run,
+        knobs_of(RecoveryPolicy, *_RUN_POLICY),
+        help={
+            "checkpoint_interval": "checkpoint every K rounds when durable "
+            "(default: 1)",
+            "incremental_checkpoints": "spill per-round dirty deltas "
+            "instead of full snapshots",
+        },
     )
     run.set_defaults(func=cmd_run)
 
@@ -988,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_scrub)
 
     compare = sub.add_parser("compare", help="run every engine on a workload")
-    _add_workload_args(compare)
+    _add_run_args(compare)
     compare.set_defaults(func=cmd_compare)
 
     ds = sub.add_parser("datasets", help="print Table-1 dataset properties")
@@ -996,7 +965,12 @@ def build_parser() -> argparse.ArgumentParser:
     ds.set_defaults(func=cmd_datasets)
 
     exp = sub.add_parser("experiment", help="regenerate one figure's table")
-    exp.add_argument("name", help="e.g. fig11_updates, table1, ablation_dmax")
+    exp.add_argument(
+        "name",
+        metavar="NAME",
+        choices=tuple(EXPERIMENTS),
+        help="e.g. fig11_updates, table1, ablation_dmax",
+    )
     exp.add_argument("--scale", type=float, default=0.5)
     exp.set_defaults(func=cmd_experiment)
 
@@ -1115,18 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a deterministic multi-tenant point-query trace with "
         "batched multi-source kernels over one shared preprocessed graph",
     )
-    sv.add_argument(
-        "--dataset",
-        choices=datasets.DATASET_NAMES,
-        default="dblp",
-        help="built-in dataset stand-in (default: dblp)",
-    )
-    sv.add_argument(
-        "--scale", type=float, default=0.25, help="dataset scale factor"
-    )
-    sv.add_argument(
-        "--gpus", type=int, default=None, help="override simulated GPU count"
-    )
+    _add_workload_args(sv, scale=0.25, dataset="dblp", edge_list=False)
     sv.add_argument(
         "--algorithm",
         choices=["sssp", "bfs", "ppr", "reachability", "mixed"],
@@ -1134,109 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="query algorithm for the trace; 'mixed' draws uniformly "
         "over all servable algorithms (default: mixed)",
     )
-    sv.add_argument(
-        "--queries", type=int, default=64, help="trace length (default: 64)"
-    )
-    sv.add_argument(
-        "--tenants", type=int, default=4, help="tenant count (default: 4)"
-    )
-    sv.add_argument(
-        "--lanes",
-        type=int,
-        default=8,
-        help="max same-algorithm queries batched into one multi-source "
-        "solve; 1 = sequential dispatch (default: 8)",
-    )
-    sv.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=32,
-        help="admission bound on in-flight queries (default: 32)",
-    )
-    sv.add_argument(
-        "--tenant-quota",
-        type=int,
-        default=8,
-        help="per-tenant in-flight fairness quota (default: 8)",
-    )
-    sv.add_argument(
-        "--interarrival-us",
-        type=float,
-        default=10.0,
-        help="mean open-loop interarrival time in microseconds "
-        "(default: 10)",
-    )
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-query relative deadline in milliseconds; late answers "
-        "count as deadline misses (default: no deadline)",
-    )
-    sv.add_argument(
-        "--deadline-policy",
-        choices=["reject", "abort"],
-        default="reject",
-        help="'reject' refuses admission once a deadline is hopeless; "
-        "'abort' additionally drops in-flight answers that finished "
-        "late (default: reject)",
-    )
-    sv.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        help="bound on waiting queries; excess is shed deterministically "
-        "from the largest-backlog tenant, newest first (default: "
-        "unbounded)",
-    )
-    sv.add_argument(
-        "--brownout",
-        action="store_true",
-        help="under deadline pressure return partially-converged answers "
-        "with certified residual bounds instead of missing deadlines",
-    )
-    sv.add_argument(
-        "--max-replays",
-        type=int,
-        default=1,
-        help="replay attempts per fault-killed batch before its queries "
-        "abort (default: 1)",
-    )
-    sv.add_argument(
-        "--replay-backoff-us",
-        type=float,
-        default=0.0,
-        help="base backoff before a batch replay, in microseconds; "
-        "doubles per attempt (default: 0)",
-    )
-    sv.add_argument(
-        "--closed-loop",
-        action="store_true",
-        help="closed-loop (think-time) arrival model: each tenant "
-        "session keeps one query in flight instead of the open-loop "
-        "timeline",
-    )
-    sv.add_argument(
-        "--think-us",
-        type=float,
-        default=100.0,
-        help="mean think time between a session's queries with "
-        "--closed-loop, in microseconds (default: 100)",
-    )
-    sv.add_argument(
-        "--kill-launch",
-        type=int,
-        default=None,
-        help="kill the GPU at this serve-wide kernel-launch index "
-        "(default: no fault)",
-    )
-    sv.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="fail the killed batch's queries cleanly instead of "
-        "replaying them",
-    )
+    add_flags(sv, _serve_rows())
     sv.add_argument(
         "--strict",
         action="store_true",
@@ -1254,29 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the invariant-checking conformance battery",
     )
-    vf.add_argument(
-        "--dataset",
-        choices=datasets.DATASET_NAMES,
-        default=None,
-        help="dataset stand-in to verify (default: canonical fixtures)",
-    )
-    vf.add_argument(
-        "--edge-list",
-        help="path to a 'src dst [weight]' file (overrides --dataset)",
-    )
-    vf.add_argument(
-        "--scale", type=float, default=0.25, help="dataset scale factor"
-    )
-    vf.add_argument(
-        "--gpus", type=int, default=None, help="override simulated GPU count"
-    )
-    vf.add_argument(
-        "--algorithms",
-        nargs="+",
-        choices=ALGORITHMS,
-        default=list(ALGORITHMS),
-        help="algorithms to verify (default: all eight)",
-    )
+    _add_workload_args(vf, scale=0.25, dataset=None, algorithms="verify")
     vf.add_argument(
         "--engines",
         nargs="+",
@@ -1302,37 +1142,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep algorithms under a seeded fault plan and certify "
         "recovery against the fault-free golden state",
     )
-    ch.add_argument(
-        "--dataset",
-        choices=datasets.DATASET_NAMES,
-        default="cnr",
-        help="built-in dataset stand-in (default: cnr)",
-    )
-    ch.add_argument(
-        "--edge-list",
-        help="path to a 'src dst [weight]' file (overrides --dataset)",
-    )
-    ch.add_argument(
-        "--scale", type=float, default=0.25, help="dataset scale factor"
-    )
-    ch.add_argument(
-        "--gpus", type=int, default=None, help="override simulated GPU count"
-    )
-    ch.add_argument(
-        "--algorithms",
-        nargs="+",
-        choices=ALGORITHMS,
-        default=list(ALGORITHMS),
-        help="algorithms to sweep (default: all eight)",
-    )
+    _add_workload_args(ch, scale=0.25, algorithms="sweep")
     ch.add_argument(
         "--engines",
         nargs="+",
         choices=ALL_CHAOS_ENGINES,
         default=["digraph"],
-        help="engines to sweep: the DiGraph family (digraph-vec runs "
-        "the vectorized batch kernels) and the baseline comparators "
-        "(default: digraph)",
+        help="engines to sweep: the DiGraph family and the baseline "
+        "comparators (default: digraph)",
     )
     ch.add_argument(
         "--seeds",
@@ -1409,38 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a serving-layer chaos cell per seed (a storm cell "
         "with --storm)",
     )
-    ch.add_argument(
-        "--overlap-spill",
-        action="store_true",
-        help="double-buffer checkpoint spills so the PCIe drain hides "
-        "under subsequent compute",
-    )
-    ch.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=1,
-        help="checkpoint every K rounds; a rollback replays up to K "
-        "rounds (default: 1)",
-    )
-    ch.add_argument(
-        "--incremental-checkpoints",
-        action="store_true",
-        help="spill only vertices dirtied since the previous checkpoint "
-        "(full snapshots every --full-checkpoint-period)",
-    )
-    ch.add_argument(
-        "--full-checkpoint-period",
-        type=int,
-        default=8,
-        help="with --incremental-checkpoints, force a full snapshot "
-        "every Nth checkpoint (default: 8)",
-    )
-    ch.add_argument(
-        "--redistribution",
-        choices=["locality", "edge-balance"],
-        default="locality",
-        help="dead-GPU partition re-placement policy (default: locality)",
-    )
+    add_flags(ch, knobs_of(RecoveryPolicy, *_CHAOS_POLICY))
     ch.add_argument(
         "--compare-redistribution",
         action="store_true",
@@ -1480,29 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repair + delta recompute, certifying each batch against a "
         "from-scratch golden run",
     )
-    st.add_argument(
-        "--dataset",
-        choices=datasets.DATASET_NAMES,
-        default="cnr",
-        help="built-in dataset stand-in (default: cnr)",
-    )
-    st.add_argument(
-        "--edge-list",
-        help="path to a 'src dst [weight]' file (overrides --dataset)",
-    )
-    st.add_argument(
-        "--scale", type=float, default=0.25, help="dataset scale factor"
-    )
-    st.add_argument(
-        "--gpus", type=int, default=None, help="override simulated GPU count"
-    )
-    st.add_argument(
-        "--algorithms",
-        nargs="+",
-        choices=ALGORITHMS,
-        default=list(ALGORITHMS),
-        help="algorithms to stream (default: all eight)",
-    )
+    _add_workload_args(st, scale=0.25, algorithms="stream")
     st.add_argument(
         "--batches", type=int, default=4, help="trace length (default: 4)"
     )
@@ -1515,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--seed", type=int, default=7)
     st.add_argument(
         "--mix",
-        choices=["insert", "delete", "mixed"],
+        choices=MUTATION_MIXES,
         default="mixed",
         help="trace shape: insert-only, delete-heavy, or mixed "
         "(default: mixed)",

@@ -18,9 +18,9 @@ seeded cell must produce identical digests (the determinism contract).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
@@ -34,6 +34,7 @@ from repro.bench.runner import (  # noqa: F401  (re-exported engine sets)
     CHAOS_ENGINES,
     SCALAR_SIBLING,
     make_engine,
+    run_cell,
 )
 from repro.errors import ConfigurationError, InjectedCrashError, ReproError
 from repro.faults.injector import FaultInjector, TraceEvent
@@ -227,6 +228,48 @@ class ChaosCellResult:
         return cell
 
 
+def _verdict(*checks, success: str):
+    """``(passed, detail)`` of a cell: the first failing ``(ok, detail)``
+    check names the detail, ``success`` when none fails."""
+    for ok, detail in checks:
+        if not ok:
+            return False, detail
+    return True, success
+
+
+def _engine_legs(graph, algorithm, machine, graph_name, program_kwargs):
+    """The cell's engine legs: ``leg(engine_name, **run_options)`` runs a
+    fresh engine and program (they cache graph-derived state and must
+    not be shared) through the shared cell runner, never memoized."""
+    return functools.partial(
+        run_cell,
+        algo=algorithm,
+        graph_name=graph_name,
+        machine=machine or MachineSpec(),
+        graph=graph,
+        program_kwargs=program_kwargs,
+    )
+
+
+def _serve_legs(graph, algorithm, machine, graph_name, seed, serve_knobs):
+    """The cell's serve legs: ``leg(**overrides)`` serves the same seeded
+    trace under the same knobs, never memoized."""
+    # Imported lazily: repro.serve depends on repro.faults.plan, so a
+    # module-level import here would be circular.
+    from repro.serve.runner import run_serve_cell
+
+    return functools.partial(
+        run_serve_cell,
+        algorithm,
+        graph_name,
+        seed=seed,
+        machine=machine,
+        graph=graph,
+        use_cache=False,
+        **serve_knobs,
+    )
+
+
 def run_chaos_cell(
     graph,
     algorithm: str,
@@ -240,10 +283,8 @@ def run_chaos_cell(
 ) -> ChaosCellResult:
     """Golden run vs recovered faulted run for one cell.
 
-    A fresh engine and program are built for each of the two runs (they
-    cache graph-derived state and must not be shared). ``recovery``
-    defaults to :class:`RecoveryPolicy`'s defaults; pass an explicit
-    policy to tighten or disable individual mechanisms, or set
+    ``recovery`` defaults to :class:`RecoveryPolicy`'s defaults; pass an
+    explicit policy to tighten or disable individual mechanisms, or set
     ``disable_recovery`` to run the faulted leg with no recovery at all
     (the non-vacuity mode: injected faults are expected to surface as
     failures).
@@ -253,31 +294,16 @@ def run_chaos_cell(
     else:
         recovery = recovery if recovery is not None else RecoveryPolicy()
     _require_round_engine(engine_name)
-    kwargs = dict(program_kwargs or {})
-    machine = machine or MachineSpec()
-
-    golden_program = make_program(algorithm, graph, **kwargs)
+    leg = _engine_legs(graph, algorithm, machine, graph_name, program_kwargs)
     # Vectorized cells take their golden from the scalar sibling: the
     # recovered batched run must converge to the scalar fixed point —
     # the strongest form of the batch-kernel equivalence contract under
     # faults.
-    golden_engine = make_engine(
-        SCALAR_SIBLING.get(engine_name, engine_name), machine
-    )
-    golden = golden_engine.run(
-        graph, golden_program, graph_name=graph_name
-    )
-
+    golden = leg(SCALAR_SIBLING.get(engine_name, engine_name))
     injector = FaultInjector(plan)
-    program = make_program(algorithm, graph, **kwargs)
-    engine = make_engine(engine_name, machine)
     try:
-        faulted = engine.run(
-            graph,
-            program,
-            graph_name=graph_name,
-            fault_injector=injector,
-            recovery=recovery,
+        faulted = leg(
+            engine_name, fault_injector=injector, recovery=recovery
         )
     except ReproError as exc:
         return ChaosCellResult.from_run(
@@ -290,22 +316,18 @@ def run_chaos_cell(
             error=str(exc),
         )
 
+    program = make_program(algorithm, graph, **(program_kwargs or {}))
     band = 0.0
     if algorithm in CONTRACTION_ALGORITHMS:
-        band = equivalence_band(golden_program, graph)
+        band = equivalence_band(program, graph)
     cmp = states_equivalent(golden.states, faulted.states, band)
     fixed = check_fixed_point_reached(program, graph, faulted.states)
-    golden_digest = state_digest(golden.states, band)
-    recovered_digest = state_digest(faulted.states, band)
-    passed = bool(faulted.converged and cmp.passed and fixed.passed)
-    if not faulted.converged:
-        detail = "faulted run did not converge"
-    elif not cmp.passed:
-        detail = f"states diverge from golden: {cmp.detail}"
-    elif not fixed.passed:
-        detail = f"fixed point violated: {fixed.detail}"
-    else:
-        detail = cmp.detail
+    passed, detail = _verdict(
+        (faulted.converged, "faulted run did not converge"),
+        (cmp.passed, f"states diverge from golden: {cmp.detail}"),
+        (fixed.passed, f"fixed point violated: {fixed.detail}"),
+        success=cmp.detail,
+    )
     return ChaosCellResult.from_run(
         algorithm,
         engine_name,
@@ -315,7 +337,10 @@ def run_chaos_cell(
         injector,
         golden,
         faulted,
-        (golden_digest, recovered_digest),
+        (
+            state_digest(golden.states, band),
+            state_digest(faulted.states, band),
+        ),
     )
 
 
@@ -324,60 +349,50 @@ def run_serve_chaos_cell(
     algorithm: str = "mixed",
     kill_launch: int = 4,
     seed: int = 0,
-    num_queries: int = 24,
     replay_on_fault: bool = True,
     machine: Optional[MachineSpec] = None,
     graph_name: str = "serve-chaos",
+    **serve_knobs,
 ) -> ChaosCellResult:
     """GPU kill mid-query against the serving layer, digest-certified.
 
-    The golden leg serves the seeded trace fault-free; the recovered leg
-    kills GPU 0 at serve-wide launch ``kill_launch`` and (by default)
-    replays the dead batch. The cell passes only when the fault actually
-    fired, no query failed, and every served answer matches the golden
-    run bit for bit (:func:`repro.serve.runner.serve_digest` equality).
-    With ``replay_on_fault=False`` this is the non-vacuity leg: the kill
-    must surface as cleanly failed queries and a digest mismatch.
+    The golden leg serves the seeded trace (24 queries unless
+    ``serve_knobs`` — :func:`~repro.serve.runner.run_serve_cell`'s —
+    say otherwise) fault-free; the recovered leg kills GPU 0 at
+    serve-wide launch ``kill_launch`` and (by default) replays the dead
+    batch. The cell passes only when the fault actually fired, no query
+    failed, and every served answer matches the golden run bit for bit
+    (:func:`repro.serve.runner.serve_digest` equality). With
+    ``replay_on_fault=False`` this is the non-vacuity leg: the kill must
+    surface as cleanly failed queries and a digest mismatch.
     """
-    # Imported lazily: repro.serve depends on repro.faults.plan, so a
-    # module-level import here would be circular.
-    from repro.serve.runner import run_serve_cell, serve_digest
+    from repro.serve.runner import serve_digest
 
-    common = dict(
-        seed=seed,
-        num_queries=num_queries,
-        machine=machine,
-        graph=graph,
-        use_cache=False,
+    leg = _serve_legs(
+        graph, algorithm, machine, graph_name, seed,
+        {"num_queries": 24, **serve_knobs},
     )
-    golden = run_serve_cell(algorithm, graph_name, **common)
-    recovered = run_serve_cell(
-        algorithm,
-        graph_name,
-        kill_launch=kill_launch,
-        replay_on_fault=replay_on_fault,
-        **common,
-    )
-    digest_match = serve_digest(golden) == serve_digest(recovered)
-    passed = bool(
-        recovered.faults_injected > 0
-        and not recovered.failed
-        and digest_match
-    )
-    if recovered.faults_injected == 0:
-        detail = f"vacuous: no fault fired at launch {kill_launch}"
-    elif recovered.failed:
-        detail = (
+    golden = leg()
+    recovered = leg(kill_launch=kill_launch, replay_on_fault=replay_on_fault)
+    passed, detail = _verdict(
+        (
+            recovered.faults_injected > 0,
+            f"vacuous: no fault fired at launch {kill_launch}",
+        ),
+        (
+            not recovered.failed,
             f"{len(recovered.failed)} queries failed "
-            f"(replay_on_fault={replay_on_fault})"
-        )
-    elif not digest_match:
-        detail = "served answers diverge from fault-free golden run"
-    else:
-        detail = (
+            f"(replay_on_fault={replay_on_fault})",
+        ),
+        (
+            serve_digest(golden) == serve_digest(recovered),
+            "served answers diverge from fault-free golden run",
+        ),
+        success=(
             f"{len(recovered.completed)} served answers match golden "
             f"after {recovered.replays}-query batch replay"
-        )
+        ),
+    )
     return ChaosCellResult.from_serve(
         f"serve-{algorithm}", seed, passed, detail, golden, recovered
     )
@@ -387,35 +402,33 @@ def run_serve_storm_cell(
     graph,
     algorithm: str = "mixed",
     seed: int = 0,
-    num_queries: int = 32,
     kills: int = 3,
     first_kill_at: int = 2,
     kill_spacing: int = 4,
-    max_replays: int = 3,
-    replay_backoff_us: float = 5.0,
-    deadline_ms: Optional[float] = None,
-    deadline_policy: str = "reject",
-    max_queue: Optional[int] = None,
-    brownout: bool = False,
     machine: Optional[MachineSpec] = None,
     graph_name: str = "serve-storm",
+    **serve_knobs,
 ) -> ChaosCellResult:
     """A correlated fault storm against the serving layer.
 
     ``kills`` GPU deaths land on the serve-wide launch counter with
     ``kill_spacing`` between them — close enough that later kills
     strike *during the replay* of earlier ones (replays consume fresh
-    launch indices). The cell certifies the ISSUE-8 contract: the
-    server must either **fully recover to identical digests** (no
-    overload knobs set: every answer matches the fault-free golden
-    leg) or **degrade/shed deterministically with structured errors**
-    (overload knobs set: the storm replayed twice yields byte-identical
+    launch indices). ``serve_knobs`` are
+    :func:`~repro.serve.runner.run_serve_cell`'s, over this cell's own
+    defaults (32 queries, a replay budget of 3 with 5 us backoff). The
+    cell certifies the ISSUE-8 contract: the server must either **fully
+    recover to identical digests** (no overload knob set: every answer
+    matches the fault-free golden leg) or **degrade/shed
+    deterministically with structured errors** (an overload knob set:
+    the storm replayed twice yields byte-identical
     ``ServeReport.metrics()`` and serve digests, and every non-answered
     query carries a structured error) — never a hang, never an
     unstructured exception.
     """
-    from repro.serve.query import QUERY_STATUSES
-    from repro.serve.runner import run_serve_cell, serve_digest
+    from repro.serve.query import ANSWERED_STATUSES, QUERY_STATUSES
+    from repro.serve.runner import serve_digest
+    from repro.serve.server import OVERLOAD_KNOBS
 
     plan = FaultPlan.generate_storm(
         seed,
@@ -424,32 +437,18 @@ def run_serve_storm_cell(
         first_kill_at=first_kill_at,
         kill_spacing=kill_spacing,
     )
-    common = dict(
-        seed=seed,
-        num_queries=num_queries,
-        machine=machine,
-        graph=graph,
-        use_cache=False,
-        max_replays=max_replays,
-        replay_backoff_us=replay_backoff_us,
-        deadline_ms=deadline_ms,
-        deadline_policy=deadline_policy,
-        max_queue=max_queue,
-        brownout=brownout,
-    )
-    overloaded = (
-        deadline_ms is not None or max_queue is not None or brownout
-    )
-
+    knobs = {
+        "num_queries": 32,
+        "max_replays": 3,
+        "replay_backoff_us": 5.0,
+        **serve_knobs,
+    }
+    leg = _serve_legs(graph, algorithm, machine, graph_name, seed, knobs)
     cell_algorithm = f"serve-storm-{algorithm}"
     try:
-        golden = run_serve_cell(algorithm, graph_name, **common)
-        stormed = run_serve_cell(
-            algorithm, graph_name, fault_plan=plan, **common
-        )
-        replayed = run_serve_cell(
-            algorithm, graph_name, fault_plan=plan, **common
-        )
+        golden = leg()
+        stormed = leg(fault_plan=plan)
+        replayed = leg(fault_plan=plan)
     except ReproError as exc:
         return ChaosCellResult.from_serve(
             cell_algorithm,
@@ -459,46 +458,42 @@ def run_serve_storm_cell(
             error=str(exc),
         )
 
-    golden_digest = serve_digest(golden)
     storm_digest = serve_digest(stormed)
-    deterministic = (
-        storm_digest == serve_digest(replayed)
-        and stormed.metrics() == replayed.metrics()
+    bad = next(
+        (r for r in stormed.results if r.status not in QUERY_STATUSES), None
     )
-    bad_status = [
-        r for r in stormed.results if r.status not in QUERY_STATUSES
-    ]
-    unstructured = [
-        r
-        for r in stormed.results
-        if r.status not in ("ok", "degraded") and not r.error
-    ]
+    mute = next(
+        (
+            r
+            for r in stormed.results
+            if r.status not in ANSWERED_STATUSES and not r.error
+        ),
+        None,
+    )
     recovered_identical = (
-        not stormed.failed and storm_digest == golden_digest
+        not stormed.failed and storm_digest == serve_digest(golden)
     )
-    if stormed.faults_injected == 0:
-        passed, detail = False, "vacuous: storm injected no faults"
-    elif bad_status:
-        passed, detail = False, (
-            f"unknown result status {bad_status[0].status!r}"
-        )
-    elif unstructured:
-        passed, detail = False, (
-            f"query {unstructured[0].query.query_id} ended "
-            f"{unstructured[0].status!r} without a structured error"
-        )
-    elif not deterministic:
-        passed, detail = False, (
-            "storm replayed twice diverged (digest or metrics)"
-        )
-    elif not overloaded and not recovered_identical:
-        passed, detail = False, (
+    overloaded = any(knobs.get(name) for name in OVERLOAD_KNOBS)
+    passed, detail = _verdict(
+        (stormed.faults_injected > 0, "vacuous: storm injected no faults"),
+        (bad is None, bad and f"unknown result status {bad.status!r}"),
+        (
+            mute is None,
+            mute
+            and f"query {mute.query.query_id} ended {mute.status!r} "
+            "without a structured error",
+        ),
+        (
+            storm_digest == serve_digest(replayed)
+            and stormed.metrics() == replayed.metrics(),
+            "storm replayed twice diverged (digest or metrics)",
+        ),
+        (
+            overloaded or recovered_identical,
             f"{len(stormed.failed)} queries failed and digests "
-            "diverge from golden with full replay budget"
-        )
-    else:
-        passed = True
-        detail = (
+            "diverge from golden with full replay budget",
+        ),
+        success=(
             f"recovered identical digests after {stormed.replays} "
             f"lane replays"
             if recovered_identical
@@ -509,7 +504,8 @@ def run_serve_storm_cell(
                 f"{len(stormed.rejected)} rejected, "
                 f"{len(stormed.failed)} aborted — all structured"
             )
-        )
+        ),
+    )
     return ChaosCellResult.from_serve(
         cell_algorithm, seed, passed, detail, golden, stormed
     )
@@ -615,8 +611,7 @@ def run_crash_restart_cell(
     _require_round_engine(engine_name)
     durable = _durable_policy(recovery, run_dir)
     golden_policy = replace(durable, durability="none", run_dir="")
-    kwargs = dict(program_kwargs or {})
-    machine = machine or MachineSpec()
+    leg = _engine_legs(graph, algorithm, machine, graph_name, program_kwargs)
     cell_algorithm = f"{algorithm}@{crash_point}"
 
     def fail(detail: str, error: Optional[str] = None) -> ChaosCellResult:
@@ -624,22 +619,10 @@ def run_crash_restart_cell(
             cell_algorithm, engine_name, None, False, detail, error=error
         )
 
-    golden_engine = make_engine(engine_name, machine)
-    golden_program = make_program(algorithm, graph, **kwargs)
-    golden = golden_engine.run(
-        graph, golden_program, graph_name=graph_name,
-        recovery=golden_policy,
-    )
-
-    plan = crash_plan(crash_point, engine_name, crash_round)
-    injector = FaultInjector(plan)
-    engine = make_engine(engine_name, machine)
-    program = make_program(algorithm, graph, **kwargs)
+    golden = leg(engine_name, recovery=golden_policy)
+    injector = FaultInjector(crash_plan(crash_point, engine_name, crash_round))
     try:
-        engine.run(
-            graph, program, graph_name=graph_name,
-            fault_injector=injector, recovery=durable,
-        )
+        leg(engine_name, fault_injector=injector, recovery=durable)
         return fail(
             f"vacuous: no crash fired at {crash_point} "
             f"(golden took {golden.stats.rounds} rounds)"
@@ -652,38 +635,33 @@ def run_crash_restart_cell(
             "InjectedCrashError",
             str(exc),
         )
-
-    resume_engine = make_engine(engine_name, machine)
-    resume_program = make_program(algorithm, graph, **kwargs)
     try:
-        resumed = resume_engine.run(
-            graph, resume_program, graph_name=graph_name,
-            recovery=durable, resume=True,
-        )
+        resumed = leg(engine_name, recovery=durable, resume=True)
     except ReproError as exc:
         return fail(f"resume raised {type(exc).__name__}", str(exc))
 
     fixed = check_fixed_point_reached(
-        resume_program, graph, resumed.states
+        make_program(algorithm, graph, **(program_kwargs or {})),
+        graph,
+        resumed.states,
     )
-    golden_digest = state_digest(golden.states, 0.0)
-    resumed_digest = state_digest(resumed.states, 0.0)
-    digest_match = golden_digest == resumed_digest
-    passed = bool(resumed.converged and digest_match and fixed.passed)
-    if not resumed.converged:
-        detail = "resumed run did not converge"
-    elif not digest_match:
-        detail = (
+    digests = (
+        state_digest(golden.states, 0.0),
+        state_digest(resumed.states, 0.0),
+    )
+    passed, detail = _verdict(
+        (resumed.converged, "resumed run did not converge"),
+        (
+            digests[0] == digests[1],
             f"resumed states diverge bit-wise from golden after "
-            f"{crash_point} crash"
-        )
-    elif not fixed.passed:
-        detail = f"fixed point violated: {fixed.detail}"
-    else:
-        detail = (
+            f"{crash_point} crash",
+        ),
+        (fixed.passed, f"fixed point violated: {fixed.detail}"),
+        success=(
             f"{crash_point} crash restarted bit-identical from the "
             "durable store"
-        )
+        ),
+    )
     return ChaosCellResult.from_run(
         cell_algorithm,
         engine_name,
@@ -693,7 +671,7 @@ def run_crash_restart_cell(
         injector,
         golden,
         resumed,
-        (golden_digest, resumed_digest),
+        digests,
     )
 
 
@@ -703,9 +681,9 @@ def run_serve_crash_restart_cell(
     algorithm: str = "mixed",
     crash_launch: int = 12,
     seed: int = 0,
-    num_queries: int = 24,
     machine: Optional[MachineSpec] = None,
     graph_name: str = "serve-crash",
+    **serve_knobs,
 ) -> ChaosCellResult:
     """Whole-process crash mid-serve, restarted from the batch journal.
 
@@ -716,57 +694,51 @@ def run_serve_crash_restart_cell(
     re-executes only the tail. Passes when the crash actually fired and
     the restarted report's serve digest equals the uninterrupted golden
     run's — admitted-but-unanswered queries resume deterministically.
+    ``serve_knobs`` are :func:`~repro.serve.runner.run_serve_cell`'s
+    (24 queries unless they say otherwise).
     """
-    from repro.faults.store import SERVE_JOURNAL_NAME
-    from repro.serve.runner import run_serve_cell, serve_digest
+    from repro.faults.store import SERVE_JOURNAL_NAME, ServeJournal
+    from repro.serve.runner import serve_digest
 
     journal_path = os.path.join(run_dir, SERVE_JOURNAL_NAME)
-    common = dict(
-        seed=seed,
-        num_queries=num_queries,
-        machine=machine,
-        graph=graph,
-        use_cache=False,
+    leg = _serve_legs(
+        graph, algorithm, machine, graph_name, seed,
+        {"num_queries": 24, **serve_knobs},
     )
-    golden = run_serve_cell(algorithm, graph_name, **common)
+    cell_algorithm = f"serve-crash-{algorithm}"
+    golden = leg()
     plan = FaultPlan(
         compute_faults={int(crash_launch): ComputeFault(crash=True)}
     )
-    crashed = False
     try:
-        run_serve_cell(
-            algorithm, graph_name, fault_plan=plan,
-            journal_path=journal_path, **common,
-        )
-    except InjectedCrashError:
-        crashed = True
-    if not crashed:
+        leg(fault_plan=plan, journal_path=journal_path)
         return ChaosCellResult.from_serve(
-            f"serve-crash-{algorithm}",
+            cell_algorithm,
             seed,
             False,
             f"vacuous: no crash fired at launch {crash_launch} "
             f"(golden took {golden.launches} launches)",
         )
-    resumed = run_serve_cell(
-        algorithm, graph_name, journal_path=journal_path, **common
+    except InjectedCrashError:
+        pass
+    resumed = leg(journal_path=journal_path)
+    passed, detail = _verdict(
+        (
+            serve_digest(golden) == serve_digest(resumed),
+            "restarted serve run diverges from golden",
+        ),
+        (
+            not resumed.failed,
+            f"{len(resumed.failed)} queries failed after restart",
+        ),
+        success=(
+            f"restart replayed {len(ServeJournal(journal_path).load())} "
+            "journaled batches and re-served the tail bit-identical to "
+            "golden"
+        ),
     )
-    digest_match = serve_digest(golden) == serve_digest(resumed)
-    passed = bool(digest_match and not resumed.failed)
-    if not digest_match:
-        detail = "restarted serve run diverges from golden"
-    elif resumed.failed:
-        detail = f"{len(resumed.failed)} queries failed after restart"
-    else:
-        from repro.faults.store import ServeJournal
-
-        replayed = len(ServeJournal(journal_path).load())
-        detail = (
-            f"restart replayed {replayed} journaled batches and "
-            f"re-served the tail bit-identical to golden"
-        )
     cell = ChaosCellResult.from_serve(
-        f"serve-crash-{algorithm}", seed, passed, detail, golden, resumed
+        cell_algorithm, seed, passed, detail, golden, resumed
     )
     # The restarted leg ran fault-free; the crash that killed its
     # predecessor is the cell's one fault.
@@ -841,17 +813,17 @@ def resume_run(
     target_gpus = int(gpus) if gpus is not None else header_gpus
     if target_gpus:
         spec = spec.scaled(target_gpus)
-    engine = make_engine(
-        header["engine"], spec,
+    return run_cell(
+        header["engine"],
+        header["algorithm"],
+        header["dataset"],
+        machine=spec,
+        graph=graph,
         vectorized=bool(header.get("vectorized", False)),
-    )
-    policy = RecoveryPolicy(
-        run_dir=run_dir, **dict(header.get("policy") or {})
-    )
-    program = make_program(header["algorithm"], graph)
-    return engine.run(
-        graph, program, graph_name=header["dataset"],
-        recovery=policy, resume=True,
+        recovery=RecoveryPolicy(
+            run_dir=run_dir, **dict(header.get("policy") or {})
+        ),
+        resume=True,
     )
 
 
@@ -940,8 +912,9 @@ def crash_restart_sweep(
     for algorithm in algorithms:
         for engine_name in engine_names:
             for crash_point in crash_points:
-                cell_dir = tempfile.mkdtemp(prefix="repro-crash-")
-                try:
+                with tempfile.TemporaryDirectory(
+                    prefix="repro-crash-"
+                ) as cell_dir:
                     results.append(
                         run_crash_restart_cell(
                             graph,
@@ -954,11 +927,8 @@ def crash_restart_sweep(
                             graph_name=graph_name,
                         )
                     )
-                finally:
-                    shutil.rmtree(cell_dir, ignore_errors=True)
     if include_serve:
-        cell_dir = tempfile.mkdtemp(prefix="repro-crash-")
-        try:
+        with tempfile.TemporaryDirectory(prefix="repro-crash-") as cell_dir:
             results.append(
                 run_serve_crash_restart_cell(
                     graph,
@@ -968,8 +938,6 @@ def crash_restart_sweep(
                     graph_name=graph_name,
                 )
             )
-        finally:
-            shutil.rmtree(cell_dir, ignore_errors=True)
     return results
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.knobs import check_fields, knob
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,15 @@ class RecoveryPolicy:
     """Bounds and switches for fault recovery."""
 
     #: Retries per transfer before a transient fault escalates.
-    max_transfer_retries: int = 4
+    max_transfer_retries: int = knob(int, 4, minimum=0)
     #: First backoff wait (model seconds); doubles by ``backoff_multiplier``.
-    backoff_base_s: float = 1e-4
-    backoff_multiplier: float = 2.0
+    backoff_base_s: float = knob(float, 1e-4, minimum=0)
+    backoff_multiplier: float = knob(float, 2.0, minimum=1)
     #: Resends per replica batch before a sync fault escalates.
-    max_sync_retries: int = 4
+    max_sync_retries: int = knob(int, 4, minimum=0)
     #: A GPU is a straggler when its wave exceeds this multiple of the
     #: median peer wave time.
-    straggler_timeout_factor: float = 4.0
+    straggler_timeout_factor: float = knob(float, 4.0, minimum=1)
     #: Re-dispatch straggler waves (cap their elapsed time at timeout +
     #: one nominal re-execution) instead of waiting them out.
     redispatch_stragglers: bool = True
@@ -50,22 +51,39 @@ class RecoveryPolicy:
     #: Checkpoint every K rounds. K = 1 snapshots every round (cheapest
     #: recovery, highest overhead); larger K amortizes the spill cost
     #: but a rollback replays up to K rounds.
-    checkpoint_interval: int = 1
+    checkpoint_interval: int = knob(
+        int, 1, minimum=1, sweep=True, flag="--checkpoint-interval",
+        help="checkpoint every K rounds; a rollback replays up to K "
+        "rounds (default: 1)",
+    )
     #: Spill only the vertices dirtied since the previous checkpoint (a
     #: delta against the host-side shadow copy) instead of the full
     #: state. Restores stay bit-exact either way — the knob only changes
     #: the modeled spill cost.
-    incremental_checkpoints: bool = False
+    incremental_checkpoints: bool = knob(
+        bool, False, sweep=True, flag="--incremental-checkpoints",
+        flag_sets=True,
+        help="spill only vertices dirtied since the previous checkpoint "
+        "(full snapshots every --full-checkpoint-period)",
+    )
     #: With incremental checkpoints, force a full snapshot every Nth
     #: checkpoint so delta chains stay bounded (1 = always full).
-    full_checkpoint_period: int = 8
+    full_checkpoint_period: int = knob(
+        int, 8, minimum=1, sweep=True, flag="--full-checkpoint-period",
+        help="with --incremental-checkpoints, force a full snapshot "
+        "every Nth checkpoint (default: 8)",
+    )
     #: Double-buffer checkpoint spills: the snapshot is staged into a
     #: second host buffer and drained over the PCIe ring *while the next
     #: rounds compute*, so only the spill time exceeding the subsequent
     #: compute window serializes. Restores stay bit-exact — the knob
     #: only changes how much spill cost the timeline hides
     #: (``checkpoint_hidden_time_s``).
-    overlap_checkpoint_spill: bool = False
+    overlap_checkpoint_spill: bool = knob(
+        bool, False, flag="--overlap-spill", flag_sets=True,
+        help="double-buffer checkpoint spills so the PCIe drain hides "
+        "under subsequent compute",
+    )
     #: Durable checkpointing (see :mod:`repro.faults.store`):
     #: ``"none"`` keeps checkpoints in the in-memory host shadow only
     #: (a whole-process crash loses the run); ``"durable"`` additionally
@@ -74,67 +92,51 @@ class RecoveryPolicy:
     #: ``repro resume`` becomes possible); ``"durable-verify"`` also
     #: restores *rollbacks* from the store's pages, verifying every
     #: checksum on the way back in.
-    durability: str = "none"
+    durability: str = knob(
+        str, "none", choices=("none", "durable", "durable-verify"),
+        flag="--durability",
+        help="commit checkpoints to a durable on-disk store under "
+        "--run-dir so a killed job can `repro resume` (default: none)",
+    )
     #: Run directory holding the durable store (required when
     #: ``durability`` is not ``"none"``).
-    run_dir: str = ""
+    run_dir: str = knob(
+        str, "", flag="--run-dir",
+        help="run directory for the durable checkpoint store "
+        "(required with --durability)",
+    )
     #: Durable checkpoints retained before GC (the window stretches
     #: back to the nearest full checkpoint so delta chains stay
     #: restorable).
-    store_retain: int = 2
+    store_retain: int = knob(
+        int, 2, minimum=1, flag="--store-retain",
+        help="durable checkpoints retained before GC (default: 2)",
+    )
     #: Compress cold durable pages (every checkpoint but the newest)
     #: with zlib, recommitted in the same manifest commit — the
     #: "checkpoint compaction" cost model.
-    store_compact: bool = True
+    store_compact: bool = knob(
+        bool, True, flag="--no-compact", flag_sets=False,
+        help="disable zlib compression of cold durable pages",
+    )
     #: How a dead GPU's partitions are re-placed: ``"locality"`` keeps
     #: each dependency-connected cluster co-resident on the survivor
     #: with the highest inter-group edge cut to its resident partitions;
     #: ``"edge-balance"`` spreads them to the least-loaded survivors.
-    redistribution_policy: str = "locality"
+    redistribution_policy: str = knob(
+        str, "locality", name="redistribution",
+        choices=("locality", "edge-balance"), sweep=True,
+        flag="--redistribution",
+        help="dead-GPU partition re-placement policy (default: locality)",
+    )
     #: GPU losses survivable in one run before giving up.
-    max_gpu_loss_recoveries: int = 8
+    max_gpu_loss_recoveries: int = knob(int, 8, minimum=0)
 
     def __post_init__(self) -> None:
-        if self.max_transfer_retries < 0:
-            raise ConfigurationError("max_transfer_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ConfigurationError("backoff_base_s must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("backoff_multiplier must be >= 1")
-        if self.max_sync_retries < 0:
-            raise ConfigurationError("max_sync_retries must be >= 0")
-        if self.straggler_timeout_factor < 1.0:
-            raise ConfigurationError(
-                "straggler_timeout_factor must be >= 1"
-            )
-        if self.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be >= 1")
-        if self.full_checkpoint_period < 1:
-            raise ConfigurationError(
-                "full_checkpoint_period must be >= 1"
-            )
-        if self.durability not in ("none", "durable", "durable-verify"):
-            raise ConfigurationError(
-                "durability must be 'none', 'durable', or "
-                f"'durable-verify', got {self.durability!r}"
-            )
+        check_fields(self)
         if self.durability != "none" and not self.run_dir:
             raise ConfigurationError(
                 f"durability={self.durability!r} requires run_dir"
-            )
-        if self.store_retain < 1:
-            raise ConfigurationError("store_retain must be >= 1")
-        if self.redistribution_policy not in (
-            "locality",
-            "edge-balance",
-        ):
-            raise ConfigurationError(
-                "redistribution_policy must be 'locality' or "
-                f"'edge-balance', got {self.redistribution_policy!r}"
-            )
-        if self.max_gpu_loss_recoveries < 0:
-            raise ConfigurationError(
-                "max_gpu_loss_recoveries must be >= 0"
             )
 
     def make_checkpoint_manager(self, machine, client):

@@ -468,6 +468,10 @@ def bowtie_graph(
     return from_edges(edges, num_vertices=core + in_tail + out_tail)
 
 
+#: Workload shapes :func:`mutation_trace` can draw.
+MUTATION_MIXES = ("insert", "delete", "mixed")
+
+
 def mutation_trace(
     graph: DiGraphCSR,
     n_batches: int,
@@ -499,7 +503,7 @@ def mutation_trace(
         raise GraphError("n_batches must be >= 0")
     if batch_size < 1:
         raise GraphError("batch_size must be >= 1")
-    if mix not in ("insert", "delete", "mixed"):
+    if mix not in MUTATION_MIXES:
         raise GraphError(f"unknown trace mix {mix!r}")
     rng = np.random.default_rng(seed)
     n = graph.num_vertices

@@ -25,6 +25,7 @@ from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
+from repro.knobs import knob
 from repro.model.gas import VertexProgram
 
 #: Algorithms the serving layer batches into multi-source lane kernels.
@@ -329,3 +330,52 @@ def generate_trace(
             )
         )
     return tuple(queries)
+
+
+@dataclass(frozen=True)
+class TraceSpec:
+    """The arguments of :func:`generate_trace` as one hashable record.
+
+    What a serve cell's memo key and its sweep knobs are made of: the
+    fields a cell can vary from outside are :func:`~repro.knobs.knob`
+    declarations (external name, unit, CLI flag); :func:`generate_trace`
+    itself validates the values when the trace is drawn.
+    """
+
+    num_queries: int = knob(
+        int, 32, minimum=1, sweep=True, flag="--queries", flag_default=64,
+        help="trace length (default: 64)",
+    )
+    seed: int = 0
+    tenants: Union[int, Tuple[str, ...]] = knob(
+        int, 4, name="tenant_count", minimum=1, sweep=True,
+        flag="--tenants", help="tenant count (default: 4)",
+    )
+    mean_interarrival_s: float = knob(
+        float, 10.0, name="mean_interarrival_us", scale=1e-6,
+        positive=True, sweep=True, flag="--interarrival-us",
+        help="mean open-loop interarrival time in microseconds "
+        "(default: 10)",
+    )
+    algorithms: Tuple[str, ...] = SERVE_ALGORITHMS
+    tenant_weights: Optional[Dict[str, float]] = None
+    seed_set_size: int = 2
+    arrival_model: str = knob(
+        str, "open", choices=("open", "closed"), sweep=True,
+        flag="--closed-loop", flag_sets="closed",
+        help="closed-loop (think-time) arrival model: each tenant "
+        "session keeps one query in flight instead of the open-loop "
+        "timeline",
+    )
+    mean_think_time_s: float = knob(
+        float, 100.0, name="mean_think_time_us", scale=1e-6,
+        positive=True, sweep=True, flag="--think-us",
+        help="mean think time between a session's queries with "
+        "--closed-loop, in microseconds (default: 100)",
+    )
+    deadline_s: Optional[float] = None
+
+    def generate(
+        self, num_vertices: int
+    ) -> Union[Tuple[Query, ...], ClosedLoopTrace]:
+        return generate_trace(num_vertices, **vars(self))

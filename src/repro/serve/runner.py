@@ -7,12 +7,11 @@ call that loads (or accepts) a graph, builds/reuses a
 arrival trace, and runs the :class:`~repro.serve.server.QueryServer`.
 
 Cache-poisoning note: serve cells are memoized in the **same** process
-cache as batch cells (:data:`repro.bench.runner._CACHE`), so their keys
-carry every serving knob — ``query_lanes``, ``tenant_count``, quotas,
-trace shape, fault schedule — exactly like ``run_cell``'s key now
-carries ``query_lanes``/``tenant_count`` placeholders: two cells that
-differ only in a serving knob can never alias, and a serve cell can
-never shadow a batch cell.
+cache as batch cells (:data:`repro.bench.runner._CACHE`). Their keys
+start with the literal ``"serve"`` (no engine has that name) and carry
+the two frozen configs the cell is built from, so a serve cell can never
+shadow a batch cell and two cells that differ only in a serving knob can
+never alias.
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ from repro.bench import runner as bench_runner
 from repro.errors import ConfigurationError
 from repro.faults.plan import ComputeFault, FaultPlan
 from repro.gpu.config import SCALED_MACHINE, MachineSpec
+from repro.knobs import Knob, field_values
 from repro.serve.context import ServingContext
-from repro.serve.query import SERVE_ALGORITHMS, generate_trace
+from repro.serve.query import SERVE_ALGORITHMS, TraceSpec
 from repro.serve.server import QueryServer, ServeConfig, ServeReport
 
 #: Per-process context cache: building a ServingContext runs the full
@@ -82,135 +82,101 @@ def clear_context_cache() -> None:
     _CONTEXT_CACHE.clear()
 
 
+#: The one serve-cell knob that is not a config field: it becomes a
+#: hand-written one-kill :class:`~repro.faults.plan.FaultPlan`.
+KILL_LAUNCH = Knob(
+    "kill_launch", int, None, minimum=0, sweep=True,
+    flag="--kill-launch",
+    help="kill the GPU at this serve-wide kernel-launch index "
+    "(default: no fault)",
+)
+
+
 def run_serve_cell(
     algorithm: str,
     graph_name: str,
+    *,
     scale: float = bench_runner.DEFAULT_SCALE,
     seed: int = 0,
-    num_queries: int = 32,
-    tenant_count: int = 4,
-    query_lanes: int = 8,
-    max_concurrent: int = 32,
-    tenant_quota: int = 8,
-    mean_interarrival_us: float = 10.0,
     num_gpus: Optional[int] = None,
-    kill_launch: Optional[int] = None,
-    replay_on_fault: bool = True,
-    max_rounds: int = 100000,
     machine: Optional[MachineSpec] = None,
-    use_cache: bool = True,
     graph=None,
-    strict: bool = False,
-    tenant_weights=None,
-    deadline_ms: Optional[float] = None,
-    deadline_policy: str = "reject",
-    max_queue: Optional[int] = None,
-    brownout: bool = False,
-    max_replays: int = 1,
-    replay_backoff_us: float = 0.0,
-    arrival_model: str = "open",
-    mean_think_time_us: float = 100.0,
+    kill_launch: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     journal_path: Optional[str] = None,
+    strict: bool = False,
+    use_cache: bool = True,
+    tenant_weights=None,
+    **knobs,
 ) -> ServeReport:
     """Serve one deterministic trace; memoized like a batch cell.
 
     ``algorithm`` is one of :data:`~repro.serve.query.SERVE_ALGORITHMS`
     or ``"mixed"`` (the trace draws uniformly over all of them).
+    ``knobs`` are the trace and server knobs by their external names and
+    units — every :func:`~repro.knobs.knob` of
+    :class:`~repro.serve.query.TraceSpec` (``num_queries``,
+    ``tenant_count``, ``mean_interarrival_us``, ``arrival_model``,
+    ``mean_think_time_us``) and of
+    :class:`~repro.serve.server.ServeConfig` (``query_lanes``,
+    ``deadline_ms``, ``max_queue``, ``replay_backoff_us``, ...). The two
+    frozen configs built from them are the memo key, so two cells that
+    differ in any knob never alias.
+
     ``kill_launch`` schedules a GPU kill at that serve-wide launch
-    index (a hand-written :class:`~repro.faults.plan.FaultPlan`);
-    ``replay_on_fault`` decides replay-to-correct-digests vs clean
-    structured failure. ``fault_plan`` supplies a full correlated
-    schedule instead (storms); it bypasses the memo cache like the
-    other custom inputs (``graph`` / ``tenant_weights`` / ``strict``).
-
-    Overload knobs: ``deadline_ms`` (relative per-query deadline),
-    ``deadline_policy``, ``max_queue`` (bounded backlog with
-    deterministic shedding), ``brownout`` (certified partial answers),
-    ``max_replays`` + ``replay_backoff_us`` (retry budget), and
-    ``arrival_model`` (``"open"``/``"closed"`` with
-    ``mean_think_time_us``). All of them are part of the memo key.
-
-    ``journal_path`` points the server at a durable
-    :class:`~repro.faults.store.ServeJournal`: completed batches are
-    journaled, and a re-run over the same trace replays them instead of
-    re-solving (crash-restart recovery). Bypasses the memo cache.
+    index; ``replay_on_fault`` decides replay-to-correct-digests vs
+    clean structured failure. ``fault_plan`` supplies a full correlated
+    schedule instead (storms). ``journal_path`` points the server at a
+    durable :class:`~repro.faults.store.ServeJournal`: completed batches
+    are journaled, and a re-run over the same trace replays them instead
+    of re-solving (crash-restart recovery). Custom inputs (``graph`` /
+    ``tenant_weights`` / ``strict`` / ``fault_plan`` / ``journal_path``)
+    bypass the memo cache.
     """
     if algorithm != "mixed" and algorithm not in SERVE_ALGORITHMS:
         raise ConfigurationError(
             f"algorithm {algorithm!r} is not servable; expected one of "
             f"{SERVE_ALGORITHMS + ('mixed',)}"
         )
-    if tenant_count < 1:
-        raise ConfigurationError("tenant_count must be >= 1")
-    if kill_launch is not None and kill_launch < 0:
-        raise ConfigurationError("kill_launch must be >= 0")
-    if deadline_ms is not None and deadline_ms <= 0:
-        raise ConfigurationError("deadline_ms must be positive")
-    if replay_backoff_us < 0:
-        raise ConfigurationError("replay_backoff_us must be >= 0")
+    kill_launch = KILL_LAUNCH.convert(kill_launch)
+    trace_fields, config_fields = field_values(knobs, TraceSpec, ServeConfig)
+    trace_spec = TraceSpec(
+        seed=seed,
+        algorithms=SERVE_ALGORITHMS if algorithm == "mixed" else (algorithm,),
+        tenant_weights=tenant_weights,
+        **trace_fields,
+    )
+    config = ServeConfig(**config_fields)
     spec = machine or SCALED_MACHINE
     if num_gpus is not None:
         spec = spec.scaled(num_gpus)
-    custom = (
+    cacheable = use_cache and not (
         graph is not None
         or tenant_weights is not None
         or strict
         or fault_plan is not None
         or journal_path is not None
     )
-    key = (
-        "serve", algorithm, graph_name, scale, num_gpus, None, False, spec,
-        query_lanes, tenant_count, max_concurrent, tenant_quota,
-        num_queries, mean_interarrival_us, seed, kill_launch,
-        replay_on_fault, max_rounds,
-        deadline_ms, deadline_policy, max_queue, brownout,
-        max_replays, replay_backoff_us, arrival_model, mean_think_time_us,
-    )
-    if use_cache and not custom and key in bench_runner._CACHE:
-        return bench_runner._CACHE[key]
+    if cacheable:
+        key = (
+            "serve", algorithm, graph_name, scale, spec, kill_launch,
+            trace_spec, config,
+        )
+        if key in bench_runner._CACHE:
+            return bench_runner._CACHE[key]
 
     context = serving_context_for(
         graph_name, algorithm, scale, spec, graph=graph
     )
-    trace = generate_trace(
-        context.graph.num_vertices,
-        num_queries,
-        seed=seed,
-        tenants=tenant_count,
-        mean_interarrival_s=mean_interarrival_us * 1e-6,
-        algorithms=(
-            SERVE_ALGORITHMS if algorithm == "mixed" else (algorithm,)
-        ),
-        tenant_weights=tenant_weights,
-        arrival_model=arrival_model,
-        mean_think_time_s=mean_think_time_us * 1e-6,
-    )
+    trace = trace_spec.generate(context.graph.num_vertices)
     if fault_plan is None and kill_launch is not None:
         fault_plan = FaultPlan(
-            compute_faults={int(kill_launch): ComputeFault(kill_gpu=0)}
+            compute_faults={kill_launch: ComputeFault(kill_gpu=0)}
         )
     server = QueryServer(
-        context,
-        ServeConfig(
-            query_lanes=query_lanes,
-            max_concurrent=max_concurrent,
-            tenant_quota=tenant_quota,
-            replay_on_fault=replay_on_fault,
-            max_rounds=max_rounds,
-            deadline_s=(
-                deadline_ms * 1e-3 if deadline_ms is not None else None
-            ),
-            deadline_policy=deadline_policy,
-            max_queue=max_queue,
-            brownout=brownout,
-            max_replays=max_replays,
-            replay_backoff_s=replay_backoff_us * 1e-6,
-        ),
-        fault_plan=fault_plan,
-        journal_path=journal_path,
+        context, config, fault_plan=fault_plan, journal_path=journal_path
     )
     report = server.serve(trace, strict=strict)
-    if use_cache and not custom:
+    if cacheable:
         bench_runner._CACHE[key] = report
     return report

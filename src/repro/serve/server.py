@@ -67,6 +67,7 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.store import ServeJournal
+from repro.knobs import check_fields, knob
 from repro.serve.context import ServingContext
 from repro.serve.query import (
     ClosedLoopTrace,
@@ -82,60 +83,84 @@ DEADLINE_POLICIES: Tuple[str, ...] = ("reject", "abort")
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Admission/scheduling knobs of the query server."""
+    """Admission/scheduling knobs of the query server.
 
-    #: Max same-algorithm queries batched into one multi-source solve.
-    query_lanes: int = 8
+    Each field is declared as a :func:`~repro.knobs.knob`: the CLI flag,
+    the sweep-config name and unit, and the range ``__post_init__``
+    enforces are all read off that one declaration.
+    """
+
+    query_lanes: int = knob(
+        int, 8, minimum=1, sweep=True, flag="--lanes",
+        help="max same-algorithm queries batched into one multi-source "
+        "solve; 1 = sequential dispatch (default: 8)",
+    )
     #: Max queries admitted-or-executing (bounds GPU-resident state).
-    max_concurrent: int = 32
-    #: Max admitted-or-executing queries per tenant (fairness quota).
-    tenant_quota: int = 8
-    #: Replay a batch killed mid-solve (else fail its queries cleanly).
-    replay_on_fault: bool = True
+    max_concurrent: int = knob(
+        int, 32, minimum=1, sweep=True, flag="--max-concurrent",
+        help="admission bound on in-flight queries (default: 32)",
+    )
+    tenant_quota: int = knob(
+        int, 8, minimum=1, sweep=True, flag="--tenant-quota",
+        help="per-tenant in-flight fairness quota (default: 8)",
+    )
+    replay_on_fault: bool = knob(
+        bool, True, sweep=True, flag="--no-replay", flag_sets=False,
+        help="fail the killed batch's queries cleanly instead of "
+        "replaying them",
+    )
     #: Round budget per solve.
-    max_rounds: int = 100000
+    max_rounds: int = knob(int, 100000, minimum=1)
     #: Default relative deadline applied to queries without their own.
-    deadline_s: Optional[float] = None
-    #: What a deadline miss does: "reject" (refuse at admission, late
-    #: answers flagged) or "abort" (additionally discard late answers).
-    deadline_policy: str = "reject"
-    #: Bound on the waiting backlog; ``None`` = unbounded (no shedding).
-    max_queue: Optional[int] = None
-    #: Return certified partially-converged answers instead of blowing
-    #: the batch's tightest deadline.
-    brownout: bool = False
-    #: Replay attempts per killed batch (0 disables replay even with
-    #: ``replay_on_fault``; the first attempt is not a replay).
-    max_replays: int = 1
-    #: Base backoff charged before each replay attempt.
-    replay_backoff_s: float = 0.0
+    deadline_s: Optional[float] = knob(
+        float, None, name="deadline_ms", scale=1e-3, positive=True,
+        sweep=True, flag="--deadline-ms",
+        help="per-query relative deadline in milliseconds; late answers "
+        "count as deadline misses (default: no deadline)",
+    )
+    deadline_policy: str = knob(
+        str, "reject", choices=DEADLINE_POLICIES, sweep=True,
+        flag="--deadline-policy",
+        help="'reject' refuses admission once a deadline is hopeless; "
+        "'abort' additionally drops in-flight answers that finished "
+        "late (default: reject)",
+    )
+    max_queue: Optional[int] = knob(
+        int, None, minimum=1, sweep=True,
+        flag="--max-queue",
+        help="bound on waiting queries; excess is shed deterministically "
+        "from the largest-backlog tenant, newest first (default: "
+        "unbounded)",
+    )
+    brownout: bool = knob(
+        bool, False, sweep=True, flag="--brownout", flag_sets=True,
+        help="under deadline pressure return partially-converged answers "
+        "with certified residual bounds instead of missing deadlines",
+    )
+    #: 0 disables replay even with ``replay_on_fault``; the first
+    #: attempt is not a replay.
+    max_replays: int = knob(
+        int, 1, minimum=0, sweep=True, flag="--max-replays",
+        help="replay attempts per fault-killed batch before its queries "
+        "abort (default: 1)",
+    )
+    replay_backoff_s: float = knob(
+        float, 0.0, name="replay_backoff_us", scale=1e-6, minimum=0,
+        sweep=True, flag="--replay-backoff-us",
+        help="base backoff before a batch replay, in microseconds; "
+        "doubles per attempt (default: 0)",
+    )
     #: Exponential backoff growth per additional replay.
-    backoff_multiplier: float = 2.0
+    backoff_multiplier: float = knob(float, 2.0, minimum=1)
 
     def __post_init__(self) -> None:
-        if self.query_lanes < 1:
-            raise ConfigurationError("query_lanes must be >= 1")
-        if self.max_concurrent < 1:
-            raise ConfigurationError("max_concurrent must be >= 1")
-        if self.tenant_quota < 1:
-            raise ConfigurationError("tenant_quota must be >= 1")
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError("deadline_s must be positive")
-        if self.deadline_policy not in DEADLINE_POLICIES:
-            raise ConfigurationError(
-                f"deadline_policy must be one of {DEADLINE_POLICIES}, "
-                f"got {self.deadline_policy!r}"
-            )
-        if self.max_queue is not None and self.max_queue < 1:
-            raise ConfigurationError("max_queue must be >= 1 (or None)")
-        if self.max_replays < 0:
-            raise ConfigurationError("max_replays must be >= 0")
-        if self.replay_backoff_s < 0:
-            raise ConfigurationError("replay_backoff_s must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ConfigurationError("backoff_multiplier must be >= 1")
+        check_fields(self)
+
+
+#: The knobs (external names) whose being set makes a cell
+#: overload-protected: it may reject, shed or degrade queries instead of
+#: answering every one in full.
+OVERLOAD_KNOBS = ("deadline_ms", "max_queue", "brownout")
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:

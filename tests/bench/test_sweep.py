@@ -78,6 +78,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="unknown run-mode knob"):
             SweepConfig.from_dict({**TINY, "knobs": {"turbo": [1]}})
 
+    def test_knob_names_per_mode_are_pinned(self):
+        """The table derives these; the derivation must not add, drop
+        or rename a knob the committed configs and baselines key on."""
+        from repro.bench.sweep import MODE_KNOBS
+
+        assert {mode: set(table) for mode, table in MODE_KNOBS.items()} == {
+            "run": {
+                "num_gpus", "n_workers", "use_vectorized_kernels",
+                "checkpoint_interval", "incremental_checkpoints",
+                "full_checkpoint_period", "redistribution",
+            },
+            "stream": {
+                "num_gpus", "stream_batches", "stream_batch_size",
+                "stream_mix",
+            },
+            "serve": {
+                "num_gpus", "query_lanes", "tenant_count",
+                "max_concurrent", "tenant_quota", "num_queries",
+                "mean_interarrival_us", "kill_launch", "replay_on_fault",
+                "deadline_ms", "deadline_policy", "max_queue", "brownout",
+                "max_replays", "replay_backoff_us", "arrival_model",
+                "mean_think_time_us",
+            },
+        }
+
     def test_stream_mode_rejects_non_digraph(self):
         with pytest.raises(ConfigurationError, match="digraph engine only"):
             SweepConfig.from_dict(

@@ -113,9 +113,7 @@ class TestDigests:
         c = np.array([1.0, 2.0, np.nan])
         assert state_digest(a, band=1e-6) != state_digest(c, band=1e-6)
 
-    @pytest.mark.parametrize(
-        "engine_name", ["digraph-vec", "bulk-sync-vec"]
-    )
+    @pytest.mark.parametrize("engine_name", ["bulk-sync-vec"])
     def test_vectorized_recovers_to_scalar_golden(
         self, chaos_graph, engine_name
     ):

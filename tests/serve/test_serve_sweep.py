@@ -132,19 +132,6 @@ class TestMemoKeyIsolation:
             "bfs", "dblp", scale=0.05, num_queries=12, seed=2
         ) is serve
 
-    def test_run_cell_lane_placeholders_are_keyed(self):
-        """run_cell's new query_lanes/tenant_count params split keys."""
-        plain = run_cell("digraph", "bfs", "dblp", scale=0.05)
-        tagged = run_cell(
-            "digraph", "bfs", "dblp", scale=0.05,
-            query_lanes=4, tenant_count=2,
-        )
-        assert tagged is not plain
-        assert run_cell(
-            "digraph", "bfs", "dblp", scale=0.05,
-            query_lanes=4, tenant_count=2,
-        ) is tagged
-
     def test_custom_cells_bypass_the_cache(self):
         from repro.graph.generators import scc_profile_graph
 

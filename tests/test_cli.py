@@ -44,8 +44,25 @@ class TestCLI:
             assert engine in out
 
     def test_experiment_unknown_name(self, capsys):
-        assert main(["experiment", "fig99_nope"]) == 2
-        assert "available" in capsys.readouterr().err
+        """A name outside the experiment table — including a module
+        attribute that is not an experiment (``GRAPHS`` is a list,
+        ``format_table`` a helper) — exits 2 with one error line that
+        lists every experiment."""
+        from repro.bench.experiments import EXPERIMENTS
+
+        for name in ("fig99_nope", "GRAPHS", "format_table"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["experiment", name])
+            assert exit_info.value.code == 2
+            errors = [
+                line
+                for line in capsys.readouterr().err.splitlines()
+                if "error:" in line
+            ]
+            assert len(errors) == 1 and repr(name) in errors[0]
+            assert "overload_resilience" in EXPERIMENTS
+            for known in EXPERIMENTS:
+                assert known in errors[0]
 
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1", "--scale", "0.3"]) == 0
@@ -154,13 +171,40 @@ class TestSweepCommand:
         assert "regression" in err
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
+        """Unparseable JSON, and a knob *value* of the wrong type, outside
+        its choices or out of range, all fail when the config loads —
+        one ``error:`` line naming the knob, before any cell runs."""
+        serve = '"mode": "serve", "engines": ["serve"], "algorithms": ["bfs"]'
+        cases = {
+            "{not json": "not valid JSON",
+            '{"knobs": {"checkpoint_interval": [1, 0]}}':
+                "checkpoint_interval must be >= 1",
+            '{%s, "knobs": {"deadline_policy": ["bogus"]}}' % serve:
+                "deadline_policy must be one of",
+            '{%s, "knobs": {"query_lanes": [1, "eight"]}}' % serve:
+                "query_lanes expects int",
+        }
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["sweep", "--config", str(bad)])
+        for text, message in cases.items():
+            bad.write_text(text)
+            code = main(["sweep", "--config", str(bad), "--verbose"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert message in captured.err
+            assert "Traceback" not in captured.err
+            assert "running" not in captured.out
+
+    def test_committed_bad_value_config_runs_no_cell(self, capsys):
+        """CI's must-fail control for load-time value validation."""
+        code = main(
+            ["sweep", "--config", "benchmarks/sweep_bad_value_ci.json",
+             "--output", "", "--verbose"]
+        )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: checkpoint_interval")
+        assert "running" not in captured.out
 
     def test_unknown_engine_in_config_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad_engine.json"

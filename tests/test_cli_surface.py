@@ -1,0 +1,133 @@
+"""The command-line surface, pinned from the commit before the knob table.
+
+``cli_surface.json`` holds, for every subcommand, every option's flags,
+``dest``, type name, default, choices, ``nargs``, ``required`` and help
+string. It was captured by running this file with ``PYTHONPATH`` at the
+*parent* commit's ``src`` (hand-written ``add_argument`` blocks), and is
+asserted equal on the table-derived parser — so a flag, default or help
+string that moved when the blocks became derived shows up here. The
+differences that PR made on purpose are enumerated in
+``EXPECTED_DIFFERENCES`` and nowhere else.
+
+Regenerate intentionally with:
+
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_cli_surface.py
+"""
+
+import argparse
+import copy
+import json
+import os
+from pathlib import Path
+
+from repro.cli import build_parser
+
+SURFACE_PATH = Path(__file__).with_name("cli_surface.json")
+REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
+
+
+def capture_surface():
+    """``{subcommand: {dest: option record}}`` of the built parser."""
+    parser = build_parser()
+    subparsers = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    surface = {}
+    for name, sub in subparsers.choices.items():
+        surface[name] = {
+            action.dest: {
+                "flags": list(action.option_strings),
+                "type": getattr(action.type, "__name__", None),
+                "default": action.default,
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "nargs": action.nargs,
+                "required": action.required,
+                "help": action.help,
+            }
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+    # Round-trip so tuples compare equal to the JSON lists they become.
+    return json.loads(json.dumps(surface))
+
+
+def expected_surface():
+    """The parent's surface with this PR's deliberate differences applied."""
+    from repro.bench.experiments import EXPERIMENTS
+
+    surface = copy.deepcopy(json.loads(SURFACE_PATH.read_text()))
+    # The `digraph-vec` registry row is gone (it ran `digraph`).
+    engines = surface["chaos"]["engines"]
+    engines["choices"].remove("digraph-vec")
+    engines["help"] = engines["help"].replace(
+        "the DiGraph family (digraph-vec runs the vectorized batch "
+        "kernels) and",
+        "the DiGraph family and",
+    )
+    # `repro experiment NAME` is checked against the experiment table.
+    surface["experiment"]["name"]["choices"] = list(EXPERIMENTS)
+    return surface
+
+
+def test_cli_surface_matches_parent():
+    if REGEN:
+        SURFACE_PATH.write_text(
+            json.dumps(capture_surface(), indent=1, sort_keys=True) + "\n"
+        )
+        return
+    actual, expected = capture_surface(), expected_surface()
+    assert sorted(actual) == sorted(expected)
+    for command in expected:
+        assert actual[command] == expected[command], command
+
+
+def test_serve_knobs_are_one_row_everywhere():
+    """A `repro serve` flag, a serve-mode sweep knob and a
+    `run_serve_cell` keyword of the same name are the same table row,
+    so they cannot disagree on a default; the one deliberate CLI-side
+    difference is written on the row."""
+    from repro.bench.sweep import MODE_KNOBS
+    from repro.knobs import field_values, knobs_of
+    from repro.serve.query import TraceSpec
+    from repro.serve.runner import KILL_LAUNCH
+    from repro.serve.server import ServeConfig
+
+    rows = {
+        row.name: row
+        for row in (*knobs_of(TraceSpec), *knobs_of(ServeConfig), KILL_LAUNCH)
+    }
+    # Sweep knobs: every one but the machine's GPU count is a row.
+    sweep = dict(MODE_KNOBS["serve"])
+    assert sweep.pop("num_gpus").field == ""
+    assert sweep == {n: row for n, row in rows.items() if row.sweep}
+    # run_serve_cell keywords: the configs' own defaults are the rows'.
+    for cls in (TraceSpec, ServeConfig):
+        for row in knobs_of(cls):
+            assert getattr(cls(), row.field) == row.convert(row.default)
+    assert field_values({}, TraceSpec, ServeConfig) == [{}, {}]
+    # CLI flags: each knob option of `repro serve` is a row's flag and
+    # parses to the row's default...
+    options = capture_surface()["serve"]
+    flagged = {row.dest: row for row in rows.values() if row.flag}
+    workload = {"dataset", "scale", "gpus", "algorithm", "seed",
+                "strict", "verbose"}
+    assert set(options) == set(flagged) | workload
+    cli_side = {}
+    for dest, row in flagged.items():
+        assert options[dest]["flags"] == [row.flag]
+        if row.flag_sets is not None:
+            assert options[dest]["default"] is False
+            assert row.flag_sets != row.default
+        elif options[dest]["default"] != row.default:
+            cli_side[row.name] = options[dest]["default"]
+    # ... except the interactive trace length, longer than a cell's.
+    assert cli_side == {"num_queries": 64}
+    assert [
+        row.name
+        for row in rows.values()
+        if row.flag_default is not None
+    ] == ["num_queries"]
