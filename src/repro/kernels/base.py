@@ -105,7 +105,7 @@ class InEdgeKernel(BatchKernel):
             self._csc_sources[positions],
             self._csc_weights[positions],
             seg_offsets,
-            np.diff(seg_offsets),
+            seg_offsets[1:] - seg_offsets[:-1],
         )
 
 

@@ -126,14 +126,13 @@ class InEdgeLaneKernel(LaneKernel):
 
     def gather_segments(
         self, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, weights, seg_offsets, counts)``, lane-shared."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sources, weights, seg_offsets)``, lane-shared."""
         positions, seg_offsets = batch_segments(self._csc_indptr, dst)
         return (
             self._csc_sources[positions],
             self._csc_weights[positions],
             seg_offsets,
-            np.diff(seg_offsets),
         )
 
 
@@ -155,7 +154,7 @@ class _MinRelaxLaneKernel(InEdgeLaneKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, weights, seg_offsets, _ = self.gather_segments(dst)
+        sources, weights, seg_offsets = self.gather_segments(dst)
         # Row i is states[i][sources] + weights — the exact additions of
         # the 1D kernel's relax for lane i; inf + finite == inf preserves
         # the scalar unreached guard.
@@ -205,7 +204,7 @@ class ReachabilityLaneKernel(InEdgeLaneKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, _, seg_offsets, _ = self.gather_segments(dst)
+        sources, _, seg_offsets = self.gather_segments(dst)
         acc = segment_max_2d(
             np.asarray(states)[:, sources], seg_offsets, identity=0.0
         )
@@ -240,7 +239,7 @@ class PersonalizedPageRankLaneKernel(InEdgeLaneKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, _, seg_offsets, _ = self.gather_segments(dst)
+        sources, _, seg_offsets = self.gather_segments(dst)
         contrib = np.asarray(states)[:, sources] / self._out_degree[sources]
         acc = segment_sum_ordered_2d(contrib, seg_offsets)
         new = (1.0 - self._damping) * self._teleport[

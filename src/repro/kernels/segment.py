@@ -18,6 +18,11 @@ order as the scalar loop, so sums agree *bit for bit*. Min/max are
 order-insensitive (exact under any association), so they use
 ``reduceat`` with empty-segment masking.
 
+Every reduction folds the **last** axis of ``values``; leading axes (the
+query lanes of :mod:`repro.kernels.lanes`) share the segmentation and
+each row is reduced as if alone. There is one implementation per
+reduction, so the contract above is stated — and tested — once.
+
 All reductions require ``seg_offsets[-1] == len(values)`` — the offsets
 must tile the value array exactly, which :func:`batch_segments`
 guarantees by construction.
@@ -44,12 +49,10 @@ def batch_segments(
     starts = indptr[targets]
     counts = indptr[targets + 1] - starts
     seg_offsets = np.zeros(targets.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=seg_offsets[1:])
-    total = int(seg_offsets[-1])
-    intra = np.arange(total, dtype=np.int64) - np.repeat(
-        seg_offsets[:-1], counts
+    counts.cumsum(out=seg_offsets[1:])
+    positions = (starts - seg_offsets[:-1]).repeat(counts) + np.arange(
+        seg_offsets[-1], dtype=np.int64
     )
-    positions = np.repeat(starts, counts) + intra
     return positions, seg_offsets
 
 
@@ -89,24 +92,31 @@ def segment_sum_ordered(
 ) -> np.ndarray:
     """Left-to-right segment sums, bit-identical to the scalar fold.
 
-    Segments are sorted by length (descending) so each positional
-    iteration touches a shrinking *prefix* instead of a boolean mask;
-    the per-segment addition order is unchanged by the sort.
+    Segments are sorted by length (descending) so sweep ``i`` touches a
+    shrinking *prefix* of accumulators, and ``values`` is gathered once
+    into position-major order (every segment's 0th element, then every
+    1st, ...) so that prefix meets a plain slice; neither reordering
+    changes a segment's own addition order. All sweep widths come from
+    one ``searchsorted``.
     """
-    counts = np.diff(seg_offsets)
+    starts = seg_offsets[:-1]
+    counts = seg_offsets[1:] - starts
     nseg = counts.size
-    out = np.zeros(nseg, dtype=np.float64)
-    if nseg == 0 or values.size == 0:
-        return out
-    order = np.argsort(-counts, kind="stable")
-    starts = seg_offsets[:-1][order]
+    acc = np.zeros(values.shape[:-1] + (nseg,), dtype=np.float64)
+    if nseg == 0 or values.shape[-1] == 0:
+        return acc
+    order = (-counts).argsort(kind="stable")
     sorted_counts = counts[order]
-    ascending = sorted_counts[::-1]
-    acc = np.zeros(nseg, dtype=np.float64)
-    for i in range(int(sorted_counts[0])):
-        k = nseg - int(np.searchsorted(ascending, i, side="right"))
-        acc[:k] = acc[:k] + values[starts[:k] + i]
-    out[order] = acc
+    depth = np.arange(sorted_counts[0])
+    widths = nseg - sorted_counts[::-1].searchsorted(depth, side="right")
+    lows = widths.cumsum() - widths
+    rank = np.arange(values.shape[-1]) - lows.repeat(widths)
+    swept = values[..., starts[order][rank] + depth.repeat(widths)]
+    for lo, k in zip(lows.tolist(), widths.tolist()):
+        head = acc[..., :k]
+        np.add(head, swept[..., lo : lo + k], out=head)
+    out = np.empty_like(acc)
+    out[..., order] = acc
     return out
 
 
@@ -116,11 +126,20 @@ def _segment_reduceat(
     seg_offsets: np.ndarray,
     identity: float,
 ) -> np.ndarray:
-    counts = np.diff(seg_offsets)
-    out = np.full(counts.size, identity, dtype=np.float64)
-    nonempty = counts > 0
-    if values.size and nonempty.any():
-        out[nonempty] = ufunc.reduceat(values, seg_offsets[:-1][nonempty])
+    starts = seg_offsets[:-1]
+    nonempty = seg_offsets[1:] > starts
+    filled = np.count_nonzero(nonempty)
+    if filled == starts.size:
+        return ufunc.reduceat(values, starts, axis=-1, dtype=np.float64)
+    out = np.full(
+        values.shape[:-1] + (starts.size,), identity, dtype=np.float64
+    )
+    if filled:
+        # Transposed, the mask indexes the first axis: NumPy's fast
+        # path for 1-D ``values``, no slower with lanes.
+        out.T[nonempty] = ufunc.reduceat(
+            values, starts[nonempty], axis=-1
+        ).T
     return out
 
 
@@ -142,71 +161,10 @@ def segment_max(
     return _segment_reduceat(np.maximum, values, seg_offsets, identity)
 
 
-# ----------------------------------------------------------------------
-# lane-axis (2D) variants: one row per query lane, shared segmentation
-# ----------------------------------------------------------------------
-def _segment_reduceat_2d(
-    ufunc: np.ufunc,
-    values: np.ndarray,
-    seg_offsets: np.ndarray,
-    identity: float,
-) -> np.ndarray:
-    counts = np.diff(seg_offsets)
-    out = np.full((values.shape[0], counts.size), identity, dtype=np.float64)
-    nonempty = counts > 0
-    if values.shape[1] and nonempty.any():
-        out[:, nonempty] = ufunc.reduceat(
-            values, seg_offsets[:-1][nonempty], axis=1
-        )
-    return out
-
-
-def segment_min_2d(
-    values: np.ndarray,
-    seg_offsets: np.ndarray,
-    identity: float = np.inf,
-) -> np.ndarray:
-    """Row-wise :func:`segment_min` over a ``(lanes, total)`` matrix.
-
-    Row ``i`` equals ``segment_min(values[i], seg_offsets)`` exactly —
-    min is order-insensitive, so one ``reduceat`` over the lane axis is
-    bit-identical to the per-lane fold.
-    """
-    return _segment_reduceat_2d(np.minimum, values, seg_offsets, identity)
-
-
-def segment_max_2d(
-    values: np.ndarray,
-    seg_offsets: np.ndarray,
-    identity: float = -np.inf,
-) -> np.ndarray:
-    """Row-wise :func:`segment_max` over a ``(lanes, total)`` matrix."""
-    return _segment_reduceat_2d(np.maximum, values, seg_offsets, identity)
-
-
-def segment_sum_ordered_2d(
-    values: np.ndarray, seg_offsets: np.ndarray
-) -> np.ndarray:
-    """Row-wise :func:`segment_sum_ordered` over a ``(lanes, total)`` matrix.
-
-    The positional sweep adds every segment's ``i``-th element across all
-    lanes with one vectorized ``+``, so each row performs exactly the
-    IEEE-754 additions of the 1D sweep in the same order — lane ``i`` is
-    bit-identical to ``segment_sum_ordered(values[i], seg_offsets)``.
-    """
-    counts = np.diff(seg_offsets)
-    nseg = counts.size
-    lanes = values.shape[0]
-    out = np.zeros((lanes, nseg), dtype=np.float64)
-    if nseg == 0 or values.shape[1] == 0:
-        return out
-    order = np.argsort(-counts, kind="stable")
-    starts = seg_offsets[:-1][order]
-    sorted_counts = counts[order]
-    ascending = sorted_counts[::-1]
-    acc = np.zeros((lanes, nseg), dtype=np.float64)
-    for i in range(int(sorted_counts[0])):
-        k = nseg - int(np.searchsorted(ascending, i, side="right"))
-        acc[:, :k] = acc[:, :k] + values[:, starts[:k] + i]
-    out[:, order] = acc
-    return out
+#: Lane-axis names. Every reduction above folds the *last* axis with
+#: the segmentation shared by all leading ones, so on a ``(lanes,
+#: total)`` matrix row ``i`` undergoes exactly the IEEE-754 operations,
+#: in the same order, of the 1-D call on ``values[i]``.
+segment_sum_ordered_2d = segment_sum_ordered
+segment_min_2d = segment_min
+segment_max_2d = segment_max

@@ -47,6 +47,11 @@ class ServingContext:
         )
         self.preprocessed: Preprocessed = self.engine.preprocess(graph)
         self.vertex_layers = self._derive_vertex_layers()
+        #: Index into :attr:`layer_batches` of the batch holding each
+        #: vertex (a layer no vertex landed on has no batch).
+        _, self.batch_of_vertex = np.unique(
+            self.vertex_layers, return_inverse=True
+        )
         self.layer_batches = self._build_layer_batches()
 
     # ------------------------------------------------------------------
@@ -57,12 +62,19 @@ class ServingContext:
 
         A vertex on several paths must wait for the *latest* of them
         (its final value can depend on every path that writes it), hence
-        the max. Vertices on no path (isolated) go to layer 0.
+        the max. Vertices on no path (isolated) go to layer 0. One pass
+        over the storage layout: ``e_idx`` lists every path's vertices,
+        ``ptable`` delimits the paths, in slot order.
         """
-        dag = self.preprocessed.dag
+        dag, storage = self.preprocessed.dag, self.preprocessed.storage
+        slot_layers = np.empty(storage.slot_of_path.size, dtype=np.int64)
+        slot_layers[storage.slot_of_path] = dag.layer_of_scc[dag.scc_of_path]
         layers = np.zeros(self.graph.num_vertices, dtype=np.int64)
-        for v, path_ids in self.preprocessed.path_set.paths_of_vertex().items():
-            layers[v] = max(dag.layer_of_path(p) for p in path_ids)
+        np.maximum.at(
+            layers,
+            storage.e_idx,
+            np.repeat(slot_layers, storage.ptable[1:] - storage.ptable[:-1]),
+        )
         return layers
 
     def _build_layer_batches(self) -> List[np.ndarray]:
@@ -72,17 +84,12 @@ class ServingContext:
         lane kernels and the scalar golden reference alike) uses, so
         batched and single-source runs see identical schedules.
         """
-        num_layers = int(self.vertex_layers.max()) + 1
-        order = np.argsort(self.vertex_layers, kind="stable")
-        sorted_layers = self.vertex_layers[order]
+        order = np.argsort(self.batch_of_vertex, kind="stable")
         bounds = np.searchsorted(
-            sorted_layers, np.arange(num_layers + 1), side="left"
+            self.batch_of_vertex[order],
+            np.arange(1, int(self.batch_of_vertex.max()) + 1),
         )
-        return [
-            order[bounds[i] : bounds[i + 1]]
-            for i in range(num_layers)
-            if bounds[i + 1] > bounds[i]
-        ]
+        return np.split(order, bounds)
 
     @property
     def num_layers(self) -> int:

@@ -154,6 +154,17 @@ class MultiSourceSolver:
     # ------------------------------------------------------------------
     # vectorized lane solve
     # ------------------------------------------------------------------
+    def _pending_batches(self, active: np.ndarray) -> np.ndarray:
+        """One flag per layer batch: does any lane have an active vertex
+        in it. :meth:`solve` keeps ``pending[b] ⟺ active[:,
+        layer_batches[b]].any()`` true at every probe by flagging the
+        batch of every vertex it activates and clearing a batch's flag
+        when it is launched (a launch selects every active vertex of
+        the batch), so the sweep never gathers an idle batch."""
+        pending = np.zeros(len(self.context.layer_batches), dtype=bool)
+        pending[self.context.batch_of_vertex[active.any(axis=0)]] = True
+        return pending
+
     def solve(self, time_budget_s: Optional[float] = None) -> SolveResult:
         """Run all lanes to convergence with the registered lane kernel.
 
@@ -170,19 +181,47 @@ class MultiSourceSolver:
         :class:`ConvergenceError` — hitting ``max_rounds`` degrades
         instead.
         """
-        graph = self.context.graph
-        kernel = resolve_lane_kernel(self.programs, graph)
+        context = self.context
+        kernel = resolve_lane_kernel(self.programs, context.graph)
         states = kernel.initial_states()
         active = kernel.initial_active()
+        batches = context.layer_batches
+        batch_of_vertex = context.batch_of_vertex
+        pending = self._pending_batches(active)
         k = len(self.programs)
-        lane_rounds = [0] * k
-        lane_done = [not active[i].any() for i in range(k)]
+        live = active.any(axis=1)
+        lane_rounds = np.zeros(k, dtype=np.int64)
         launches = 0
         edge_lane_work = 0
         modeled = 0.0
         rounds = 0
         round_cost = 0.0
-        while active.any():
+
+        def launch(b: int):
+            """Charge and run one launch over batch ``b``'s union
+            frontier; read-only: ``(sel, old, new, changed)``."""
+            nonlocal launches, edge_lane_work, modeled
+            batch = batches[b]
+            sel = batch[active[:, batch].any(axis=0)]
+            if self.fault_hook is not None:
+                try:
+                    self.fault_hook(launches)
+                except GPULostError as exc:
+                    # The failed launch's overhead is wasted GPU time
+                    # the server charges before replaying.
+                    exc.modeled_seconds_completed = (
+                        modeled + KERNEL_LAUNCH_OVERHEAD_S
+                    )
+                    exc.launches_completed = launches
+                    raise
+            work = k * int(self._in_degree[sel].sum())
+            launches += 1
+            edge_lane_work += work
+            modeled += self._launch_seconds(work)
+            old = states[:, sel]
+            return (sel, old, *kernel.lane_update(sel, states, old))
+
+        while pending.any():
             if time_budget_s is not None and rounds >= 1:
                 if modeled + round_cost > time_budget_s:
                     break
@@ -196,28 +235,13 @@ class MultiSourceSolver:
                 )
             rounds += 1
             round_start_s = modeled
-            for batch in self.context.layer_batches:
-                hit = active[:, batch].any(axis=0)
-                if not hit.any():
+            # Ascending sweep over the batches with a live frontier; a
+            # launch may flag a later batch (swept this round) or its
+            # own / an earlier one (next round).
+            for b in range(len(batches)):
+                if not pending[b]:
                     continue
-                sel = batch[hit]
-                if self.fault_hook is not None:
-                    try:
-                        self.fault_hook(launches)
-                    except GPULostError as exc:
-                        # The failed launch's overhead is wasted GPU time
-                        # the server charges before replaying.
-                        exc.modeled_seconds_completed = (
-                            modeled + KERNEL_LAUNCH_OVERHEAD_S
-                        )
-                        exc.launches_completed = launches
-                        raise
-                work = k * int(self._in_degree[sel].sum())
-                launches += 1
-                edge_lane_work += work
-                modeled += self._launch_seconds(work)
-                old = states[:, sel]
-                new, changed = kernel.lane_update(sel, states, old)
+                sel, old, new, changed = launch(b)
                 # Write-gate: apply only where changed. For monotone
                 # kernels this is a no-op (changed ⟺ new != old); for
                 # tolerance-converged kernels (ppr) it discards
@@ -226,64 +250,48 @@ class MultiSourceSolver:
                 # union-frontier bit-identity proof stands on.
                 states[:, sel] = np.where(changed, new, old)
                 active[:, sel] = False
-                targets, seg_offsets = kernel.batch_dependents(sel)
-                counts = np.diff(seg_offsets)
-                for i in range(k):
-                    mask = np.repeat(changed[i], counts)
-                    if mask.any():
-                        active[i, targets[mask]] = True
-            for i in range(k):
-                if not lane_done[i] and not active[i].any():
-                    lane_done[i] = True
-                    lane_rounds[i] = rounds
+                pending[b] = False
+                # Read the other way, the same invariant says a vertex
+                # no lane changed has nobody to activate: dependents are
+                # built for the moved vertices only.
+                (moved,) = changed.any(axis=0).nonzero()
+                if moved.size:
+                    targets, seg_offsets = kernel.batch_dependents(sel[moved])
+                    lanes, cols = changed[:, moved].repeat(
+                        seg_offsets[1:] - seg_offsets[:-1], axis=1
+                    ).nonzero()
+                    active[lanes, targets[cols]] = True
+                    pending[batch_of_vertex[targets]] = True
+            still = active.any(axis=1)
+            lane_rounds[live & ~still] = rounds
+            live &= still
             round_cost = modeled - round_start_s
-        lane_converged = tuple(not active[i].any() for i in range(k))
+        lane_converged = ~active.any(axis=1)
         residuals = [0.0] * k
-        if not all(lane_converged):
+        if not lane_converged.all():
             # Read-only residual pass: recompute the union frontier
             # once without applying writes. For a lane where a selected
             # vertex is inactive the recompute is a bitwise no-op
             # (changed=False), so the per-lane sum over the union
             # frontier is exactly that lane's own residual.
-            for batch in self.context.layer_batches:
-                hit = active[:, batch].any(axis=0)
-                if not hit.any():
-                    continue
-                sel = batch[hit]
-                if self.fault_hook is not None:
-                    try:
-                        self.fault_hook(launches)
-                    except GPULostError as exc:
-                        exc.modeled_seconds_completed = (
-                            modeled + KERNEL_LAUNCH_OVERHEAD_S
-                        )
-                        exc.launches_completed = launches
-                        raise
-                work = k * int(self._in_degree[sel].sum())
-                launches += 1
-                edge_lane_work += work
-                modeled += self._launch_seconds(work)
-                old = states[:, sel]
-                new, changed = kernel.lane_update(sel, states, old)
+            for b in np.flatnonzero(pending).tolist():
+                _, old, new, changed = launch(b)
                 finite = changed & np.isfinite(old) & np.isfinite(new)
                 delta = np.zeros_like(old)
                 np.subtract(new, old, out=delta, where=finite)
                 for i in range(k):
                     residuals[i] += float(np.abs(delta[i]).sum())
-            lane_rounds = [
-                lane_rounds[i] if lane_converged[i] else rounds
-                for i in range(k)
-            ]
+            lane_rounds[~lane_converged] = rounds
         return SolveResult(
             states=states,
             digests=tuple(lane_digest(states[i]) for i in range(k)),
             rounds=rounds,
-            lane_rounds=tuple(lane_rounds),
+            lane_rounds=tuple(lane_rounds.tolist()),
             launches=launches,
             edge_lane_work=edge_lane_work,
             modeled_seconds=modeled,
-            converged=all(lane_converged),
-            lane_converged=lane_converged,
+            converged=bool(lane_converged.all()),
+            lane_converged=tuple(lane_converged.tolist()),
             lane_residuals=tuple(residuals),
         )
 
