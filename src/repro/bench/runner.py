@@ -40,9 +40,9 @@ _VEC = {"use_vectorized_kernels": True}
 
 #: The engine registry — the only place a name becomes a constructor —
 #: in the order the paper's figures list the engines. A ``-vec`` row is
-#: its scalar sibling with the batched kernels pinned on; ``digraph`` has
-#: none, because its path walk is scalar whatever the flag says (the
-#: batched pass is ``digraph-t``'s, reached with ``vectorized=True``).
+#: its scalar sibling with the batched kernels pinned on; only bulk-sync
+#: has one, being the only Jacobi schedule (every other engine is
+#: Gauss-Seidel and runs the step kernels).
 ENGINES = {
     "sequential": EngineRow(SequentialEngine, None, {}, None),
     "bulk-sync": EngineRow(BulkSyncEngine, BulkSyncConfig, {}, "baseline"),
@@ -96,10 +96,10 @@ def make_engine(
     """Build an engine by registry name.
 
     ``vectorized`` pins the batched gather-apply kernels
-    (:mod:`repro.kernels`) on, as a ``-vec`` row does, for any engine
-    whose config has the knob (bulk-sync and the DiGraph family's
-    vertex-centric pass); the async baseline processes vertices one
-    worklist pop at a time and has no batched formulation.
+    (:mod:`repro.kernels`) on, as a ``-vec`` row does, and reaches
+    bulk-sync only: the async baseline and the DiGraph family update
+    one vertex at a time against what it can see now and have no
+    batched formulation.
     """
     if name not in ENGINES:
         raise ConfigurationError(
@@ -150,8 +150,8 @@ def run_cell(
     """Run one (engine, algorithm, graph) cell, memoized per process.
 
     ``num_gpus`` overrides the GPU count of the (scaled) default machine —
-    the Fig. 16 sweep. ``vectorized`` runs the batched kernels on the
-    engines that support them; ``recovery`` (a
+    the Fig. 16 sweep. ``vectorized`` runs the batched kernels on
+    bulk-sync (see :func:`make_engine`); ``recovery`` (a
     :class:`repro.faults.RecoveryPolicy`) turns on checkpointing knobs.
     ``fault_injector`` / ``resume`` / ``program_kwargs`` are the chaos
     harness's legs: a fault plan fired against the run, a restart from

@@ -8,8 +8,8 @@ Subcommands:
   rows (the Fig. 10/11 view for a single cell);
 - ``datasets`` — print the Table-1 properties of the stand-ins;
 - ``experiment`` — regenerate one paper figure's table by name;
-- ``kernels-bench`` — time scalar vs vectorized vertex updates and
-  write ``BENCH_kernels.json``;
+- ``kernels-bench`` — time scalar vs vectorized vertex updates, write
+  ``BENCH_kernels.json``, and exit 1 unless both reach the same states;
 - ``verify`` — run the invariant-checking conformance battery
   (:mod:`repro.verify`) over a workload or the canonical fixtures;
 - ``chaos`` — sweep algorithms x engines under a seeded fault plan and
@@ -49,7 +49,7 @@ from repro.bench.runner import (
     ENGINE_NAMES,
     run_cell,
 )
-from repro.errors import ReproError
+from repro.errors import ReproError, VerificationError
 from repro.graph import datasets
 from repro.graph.generators import MUTATION_MIXES
 from repro.graph.io import read_edge_list
@@ -375,6 +375,16 @@ def cmd_kernels_bench(args) -> int:
         )
     if args.output:
         print(f"wrote {args.output}")
+    unequal = [
+        row["algorithm"]
+        for row in report["results"]
+        if not row["states_equal"]
+    ]
+    if unequal:
+        raise VerificationError(
+            "scalar and vectorized states differ for "
+            + ", ".join(unequal)
+        )
     return 0
 
 
@@ -845,8 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--vectorized",
         action="store_true",
-        help="use the batched vertex-update kernels (bulk-sync and the "
-        "DiGraph family; same modeled cost, faster simulation)",
+        help="use the batched vertex-update kernels (bulk-sync only; "
+        "same modeled cost, faster simulation)",
     )
     add_flags(
         run,

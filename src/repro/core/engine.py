@@ -67,7 +67,6 @@ from repro.core.storage import (
     build_partitions,
 )
 from repro.core.tables import ExecutionTables
-from repro.kernels.registry import resolve_kernel
 from repro.kernels.steps import resolve_step
 from repro.baselines.common import resolve_partition_target
 
@@ -92,13 +91,6 @@ class DiGraphConfig:
     use_path_execution: bool = True
     #: False -> DiGraph-w: round-robin path order instead of Pri(p).
     use_priority_scheduling: bool = True
-    #: Batch the vertex-centric partition pass (DiGraph-t) through the
-    #: vectorized kernels (:mod:`repro.kernels`). Per-update accounting
-    #: is unchanged; within one partition pass the batch gathers from
-    #: the pass-start view (Jacobi) where the scalar loop sees earlier
-    #: in-pass writes (Gauss-Seidel), so the trajectory may differ while
-    #: the fixed point does not. No effect on path execution.
-    use_vectorized_kernels: bool = False
     prefetch: bool = True
     max_rounds: int = 100000
     #: Extra runnable partitions admitted per round beyond the frontier
@@ -340,15 +332,6 @@ class _Run:
         # (path walk, vertex-centric pass, prologue), and each vertex's
         # gather degree.
         self.step, self._gather_degree = resolve_step(program, graph)
-        # Batched gather-apply, which only the vertex-centric pass can
-        # use (scalar fallback keeps unregistered programs on the same
-        # code path); ``None``: every update goes through ``step``.
-        self.kernel = (
-            resolve_kernel(program, graph)
-            if self.cfg.use_vectorized_kernels
-            and not self.cfg.use_path_execution
-            else None
-        )
         self.round_records: List[RoundRecord] = []
 
         # Per-run tables of the path walk: each vertex's dependents as a
@@ -632,8 +615,8 @@ class _Run:
     ) -> None:
         """One GPU's share of a wave: its partitions, one after another.
 
-        The scalar passes (the path walk, and DiGraph-t's per-vertex
-        loop) gather from the view *materialised once*, at the start of
+        Both passes (the path walk, and DiGraph-t's per-vertex loop)
+        gather from the view *materialised once*, at the start of
         the turn, as a plain list — an edge read is a list index — and
         write every update through to it. This is exact, not an
         approximation of the per-read view: during GPU ``g``'s turn only
@@ -646,13 +629,9 @@ class _Run:
         ``balance_assignments`` (before the views are built) and between
         rounds. The list must be taken at the *turn* start, not the
         wave start: an earlier GPU's turn may have written a replica of
-        a vertex ``g`` owns, and that write is fresh to ``g``. The
-        batched DiGraph-t pass materialises the view itself, once per
-        partition pass.
+        a vertex ``g`` owns, and that write is fresh to ``g``.
         """
-        reads = (
-            view.as_array().tolist() if self.kernel is None else view
-        )
+        reads = view.as_array().tolist()
         gpu_work: List[int] = []
         gpu_atomics: List[int] = []
         self._processing_gpu = gpu_id
@@ -790,13 +769,12 @@ class _Run:
     # partition processing
     # ------------------------------------------------------------------
     def _process_partition(
-        self, pid: int, gpu_id: int, reads
+        self, pid: int, gpu_id: int, reads: List[float]
     ) -> Tuple[List[int], List[int]]:
         """Process one partition; returns per-thread (edges, atomics).
 
-        ``reads`` is what gather reads: the turn's write-through list,
-        or the GPU's :class:`StalenessView` for the batched
-        vertex-centric pass (see :meth:`_run_turn`).
+        ``reads`` is what gather reads: the turn's write-through list
+        (see :meth:`_run_turn`).
         """
         stats = self.machine.stats
         stats.note_partition_processed(pid)
@@ -1027,7 +1005,7 @@ class _Run:
         self,
         pid: int,
         gpu_id: int,
-        reads,
+        reads: List[float],
         changed_vertices: Set[int],
         write_counts: Dict[int, int],
     ) -> List[int]:
@@ -1043,14 +1021,6 @@ class _Run:
         # activate a later vertex of the same pass.
         vertices = np.unique(self.tables.blocks[pid].vertices)
         owned = vertices[self._owner_gpu[vertices] == gpu_id]
-        if self.kernel is not None:
-            return self._process_vertex_centric_batched(
-                owned[states.active[owned]],
-                gpu_id,
-                reads,
-                changed_vertices,
-                write_counts,
-            )
         step, degree_of = self.step, self._gather_degree
         values, active = states.values, states.active
         items: List[int] = []
@@ -1079,57 +1049,6 @@ class _Run:
             )
         self.machine.note_vertex_uses(len(items) + degree_sum)
         return items
-
-    def _process_vertex_centric_batched(
-        self,
-        batch: np.ndarray,
-        gpu_id: int,
-        view: StalenessView,
-        changed_vertices: Set[int],
-        write_counts: Dict[int, int],
-    ) -> List[int]:
-        """Batched DiGraph-t pass: one kernel call per partition pass.
-
-        Gathers read the materialized pass-start view — a Jacobi step
-        over the batch where the scalar loop is Gauss-Seidel in id order
-        — but per-update accounting (``apply_calls``, traversals,
-        ``load_global`` bytes, uses) is charged exactly as the scalar
-        loop charges it, and activation-carries-data semantics are
-        preserved: processed vertices deactivate, changed vertices
-        activate their dependents (remote owners deferred to the wave
-        boundary by :meth:`activate`).
-        """
-        states = self.states
-        stats = self.machine.stats
-        if batch.size == 0:
-            return []
-        effective = view.as_array()
-        old = states.values[batch].copy()
-        new, changed = self.kernel.batch_update(batch, effective, old)
-        degrees = self.kernel.gather_degrees(batch)
-        degree_sum = int(degrees.sum())
-        stats.apply_calls += int(batch.size)
-        stats.edge_traversals += degree_sum
-        # Demand fetches: no path block to amortize gather reads.
-        if degree_sum > 0:
-            self.machine.load_global(
-                gpu_id, nbytes=8 * degree_sum, vertices=degree_sum
-            )
-        self.machine.note_vertex_uses(int(batch.size) + degree_sum)
-        states.values[batch] = new
-        self._written_gpu[batch] = gpu_id
-        self._written_stamp[batch] = self._wave_counter
-        for v in batch:
-            self.deactivate(int(v))
-        changed_batch = batch[changed]
-        if changed_batch.size:
-            stats.vertex_updates += int(changed_batch.size)
-            for v in changed_batch:
-                changed_vertices.add(int(v))
-                write_counts[int(v)] = write_counts.get(int(v), 0) + 1
-            targets, _ = self.kernel.batch_dependents(changed_batch)
-            self.activate([int(u) for u in targets])
-        return degrees.tolist()
 
     def _synchronize_replicas(
         self, pid: int, gpu_id: int, changed_vertices: Set[int]

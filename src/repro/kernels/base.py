@@ -3,8 +3,19 @@
 A :class:`BatchKernel` computes one gather-apply step for a *batch* of
 destination vertices at once — the GPU-kernel shape (one segment
 reduction over the CSR/CSC arrays) that GraphIt/G2 compile gather-apply
-loops into, realized here with NumPy. Engines drive kernels with three
-verbs:
+loops into, realized here with NumPy.
+
+A kernel is built from one program, or from a sequence of k same-class
+programs (k point queries over one shared graph). Every ``batch_update``
+is written over the **last** axis: ``states`` is ``(n,)`` for one
+program and ``(k, n)`` for a sequence. The gather segmentation is
+computed once per batch and shared by every row, per-program constants
+are scalars resp. ``(k, 1)`` columns (:meth:`BatchKernel.stack`), and
+row i performs the exact IEEE-754 operations of the one-program kernel
+on ``programs[i]`` — so the bulk-sync round and the serving layer
+certify the same code.
+
+Engines drive kernels with three verbs:
 
 - :meth:`BatchKernel.batch_update` — new states + changed flags for a
   vertex batch, gathering from a plain state array (a snapshot or a
@@ -29,29 +40,76 @@ vectorized formulation run unchanged behind the same engine code path.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
-from repro.kernels.segment import batch_segments
+from repro.kernels.segment import batch_segments, interleave_segments
 from repro.model.gas import VertexProgram
 
 
+def same_class_programs(
+    programs: Sequence[VertexProgram],
+) -> Tuple[VertexProgram, ...]:
+    """``programs`` as a tuple, checked non-empty and of one class."""
+    programs = tuple(programs)
+    if not programs:
+        raise ConfigurationError("a batch kernel needs at least one program")
+    first_cls = type(programs[0])
+    for program in programs[1:]:
+        if type(program) is not first_cls:
+            raise ConfigurationError(
+                "a batch kernel requires same-class programs; got "
+                f"{first_cls.__name__} and {type(program).__name__}"
+            )
+    return programs
+
+
 class BatchKernel(abc.ABC):
-    """Vectorized gather-apply for one vertex program on one graph."""
+    """Vectorized gather-apply for one vertex program — or a sequence of
+    same-class ones, one state row each — on one graph."""
 
     #: Kernel name for reports; defaults to the program's name.
     name = "batch-kernel"
 
-    def __init__(self, program: VertexProgram, graph: DiGraphCSR) -> None:
-        self.program = program
+    def __init__(
+        self,
+        programs: Union[VertexProgram, Sequence[VertexProgram]],
+        graph: DiGraphCSR,
+    ) -> None:
+        #: Rows of the state matrix; ``None``: one program, 1-D states.
+        self.num_lanes: Optional[int] = None
+        if isinstance(programs, VertexProgram):
+            self.programs = (programs,)
+        else:
+            self.programs = same_class_programs(programs)
+            self.num_lanes = len(self.programs)
+        self.program = self.programs[0]
         self.graph = graph
-        self.name = program.name
+        self.name = self.program.name
         self._bind()
 
     def _bind(self) -> None:
         """Cache graph-derived arrays; overridden by subclasses."""
+
+    def stack(self, value: Callable[[VertexProgram], object]):
+        """``value(program)`` for one program; for a sequence, the
+        values stacked on a leading lane axis — scalars as a ``(k, 1)``
+        column, so they broadcast against ``(k, len(dst))``."""
+        if self.num_lanes is None:
+            return value(self.program)
+        stacked = np.array([value(p) for p in self.programs])
+        return stacked[:, None] if stacked.ndim == 1 else stacked
+
+    def initial_states(self) -> np.ndarray:
+        """Initial states, one row per program of a sequence."""
+        return self.stack(lambda p: p.initial_states(self.graph))
+
+    def initial_active(self) -> np.ndarray:
+        """Initial active masks, one row per program of a sequence."""
+        return self.stack(lambda p: p.initial_active(self.graph))
 
     # ------------------------------------------------------------------
     # the batch verbs
@@ -63,8 +121,9 @@ class BatchKernel(abc.ABC):
         """Gather + apply for every vertex in ``dst``.
 
         ``states`` is the array gather reads (snapshot or materialized
-        view); ``old`` the per-vertex previous states the apply/convergence
-        check uses. Returns ``(new_states, changed_mask)``.
+        view) — vertices on the last axis; ``old`` the per-vertex
+        previous states the apply/convergence check uses. Returns
+        ``(new_states, changed_mask)``, shaped like ``old``.
         """
 
     def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
@@ -98,19 +157,41 @@ class InEdgeKernel(BatchKernel):
 
     def gather_segments(
         self, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, weights, seg_offsets, counts)`` of the batch."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sources, weights, seg_offsets)`` of the batch."""
         positions, seg_offsets = batch_segments(self._csc_indptr, dst)
         return (
             self._csc_sources[positions],
             self._csc_weights[positions],
             seg_offsets,
-            seg_offsets[1:] - seg_offsets[:-1],
+        )
+
+
+class BothEdgeKernel(InEdgeKernel):
+    """Plumbing of the symmetric programs (WCC, k-core), which gather
+    over, and activate along, both edge directions."""
+
+    def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
+        dst = np.asarray(dst, dtype=np.int64)
+        return self.graph.in_degree()[dst] + self.graph.out_degree()[dst]
+
+    def batch_dependents(
+        self, dst: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        # Scalar order: out-neighbors, then in-neighbors, per vertex.
+        out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
+        in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
+        return interleave_segments(
+            self.graph.indices[out_pos],
+            out_offsets,
+            self._csc_sources[in_pos],
+            in_offsets,
         )
 
 
 class ScalarFallbackKernel(BatchKernel):
-    """Per-vertex loop behind the batch interface (no vectorization)."""
+    """Per-vertex loop behind the batch interface (no vectorization),
+    for one program: the loop has no multi-row form."""
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray

@@ -29,44 +29,49 @@ class PageRankKernel(InEdgeKernel):
     def _bind(self) -> None:
         super()._bind()
         self._out_degree = self.graph.out_degree().astype(np.float64)
+        self._damping = self.stack(lambda p: p.damping)
+        self._tolerance = self.stack(lambda p: p.tolerance)
+
+    def _in_sum(self, dst: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """``sum_{u->v} state(u) / out_degree(u)`` per batch vertex."""
+        sources, _, seg_offsets = self.gather_segments(dst)
+        # Every gather source has >= 1 out-edge (the one being gathered),
+        # so the division is always defined.
+        contrib = np.asarray(states)[..., sources] / self._out_degree[sources]
+        return segment_sum_ordered(contrib, seg_offsets)
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        sources, _, seg_offsets, _ = self.gather_segments(dst)
-        # Every gather source has >= 1 out-edge (the one being gathered),
-        # so the division is always defined.
-        contrib = np.asarray(states)[sources] / self._out_degree[sources]
-        acc = segment_sum_ordered(contrib, seg_offsets)
-        program = self.program
-        new = (1.0 - program.damping) + program.damping * acc
-        changed = ~(np.abs(new - old) <= program.tolerance)
+        acc = self._in_sum(dst, states)
+        new = (1.0 - self._damping) + self._damping * acc
+        changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed
 
 
 @register_kernel(PersonalizedPageRank)
-class PersonalizedPageRankKernel(InEdgeKernel):
+class PersonalizedPageRankKernel(PageRankKernel):
     """PageRank with the teleport mass pinned to the seed set."""
 
     def _bind(self) -> None:
         super()._bind()
-        self._out_degree = self.graph.out_degree().astype(np.float64)
+        self._teleport = self.stack(self._teleport_of)
+
+    def _teleport_of(self, program: PersonalizedPageRank) -> np.ndarray:
         # Same construction as the program's initial_states cache.
         teleport = np.zeros(self.graph.num_vertices, dtype=np.float64)
-        teleport[list(self.program.seeds)] = 1.0 / len(self.program.seeds)
-        self._teleport = teleport
+        teleport[list(program.seeds)] = 1.0 / len(program.seeds)
+        return teleport
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        sources, _, seg_offsets, _ = self.gather_segments(dst)
-        contrib = np.asarray(states)[sources] / self._out_degree[sources]
-        acc = segment_sum_ordered(contrib, seg_offsets)
-        program = self.program
-        new = (1.0 - program.damping) * self._teleport[
-            np.asarray(dst, dtype=np.int64)
-        ] + program.damping * acc
-        changed = ~(np.abs(new - old) <= program.tolerance)
+        dst = np.asarray(dst, dtype=np.int64)
+        acc = self._in_sum(dst, states)
+        new = (1.0 - self._damping) * self._teleport[
+            ..., dst
+        ] + self._damping * acc
+        changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed
 
 
@@ -76,28 +81,35 @@ class AdsorptionKernel(InEdgeKernel):
 
     def _bind(self) -> None:
         super()._bind()
-        program = self.program
+        self._injection = self.stack(self._injection_of)
+        # A function of the graph alone, so the same for every program.
+        self._in_weight_sum = self.program._in_weight_sum
+        self._p_inj = self.stack(lambda p: p.p_inj)
+        self._p_cont = self.stack(lambda p: p.p_cont)
+        self._tolerance = self.stack(lambda p: p.tolerance)
+
+    def _injection_of(self, program: Adsorption) -> np.ndarray:
         if program._injection is None or program._in_weight_sum is None:
             # Deterministic caches; recomputing them is idempotent.
             program.initial_states(self.graph)
-        self._injection = program._injection
-        self._in_weight_sum = program._in_weight_sum
+        return program._injection
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, weights, seg_offsets, counts = self.gather_segments(dst)
-        denom = np.repeat(self._in_weight_sum[dst], counts)
+        sources, weights, seg_offsets = self.gather_segments(dst)
+        denom = np.repeat(
+            self._in_weight_sum[dst], seg_offsets[1:] - seg_offsets[:-1]
+        )
         ratio = np.divide(
             weights,
             denom,
             out=np.zeros_like(weights),
             where=denom != 0.0,
         )
-        contrib = np.asarray(states)[sources] * ratio
+        contrib = np.asarray(states)[..., sources] * ratio
         acc = segment_sum_ordered(contrib, seg_offsets)
-        program = self.program
-        new = program.p_inj * self._injection[dst] + program.p_cont * acc
-        changed = ~(np.abs(new - old) <= program.tolerance)
+        new = self._p_inj * self._injection[..., dst] + self._p_cont * acc
+        changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed

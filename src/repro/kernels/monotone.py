@@ -16,18 +16,17 @@ from repro.algorithms.bfs import BFSLevels
 from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WeaklyConnectedComponents
-from repro.kernels.base import BatchKernel, InEdgeKernel
+from repro.kernels.base import BothEdgeKernel, InEdgeKernel
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import (
-    batch_segments,
-    interleave_segments,
-    segment_min,
-    segment_max,
-)
+from repro.kernels.segment import batch_segments, segment_max, segment_min
 
 
 class _MinRelaxKernel(InEdgeKernel):
     """Shared shape of SSSP/BFS: relax in-edges, keep the minimum."""
+
+    def _bind(self) -> None:
+        super()._bind()
+        self._source = self.stack(lambda p: p.source)
 
     #: Per-edge relaxation step; overridden per program.
     def _relax(
@@ -39,13 +38,13 @@ class _MinRelaxKernel(InEdgeKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, weights, seg_offsets, _ = self.gather_segments(dst)
+        sources, weights, seg_offsets = self.gather_segments(dst)
         # inf + finite == inf, so unreached sources propagate the scalar
         # guard's INFINITY without a branch.
-        values = self._relax(np.asarray(states)[sources], weights)
+        values = self._relax(np.asarray(states)[..., sources], weights)
         acc = segment_min(values, seg_offsets, identity=np.inf)
         new = np.where(acc < old, acc, old)
-        new = np.where(dst == self.program.source, 0.0, new)
+        new = np.where(dst == self._source, 0.0, new)
         return new, new != old
 
 
@@ -70,7 +69,7 @@ class BFSKernel(_MinRelaxKernel):
 
 
 @register_kernel(WeaklyConnectedComponents)
-class WCCKernel(InEdgeKernel):
+class WCCKernel(BothEdgeKernel):
     """Min-label over both edge directions of the undirected view."""
 
     def batch_update(
@@ -80,28 +79,15 @@ class WCCKernel(InEdgeKernel):
         in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
         out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
         acc = np.minimum(
-            segment_min(states[self._csc_sources[in_pos]], in_offsets),
-            segment_min(states[self.graph.indices[out_pos]], out_offsets),
+            segment_min(
+                states[..., self._csc_sources[in_pos]], in_offsets
+            ),
+            segment_min(
+                states[..., self.graph.indices[out_pos]], out_offsets
+            ),
         )
         new = np.where(acc < old, acc, old)
         return new, new != old
-
-    def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
-        dst = np.asarray(dst, dtype=np.int64)
-        return self.graph.in_degree()[dst] + self.graph.out_degree()[dst]
-
-    def batch_dependents(
-        self, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # Scalar order: out-neighbors, then in-neighbors, per vertex.
-        out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
-        in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
-        return interleave_segments(
-            self.graph.indices[out_pos],
-            out_offsets,
-            self._csc_sources[in_pos],
-            in_offsets,
-        )
 
 
 @register_kernel(Reachability)
@@ -110,20 +96,23 @@ class ReachabilityKernel(InEdgeKernel):
 
     def _bind(self) -> None:
         super()._bind()
+        self._source_mask = self.stack(self._mask_of)
+
+    def _mask_of(self, program: Reachability) -> np.ndarray:
         mask = np.zeros(self.graph.num_vertices, dtype=bool)
-        mask[list(self.program.sources)] = True
-        self._source_mask = mask
+        mask[list(program.sources)] = True
+        return mask
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, _, seg_offsets, _ = self.gather_segments(dst)
+        sources, _, seg_offsets = self.gather_segments(dst)
         acc = segment_max(
-            np.asarray(states)[sources], seg_offsets, identity=0.0
+            np.asarray(states)[..., sources], seg_offsets, identity=0.0
         )
         new = np.where(
-            self._source_mask[dst],
+            self._source_mask[..., dst],
             1.0,
             np.maximum(old, np.where(acc > 0.0, 1.0, 0.0)),
         )

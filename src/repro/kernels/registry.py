@@ -1,35 +1,69 @@
 """Kernel registry: vertex-program class -> vectorized batch kernel.
 
 Kernels register with :func:`register_kernel` next to their program's
-vectorized formulation; engines resolve one with :func:`resolve_kernel`,
-getting the :class:`~repro.kernels.base.ScalarFallbackKernel` when no
-vectorized kernel exists (so the batched engine code path runs every
-program, just without the speedup).
+vectorized formulation; engines resolve one with :func:`resolve_kernel`.
+For one program that yields the registered kernel, or the
+:class:`~repro.kernels.base.ScalarFallbackKernel` when none exists (so
+the batched engine code path runs every program, just without the
+speedup). For a sequence of same-class programs — the serving layer's
+k point queries — it yields the *same* kernel class over a ``(k, n)``
+state matrix; a sequence has no scalar fallback, so a program class
+either has a vectorized formulation or the serving layer refuses to
+batch it.
 
-The registry has a second, parallel axis for the serving layer:
-**lane kernels** (:mod:`repro.kernels.lanes`) batch k same-class point
-queries into one multi-source kernel with a leading query-lane axis.
-They register with :func:`register_lane_kernel` and resolve with
-:func:`resolve_lane_kernel`; there is no scalar fallback on this axis —
-a program class either has a vectorized multi-source formulation or the
-serving layer refuses to batch it.
+:func:`registered_for` is the one lookup rule of both compiled forms
+(this registry and the step builders of :mod:`repro.kernels.steps`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Optional, Sequence, Tuple, Type, TypeVar, Union
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
-from repro.kernels.base import BatchKernel, ScalarFallbackKernel
+from repro.kernels.base import (
+    BatchKernel,
+    ScalarFallbackKernel,
+    same_class_programs,
+)
 from repro.model.gas import VertexProgram
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kernels.lanes import LaneKernel
 
 _REGISTRY: Dict[Type[VertexProgram], Type[BatchKernel]] = {}
 
-_LANE_REGISTRY: Dict[Type[VertexProgram], Type["LaneKernel"]] = {}
+#: What a compiled kernel replaces (``dependents``: the batch form's
+#: ``batch_dependents``): a subclass overriding any of these no longer
+#: computes what its base's registered kernel computes.
+PROTOCOL = (
+    "identity",
+    "gather",
+    "accumulate",
+    "gather_edges",
+    "gather_degree",
+    "apply",
+    "has_converged",
+    "full_gather",
+    "update_vertex",
+    "dependents",
+)
+
+_Entry = TypeVar("_Entry")
+
+
+def registered_for(
+    table: Dict[Type[VertexProgram], _Entry], program: VertexProgram
+) -> Optional[_Entry]:
+    """``table``'s entry for ``program``'s exact class — or for a base
+    class, when the subclass overrides no protocol method."""
+    cls = type(program)
+    for base in cls.__mro__:
+        entry = table.get(base)
+        if entry is not None:
+            inherits = all(
+                getattr(cls, name) is getattr(base, name)
+                for name in PROTOCOL
+            )
+            return entry if inherits else None
+    return None
 
 
 def register_kernel(
@@ -48,12 +82,9 @@ def register_kernel(
 def kernel_class_for(
     program: VertexProgram,
 ) -> Optional[Type[BatchKernel]]:
-    """The registered kernel class for ``program``, if any (MRO-aware)."""
-    for cls in type(program).__mro__:
-        kernel_cls = _REGISTRY.get(cls)
-        if kernel_cls is not None:
-            return kernel_cls
-    return None
+    """The registered kernel class for ``program``, if any (see
+    :func:`registered_for`)."""
+    return registered_for(_REGISTRY, program)
 
 
 def has_vectorized_kernel(program: VertexProgram) -> bool:
@@ -62,81 +93,33 @@ def has_vectorized_kernel(program: VertexProgram) -> bool:
 
 
 def resolve_kernel(
-    program: VertexProgram,
+    programs: Union[VertexProgram, Sequence[VertexProgram]],
     graph: DiGraphCSR,
     allow_fallback: bool = True,
 ) -> Optional[BatchKernel]:
-    """Build the kernel for ``program`` bound to ``graph``.
+    """Build the kernel for ``programs`` bound to ``graph``.
 
-    Without a registered kernel, returns the scalar fallback (or ``None``
-    when ``allow_fallback`` is false).
+    One program without a registered kernel gets the scalar fallback
+    (or ``None`` when ``allow_fallback`` is false). A sequence must be
+    non-empty and share one class with a registered kernel, else
+    :class:`~repro.errors.ConfigurationError`.
     """
-    kernel_cls = kernel_class_for(program)
+    single = isinstance(programs, VertexProgram)
+    lead = programs if single else same_class_programs(programs)[0]
+    kernel_cls = kernel_class_for(lead)
     if kernel_cls is None:
+        if not single:
+            raise ConfigurationError(
+                f"no batch kernel registered for program "
+                f"{type(lead).__name__!r}; a program sequence has no "
+                f"scalar fallback"
+            )
         if not allow_fallback:
             return None
-        return ScalarFallbackKernel(program, graph)
-    return kernel_cls(program, graph)
+        kernel_cls = ScalarFallbackKernel
+    return kernel_cls(programs, graph)
 
 
 def registered_program_classes() -> Tuple[Type[VertexProgram], ...]:
     """Program classes with a vectorized kernel, registration order."""
     return tuple(_REGISTRY.keys())
-
-
-# ----------------------------------------------------------------------
-# query-lane axis (multi-source kernels for the serving layer)
-# ----------------------------------------------------------------------
-def register_lane_kernel(
-    *program_classes: Type[VertexProgram],
-) -> Callable[[Type["LaneKernel"]], Type["LaneKernel"]]:
-    """Class decorator registering a lane kernel for its program class(es)."""
-
-    def decorate(kernel_cls: Type["LaneKernel"]) -> Type["LaneKernel"]:
-        for program_cls in program_classes:
-            _LANE_REGISTRY[program_cls] = kernel_cls
-        return kernel_cls
-
-    return decorate
-
-
-def lane_kernel_class_for(
-    program: VertexProgram,
-) -> Optional[Type["LaneKernel"]]:
-    """The registered lane-kernel class for ``program``, if any."""
-    for cls in type(program).__mro__:
-        kernel_cls = _LANE_REGISTRY.get(cls)
-        if kernel_cls is not None:
-            return kernel_cls
-    return None
-
-
-def has_lane_kernel(program: VertexProgram) -> bool:
-    """Whether ``program`` has a registered multi-source formulation."""
-    return lane_kernel_class_for(program) is not None
-
-
-def resolve_lane_kernel(
-    programs: Sequence[VertexProgram],
-    graph: DiGraphCSR,
-) -> "LaneKernel":
-    """Build the lane kernel batching ``programs`` over ``graph``.
-
-    All programs must share one class with a registered lane kernel;
-    there is no scalar fallback on the lane axis.
-    """
-    programs = tuple(programs)
-    if not programs:
-        raise ConfigurationError("resolve_lane_kernel needs >= 1 program")
-    kernel_cls = lane_kernel_class_for(programs[0])
-    if kernel_cls is None:
-        raise ConfigurationError(
-            f"no lane kernel registered for program "
-            f"{type(programs[0]).__name__!r}"
-        )
-    return kernel_cls(programs, graph)
-
-
-def registered_lane_program_classes() -> Tuple[Type[VertexProgram], ...]:
-    """Program classes with a lane kernel, registration order."""
-    return tuple(_LANE_REGISTRY.keys())

@@ -18,10 +18,12 @@ order as the scalar loop, so sums agree *bit for bit*. Min/max are
 order-insensitive (exact under any association), so they use
 ``reduceat`` with empty-segment masking.
 
-Every reduction folds the **last** axis of ``values``; leading axes (the
-query lanes of :mod:`repro.kernels.lanes`) share the segmentation and
-each row is reduced as if alone. There is one implementation per
-reduction, so the contract above is stated — and tested — once.
+Every reduction folds the **last** axis of ``values``; leading axes (one
+row per program of a kernel built from a program sequence, see
+:mod:`repro.kernels.base`) share the segmentation, and row ``i``
+undergoes exactly the IEEE-754 operations, in the same order, of the
+1-D call on ``values[i]``. There is one implementation per reduction,
+so the contract above is stated — and tested — once.
 
 All reductions require ``seg_offsets[-1] == len(values)`` — the offsets
 must tile the value array exactly, which :func:`batch_segments`
@@ -159,12 +161,3 @@ def segment_max(
 ) -> np.ndarray:
     """Per-segment maximum; empty segments yield ``identity``."""
     return _segment_reduceat(np.maximum, values, seg_offsets, identity)
-
-
-#: Lane-axis names. Every reduction above folds the *last* axis with
-#: the segmentation shared by all leading ones, so on a ``(lanes,
-#: total)`` matrix row ``i`` undergoes exactly the IEEE-754 operations,
-#: in the same order, of the 1-D call on ``values[i]``.
-segment_sum_ordered_2d = segment_sum_ordered
-segment_min_2d = segment_min
-segment_max_2d = segment_max

@@ -1,8 +1,8 @@
 """Step kernels: one fused gather-apply step per vertex, per algebra.
 
-The third registry axis, next to batch (:mod:`repro.kernels.base`) and
-lane (:mod:`repro.kernels.lanes`): where a batch kernel updates a whole
-frontier against one snapshot (a Jacobi schedule), a **step** kernel
+The second compiled form, next to batch (:mod:`repro.kernels.base`):
+where a batch kernel updates a whole frontier against one snapshot (a
+Jacobi schedule), a **step** kernel
 updates *one* vertex against whatever the engine says that vertex can
 see right now — the unit of a Gauss-Seidel schedule (the path walk, the
 async worklist, the sequential oracle). It is the paper's SMX step,
@@ -53,6 +53,7 @@ from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WeaklyConnectedComponents
 from repro.graph.digraph import DiGraphCSR
+from repro.kernels.registry import registered_for
 from repro.model.gas import VertexProgram
 
 INFINITY = float("inf")
@@ -73,20 +74,6 @@ StepBuilder = Callable[[VertexProgram, DiGraphCSR], StepKernel]
 
 _BUILDERS: Dict[Type[VertexProgram], StepBuilder] = {}
 
-#: What a step kernel replaces: a subclass overriding any of these no
-#: longer computes what its base's registered step computes.
-_PROTOCOL = (
-    "identity",
-    "gather",
-    "accumulate",
-    "gather_edges",
-    "gather_degree",
-    "apply",
-    "has_converged",
-    "full_gather",
-    "update_vertex",
-)
-
 
 def _register(*program_classes: Type[VertexProgram]):
     def decorate(builder: StepBuilder) -> StepBuilder:
@@ -100,16 +87,7 @@ def _register(*program_classes: Type[VertexProgram]):
 def step_builder_for(program: VertexProgram) -> Optional[StepBuilder]:
     """The registered builder for ``program``'s exact class — or for a
     base class, when the subclass overrides no protocol method."""
-    cls = type(program)
-    for base in cls.__mro__:
-        builder = _BUILDERS.get(base)
-        if builder is not None:
-            inherits = all(
-                getattr(cls, name) is getattr(base, name)
-                for name in _PROTOCOL
-            )
-            return builder if inherits else None
-    return None
+    return registered_for(_BUILDERS, program)
 
 
 def resolve_step(program: VertexProgram, graph: DiGraphCSR) -> StepKernel:

@@ -12,18 +12,18 @@ from typing import Tuple
 import numpy as np
 
 from repro.algorithms.kcore import KCore
-from repro.kernels.base import InEdgeKernel
+from repro.kernels.base import BothEdgeKernel
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import (
-    batch_segments,
-    interleave_segments,
-    segment_sum_ordered,
-)
+from repro.kernels.segment import batch_segments, segment_sum_ordered
 
 
 @register_kernel(KCore)
-class KCoreKernel(InEdgeKernel):
+class KCoreKernel(BothEdgeKernel):
     """Peel a vertex when fewer than ``k`` of its neighbors are alive."""
+
+    def _bind(self) -> None:
+        super()._bind()
+        self._k = self.stack(lambda p: p.k)
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
@@ -31,10 +31,10 @@ class KCoreKernel(InEdgeKernel):
         states = np.asarray(states)
         in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
         out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
-        alive_in = (states[self._csc_sources[in_pos]] > 0.0).astype(
+        alive_in = (states[..., self._csc_sources[in_pos]] > 0.0).astype(
             np.float64
         )
-        alive_out = (states[self.graph.indices[out_pos]] > 0.0).astype(
+        alive_out = (states[..., self.graph.indices[out_pos]] > 0.0).astype(
             np.float64
         )
         acc = segment_sum_ordered(alive_in, in_offsets) + segment_sum_ordered(
@@ -43,23 +43,6 @@ class KCoreKernel(InEdgeKernel):
         new = np.where(
             old == 0.0,  # peeling is permanent
             0.0,
-            np.where(acc >= self.program.k, 1.0, 0.0),
+            np.where(acc >= self._k, 1.0, 0.0),
         )
         return new, new != old
-
-    def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
-        dst = np.asarray(dst, dtype=np.int64)
-        return self.graph.in_degree()[dst] + self.graph.out_degree()[dst]
-
-    def batch_dependents(
-        self, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # Scalar order: out-neighbors, then in-neighbors, per vertex.
-        out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
-        in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
-        return interleave_segments(
-            self.graph.indices[out_pos],
-            out_offsets,
-            self._csc_sources[in_pos],
-            in_offsets,
-        )

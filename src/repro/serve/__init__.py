@@ -5,9 +5,10 @@ issue concurrent point queries (SSSP/BFS from a source, reachability
 from a source set, personalized pagerank from a seed set) against one
 :class:`~repro.serve.context.ServingContext` — a single path
 decomposition + dependency DAG shared by every query. Same-algorithm
-queries batch into multi-source **lane kernels**
-(:mod:`repro.kernels.lanes`), bit-identical per lane to sequential
-single-source runs; a deterministic discrete-event admission loop
+queries batch into one multi-source kernel — the algorithm's batch
+kernel with a leading **query-lane** axis (:mod:`repro.kernels.base`) —
+bit-identical per lane to sequential single-source runs; a
+deterministic discrete-event admission loop
 (:class:`~repro.serve.server.QueryServer`) provides bounded concurrency
 and per-tenant fairness. See ``docs/serving.md``.
 """

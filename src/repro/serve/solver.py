@@ -1,8 +1,9 @@
 """Multi-source solver: k point queries in one layered sweep.
 
 :class:`MultiSourceSolver` runs k same-algorithm queries as one
-computation over a ``(k, n)`` state matrix using the lane kernels of
-:mod:`repro.kernels.lanes`. Each round sweeps the shared
+computation over a ``(k, n)`` state matrix: the algorithm's batch kernel
+(:mod:`repro.kernels.base`) built from the k programs, one state row
+each. Each round sweeps the shared
 :class:`~repro.serve.context.ServingContext` layer batches in ascending
 layer order — Jacobi within a batch, Gauss-Seidel across batches — and
 a batch is launched when **any** lane has an active vertex in it (the
@@ -45,7 +46,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError, GPULostError
-from repro.kernels.registry import resolve_lane_kernel
+from repro.kernels.registry import resolve_kernel
 from repro.model.gas import VertexProgram
 from repro.serve.context import ServingContext
 
@@ -166,7 +167,7 @@ class MultiSourceSolver:
         return pending
 
     def solve(self, time_budget_s: Optional[float] = None) -> SolveResult:
-        """Run all lanes to convergence with the registered lane kernel.
+        """Run all lanes to convergence with the registered batch kernel.
 
         With ``time_budget_s`` the solve becomes a **brownout** solve:
         before each round it estimates the round's cost from the
@@ -182,7 +183,7 @@ class MultiSourceSolver:
         instead.
         """
         context = self.context
-        kernel = resolve_lane_kernel(self.programs, context.graph)
+        kernel = resolve_kernel(self.programs, context.graph)
         states = kernel.initial_states()
         active = kernel.initial_active()
         batches = context.layer_batches
@@ -219,7 +220,7 @@ class MultiSourceSolver:
             edge_lane_work += work
             modeled += self._launch_seconds(work)
             old = states[:, sel]
-            return (sel, old, *kernel.lane_update(sel, states, old))
+            return (sel, old, *kernel.batch_update(sel, states, old))
 
         while pending.any():
             if time_budget_s is not None and rounds >= 1:
@@ -303,7 +304,7 @@ class MultiSourceSolver:
 
         This is the golden the serving layer certifies against: a plain
         ``update_vertex`` Python loop per lane over that lane's *own*
-        frontier (no union batching, no lane kernels, no shared float
+        frontier (no union batching, no batch kernels, no shared float
         ops), so agreement with :meth:`solve` is evidence, not
         circularity. Cost accounting models sequential dispatch: one
         launch per (lane, layer batch).

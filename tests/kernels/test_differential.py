@@ -1,18 +1,17 @@
 """Differential tests: batched kernels vs per-vertex scalar updates.
 
-Every registered algorithm runs on every fixture graph twice — once with
-the scalar per-vertex path and once with the vectorized batch kernels —
-and the results are compared:
+Every registered algorithm runs on every fixture graph against the
+scalar bulk-sync round, the differential reference:
 
 - **bulk-sync**: the engine is Jacobi against a round-start snapshot, so
   the batched formulation is *exactly* the same computation. States must
   be bit-identical and every round record must match.
-- **digraph-t**: the scalar vertex-centric pass is Gauss-Seidel in id
-  order within a partition (later vertices see earlier in-pass writes);
-  the batched pass is Jacobi per pass. Discrete algorithms (sssp, bfs,
-  wcc, reachability, kcore) still reach bit-identical fixed points;
-  numeric contractions (pagerank, ppr, adsorption) agree within the
-  convergence tolerance band.
+- **digraph-t**: its vertex-centric pass is Gauss-Seidel in id order
+  within a partition (later vertices see earlier in-pass writes), the
+  reference is Jacobi per round. Discrete algorithms (sssp, bfs, wcc,
+  reachability, kcore) still reach bit-identical fixed points; numeric
+  contractions (pagerank, ppr, adsorption) agree within the convergence
+  tolerance band.
 """
 
 import numpy as np
@@ -90,10 +89,8 @@ def _run_bulk_sync(graph, algo, machine, vectorized, max_rounds=100000):
     return engine.run(graph, program, graph_name="diff")
 
 
-def _run_digraph_t(graph, algo, machine, vectorized):
-    engine = digraph_t(
-        machine, DiGraphConfig(use_vectorized_kernels=vectorized)
-    )
+def _run_digraph_t(graph, algo, machine):
+    engine = digraph_t(machine, DiGraphConfig())
     program = make_program(algo, graph)
     return engine.run(graph, program, graph_name="diff")
 
@@ -140,17 +137,17 @@ def test_bulk_sync_round_by_round(algo, test_machine):
 @pytest.mark.parametrize("graph_name,graph", GRAPHS, ids=[g[0] for g in GRAPHS])
 @pytest.mark.parametrize("algo", ALGOS)
 def test_digraph_t_fixed_point(algo, graph_name, graph, test_machine):
-    scalar = _run_digraph_t(graph, algo, test_machine, vectorized=False)
-    batched = _run_digraph_t(graph, algo, test_machine, vectorized=True)
+    jacobi = _run_bulk_sync(graph, algo, test_machine, vectorized=False)
+    gauss_seidel = _run_digraph_t(graph, algo, test_machine)
 
-    assert scalar.converged and batched.converged
+    assert jacobi.converged and gauss_seidel.converged
     if algo in DISCRETE:
-        assert np.array_equal(scalar.states, batched.states)
+        assert np.array_equal(jacobi.states, gauss_seidel.states)
     else:
-        # Jacobi-per-pass vs Gauss-Seidel-per-pass: same contraction,
+        # Jacobi-per-round vs Gauss-Seidel-per-pass: same contraction,
         # same fixed point up to the convergence tolerance band.
         np.testing.assert_allclose(
-            scalar.states, batched.states, rtol=0.0, atol=5e-3
+            jacobi.states, gauss_seidel.states, rtol=0.0, atol=5e-3
         )
 
 

@@ -1,13 +1,18 @@
 """Property-based tests for the segment primitives and batch kernels.
 
-Two layers:
+Four layers:
 
 1. the segmented-array primitives (:mod:`repro.kernels.segment`) against
    naive per-segment Python loops on arbitrary CSR shapes — empty
    segments, single-vertex graphs, self-loops, duplicate edges;
 2. every registered vectorized kernel against the
    :class:`ScalarFallbackKernel` (which loops the program's own
-   ``update_vertex``) on arbitrary small graphs and states.
+   ``update_vertex``) on arbitrary small graphs and states;
+3. every registered kernel built from a sequence of k same-class
+   programs against the same kernel built from each program alone, row
+   by row, on states salted with ``inf`` and ``-0.0``;
+4. the registry's lookup rule: a subclass overriding a protocol method
+   does not inherit its base's kernel.
 
 Sums must be *bit-identical* — the segment reduction is specified as the
 same IEEE-754 operations in the same order as the scalar fold, not as
@@ -15,19 +20,37 @@ same IEEE-754 operations in the same order as the scalar fold, not as
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import make_program
+from repro.algorithms import (
+    SSSP,
+    Adsorption,
+    BFSLevels,
+    KCore,
+    PageRank,
+    PersonalizedPageRank,
+    Reachability,
+    WeaklyConnectedComponents,
+    make_program,
+)
+from repro.baselines.bulk_sync import BulkSyncConfig, BulkSyncEngine
+from repro.errors import ConfigurationError
+from repro.gpu.config import SCALED_MACHINE
 from repro.graph.builder import from_edges
+from repro.graph.generators import random_directed
 from repro.kernels import (
     ScalarFallbackKernel,
     batch_segments,
+    has_vectorized_kernel,
     interleave_segments,
+    kernel_class_for,
     resolve_kernel,
     segment_max,
     segment_min,
     segment_sum_ordered,
 )
+from repro.model.gas import VertexProgram
 
 # ----------------------------------------------------------------------
 # strategies
@@ -242,3 +265,177 @@ def test_pagerank_kernel_on_perturbed_states(graph, data):
     s_new, s_changed = scalar.batch_update(batch, states, states[batch])
     assert np.array_equal(v_new, s_new)
     assert np.array_equal(v_changed, s_changed)
+
+
+# ----------------------------------------------------------------------
+# one kernel, any rank: a program sequence vs its programs one at a time
+# ----------------------------------------------------------------------
+
+#: Lane ``i``'s program, with per-lane constants that differ by lane.
+LANE_PROGRAMS = {
+    "pagerank": lambda i, n: PageRank(
+        damping=0.5 + 0.05 * i, tolerance=10.0 ** -(2 + i % 3)
+    ),
+    "ppr": lambda i, n: PersonalizedPageRank(
+        seeds=[i % n, (5 * i + 2) % n],
+        damping=0.9 - 0.05 * i,
+        tolerance=10.0 ** -(3 + i % 3),
+    ),
+    "adsorption": lambda i, n: Adsorption(
+        p_inj=0.1 + 0.1 * i, injection_seed=13 + i
+    ),
+    "sssp": lambda i, n: SSSP(source=(3 * i) % n),
+    "bfs": lambda i, n: BFSLevels(source=(3 * i + 1) % n),
+    "wcc": lambda i, n: WeaklyConnectedComponents(),
+    "reachability": lambda i, n: Reachability(
+        sources=[i % n, (7 * i + 3) % n]
+    ),
+    "kcore": lambda i, n: KCore(k=1 + i % 4),
+}
+
+
+def lane_graph():
+    """Random edges over vertices 0..29; 30..33 have no in-edge (30 and
+    31 feed the rest, 32 and 33 are isolated)."""
+    rng = np.random.default_rng(41)
+    edges = [
+        (int(u), int(v))
+        for u, v in zip(rng.integers(0, 30, 150), rng.integers(0, 30, 150))
+    ]
+    edges += [(30, 4), (30, 9), (31, 4)]
+    return from_edges(edges, num_vertices=34)
+
+
+def salted(rng, shape):
+    """Finite draws with ``inf`` and ``-0.0`` scattered through them."""
+    values = rng.uniform(0.0, 5.0, size=shape)
+    values[rng.random(shape) < 0.2] = np.inf
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+# inf - inf in a tolerance check is the point of the salt, not a defect.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("lanes", [1, 3, 8])
+@pytest.mark.parametrize("algo", KERNEL_ALGOS)
+def test_program_sequence_rows_equal_the_one_program_kernel(algo, lanes):
+    """Row i of the k-program kernel is, bit for bit, the one-program
+    kernel on ``programs[i]`` — ``changed`` included."""
+    graph = lane_graph()
+    n = graph.num_vertices
+    assert (graph.in_degree()[30:] == 0).all()
+    programs = [LANE_PROGRAMS[algo](i, n) for i in range(lanes)]
+    kernel = resolve_kernel(programs, graph)
+    assert kernel.num_lanes == lanes
+    initial = kernel.initial_states()
+    assert initial.shape == kernel.initial_active().shape == (lanes, n)
+
+    rng = np.random.default_rng(lanes * 101 + len(algo))
+    states = salted(rng, (lanes, n))
+    # An unreached lane: the program's own starting row.
+    states[lanes - 1] = initial[lanes - 1]
+    dst = rng.permutation(n)[: n - 5].astype(np.int64)
+    assert np.isin([30, 31, 32, 33], dst).any()
+    old = np.where(rng.random((lanes, dst.size)) < 0.5,
+                   states[:, dst], salted(rng, (lanes, dst.size)))
+
+    new, changed = kernel.batch_update(dst, states, old)
+    assert new.shape == changed.shape == (lanes, dst.size)
+    for i, program in enumerate(programs):
+        solo = resolve_kernel(program, graph, allow_fallback=False)
+        assert type(solo) is type(kernel) and solo.num_lanes is None
+        assert np.array_equal(initial[i], solo.initial_states())
+        row_new, row_changed = solo.batch_update(dst, states[i], old[i])
+        assert new[i].tobytes() == row_new.tobytes()
+        assert changed[i].tobytes() == row_changed.tobytes()
+
+
+def test_program_sequences_are_same_class_and_non_empty():
+    graph = lane_graph()
+    with pytest.raises(ConfigurationError, match="at least one program"):
+        resolve_kernel([], graph)
+    with pytest.raises(ConfigurationError, match="same-class"):
+        resolve_kernel([SSSP(source=0), BFSLevels(source=0)], graph)
+    with pytest.raises(ConfigurationError, match="no batch kernel"):
+        resolve_kernel([Averaging(), Averaging()], graph)
+
+
+# ----------------------------------------------------------------------
+# a subclass that overrides the protocol does not inherit a kernel
+# ----------------------------------------------------------------------
+
+
+class HopSSSP(SSSP):
+    """Every hop costs 100 more than its weight."""
+
+    def gather(self, src_state, weight, src, dst):
+        return super().gather(src_state, weight, src, dst) + 100.0
+
+
+class RenamedSSSP(SSSP):
+    """Overrides nothing a kernel replaces."""
+
+    name = "sssp-renamed"
+
+
+class OneWaySSSP(SSSP):
+    """Activates nobody: overrides only ``dependents``."""
+
+    def dependents(self, graph, v):
+        return ()
+
+
+class Averaging(VertexProgram):
+    """No registered kernel in its MRO."""
+
+    name = "averaging"
+
+    def initial_states(self, graph):
+        return np.ones(graph.num_vertices, dtype=np.float64)
+
+    @property
+    def identity(self):
+        return 0.0
+
+    def gather(self, src_state, weight, src, dst):
+        return src_state
+
+    def accumulate(self, a, b):
+        return a + b
+
+    def apply(self, v, old_state, acc):
+        return 0.5 * acc
+
+
+@pytest.mark.parametrize("program_cls", [HopSSSP, OneWaySSSP])
+def test_overriding_subclass_does_not_get_its_base_kernel(program_cls):
+    graph = lane_graph()
+    program = program_cls(source=0)
+    assert kernel_class_for(program) is None
+    assert not has_vectorized_kernel(program)
+    assert resolve_kernel(program, graph, allow_fallback=False) is None
+    assert type(resolve_kernel(program, graph)) is ScalarFallbackKernel
+    with pytest.raises(ConfigurationError, match="no batch kernel"):
+        resolve_kernel([program, program_cls(source=1)], graph)
+
+
+def test_subclass_overriding_no_protocol_method_keeps_the_kernel():
+    assert kernel_class_for(RenamedSSSP(source=0)) is kernel_class_for(
+        SSSP(source=0)
+    )
+
+
+def test_hop_sssp_bulk_sync_rounds_agree():
+    """The vectorized bulk-sync round runs the subclass's own gather,
+    as the scalar round does (it used to run plain SSSP's kernel)."""
+    graph = random_directed(50, 200, seed=1)
+    results = [
+        BulkSyncEngine(
+            SCALED_MACHINE, BulkSyncConfig(use_vectorized_kernels=vectorized)
+        ).run(graph, HopSSSP(source=0), graph_name="hop")
+        for vectorized in (False, True)
+    ]
+    scalar, vectorized = results
+    assert np.isfinite(scalar.states).any() and scalar.states.max() > 100.0
+    assert np.array_equal(scalar.states, vectorized.states)
+    assert scalar.round_records == vectorized.round_records

@@ -15,11 +15,8 @@ import pytest
 from repro.kernels.segment import (
     batch_segments,
     segment_max,
-    segment_max_2d,
     segment_min,
-    segment_min_2d,
     segment_sum_ordered,
-    segment_sum_ordered_2d,
 )
 
 # inf + -inf inside a sum is the point of these inputs, not a defect.
@@ -88,7 +85,7 @@ def test_ordered_sum_is_the_left_fold_bitwise(name, lanes):
         # 0.0 + -0.0 is +0.0: a sum seeded with x_0 instead of 0.0
         # would return -0.0 here.
         values[:] = -0.0
-    result = segment_sum_ordered_2d(values, seg_offsets)
+    result = segment_sum_ordered(values, seg_offsets)
     assert result.shape == (lanes, seg_offsets.size - 1)
     assert result.dtype == np.float64
     for i in range(lanes):
@@ -110,7 +107,7 @@ def test_ordered_sum_300_ragged_segments(lanes):
     counts[7] = 260
     seg_offsets = offsets_of(counts)
     values = draw_values(rng, lanes, int(seg_offsets[-1]))
-    result = segment_sum_ordered_2d(values, seg_offsets)
+    result = segment_sum_ordered(values, seg_offsets)
     for i in range(lanes):
         assert (
             result[i].tobytes() == left_fold(values[i], seg_offsets).tobytes()
@@ -121,7 +118,7 @@ def test_ordered_sum_does_not_touch_its_input():
     seg_offsets = offsets_of([2, 0, 3])
     values = np.arange(10.0).reshape(2, 5)
     before = values.copy()
-    segment_sum_ordered_2d(values, seg_offsets)
+    segment_sum_ordered(values, seg_offsets)
     assert np.array_equal(values, before)
 
 
@@ -137,22 +134,22 @@ def test_lane_min_max_equal_the_1d_forms_per_row(name, lanes):
     # way, but its payload bits are not part of the contract.
     values = rng.standard_normal((lanes, int(seg_offsets[-1])))
     values[rng.random(values.shape) < 0.2] = np.inf
-    for reduce_2d, reduce_1d, identity in (
-        (segment_min_2d, segment_min, np.inf),
-        (segment_max_2d, segment_max, -np.inf),
-        (segment_max_2d, segment_max, 0.0),
+    for reduce, identity in (
+        (segment_min, np.inf),
+        (segment_max, -np.inf),
+        (segment_max, 0.0),
     ):
-        result = reduce_2d(values, seg_offsets, identity=identity)
+        result = reduce(values, seg_offsets, identity=identity)
         assert result.shape == (lanes, seg_offsets.size - 1)
         assert result.dtype == np.float64
         for i in range(lanes):
-            row = reduce_1d(values[i], seg_offsets, identity=identity)
+            row = reduce(values[i], seg_offsets, identity=identity)
             assert result[i].tobytes() == row.tobytes()
             for j, (lo, hi) in enumerate(
                 zip(seg_offsets[:-1], seg_offsets[1:])
             ):
                 segment = values[i, lo:hi]
-                pick = min if reduce_1d is segment_min else max
+                pick = min if reduce is segment_min else max
                 assert row[j] == (pick(segment) if hi > lo else identity)
 
 

@@ -85,7 +85,7 @@ def settled_lanes(monkeypatch):
     point, with an empty frontier."""
 
     def install(final_states):
-        resolve = solver_module.resolve_lane_kernel
+        resolve = solver_module.resolve_kernel
 
         def resolve_settled(programs, graph):
             kernel = resolve(programs, graph)
@@ -98,7 +98,7 @@ def settled_lanes(monkeypatch):
             return kernel
 
         monkeypatch.setattr(
-            solver_module, "resolve_lane_kernel", resolve_settled
+            solver_module, "resolve_kernel", resolve_settled
         )
 
     return install

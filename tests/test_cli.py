@@ -125,6 +125,40 @@ class TestErrorHandling:
             main(["--debug", "run", "--edge-list", str(bad)])
 
 
+class TestKernelsBench:
+    """``repro kernels-bench`` certifies scalar == vectorized states
+    through its exit code (the CI ``fast`` job runs it as a gate)."""
+
+    ARGS = ["kernels-bench", "--vertices", "200", "--edges", "800",
+            "--algorithms", "sssp", "kcore"]
+
+    def test_equal_states_exit_zero(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(self.ARGS + ["--output", str(out)]) == 0
+        assert out.exists()
+        assert "NO" not in capsys.readouterr().out
+
+    def test_unequal_states_exit_one_naming_the_algorithms(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.bench.runner as runner
+
+        real = runner.run_kernel_microbench
+
+        def unequal(**kwargs):
+            report = real(**kwargs)
+            report["results"][1]["states_equal"] = False
+            return report
+
+        monkeypatch.setattr(runner, "run_kernel_microbench", unequal)
+        code = main(self.ARGS + ["--output", str(tmp_path / "bench.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "NO" in captured.out
+        assert captured.err.startswith("error: ")
+        assert "kcore" in captured.err and "sssp" not in captured.err
+
+
 class TestSweepCommand:
     """Exit-code contract of ``repro sweep``: 0 on a clean run or a
     passing gate, 1 on any gate failure or malformed config — the

@@ -68,6 +68,12 @@ def expected_surface():
         "kernels) and",
         "the DiGraph family and",
     )
+    # The DiGraph family lost its batched pass: `--vectorized` reaches
+    # bulk-sync only.
+    vectorized = surface["run"]["vectorized"]
+    vectorized["help"] = vectorized["help"].replace(
+        "bulk-sync and the DiGraph family;", "bulk-sync only;"
+    )
     # `repro experiment NAME` is checked against the experiment table.
     surface["experiment"]["name"]["choices"] = list(EXPERIMENTS)
     return surface
