@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -58,6 +59,10 @@ SPILL_DTYPE = np.dtype([("src", "<i8"), ("dst", "<i8"), ("w", "<f8")])
 #: Bound on the inter-cluster affinity sketch (entries, not bytes); the
 #: sketch keeps the heaviest pairs and prunes deterministically.
 MAX_AFFINITY_ENTRIES = 200_000
+
+#: Edges the cluster pass filters at a time: a smaller block lets fewer
+#: settled edges through to its per-edge loop, a larger one amortizes it.
+CLUSTER_BLOCK_EDGES = 4_096
 
 #: Knuth multiplicative-hash constant for the random policy.
 _HASH_MULT = np.uint64(2654435761)
@@ -181,19 +186,31 @@ def _scan_pass(
     tracker: ResidentTracker,
     num_vertices: Optional[int],
 ) -> Tuple[int, int, np.ndarray]:
-    """Pass 1: vertex count, edge count, out-degrees."""
+    """Pass 1: vertex count, edge count, out-degrees; rejects bad chunks."""
     n = int(num_vertices) if num_vertices else 0
     m = 0
     deg = np.zeros(max(n, 1), dtype=np.int64)
     tracker.acquire(deg.nbytes, "degrees")
-    for src, dst, _w in chunks():
+
+    def reject(message: str) -> StorageError:
+        tracker.release(deg.nbytes, "degrees")
+        return StorageError(message)
+
+    for index, (src, dst, w) in enumerate(chunks()):
+        if not src.size == dst.size == w.size:
+            raise reject(
+                f"chunk {index}: src, dst and weight hold "
+                f"{src.size}, {dst.size} and {w.size} entries"
+            )
         if src.size == 0:
             continue
         with tracker.hold(src.nbytes * 3, "chunk"):
+            lowest = int(min(src.min(), dst.min()))
+            if lowest < 0:
+                raise reject(f"chunk {index}: negative vertex id {lowest}")
             hi = int(max(src.max(), dst.max())) + 1
             if num_vertices is not None and hi > num_vertices:
-                tracker.release(deg.nbytes, "degrees")
-                raise StorageError(
+                raise reject(
                     f"edge endpoint {hi - 1} outside fixed vertex "
                     f"count {num_vertices}"
                 )
@@ -207,13 +224,24 @@ def _scan_pass(
             np.add.at(deg, src, 1)
             m += int(src.size)
     if n == 0:
-        tracker.release(deg.nbytes, "degrees")
-        raise StorageError("cannot partition an empty edge stream")
+        raise reject("cannot partition an empty edge stream")
     if deg.size != n:
         tracker.release(deg.nbytes, "degrees")
         deg = deg[:n].copy()
         tracker.acquire(deg.nbytes, "degrees")
     return n, m, deg
+
+
+def _roots(parent: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Cluster roots of ``vertices``, whose pointers are compressed."""
+    roots = parent[vertices]
+    while True:
+        above = parent[roots]
+        if np.array_equal(above, roots):
+            break
+        roots = above
+    parent[vertices] = roots
+    return roots
 
 
 def _cluster_pass(
@@ -229,45 +257,49 @@ def _cluster_pass(
     dependency-connected clusters PR 4's redistribution machinery
     derives from the path DAG, at streaming cost. Returns compact
     cluster labels per vertex.
+
+    Clusters never split or shrink, so an edge whose endpoints share a
+    root, or whose two clusters sum past the cap, is a no-op where it
+    stands and anywhere later in the stream: each block drops those by
+    two array tests on the roots at its start, and only the survivors
+    (docs/storage.md bounds them) reach the per-edge union rule.
     """
     parent = np.arange(n, dtype=np.int64)
     size = np.ones(n, dtype=np.int64)
     tracker.acquire(parent.nbytes + size.nbytes, "union-find")
     cap = max(1, n // max(num_parts, 1))
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for src, dst, _w in chunks():
         with tracker.hold(src.nbytes * 3, "chunk"):
-            src_list = src.tolist()
-            dst_list = dst.tolist()
-            for u, v in zip(src_list, dst_list):
-                ru, rv = find(u), find(v)
-                if ru == rv:
+            for lo in range(0, src.size, CLUSTER_BLOCK_EDGES):
+                hi = lo + CLUSTER_BLOCK_EDGES
+                ru = _roots(parent, src[lo:hi])
+                rv = _roots(parent, dst[lo:hi])
+                live = (ru != rv) & (size[ru] + size[rv] <= cap)
+                if not live.any():
                     continue
-                if size[ru] + size[rv] > cap:
-                    continue
-                # Union by size, smaller root id wins ties (determinism).
-                if size[ru] < size[rv] or (
-                    size[ru] == size[rv] and rv < ru
-                ):
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
+                merged: Dict[int, int] = {}  # absorbed root -> absorber
+                grown: Dict[int, int] = {}  # absorber -> its new size
+                for a, b in zip(ru[live].tolist(), rv[live].tolist()):
+                    while a in merged:
+                        a = merged[a]
+                    while b in merged:
+                        b = merged[b]
+                    if a == b:
+                        continue
+                    size_a = grown.get(a) or size.item(a)
+                    size_b = grown.get(b) or size.item(b)
+                    if size_a + size_b > cap:
+                        continue
+                    # Union by size, smaller root id wins ties (determinism).
+                    if size_a < size_b or (size_a == size_b and b < a):
+                        a, b = b, a
+                    merged[b] = a
+                    grown[a] = size_a + size_b
+                parent[list(merged)] = list(merged.values())
+                size[list(grown)] = list(grown.values())
 
-    # Vectorized full path compression (pointer doubling).
-    while True:
-        grandparent = parent[parent]
-        if np.array_equal(grandparent, parent):
-            break
-        parent = grandparent
-    _roots, labels = np.unique(parent, return_inverse=True)
+    labels = np.unique(_roots(parent, np.arange(n)), return_inverse=True)[1]
     tracker.release(size.nbytes, "union-find")
     tracker.release(parent.nbytes, "union-find")
     tracker.acquire(labels.nbytes, "labels")
@@ -281,7 +313,9 @@ def _affinity_pass(
 ) -> Dict[Tuple[int, int], int]:
     """Pass 3 (affinity): bounded inter-cluster edge-count sketch."""
     num_clusters = int(labels.max()) + 1 if labels.size else 0
-    pairs: Dict[Tuple[int, int], int] = {}
+    # The sketch: sorted pair codes (ci * num_clusters + cj) and counts.
+    codes = np.empty(0, dtype=np.int64)
+    counts = np.empty(0, dtype=np.int64)
     for src, dst, _w in chunks():
         with tracker.hold(src.nbytes * 3, "chunk"):
             ci = labels[src]
@@ -289,18 +323,25 @@ def _affinity_pass(
             cross = ci != cj
             if not np.any(cross):
                 continue
-            codes = ci[cross] * num_clusters + cj[cross]
-            uniq, counts = np.unique(codes, return_counts=True)
-            for code, count in zip(uniq.tolist(), counts.tolist()):
-                key = (code // num_clusters, code % num_clusters)
-                pairs[key] = pairs.get(key, 0) + count
-        if len(pairs) > MAX_AFFINITY_ENTRIES:
-            # Deterministic prune: keep the heaviest half (ties by key).
-            keep = sorted(
-                pairs.items(), key=lambda item: (-item[1], item[0])
-            )[: MAX_AFFINITY_ENTRIES // 2]
-            pairs = dict(keep)
-    return pairs
+            seen, seen_counts = np.unique(
+                ci[cross] * num_clusters + cj[cross], return_counts=True
+            )
+            at = np.searchsorted(codes, seen)
+            # known: the chunk's pairs the sketch already holds, at ``at``.
+            known = at < codes.size
+            known[known] = codes[at[known]] == seen[known]
+            counts[at[known]] += seen_counts[known]
+            codes = np.insert(codes, at[~known], seen[~known])
+            counts = np.insert(counts, at[~known], seen_counts[~known])
+        if codes.size > MAX_AFFINITY_ENTRIES:
+            # Deterministic prune: keep the heaviest half (ties by key,
+            # which is code order, which a stable sort preserves).
+            keep = np.sort(
+                np.argsort(-counts, kind="stable")[: MAX_AFFINITY_ENTRIES // 2]
+            )
+            codes, counts = codes[keep], counts[keep]
+    ci, cj = np.divmod(codes, num_clusters)
+    return dict(zip(zip(ci.tolist(), cj.tolist()), counts.tolist()))
 
 
 def _place_clusters(
@@ -362,26 +403,46 @@ def _route_pass(
     spills = [
         os.path.join(out_dir, f"part{p:04d}.spill") for p in range(num_parts)
     ]
-    handles = [open(path, "wb") for path in spills]
     edge_cut = 0
     try:
-        for src, dst, w in chunks():
-            with tracker.hold(src.nbytes * 3, "chunk"):
-                owners = node_map[src]
-                edge_cut += int(np.count_nonzero(owners != node_map[dst]))
-                for p in np.unique(owners).tolist():
-                    mask = owners == p
-                    records = np.empty(
-                        int(np.count_nonzero(mask)), dtype=SPILL_DTYPE
+        with ExitStack() as stack:
+            handles = [
+                stack.enter_context(open(path, "wb")) for path in spills
+            ]
+            for src, dst, w in chunks():
+                with tracker.hold(src.nbytes * 3, "chunk"):
+                    owners = node_map[src]
+                    edge_cut += int(
+                        np.count_nonzero(owners != node_map[dst])
                     )
-                    records["src"] = src[mask]
-                    records["dst"] = dst[mask]
-                    records["w"] = w[mask]
-                    handles[p].write(records.tobytes())
-    finally:
-        for handle in handles:
-            handle.close()
+                    order, offsets = _group_by_part(owners, num_parts)
+                    records = np.empty(src.size, dtype=SPILL_DTYPE)
+                    records["src"] = src[order]
+                    records["dst"] = dst[order]
+                    records["w"] = w[order]
+                    for p in np.flatnonzero(np.diff(offsets)).tolist():
+                        handles[p].write(records[offsets[p] : offsets[p + 1]])
+    except BaseException:
+        _remove_spills(spills)
+        raise
     return edge_cut, spills
+
+
+def _group_by_part(
+    owners: np.ndarray, num_parts: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable order by part: ``order[offsets[p]:offsets[p + 1]]`` is part p."""
+    order = np.argsort(owners, kind="stable")
+    offsets = np.zeros(num_parts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=num_parts), out=offsets[1:])
+    return order, offsets
+
+
+def _remove_spills(spills: List[str]) -> None:
+    """Drop whatever spill files a failed partition left behind."""
+    for path in spills:
+        if os.path.exists(path):
+            os.unlink(path)
 
 
 def _build_shard(
@@ -584,8 +645,9 @@ def partition_graph(
     :class:`repro.storage.sharded.ShardedGraph`.
 
     Raises :class:`~repro.errors.StorageError` on malformed inputs
-    (empty stream, endpoints outside a fixed ``num_vertices``, unknown
-    policy).
+    (empty stream, ragged chunks or negative ids, endpoints outside a
+    fixed ``num_vertices``, a source that does not replay, unknown
+    policy) and then leaves no spill file and no manifest behind.
     """
     from repro.storage.store import GRAPH_MANIFEST_NAME, GRAPH_STORE_FORMAT
 
@@ -607,14 +669,24 @@ def partition_graph(
     )
 
     parts: List[Dict] = []
-    for p in range(num_parts):
-        vertex_ids = np.flatnonzero(node_map == p).astype(np.int64)
-        with tracker.hold(vertex_ids.nbytes, "part-vertices"):
-            parts.append(
-                _build_shard(
-                    out_dir, p, spills[p], vertex_ids, n, tracker
-                )
+    try:
+        routed = sum(map(os.path.getsize, spills)) // SPILL_DTYPE.itemsize
+        if routed != m:
+            raise StorageError(
+                f"edge-chunk source does not replay: pass 1 scanned {m} "
+                f"edges, pass 4 routed {routed}"
             )
+        by_part, offsets = _group_by_part(node_map, num_parts)
+        for p in range(num_parts):
+            vertex_ids = by_part[offsets[p] : offsets[p + 1]]
+            with tracker.hold(vertex_ids.nbytes, "part-vertices"):
+                parts.append(
+                    _build_shard(
+                        out_dir, p, spills[p], vertex_ids, n, tracker
+                    )
+                )
+    finally:
+        _remove_spills(spills)
 
     node_map_entry = _write_map_page(out_dir, "node_map.page", node_map)
     edge_map_entry = _write_edge_map_page(

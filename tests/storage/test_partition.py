@@ -23,6 +23,7 @@ from repro.graph.io import (
 from repro.storage import (
     GRAPH_MANIFEST_NAME,
     PARTITION_POLICIES,
+    ResidentTracker,
     ShardedGraph,
     graph_chunk_source,
     partition_graph,
@@ -177,6 +178,71 @@ class TestPartitionErrors:
             partition_graph(
                 [chunk], 2, str(tmp_path / "s"), num_vertices=10
             )
+
+    @pytest.mark.parametrize("policy", PARTITION_POLICIES)
+    def test_rejects_source_that_does_not_replay(self, tmp_path, policy):
+        good = (np.array([0, 1]), np.array([1, 2]), np.ones(2))
+        one_shot = iter([good])
+        out = tmp_path / "s"
+        with pytest.raises(
+            StorageError, match="scanned 2 edges, pass 4 routed 0"
+        ):
+            partition_graph(lambda: one_shot, 2, str(out), policy=policy)
+        # Nothing was committed and nothing half-built is left behind.
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param(
+                (np.array([0, 1]), np.array([1, -2]), np.ones(2)),
+                "chunk 1: negative vertex id -2",
+                id="negative-destination",
+            ),
+            pytest.param(
+                (np.array([-1, 1]), np.array([1, 2]), np.ones(2)),
+                "chunk 1: negative vertex id -1",
+                id="negative-source",
+            ),
+            pytest.param(
+                (np.array([0, 1, 2]), np.array([1, 2]), np.ones(3)),
+                "chunk 1: src, dst and weight hold 3, 2 and 3 entries",
+                id="unequal-lengths",
+            ),
+            pytest.param(
+                (np.array([], dtype=np.int64), np.array([1]), np.ones(1)),
+                "chunk 1: src, dst and weight hold 0, 1 and 1 entries",
+                id="empty-source-only",
+            ),
+        ],
+    )
+    def test_rejects_malformed_chunk(self, tmp_path, bad, message):
+        good = (np.array([0, 1]), np.array([1, 2]), np.ones(2))
+        out = tmp_path / "s"
+        tracker = ResidentTracker()
+        with pytest.raises(StorageError, match=message):
+            partition_graph([good, bad], 2, str(out), tracker=tracker)
+        assert os.listdir(out) == []
+        assert tracker.current_bytes == 0
+
+    def test_failed_build_removes_its_spill_files(
+        self, tmp_path, cnr_graph, monkeypatch
+    ):
+        from repro.storage import partition as partition_module
+
+        build = partition_module._build_shard
+
+        def fail_on_third(out_dir, part, *rest):
+            if part == 2:
+                raise StorageError("disk full", shard=part)
+            return build(out_dir, part, *rest)
+
+        monkeypatch.setattr(partition_module, "_build_shard", fail_on_third)
+        out = tmp_path / "s"
+        with pytest.raises(StorageError, match="disk full"):
+            partition_graph(cnr_graph, 4, str(out))
+        left = sorted(os.listdir(out))
+        assert left == [shard_dirname(0), shard_dirname(1)]
 
 
 class TestReportAndLayout:
