@@ -2,20 +2,20 @@
 
 import numpy as np
 
-from repro.bench import experiments
+from repro.bench.experiments import EXPERIMENTS
 
 from conftest import save_and_show
 
 
 def test_fig11_update_reduction(benchmark, results_dir):
     result = benchmark.pedantic(
-        experiments.fig11_updates, rounds=1, iterations=1
+        EXPERIMENTS["fig11_updates"], rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig11", result["table"])
 
     ratios = []
-    for algo, matrix in result["matrices"].items():
-        for graph, per_engine in matrix.items():
+    for algo, per_metric in result["values"].items():
+        for graph, per_engine in per_metric["updates"].items():
             if np.isnan(per_engine["digraph"]):
                 continue  # k-core can peel nothing (0 updates everywhere)
             ratios.append(per_engine["digraph"])
@@ -30,12 +30,12 @@ def test_fig11_long_distance_graphs_benefit_most(benchmark, results_dir):
     """Paper: 'DiGraph gets much better performance on the directed
     graph with longer average distance' — cnr vs twitter."""
     result = benchmark.pedantic(
-        experiments.fig11_updates,
+        EXPERIMENTS["fig11_updates"],
         kwargs={"algos": ["pagerank"]},
         rounds=1,
         iterations=1,
     )
-    matrix = result["matrices"]["pagerank"]
+    matrix = result["values"]["pagerank"]["updates"]
     ratio_cnr = matrix["cnr"]["digraph"] / matrix["cnr"]["async"]
     ratio_twitter = matrix["twitter"]["digraph"] / matrix["twitter"]["async"]
     assert ratio_cnr < ratio_twitter

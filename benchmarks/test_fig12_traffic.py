@@ -2,19 +2,20 @@
 
 import numpy as np
 
-from repro.bench import experiments
+from repro.bench.experiments import EXPERIMENTS
 
 from conftest import save_and_show
 
 
 def test_fig12_traffic_volume(benchmark, results_dir):
     result = benchmark.pedantic(
-        experiments.fig12_traffic, rounds=1, iterations=1
+        EXPERIMENTS["fig12_traffic"], rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig12", result["table"])
 
-    ratios = [m["digraph"] for m in result["matrix"].values()]
-    async_ratios = [m["async"] for m in result["matrix"].values()]
+    matrix = result["values"]["pagerank"]["traffic"]
+    ratios = [m["digraph"] for m in matrix.values()]
+    async_ratios = [m["async"] for m in matrix.values()]
     # Async moves less data than the barriered baseline; DiGraph's
     # path-granular loading keeps it competitive on average.
     assert float(np.mean(async_ratios)) <= 1.0

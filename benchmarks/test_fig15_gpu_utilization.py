@@ -2,22 +2,23 @@
 
 import numpy as np
 
-from repro.bench import experiments
+from repro.bench.experiments import EXPERIMENTS
 
 from conftest import save_and_show
 
 
 def test_fig15_gpu_utilization(benchmark, results_dir):
     result = benchmark.pedantic(
-        experiments.fig15_gpu_utilization, rounds=1, iterations=1
+        EXPERIMENTS["fig15_gpu_utilization"], rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig15", result["table"])
 
     # The asynchronous engines (no barrier) beat the synchronous one on
     # average — the paper's core Fig. 15 claim.
-    sync = [r["bulk-sync"].gpu_utilization for r in result["results"].values()]
-    async_ = [r["async"].gpu_utilization for r in result["results"].values()]
+    matrix = result["values"]["pagerank"]["gpu_utilization"]
+    sync = [per_engine["bulk-sync"] for per_engine in matrix.values()]
+    async_ = [per_engine["async"] for per_engine in matrix.values()]
     assert float(np.mean(async_)) > float(np.mean(sync))
-    for per_engine in result["results"].values():
+    for per_engine in matrix.values():
         for engine in ("bulk-sync", "async", "digraph"):
-            assert 0 < per_engine[engine].gpu_utilization <= 1
+            assert 0 < per_engine[engine] <= 1

@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from repro.bench import experiments
+from repro.bench.experiments import EXPERIMENTS
 
 from conftest import save_and_show
 
 
 def test_fig6_path_model_ablation(benchmark, results_dir):
     result = benchmark.pedantic(
-        experiments.fig6_vs_digraph_t, rounds=1, iterations=1
+        EXPERIMENTS["fig6_vs_digraph_t"], rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig6", result["table"])
 
@@ -17,7 +17,7 @@ def test_fig6_path_model_ablation(benchmark, results_dir):
     # execution on the same partitions, for most algorithm/graph cells.
     wins = 0
     cells = 0
-    for algo, per_graph in result["sweep"].items():
+    for algo, per_graph in result["cells"].items():
         for graph, per_engine in per_graph.items():
             cells += 1
             if (

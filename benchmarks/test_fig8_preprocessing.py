@@ -1,17 +1,18 @@
 """Fig. 8: preprocessing time normalized to the bulk-sync baseline."""
 
-from repro.bench import experiments
+from repro.bench.experiments import EXPERIMENTS
 
 from conftest import save_and_show
 
 
 def test_fig8_preprocessing_premium(benchmark, results_dir):
     result = benchmark.pedantic(
-        experiments.fig8_preprocessing, rounds=1, iterations=1
+        EXPERIMENTS["fig8_preprocessing"], rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig8", result["table"])
 
-    for graph, per_engine in result["matrix"].items():
+    matrix = result["values"]["pagerank"]["preprocess"]
+    for graph, per_engine in matrix.items():
         # DiGraph pays a preprocessing premium (path decomposition + DAG
         # sketch), but bounded — "slightly more preprocessing time".
         assert 1.0 < per_engine["digraph"] < 2.0, graph

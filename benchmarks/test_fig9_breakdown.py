@@ -1,13 +1,13 @@
 """Fig. 9: execution-time breakdown (preprocess / compute / comm)."""
 
-from repro.bench import experiments
+from repro.bench.experiments import EXPERIMENTS
 
 from conftest import save_and_show
 
 
 def test_fig9_time_breakdown(benchmark, results_dir):
     result = benchmark.pedantic(
-        experiments.fig9_breakdown, rounds=1, iterations=1
+        EXPERIMENTS["fig9_breakdown"], rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig9", result["table"])
 
@@ -15,7 +15,7 @@ def test_fig9_time_breakdown(benchmark, results_dir):
     # premium is repaid at the processing stage on at least some graphs
     # (the paper's "brings significant benefits" claim).
     repaid = 0
-    for graph, per_engine in result["results"].items():
+    for graph, per_engine in result["cells"]["pagerank"].items():
         digraph = per_engine["digraph"]
         bulk = per_engine["bulk-sync"]
         assert digraph.preprocess_time_s > 0

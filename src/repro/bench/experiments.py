@@ -1,15 +1,18 @@
 """One experiment per table/figure of the paper's evaluation.
 
-Each function runs the sweep behind the corresponding figure on the
-dataset stand-ins and returns a dict with the raw per-cell results plus a
-``table`` string shaped like the figure (rows/series the paper plots).
-The benchmark suite under ``benchmarks/`` calls these; EXPERIMENTS.md
-records paper-vs-measured for each.
+An engine-by-graph figure is a :class:`Figure` row and a line plot a
+:class:`Series` row, each swept and laid out by its one runner; the rest
+are functions. Every entry of :data:`EXPERIMENTS` takes ``scale=`` and
+returns a dict with the raw results plus a ``table`` string shaped like
+the figure. ``benchmarks/`` runs them; EXPERIMENTS.md records
+paper-vs-measured for each.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,39 +23,144 @@ from repro.bench.reporting import (
     matrix_table,
     normalized_matrix,
     series_table,
-    speedup_matrix,
 )
+from repro.bench.results import ExecutionResult
 from repro.bench.runner import DEFAULT_SCALE, load_graph, run_cell
+from repro.bench.schema import write_artifact_file
 from repro.core.engine import DiGraphConfig, DiGraphEngine
 from repro.graph import datasets
-from repro.graph.generators import add_bidirectional_edges
+from repro.graph.generators import TRACE_KNOBS, add_bidirectional_edges
 from repro.graph.scc import scc_statistics
 from repro.gpu.config import SCALED_MACHINE
 
 #: Figure order of datasets and benchmark algorithms.
 GRAPHS = list(datasets.DATASET_NAMES)
-ALGOS = list(PAPER_BENCHMARKS)
+ALGOS = tuple(PAPER_BENCHMARKS)
 
-#: The three cross-system engines of Figs. 8-13.
+#: The three cross-system engines of Figs. 8-15.
 SYSTEMS = ("bulk-sync", "async", "digraph")
 
+Metric = Callable[[ExecutionResult], float]
 
-def _sweep(
-    engines: Sequence[str],
-    algos: Sequence[str],
-    graphs: Sequence[str],
-    scale: float,
-) -> Dict[str, Dict[str, Dict[str, object]]]:
-    """results[algo][graph][engine] for a rectangular sweep."""
-    out: Dict[str, Dict[str, Dict[str, object]]] = {}
-    for algo in algos:
-        out[algo] = {}
-        for graph in graphs:
-            out[algo][graph] = {
+
+@dataclass(frozen=True)
+class Figure:
+    """An engine-by-graph figure: every engine on the six graphs, once
+    per algorithm, read through one or more metrics. The defaults are
+    the common case: the three systems on pagerank, against bulk-sync."""
+
+    title: str  #: of each table; may name ``{algo}`` and ``{metric}``
+    metrics: Dict[str, Metric]  #: by the name titles and columns use
+    engines: Tuple[str, ...] = SYSTEMS
+    algorithms: Tuple[str, ...] = ("pagerank",)
+    baseline: Optional[str] = "bulk-sync"  #: None: the metric's own value
+    #: "matrix": graph x engine per metric, value over the baseline's;
+    #: "speedup": the same with the baseline's over the value;
+    #: "rows": one row per graph and engine, one column per metric.
+    layout: str = "matrix"
+
+
+@dataclass(frozen=True)
+class Series:
+    """A pagerank line plot: ``lines`` on one graph over the ``xs``."""
+
+    title: str
+    x_label: str
+    xs: Tuple
+    graph: str
+    lines: Dict[str, Dict]  #: line name -> its fixed ``run_cell`` arguments
+    #: ``(x, the graph's stand-in)`` -> that x's ``run_cell`` arguments.
+    cell: Callable[[object, object], Dict]
+    #: One column per line when there is one metric, else per metric.
+    metrics: Dict[str, Metric]
+
+
+def run_figure(
+    figure: Figure,
+    scale: float = DEFAULT_SCALE,
+    algos: Optional[Sequence[str]] = None,
+) -> dict:
+    """Sweep a :class:`Figure`'s cells and lay its tables out.
+
+    Returns ``cells[algo][graph][engine]`` (the raw results),
+    ``values[algo][metric][graph][engine]`` (what the tables print) and
+    ``table``. ``algos`` restricts the figure to some of its algorithms.
+    """
+    cells = {
+        algo: {
+            graph: {
                 engine: run_cell(engine, algo, graph, scale=scale)
-                for engine in engines
+                for engine in figure.engines
             }
-    return out
+            for graph in GRAPHS
+        }
+        for algo in algos or figure.algorithms
+    }
+    values = {
+        algo: {
+            name: normalized_matrix(
+                per_graph, metric, figure.baseline,
+                invert=figure.layout == "speedup",
+            )
+            for name, metric in figure.metrics.items()
+        }
+        for algo, per_graph in cells.items()
+    }
+    tables = []
+    for algo, per_metric in values.items():
+        if figure.layout == "rows":
+            matrices = per_metric.values()
+            rows = [
+                [graph, engine, *(m[graph][engine] for m in matrices)]
+                for graph in GRAPHS
+                for engine in figure.engines
+            ]
+            columns = ["graph", "engine", *per_metric]
+            tables.append(
+                format_table(figure.title.format(algo=algo), columns, rows)
+            )
+            continue
+        tables += [
+            matrix_table(
+                figure.title.format(algo=algo, metric=name),
+                matrix,
+                figure.engines,
+            )
+            for name, matrix in per_metric.items()
+        ]
+    return {"cells": cells, "values": values, "table": "\n\n".join(tables)}
+
+
+def run_series(series: Series, scale: float = DEFAULT_SCALE) -> dict:
+    """Sweep a :class:`Series`' cells and lay its table out.
+
+    Returns ``cells["pagerank"][x][line]``,
+    ``values["pagerank"][metric][x][line]`` and ``table``.
+    """
+    base = load_graph(series.graph, "pagerank", scale)
+    cells = {}
+    for x in series.xs:
+        at_x = {"graph_name": series.graph, **series.cell(x, base)}
+        cells[x] = {
+            line: run_cell(algo="pagerank", scale=scale, **at_x, **fixed)
+            for line, fixed in series.lines.items()
+        }
+    values = {
+        name: normalized_matrix(cells, metric, None)
+        for name, metric in series.metrics.items()
+    }
+    columns = {
+        (line if len(values) == 1 else name): [per_x[x][line] for x in cells]
+        for name, per_x in values.items()
+        for line in series.lines
+    }
+    return {
+        "cells": {"pagerank": cells},
+        "values": {"pagerank": values},
+        "table": series_table(
+            series.title, series.x_label, list(cells), columns
+        ),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -146,261 +254,179 @@ def fig2_motivation(
 
 
 # ----------------------------------------------------------------------
-# Fig. 6 / Fig. 7 — ablation variants
+# Figs. 6-15, Fig. 17 and the ablations: one row each
 # ----------------------------------------------------------------------
-def fig6_vs_digraph_t(
-    scale: float = DEFAULT_SCALE,
-    algos: Optional[Sequence[str]] = None,
-) -> dict:
-    """Normalized processing time: DiGraph vs DiGraph-t."""
-    return _variant_figure("digraph-t", scale, algos, "Fig 6")
+def _time_s(result: ExecutionResult) -> float:
+    return result.processing_time_s
 
 
-def fig7_vs_digraph_w(
-    scale: float = DEFAULT_SCALE,
-    algos: Optional[Sequence[str]] = None,
-) -> dict:
-    """Normalized processing time: DiGraph vs DiGraph-w."""
-    return _variant_figure("digraph-w", scale, algos, "Fig 7")
+def _time_ms(result: ExecutionResult) -> float:
+    return result.processing_time_s * 1e3
 
 
-def _variant_figure(variant, scale, algos, label) -> dict:
-    algos = list(algos or ALGOS)
-    sweep = _sweep(("digraph", variant), algos, GRAPHS, scale)
-    tables = []
-    matrices = {}
-    update_matrices = {}
-    for algo in algos:
-        matrix = normalized_matrix(
-            sweep[algo], lambda r: r.processing_time_s, baseline=variant
-        )
-        matrices[algo] = matrix
-        tables.append(
-            matrix_table(
-                f"{label} ({algo}): time normalized to {variant}",
-                matrix,
-                ("digraph", variant),
-            )
-        )
-        updates = normalized_matrix(
-            sweep[algo],
-            lambda r: float(r.vertex_updates),
-            baseline=variant,
-        )
-        update_matrices[algo] = updates
-        tables.append(
-            matrix_table(
-                f"{label} ({algo}): updates normalized to {variant}",
-                updates,
-                ("digraph", variant),
-            )
-        )
-    return {
-        "sweep": sweep,
-        "matrices": matrices,
-        "update_matrices": update_matrices,
-        "table": "\n\n".join(tables),
-    }
+def _updates(result: ExecutionResult) -> float:
+    return float(result.vertex_updates)
 
 
-# ----------------------------------------------------------------------
-# Fig. 8 — preprocessing time
-# ----------------------------------------------------------------------
-def fig8_preprocessing(scale: float = DEFAULT_SCALE) -> dict:
-    """Preprocessing time normalized to the bulk-sync (Gunrock) baseline."""
-    per_graph = {
-        graph: {
-            engine: run_cell(engine, "pagerank", graph, scale=scale)
-            for engine in SYSTEMS
-        }
-        for graph in GRAPHS
-    }
-    matrix = normalized_matrix(
-        per_graph, lambda r: r.preprocess_time_s, baseline="bulk-sync"
+def _variant_figure(label: str, variant: str) -> Figure:
+    """Figs. 6/7: DiGraph against one of its ablation variants, in
+    processing time and in the update counts that explain it."""
+    return Figure(
+        f"{label} ({{algo}}): {{metric}} normalized to {variant}",
+        {"time": _time_s, "updates": _updates},
+        engines=("digraph", variant), algorithms=ALGOS, baseline=variant,
     )
-    table = matrix_table(
-        "Fig 8: preprocessing time normalized to bulk-sync", matrix, SYSTEMS
-    )
-    return {"results": per_graph, "matrix": matrix, "table": table}
 
 
-# ----------------------------------------------------------------------
-# Fig. 9 — execution time breakdown
-# ----------------------------------------------------------------------
-def fig9_breakdown(
-    scale: float = DEFAULT_SCALE, algo: str = "pagerank"
-) -> dict:
-    """Preprocess / compute / communication breakdown per engine."""
-    rows = []
-    results = {}
-    for graph in GRAPHS:
-        results[graph] = {}
-        for engine in SYSTEMS:
-            result = run_cell(engine, algo, graph, scale=scale)
-            results[graph][engine] = result
-            breakdown = result.breakdown()
-            rows.append(
-                [
-                    graph,
-                    engine,
-                    breakdown["preprocess_s"] * 1e3,
-                    breakdown["compute_s"] * 1e3,
-                    breakdown["communication_s"] * 1e3,
-                ]
-            )
-    table = format_table(
-        f"Fig 9: execution time breakdown, {algo} (ms)",
-        ["graph", "engine", "preproc", "compute", "comm"],
-        rows,
-    )
-    return {"results": results, "rows": rows, "table": table}
-
-
-# ----------------------------------------------------------------------
-# Fig. 10 / Fig. 11 — speedups and update counts
-# ----------------------------------------------------------------------
-def fig10_speedup(
-    scale: float = DEFAULT_SCALE,
-    algos: Optional[Sequence[str]] = None,
-) -> dict:
-    """Speedup over the bulk-sync baseline (paper: 2.25-7.39x for
-    DiGraph, async in between)."""
-    algos = list(algos or ALGOS)
-    sweep = _sweep(SYSTEMS, algos, GRAPHS, scale)
-    tables = []
-    matrices = {}
-    for algo in algos:
-        matrix = speedup_matrix(sweep[algo], baseline="bulk-sync")
-        matrices[algo] = matrix
-        tables.append(
-            matrix_table(
-                f"Fig 10 ({algo}): speedup over bulk-sync", matrix, SYSTEMS
-            )
-        )
-    return {"sweep": sweep, "matrices": matrices, "table": "\n\n".join(tables)}
-
-
-def fig11_updates(
-    scale: float = DEFAULT_SCALE,
-    algos: Optional[Sequence[str]] = None,
-) -> dict:
-    """Vertex-update counts normalized to bulk-sync."""
-    algos = list(algos or ALGOS)
-    sweep = _sweep(SYSTEMS, algos, GRAPHS, scale)
-    tables = []
-    matrices = {}
-    for algo in algos:
-        matrix = normalized_matrix(
-            sweep[algo], lambda r: float(r.vertex_updates), baseline="bulk-sync"
-        )
-        matrices[algo] = matrix
-        tables.append(
-            matrix_table(
-                f"Fig 11 ({algo}): updates normalized to bulk-sync",
-                matrix,
-                SYSTEMS,
-            )
-        )
-    return {"sweep": sweep, "matrices": matrices, "table": "\n\n".join(tables)}
-
-
-# ----------------------------------------------------------------------
-# Fig. 12 / 13 / 15 — pagerank traffic, data utilization, GPU utilization
-# ----------------------------------------------------------------------
-def fig12_traffic(scale: float = DEFAULT_SCALE) -> dict:
-    per_graph = {
-        graph: {
-            engine: run_cell(engine, "pagerank", graph, scale=scale)
-            for engine in SYSTEMS
-        }
-        for graph in GRAPHS
-    }
-    matrix = normalized_matrix(
-        per_graph, lambda r: float(r.traffic_bytes), baseline="bulk-sync"
-    )
-    table = matrix_table(
+#: Every engine-by-graph figure of the evaluation, by experiment name.
+FIGURES = {
+    "fig6_vs_digraph_t": _variant_figure("Fig 6", "digraph-t"),
+    "fig7_vs_digraph_w": _variant_figure("Fig 7", "digraph-w"),
+    "fig8_preprocessing": Figure(
+        "Fig 8: preprocessing time normalized to bulk-sync",
+        {"preprocess": lambda r: r.preprocess_time_s},
+    ),
+    "fig9_breakdown": Figure(
+        "Fig 9: execution time breakdown, {algo} (ms)",
+        {
+            "preproc": lambda r: r.breakdown()["preprocess_s"] * 1e3,
+            "compute": lambda r: r.breakdown()["compute_s"] * 1e3,
+            "comm": lambda r: r.breakdown()["communication_s"] * 1e3,
+        },
+        baseline=None, layout="rows",
+    ),
+    # Paper: 2.25-7.39x for DiGraph, async in between.
+    "fig10_speedup": Figure(
+        "Fig 10 ({algo}): speedup over bulk-sync",
+        {"time": _time_s}, algorithms=ALGOS, layout="speedup",
+    ),
+    "fig11_updates": Figure(
+        "Fig 11 ({algo}): updates normalized to bulk-sync",
+        {"updates": _updates}, algorithms=ALGOS,
+    ),
+    "fig12_traffic": Figure(
         "Fig 12: pagerank traffic volume normalized to bulk-sync",
-        matrix,
-        SYSTEMS,
-    )
-    return {"results": per_graph, "matrix": matrix, "table": table}
-
-
-def fig13_data_utilization(scale: float = DEFAULT_SCALE) -> dict:
-    per_graph = {
-        graph: {
-            engine: run_cell(engine, "pagerank", graph, scale=scale)
-            for engine in SYSTEMS
-        }
-        for graph in GRAPHS
-    }
-    matrix = normalized_matrix(
-        per_graph, lambda r: r.data_utilization, baseline="bulk-sync"
-    )
-    table = matrix_table(
+        {"traffic": lambda r: float(r.traffic_bytes)},
+    ),
+    "fig13_data_utilization": Figure(
         "Fig 13: loaded-data utilization normalized to bulk-sync",
-        matrix,
-        SYSTEMS,
-    )
-    return {"results": per_graph, "matrix": matrix, "table": table}
-
-
-def fig15_gpu_utilization(scale: float = DEFAULT_SCALE) -> dict:
-    rows = []
-    results = {}
-    for graph in GRAPHS:
-        results[graph] = {}
-        row = [graph]
-        for engine in SYSTEMS:
-            result = run_cell(engine, "pagerank", graph, scale=scale)
-            results[graph][engine] = result
-            row.append(result.gpu_utilization)
-        rows.append(row)
-    table = format_table(
+        {"data_utilization": lambda r: r.data_utilization},
+    ),
+    "fig15_gpu_utilization": Figure(
         "Fig 15: GPU utilization ratio, pagerank",
-        ["graph"] + list(SYSTEMS),
-        rows,
+        {"gpu_utilization": lambda r: r.gpu_utilization}, baseline=None,
+    ),
+}
+
+#: The one-feature-off configurations of ``ablation_features``
+#: (DESIGN.md section 6): hot-path greediness, merging, proxies,
+#: prefetch, advance execution.
+FEATURE_CONFIGS = {
+    "full": DiGraphConfig(),
+    "no-hot-greedy": DiGraphConfig(degree_greedy=False),
+    "no-merge": DiGraphConfig(merge_short_paths=False),
+    "no-proxy": DiGraphConfig(proxy_in_degree_threshold=10 ** 9),
+    "no-prefetch": DiGraphConfig(prefetch=False),
+    "advance-2": DiGraphConfig(advance_factor=2),
+}
+
+
+def _configured(config: DiGraphConfig) -> Dict:
+    """``run_cell`` arguments for a DiGraph engine built from ``config``."""
+    return {"engine_factory": lambda spec: DiGraphEngine(spec, config)}
+
+
+_DIGRAPH = {"digraph": {"engine_name": "digraph"}}
+
+#: Every line-plot figure and ablation, by experiment name.
+SERIES = {
+    # Paper: benefits persist as webbase's edges become bi-directional.
+    "fig14_bidirectional": Series(
+        "Fig 14: pagerank time (ms) vs bi-directional ratio on webbase",
+        "ratio", (0.4, 0.6, 0.8, 1.0), "webbase",
+        {engine: {"engine_name": engine} for engine in SYSTEMS},
+        lambda ratio, base: {
+            "graph_name": f"webbase+bidi{ratio}",
+            "graph": add_bidirectional_edges(base, ratio, seed=1),
+        },
+        {"time_ms": _time_ms},
+    ),
+    # Total (preprocess + processing) time vs CPU worker and GPU count.
+    "fig17_cpu_threads": Series(
+        "Fig 17: pagerank total time (ms) on webbase vs CPU workers",
+        "workers", (1, 2, 4, 8), "webbase",
+        {
+            f"digraph/{gpus}gpu": {"engine_name": "digraph", "num_gpus": gpus}
+            for gpus in (1, 4)
+        },
+        lambda workers, base: {"n_workers": workers},
+        {"total_ms": lambda r: r.total_time_s * 1e3},
+    ),
+    # D_MAX sweep: traversal depth vs updates/time.
+    "ablation_dmax": Series(
+        "Ablation: D_MAX on cnr (pagerank)",
+        "d_max", (2, 4, 8, 16, 32), "cnr", _DIGRAPH,
+        lambda d_max, base: _configured(DiGraphConfig(d_max=d_max)),
+        {
+            "time_ms": _time_ms,
+            "updates": _updates,
+            "avg_path_len": lambda r: r.extras["avg_path_length"],
+        },
+    ),
+    "ablation_features": Series(
+        "Ablation: feature toggles on cnr (pagerank)",
+        "config", tuple(FEATURE_CONFIGS), "cnr", _DIGRAPH,
+        lambda label, base: _configured(FEATURE_CONFIGS[label]),
+        {
+            "time_ms": _time_ms,
+            "updates": lambda r: r.vertex_updates,
+            "absorbed": lambda r: r.stats.proxy_absorbed,
+            "trafficK": lambda r: r.traffic_bytes // 1024,
+        },
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# The bespoke experiments: sweep-runner reports and artifacts
+# ----------------------------------------------------------------------
+def _sweep(engines, algos, graphs, scale, mode="run", seed=0, **knobs):
+    """The sweep runner's report for a matrix (:mod:`repro.bench.sweep`,
+    the code path ``repro sweep`` and the CI gates measure); a knob given
+    as a tuple is an axis, any other value a one-point axis."""
+    from repro.bench.sweep import SweepConfig, run_sweep
+
+    return run_sweep(
+        SweepConfig(
+            engines=tuple(engines),
+            algorithms=tuple(algos),
+            graphs=tuple(graphs),
+            scale=scale,
+            mode=mode,
+            seeds=(seed,),
+            knobs={
+                name: value if isinstance(value, tuple) else (value,)
+                for name, value in knobs.items()
+            },
+        )
     )
-    return {"results": results, "rows": rows, "table": table}
 
 
-# ----------------------------------------------------------------------
-# Fig. 14 — bi-directional edge sweep
-# ----------------------------------------------------------------------
-def fig14_bidirectional(
-    scale: float = DEFAULT_SCALE,
-    ratios: Sequence[float] = (0.4, 0.6, 0.8, 1.0),
-    graph_name: str = "webbase",
-) -> dict:
-    """pagerank time as webbase's bi-directional edge ratio grows."""
-    base = load_graph(graph_name, "pagerank", scale)
-    series: Dict[str, List[float]] = {e: [] for e in SYSTEMS}
-    results = {}
-    for ratio in ratios:
-        graph = add_bidirectional_edges(base, ratio, seed=1)
-        results[ratio] = {}
-        for engine in SYSTEMS:
-            result = run_cell(
-                engine,
-                "pagerank",
-                f"{graph_name}+bidi{ratio}",
-                scale=scale,
-                graph=graph,
-            )
-            results[ratio][engine] = result
-            series[engine].append(result.processing_time_s * 1e3)
-    table = series_table(
-        f"Fig 14: pagerank time (ms) vs bi-directional ratio on {graph_name}",
-        "ratio",
-        list(ratios),
-        series,
-    )
-    return {"results": results, "series": series, "table": table}
+def _cells_by(report: dict, *names: str) -> Dict[tuple, dict]:
+    """A sweep report's cells, keyed by the named cell fields or knobs."""
+    return {
+        tuple(
+            cell[name] if name in cell else cell["knobs"][name]
+            for name in names
+        ): cell
+        for cell in report["cells"]
+    }
 
 
-# ----------------------------------------------------------------------
-# Fig. 16 / 17 — scalability sweeps
-# ----------------------------------------------------------------------
+def _mean(cell: dict, metric: str) -> float:
+    return cell["metrics"][metric]["mean"]
+
+
 def fig16_scalability(
     scale: float = DEFAULT_SCALE,
     gpu_counts: Sequence[int] = (1, 2, 3, 4),
@@ -413,29 +439,17 @@ def fig16_scalability(
     the same code path ``repro sweep`` and the CI regression gate
     measure — with ``num_gpus`` as the swept knob.
     """
-    from repro.bench.sweep import SweepConfig, run_sweep
-
-    report = run_sweep(
-        SweepConfig(
-            engines=tuple(SYSTEMS),
-            algorithms=tuple(algos),
-            graphs=(graph_name,),
-            scale=scale,
-            knobs={"num_gpus": tuple(gpu_counts)},
-        )
+    report = _sweep(
+        SYSTEMS, algos, (graph_name,), scale, num_gpus=tuple(gpu_counts)
     )
-    time_ms = {
-        (cell["engine"], cell["algorithm"], cell["knobs"]["num_gpus"]):
-            cell["metrics"]["processing_time_s"]["mean"] * 1e3
-        for cell in report["cells"]
-    }
+    cells = _cells_by(report, "engine", "algorithm", "num_gpus")
     tables = []
     all_series = {}
     all_efficiency = {}
     for algo in algos:
         series: Dict[str, List[float]] = {
             engine: [
-                time_ms[(engine, algo, num_gpus)]
+                _mean(cells[engine, algo, num_gpus], "processing_time_s") * 1e3
                 for num_gpus in gpu_counts
             ]
             for engine in SYSTEMS
@@ -554,123 +568,18 @@ def fig16_faulted_scalability(
     }
 
 
-def fig17_cpu_threads(
-    scale: float = DEFAULT_SCALE,
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
-    gpu_counts: Sequence[int] = (1, 4),
-    graph_name: str = "webbase",
-) -> dict:
-    """Total (preprocess + processing) pagerank time vs CPU worker count
-    and GPU count."""
-    series: Dict[str, List[float]] = {}
-    for num_gpus in gpu_counts:
-        key = f"digraph/{num_gpus}gpu"
-        series[key] = []
-        for workers in worker_counts:
-            result = run_cell(
-                "digraph",
-                "pagerank",
-                graph_name,
-                scale=scale,
-                num_gpus=num_gpus,
-                n_workers=workers,
-            )
-            series[key].append(result.total_time_s * 1e3)
-    table = series_table(
-        f"Fig 17: pagerank total time (ms) on {graph_name} "
-        "vs CPU workers",
-        "workers",
-        list(worker_counts),
-        series,
-    )
-    return {"series": series, "table": table}
-
-
-# ----------------------------------------------------------------------
-# Ablations beyond the paper's own (DESIGN.md section 6)
-# ----------------------------------------------------------------------
-def ablation_dmax(
-    scale: float = DEFAULT_SCALE,
-    values: Sequence[int] = (2, 4, 8, 16, 32),
-    graph_name: str = "cnr",
-) -> dict:
-    """D_MAX sweep: traversal depth vs updates/time."""
-    series = {"time_ms": [], "updates": [], "avg_path_len": []}
-    for d_max in values:
-        result = run_cell(
-            "digraph",
-            "pagerank",
-            graph_name,
-            scale=scale,
-            engine_factory=lambda spec, d=d_max: DiGraphEngine(
-                spec, DiGraphConfig(d_max=d)
-            ),
-        )
-        series["time_ms"].append(result.processing_time_s * 1e3)
-        series["updates"].append(float(result.vertex_updates))
-        series["avg_path_len"].append(result.extras["avg_path_length"])
-    table = series_table(
-        f"Ablation: D_MAX on {graph_name} (pagerank)",
-        "d_max",
-        list(values),
-        series,
-    )
-    return {"series": series, "table": table}
-
-
-def ablation_features(
-    scale: float = DEFAULT_SCALE, graph_name: str = "cnr"
-) -> dict:
-    """One-feature-off ablations: hot-path greediness, merging, proxies,
-    prefetch, advance execution."""
-    configs = {
-        "full": DiGraphConfig(),
-        "no-hot-greedy": DiGraphConfig(degree_greedy=False),
-        "no-merge": DiGraphConfig(merge_short_paths=False),
-        "no-proxy": DiGraphConfig(proxy_in_degree_threshold=10 ** 9),
-        "no-prefetch": DiGraphConfig(prefetch=False),
-        "advance-2": DiGraphConfig(advance_factor=2),
-    }
-    rows = []
-    results = {}
-    for label, config in configs.items():
-        result = run_cell(
-            "digraph",
-            "pagerank",
-            graph_name,
-            scale=scale,
-            engine_factory=lambda spec, c=config: DiGraphEngine(spec, c),
-        )
-        results[label] = result
-        rows.append(
-            [
-                label,
-                result.processing_time_s * 1e3,
-                result.vertex_updates,
-                result.stats.proxy_absorbed,
-                result.traffic_bytes // 1024,
-            ]
-        )
-    table = format_table(
-        f"Ablation: feature toggles on {graph_name} (pagerank)",
-        ["config", "time_ms", "updates", "absorbed", "trafficK"],
-        rows,
-    )
-    return {"results": results, "rows": rows, "table": table}
-
-
 def stream_speedup(
     scale: float = DEFAULT_SCALE,
     graphs: Optional[Sequence[str]] = None,
     algos: Sequence[str] = ("pagerank", "sssp", "wcc", "kcore"),
-    n_batches: int = 3,
-    batch_size: int = 4,
     seed: int = 7,
+    **trace_knobs,
 ) -> dict:
     """Streaming: incremental repair + delta recompute vs full rebuild.
 
-    Replays a seeded small-batch insert-lean mutation trace per
-    (algorithm, graph) cell through a
+    Replays a seeded mutation trace — small and insert-lean unless
+    ``trace_knobs`` (:data:`~repro.graph.generators.TRACE_KNOBS`, by
+    name) say otherwise — per (algorithm, graph) cell through a
     :class:`~repro.streaming.session.StreamingSession` with per-batch
     certification, and reports the summed incremental modeled time
     (path repair + warm-started run) against the summed full-rebuild
@@ -684,37 +593,25 @@ def stream_speedup(
     ``mode="stream"`` cells, so the CI regression gate measures the
     exact code path this experiment reports.
     """
-    from repro.bench.sweep import SweepConfig, run_sweep
-
-    graph_names = list(graphs) if graphs else GRAPHS
-    report = run_sweep(
-        SweepConfig(
-            engines=("digraph",),
-            algorithms=tuple(algos),
-            graphs=tuple(graph_names),
-            scale=scale,
-            mode="stream",
-            seeds=(seed,),
-            knobs={
-                "stream_batches": (n_batches,),
-                "stream_batch_size": (batch_size,),
-                "stream_mix": ("insert",),
-            },
-        )
+    report = _sweep(
+        ("digraph",), algos, graphs or GRAPHS, scale, "stream", seed,
+        **trace_knobs,
+    )
+    n_batches, batch_size, mix = (
+        trace_knobs.get(row.name, row.default) for row in TRACE_KNOBS
     )
     rows = []
     results: Dict[str, Dict[str, object]] = {}
     for cell in report["cells"]:
         algo = cell["algorithm"]
         graph_name = cell["graph"]
-        metrics = cell["metrics"]
-        incr = metrics["incremental_s"]["mean"]
-        rebuild = metrics["rebuild_s"]["mean"]
+        incr = _mean(cell, "incremental_s")
+        rebuild = _mean(cell, "rebuild_s")
         speedup = rebuild / incr if incr > 0 else float("inf")
         certified = cell["certified"]
         modes = list(cell["modes"])
-        reactivated = int(metrics["vertices_reactivated"]["mean"])
-        repaired = int(metrics["paths_repaired"]["mean"])
+        reactivated = int(_mean(cell, "vertices_reactivated"))
+        repaired = int(_mean(cell, "paths_repaired"))
         results.setdefault(algo, {})[graph_name] = {
             "incremental_s": incr,
             "rebuild_s": rebuild,
@@ -739,7 +636,7 @@ def stream_speedup(
         )
     table = format_table(
         f"Streaming: incremental vs full rebuild "
-        f"({n_batches}x{batch_size} insert batches, seed={seed})",
+        f"({n_batches}x{batch_size} {mix} batches, seed={seed})",
         [
             "algo",
             "graph",
@@ -785,51 +682,34 @@ def serve_throughput(
     to ``out_path`` — the ``BENCH_serve.json`` the CI serve-gate job
     diffs against its committed baseline.
     """
-    from repro.bench.schema import validate_artifact
-    from repro.bench.sweep import SweepConfig, run_sweep, write_artifact
-
     lane_counts = sorted(lane_counts)
-    report = run_sweep(
-        SweepConfig(
-            engines=("serve",),
-            algorithms=tuple(algos),
-            graphs=(graph_name,),
-            scale=scale,
-            mode="serve",
-            seeds=(seed,),
-            knobs={
-                "query_lanes": tuple(lane_counts),
-                "num_queries": (num_queries,),
-                "tenant_count": (tenant_count,),
-            },
-        )
+    report = _sweep(
+        ("serve",), algos, (graph_name,), scale, "serve", seed,
+        query_lanes=tuple(lane_counts),
+        num_queries=num_queries,
+        tenant_count=tenant_count,
     )
-    by_algo: Dict[str, Dict[int, Dict[str, object]]] = {}
-    for cell in report["cells"]:
-        by_algo.setdefault(cell["algorithm"], {})[
-            int(cell["knobs"]["query_lanes"])
-        ] = cell
+    cells = _cells_by(report, "algorithm", "query_lanes")
     rows = []
     results: Dict[str, Dict[str, object]] = {}
     for algo in algos:
-        cells = by_algo[algo]
-        base = cells[lane_counts[0]]
-        wide = cells[lane_counts[-1]]
-        base_qps = base["metrics"]["queries_per_s"]["mean"]
-        wide_qps = wide["metrics"]["queries_per_s"]["mean"]
+        base = cells[algo, lane_counts[0]]
+        wide = cells[algo, lane_counts[-1]]
+        base_qps = _mean(base, "queries_per_s")
+        wide_qps = _mean(wide, "queries_per_s")
         speedup = wide_qps / base_qps if base_qps > 0 else 0.0
         answers_equal = all(
-            cells[lanes]["digests"] == base["digests"]
+            cells[algo, lanes]["digests"] == base["digests"]
             for lanes in lane_counts
         )
         results[algo] = {
             "queries_per_s_sequential": base_qps,
             "queries_per_s_batched": wide_qps,
             "speedup": speedup,
-            "latency_p50_s": wide["metrics"]["latency_p50_s"]["mean"],
-            "latency_p99_s": wide["metrics"]["latency_p99_s"]["mean"],
-            "launches_sequential": base["metrics"]["launches"]["mean"],
-            "launches_batched": wide["metrics"]["launches"]["mean"],
+            "latency_p50_s": _mean(wide, "latency_p50_s"),
+            "latency_p99_s": _mean(wide, "latency_p99_s"),
+            "launches_sequential": _mean(base, "launches"),
+            "launches_batched": _mean(wide, "launches"),
             "answers_equal": answers_equal,
         }
         rows.append(
@@ -838,8 +718,8 @@ def serve_throughput(
                 base_qps,
                 wide_qps,
                 speedup,
-                int(base["metrics"]["launches"]["mean"]),
-                int(wide["metrics"]["launches"]["mean"]),
+                int(_mean(base, "launches")),
+                int(_mean(wide, "launches")),
                 "ok" if answers_equal else "FAIL",
             ]
         )
@@ -859,9 +739,7 @@ def serve_throughput(
         rows,
     )
     report["summary"] = {algo: dict(entry) for algo, entry in results.items()}
-    if out_path is not None:
-        validate_artifact(report, kind="repro-sweep", path=out_path)
-        write_artifact(report, out_path)
+    write_artifact_file(report, out_path)
     return {"results": results, "rows": rows, "sweep": report, "table": table}
 
 
@@ -901,67 +779,49 @@ def overload_resilience(
     land in the schema-validated ``BENCH_overload.json`` artifact the
     CI overload-gate diffs against its committed baseline.
     """
-    from repro.bench.schema import validate_artifact
-    from repro.bench.sweep import SweepConfig, run_sweep, write_artifact
     from repro.serve.runner import run_serve_cell
 
     deadline_s = deadline_ms * 1e-3
     # Capacity calibration: all queries arrive (nearly) at once, so the
     # makespan is pure service time at maximal batching.
-    saturated = run_serve_cell(
-        algo, graph_name, scale=scale, seed=seed,
-        num_queries=num_queries, tenant_count=tenant_count,
-        mean_interarrival_us=1.0, use_cache=False,
+    offered = functools.partial(
+        run_serve_cell, algo, graph_name, scale=scale, seed=seed,
+        num_queries=num_queries, tenant_count=tenant_count, use_cache=False,
     )
+    saturated = offered(mean_interarrival_us=1.0)
     capacity_per_s = num_queries / saturated.metrics()["makespan_s"]
     offered_per_s = overload_factor * capacity_per_s
     interarrival_us = 1e6 / offered_per_s
 
-    report = run_sweep(
-        SweepConfig(
-            engines=("serve",),
-            algorithms=(algo,),
-            graphs=(graph_name,),
-            scale=scale,
-            mode="serve",
-            seeds=(seed,),
-            knobs={
-                "num_queries": (num_queries,),
-                "tenant_count": (tenant_count,),
-                "mean_interarrival_us": (interarrival_us,),
-                "deadline_ms": (deadline_ms,),
-                "max_queue": (max_queue,),
-                "brownout": (False, True),
-            },
-        )
+    report = _sweep(
+        ("serve",), (algo,), (graph_name,), scale, "serve", seed,
+        num_queries=num_queries,
+        tenant_count=tenant_count,
+        mean_interarrival_us=interarrival_us,
+        deadline_ms=deadline_ms,
+        max_queue=max_queue,
+        brownout=(False, True),
     )
     legs: Dict[str, Dict[str, object]] = {}
-    for cell in report["cells"]:
-        key = "protected" if cell["knobs"]["brownout"] else "deadline_only"
-        metrics = cell["metrics"]
-        legs[key] = {
-            "goodput_queries": metrics["goodput_queries"]["mean"],
-            "goodput_fraction": (
-                metrics["goodput_queries"]["mean"] / num_queries
-            ),
-            "queries_degraded": metrics["queries_degraded"]["mean"],
-            "queries_shed": metrics["queries_shed"]["mean"],
-            "queries_rejected": metrics["queries_rejected"]["mean"],
-            "deadline_misses": metrics["deadline_misses"]["mean"],
-            "latency_p50_s": metrics["latency_p50_s"]["mean"],
-            "latency_p99_s": metrics["latency_p99_s"]["mean"],
-            "residual_bound_max": metrics["residual_bound_max"]["mean"],
+    for (brownout,), cell in _cells_by(report, "brownout").items():
+        legs["protected" if brownout else "deadline_only"] = {
+            "goodput_queries": _mean(cell, "goodput_queries"),
+            "goodput_fraction": _mean(cell, "goodput_queries") / num_queries,
+            **{
+                name: _mean(cell, name)
+                for name in (
+                    "queries_degraded", "queries_shed", "queries_rejected",
+                    "deadline_misses", "latency_p50_s", "latency_p99_s",
+                    "residual_bound_max",
+                )
+            },
             "deterministic": cell["deterministic"],
         }
 
     # Unprotected leg: same offered load, no overload knobs. Nothing is
     # rejected or counted late, so the on-time fraction is recomputed
     # against the reference deadline from the per-query latencies.
-    unprotected = run_serve_cell(
-        algo, graph_name, scale=scale, seed=seed,
-        num_queries=num_queries, tenant_count=tenant_count,
-        mean_interarrival_us=interarrival_us, use_cache=False,
-    )
+    unprotected = offered(mean_interarrival_us=interarrival_us)
     un_metrics = unprotected.metrics()
     on_time = sum(
         1
@@ -1020,9 +880,7 @@ def overload_resilience(
         "legs": {name: dict(leg) for name, leg in legs.items()},
     }
     report["summary"] = summary
-    if out_path is not None:
-        validate_artifact(report, kind="repro-sweep", path=out_path)
-        write_artifact(report, out_path)
+    write_artifact_file(report, out_path)
     return {
         "results": legs,
         "summary": summary,
@@ -1054,12 +912,8 @@ def durability_crash_restart(
       store footprint (raw vs stored bytes; the gap is the cold-page
       compaction the retention window applies).
     """
-    import json as _json
-    import os as _os
-    import shutil as _shutil
     import tempfile as _tempfile
 
-    from repro.bench.schema import validate_artifact
     from repro.faults.chaos import crash_restart_sweep
     from repro.faults.recovery import RecoveryPolicy
     from repro.faults.store import CheckpointStore
@@ -1092,8 +946,9 @@ def durability_crash_restart(
     for engine_name in engines:
         legs: Dict[str, Dict[str, object]] = {}
         for durability in ("none", "durable", "durable-verify"):
-            run_dir = _tempfile.mkdtemp(prefix="repro-durbench-")
-            try:
+            with _tempfile.TemporaryDirectory(
+                prefix="repro-durbench-"
+            ) as run_dir:
                 policy = RecoveryPolicy(
                     durability=durability,
                     run_dir=run_dir if durability != "none" else "",
@@ -1122,8 +977,6 @@ def durability_crash_restart(
                         stored / raw if raw else 1.0
                     )
                 legs[durability] = leg
-            finally:
-                _shutil.rmtree(run_dir, ignore_errors=True)
         base = legs["none"]["total_time_s"]
         for leg in legs.values():
             leg["store_overhead_fraction"] = (
@@ -1160,13 +1013,7 @@ def durability_crash_restart(
         "cells": cells,
         "overhead": overhead,
     }
-    validate_artifact(
-        artifact, kind="repro-durability", path=out_path or "<artifact>"
-    )
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _json.dump(artifact, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    write_artifact_file(artifact, out_path)
     return {
         "results": cells,
         "overhead": overhead,
@@ -1210,11 +1057,8 @@ def storage_scaling(
       the CI gate: memory must grow strictly sublinearly in edges.
     """
     import hashlib as _hashlib
-    import json as _json
-    import shutil as _shutil
     import tempfile as _tempfile
 
-    from repro.bench.schema import validate_artifact
     from repro.graph.builder import GraphBuilder
     from repro.storage import (
         ShardedGraph,
@@ -1253,8 +1097,7 @@ def storage_scaling(
         source = synthetic_chunk_source(
             n, m, seed=seed, chunk_edges=chunk_edges
         )
-        out_dir = _tempfile.mkdtemp(prefix="repro-storage-")
-        try:
+        with _tempfile.TemporaryDirectory(prefix="repro-storage-") as out_dir:
             report = partition_graph(
                 source, num_parts, out_dir, policy=policy, seed=seed
             )
@@ -1291,8 +1134,6 @@ def storage_scaling(
                 cell["num_paths"] = decomposition["num_paths"]
                 cell["covered_edges"] = decomposition["covered_edges"]
             cells.append(cell)
-        finally:
-            _shutil.rmtree(out_dir, ignore_errors=True)
 
     identity = []
     for n, m in identity_sizes:
@@ -1305,8 +1146,9 @@ def storage_scaling(
         ram_graph = builder.build()
         ram_digest = _graph_digest(ram_graph)
         for identity_policy in ("affinity", "random"):
-            out_dir = _tempfile.mkdtemp(prefix="repro-storage-id-")
-            try:
+            with _tempfile.TemporaryDirectory(
+                prefix="repro-storage-id-"
+            ) as out_dir:
                 partition_graph(
                     source,
                     max(2, round(m / per_part_edges)),
@@ -1328,8 +1170,6 @@ def storage_scaling(
                         "identical": store_digest == ram_digest,
                     }
                 )
-            finally:
-                _shutil.rmtree(out_dir, ignore_errors=True)
 
     first, last = cells[0], cells[-1]
     edge_growth = last["num_edges"] / first["num_edges"]
@@ -1382,13 +1222,7 @@ def storage_scaling(
         "identity": identity,
         "scaling": scaling,
     }
-    validate_artifact(
-        artifact, kind="repro-storage", path=out_path or "<artifact>"
-    )
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _json.dump(artifact, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    write_artifact_file(artifact, out_path)
     return {
         "results": cells,
         "identity": identity,
@@ -1398,17 +1232,19 @@ def storage_scaling(
     }
 
 
-#: Every experiment `repro experiment NAME` can run. Each takes
-#: ``scale=`` and returns a dict with a printable ``table``.
+def _by_name(*functions) -> Dict[str, Callable]:
+    return {function.__name__: function for function in functions}
+
+
+#: Every experiment `repro experiment NAME` can run, by name; a figure
+#: or series row is run by its runner.
 EXPERIMENTS = {
-    function.__name__: function
-    for function in (
-        table1, fig2_motivation, fig6_vs_digraph_t, fig7_vs_digraph_w,
-        fig8_preprocessing, fig9_breakdown, fig10_speedup, fig11_updates,
-        fig12_traffic, fig13_data_utilization, fig14_bidirectional,
-        fig15_gpu_utilization, fig16_scalability, fig16_faulted_scalability,
-        fig17_cpu_threads, ablation_dmax, ablation_features,
-        stream_speedup, serve_throughput, overload_resilience,
-        durability_crash_restart, storage_scaling,
-    )
+    **_by_name(table1, fig2_motivation),
+    **{n: functools.partial(run_figure, row) for n, row in FIGURES.items()},
+    **{n: functools.partial(run_series, row) for n, row in SERIES.items()},
+    **_by_name(
+        fig16_scalability, fig16_faulted_scalability, stream_speedup,
+        serve_throughput, overload_resilience, durability_crash_restart,
+        storage_scaling,
+    ),
 }

@@ -7,7 +7,7 @@ corresponding figure.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.bench.results import ExecutionResult
 
@@ -36,35 +36,26 @@ def format_table(
 def normalized_matrix(
     results: Mapping[str, Mapping[str, ExecutionResult]],
     metric: Callable[[ExecutionResult], float],
-    baseline: str,
+    baseline: Optional[str],
+    invert: bool = False,
 ) -> Dict[str, Dict[str, float]]:
     """``results[graph][engine]`` -> metric normalized to ``baseline``.
 
     This is the shape of Figs. 6/7/8/11/12/13: one bar group per graph,
     one bar per engine, relative to the named baseline engine.
+    ``invert`` divides the baseline's value by the engine's instead —
+    a speedup when the metric is a time (Fig. 10). Without a baseline
+    the values are the metric's own (Fig. 15).
     """
     out: Dict[str, Dict[str, float]] = {}
     for graph, per_engine in results.items():
-        base = metric(per_engine[baseline])
-        out[graph] = {
-            engine: (metric(result) / base if base else float("nan"))
-            for engine, result in per_engine.items()
-        }
-    return out
-
-
-def speedup_matrix(
-    results: Mapping[str, Mapping[str, ExecutionResult]],
-    baseline: str,
-) -> Dict[str, Dict[str, float]]:
-    """Speedup over ``baseline`` by processing time (Fig. 10)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for graph, per_engine in results.items():
-        base = per_engine[baseline].processing_time_s
-        out[graph] = {
-            engine: (base / r.processing_time_s if r.processing_time_s else 0)
-            for engine, r in per_engine.items()
-        }
+        values = {e: metric(result) for e, result in per_engine.items()}
+        if baseline is not None:
+            base = values[baseline]
+            for engine, value in values.items():
+                over, under = (base, value) if invert else (value, base)
+                values[engine] = over / under if under else float("nan")
+        out[graph] = values
     return out
 
 

@@ -8,7 +8,6 @@ graphs) do not recompute them within a process.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -17,6 +16,7 @@ from repro.baselines.async_engine import AsyncConfig, AsyncEngine
 from repro.baselines.bulk_sync import BulkSyncConfig, BulkSyncEngine
 from repro.baselines.sequential import SequentialEngine
 from repro.bench.results import ExecutionResult
+from repro.bench.schema import write_artifact_file
 from repro.core.engine import DiGraphConfig, DiGraphEngine
 from repro.core.variants import digraph_t, digraph_w
 from repro.errors import ConfigurationError
@@ -332,11 +332,5 @@ def run_kernel_microbench(
         },
         "results": results,
     }
-    if out_path is not None:
-        from repro.bench.schema import validate_artifact
-
-        validate_artifact(report, kind="repro-bench-kernels", path=out_path)
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    write_artifact_file(report, out_path)
     return report

@@ -231,3 +231,15 @@ def validate_artifact_file(path: str, kind: Optional[str] = None) -> str:
             f"artifact {path!r} is not valid JSON: {exc}"
         ) from exc
     return validate_artifact(data, kind=kind, path=path)
+
+
+def write_artifact_file(data: Dict, path: Optional[str]) -> None:
+    """Validate an artifact and write it to ``path`` as JSON (``None``:
+    validate only) — the inverse of :func:`validate_artifact_file`."""
+    import json
+
+    validate_artifact(data, path=path or "<artifact>")
+    if path is not None:
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")

@@ -12,8 +12,8 @@ path all of them share:
   wall-clock repeats.
 - :func:`run_sweep` expands the matrix into cells, executes every cell
   ``len(seeds) * repeats`` times through the shared
-  :func:`repro.bench.runner.run_cell` path (or a
-  :class:`~repro.streaming.session.StreamingSession` replay for
+  :func:`repro.bench.runner.run_cell` path (or
+  :func:`~repro.streaming.session.run_stream_cell` for
   ``mode="stream"`` cells), and emits a versioned artifact: schema
   header, config echo, per-cell mean±std for wall-clock and every model
   metric, a frozen :meth:`~repro.gpu.stats.MachineStats.as_dict` counter
@@ -48,14 +48,16 @@ import numpy as np
 from repro.algorithms import ALGORITHMS
 from repro.bench import runner
 from repro.bench.runner import ALL_ENGINE_NAMES
+from repro.bench.schema import validate_artifact, write_artifact_file
 from repro.errors import ArtifactError, ConfigurationError
 from repro.faults.recovery import RecoveryPolicy
 from repro.graph import datasets
-from repro.graph.generators import MUTATION_MIXES, mutation_trace
+from repro.graph.generators import TRACE_KNOBS
 from repro.knobs import Knob, field_values, knobs_of
 from repro.serve.query import SERVE_ALGORITHMS, TraceSpec
 from repro.serve.runner import KILL_LAUNCH, run_serve_cell, serve_digest
 from repro.serve.server import ServeConfig
+from repro.streaming.session import run_stream_cell
 
 #: Artifact schema identity; bump the version on breaking layout changes.
 SWEEP_SCHEMA = "repro-sweep"
@@ -100,12 +102,7 @@ MODE_KNOBS = {
         Knob("use_vectorized_kernels", bool, False),
         RecoveryPolicy,
     ),
-    "stream": _knob_table(
-        _NUM_GPUS,
-        Knob("stream_batches", int, 3, minimum=0),
-        Knob("stream_batch_size", int, 4, minimum=1),
-        Knob("stream_mix", str, "insert", choices=MUTATION_MIXES),
-    ),
+    "stream": _knob_table(_NUM_GPUS, *TRACE_KNOBS),
     "serve": _knob_table(_NUM_GPUS, KILL_LAUNCH, TraceSpec, ServeConfig),
 }
 
@@ -524,59 +521,25 @@ def _run_once(spec: CellSpec, seed: int) -> Dict[str, object]:
 
 def _stream_once(spec: CellSpec, seed: int) -> Dict[str, object]:
     """One execution of a stream-mode cell: a certified trace replay."""
-    from repro.gpu.config import SCALED_MACHINE
-    from repro.streaming import StreamingSession
-
-    machine = SCALED_MACHINE
-    num_gpus = _knob(spec, "num_gpus")
-    if num_gpus:
-        machine = machine.scaled(num_gpus)
     graph = _resolve_graph(spec, seed)
     t0 = time.perf_counter()
-    trace = mutation_trace(
-        graph,
-        _knob(spec, "stream_batches"),
-        seed=seed,
-        batch_size=_knob(spec, "stream_batch_size"),
-        mix=_knob(spec, "stream_mix"),
-    )
-    session = StreamingSession(
-        graph,
+    report = run_stream_cell(
         spec.algorithm,
-        machine_spec=machine,
-        graph_name=spec.graph_label,
+        spec.graph_label,
+        seed=seed,
+        graph=graph,
+        **{**spec.knobs, "num_gpus": _knob(spec, "num_gpus")},
     )
-    incr = rebuild = 0.0
-    reactivated = repaired = incr_rounds = 0
-    certified = True
-    modes = set()
-    stats = None
-    for batch in trace:
-        outcome = session.apply(batch, certify=True)
-        incr += outcome.incremental_total_s
-        rebuild += outcome.rebuild_total_s
-        reactivated += outcome.result.stats.vertices_reactivated
-        repaired += outcome.result.stats.paths_repaired
-        incr_rounds += outcome.result.stats.incremental_rounds
-        modes.add(outcome.mode)
-        certified = certified and outcome.certification.passed
-        stats = outcome.result.stats.as_dict()
     wall = time.perf_counter() - t0
+    outcomes = report.outcomes
     return {
         "wall_seconds": wall,
-        "converged": certified,
-        "digest": _state_digest(session.values),
-        "stats": stats or {},
-        "modes": sorted(modes),
-        "certified": certified,
-        "metrics": {
-            "incremental_s": float(incr),
-            "rebuild_s": float(rebuild),
-            "speedup": float(rebuild / incr) if incr > 0 else 0.0,
-            "vertices_reactivated": float(reactivated),
-            "paths_repaired": float(repaired),
-            "incremental_rounds": float(incr_rounds),
-        },
+        "converged": report.certified,
+        "digest": _state_digest(report.session.values),
+        "stats": outcomes[-1].result.stats.as_dict() if outcomes else {},
+        "modes": sorted({outcome.mode for outcome in outcomes}),
+        "certified": report.certified,
+        "metrics": report.metrics(),
     }
 
 
@@ -766,16 +729,8 @@ def canonical_bytes(report: Dict) -> bytes:
     ).encode()
 
 
-def write_artifact(report: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-
 def load_artifact(path: str) -> Dict:
     """Load and schema-validate a sweep artifact."""
-    from repro.bench.schema import validate_artifact
-
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -970,5 +925,5 @@ def compare_sweeps(
 def refresh_baseline(config: SweepConfig, path: str) -> Dict:
     """Run the matrix and commit its artifact as the new baseline."""
     report = run_sweep(config)
-    write_artifact(report, path)
+    write_artifact_file(report, path)
     return report

@@ -51,7 +51,7 @@ from repro.bench.runner import (
 )
 from repro.errors import ReproError, VerificationError
 from repro.graph import datasets
-from repro.graph.generators import MUTATION_MIXES
+from repro.graph.generators import TRACE_KNOBS
 from repro.graph.io import read_edge_list
 from repro.gpu.config import SCALED_MACHINE
 from repro.knobs import add_flags, field_values, from_args, knobs_of
@@ -549,66 +549,57 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    from repro.graph.generators import mutation_trace
-    from repro.streaming import StreamingSession
+    from repro.streaming.session import run_stream_cell
 
     graph, name, spec = _workload(args)
-    if args.strict:
-        args.certify = True  # strict mode is meaningless without the oracle
+    # Strict mode is meaningless without the oracle.
+    certify = args.certify or args.strict
 
     all_passed = True
     for algorithm in args.algorithms:
-        trace = mutation_trace(
-            graph,
-            args.batches,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            mix=args.mix,
-        )
-        session = StreamingSession(
-            graph,
+        report = run_stream_cell(
             algorithm,
-            machine_spec=spec,
-            graph_name=name,
+            name,
+            seed=args.seed,
+            machine=spec,
+            graph=graph,
+            certify=certify,
             verify_structure=args.strict,
+            **from_args(args, TRACE_KNOBS),
         )
-        incr_total = 0.0
-        rebuild_total = 0.0
         print(
             f"{name}/{algorithm}: {args.batches} batches "
             f"(mix={args.mix}, batch_size={args.batch_size}, "
             f"seed={args.seed})"
         )
-        for batch in trace:
-            outcome = session.apply(batch, certify=args.certify)
+        for outcome in report.outcomes:
             stats = outcome.result.stats
             line = (
-                f"  batch {batch.batch_id}: mode={outcome.mode:<6} "
+                f"  batch {outcome.batch_id}: mode={outcome.mode:<6} "
                 f"seeds={len(outcome.plan.seed_vertices):<5} "
                 f"reactivated={stats.vertices_reactivated:<6} "
                 f"rounds={stats.incremental_rounds:<4} "
                 f"repaired={stats.paths_repaired:<4} "
                 f"incr={outcome.incremental_total_s:.3e}s"
             )
-            incr_total += outcome.incremental_total_s
             if outcome.rebuild_total_s is not None:
-                rebuild_total += outcome.rebuild_total_s
                 line += (
                     f" rebuild={outcome.rebuild_total_s:.3e}s "
                     f"speedup=x{outcome.speedup:.2f}"
                 )
             if outcome.certification is not None:
                 ok = outcome.certification.passed
-                all_passed = all_passed and ok
                 line += f" cert={'ok' if ok else 'FAIL'}"
                 if not ok or args.verbose:
                     line += f" ({outcome.certification.detail})"
             print(line)
-        summary = f"  total incremental={incr_total:.3e}s"
-        if rebuild_total:
+        all_passed = all_passed and report.certified
+        totals = report.metrics()
+        summary = f"  total incremental={totals['incremental_s']:.3e}s"
+        if totals["rebuild_s"]:
             summary += (
-                f" rebuild={rebuild_total:.3e}s "
-                f"speedup=x{rebuild_total / incr_total:.2f}"
+                f" rebuild={totals['rebuild_s']:.3e}s "
+                f"speedup=x{totals['speedup']:.2f}"
             )
         print(summary)
     if args.strict and not all_passed:
@@ -722,12 +713,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from repro.bench.schema import write_artifact_file
     from repro.bench.sweep import (
         SweepConfig,
         compare_sweeps,
         load_artifact,
         run_sweep,
-        write_artifact,
     )
 
     if args.config:
@@ -780,7 +771,7 @@ def cmd_sweep(args) -> int:
         f"{report['wall_seconds_total']:.2f}s total"
     )
     if args.output:
-        write_artifact(report, args.output)
+        write_artifact_file(report, args.output)
         print(f"wrote {args.output}")
 
     if args.gate:
@@ -1277,23 +1268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "from-scratch golden run",
     )
     _add_workload_args(st, scale=0.25, algorithms="stream")
-    st.add_argument(
-        "--batches", type=int, default=4, help="trace length (default: 4)"
-    )
-    st.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="mutations per batch (default: 8)",
-    )
+    add_flags(st, TRACE_KNOBS)
     st.add_argument("--seed", type=int, default=7)
-    st.add_argument(
-        "--mix",
-        choices=MUTATION_MIXES,
-        default="mixed",
-        help="trace shape: insert-only, delete-heavy, or mixed "
-        "(default: mixed)",
-    )
     st.add_argument(
         "--certify",
         action="store_true",

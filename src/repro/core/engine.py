@@ -172,9 +172,6 @@ class DiGraphEngine:
         """CPU preprocessing: paths, DAG, partitions, storage, replicas."""
         cfg = self.config
         started = time.perf_counter()
-        target = resolve_partition_target(
-            graph, cfg.target_edges_per_partition
-        )
         path_set = decompose_into_paths(
             graph,
             d_max=cfg.d_max,
@@ -184,29 +181,53 @@ class DiGraphEngine:
             degree_greedy=cfg.degree_greedy,
         )
         dag = build_dependency_dag(path_set)
+        modeled = modeled_preprocess_seconds(
+            graph, cfg.n_workers, dependency_vertices=dag.num_paths
+        )
+        pre = self.assemble(
+            graph, path_set, dag, modeled, verify=cfg.verify_invariants
+        )
+        pre.wall_seconds = time.perf_counter() - started
+        return pre
+
+    def assemble(
+        self,
+        graph: DiGraphCSR,
+        path_set: PathSet,
+        dag: DependencyDAG,
+        modeled_seconds: float,
+        verify: bool = False,
+    ) -> Preprocessed:
+        """``Preprocessed`` around a decomposition and its dependency DAG.
+
+        Partitions, storage arrays and the replica table are derived
+        views of the path set: built here for a fresh decomposition
+        (:meth:`preprocess`) and for a repaired one
+        (:class:`~repro.streaming.session.StreamingSession`) alike.
+        ``verify`` checks the structural invariants of the result.
+        """
+        cfg = self.config
+        started = time.perf_counter()
+        target = resolve_partition_target(
+            graph, cfg.target_edges_per_partition
+        )
         partitions = build_partitions(path_set, dag, target)
         storage = PathStorage(path_set, partitions)
-        gpu_spec = self.spec.gpu
-        proxy_capacity = gpu_spec.shared_memory_per_smx_bytes // 16
         replicas = ReplicaTable(
             path_set,
             storage,
             proxy_in_degree_threshold=cfg.proxy_in_degree_threshold,
-            proxy_capacity=proxy_capacity,
-        )
-        wall = time.perf_counter() - started
-        modeled = modeled_preprocess_seconds(
-            graph, cfg.n_workers, dependency_vertices=dag.num_paths
+            proxy_capacity=self.spec.gpu.shared_memory_per_smx_bytes // 16,
         )
         pre = Preprocessed(
             path_set=path_set,
             dag=dag,
             storage=storage,
             replicas=replicas,
-            modeled_seconds=modeled,
-            wall_seconds=wall,
+            modeled_seconds=modeled_seconds,
+            wall_seconds=time.perf_counter() - started,
         )
-        if cfg.verify_invariants:
+        if verify:
             from repro.verify.structural import verify_preprocessed
 
             verify_preprocessed(pre).raise_if_failed()

@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.builder import from_edges
 from repro.graph.digraph import DiGraphCSR
+from repro.knobs import Knob
 
 
 def directed_path(n: int) -> DiGraphCSR:
@@ -470,6 +471,29 @@ def bowtie_graph(
 
 #: Workload shapes :func:`mutation_trace` can draw.
 MUTATION_MIXES = ("insert", "delete", "mixed")
+
+#: The trace's knobs: each is a stream-mode sweep knob, a keyword of
+#: :func:`repro.streaming.session.run_stream_cell` and a ``repro stream``
+#: flag. A cell replays a short insert-lean trace (the streaming sweet
+#: spot); the interactive defaults are longer and mixed.
+TRACE_KNOBS = (
+    Knob(
+        "stream_batches", int, 3, minimum=0, sweep=True,
+        flag="--batches", flag_default=4,
+        help="trace length (default: 4)",
+    ),
+    Knob(
+        "stream_batch_size", int, 4, minimum=1, sweep=True,
+        flag="--batch-size", flag_default=8,
+        help="mutations per batch (default: 8)",
+    ),
+    Knob(
+        "stream_mix", str, "insert", choices=MUTATION_MIXES, sweep=True,
+        flag="--mix", flag_default="mixed",
+        help="trace shape: insert-only, delete-heavy, or mixed "
+        "(default: mixed)",
+    ),
+)
 
 
 def mutation_trace(

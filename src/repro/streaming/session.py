@@ -25,20 +25,19 @@ silently change the query).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.algorithms import make_program
+from repro.bench import runner as bench_runner
 from repro.bench.results import ExecutionResult
-from repro.baselines.common import resolve_partition_target
-from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed
-from repro.core.replicas import ReplicaTable
-from repro.core.storage import PathStorage, build_partitions
-from repro.gpu.config import MachineSpec
+from repro.core.engine import DiGraphConfig, DiGraphEngine
+from repro.errors import ConfigurationError
+from repro.gpu.config import SCALED_MACHINE, MachineSpec
 from repro.graph.digraph import DiGraphCSR
+from repro.graph.generators import TRACE_KNOBS, mutation_trace
 from repro.streaming.delta import DeltaPlan, plan_delta
 from repro.streaming.mutations import (
     AppliedBatch,
@@ -124,44 +123,6 @@ class StreamingSession:
     def _make_program(self, graph: DiGraphCSR):
         return make_program(self.algorithm, graph, **self.program_kwargs)
 
-    def _preprocess_from_repair(
-        self, repair: RepairResult, graph: DiGraphCSR
-    ) -> Preprocessed:
-        """Assemble ``Preprocessed`` around the repaired decomposition.
-
-        Partitions, storage arrays, and the replica table are derived
-        views of the path set; they are rebuilt from the repaired paths
-        (their cost rides in the repair's modeled seconds, which charge
-        the path-count term the full preprocess model charges).
-        """
-        cfg = self.engine.config
-        started = time.perf_counter()
-        target = resolve_partition_target(
-            graph, cfg.target_edges_per_partition
-        )
-        partitions = build_partitions(repair.path_set, repair.dag, target)
-        storage = PathStorage(repair.path_set, partitions)
-        gpu_spec = self.engine.spec.gpu
-        replicas = ReplicaTable(
-            repair.path_set,
-            storage,
-            proxy_in_degree_threshold=cfg.proxy_in_degree_threshold,
-            proxy_capacity=gpu_spec.shared_memory_per_smx_bytes // 16,
-        )
-        pre = Preprocessed(
-            path_set=repair.path_set,
-            dag=repair.dag,
-            storage=storage,
-            replicas=replicas,
-            modeled_seconds=repair.modeled_seconds,
-            wall_seconds=time.perf_counter() - started,
-        )
-        if self.verify_structure:
-            from repro.verify.structural import verify_preprocessed
-
-            verify_preprocessed(pre).raise_if_failed()
-        return pre
-
     # ------------------------------------------------------------------
     def apply(
         self, batch: MutationBatch, certify: bool = False
@@ -169,7 +130,16 @@ class StreamingSession:
         """Apply one batch: mutate, repair, delta-recompute, certify."""
         applied = apply_batch(self.graph, batch)
         repair = self.repairer.apply(applied)
-        pre = self._preprocess_from_repair(repair, applied.graph)
+        # The derived views are rebuilt around the repaired paths; their
+        # cost rides in the repair's modeled seconds, which charge the
+        # path-count term the full preprocess model charges.
+        pre = self.engine.assemble(
+            applied.graph,
+            repair.path_set,
+            repair.dag,
+            repair.modeled_seconds,
+            verify=self.verify_structure,
+        )
         program = self._make_program(applied.graph)
         plan = plan_delta(self.algorithm, program, applied, self.values)
         result = self.engine.run(
@@ -227,3 +197,93 @@ class StreamingSession:
     def stats(self):
         """Stats bundle of the most recent engine run."""
         return self.baseline.stats
+
+
+@dataclass
+class StreamReport:
+    """One replayed trace: the session it left and each batch's outcome."""
+
+    session: StreamingSession
+    outcomes: List[BatchOutcome]
+
+    @property
+    def certified(self) -> bool:
+        """No certified batch failed (vacuously true without any)."""
+        return all(
+            outcome.certification.passed
+            for outcome in self.outcomes
+            if outcome.certification is not None
+        )
+
+    def metrics(self) -> Dict[str, float]:
+        """Sums over the batches; rebuild time counts certified ones."""
+        stats = [outcome.result.stats for outcome in self.outcomes]
+        incr = sum(o.incremental_total_s for o in self.outcomes)
+        rebuild = sum(o.rebuild_total_s or 0.0 for o in self.outcomes)
+        return {
+            "incremental_s": float(incr),
+            "rebuild_s": float(rebuild),
+            "speedup": float(rebuild / incr) if incr > 0 else 0.0,
+            "vertices_reactivated": float(
+                sum(s.vertices_reactivated for s in stats)
+            ),
+            "paths_repaired": float(sum(s.paths_repaired for s in stats)),
+            "incremental_rounds": float(
+                sum(s.incremental_rounds for s in stats)
+            ),
+        }
+
+
+def run_stream_cell(
+    algorithm: str,
+    graph_name: str,
+    *,
+    scale: float = bench_runner.DEFAULT_SCALE,
+    seed: int = 0,
+    num_gpus: Optional[int] = None,
+    machine: Optional[MachineSpec] = None,
+    graph: Optional[DiGraphCSR] = None,
+    trace: Optional[Iterable[MutationBatch]] = None,
+    config: Optional[DiGraphConfig] = None,
+    certify: bool = True,
+    verify_structure: bool = False,
+    **knobs,
+) -> StreamReport:
+    """Replay one seeded mutation trace through a fresh session.
+
+    To the streaming layer what :func:`repro.bench.runner.run_cell` is
+    to batch cells and :func:`repro.serve.runner.run_serve_cell` to
+    serving; the sweep runner's stream cells, ``repro stream`` and
+    :func:`repro.verify.streaming.verify_stream` all replay through it.
+    ``knobs`` are the :data:`~repro.graph.generators.TRACE_KNOBS` by
+    their external names; the trace is drawn from them and ``seed``
+    unless ``trace`` supplies the batches. Nothing is memoized: a replay
+    mutates its session.
+    """
+    unknown = sorted(set(knobs) - {row.name for row in TRACE_KNOBS})
+    if unknown:
+        raise ConfigurationError(f"unknown stream knob(s) {unknown}")
+    spec = machine or SCALED_MACHINE
+    if num_gpus is not None:
+        spec = spec.scaled(num_gpus)
+    if graph is None:
+        graph = bench_runner.load_graph(graph_name, algorithm, scale)
+    if trace is None:
+        n_batches, batch_size, mix = (
+            row.convert(knobs.get(row.name, row.default))
+            for row in TRACE_KNOBS
+        )
+        trace = mutation_trace(
+            graph, n_batches, seed=seed, batch_size=batch_size, mix=mix
+        )
+    session = StreamingSession(
+        graph,
+        algorithm,
+        machine_spec=spec,
+        config=config,
+        graph_name=graph_name,
+        verify_structure=verify_structure,
+    )
+    return StreamReport(
+        session, [session.apply(batch, certify=certify) for batch in trace]
+    )

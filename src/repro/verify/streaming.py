@@ -56,26 +56,23 @@ def verify_stream(
     stream sweep runs in strict mode.
     """
     from repro.algorithms import make_program
-    from repro.streaming.session import StreamingSession
+    from repro.streaming.session import run_stream_cell
     from repro.verify.structural import check_fixed_point_reached
 
-    session = StreamingSession(
-        graph,
+    replay = run_stream_cell(
         algorithm,
-        machine_spec=machine_spec,
+        graph_name,
+        graph=graph,
+        machine=machine_spec,
         config=config,
-        graph_name=graph_name,
+        trace=batches,
         verify_structure=verify_structure,
     )
     report = VerificationReport()
-    last_outcome = None
-    for batch in batches:
-        outcome = session.apply(batch, certify=True)
-        last_outcome = outcome
-        assert outcome.certification is not None
+    for outcome in replay.outcomes:
         report.add(
             CheckResult(
-                name=f"streaming.equivalence.batch{batch.batch_id}",
+                name=f"streaming.equivalence.batch{outcome.batch_id}",
                 passed=outcome.certification.passed,
                 detail=(
                     f"{algorithm} {outcome.mode}: "
@@ -83,7 +80,8 @@ def verify_stream(
                 ),
             )
         )
-    if last_outcome is not None:
+    if replay.outcomes:
+        session = replay.session
         program = make_program(
             algorithm, session.graph, **session.program_kwargs
         )

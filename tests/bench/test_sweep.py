@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.bench import runner
+from repro.bench.schema import write_artifact_file
 from repro.bench.sweep import (
     CellSpec,
     SweepConfig,
@@ -21,7 +22,6 @@ from repro.bench.sweep import (
     load_artifact,
     run_sweep,
     run_sweep_cell,
-    write_artifact,
 )
 from repro.errors import ArtifactError, ConfigurationError
 from repro.gpu.stats import MachineStats
@@ -208,7 +208,7 @@ class TestDeterminism:
 
     def test_artifact_round_trip(self, tiny_report, tmp_path):
         path = str(tmp_path / "sweep.json")
-        write_artifact(tiny_report, path)
+        write_artifact_file(tiny_report, path)
         loaded = load_artifact(path)
         assert canonical_bytes(loaded) == canonical_bytes(tiny_report)
 

@@ -120,8 +120,8 @@ class TestStreamSpeedupExperiment:
             scale=0.1,
             graphs=("cnr",),
             algos=("sssp",),
-            n_batches=2,
-            batch_size=3,
+            stream_batches=2,
+            stream_batch_size=3,
         )
         assert out["rows"]
         for per_graph in out["results"].values():

@@ -8,7 +8,6 @@ from repro.bench.reporting import (
     matrix_table,
     normalized_matrix,
     series_table,
-    speedup_matrix,
 )
 from repro.bench.results import ExecutionResult, RoundRecord, states_close
 from repro.bench.runner import clear_cache, load_graph, make_engine, run_cell
@@ -84,8 +83,18 @@ class TestReporting:
     def test_speedup_matrix(self):
         results = {"g": {"base": fake_result(time_s=2.0),
                          "fast": fake_result(time_s=0.5)}}
-        matrix = speedup_matrix(results, baseline="base")
+        matrix = normalized_matrix(
+            results, lambda r: r.processing_time_s, "base", invert=True
+        )
         assert matrix["g"]["fast"] == pytest.approx(4.0)
+        assert matrix["g"]["base"] == pytest.approx(1.0)
+
+    def test_matrix_without_baseline_is_raw(self):
+        results = {"g": {"a": fake_result(time_s=2.0)}}
+        matrix = normalized_matrix(
+            results, lambda r: r.processing_time_s, None
+        )
+        assert matrix == {"g": {"a": 2.0}}
 
     def test_matrix_table_renders(self):
         table = matrix_table("M", {"g": {"e": 1.0}}, ["e"])

@@ -1,13 +1,11 @@
-"""The command-line surface, pinned from the commit before the knob table.
+"""The command-line surface, pinned.
 
 ``cli_surface.json`` holds, for every subcommand, every option's flags,
 ``dest``, type name, default, choices, ``nargs``, ``required`` and help
-string. It was captured by running this file with ``PYTHONPATH`` at the
-*parent* commit's ``src`` (hand-written ``add_argument`` blocks), and is
-asserted equal on the table-derived parser — so a flag, default or help
-string that moved when the blocks became derived shows up here. The
-differences that PR made on purpose are enumerated in
-``EXPECTED_DIFFERENCES`` and nowhere else.
+string, captured from the built parser — so a flag, default or help
+string that moves when an ``add_argument`` block becomes table-derived
+shows up here. The one entry not stored is the ``experiment`` name's
+``choices``: it is the experiment table's keys, read from the table.
 
 Regenerate intentionally with:
 
@@ -15,7 +13,6 @@ Regenerate intentionally with:
 """
 
 import argparse
-import copy
 import json
 import os
 from pathlib import Path
@@ -56,33 +53,21 @@ def capture_surface():
 
 
 def expected_surface():
-    """The parent's surface with this PR's deliberate differences applied."""
+    """The pinned surface; `repro experiment NAME` is checked against
+    the experiment table, which the file leaves ``null``."""
     from repro.bench.experiments import EXPERIMENTS
 
-    surface = copy.deepcopy(json.loads(SURFACE_PATH.read_text()))
-    # The `digraph-vec` registry row is gone (it ran `digraph`).
-    engines = surface["chaos"]["engines"]
-    engines["choices"].remove("digraph-vec")
-    engines["help"] = engines["help"].replace(
-        "the DiGraph family (digraph-vec runs the vectorized batch "
-        "kernels) and",
-        "the DiGraph family and",
-    )
-    # The DiGraph family lost its batched pass: `--vectorized` reaches
-    # bulk-sync only.
-    vectorized = surface["run"]["vectorized"]
-    vectorized["help"] = vectorized["help"].replace(
-        "bulk-sync and the DiGraph family;", "bulk-sync only;"
-    )
-    # `repro experiment NAME` is checked against the experiment table.
+    surface = json.loads(SURFACE_PATH.read_text())
     surface["experiment"]["name"]["choices"] = list(EXPERIMENTS)
     return surface
 
 
 def test_cli_surface_matches_parent():
     if REGEN:
+        surface = capture_surface()
+        surface["experiment"]["name"]["choices"] = None
         SURFACE_PATH.write_text(
-            json.dumps(capture_surface(), indent=1, sort_keys=True) + "\n"
+            json.dumps(surface, indent=1, sort_keys=True) + "\n"
         )
         return
     actual, expected = capture_surface(), expected_surface()
@@ -137,3 +122,22 @@ def test_serve_knobs_are_one_row_everywhere():
         for row in rows.values()
         if row.flag_default is not None
     ] == ["num_queries"]
+
+
+def test_stream_knobs_are_one_row_everywhere():
+    """A `repro stream` trace flag, a stream-mode sweep knob and a
+    `run_stream_cell` keyword are the same row; the interactive
+    defaults (a longer, mixed trace) are written on the rows."""
+    from repro.bench.sweep import MODE_KNOBS
+    from repro.graph.generators import TRACE_KNOBS
+
+    sweep = dict(MODE_KNOBS["stream"])
+    assert sweep.pop("num_gpus").field == ""
+    assert sweep == {row.name: row for row in TRACE_KNOBS}
+    options = capture_surface()["stream"]
+    for row in TRACE_KNOBS:
+        assert options[row.dest]["flags"] == [row.flag]
+        assert options[row.dest]["default"] == row.flag_default
+    assert {row.name: row.flag_default for row in TRACE_KNOBS} == {
+        "stream_batches": 4, "stream_batch_size": 8, "stream_mix": "mixed",
+    }

@@ -33,6 +33,7 @@ def fake_result(engine, time_s=1.0, updates=100, preprocess=0.1):
         rounds=2,
         states=np.zeros(3),
         stats=stats,
+        extras={"avg_path_length": 2.0},
     )
 
 
@@ -57,36 +58,38 @@ def stub_cells(monkeypatch):
     return behavior
 
 
+def run(name, **kwargs):
+    return experiments.EXPERIMENTS[name](scale=0.1, **kwargs)
+
+
 class TestFigureLogic:
     def test_fig8_normalizes_to_bulk(self, stub_cells):
-        result = experiments.fig8_preprocessing(scale=0.1)
-        for per_engine in result["matrix"].values():
+        result = run("fig8_preprocessing")
+        for per_engine in result["values"]["pagerank"]["preprocess"].values():
             assert per_engine["bulk-sync"] == pytest.approx(1.0)
             assert per_engine["digraph"] == pytest.approx(1.3)
         assert "Fig 8" in result["table"]
 
     def test_fig10_speedup_inverts_time(self, stub_cells):
-        result = experiments.fig10_speedup(scale=0.1, algos=["pagerank"])
-        matrix = result["matrices"]["pagerank"]
+        result = run("fig10_speedup", algos=["pagerank"])
+        matrix = result["values"]["pagerank"]["time"]
         for per_engine in matrix.values():
             assert per_engine["digraph"] == pytest.approx(4.0)
             assert per_engine["async"] == pytest.approx(2.0)
 
     def test_fig11_update_ratios(self, stub_cells):
-        result = experiments.fig11_updates(scale=0.1, algos=["pagerank"])
-        matrix = result["matrices"]["pagerank"]
+        result = run("fig11_updates", algos=["pagerank"])
+        matrix = result["values"]["pagerank"]["updates"]
         for per_engine in matrix.values():
             assert per_engine["digraph"] == pytest.approx(150 / 400)
 
     def test_fig6_contains_both_views(self, stub_cells):
-        result = experiments.fig6_vs_digraph_t(
-            scale=0.1, algos=["pagerank"]
-        )
-        assert "matrices" in result and "update_matrices" in result
-        time_ratio = result["matrices"]["pagerank"]["dblp"]["digraph"]
-        upd_ratio = result["update_matrices"]["pagerank"]["dblp"]["digraph"]
-        assert time_ratio == pytest.approx(1.0 / 3.0)
-        assert upd_ratio == pytest.approx(150 / 350)
+        result = run("fig6_vs_digraph_t", algos=["pagerank"])
+        views = result["values"]["pagerank"]
+        assert views["time"]["dblp"]["digraph"] == pytest.approx(1.0 / 3.0)
+        assert views["updates"]["dblp"]["digraph"] == pytest.approx(150 / 350)
+        assert "time normalized to digraph-t" in result["table"]
+        assert "updates normalized to digraph-t" in result["table"]
 
     def test_fig16_efficiency_relative_to_one_gpu(self, stub_cells):
         result = experiments.fig16_scalability(
@@ -97,13 +100,43 @@ class TestFigureLogic:
             assert series[0] == pytest.approx(1.0)
 
     def test_fig9_rows_have_all_phases(self, stub_cells):
-        result = experiments.fig9_breakdown(scale=0.1)
-        for row in result["rows"]:
-            graph, engine, pre, compute, comm = row
-            assert pre >= 0 and compute >= 0 and comm >= 0
+        result = run("fig9_breakdown")
+        phases = result["values"]["pagerank"]
+        assert list(phases) == ["preproc", "compute", "comm"]
+        for matrix in phases.values():
+            for per_engine in matrix.values():
+                assert all(value >= 0 for value in per_engine.values())
+        # One row per graph and engine, under the title and the header.
+        assert len(result["table"].splitlines()) == 3 + 6 * 3
         assert "Fig 9" in result["table"]
 
     def test_fig15_rows(self, stub_cells):
-        result = experiments.fig15_gpu_utilization(scale=0.1)
-        for row in result["rows"]:
-            assert all(0 <= x <= 1 for x in row[1:])
+        result = run("fig15_gpu_utilization")
+        for per_engine in result["values"]["pagerank"][
+            "gpu_utilization"
+        ].values():
+            assert all(value == 0.5 for value in per_engine.values())
+
+    def test_every_table_driven_figure_has_one_shape(self, stub_cells):
+        """``cells[algo][graph-or-x][engine]``, ``values`` and ``table``,
+        whichever row type the figure is."""
+        for name, row in {
+            **experiments.FIGURES, **experiments.SERIES
+        }.items():
+            result = run(name)
+            assert set(result) == {"cells", "values", "table"}, name
+            columns = getattr(row, "engines", None) or tuple(row.lines)
+            for algo, per_row in result["cells"].items():
+                assert set(result["values"][algo]) == set(row.metrics)
+                for key, per_engine in per_row.items():
+                    assert tuple(per_engine) == columns, (name, key)
+
+    def test_series_columns(self, stub_cells):
+        fig17 = run("fig17_cpu_threads")
+        assert list(fig17["cells"]["pagerank"]) == [1, 2, 4, 8]
+        # One metric: a column per line. One line: a column per metric.
+        header = fig17["table"].splitlines()[2]
+        assert "digraph/1gpu" in header and "digraph/4gpu" in header
+        header = run("ablation_dmax")["table"].splitlines()[2]
+        for column in ("d_max", "time_ms", "updates", "avg_path_len"):
+            assert column in header
