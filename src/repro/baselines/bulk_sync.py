@@ -247,8 +247,8 @@ class _BulkSyncRun(BaselineFaultHarness):
         stats.apply_calls += int(frontier.size)
         stats.edge_traversals += int(degrees.sum())
         machine.note_vertex_uses(int(frontier.size + degrees.sum()))
-        work: Dict[int, List[int]] = {}
-        atomics: Dict[int, List[int]] = {}
+        work: Dict[int, np.ndarray] = {}
+        atomics: Dict[int, np.ndarray] = {}
         for gpu in range(num_gpus):
             on_gpu = gpus == gpu
             gpu_degrees = degrees[on_gpu]
@@ -258,8 +258,8 @@ class _BulkSyncRun(BaselineFaultHarness):
                 machine.load_global(
                     gpu, nbytes=8 * degree_sum, vertices=degree_sum
                 )
-            work[gpu] = gpu_degrees.tolist()
-            atomics[gpu] = changed[on_gpu].astype(np.int64).tolist()
+            work[gpu] = gpu_degrees
+            atomics[gpu] = changed[on_gpu]
 
         self._load_touched(touched_partitions)
         machine.compute_round(work, atomics, barrier=True)

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
 from repro.gpu.machine import Machine
@@ -408,40 +408,91 @@ class _Run:
         # the vertex's activity is tracked, and the checkpoint manager's
         # spill attribution.
         self._owner_pid = tables.owner_partition
-        # Per-partition active-vertex counters (a vertex counts at its
-        # owner partition only) and per-group active-partition counters.
-        owners = self._owner_pid[self.states.active]
-        self.partition_active = np.bincount(
-            owners[owners >= 0], minlength=pre.storage.num_partitions
-        )
-        self._partition_was_active = self.partition_active > 0
-        self.group_active = np.bincount(
-            tables.group_of_partition[self._partition_was_active],
-            minlength=len(self.dispatcher.groups),
-        )
+        # The same map as a list: the flip rule reads it per vertex.
+        self._owner_pid_list: List[int] = self._owner_pid.tolist()
+        (
+            self.partition_active,
+            self._partition_was_active,
+            self.group_active,
+        ) = self._count_activity()
+        # One memory, two views. Single elements of the per-vertex arrays
+        # and the activity counters are read and written through
+        # memoryviews (Python scalars, no NumPy boxing); array-wide
+        # operations use the arrays. No array is rebound after this point
+        # and a rollback restores them in place (``arr[:] = ...``), so a
+        # view taken here stays coherent with its array for the run's life.
+        self._views: Dict[str, memoryview] = {
+            name: memoryview(array)
+            for name, array in {
+                **self.vertex_arrays(),
+                **self._activity_counters(),
+            }.items()
+        }
+        self._flip = self._activity_flip_rule()
         # Checkpoint lifecycle (this run object is the manager's client).
         self.checkpoints = checkpoint_manager(machine, self)
 
     # ------------------------------------------------------------------
     # activity bookkeeping
     # ------------------------------------------------------------------
-    def _bump_partitions(self, v: int, delta: int) -> None:
-        # Activity is tracked at the vertex's owner partition only:
-        # counting every replica partition would keep upstream groups
-        # flickering active (any downstream activation re-marks them),
-        # permanently blocking the dependency frontier.
-        pid = self._owner_pid[v]
-        if pid < 0:
-            return
-        before = self.partition_active[pid]
-        self.partition_active[pid] = max(0, before + delta)
-        after = self.partition_active[pid]
-        if before == 0 and after > 0:
-            self.group_active[self.tables.group_of_partition[pid]] += 1
-            self._partition_was_active[pid] = True
-        elif before > 0 and after == 0:
-            self.group_active[self.tables.group_of_partition[pid]] -= 1
-            self._partition_was_active[pid] = False
+    def _count_activity(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-partition active-vertex counts (a vertex counts at its
+        owner partition only), which partitions have any, and
+        per-group active-partition counts, from the active flags."""
+        owners = self._owner_pid[self.states.active]
+        partition_active = np.bincount(
+            owners[owners >= 0], minlength=self.pre.storage.num_partitions
+        )
+        has_active = partition_active > 0
+        group_active = np.bincount(
+            self.tables.group_of_partition[has_active],
+            minlength=len(self.dispatcher.groups),
+        )
+        return partition_active, has_active, group_active
+
+    def _activity_counters(self) -> Dict[str, np.ndarray]:
+        """The kept counters, in :meth:`_count_activity`'s order."""
+        return {
+            "partition_active": self.partition_active,
+            "partition_was_active": self._partition_was_active,
+            "group_active": self.group_active,
+        }
+
+    def _activity_flip_rule(self):
+        """``flip(v, now_active)``: the one rule every flip of a vertex's
+        active flag goes through — for a ``v`` whose flag differs from
+        ``now_active`` (callers test the flag; most dependents of a
+        changed vertex are active already and cost no call)."""
+        views = self._views
+        active, partition_active = views["active"], views["partition_active"]
+        group_active = views["group_active"]
+        was_active = views["partition_was_active"]
+        owner_pid = self._owner_pid_list
+        group_of: List[int] = self.tables.group_of_partition.tolist()
+
+        def flip(v: int, now_active: bool) -> None:
+            active[v] = now_active
+            # Activity is tracked at the vertex's owner partition only:
+            # counting every replica partition would keep upstream groups
+            # flickering active (any downstream activation re-marks
+            # them), permanently blocking the dependency frontier.
+            pid = owner_pid[v]
+            if pid < 0:
+                return
+            count = partition_active[pid] + (1 if now_active else -1)
+            if count < 0:
+                raise SimulationError(
+                    f"vertex {v} deactivated at partition {pid}, which "
+                    "counts no active vertex: a double deactivation"
+                )
+            partition_active[pid] = count
+            if count == now_active:
+                # The partition's 0 <-> 1 crossing: only this reaches
+                # the group counters.
+                group_active[group_of[pid]] += 1 if now_active else -1
+                was_active[pid] = now_active
+
+        return flip
 
     def activate(self, vertices: Sequence[int]) -> None:
         """Activate vertices, honoring message-delivery timing.
@@ -456,7 +507,7 @@ class _Run:
         producing_gpu = self._processing_gpu
         for v in vertices:
             v = int(v)
-            owner = int(self._owner_pid[v])
+            owner = self._owner_pid_list[v]
             if (
                 producing_gpu is not None
                 and owner >= 0
@@ -472,9 +523,8 @@ class _Run:
             self._activate_now(v)
 
     def _activate_now(self, v: int) -> None:
-        if not self.states.active[v]:
-            self.states.active[v] = True
-            self._bump_partitions(v, +1)
+        if not self._views["active"][v]:
+            self._flip(v, True)
 
     def _apply_deferred_activations(
         self, lost_pairs: Set[Tuple[int, int]] = frozenset()
@@ -512,12 +562,11 @@ class _Run:
         )
 
     def deactivate(self, v: int) -> None:
-        if self.states.active[v]:
-            self.states.active[v] = False
-            self._bump_partitions(int(v), -1)
+        if self._views["active"][v]:
+            self._flip(v, False)
 
     def partition_is_active(self, pid: int) -> bool:
-        return self.partition_active[pid] > 0
+        return self._views["partition_active"][pid] > 0
 
     def active_successor_partitions(self, pid: int) -> int:
         """Eviction-policy input: active direct successor partitions."""
@@ -590,14 +639,33 @@ class _Run:
         ]
 
     def invariant_checks(self) -> List:
-        """Send-vs-receive message and write conservation ledgers."""
+        """Send-vs-receive message and write conservation ledgers, and
+        the activity counters against a recount of the active flags."""
         from repro.verify.conservation import verify_run_conservation
+        from repro.verify.report import CheckResult
 
-        return list(
-            verify_run_conservation(
+        drifted = [
+            name
+            for (name, have), want in zip(
+                self._activity_counters().items(), self._count_activity()
+            )
+            if not np.array_equal(have, want)
+        ]
+        return [
+            *verify_run_conservation(
                 self.machine.stats, self.sync_sent_bytes
-            ).results
-        )
+            ).results,
+            CheckResult(
+                name="engine.activity-counters",
+                passed=not drifted,
+                detail=(
+                    f"{', '.join(drifted)} differ from a recount"
+                    if drifted
+                    else f"{int(self.partition_active.sum())} active "
+                    "vertices counted at their owner partitions"
+                ),
+            ),
+        ]
 
     def extras(self) -> Dict[str, float]:
         pre = self.pre
@@ -713,20 +781,16 @@ class _Run:
         """Frontier groups in layer order, plus advance execution."""
         if not self.cfg.use_path_execution:
             # DiGraph-t: no dependency ordering — every active partition.
-            return [
-                pid
-                for pid in range(self.pre.storage.num_partitions)
-                if self.partition_is_active(pid)
-            ]
+            return np.flatnonzero(self.partition_active).tolist()
+        group_active = self._views["group_active"]
+        partition_active = self._views["partition_active"]
         runnable: List[int] = []
         advance_candidates: List[Tuple[int, List[int]]] = []
         for group in self.groups:
-            if self.group_active[group.group_id] == 0:
+            if group_active[group.group_id] == 0:
                 continue
             active_pids = [
-                pid
-                for pid in group.partition_ids
-                if self.partition_is_active(pid)
+                pid for pid in group.partition_ids if partition_active[pid]
             ]
             blockers = self._active_predecessor_groups(group.group_id)
             if blockers == 0:
@@ -770,8 +834,9 @@ class _Run:
 
     def _record_round_start(self, runnable: Sequence[int]) -> None:
         partition_active = self.partition_active
-        active_slots = int(partition_active[runnable].sum())
-        total_slots = int(self.tables.partition_vertex_slots[runnable].sum())
+        pids = np.asarray(runnable, dtype=np.intp)
+        active_slots = int(partition_active[pids].sum())
+        total_slots = int(self.tables.partition_vertex_slots[pids].sum())
         self.round_records.append(
             RoundRecord(
                 round_index=len(self.round_records),
@@ -830,10 +895,11 @@ class _Run:
         atomic_items = [0] * len(work_items)
         if work_items and contention.atomic_updates:
             share, remainder = divmod(
-                contention.atomic_updates, len(atomic_items)
+                contention.atomic_updates, len(work_items)
             )
-            for i in range(len(atomic_items)):
-                atomic_items[i] += share + (1 if i < remainder else 0)
+            atomic_items = [share + 1] * remainder + [share] * (
+                len(work_items) - remainder
+            )
 
         self._synchronize_replicas(pid, gpu_id, changed_vertices)
         return work_items, atomic_items
@@ -883,13 +949,18 @@ class _Run:
         graph, program = self.graph, self.program
         step, degree_of = self.step, self._gather_degree
         dependents = self._dependents
-        values, active = self.states.values, self.states.active
-        processed_stamp, sweep_stamp = self._processed_stamp, self._sweep_stamp
-        written_gpu, written_stamp = self._written_gpu, self._written_stamp
+        # Per-element reads and writes go through the run's views; the
+        # one array-wide read per local iteration uses the array.
+        views, active_flags = self._views, self.states.active
+        values, active = views["values"], views["active"]
+        processed_stamp = views["processed_stamp"]
+        sweep_stamp = views["sweep_stamp"]
+        written_gpu = views["written_gpu"]
+        written_stamp = views["written_stamp"]
         wave, current_round = self._wave_counter, self._current_round
         owner_gpu = self._owner_gpu_list
         deferred = self._deferred_activations
-        activate_now, deactivate = self._activate_now, self.deactivate
+        flip = self._flip
         path_work = self._path_work
         threads = self.engine.spec.gpu.threads_per_smx
 
@@ -906,9 +977,10 @@ class _Run:
         owned_here = self._owner_gpu[block.vertices] == gpu_id
         work_items: List[int] = []
         for _iteration in range(_MAX_LOCAL_ITERATIONS if quiesce else 1):
+            block_active = active_flags[block.vertices]
             scheduled = np.flatnonzero(
                 np.logical_or.reduceat(
-                    active[block.vertices] & owned_here, block.starts
+                    block_active & owned_here, block.starts
                 )
             )
             if scheduled.size == 0:
@@ -925,7 +997,7 @@ class _Run:
             # N(p) where Pri(p) is evaluated: the path's distinct
             # active vertices, owned here or not.
             active_counts = np.add.reduceat(
-                active[block.vertices] & block.first_in_path,
+                block_active & block.first_in_path,
                 block.starts,
                 dtype=np.int64,
             )[scheduled]
@@ -936,22 +1008,17 @@ class _Run:
                 path_work,
                 threads,
             )
-            applies = updates = edges = uses = demand_fetches = 0
+            applies = updates = edges = demand_fetches = 0
             for bucket in buckets:
                 edges_walked = 0
                 for path_id in bucket:
-                    vertices = sequences[path_id]
-                    # The walk streams every loaded slot of the path
-                    # sequentially (it must, to follow the chain) — each
-                    # streamed record is a use of loaded data, the
-                    # coalescing win Fig. 13 measures.
-                    uses += len(vertices)
                     upstream_changed = False
-                    for position, v in enumerate(vertices):
-                        consumes_active = (
-                            active[v] and owner_gpu[v] == gpu_id
-                        )
-                        if not (consumes_active or upstream_changed):
+                    for position, v in enumerate(sequences[path_id]):
+                        if active[v] and owner_gpu[v] == gpu_id:
+                            consumes_active = True
+                        elif upstream_changed:
+                            consumes_active = False
+                        else:
                             continue
                         upstream_changed = False
                         if processed_stamp[v] == stamp:
@@ -971,7 +1038,7 @@ class _Run:
                         sweep_stamp[v] = current_round
                         # The master state, not ``reads[v]``: a replica
                         # this GPU does not own reads stale here.
-                        new, changed = step(v, float(values[v]), reads)
+                        new, changed = step(v, values[v], reads)
                         degree = degree_of[v]
                         edges_walked += degree
                         applies += 1
@@ -988,7 +1055,7 @@ class _Run:
                         written_gpu[v] = gpu_id
                         written_stamp[v] = wave
                         if consumes_active:
-                            deactivate(v)
+                            flip(v, False)
                         if changed:
                             updates += 1
                             changed_vertices.add(v)
@@ -1006,14 +1073,18 @@ class _Run:
                                 if target_gpu != gpu_id and target_gpu >= 0:
                                     deferred.append((u, gpu_id, target_gpu))
                                 elif not active[u]:
-                                    activate_now(u)
+                                    flip(u, True)
                             upstream_changed = True
                 edges += edges_walked
                 work_items.append(edges_walked)
             stats.apply_calls += applies
             stats.vertex_updates += updates
             stats.edge_traversals += edges
-            stats.vertex_uses += uses + edges
+            # The walk streams every loaded slot of its paths
+            # sequentially (it must, to follow the chain) — each streamed
+            # record is a use of loaded data, the coalescing win Fig. 13
+            # measures.
+            stats.vertex_uses += loaded_vertices + edges
             if demand_fetches:
                 load_global(
                     gpu_id,
@@ -1035,7 +1106,7 @@ class _Run:
         Like the path walk, only the owner GPU consumes a vertex's active
         flag (see :meth:`_walk_partition`). Returns per-vertex work items
         (gather degrees)."""
-        graph, program, states = self.graph, self.program, self.states
+        graph, program = self.graph, self.program
         stats = self.machine.stats
         # The partition's vertices this GPU owns, ascending. Ownership
         # is fixed for the wave; activity is not — an update here may
@@ -1043,7 +1114,10 @@ class _Run:
         vertices = np.unique(self.tables.blocks[pid].vertices)
         owned = vertices[self._owner_gpu[vertices] == gpu_id]
         step, degree_of = self.step, self._gather_degree
-        values, active = states.values, states.active
+        views, flip, wave = self._views, self._flip, self._wave_counter
+        values, active = views["values"], views["active"]
+        written_gpu = views["written_gpu"]
+        written_stamp = views["written_stamp"]
         items: List[int] = []
         for v in owned.tolist():
             if not active[v]:
@@ -1052,9 +1126,9 @@ class _Run:
             new, changed = step(v, reads[v], reads)
             items.append(degree_of[v])
             values[v] = reads[v] = new
-            self._written_gpu[v] = gpu_id
-            self._written_stamp[v] = self._wave_counter
-            self.deactivate(v)
+            written_gpu[v] = gpu_id
+            written_stamp[v] = wave
+            flip(v, False)
             if changed:
                 stats.vertex_updates += 1
                 changed_vertices.add(v)

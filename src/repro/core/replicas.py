@@ -217,9 +217,10 @@ class ReplicaTable:
         One message per (changed vertex, remote mirror partition); messages
         to the same destination form one batch.
         """
+        mirrors = self._mirror_partitions
         per_destination: Dict[int, int] = {}
         for v in changed_vertices:
-            for dest in self.mirror_partitions(int(v)):
+            for dest in mirrors.get(v, ()):
                 if dest != partition_id:
                     per_destination[dest] = per_destination.get(dest, 0) + 1
         messages = sum(per_destination.values())
@@ -262,6 +263,7 @@ class ReplicaTable:
         local writes into one atomic push at pass end; an unproxied vertex
         pays one atomic per write.
         """
+        proxied = self._proxied
         atomics = 0
         absorbed = 0
         total = 0
@@ -269,7 +271,7 @@ class ReplicaTable:
             if count <= 0:
                 continue
             total += count
-            if self.has_proxy(int(v)):
+            if v in proxied:
                 atomics += 1
                 absorbed += count - 1
             else:

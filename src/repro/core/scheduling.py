@@ -130,12 +130,24 @@ def balance_paths_to_threads(
     """
     if num_threads < 1:
         raise SchedulingError("num_threads must be >= 1")
-    buckets: List[List[int]] = [[] for _ in range(num_threads)]
+    # Stable, also in reverse: keeps scheduler priority order among
+    # equal lengths.
+    ordered = sorted(path_ids, key=path_edges.__getitem__, reverse=True)
+    if 0 < len(ordered) <= num_threads and path_edges[ordered[-1]] > 0:
+        # No more paths than threads, all with positive work: placement
+        # ``k`` finds threads ``0..k-1`` loaded and thread ``k`` the
+        # lowest empty one, so each path gets its own thread, in order.
+        # (A zero-work path leaves its thread empty and the next path
+        # stacks on it — that case takes the heap.)
+        return [[path_id] for path_id in ordered]
     # ``(load, thread)`` min-heap: the lightest thread, lowest index
     # among equals. Already a heap — all loads zero, indices ascending.
+    # Thread ``j`` can only be picked after ``j`` earlier placements (an
+    # untouched lower index is always preferred), so threads beyond the
+    # number of paths are never used and need no heap entry or bucket.
+    num_threads = min(num_threads, len(ordered))
+    buckets: List[List[int]] = [[] for _ in range(num_threads)]
     loads = [(0, thread) for thread in range(num_threads)]
-    # Stable sort: keeps scheduler priority order among equal lengths.
-    ordered = sorted(path_ids, key=lambda path_id: -path_edges[path_id])
     for path_id in ordered:
         load, lightest = loads[0]
         buckets[lightest].append(path_id)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from statistics import median
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import (
     GPULostError,
     InjectedCrashError,
@@ -29,7 +31,7 @@ from repro.errors import (
 from repro.gpu.config import GPUSpec, MachineSpec
 from repro.gpu.interconnect import HOST, Endpoint, Interconnect
 from repro.gpu.memory import BoundedMemory
-from repro.gpu.smx import SMX
+from repro.gpu.smx import SMX, as_work_arrays
 from repro.gpu.stats import MachineStats
 from repro.gpu.stream import StreamPool
 
@@ -92,68 +94,45 @@ class GPU:
         launching). Returns the elapsed model seconds, with any queued
         stream transfers overlapped against the compute interval.
         """
-        if not work_items:
+        work, atomics = as_work_arrays(work_items, atomic_counts)
+        if work.size == 0:
             # Still resolve pending transfers (nothing hides them).
             return self.streams.flush()
-        if atomic_counts is not None and len(atomic_counts) != len(work_items):
-            raise SimulationError("atomic_counts must parallel work_items")
 
         # Load-balanced advance: split oversized items across threads (a
         # hub's gather is processed by many lanes, not one), then sort by
         # cost so warps are cost-homogeneous (lock-step warps pay their
         # max member). All engines get this — it models the standard
-        # load-balancing of GPU graph kernels.
+        # load-balancing of GPU graph kernels. An item over the threshold
+        # becomes ``ceil(item / threshold) - 1`` full pieces and then its
+        # remainder, which carries the item's atomics.
         threshold = self.spec.work_split_threshold
-        split_items: List[int] = []
-        split_atomics: List[int] = []
-        for i, item in enumerate(work_items):
-            item = int(item)
-            atomics_here = (
-                int(atomic_counts[i]) if atomic_counts is not None else 0
-            )
-            while item > threshold:
-                split_items.append(threshold)
-                split_atomics.append(0)
-                item -= threshold
-            split_items.append(item)
-            split_atomics.append(atomics_here)
-        work_items = split_items
-        atomic_counts = split_atomics
-        order = sorted(
-            range(len(work_items)), key=lambda i: -int(work_items[i])
-        )
-        work_items = [work_items[i] for i in order]
-        atomic_counts = [atomic_counts[i] for i in order]
+        full = np.maximum(-(-work // threshold) - 1, 0)
+        last = np.cumsum(full + 1) - 1
+        pieces = np.full(last[-1] + 1, threshold, dtype=np.int64)
+        pieces[last] = work - full * threshold
+        piece_atomics = np.zeros_like(pieces)
+        piece_atomics[last] = atomics
+        # Stable: equal pieces keep the caller's thread order.
+        order = np.argsort(-pieces, kind="stable")
+        work, atomics = pieces[order], piece_atomics[order]
 
-        chunks = self._chunk_round_robin(len(work_items))
-        max_cycles = 0
-        for smx, chunk in zip(self.smxs, chunks):
-            if not chunk:
-                continue
-            items = [int(work_items[i]) for i in chunk]
-            atomics = (
-                [int(atomic_counts[i]) for i in chunk]
-                if atomic_counts is not None
-                else None
-            )
-            cost = smx.execute(items, atomics)
-            max_cycles = max(max_cycles, cost.cycles)
+        # Threads go to SMXs in contiguous blocks, at least one warp
+        # wide: scattering a handful of threads across many SMXs would
+        # fragment them into near-empty warps, which no real block
+        # scheduler does.
+        block = max(
+            self.spec.threads_per_warp, -(-work.size // len(self.smxs))
+        )
+        max_cycles = max(
+            smx.execute(
+                work[start : start + block], atomics[start : start + block]
+            ).cycles
+            for smx, start in zip(self.smxs, range(0, work.size, block))
+        )
         compute_s = self.seconds(max_cycles)
         overlap = self.streams.overlap_with_compute(compute_s)
         return overlap.elapsed_s
-
-    def _chunk_round_robin(self, count: int) -> List[List[int]]:
-        """Deal thread indices across SMXs in contiguous blocks.
-
-        Blocks are at least one warp wide: scattering a handful of threads
-        across many SMXs would fragment them into near-empty warps, which
-        no real block scheduler does."""
-        num_smxs = len(self.smxs)
-        block = max(self.spec.threads_per_warp, -(-count // num_smxs))
-        return [
-            list(range(start, min(start + block, count)))
-            for start in range(0, count, block)
-        ]
 
 
 class Machine:
@@ -396,9 +375,9 @@ class Machine:
     ) -> float:
         """Run one concurrent kernel wave across GPUs.
 
-        ``work[gpu_id]`` is that GPU's per-thread edge-step list. Wall time
-        is the slowest GPU's elapsed time and is charged to
-        :attr:`MachineStats.compute_time_s`.
+        ``work[gpu_id]`` is that GPU's per-thread edge-steps, a list or an
+        integer array. Wall time is the slowest GPU's elapsed time and is
+        charged to :attr:`MachineStats.compute_time_s`.
 
         With ``barrier`` (the bulk-synchronous engines), GPUs that finish
         early wait for the slowest one; their wait is charged as idle
@@ -440,7 +419,7 @@ class Machine:
             if not 0 <= gpu_id < self.num_gpus:
                 raise SimulationError(f"no GPU {gpu_id}")
             if gpu_id in self.dead_gpus:
-                if items:
+                if len(items):
                     raise GPULostError(
                         f"work dispatched to dead GPU {gpu_id}",
                         gpu_id=gpu_id,

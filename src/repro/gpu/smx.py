@@ -13,7 +13,9 @@ warp and the aggregate work divided by the slot count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.gpu.config import GPUSpec
@@ -29,6 +31,22 @@ class KernelCost:
     total_thread_cycles: int    #: cycles x resident thread capacity
 
 
+def as_work_arrays(
+    work_items: Sequence[int], atomic_counts: Optional[Sequence[int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A launch's per-thread edge-steps and atomics (lists or arrays,
+    atomics optional) as parallel ``int64`` arrays."""
+    work = np.asarray(work_items, dtype=np.int64)
+    atomics = (
+        np.zeros_like(work)
+        if atomic_counts is None
+        else np.asarray(atomic_counts, dtype=np.int64)
+    )
+    if atomics.shape != work.shape:
+        raise SimulationError("atomic_counts must parallel work_items")
+    return work, atomics
+
+
 class SMX:
     """One simulated streaming multiprocessor."""
 
@@ -37,9 +55,12 @@ class SMX:
         self._stats = stats
         self.smx_id = smx_id
 
-    def thread_cost_cycles(self, edge_steps: int, atomics: int = 0) -> int:
-        """Model cycles one thread spends on its work item."""
-        if edge_steps < 0 or atomics < 0:
+    def thread_cost_cycles(
+        self, edge_steps: int | np.ndarray, atomics: int | np.ndarray = 0
+    ) -> int | np.ndarray:
+        """Model cycles one thread spends on its work item — or, given
+        parallel integer arrays, each thread on its own."""
+        if np.min(edge_steps) < 0 or np.min(atomics) < 0:
             raise SimulationError("work item counts must be non-negative")
         return (
             edge_steps * self._spec.cycles_per_edge
@@ -57,46 +78,40 @@ class SMX:
         ----------
         work_items:
             Edge-steps per thread, one entry per thread, in thread order
-            (consecutive entries share a warp).
+            (consecutive entries share a warp). A list or an integer array.
         atomic_counts:
             Optional contended-update counts, parallel to ``work_items``.
 
         Returns
         -------
         KernelCost with the SMX cycles and utilization accounting; the
-        counts are also accumulated into the shared stats.
+        counts are also accumulated into the shared stats. Integer array
+        passes throughout, so every count is exact.
         """
-        if atomic_counts is not None and len(atomic_counts) != len(work_items):
-            raise SimulationError("atomic_counts must parallel work_items")
-        if not work_items:
+        work, atomics = as_work_arrays(work_items, atomic_counts)
+        if work.size == 0:
             return KernelCost(0, 0, 0)
 
         width = self._spec.threads_per_warp
-        costs = [
-            self.thread_cost_cycles(
-                int(work_items[i]),
-                int(atomic_counts[i]) if atomic_counts is not None else 0,
-            )
-            for i in range(len(work_items))
-        ]
-        warp_costs = [
-            max(costs[i : i + width]) for i in range(0, len(costs), width)
-        ]
+        costs = self.thread_cost_cycles(work, atomics)
+        # Lock-step: a warp pays its heaviest member.
+        warp_costs = np.maximum.reduceat(
+            costs, np.arange(0, costs.size, width)
+        )
         slots = self._spec.warp_slots_per_smx
-        total_warp_cycles = sum(warp_costs)
         # Round-robin warp scheduling: limited by the heaviest warp and by
         # aggregate work over the available slots.
         cycles = max(
-            max(warp_costs),
-            -(-total_warp_cycles // slots),  # ceil division
+            int(warp_costs.max()),
+            -(-int(warp_costs.sum()) // slots),  # ceil division
         )
-        busy = sum(costs)
+        busy = int(costs.sum())
         # Occupancy accounting at warp granularity: idle *slots* with no
         # warp assigned are scheduling headroom, not wasted SIMT lanes;
         # what Fig. 15 measures is lock-step imbalance and partially
         # filled warps among the warps actually resident.
-        resident_warps = min(len(warp_costs), slots)
-        total = cycles * self._spec.threads_per_warp * resident_warps
+        resident_warps = min(warp_costs.size, slots)
+        total = cycles * width * resident_warps
         self._stats.busy_thread_cycles += busy
         self._stats.total_thread_cycles += total
         return KernelCost(

@@ -158,6 +158,24 @@ SPECIAL_CELLS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def invariants_hold_on_every_cell(monkeypatch):
+    """Every run of this module — each golden cell, the GPU-kill
+    rollback, the warm start — ends with the engine's own invariant
+    checks green: both conservation ledgers and the activity counters
+    against a recount of the active flags."""
+    from repro.core import engine as engine_module
+
+    finish_run = engine_module.finish_run
+
+    def checked(run, *args):
+        failed = [str(c) for c in run.invariant_checks() if not c.passed]
+        assert not failed, failed
+        return finish_run(run, *args)
+
+    monkeypatch.setattr(engine_module, "finish_run", checked)
+
+
 @pytest.fixture(scope="module")
 def golden():
     if REGEN:

@@ -485,3 +485,175 @@ class TestSkipRules:
         # 1 was re-activated by the second head after its update and,
         # being stamped, kept that activation for the next sweep.
         assert run.states.active[1]
+
+
+# ----------------------------------------------------------------------
+# (c) one memory, two views: the views cannot go stale silently
+# ----------------------------------------------------------------------
+def views_match_arrays(run):
+    """Every view reads its array's memory: same owner, same content."""
+    arrays = dict(
+        run.vertex_arrays(),
+        partition_active=run.partition_active,
+        group_active=run.group_active,
+        partition_was_active=run._partition_was_active,
+    )
+    assert sorted(run._views) == sorted(arrays)
+    for name, array in arrays.items():
+        assert run._views[name].obj is array
+        assert run._views[name].tolist() == array.tolist()
+
+
+def restores_checked(monkeypatch, method):
+    """Wrap ``CheckpointManager.<method>``: the run's arrays must be
+    the *same objects* before and after (restored in place, never
+    rebound), and its views must read the restored content."""
+    from repro.faults.checkpoint import CheckpointManager
+
+    original = getattr(CheckpointManager, method)
+    calls = []
+
+    def checked(manager, *args):
+        run = manager.client
+        before = dict(run.vertex_arrays())
+        result = original(manager, *args)
+        after = run.vertex_arrays()
+        assert before.keys() == after.keys()
+        for name, array in before.items():
+            assert after[name] is array
+        views_match_arrays(run)
+        calls.append(method)
+        return result
+
+    monkeypatch.setattr(CheckpointManager, method, checked)
+    return calls
+
+
+def test_arrays_keep_their_identity_across_an_in_run_rollback(
+    preprocessed, monkeypatch
+):
+    from repro.faults import (
+        ComputeFault, FaultInjector, FaultPlan, RecoveryPolicy,
+    )
+
+    graph, engine, pre = preprocessed
+    calls = restores_checked(monkeypatch, "rollback")
+    result = engine.run(
+        graph,
+        PageRank(),
+        preprocessed=pre,
+        fault_injector=FaultInjector(
+            FaultPlan(compute_faults={2: ComputeFault(kill_gpu=1)})
+        ),
+        recovery=RecoveryPolicy(checkpoint_interval=2),
+    )
+    assert result.converged and result.stats.gpu_failures == 1
+    assert calls == ["rollback"]
+
+
+def test_arrays_keep_their_identity_across_a_resume_from_the_store(
+    preprocessed, monkeypatch, tmp_path
+):
+    from repro.errors import InjectedCrashError
+    from repro.faults import FaultInjector, RecoveryPolicy
+    from repro.faults.chaos import crash_plan
+
+    graph, engine, pre = preprocessed
+    policy = RecoveryPolicy(
+        checkpoint_interval=2, durability="durable", run_dir=str(tmp_path)
+    )
+    golden = engine.run(graph, PageRank(), preprocessed=pre)
+    with pytest.raises(InjectedCrashError):
+        engine.run(
+            graph,
+            PageRank(),
+            preprocessed=pre,
+            fault_injector=FaultInjector(
+                crash_plan("round-boundary", crash_round=3)
+            ),
+            recovery=policy,
+        )
+    calls = restores_checked(monkeypatch, "resume_from_store")
+    resumed = engine.run(
+        graph, PageRank(), preprocessed=pre, recovery=policy, resume=True
+    )
+    assert calls == ["resume_from_store"]
+    assert resumed.converged
+    assert resumed.states.tobytes() == golden.states.tobytes()
+
+
+def test_numpy_writes_between_two_walks_are_seen_through_the_views():
+    """The hand-built run's arrays are written through NumPy — a state,
+    an active flag, a sweep stamp — between two ``_walk_partition``
+    calls; the second walk, which reads single elements through the
+    views, acts on every one of them."""
+    run = hand_built_run([(0, 1), (1, 2)], [(0, 1, 2)], 3)
+    one_sweep_only(run)
+    only_active(run, {1})
+    run.states.values[0] = 3.0
+    assert walk(run) == {1, 2}
+    first = run.states.values.tolist()
+    views_match_arrays(run)
+    # A new input and a re-activation, written through the arrays ...
+    run.states.values[0] = 7.0
+    run.states.active[1] = True
+    run.partition_active[0] += 1
+    run.group_active[run.tables.group_of_partition[0]] += 1
+    run._partition_was_active[0] = True
+    # ... are both seen, but the sweep stamp still holds the vertex back:
+    applies = run.machine.stats.apply_calls
+    assert walk(run) == set()
+    assert run.machine.stats.apply_calls == applies
+    # Clearing the stamp through NumPy lets the walk through, and it
+    # gathers the state NumPy wrote.
+    run._sweep_stamp[:] = 0
+    assert walk(run) == {1, 2}
+    assert run.states.values.tolist() != first
+    assert not run.states.active[1]
+    views_match_arrays(run)
+    assert [check.passed for check in run.invariant_checks()] == [True] * 3
+
+
+# ----------------------------------------------------------------------
+# (d) the activity-flip rule reports what the clamp used to hide
+# ----------------------------------------------------------------------
+def test_double_deactivation_raises_instead_of_clamping():
+    from repro.errors import SimulationError
+
+    run = hand_built_run([(0, 1), (1, 2)], [(0, 1, 2)], 3)
+    only_active(run, {1})
+    assert run.partition_active.tolist() == [1]
+    # The counter loses the vertex behind the flag's back (what a second
+    # deactivation of the same vertex amounts to) ...
+    run.partition_active[0] = 0
+    with pytest.raises(SimulationError, match="vertex 1 .* partition 0"):
+        run.deactivate(1)
+    # ... and the recount names the drift even when nothing underflows.
+    run.partition_active[0] = 2
+    failed = [c for c in run.invariant_checks() if not c.passed]
+    assert [c.name for c in failed] == ["engine.activity-counters"]
+    assert "partition_active" in failed[0].detail
+
+
+def test_flips_keep_the_counters_equal_to_a_recount():
+    """Random flips through the run's own ``_activate_now`` /
+    ``deactivate`` on a multi-partition preprocess: after every flip the
+    three counters equal a recount from the active flags."""
+    graph = scc_profile_graph(120, 4.0, 0.5, 4.0, seed=3)
+    engine = DiGraphEngine(
+        SCALED_MACHINE, DiGraphConfig(target_edges_per_partition=40)
+    )
+    run = _run(engine, graph, engine.preprocess(graph))
+    assert run.pre.storage.num_partitions > 3
+    rng = random.Random(5)
+    for _ in range(600):
+        v = rng.randrange(graph.num_vertices)
+        if rng.random() < 0.6:
+            run.deactivate(v)
+        else:
+            run._activate_now(v)
+        for have, want in zip(
+            (run.partition_active, run._partition_was_active, run.group_active),
+            run._count_activity(),
+        ):
+            assert np.array_equal(have, want)

@@ -1,7 +1,10 @@
 """Unit tests for Pri(p) scheduling and thread balancing."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
@@ -102,3 +105,66 @@ class TestThreadBalancing:
         buckets = balance_paths_to_threads(list(range(13)), edges, 4)
         flat = sorted(p for b in buckets for p in b)
         assert flat == list(range(13))
+
+
+# ----------------------------------------------------------------------
+# the full heap as oracle for the capped heap and its P <= T closed form
+# ----------------------------------------------------------------------
+def balance_on_every_thread(path_ids, path_edges, num_threads):
+    """``balance_paths_to_threads`` as it stood before PR 24: one bucket
+    and one heap entry per *thread*, however few the paths."""
+    buckets = [[] for _ in range(num_threads)]
+    loads = [(0, thread) for thread in range(num_threads)]
+    ordered = sorted(path_ids, key=lambda path_id: -path_edges[path_id])
+    for path_id in ordered:
+        load, lightest = loads[0]
+        buckets[lightest].append(path_id)
+        heapq.heapreplace(loads, (load + path_edges[path_id], lightest))
+    return [bucket for bucket in buckets if bucket]
+
+
+THREADS = 128  # SCALED_MACHINE's threads_per_smx: what every pass packs onto
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 12),                      # P << T
+        st.integers(THREADS - 2, THREADS + 2),   # P around T
+        st.integers(THREADS + 1, 3 * THREADS),   # P > T
+    ),
+    # Few distinct weights: nearly every choice is a tie. ``min_work``
+    # 0 puts zero-work paths in, 1 keeps them out (the closed form).
+    st.integers(0, 1),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_capped_heap_matches_the_full_heap(num_paths, min_work, max_work, rng):
+    path_ids = list(range(num_paths))
+    rng.shuffle(path_ids)
+    work = [rng.randint(min_work, max_work) for _ in range(num_paths)]
+    assert balance_paths_to_threads(
+        path_ids, work, THREADS
+    ) == balance_on_every_thread(path_ids, work, THREADS)
+
+
+def test_zero_work_paths_stack_on_one_thread():
+    """Fewer paths than threads, but the closed form (one path per
+    thread) must not be taken: a zero-work path leaves its thread the
+    lightest, so every later zero-work path joins it."""
+    work = {0: 3, 1: 0, 2: 0, 3: 2, 4: 0}
+    assert balance_paths_to_threads([0, 1, 2, 3, 4], work, THREADS) == [
+        [0], [3], [1, 2, 4],
+    ]
+    assert balance_on_every_thread([0, 1, 2, 3, 4], work, THREADS) == [
+        [0], [3], [1, 2, 4],
+    ]
+
+
+def test_one_path_per_thread_keeps_the_given_order_among_equals():
+    """P <= T with positive work: stable descending order, one bucket
+    each — ties stay in the scheduler's priority order."""
+    work = {7: 2, 3: 5, 9: 2, 1: 5, 4: 2}
+    assert balance_paths_to_threads([7, 3, 9, 1, 4], work, THREADS) == [
+        [3], [1], [7], [9], [4],
+    ]
