@@ -31,11 +31,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, GPULostError
-from repro.graph.builder import GraphBuilder, first_occurrences
+from repro.graph.builder import GraphBuilder
 from repro.graph.scc import condensation
 from repro.graph.traversal import dag_layers
 from repro.gpu.machine import Machine
-from repro.core.dependency import DependencyDAG
+from repro.core.dependency import DependencyDAG, lift_edges
 from repro.core.storage import PathStorage
 
 #: GPU-loss redistribution: keep each dependency-connected cluster of
@@ -441,20 +441,16 @@ def _partition_dependency_edges(
 ) -> Set[Tuple[int, int]]:
     """Lift path dependency edges to the partition level.
 
-    The pairs enter the set in the order the dependency CSR first reaches
-    them. That fixes the set's iteration order, which fixes the order of
+    The pairs enter the set in the order the dependency graph's edges
+    (``p_i`` ascending, then ``p_j``) first reach them. That fixes the
+    set's iteration order, which fixes the order of
     :meth:`Dispatcher.partition_successors` and with it the order in
     which prefetched transfer times are summed — modeled time is only
     bit-stable across versions if this order is.
     """
-    dep = dag.dependency_graph
-    partition_of = storage.partition_of_paths
-    src = partition_of[dep.edge_sources()]
-    dst = partition_of[dep.indices]
-    cross = src != dst
-    src, dst = src[cross], dst[cross]
-    first = first_occurrences(src * storage.num_partitions + dst)
-    return set(zip(src[first].tolist(), dst[first].tolist()))
+    group_of, num_groups = storage.partition_of_paths, storage.num_partitions
+    src, dst = lift_edges(dag.writes, dag.reads, group_of, num_groups)
+    return set(zip(src.tolist(), dst.tolist()))
 
 
 def _build_groups(

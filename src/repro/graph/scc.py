@@ -140,20 +140,25 @@ def _contract(
     )
 
 
+def component_members(
+    labels: np.ndarray, num_components: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """Vertices grouped by label, ascending within each component."""
+    by_label = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=num_components)).tolist()
+    return tuple(
+        tuple(by_label[start:end]) for start, end in zip([0] + ends, ends)
+    )
+
+
 def condensation(graph: DiGraphCSR) -> Condensation:
     """Contract SCCs into a DAG sketch (Section 3.2.1)."""
     labels = strongly_connected_components(graph)
     num_components = int(labels.max()) + 1 if labels.size else 0
-    # Vertices grouped by label, ascending within each component.
-    by_label = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=num_components)).tolist()
     return Condensation(
         labels=labels,
         dag=_contract(graph, labels, num_components),
-        members=tuple(
-            tuple(by_label[start:end])
-            for start, end in zip([0] + ends, ends)
-        ),
+        members=component_members(labels, num_components),
     )
 
 

@@ -1,10 +1,9 @@
-"""Incremental path repair + dependency-DAG patching for mutation batches.
+"""Incremental path repair for mutation batches.
 
-A mutation batch touches a handful of edges; re-running Algorithm 1 and
-the writers x readers dependency construction over the whole graph for
-that is exactly the cost streaming must avoid. :class:`PathRepairer`
-keeps the path decomposition and its dependency bookkeeping alive across
-batches and repairs only what a batch touches:
+A mutation batch touches a handful of edges; re-running Algorithm 1
+over the whole graph for that is exactly the cost streaming must avoid.
+:class:`PathRepairer` keeps the path decomposition and its occurrence
+maps alive across batches and repairs only what a batch touches:
 
 - **splits** — a path containing deleted edges is cut into its maximal
   surviving fragments (each still a connected path, still within
@@ -16,15 +15,9 @@ batches and repairs only what a batch touches:
 - **merges** — small touched paths (fragments, singletons) are chained
   head-to-tail under the same junction + ``D_MAX`` rules, so repair does
   not slowly fragment the decomposition;
-- **dependency patch** — the path dependency graph is maintained as a
-  *witness counter*: ``count[(p_i, p_j)]`` = number of vertices written
-  (non-head) on ``p_i`` and read (non-tail) on ``p_j``. Removing or
-  adding a path only touches the counters of its own vertices, so the
-  patched edge set is exact (it equals a from-scratch
-  :func:`~repro.core.dependency.build_dependency_dag` bit for bit — the
-  structural verifier checks this); condensation + layering then rerun
-  on the dependency graph only, which is a few percent the size of the
-  original graph (the paper reports 3.4%-9.1%).
+- **dependency DAG** — :func:`~repro.core.dependency.build_dependency_dag`
+  over the repaired paths: equal to a from-scratch build by construction,
+  and linear in the total path length, like the renumbering itself.
 
 Hot/cold classification is sticky: untouched paths keep their class;
 touched and new paths are classified against the threshold the initial
@@ -34,12 +27,11 @@ decomposition implied (the minimum average degree among its hot paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.dependency import DependencyDAG
+from repro.core.dependency import DependencyDAG, build_dependency_dag
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE, D_MAX
 from repro.core.paths import Path, PathSet
 from repro.errors import StreamingError
@@ -82,8 +74,7 @@ class PathRepairer:
 
     Paths carry stable *internal* ids for the repairer's lifetime; the
     externally visible ``PathSet`` renumbers them (ascending internal
-    id) per batch, so the witness counters and occurrence maps never
-    need rekeying.
+    id) per batch, so the occurrence maps never need rekeying.
     """
 
     def __init__(self, path_set: PathSet, n_workers: int = 1) -> None:
@@ -92,9 +83,7 @@ class PathRepairer:
         self.n_workers = max(int(n_workers), 1)
         self._paths: Dict[int, _Record] = {}
         self._next_id = 0
-        self._writers: Dict[int, Set[int]] = {}
         self._readers: Dict[int, Set[int]] = {}
-        self._witness: Dict[Tuple[int, int], int] = {}
         self._inner: Dict[int, int] = {}
         self._by_head: Dict[int, Set[int]] = {}
         self._by_tail: Dict[int, Set[int]] = {}
@@ -120,17 +109,7 @@ class PathRepairer:
         self._by_tail.setdefault(vertices[-1], set()).add(pid)
         for v in vertices[1:-1]:
             self._inner[v] = self._inner.get(v, 0) + 1
-        for v in set(vertices[1:]):
-            for reader in self._readers.get(v, ()):
-                if reader != pid:
-                    key = (pid, reader)
-                    self._witness[key] = self._witness.get(key, 0) + 1
-            self._writers.setdefault(v, set()).add(pid)
         for v in set(vertices[:-1]):
-            for writer in self._writers.get(v, ()):
-                if writer != pid:
-                    key = (writer, pid)
-                    self._witness[key] = self._witness.get(key, 0) + 1
             self._readers.setdefault(v, set()).add(pid)
         self._touched_edge_work += len(edge_ids)
         return pid
@@ -141,30 +120,11 @@ class PathRepairer:
         self._by_tail[vertices[-1]].discard(pid)
         for v in vertices[1:-1]:
             self._inner[v] -= 1
-        for v in set(vertices[1:]):
-            self._writers[v].discard(pid)
-            for reader in self._readers.get(v, ()):
-                if reader != pid:
-                    self._decrement((pid, reader))
         for v in set(vertices[:-1]):
             self._readers[v].discard(pid)
-            for writer in self._writers.get(v, ()):
-                if writer != pid:
-                    self._decrement((writer, pid))
         self._hot.discard(pid)
         self._touched_edge_work += len(edge_ids)
         return vertices, edge_ids
-
-    def _decrement(self, key: Tuple[int, int]) -> None:
-        count = self._witness.get(key, 0) - 1
-        if count < 0:
-            raise StreamingError(
-                f"dependency witness underflow for pair {key}"
-            )
-        if count == 0:
-            self._witness.pop(key, None)
-        else:
-            self._witness[key] = count
 
     def _initial_hot_threshold(self, path_set: PathSet) -> float:
         if not path_set.hot_path_ids:
@@ -213,8 +173,8 @@ class PathRepairer:
             pool.extend(parts)
 
         # 2. Remap every surviving path (and fragment) into the new
-        #    edge-id space. Vertex tuples are untouched, so dependency
-        #    counters and occurrence maps stay valid as-is.
+        #    edge-id space. Vertex tuples are untouched, so the
+        #    occurrence maps stay valid as-is.
         for pid, (vertices, edge_ids) in self._paths.items():
             self._paths[pid] = (
                 vertices,
@@ -349,7 +309,7 @@ class PathRepairer:
     def _materialize(
         self, graph: DiGraphCSR
     ) -> Tuple[PathSet, DependencyDAG]:
-        """Renumbered PathSet + DAG from the patched witness counters."""
+        """Renumbered PathSet + its DAG."""
         order = sorted(self._paths)
         external = {pid: i for i, pid in enumerate(order)}
         paths = [
@@ -366,19 +326,7 @@ class PathRepairer:
         path_set = PathSet(
             graph=graph, paths=paths, hot_path_ids=hot, d_max=self.d_max
         )
-        # Every key of the witness counter has a positive count
-        # (``_decrement`` pops at zero). Pairs carry internal ids;
-        # ``order`` is ascending, so an id's external id is its position.
-        witnessed = np.fromiter(
-            chain.from_iterable(self._witness),
-            dtype=np.int64,
-            count=2 * len(self._witness),
-        ).reshape(-1, 2)
-        src, dst = np.searchsorted(
-            np.asarray(order, dtype=np.int64), witnessed
-        ).T
-        dag = DependencyDAG.from_edges(len(paths), src, dst)
-        return path_set, dag
+        return path_set, build_dependency_dag(path_set)
 
 
 def _split_record(

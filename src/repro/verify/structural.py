@@ -129,58 +129,51 @@ def check_dependency_dag(
     layers are monotone along every edge."""
     results: List[CheckResult] = []
 
-    # Recompute the dependency edges from the path roles: p_i -> p_j iff
-    # some vertex is written (non-head) on p_i and read (non-tail) on p_j.
+    # The dependency edges are stored as the incidence they are made of
+    # (p_i -> p_j iff some vertex is written on p_i and read on p_j): the
+    # stored (vertex, path) lists must equal the roles the paths imply.
     writers = path_set.writer_paths()
     readers = path_set.reader_paths()
-    expected: Set[Tuple[int, int]] = set()
-    for v, writing in writers.items():
-        reading = readers.get(v)
-        if not reading:
-            continue
-        for pi in writing:
-            for pj in reading:
-                if pi != pj:
-                    expected.add((pi, pj))
-    stored: Set[Tuple[int, int]] = set()
-    dep = dag.dependency_graph
-    for pi in range(dep.num_vertices):
-        for pj in dep.successors(pi):
-            stored.add((pi, int(pj)))
-    missing = expected - stored
-    spurious = stored - expected
+    wrong = 0
+    for roles, stored in ((writers, dag.writes), (readers, dag.reads)):
+        expected = sorted((v, p) for v, paths in roles.items() for p in paths)
+        got = list(zip(*stored.tolist()))
+        if got != expected:
+            wrong += len(set(got) ^ set(expected)) or 1
     results.append(
         CheckResult(
             name="dag.dependency-edges",
-            passed=not missing and not spurious,
+            passed=wrong == 0,
             detail=(
-                f"{len(missing)} missing, {len(spurious)} spurious "
-                f"dependency edge(s)"
-                if missing or spurious
-                else f"{len(expected)} dependency edges match the paths"
+                f"{wrong} write/read incidence entries differ from the paths"
+                if wrong
+                else "write and read incidence match the paths"
             ),
         )
     )
 
-    # SCC contraction consistency: every dependency edge either stays
-    # inside one SCC-vertex or appears as a DAG edge.
-    bad_contraction = 0
+    # SCC contraction, walked per vertex: each cross-SCC (writer SCC,
+    # reader SCC) pair at a vertex is a DAG edge; each DAG edge has one.
     dag_edges: Set[Tuple[int, int]] = set()
     for a in range(dag.dag.num_vertices):
         for b in dag.dag.successors(a):
             dag_edges.add((a, int(b)))
-    for pi, pj in stored:
-        si, sj = int(dag.scc_of_path[pi]), int(dag.scc_of_path[pj])
-        if si != sj and (si, sj) not in dag_edges:
-            bad_contraction += 1
+    scc = dag.scc_of_path.tolist()
+    witnessed: Set[Tuple[int, int]] = set()
+    for v, writing in writers.items():
+        targets = {scc[q] for q in readers.get(v, ())}
+        for a in {scc[p] for p in writing}:
+            witnessed.update((a, b) for b in targets if b != a)
+    missing = len(witnessed - dag_edges)
+    unwitnessed = len(dag_edges - witnessed)
     results.append(
         CheckResult(
             name="dag.contraction",
-            passed=bad_contraction == 0,
+            passed=not missing and not unwitnessed,
             detail=(
-                f"{bad_contraction} cross-SCC dependency edge(s) "
-                f"missing from the DAG sketch"
-                if bad_contraction
+                f"{missing} cross-SCC dependency pair(s) missing from the "
+                f"DAG sketch, {unwitnessed} sketch edge(s) without one"
+                if missing or unwitnessed
                 else "SCC contraction covers every cross-SCC dependency"
             ),
         )

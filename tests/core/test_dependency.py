@@ -9,6 +9,12 @@ from repro.core.paths import Path, PathSet
 from repro.graph.builder import from_edges
 from repro.graph.generators import directed_cycle, directed_path, scc_profile_graph
 from repro.graph.traversal import topological_order
+from tests.core.dependency_oracle import dependency_product
+
+
+def product_of(dag):
+    """The explicit dependency graph of a DAG's stored incidence."""
+    return dependency_product(dag.writes, dag.reads, dag.num_paths)
 
 
 def pathset(graph, vertex_paths):
@@ -28,15 +34,14 @@ class TestDependencyEdges:
         # p0 writes vertex 1 (tail), p1 reads vertex 1 (head) -> p0 -> p1
         g = directed_path(3)
         ps = pathset(g, [[0, 1], [1, 2]])
-        dag = build_dependency_dag(ps)
-        assert dag.dependency_graph.has_edge(0, 1)
-        assert not dag.dependency_graph.has_edge(1, 0)
+        dependency = product_of(build_dependency_dag(ps))
+        assert dependency.has_edge(0, 1)
+        assert not dependency.has_edge(1, 0)
 
     def test_independent_paths(self):
         g = from_edges([(0, 1), (2, 3)])
         ps = pathset(g, [[0, 1], [2, 3]])
-        dag = build_dependency_dag(ps)
-        assert dag.dependency_graph.num_edges == 0
+        assert product_of(build_dependency_dag(ps)).num_edges == 0
 
     def test_mutual_dependency_forms_scc(self):
         # cycle split into two paths: each writes what the other reads

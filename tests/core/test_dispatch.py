@@ -9,6 +9,7 @@ from repro.core.storage import PathStorage, build_partitions
 from repro.gpu.config import GPUSpec, MachineSpec
 from repro.gpu.machine import Machine
 from repro.graph.generators import scc_profile_graph
+from tests.core.dependency_oracle import dependency_product
 
 
 @pytest.fixture
@@ -61,11 +62,12 @@ class TestPartitionLift:
     def test_matches_the_per_edge_loop_in_iteration_order(self, setup):
         # The set's iteration order orders partition_successors(), and
         # through the prefetcher the order queued transfer times are
-        # summed in — so the array form must build the very same set the
-        # per-edge loop did, not just an equal one.
+        # summed in — so the lift from the incidence must build the very
+        # same set the per-edge loop over the explicit graph did, not just
+        # an equal one.
         storage, dag, _, dispatcher = setup
         reference = set()
-        dep = dag.dependency_graph
+        dep = dependency_product(dag.writes, dag.reads, dag.num_paths)
         for pi in range(dep.num_vertices):
             a = storage.partition_of_path(pi)
             for pj in dep.successors(pi):

@@ -1,13 +1,14 @@
 """Golden fingerprints of everything preprocessing produces.
 
 Preprocessing is deterministic, and every engine digest downstream rests
-on its exact output: path order, hot ids, the dependency CSR, SCC ids (a
-property of Tarjan's visiting order, not just of the graph), layers and
-the dispatch groups lifted from them. The fingerprints in
-``preprocess_fingerprints.json`` were captured on the commit *before*
-preprocessing was rewritten as array passes (PR 13), so a digest mismatch
-here means the rewrite — or a later change — moved an output, not just a
-clock.
+on its exact output: path order, hot ids, the dependency CSR (rebuilt by
+the tests-side oracle from the stored incidence — preprocessing no longer
+builds it), SCC ids (a property of Tarjan's visiting order, not just of
+the graph), layers and the dispatch groups lifted from them. The
+fingerprints in ``preprocess_fingerprints.json`` were captured on the
+commit *before* preprocessing was rewritten as array passes (PR 13), so a
+digest mismatch here means the rewrite — or a later change — moved an
+output, not just a clock.
 
 Regenerate intentionally with:
 
@@ -32,6 +33,7 @@ from repro.core.storage import PathStorage, build_partitions
 from repro.gpu.config import SCALED_MACHINE
 from repro.gpu.machine import Machine
 from repro.graph import datasets
+from tests.core.dependency_oracle import dependency_product
 
 GOLDEN_PATH = Path(__file__).with_name("preprocess_fingerprints.json")
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -90,14 +92,13 @@ def fingerprint(name, n_workers, greedy, scc_aware, merge):
     )
     storage = PathStorage(path_set, partitions)
     dispatcher = Dispatcher(storage, dag, Machine(SCALED_MACHINE))
+    dependency = dependency_product(dag.writes, dag.reads, dag.num_paths)
     return {
         "paths": _sha(
             [(p.path_id, p.vertices, p.edge_ids) for p in path_set],
             sorted(path_set.hot_path_ids),
         ),
-        "dependency": _sha(
-            dag.dependency_graph.indptr, dag.dependency_graph.indices
-        ),
+        "dependency": _sha(dependency.indptr, dependency.indices),
         "sketch": _sha(
             dag.scc_of_path,
             dag.members,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
 from repro.errors import StreamingError
 from repro.graph.builder import from_edges
@@ -14,21 +13,26 @@ from repro.streaming import (
     PathRepairer,
     apply_batch,
 )
+from tests.core.dependency_oracle import (
+    dependency_product,
+    explicit_dependency_dag,
+)
 
 
 def assert_dag_matches_rebuild(result):
-    """The patched DAG must equal a from-scratch rebuild bit for bit."""
-    golden = build_dependency_dag(result.path_set)
-    assert np.array_equal(
-        result.dag.dependency_graph.indptr,
-        golden.dependency_graph.indptr,
+    """The repaired DAG must equal the explicit build over the repaired
+    paths bit for bit."""
+    golden = explicit_dependency_dag(result.path_set)
+    dependency = dependency_product(
+        result.dag.writes, result.dag.reads, result.dag.num_paths
     )
+    assert np.array_equal(dependency.indptr, golden.dependency_graph.indptr)
     assert np.array_equal(
-        result.dag.dependency_graph.indices,
-        golden.dependency_graph.indices,
+        dependency.indices, golden.dependency_graph.indices
     )
     assert np.array_equal(result.dag.scc_of_path, golden.scc_of_path)
     assert np.array_equal(result.dag.layer_of_scc, golden.layer_of_scc)
+    assert np.array_equal(result.dag.dag.indices, golden.dag.indices)
 
 
 def repair_once(graph, batch):

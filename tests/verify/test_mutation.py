@@ -6,6 +6,8 @@ the violation is caught (and that the artifact passed *before* the
 corruption, so the failure is attributable to it).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.engine import DiGraphEngine
 from repro.core.paths import Path, PathSet
 from repro.errors import VerificationError
 from repro.gpu.stats import MachineStats
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import directed_path
 from repro.verify.conservation import (
     check_message_conservation,
@@ -144,6 +147,47 @@ def test_flattened_layers_rejected():
     pre.dag.layer_of_scc[:] = 0
     results = check_dependency_dag(pre.path_set, pre.dag)
     assert "dag.layer-monotone" in _failed_names(results)
+
+
+@pytest.fixture
+def chain_dag():
+    # A 40-vertex chain: five chained paths, five SCC-vertices in a line
+    # 4 -> 3 -> 2 -> 1 -> 0, one per layer.
+    pre = DiGraphEngine().preprocess(directed_path(40))
+    assert not _failed_names(check_dependency_dag(pre.path_set, pre.dag))
+    return pre.path_set, pre.dag
+
+
+def _with_sketch(dag, edges):
+    sketch = GraphBuilder(num_vertices=dag.num_scc_vertices).add_edges(edges)
+    return dataclasses.replace(dag, dag=sketch.build())
+
+
+@pytest.mark.parametrize("role", ["writes", "reads"])
+def test_dropped_incidence_entry_rejected(chain_dag, role):
+    path_set, dag = chain_dag
+    stored = getattr(dag, role)
+    corrupt = dataclasses.replace(dag, **{role: stored[:, 1:]})
+    results = check_dependency_dag(path_set, corrupt)
+    assert "dag.dependency-edges" in _failed_names(results)
+
+
+def test_spurious_sketch_edge_rejected(chain_dag):
+    path_set, dag = chain_dag
+    edges = [(a, b) for a, b, _ in dag.dag.edges()]
+    # 4 -> 2 skips a layer, so layers stay monotone: only the missing
+    # witness (no vertex is written in SCC 4 and read in SCC 2) fails.
+    assert (4, 2) not in edges
+    spurious = _with_sketch(dag, edges + [(4, 2)])
+    results = check_dependency_dag(path_set, spurious)
+    assert _failed_names(results) == {"dag.contraction"}
+
+
+def test_missing_sketch_edge_rejected(chain_dag):
+    path_set, dag = chain_dag
+    edges = [(a, b) for a, b, _ in dag.dag.edges() if (a, b) != (2, 1)]
+    results = check_dependency_dag(path_set, _with_sketch(dag, edges))
+    assert _failed_names(results) == {"dag.contraction"}
 
 
 def test_engine_flag_raises_on_corruption(monkeypatch):
