@@ -126,8 +126,6 @@ NON_NEGATIVE_KEYS = frozenset(
         "on_time_fraction",
         # durability cells: store footprint and checkpoint lifecycle.
         "checkpoints_taken",
-        "pages_written",
-        "manifest_commits",
         "store_overhead_fraction",
         "compaction_ratio",
         # out-of-core storage cells: partitioner/shard-cache counters

@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import CheckpointStoreError, SimulationError
 from repro.gpu.machine import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -138,13 +138,13 @@ class CheckpointManager:
         self.client = client
         #: Durable on-disk store (None when ``durability == "none"``).
         self.store = None
-        if getattr(policy, "durability", "none") != "none":
+        if policy.durability != "none":
             from repro.faults.store import CheckpointStore
 
             self.store = CheckpointStore(
                 policy.run_dir,
-                retain=getattr(policy, "store_retain", 2),
-                compact=getattr(policy, "store_compact", True),
+                retain=policy.store_retain,
+                compact=policy.store_compact,
                 injector=machine._structured_injector,
             )
         self.records: List[CheckpointRecord] = []
@@ -235,9 +235,7 @@ class CheckpointManager:
         # window ends where this checkpoint begins (single spare host
         # buffer — the next snapshot needs it).
         self._settle_pending()
-        overlap = bool(
-            getattr(self.policy, "overlap_checkpoint_spill", False)
-        )
+        overlap = self.policy.overlap_checkpoint_spill
         arrays = self.client.vertex_arrays()
         vertex_gpu = np.asarray(self.client.vertex_gpu())
         full = (
@@ -366,34 +364,55 @@ class CheckpointManager:
         if lost > 0:
             stats.recovery_time_s += lost
 
-        arrays = self.client.vertex_arrays()
-        if (
-            self.store is not None
-            and getattr(self.policy, "durability", "none")
-            == "durable-verify"
-        ):
+        if self.policy.durability == "durable-verify":
             # Restore from the durable pages instead of trusting the
             # in-memory shadow: every checksum is verified on the way
             # back in, and a damaged newest checkpoint falls back to
             # the previous intact one (a deeper rollback).
-            loaded = self.store.load_best()
-            self.last_checkpoint_round = loaded.round_index
-            self._rounds_mark = loaded.rounds_mark
-            self._incrementals_since_full = (
-                loaded.incrementals_since_full
-            )
+            self._install(self.store.load_best())
+        else:
+            self._install()
+        replayed = max(
+            failed_round_index - int(self.last_checkpoint_round), 0
+        ) + 1
+        stats.rollback_replay_rounds += replayed
+        stats.rounds_rolled_back += 1
+        return int(self.last_checkpoint_round)
+
+    def _install(self, loaded=None) -> None:
+        """Install the live checkpoint into the client.
+
+        With ``loaded`` (a :class:`~repro.faults.store.LoadedCheckpoint`)
+        the durable checkpoint first becomes the live one: shadow,
+        scalars, round / rounds / incremental marks, the GPUs already
+        dead at that round, and the placement it restores. Then the
+        client's arrays and scalars are restored, survivors are charged
+        their h2d state reload, the round budget is rewound (replayed
+        rounds don't consume it) and time is re-marked, so a second
+        rollback from this checkpoint doesn't re-attribute this
+        restore's cost as lost work.
+        """
+        arrays = self.client.vertex_arrays()
+        if loaded is not None:
             for name in arrays:
+                if name not in loaded.arrays:
+                    raise CheckpointStoreError(
+                        f"store has no page for array {name!r}",
+                        run_dir=self.store.run_dir,
+                        checkpoint=loaded.round_index,
+                        kind="missing-page",
+                    )
                 self._shadow[name] = loaded.arrays[name].copy()
             self._scalars = loaded.scalars
+            self.last_checkpoint_round = loaded.round_index
+            self._rounds_mark = loaded.rounds_mark
+            self._incrementals_since_full = loaded.incrementals_since_full
         for name, arr in arrays.items():
             arr[:] = self._shadow[name]
         self.client.restore_scalars(copy.deepcopy(self._scalars))
-        if (
-            self.store is not None
-            and getattr(self.policy, "durability", "none")
-            == "durable-verify"
-        ):
-            # A deeper fallback may have restored an older placement.
+        if loaded is not None:
+            for gpu in loaded.dead_gpus:
+                self.machine.kill_gpu(gpu)
             self._shadow_vertex_gpu = np.asarray(
                 self.client.vertex_gpu()
             ).copy()
@@ -402,29 +421,19 @@ class CheckpointManager:
         # a dead GPU's share is gone with it (its partitions' reload is
         # accounted by the redistribution path instead).
         bytes_per_vertex = sum(arr.itemsize for arr in arrays.values())
-        vertex_gpu = self._shadow_vertex_gpu
         for gpu in self.machine.live_gpu_ids():
-            owned = int(np.count_nonzero(vertex_gpu == gpu))
+            owned = int(np.count_nonzero(self._shadow_vertex_gpu == gpu))
             if owned:
                 self.machine.checkpoint_restore(
                     gpu, owned * bytes_per_vertex
                 )
-
-        replayed = max(
-            failed_round_index - int(self.last_checkpoint_round), 0
-        ) + 1
-        stats.rollback_replay_rounds += replayed
-        stats.rounds_rolled_back += 1
-        # Convergence budget: replayed rounds don't consume it.
+        stats = self.machine.stats
         stats.rounds = self._rounds_mark
-        # Re-mark time so a second rollback from this same checkpoint
-        # doesn't re-attribute this restore's cost as lost work.
         self._time_mark = (
             stats.compute_time_s,
             stats.transfer_time_s,
             stats.async_comm_time_s,
         )
-        return int(self.last_checkpoint_round)
 
     # ------------------------------------------------------------------
     # whole-job restart
@@ -434,10 +443,8 @@ class CheckpointManager:
 
         Called once, before the engine's first round, in a new process
         standing in for the crashed one: verifies and materializes the
-        newest intact checkpoint from the durable store, installs it as
-        the live in-memory checkpoint (shadow + scalars), restores the
-        client's arrays and scalar state, re-kills the GPUs that were
-        already dead, and charges the survivors' h2d state reload.
+        newest intact checkpoint from the durable store and installs it
+        (:meth:`_install`), re-killing the GPUs that were already dead.
         Returns the :class:`~repro.faults.store.LoadedCheckpoint`; the
         engine resumes its round loop at ``loaded.round_index``
         (``due`` is False there, so the reloaded state is not
@@ -448,45 +455,5 @@ class CheckpointManager:
                 "resume_from_store requires durability != 'none'"
             )
         loaded = self.store.load_best()
-        arrays = self.client.vertex_arrays()
-        for name, arr in arrays.items():
-            if name not in loaded.arrays:
-                from repro.errors import CheckpointStoreError
-
-                raise CheckpointStoreError(
-                    f"store has no page for array {name!r}",
-                    run_dir=self.store.run_dir,
-                    checkpoint=loaded.round_index,
-                    kind="missing-page",
-                )
-            arr[:] = loaded.arrays[name]
-            self._shadow[name] = loaded.arrays[name].copy()
-        self.client.restore_scalars(copy.deepcopy(loaded.scalars))
-        self._scalars = loaded.scalars
-        self.last_checkpoint_round = loaded.round_index
-        self._incrementals_since_full = loaded.incrementals_since_full
-        for gpu in loaded.dead_gpus:
-            if gpu not in self.machine.dead_gpus:
-                self.machine.kill_gpu(gpu)
-        stats = self.machine.stats
-        stats.rounds = loaded.rounds_mark
-        self._rounds_mark = loaded.rounds_mark
-        # Survivors reload their state h2d, same accounting as an
-        # in-run rollback restore.
-        vertex_gpu = np.asarray(self.client.vertex_gpu())
-        self._shadow_vertex_gpu = vertex_gpu.copy()
-        bytes_per_vertex = sum(
-            arr.itemsize for arr in arrays.values()
-        )
-        for gpu in self.machine.live_gpu_ids():
-            owned = int(np.count_nonzero(vertex_gpu == gpu))
-            if owned:
-                self.machine.checkpoint_restore(
-                    gpu, owned * bytes_per_vertex
-                )
-        self._time_mark = (
-            stats.compute_time_s,
-            stats.transfer_time_s,
-            stats.async_comm_time_s,
-        )
+        self._install(loaded)
         return loaded

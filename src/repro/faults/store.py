@@ -1,12 +1,15 @@
 """Durable crash-consistent checkpoint store (``repro resume`` / ``repro scrub``).
 
-PRs 3-4 and 8 keep every checkpoint in an in-memory host shadow — good
-for in-run rollback, useless against whole-process death. This module
-is the on-disk half of the checkpoint story: a run directory holding
-per-checkpoint **array pages** plus a **write-ahead JSON manifest**
-committed atomically, so a job killed at *any* instant can be restarted
-from the last durable round (``repro resume``) and certified
-bit-identical to the uninterrupted run.
+The checkpoint manager keeps every checkpoint in an in-memory host
+shadow — good for in-run rollback, useless against whole-process death.
+This module is the on-disk half of the checkpoint story: a run
+directory holding per-checkpoint **array pages** plus a **write-ahead
+JSON manifest** committed atomically, so a job killed at *any* instant
+can be restarted from the last durable round (``repro resume``) and
+certified bit-identical to the uninterrupted run. Pages and documents
+are written, committed, read and verified by
+:mod:`repro.storage.pages`, the page store the sharded graph store uses
+too.
 
 Layout under ``run_dir``::
 
@@ -47,28 +50,31 @@ whole run directory (orphan directories, stale manifest entries, torn/
 rotten pages, stale temp files) and optionally repairs it by dropping
 damaged checkpoints. Everything raises
 :class:`~repro.errors.CheckpointStoreError` with structured fields —
-never a bare ``KeyError``/``JSONDecodeError``.
+never a bare ``KeyError``/``JSONDecodeError``/``ValueError``.
 
 Storage faults are injected through
-:meth:`~repro.faults.injector.FaultInjector.on_store_write`: the store
-reports each page write and manifest commit, and applies whatever
-damage the plan scheduled (torn write, bit rot, loss, or a mid-write
-whole-job crash).
+:meth:`~repro.faults.injector.FaultInjector.on_store_write`: every page
+write and manifest commit hands the page store a fault hook that asks
+the injector once the bytes are written, and the page store lands
+whatever damage the plan scheduled (torn write, bit rot, loss, or a
+mid-write whole-job crash).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
 import shutil
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointStoreError, InjectedCrashError
+from repro.errors import CheckpointStoreError
 from repro.storage import pages as pagelib
 
 #: Manifest format version (bumped on layout changes).
@@ -198,82 +204,31 @@ class CheckpointStore:
         self.retain = int(retain)
         self.compact = bool(compact)
         self.injector = injector
+        self.manifest_path = os.path.join(self.run_dir, MANIFEST_NAME)
         os.makedirs(self.run_dir, exist_ok=True)
-        # Writer-side counters (the store's own ledger — deliberately
-        # not MachineStats fields, so committed baseline counter
-        # snapshots stay stable).
-        self.pages_written = 0
-        self.page_bytes_raw = 0
-        self.page_bytes_stored = 0
-        self.manifest_commits = 0
-        self.bytes_compacted_raw = 0
-        self.bytes_compacted_stored = 0
-        self.checkpoints_gcd = 0
 
-    # ------------------------------------------------------------------
-    # low-level fault-injectable writes
-    # ------------------------------------------------------------------
-    def _consult_injector(self, op: str, relpath: str):
-        injector = self.injector
-        if injector is None or not hasattr(injector, "on_store_write"):
+    def _fault_hook(self, op: str, relpath: str) -> pagelib.FaultHook:
+        """Ask the injector about one write once its bytes are down."""
+        if self.injector is None:
             return None
-        return injector.on_store_write(op, relpath)
+        return functools.partial(self.injector.on_store_write, op, relpath)
 
-    def _write_page_bytes(self, relpath: str, data: bytes) -> None:
-        """Write one page file, then apply any scheduled storage fault.
-
-        The fault lands *after* the nominal write (the damage models
-        what the disk ended up holding): ``torn`` truncates the file,
-        ``bitrot`` flips one byte, ``lost`` unlinks it, ``crash``
-        leaves it torn and raises
-        :class:`~repro.errors.InjectedCrashError` (the mid-spill crash
-        point).
-        """
-        path = os.path.join(self.run_dir, relpath)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        fault = self._consult_injector("page", relpath)
-        if fault is not None:
-            pagelib.apply_file_fault(path, fault)
-            if fault.kind == "crash":
-                raise InjectedCrashError(
-                    "whole-job crash during a checkpoint page spill",
-                    crash_point="mid-spill",
-                )
-
-    def _commit_manifest(self, payload: Dict) -> None:
-        """Atomically commit the manifest (temp file + rename).
-
-        The wrap/temp-write/rename discipline is the shared one from
-        :mod:`repro.storage.pages`; it is inlined here (rather than
-        calling :func:`~repro.storage.pagelib.commit_json`) because the
-        fault injector hooks *between* the temp write and the rename —
-        a scheduled ``crash`` fault leaves the temp file in place and
-        skips the rename, exactly the mid-manifest-commit crash the
-        restart tests sweep.
-        """
-        data = json.dumps(
-            pagelib.wrap_payload(payload), sort_keys=True, indent=1
-        ).encode("utf-8")
-        final = os.path.join(self.run_dir, MANIFEST_NAME)
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        fault = self._consult_injector("manifest", MANIFEST_NAME)
-        if fault is not None and fault.kind == "crash":
-            raise InjectedCrashError(
-                "whole-job crash during a manifest commit",
-                crash_point="mid-manifest",
-            )
-        if fault is not None and fault.kind in ("torn", "bitrot"):
-            pagelib.apply_file_fault(tmp, fault)
-        os.replace(tmp, final)
-        if fault is not None and fault.kind == "lost":
-            os.unlink(final)
-        self.manifest_commits += 1
+    @contextmanager
+    def _damage(self, page: str, checkpoint: Optional[int] = None):
+        """Report a page-store integrity failure as a structured error."""
+        try:
+            yield
+        except pagelib.PageIntegrityError as exc:
+            raise CheckpointStoreError(
+                str(exc),
+                run_dir=self.run_dir,
+                checkpoint=checkpoint,
+                page=page,
+                kind=exc.reason,
+            ) from None
 
     # ------------------------------------------------------------------
-    # header (how to rebuild the run for `repro resume`)
+    # header (how to rebuild the run for `repro resume`) and manifest
     # ------------------------------------------------------------------
     def write_header(self, header: Dict) -> None:
         """Commit the run header (workload metadata) atomically."""
@@ -282,63 +237,15 @@ class CheckpointStore:
         )
 
     def read_header(self) -> Dict:
-        path = os.path.join(self.run_dir, HEADER_NAME)
-        try:
-            return pagelib.read_wrapped_json(path)
-        except FileNotFoundError:
-            raise CheckpointStoreError(
-                "run header missing",
-                run_dir=self.run_dir,
-                page=HEADER_NAME,
-                kind="header-lost",
-            ) from None
-        except pagelib.PageIntegrityError as exc:
-            if exc.reason == "checksum":
-                raise CheckpointStoreError(
-                    "run header checksum mismatch",
-                    run_dir=self.run_dir,
-                    page=HEADER_NAME,
-                    kind="header-corrupt",
-                ) from None
-            raise CheckpointStoreError(
-                f"run header unreadable: {exc}",
-                run_dir=self.run_dir,
-                page=HEADER_NAME,
-                kind="header-torn",
-            ) from None
-
-    # ------------------------------------------------------------------
-    # manifest
-    # ------------------------------------------------------------------
-    def _empty_payload(self) -> Dict:
-        return {"format": STORE_FORMAT, "checkpoints": []}
+        with self._damage(HEADER_NAME):
+            return pagelib.read_document(
+                os.path.join(self.run_dir, HEADER_NAME), "header"
+            )
 
     def load_manifest(self) -> Dict:
         """Read and verify the committed manifest payload."""
-        path = os.path.join(self.run_dir, MANIFEST_NAME)
-        try:
-            payload = pagelib.read_wrapped_json(path)
-        except FileNotFoundError:
-            raise CheckpointStoreError(
-                "manifest missing (lost, or no checkpoint ever committed)",
-                run_dir=self.run_dir,
-                page=MANIFEST_NAME,
-                kind="manifest-lost",
-            ) from None
-        except pagelib.PageIntegrityError as exc:
-            if exc.reason == "checksum":
-                raise CheckpointStoreError(
-                    "manifest checksum mismatch (bit rot)",
-                    run_dir=self.run_dir,
-                    page=MANIFEST_NAME,
-                    kind="manifest-corrupt",
-                ) from None
-            raise CheckpointStoreError(
-                f"manifest unreadable (torn write?): {exc}",
-                run_dir=self.run_dir,
-                page=MANIFEST_NAME,
-                kind="manifest-torn",
-            ) from None
+        with self._damage(MANIFEST_NAME):
+            payload = pagelib.read_document(self.manifest_path, "manifest")
         if payload.get("format") != STORE_FORMAT:
             raise CheckpointStoreError(
                 f"unsupported manifest format {payload.get('format')!r}",
@@ -347,15 +254,6 @@ class CheckpointStore:
                 kind="manifest-format",
             )
         return payload
-
-    def _load_payload_for_append(self) -> Dict:
-        """The manifest to append to — empty when none was committed."""
-        try:
-            return self.load_manifest()
-        except CheckpointStoreError as exc:
-            if exc.kind == "manifest-lost":
-                return self._empty_payload()
-            raise
 
     # ------------------------------------------------------------------
     # committing checkpoints
@@ -379,7 +277,12 @@ class CheckpointStore:
         chain). Retention, compaction, and GC of superseded checkpoints
         ride the same single manifest commit.
         """
-        payload = self._load_payload_for_append()
+        try:
+            payload = self.load_manifest()
+        except CheckpointStoreError as exc:
+            if exc.kind != "manifest-lost":
+                raise
+            payload = {"format": STORE_FORMAT, "checkpoints": []}
         ckpt_dir = _ckpt_dirname(round_index)
         abs_dir = os.path.join(self.run_dir, ckpt_dir)
         if os.path.exists(abs_dir):
@@ -388,44 +291,31 @@ class CheckpointStore:
             shutil.rmtree(abs_dir)
         os.makedirs(abs_dir)
 
+        def hook(fname: str) -> pagelib.FaultHook:
+            return self._fault_hook("page", os.path.join(ckpt_dir, fname))
+
         pages: Dict[str, Dict] = {}
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            if kind == "full" or dirty_by_array is None:
-                data = arr.tobytes()
-                page_kind = "full"
-                count = int(arr.shape[0])
-            else:
-                idx = np.flatnonzero(
+            index = None
+            if kind != "full" and dirty_by_array is not None:
+                index = np.flatnonzero(
                     np.asarray(dirty_by_array[name], dtype=bool)
                 ).astype(np.int64)
-                data = idx.tobytes() + arr[idx].tobytes()
-                page_kind = "delta"
-                count = int(idx.shape[0])
             fname = f"{name}.page"
-            self._write_page_bytes(os.path.join(ckpt_dir, fname), data)
-            self.pages_written += 1
-            self.page_bytes_raw += len(data)
-            self.page_bytes_stored += len(data)
-            pages[name] = {
-                "file": fname,
-                "sha256": pagelib.sha256_hex(data),
-                "dtype": str(arr.dtype),
-                "shape": [int(s) for s in arr.shape],
-                "page_kind": page_kind,
-                "count": count,
-                "raw_bytes": len(data),
-                "stored_bytes": len(data),
-                "compressed": False,
-            }
-
-        scalar_bytes = pickle.dumps(scalars, protocol=4)
-        self._write_page_bytes(
-            os.path.join(ckpt_dir, SCALARS_NAME), scalar_bytes
+            page = pagelib.write_array_page(
+                os.path.join(abs_dir, fname), arrays[name], index,
+                hook(fname),
+            )
+            page.setdefault("count", page["shape"][0])
+            page["page_kind"] = "full" if index is None else "delta"
+            pages[name] = page
+        scalars_page = pagelib.write_page(
+            os.path.join(abs_dir, SCALARS_NAME),
+            pickle.dumps(scalars, protocol=4),
+            hook(SCALARS_NAME),
         )
-        self.pages_written += 1
-        self.page_bytes_raw += len(scalar_bytes)
-        self.page_bytes_stored += len(scalar_bytes)
+        for page in [*pages.values(), scalars_page]:
+            page.update(stored_bytes=page["raw_bytes"], compressed=False)
         entry = {
             "round": int(round_index),
             "kind": kind,
@@ -434,13 +324,7 @@ class CheckpointStore:
             "dead_gpus": sorted(int(g) for g in dead_gpus),
             "incrementals_since_full": int(incrementals_since_full),
             "pages": pages,
-            "scalars": {
-                "file": SCALARS_NAME,
-                "sha256": pagelib.sha256_hex(scalar_bytes),
-                "raw_bytes": len(scalar_bytes),
-                "stored_bytes": len(scalar_bytes),
-                "compressed": False,
-            },
+            "scalars": scalars_page,
         }
 
         checkpoints = [
@@ -454,14 +338,16 @@ class CheckpointStore:
             self._compact_cold(kept) if self.compact else []
         )
         payload["checkpoints"] = kept
-        self._commit_manifest(payload)
+        pagelib.commit_json(
+            self.manifest_path, payload,
+            self._fault_hook("manifest", MANIFEST_NAME),
+        )
 
         # Post-commit cleanup: superseded checkpoint directories and
         # the uncompressed originals of freshly compacted pages. A
         # crash before this point leaves orphans (never dangling
         # references); `scrub` reports and removes them.
         for e in dropped:
-            self.checkpoints_gcd += 1
             shutil.rmtree(
                 os.path.join(self.run_dir, e["dir"]), ignore_errors=True
             )
@@ -498,95 +384,28 @@ class CheckpointStore:
         """
         cleanup: List[str] = []
         for entry in checkpoints[:-1]:
-            page_entries = list(entry["pages"].values())
-            page_entries.append(entry["scalars"])
-            for page in page_entries:
+            for page in [*entry["pages"].values(), entry["scalars"]]:
                 if page["compressed"]:
                     continue
                 rel = os.path.join(entry["dir"], page["file"])
                 path = os.path.join(self.run_dir, rel)
                 try:
-                    with open(path, "rb") as fh:
-                        raw = fh.read()
-                except OSError:
-                    continue  # damaged/missing page: scrub's problem
-                if (
-                    len(raw) != page["raw_bytes"]
-                    or pagelib.sha256_hex(raw) != page["sha256"]
-                ):
-                    continue  # never compact (and re-bless) a bad page
+                    raw = pagelib.read_page_bytes(path, page)
+                except (OSError, pagelib.PageIntegrityError):
+                    # Never compact (and re-bless) a damaged page:
+                    # that is scrub's problem.
+                    continue
                 packed = zlib.compress(raw, 6)
-                zrel = rel + ".z"
-                with open(
-                    os.path.join(self.run_dir, zrel), "wb"
-                ) as fh:
-                    fh.write(packed)
+                pagelib.write_page(path + ".z", packed)
                 page["file"] = page["file"] + ".z"
                 page["stored_bytes"] = len(packed)
                 page["compressed"] = True
-                self.bytes_compacted_raw += len(raw)
-                self.bytes_compacted_stored += len(packed)
-                self.page_bytes_stored += len(packed) - len(raw)
                 cleanup.append(rel)
         return cleanup
 
     # ------------------------------------------------------------------
     # reading back
     # ------------------------------------------------------------------
-    def _read_page(self, entry: Dict, page: Dict) -> bytes:
-        """Read + verify one page; structured error on any damage."""
-        rel = os.path.join(entry["dir"], page["file"])
-        path = os.path.join(self.run_dir, rel)
-        if not os.path.exists(path):
-            raise CheckpointStoreError(
-                "page missing",
-                run_dir=self.run_dir,
-                checkpoint=entry["round"],
-                page=rel,
-                kind="missing-page",
-            )
-        with open(path, "rb") as fh:
-            stored = fh.read()
-        if page["compressed"]:
-            if len(stored) != page["stored_bytes"]:
-                raise CheckpointStoreError(
-                    f"compressed page torn "
-                    f"({len(stored)} of {page['stored_bytes']} bytes)",
-                    run_dir=self.run_dir,
-                    checkpoint=entry["round"],
-                    page=rel,
-                    kind="torn",
-                )
-            try:
-                data = zlib.decompress(stored)
-            except zlib.error as exc:
-                raise CheckpointStoreError(
-                    f"compressed page undecodable: {exc}",
-                    run_dir=self.run_dir,
-                    checkpoint=entry["round"],
-                    page=rel,
-                    kind="bitrot",
-                ) from exc
-        else:
-            data = stored
-        if len(data) != page["raw_bytes"]:
-            raise CheckpointStoreError(
-                f"page torn ({len(data)} of {page['raw_bytes']} bytes)",
-                run_dir=self.run_dir,
-                checkpoint=entry["round"],
-                page=rel,
-                kind="torn",
-            )
-        if pagelib.sha256_hex(data) != page["sha256"]:
-            raise CheckpointStoreError(
-                "page checksum mismatch (bit rot)",
-                run_dir=self.run_dir,
-                checkpoint=entry["round"],
-                page=rel,
-                kind="bitrot",
-            )
-        return data
-
     def _restore_chain(
         self, payload: Dict, target: Dict
     ) -> List[Dict]:
@@ -615,13 +434,8 @@ class CheckpointStore:
         for entry in chain:
             for name in sorted(entry["pages"]):
                 page = entry["pages"][name]
-                data = self._read_page(entry, page)
-                dtype = np.dtype(page["dtype"])
-                if page["page_kind"] == "full":
-                    arrays[name] = np.frombuffer(
-                        data, dtype=dtype
-                    ).reshape(page["shape"]).copy()
-                else:
+                base = None
+                if page["page_kind"] != "full":
                     if name not in arrays:
                         raise CheckpointStoreError(
                             f"delta page {name!r} has no base array",
@@ -629,15 +443,17 @@ class CheckpointStore:
                             checkpoint=entry["round"],
                             kind="broken-chain",
                         )
-                    count = page["count"]
-                    idx = np.frombuffer(
-                        data[: count * 8], dtype=np.int64
+                    base = arrays[name]
+                rel = os.path.join(entry["dir"], page["file"])
+                with self._damage(rel, entry["round"]):
+                    arrays[name] = pagelib.read_array_page(
+                        os.path.join(self.run_dir, rel), page, base=base
                     )
-                    vals = np.frombuffer(
-                        data[count * 8:], dtype=dtype
-                    )
-                    arrays[name][idx] = vals
-        scalars = pickle.loads(self._read_page(target, target["scalars"]))
+        rel = os.path.join(target["dir"], target["scalars"]["file"])
+        with self._damage(rel, target["round"]):
+            scalars = pickle.loads(pagelib.read_page_bytes(
+                os.path.join(self.run_dir, rel), target["scalars"]
+            ))
         return LoadedCheckpoint(
             round_index=int(target["round"]),
             kind=target["kind"],
@@ -742,13 +558,13 @@ class CheckpointStore:
                     page=name,
                     kind="orphan",
                 ))
-        stale_tmp = os.path.join(self.run_dir, MANIFEST_NAME + ".tmp")
-        if os.path.exists(stale_tmp):
+        stale_tmp = pagelib.stale_tmp_path(self.manifest_path)
+        if stale_tmp is not None:
             findings.append(CheckpointStoreError(
                 "stale manifest temp file (crashed mid-commit; the "
                 "rename never happened)",
                 run_dir=self.run_dir,
-                page=MANIFEST_NAME + ".tmp",
+                page=os.path.basename(stale_tmp),
                 kind="stale-tmp",
             ))
 
@@ -774,7 +590,10 @@ class CheckpointStore:
                 kind="unrepairable",
             )
         payload["checkpoints"] = intact
-        self._commit_manifest(payload)
+        pagelib.commit_json(
+            self.manifest_path, payload,
+            self._fault_hook("manifest", MANIFEST_NAME),
+        )
         for entry in dropped:
             shutil.rmtree(
                 os.path.join(self.run_dir, entry["dir"]),
@@ -784,7 +603,7 @@ class CheckpointStore:
             shutil.rmtree(
                 os.path.join(self.run_dir, name), ignore_errors=True
             )
-        if os.path.exists(stale_tmp):
+        if stale_tmp is not None and os.path.exists(stale_tmp):
             os.unlink(stale_tmp)
         report.repaired = True
         return report

@@ -484,24 +484,17 @@ def _build_shard(
         rel_dir = shard_dirname(part)
         abs_dir = os.path.join(out_dir, rel_dir)
         os.makedirs(abs_dir, exist_ok=True)
-        page_entries: Dict[str, Dict] = {}
-        for name, arr in (
-            ("vertex_ids", vertex_ids),
-            ("indptr", indptr),
-            ("indices", indices),
-            ("weights", weights),
-        ):
-            arr = np.ascontiguousarray(arr)
-            fname = f"{name}.page"
-            entry = pages.write_page(
-                os.path.join(abs_dir, fname), arr.tobytes()
+        page_entries = {
+            name: pages.write_array_page(
+                os.path.join(abs_dir, f"{name}.page"), arr
             )
-            entry.update(
-                file=fname,
-                dtype=str(arr.dtype),
-                shape=[int(s) for s in arr.shape],
+            for name, arr in (
+                ("vertex_ids", vertex_ids),
+                ("indptr", indptr),
+                ("indices", indices),
+                ("weights", weights),
             )
-            page_entries[name] = entry
+        }
         return {
             "part": int(part),
             "dir": rel_dir,
@@ -512,20 +505,6 @@ def _build_shard(
     finally:
         tracker.release(records.nbytes, "spill")
         os.unlink(spill_path)
-
-
-def _write_map_page(
-    out_dir: str, fname: str, values: np.ndarray
-) -> Dict:
-    """Write one top-level map page (node_map / edge_map chunk-hashed)."""
-    data = np.ascontiguousarray(values).tobytes()
-    entry = pages.write_page(os.path.join(out_dir, fname), data)
-    entry.update(
-        file=fname,
-        dtype=str(values.dtype),
-        shape=[int(s) for s in values.shape],
-    )
-    return entry
 
 
 def _write_edge_map_page(
@@ -688,7 +667,9 @@ def partition_graph(
     finally:
         _remove_spills(spills)
 
-    node_map_entry = _write_map_page(out_dir, "node_map.page", node_map)
+    node_map_entry = pages.write_array_page(
+        os.path.join(out_dir, "node_map.page"), node_map
+    )
     edge_map_entry = _write_edge_map_page(
         out_dir, node_map, out_degree, m, tracker
     )

@@ -21,18 +21,20 @@ in-RAM CSR arrays bit for bit (see
 :class:`ShardStore` opens shards lazily through a bounded, LRU-evicted,
 mmap-backed cache — the execution side of the bounded-memory story: a
 run over a store touches ``max_resident_bytes`` of shard data at most,
-no matter how large the graph is. Every page read is checksum-verified
-(streamed, before the mmap is handed out); all damage raises
-:class:`~repro.errors.StorageError` with the file ``path``, the
-``shard`` id, and a machine-readable ``kind`` — never a raw traceback.
+no matter how large the graph is. Pages and the manifest are read and
+verified by :mod:`repro.storage.pages` (streamed, before the mmap is
+handed out); all damage raises :class:`~repro.errors.StorageError` with
+the file ``path``, the ``shard`` id, and the page store's ``kind`` —
+never a raw traceback.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -54,6 +56,17 @@ SHARD_PAGE_NAMES = ("vertex_ids", "indptr", "indices", "weights")
 def shard_dirname(part: int) -> str:
     """Relative directory name of one part's shard pages."""
     return f"part{part:04d}"
+
+
+@contextmanager
+def _damage(path: str, shard: Optional[int] = None):
+    """Report a page-store integrity failure as a :class:`StorageError`."""
+    try:
+        yield
+    except pages.PageIntegrityError as exc:
+        raise StorageError(
+            str(exc), path=path, shard=shard, kind=exc.reason
+        ) from None
 
 
 @dataclass
@@ -94,9 +107,10 @@ class ShardStore:
         a high-water target: the single most recently used shard is
         always kept even if it alone exceeds it.
     use_mmap:
-        Map pages with :class:`numpy.memmap` (the default) instead of
-        reading them into heap arrays. Either way the page is fully
-        checksum-verified (streamed) before use.
+        Map pages with :class:`numpy.memmap` (the default; the page is
+        checksum-verified in a streamed pass first) instead of reading
+        them into heap arrays (verified in memory). Either way the page
+        is fully verified before use.
     tracker:
         Shared :class:`ResidentTracker` charged for cached shards; a
         private one is created when omitted.
@@ -126,29 +140,10 @@ class ShardStore:
     # ------------------------------------------------------------------
     # manifest
     # ------------------------------------------------------------------
-    def _manifest_path(self) -> str:
-        return os.path.join(self.root, GRAPH_MANIFEST_NAME)
-
     def _load_manifest(self) -> Dict:
-        path = self._manifest_path()
-        try:
-            payload = pages.read_wrapped_json(path)
-        except FileNotFoundError:
-            raise StorageError(
-                "graph manifest missing — not a sharded graph store, or "
-                "the partitioner crashed before commit",
-                path=path,
-                kind="manifest-lost",
-            ) from None
-        except pages.PageIntegrityError as exc:
-            kind = {
-                "unreadable": "manifest-torn",
-                "checksum": "manifest-corrupt",
-                "format": "manifest-format",
-            }[exc.reason]
-            raise StorageError(
-                f"graph manifest damaged: {exc}", path=path, kind=kind
-            ) from None
+        path = os.path.join(self.root, GRAPH_MANIFEST_NAME)
+        with _damage(path):
+            payload = pages.read_document(path, "manifest")
         if not isinstance(payload, dict) or payload.get("kind") != "sharded-graph":
             raise StorageError(
                 "manifest is not a sharded-graph manifest",
@@ -218,55 +213,12 @@ class ShardStore:
     # ------------------------------------------------------------------
     # page loading
     # ------------------------------------------------------------------
-    def _verify_page(
-        self, path: str, entry: Dict, shard: Optional[int] = None
-    ) -> None:
-        """Streamed checksum/size verification of one page file.
-
-        Never holds the page in memory; raises structured
-        :class:`StorageError` on damage.
-        """
-        name = entry.get("file", os.path.basename(path))
-        if not os.path.exists(path):
-            raise StorageError(
-                f"page {name!r} missing",
-                path=path,
-                shard=shard,
-                kind="missing-page",
-            )
-        try:
-            pages.verify_page_file(
-                path, entry["sha256"], int(entry["raw_bytes"])
-            )
-        except pages.PageIntegrityError as exc:
-            kind = "torn" if exc.reason == "unreadable" else "bitrot"
-            raise StorageError(
-                f"page {name!r} damaged: {exc}",
-                path=path,
-                shard=shard,
-                kind=kind,
-            ) from None
-
     def _load_page(
         self, path: str, entry: Dict, shard: Optional[int] = None
     ) -> np.ndarray:
-        """Verify one page (streamed) and map or read it."""
-        name = entry.get("file", os.path.basename(path))
-        self._verify_page(path, entry, shard=shard)
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 0
-        if count * dtype.itemsize != int(entry["raw_bytes"]):
-            raise StorageError(
-                f"page {name!r} shape/size mismatch in manifest",
-                path=path,
-                shard=shard,
-                kind="inconsistent",
-            )
-        if count == 0:
-            return np.empty(0, dtype=dtype)
-        if self.use_mmap:
-            return np.memmap(path, dtype=dtype, mode="r", shape=(count,))
-        return np.fromfile(path, dtype=dtype, count=count)
+        """Verify one page and map it (streamed check) or read it."""
+        with _damage(path, shard):
+            return pages.read_array_page(path, entry, mmap=self.use_mmap)
 
     def node_map(self) -> np.ndarray:
         """Owner part per vertex (int32, cached after first load)."""
@@ -406,10 +358,9 @@ class ShardStore:
         of shard data.
         """
         for key in ("node_map", "edge_map"):
-            entry = self.manifest[key]
-            self._verify_page(
-                os.path.join(self.root, entry["file"]), entry
-            )
+            path = os.path.join(self.root, self.manifest[key]["file"])
+            with _damage(path):
+                pages.verify_page_file(path, self.manifest[key])
         for part in range(self.num_parts):
             self.load_shard(part)
         return dict(self.stats)

@@ -30,6 +30,7 @@ from repro.faults import (
     StorageFault,
 )
 from repro.faults.store import MANIFEST_NAME
+from repro.storage.pages import commit_json
 
 
 def arrays(seed=0, n=64):
@@ -142,7 +143,6 @@ class TestRetentionAndCompaction:
             d for d in os.listdir(tmp_path) if d.startswith("ckpt-")
         )
         assert dirs == ["ckpt-000003", "ckpt-000004"]
-        assert store.checkpoints_gcd == 3
 
     def test_retention_keeps_chain_to_full(self, tmp_path):
         store = CheckpointStore(tmp_path, retain=1, compact=False)
@@ -255,7 +255,55 @@ class TestCorruptionSurfacesStructured:
         damage(tmp_path / MANIFEST_NAME, "bitrot")
         with pytest.raises(CheckpointStoreError) as err:
             store.load_manifest()
-        assert err.value.kind in ("manifest-corrupt", "manifest-torn")
+        assert err.value.kind == "manifest-corrupt"
+
+    @pytest.mark.parametrize(
+        "name,page_kind",
+        [(MANIFEST_NAME, "manifest-format"), ("run.json", "header-format")],
+    )
+    def test_wrapper_without_checksum_is_format(
+        self, tmp_path, name, page_kind
+    ):
+        store = CheckpointStore(tmp_path)
+        commit(store, 0, arrays())
+        store.write_header({"mode": "engine"})
+        path = tmp_path / name
+        wrapper = json.loads(path.read_text())
+        del wrapper["sha256"]
+        path.write_text(json.dumps(wrapper))
+        with pytest.raises(CheckpointStoreError) as err:
+            store.read_header() if name == "run.json" else store.load_best()
+        assert err.value.kind == page_kind
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("shape", [65]), ("count", 3)],
+        ids=["full-page-shape", "delta-page-count"],
+    )
+    def test_manifest_that_disagrees_with_page_bytes_is_inconsistent(
+        self, tmp_path, field, value
+    ):
+        # The manifest is re-committed with a valid self-checksum, so
+        # only the page reader's shape/count check can catch it: the
+        # damaged checkpoint is a finding and an older one loads.
+        store = CheckpointStore(tmp_path, compact=False)
+        good = arrays(1)
+        commit(store, 0, good)
+        newer = arrays(2)
+        if field == "shape":
+            commit(store, 1, newer)
+        else:
+            dirty = {name: np.zeros(64, dtype=bool) for name in newer}
+            dirty["values"][[4, 9]] = True
+            commit(store, 1, newer, kind="incremental", dirty=dirty)
+        payload = store.load_manifest()
+        payload["checkpoints"][1]["pages"]["values"][field] = value
+        commit_json(str(tmp_path / MANIFEST_NAME), payload)
+        loaded = store.load_best()
+        assert [f.kind for f in loaded.findings] == ["inconsistent"]
+        assert loaded.round_index == 0
+        np.testing.assert_array_equal(loaded.arrays["values"],
+                                      good["values"])
 
     def test_compressed_page_bitrot_detected(self, tmp_path):
         store = CheckpointStore(tmp_path, retain=2, compact=True)

@@ -12,11 +12,14 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CheckpointStoreError, StorageError
+from repro.faults import CheckpointStore
+from repro.faults.store import MANIFEST_NAME
 from repro.storage import GRAPH_MANIFEST_NAME, ShardStore, shard_dirname
-from repro.storage.pages import commit_json, read_wrapped_json
+from repro.storage.pages import apply_file_fault, commit_json, read_document
 
 
 def damage_truncate(path):
@@ -123,7 +126,7 @@ class TestManifestDamage:
 
     def test_manifest_future_format(self, store_dir):
         path = os.path.join(store_dir, GRAPH_MANIFEST_NAME)
-        payload = read_wrapped_json(path)
+        payload = read_document(path, "manifest")
         payload["format"] = 999
         commit_json(path, payload)
         with pytest.raises(StorageError, match="unsupported") as err:
@@ -132,10 +135,21 @@ class TestManifestDamage:
 
     def test_manifest_missing_key(self, store_dir):
         path = os.path.join(store_dir, GRAPH_MANIFEST_NAME)
-        payload = read_wrapped_json(path)
+        payload = read_document(path, "manifest")
         del payload["node_map"]
         commit_json(path, payload)
         with pytest.raises(StorageError, match="node_map") as err:
+            ShardStore(store_dir)
+        assert err.value.kind == "manifest-format"
+
+    def test_malformed_wrapper_is_format(self, store_dir):
+        path = os.path.join(store_dir, GRAPH_MANIFEST_NAME)
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["sha256"]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(StorageError) as err:
             ShardStore(store_dir)
         assert err.value.kind == "manifest-format"
 
@@ -150,7 +164,7 @@ class TestManifestDamage:
 class TestManifestPageDisagreement:
     def test_shape_size_mismatch(self, store_dir):
         path = os.path.join(store_dir, GRAPH_MANIFEST_NAME)
-        payload = read_wrapped_json(path)
+        payload = read_document(path, "manifest")
         entry = payload["parts"][1]["pages"]["indices"]
         entry["shape"] = [entry["shape"][0] + 1]
         commit_json(path, payload)
@@ -164,7 +178,7 @@ class TestManifestPageDisagreement:
         # vertex_ids page: every checksum passes, the CSR invariants
         # don't — validate_csr_arrays must catch it.
         path = os.path.join(store_dir, GRAPH_MANIFEST_NAME)
-        payload = read_wrapped_json(path)
+        payload = read_document(path, "manifest")
         pages_entry = payload["parts"][0]["pages"]
         pages_entry["indptr"] = dict(
             pages_entry["vertex_ids"], file="vertex_ids.page"
@@ -186,3 +200,69 @@ class TestManifestPageDisagreement:
         assert err.value.path is not None
         assert err.value.shard == 1
         assert err.value.kind == "torn"
+
+
+class _Fault:
+    def __init__(self, kind):
+        self.kind = kind
+
+
+def _checkpoint_store(root):
+    """A one-checkpoint durable store: (open/read it, page, manifest)."""
+    store = CheckpointStore(root, compact=False)
+    store.commit_checkpoint(
+        0, "full", arrays={"values": np.arange(64.0)},
+        dirty_by_array=None, scalars={}, rounds_mark=1, dead_gpus=(),
+        incrementals_since_full=0,
+    )
+
+    def read():
+        fresh = CheckpointStore(root, compact=False)
+        payload = fresh.load_manifest()
+        fresh.materialize(payload, payload["checkpoints"][0])
+
+    return (
+        read,
+        os.path.join(root, "ckpt-000000", "values.page"),
+        os.path.join(root, MANIFEST_NAME),
+    )
+
+
+def _shard_store(root):
+    """The partitioned shard store: (open/read it, page, manifest)."""
+    return (
+        lambda: ShardStore(root).load_shard(1),
+        os.path.join(root, shard_dirname(1), "indices.page"),
+        os.path.join(root, GRAPH_MANIFEST_NAME),
+    )
+
+
+class TestOneDamageVocabulary:
+    """Both stores read pages and manifests through the page store, so
+    the same damage gets the same name from either of them."""
+
+    @pytest.mark.parametrize("store", ["checkpoint", "shard"])
+    @pytest.mark.parametrize(
+        "target,damage,kind",
+        [
+            ("page", "torn", "torn"),
+            ("page", "bitrot", "bitrot"),
+            ("page", "lost", "missing-page"),
+            ("manifest", "torn", "manifest-torn"),
+            ("manifest", "bitrot", "manifest-corrupt"),
+            ("manifest", "lost", "manifest-lost"),
+        ],
+    )
+    def test_same_damage_same_kind(
+        self, store_dir, tmp_path, store, target, damage, kind
+    ):
+        if store == "checkpoint":
+            read, page, manifest = _checkpoint_store(str(tmp_path / "run"))
+        else:
+            read, page, manifest = _shard_store(store_dir)
+        read()  # intact before the damage
+        apply_file_fault(page if target == "page" else manifest,
+                         _Fault(damage))
+        with pytest.raises((CheckpointStoreError, StorageError)) as err:
+            read()
+        assert err.value.kind == kind
