@@ -184,12 +184,12 @@ class _Walk:
     All per-step reads are O(1) lookups in plain lists built once from
     the CSR arrays:
 
-    - ``succ_eid`` / ``succ_dst`` hold every vertex's out-edges in its
+    - ``unvisited[v]`` holds ``v``'s unvisited out-edge ids in its
       *static* preference order — hottest destination first, then lowest
-      destination id, then lowest edge id — at the vertex's own CSR
-      offsets, from one ``np.lexsort``;
-    - ``remaining_out[v]`` counts ``v``'s unvisited out-edges, so "is this
-      successor exhausted" does not scan its edges.
+      destination id, then lowest edge id — from one ``np.lexsort``. A
+      visited edge leaves the list, so a step scans only what it may take,
+      and "is this successor exhausted" is "is its list empty";
+    - ``head[e]`` is edge ``e``'s destination.
     """
 
     def __init__(
@@ -206,12 +206,12 @@ class _Walk:
         if degrees is not None:
             keys.append(-degrees[graph.indices])
         keys.append(graph.edge_sources())
-        order = np.lexsort(keys)
-        self.indptr = graph.indptr.tolist()
-        self.succ_eid = order.tolist()
-        self.succ_dst = graph.indices[order].tolist()
-        self.remaining_out = graph.out_degree().tolist()
-        self.visited_edge = [False] * graph.num_edges
+        order = np.lexsort(keys).tolist()
+        indptr = graph.indptr.tolist()
+        self.unvisited = [
+            order[indptr[v] : indptr[v + 1]] for v in range(graph.num_vertices)
+        ]
+        self.head = graph.indices.tolist()
         # Stamp 0 means "never visited"; every traversal gets a fresh one.
         self.visit_stamp = [0] * graph.num_vertices
         self.stamp = 0
@@ -234,7 +234,7 @@ class _Walk:
         stamps so no clearing is needed.
         """
         for root in roots:
-            while self.remaining_out[root]:
+            while self.unvisited[root]:
                 self.stamp += 1
                 self._traverse(root, lo, hi)
 
@@ -258,32 +258,28 @@ class _Walk:
         (line 4's local-subgraph restriction) and at vertices with no
         unvisited out-edges.
         """
-        indptr, succ_eid, succ_dst = self.indptr, self.succ_eid, self.succ_dst
-        remaining_out, visited_edge = self.remaining_out, self.visited_edge
+        unvisited, head = self.unvisited, self.head
         visit_stamp, region, stamp = self.visit_stamp, self.region, self.stamp
         edges: List[int] = []
         vertices = [root]
         visit_stamp[root] = stamp
         v = root
         while len(edges) < self.d_max:
-            # First edge of the best rank in the static order.
-            best_rank, eid, u = 4, -1, -1
-            for k in range(indptr[v], indptr[v + 1]):
-                if visited_edge[succ_eid[k]]:
-                    continue
-                dst = succ_dst[k]
+            # First unvisited edge of the best rank in the static order.
+            out = unvisited[v]
+            best_rank, best, u = 4, -1, -1
+            for k, eid in enumerate(out):
+                dst = head[eid]
                 rank = (2 if visit_stamp[dst] == stamp else 0) + (
-                    0 if remaining_out[dst] else 1
+                    0 if unvisited[dst] else 1
                 )
                 if rank < best_rank:
-                    best_rank, eid, u = rank, succ_eid[k], dst
+                    best_rank, best, u = rank, k, dst
                     if rank == 0:
                         break
-            if eid < 0:
+            if best < 0:
                 break
-            visited_edge[eid] = True
-            remaining_out[v] -= 1
-            edges.append(eid)
+            edges.append(out.pop(best))
             vertices.append(u)
             if visit_stamp[u] == stamp or not lo <= u < hi:
                 break  # path ends at an on-path or non-local vertex
@@ -314,33 +310,22 @@ def _merge_head_to_tail(
     the bound's whole point — and the invariant stays machine-checkable).
     """
     k = len(vertex_paths)
-    inner_count: Dict[int, int] = defaultdict(int)
+    inner_count = [0] * graph.num_vertices
     for vs in vertex_paths:
         for v in vs[1:-1]:
             inner_count[v] += 1
 
+    # Each head's paths in descending id order: the lowest unconsumed
+    # candidate is at the end, and consumed ones are popped off it.
     by_head: Dict[int, List[int]] = defaultdict(list)
-    for i, vs in enumerate(vertex_paths):
-        by_head[vs[0]].append(i)
+    for i in reversed(range(k)):
+        by_head[vertex_paths[i][0]].append(i)
     consumed = [False] * k
 
     in_deg = graph.in_degree().tolist()
     out_deg = graph.out_degree().tolist()
     if region is not None:
         region = region.tolist()
-
-    def may_join(junction: int) -> bool:
-        if in_deg[junction] > 1 and out_deg[junction] > 1:
-            return inner_count[junction] == 0
-        return True
-
-    def same_region(a: List[int], b: List[int]) -> bool:
-        # SCC-aware mode: never re-join what the walk kept apart — a
-        # merge across region boundaries would recreate the cross-region
-        # dependency cycles the decomposition avoided.
-        if region is None:
-            return True
-        return region[a[0]] == region[b[-2 if len(b) > 1 else 0]]
 
     merged_vertices: List[List[int]] = []
     merged_segments: List[List[int]] = []
@@ -351,21 +336,32 @@ def _merge_head_to_tail(
         if consumed[start]:
             continue
         consumed[start] = True
-        chain_vs = list(vertex_paths[start])
-        chain_seg = list(segments[start])
+        # A path that joins nothing (most of them) is returned as is; the
+        # first join copies it, since the input lists are the caller's.
+        chain_vs, chain_seg = vertex_paths[start], segments[start]
         while True:
             tail = chain_vs[-1]
-            candidates = by_head.get(tail, ())
+            # Every candidate's head is ``tail``, so the junction rule and
+            # the region rule are one test per extension. SCC-aware mode
+            # never re-joins what the walk kept apart: a merge across
+            # region boundaries would recreate the cross-region dependency
+            # cycles the decomposition avoided.
+            if (
+                in_deg[tail] > 1 and out_deg[tail] > 1 and inner_count[tail]
+            ) or (
+                region is not None
+                and len(chain_vs) > 1
+                and region[tail] != region[chain_vs[-2]]
+            ):
+                break
+            candidates = by_head.get(tail, [])
+            while candidates and consumed[candidates[-1]]:
+                candidates.pop()
             nxt = None
-            for j in candidates:
-                if (
-                    not consumed[j]
-                    and may_join(tail)
-                    and same_region(vertex_paths[j], chain_vs)
-                    and (
-                        max_edges is None
-                        or len(chain_seg) + len(segments[j]) <= max_edges
-                    )
+            for j in reversed(candidates):
+                if not consumed[j] and (
+                    max_edges is None
+                    or len(chain_seg) + len(segments[j]) <= max_edges
                 ):
                     nxt = j
                     break
@@ -374,6 +370,8 @@ def _merge_head_to_tail(
             consumed[nxt] = True
             # The junction becomes an inner vertex of the merged path.
             inner_count[tail] += 1
+            if chain_seg is segments[start]:
+                chain_vs, chain_seg = list(chain_vs), list(chain_seg)
             chain_vs.extend(vertex_paths[nxt][1:])
             chain_seg.extend(segments[nxt])
         merged_vertices.append(chain_vs)

@@ -16,6 +16,7 @@ Everything is seeded and deterministic.
 
 from __future__ import annotations
 
+import bisect
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -96,6 +97,24 @@ def random_dag(n: int, m: int, seed: int = 0) -> DiGraphCSR:
     return from_edges(sorted(edges), num_vertices=n)
 
 
+class _ZipfDraw:
+    """Zipf-weighted draws of ranks ``0 .. size - 1``.
+
+    ``draw(rng, count)`` is bit for bit ``rng.choice(size, size=count,
+    p=draw.pmf)`` on NumPy 2.x: ``count`` uniforms searched in the pmf's
+    cumsum renormalised to end at 1, a CDF built here once, not per call.
+    """
+
+    def __init__(self, size: int, exponent: float) -> None:
+        pmf = np.arange(1, size + 1, dtype=np.float64) ** (-exponent)
+        self.pmf = pmf / pmf.sum()
+        self.cdf = self.pmf.cumsum()
+        self.cdf /= self.cdf[-1]
+
+    def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.cdf.searchsorted(rng.random(count), side="right")
+
+
 def power_law_directed(
     n: int, avg_out_degree: float, exponent: float = 2.1, seed: int = 0
 ) -> DiGraphCSR:
@@ -110,9 +129,7 @@ def power_law_directed(
     if avg_out_degree <= 0:
         raise GraphError("avg_out_degree must be positive")
     rng = np.random.default_rng(seed)
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    probs = ranks ** (-exponent)
-    probs /= probs.sum()
+    zipf = _ZipfDraw(n, exponent)
     # Hot vertices get the low ranks; shuffle the rank->vertex assignment so
     # hotness is not correlated with vertex id.
     perm = rng.permutation(n)
@@ -122,7 +139,7 @@ def power_law_directed(
         k = int(out_deg[src])
         if k == 0:
             continue
-        targets = perm[rng.choice(n, size=k, p=probs)]
+        targets = perm[zipf(rng, k)]
         for dst in targets:
             if int(dst) != src:
                 edges.add((src, int(dst)))
@@ -291,26 +308,18 @@ def _build_layered(
     in_window = (layer_of >= best_lo) & (layer_of < best_hi)
 
     # Zipf hotness within each layer.
-    def hot_pick(layer: int, count: int) -> np.ndarray:
-        members = layer_members[layer]
-        ranks = np.arange(1, members.size + 1, dtype=np.float64)
-        probs = ranks ** (-hot_exponent)
-        probs /= probs.sum()
-        return members[rng.choice(members.size, size=count, p=probs)]
+    hot = [_ZipfDraw(members.size, hot_exponent) for members in layer_members]
 
     edges: Set[Tuple[int, int]] = set()
     # Out-degree budgets correlate with in-degree hotness: a vertex's Zipf
-    # weight within its layer governs both how often it is *targeted* (see
-    # hot_pick) and how many out-edges it gets. Real web/social hubs have
+    # weight within its layer governs both how often it is *targeted* (the
+    # draw below) and how many out-edges it gets. Real web/social hubs have
     # correlated in/out degree; without this, trails through hubs die
     # immediately (in-excess forces sum(max(0, in-out)) trail endings) and
     # no path decomposition can reach the paper's average path lengths.
     hotness = np.empty(n, dtype=np.float64)
-    for members in layer_members:
-        ranks = np.arange(1, members.size + 1, dtype=np.float64)
-        probs = ranks ** (-hot_exponent)
-        probs /= probs.sum()
-        hotness[members] = probs * members.size  # mean 1 within the layer
+    for members, zipf in zip(layer_members, hot):
+        hotness[members] = zipf.pmf * members.size  # mean 1 within the layer
     mean_budget = np.maximum(
         avg_degree * (0.3 + 0.7 * hotness), 0.1
     )
@@ -346,7 +355,8 @@ def _build_layered(
             # Retry a few times on hot-target collisions so the realized
             # average degree tracks the requested one.
             for _retry in range(4):
-                dst = int(hot_pick(target_layer, 1)[0])
+                rank = hot[target_layer](rng, 1)[0]
+                dst = int(layer_members[target_layer][rank])
                 if dst != v and (v, dst) not in edges:
                     edges.add((v, dst))
                     break
@@ -534,6 +544,7 @@ def mutation_trace(
     edges: Set[Tuple[int, int]] = set()
     for src, dst, _ in graph.edges():
         edges.add((int(src), int(dst)))
+    live = sorted(edges)  # ``edges`` in order: deletes / reweights index it
 
     def draw_insert() -> Optional[Tuple[int, int]]:
         for _ in range(64):
@@ -569,18 +580,17 @@ def mutation_trace(
                 weight = float(rng.uniform(1.0, 10.0))
                 mutations.append(Mutation.insert(u, v, weight=weight))
                 edges.add((u, v))
+                bisect.insort(live, (u, v))
             elif kind == "delete":
-                if not edges:
+                if not live:
                     continue
-                candidates = sorted(edges)
-                u, v = candidates[int(rng.integers(0, len(candidates)))]
+                u, v = live.pop(int(rng.integers(0, len(live))))
                 mutations.append(Mutation.delete(u, v))
                 edges.discard((u, v))
             elif kind == "reweight":
-                if not edges:
+                if not live:
                     continue
-                candidates = sorted(edges)
-                u, v = candidates[int(rng.integers(0, len(candidates)))]
+                u, v = live[int(rng.integers(0, len(live)))]
                 weight = float(rng.uniform(1.0, 10.0))
                 mutations.append(Mutation.reweight(u, v, weight))
             else:

@@ -19,17 +19,27 @@ UNREACHED = -1
 
 
 def bfs_levels(graph: DiGraphCSR, source: int) -> np.ndarray:
-    """Hop distance from ``source`` to every vertex (``-1`` if unreached)."""
-    levels = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
+    """Hop distance from ``source`` to every vertex (``-1`` if unreached).
+
+    Expands a whole frontier per level; a vertex's hop level does not
+    depend on the order its level is found in, so a queue gives the same.
+    """
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise GraphError(f"vertex {source} out of range for {n} vertices")
+    levels = np.full(n, UNREACHED, dtype=np.int64)
     levels[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        next_level = levels[v] + 1
-        for u in graph.successors(v):
-            if levels[u] == UNREACHED:
-                levels[u] = next_level
-                queue.append(int(u))
+    indptr, indices = graph.indptr, graph.indices
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size:
+        level = levels[frontier[0]] + 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # The frontier's CSR slices, concatenated.
+        slots = np.repeat(starts - (counts.cumsum() - counts), counts)
+        reached = indices[slots + np.arange(slots.size)]
+        frontier = np.unique(reached[levels[reached] == UNREACHED])
+        levels[frontier] = level
     return levels
 
 
