@@ -138,8 +138,12 @@ class BatchKernel(abc.ABC):
         Returns ``(targets, seg_offsets)`` with vertex ``dst[i]``'s
         dependents at ``targets[seg_offsets[i]:seg_offsets[i + 1]]``.
         """
-        positions, seg_offsets = batch_segments(self.graph.indptr, dst)
+        positions, seg_offsets = self.out_segments(dst)
         return self.graph.indices[positions], seg_offsets
+
+    def out_segments(self, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, seg_offsets)`` of the batch's CSR out-edges."""
+        return batch_segments(self.graph.indptr, self.graph.out_degree(), dst)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -154,17 +158,13 @@ class InEdgeKernel(BatchKernel):
             self._csc_sources,
             self._csc_weights,
         ) = self.graph.csc_arrays()
+        self._in_degree = self.graph.in_degree()
 
     def gather_segments(
         self, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, weights, seg_offsets)`` of the batch."""
-        positions, seg_offsets = batch_segments(self._csc_indptr, dst)
-        return (
-            self._csc_sources[positions],
-            self._csc_weights[positions],
-            seg_offsets,
-        )
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """CSC ``(positions, seg_offsets)``; index only what is read."""
+        return batch_segments(self._csc_indptr, self._in_degree, dst)
 
 
 class BothEdgeKernel(InEdgeKernel):
@@ -173,14 +173,14 @@ class BothEdgeKernel(InEdgeKernel):
 
     def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
         dst = np.asarray(dst, dtype=np.int64)
-        return self.graph.in_degree()[dst] + self.graph.out_degree()[dst]
+        return self._in_degree[dst] + self.graph.out_degree()[dst]
 
     def batch_dependents(
         self, dst: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         # Scalar order: out-neighbors, then in-neighbors, per vertex.
-        out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
-        in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
+        out_pos, out_offsets = self.out_segments(dst)
+        in_pos, in_offsets = self.gather_segments(dst)
         return interleave_segments(
             self.graph.indices[out_pos],
             out_offsets,

@@ -34,7 +34,8 @@ class PageRankKernel(InEdgeKernel):
 
     def _in_sum(self, dst: np.ndarray, states: np.ndarray) -> np.ndarray:
         """``sum_{u->v} state(u) / out_degree(u)`` per batch vertex."""
-        sources, _, seg_offsets = self.gather_segments(dst)
+        positions, seg_offsets = self.gather_segments(dst)
+        sources = self._csc_sources[positions]
         # Every gather source has >= 1 out-edge (the one being gathered),
         # so the division is always defined.
         contrib = np.asarray(states)[..., sources] / self._out_degree[sources]
@@ -98,7 +99,8 @@ class AdsorptionKernel(InEdgeKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, weights, seg_offsets = self.gather_segments(dst)
+        positions, seg_offsets = self.gather_segments(dst)
+        weights = self._csc_weights[positions]
         denom = np.repeat(
             self._in_weight_sum[dst], seg_offsets[1:] - seg_offsets[:-1]
         )
@@ -108,7 +110,7 @@ class AdsorptionKernel(InEdgeKernel):
             out=np.zeros_like(weights),
             where=denom != 0.0,
         )
-        contrib = np.asarray(states)[..., sources] * ratio
+        contrib = np.asarray(states)[..., self._csc_sources[positions]] * ratio
         acc = segment_sum_ordered(contrib, seg_offsets)
         new = self._p_inj * self._injection[..., dst] + self._p_cont * acc
         changed = ~(np.abs(new - old) <= self._tolerance)

@@ -18,7 +18,7 @@ from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WeaklyConnectedComponents
 from repro.kernels.base import BothEdgeKernel, InEdgeKernel
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import batch_segments, segment_max, segment_min
+from repro.kernels.segment import segment_max, segment_min
 
 
 class _MinRelaxKernel(InEdgeKernel):
@@ -28,9 +28,9 @@ class _MinRelaxKernel(InEdgeKernel):
         super()._bind()
         self._source = self.stack(lambda p: p.source)
 
-    #: Per-edge relaxation step; overridden per program.
+    #: Per-edge step over the CSC ``positions``; overridden per program.
     def _relax(
-        self, source_states: np.ndarray, weights: np.ndarray
+        self, source_states: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -38,10 +38,11 @@ class _MinRelaxKernel(InEdgeKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, weights, seg_offsets = self.gather_segments(dst)
+        positions, seg_offsets = self.gather_segments(dst)
+        sources = self._csc_sources[positions]
         # inf + finite == inf, so unreached sources propagate the scalar
         # guard's INFINITY without a branch.
-        values = self._relax(np.asarray(states)[..., sources], weights)
+        values = self._relax(np.asarray(states)[..., sources], positions)
         acc = segment_min(values, seg_offsets, identity=np.inf)
         new = np.where(acc < old, acc, old)
         new = np.where(dst == self._source, 0.0, new)
@@ -53,9 +54,9 @@ class SSSPKernel(_MinRelaxKernel):
     """``new = min(old, min_{u->v} dist(u) + w)``, source pinned to 0."""
 
     def _relax(
-        self, source_states: np.ndarray, weights: np.ndarray
+        self, source_states: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
-        return source_states + weights
+        return source_states + self._csc_weights[positions]
 
 
 @register_kernel(BFSLevels)
@@ -63,7 +64,7 @@ class BFSKernel(_MinRelaxKernel):
     """SSSP over unit hop counts."""
 
     def _relax(
-        self, source_states: np.ndarray, weights: np.ndarray
+        self, source_states: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
         return source_states + 1.0
 
@@ -76,8 +77,8 @@ class WCCKernel(BothEdgeKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         states = np.asarray(states)
-        in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
-        out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
+        in_pos, in_offsets = self.gather_segments(dst)
+        out_pos, out_offsets = self.out_segments(dst)
         acc = np.minimum(
             segment_min(
                 states[..., self._csc_sources[in_pos]], in_offsets
@@ -107,10 +108,9 @@ class ReachabilityKernel(InEdgeKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
-        sources, _, seg_offsets = self.gather_segments(dst)
-        acc = segment_max(
-            np.asarray(states)[..., sources], seg_offsets, identity=0.0
-        )
+        positions, seg_offsets = self.gather_segments(dst)
+        gathered = np.asarray(states)[..., self._csc_sources[positions]]
+        acc = segment_max(gathered, seg_offsets, identity=0.0)
         new = np.where(
             self._source_mask[..., dst],
             1.0,

@@ -10,12 +10,12 @@ Bit-equivalence contract
 The scalar engines fold gather values with a left-to-right loop
 (``acc = accumulate(acc, g)``). ``np.add.reduceat`` does **not**
 reproduce that order for long segments (NumPy blocks the inner loop), so
-:func:`segment_sum_ordered` implements the sum as a positional sweep:
-iteration ``i`` adds every segment's ``i``-th element to its accumulator
-with one vectorized ``+``. Per segment that is exactly
-``((0.0 + x_0) + x_1) + ...`` — the same IEEE-754 operations in the same
-order as the scalar loop, so sums agree *bit for bit*. Min/max are
-order-insensitive (exact under any association), so they use
+:func:`segment_sum_ordered` is one weighted ``np.bincount`` over each
+value's segment id: ``bincount`` runs ``out[id[i]] += w[i]`` in index
+order from zeroed bins, so per segment that is exactly
+``((0.0 + x_0) + x_1) + ...`` — the same IEEE-754 operations in the
+same order as the scalar loop, and sums agree *bit for bit*. Min/max
+are order-insensitive (exact under any association), so they use
 ``reduceat`` with empty-segment masking.
 
 Every reduction folds the **last** axis of ``values``; leading axes (one
@@ -38,9 +38,10 @@ import numpy as np
 
 
 def batch_segments(
-    indptr: np.ndarray, targets: np.ndarray
+    indptr: np.ndarray, degree: np.ndarray, targets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate the ``indptr`` slices of ``targets``.
+    """Concatenate the ``indptr`` slices of ``targets``; ``degree`` is
+    ``np.diff(indptr)``, cached by the caller (the graph's degrees).
 
     Returns ``(positions, seg_offsets)``: ``positions`` indexes the data
     arrays parallel to ``indptr`` (e.g. CSC sources/weights), segment
@@ -49,7 +50,7 @@ def batch_segments(
     """
     targets = np.asarray(targets, dtype=np.int64)
     starts = indptr[targets]
-    counts = indptr[targets + 1] - starts
+    counts = degree[targets]
     seg_offsets = np.zeros(targets.size + 1, dtype=np.int64)
     counts.cumsum(out=seg_offsets[1:])
     positions = (starts - seg_offsets[:-1]).repeat(counts) + np.arange(
@@ -94,32 +95,24 @@ def segment_sum_ordered(
 ) -> np.ndarray:
     """Left-to-right segment sums, bit-identical to the scalar fold.
 
-    Segments are sorted by length (descending) so sweep ``i`` touches a
-    shrinking *prefix* of accumulators, and ``values`` is gathered once
-    into position-major order (every segment's 0th element, then every
-    1st, ...) so that prefix meets a plain slice; neither reordering
-    changes a segment's own addition order. All sweep widths come from
-    one ``searchsorted``.
+    One ``np.bincount``: value ``j`` of row ``r`` carries id ``r * nseg
+    + seg(j)``, and ``bincount`` adds the weights into their bins one by
+    one in index order starting from ``0.0`` — per segment the scalar
+    fold ``((0.0 + x_0) + x_1) + ...``. With no segments or no values
+    the zeros are built directly: ``bincount`` of an empty id array
+    returns int64, not float64.
     """
-    starts = seg_offsets[:-1]
-    counts = seg_offsets[1:] - starts
+    counts = seg_offsets[1:] - seg_offsets[:-1]
     nseg = counts.size
-    acc = np.zeros(values.shape[:-1] + (nseg,), dtype=np.float64)
-    if nseg == 0 or values.shape[-1] == 0:
-        return acc
-    order = (-counts).argsort(kind="stable")
-    sorted_counts = counts[order]
-    depth = np.arange(sorted_counts[0])
-    widths = nseg - sorted_counts[::-1].searchsorted(depth, side="right")
-    lows = widths.cumsum() - widths
-    rank = np.arange(values.shape[-1]) - lows.repeat(widths)
-    swept = values[..., starts[order][rank] + depth.repeat(widths)]
-    for lo, k in zip(lows.tolist(), widths.tolist()):
-        head = acc[..., :k]
-        np.add(head, swept[..., lo : lo + k], out=head)
-    out = np.empty_like(acc)
-    out[..., order] = acc
-    return out
+    lead = values.shape[:-1]
+    if nseg == 0 or values.size == 0:
+        return np.zeros(lead + (nseg,), dtype=np.float64)
+    ids = np.arange(nseg).repeat(counts)
+    bins = values.size // values.shape[-1] * nseg
+    if lead:
+        ids = (ids + np.arange(0, bins, nseg)[:, None]).ravel()
+    out = np.bincount(ids, weights=values.ravel(), minlength=bins)
+    return out.reshape(lead + (nseg,))
 
 
 def _segment_reduceat(

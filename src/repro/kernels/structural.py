@@ -14,7 +14,7 @@ import numpy as np
 from repro.algorithms.kcore import KCore
 from repro.kernels.base import BothEdgeKernel
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import batch_segments, segment_sum_ordered
+from repro.kernels.segment import segment_sum_ordered
 
 
 @register_kernel(KCore)
@@ -29,8 +29,8 @@ class KCoreKernel(BothEdgeKernel):
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         states = np.asarray(states)
-        in_pos, in_offsets = batch_segments(self._csc_indptr, dst)
-        out_pos, out_offsets = batch_segments(self.graph.indptr, dst)
+        in_pos, in_offsets = self.gather_segments(dst)
+        out_pos, out_offsets = self.out_segments(dst)
         alive_in = (states[..., self._csc_sources[in_pos]] > 0.0).astype(
             np.float64
         )

@@ -53,6 +53,9 @@ from repro.serve.context import ServingContext
 #: Fixed cost of one kernel launch (real CUDA launch overhead ballpark).
 KERNEL_LAUNCH_OVERHEAD_S = 3.5e-6
 
+#: ``ndarray.any`` minus its method wrapper, for the solve loop's masks.
+_any = np.logical_or.reduce
+
 
 def lane_digest(states: np.ndarray) -> str:
     """sha256 over the exact float64 bytes of one lane's final states."""
@@ -163,7 +166,7 @@ class MultiSourceSolver:
         when it is launched (a launch selects every active vertex of
         the batch), so the sweep never gathers an idle batch."""
         pending = np.zeros(len(self.context.layer_batches), dtype=bool)
-        pending[self.context.batch_of_vertex[active.any(axis=0)]] = True
+        pending[self.context.batch_of_vertex[_any(active, axis=0)]] = True
         return pending
 
     def solve(self, time_budget_s: Optional[float] = None) -> SolveResult:
@@ -190,7 +193,7 @@ class MultiSourceSolver:
         batch_of_vertex = context.batch_of_vertex
         pending = self._pending_batches(active)
         k = len(self.programs)
-        live = active.any(axis=1)
+        live = _any(active, axis=1)
         lane_rounds = np.zeros(k, dtype=np.int64)
         launches = 0
         edge_lane_work = 0
@@ -203,7 +206,7 @@ class MultiSourceSolver:
             frontier; read-only: ``(sel, old, new, changed)``."""
             nonlocal launches, edge_lane_work, modeled
             batch = batches[b]
-            sel = batch[active[:, batch].any(axis=0)]
+            sel = batch[_any(active[:, batch], axis=0)]
             if self.fault_hook is not None:
                 try:
                     self.fault_hook(launches)
@@ -222,7 +225,7 @@ class MultiSourceSolver:
             old = states[:, sel]
             return (sel, old, *kernel.batch_update(sel, states, old))
 
-        while pending.any():
+        while _any(pending):
             if time_budget_s is not None and rounds >= 1:
                 if modeled + round_cost > time_budget_s:
                     break
@@ -232,7 +235,7 @@ class MultiSourceSolver:
                 raise ConvergenceError(
                     f"multi-source {kernel.name} did not converge",
                     rounds=rounds,
-                    active_vertices=int(active.any(axis=0).sum()),
+                    active_vertices=int(_any(active, axis=0).sum()),
                 )
             rounds += 1
             round_start_s = modeled
@@ -255,7 +258,7 @@ class MultiSourceSolver:
                 # Read the other way, the same invariant says a vertex
                 # no lane changed has nobody to activate: dependents are
                 # built for the moved vertices only.
-                (moved,) = changed.any(axis=0).nonzero()
+                (moved,) = _any(changed, axis=0).nonzero()
                 if moved.size:
                     targets, seg_offsets = kernel.batch_dependents(sel[moved])
                     lanes, cols = changed[:, moved].repeat(
@@ -263,11 +266,11 @@ class MultiSourceSolver:
                     ).nonzero()
                     active[lanes, targets[cols]] = True
                     pending[batch_of_vertex[targets]] = True
-            still = active.any(axis=1)
+            still = _any(active, axis=1)
             lane_rounds[live & ~still] = rounds
             live &= still
             round_cost = modeled - round_start_s
-        lane_converged = ~active.any(axis=1)
+        lane_converged = ~_any(active, axis=1)
         residuals = [0.0] * k
         if not lane_converged.all():
             # Read-only residual pass: recompute the union frontier

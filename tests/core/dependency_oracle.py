@@ -41,7 +41,9 @@ def dependency_product(
     num_vertices = int(max(written.max(initial=-1), read.max(initial=-1))) + 1
     readers_at = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(read, minlength=num_vertices), out=readers_at[1:])
-    positions, offsets = batch_segments(readers_at, written)
+    positions, offsets = batch_segments(
+        readers_at, np.diff(readers_at), written
+    )
     src = np.repeat(writer, np.diff(offsets))
     dst = reader[positions]
     distinct = src != dst

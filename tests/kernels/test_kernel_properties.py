@@ -118,7 +118,7 @@ def test_batch_segments_matches_slicing(data):
         ),
         dtype=np.int64,
     )
-    positions, seg_offsets = batch_segments(indptr, targets)
+    positions, seg_offsets = batch_segments(indptr, np.diff(indptr), targets)
     assert seg_offsets[0] == 0 and seg_offsets[-1] == positions.size
     for i, v in enumerate(targets):
         seg = positions[seg_offsets[i] : seg_offsets[i + 1]]

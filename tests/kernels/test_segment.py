@@ -4,9 +4,11 @@
 well-behaved floats; this file pins what the lane solver leans on: the
 ordered sum's per-row addition order on values where order (or a wrong
 starting accumulator) shows — ``inf``, ``-inf``, ``NaN``, ``-0.0``,
-``2**60`` — with empty segments wherever they can sit, the lane-axis
-min / max against their 1-D forms, and ``batch_segments`` against
-``indptr`` slicing.
+``2**60`` — with empty segments wherever they can sit (the all-empty
+case catches ``np.bincount``'s int64 result on no ids), on an input
+where ``reduceat``'s order gives other bytes, and on 1 200 seeded random
+cases; the lane-axis min / max against their 1-D forms, and
+``batch_segments`` against ``indptr`` slicing.
 """
 
 import numpy as np
@@ -99,19 +101,48 @@ def test_ordered_sum_is_the_left_fold_bitwise(name, lanes):
 
 @pytest.mark.parametrize("lanes", [1, 8])
 def test_ordered_sum_300_ragged_segments(lanes):
-    """Long enough that ``reduceat``'s blocked order would differ, with
-    many distinct lengths so every sweep width is exercised."""
+    """Many distinct lengths, one segment of 260, on an input where the
+    addition order provably shows: ``reduceat``'s blocked order gives
+    other bytes on some segments, so a fold in any order but the left
+    one cannot pass."""
     rng = np.random.default_rng(300 + lanes)
     counts = rng.integers(0, 40, size=300)
     counts[[0, 150, 299]] = 0
     counts[7] = 260
     seg_offsets = offsets_of(counts)
     values = draw_values(rng, lanes, int(seg_offsets[-1]))
+    expected = np.stack([left_fold(row, seg_offsets) for row in values])
+    nonempty = counts > 0
+    blocked = np.add.reduceat(values, seg_offsets[:-1][nonempty], axis=-1)
+    # 36 of 289 segments at 1 lane, 243 of 2 304 at 8 on NumPy 2.4.
+    fold_bits = expected[:, nonempty].view(np.uint64)
+    assert (blocked.view(np.uint64) != fold_bits).any()
     result = segment_sum_ordered(values, seg_offsets)
-    for i in range(lanes):
-        assert (
-            result[i].tobytes() == left_fold(values[i], seg_offsets).tobytes()
-        )
+    assert result.tobytes() == expected.tobytes()
+
+
+def test_ordered_sum_random_differential():
+    """1 200 seeded cases: 1-8 lanes, up to 16 segments, an empty segment
+    forced at the front, the middle or the end in turn, values salted
+    with ``SPECIALS``."""
+    rng = np.random.default_rng(2024)
+    for case in range(1200):
+        lanes = int(rng.integers(1, 9))
+        counts = rng.integers(0, 9, size=int(rng.integers(0, 17)))
+        counts[rng.random(counts.size) < 0.2] = 0
+        if counts.size:
+            counts[(0, counts.size // 2, -1)[case % 3]] = 0
+        seg_offsets = offsets_of(counts)
+        values = draw_values(rng, lanes, int(seg_offsets[-1]))
+        expected = np.stack([left_fold(row, seg_offsets) for row in values])
+        result = segment_sum_ordered(values, seg_offsets)
+        assert result.dtype == np.float64, case
+        assert result.tobytes() == expected.tobytes(), case
+        if lanes == 1:
+            assert (
+                segment_sum_ordered(values[0], seg_offsets).tobytes()
+                == expected[0].tobytes()
+            ), case
 
 
 def test_ordered_sum_does_not_touch_its_input():
@@ -166,7 +197,7 @@ def test_batch_segments_equals_concatenated_indptr_slices():
         list(range(7)),
     ):
         positions, seg_offsets = batch_segments(
-            indptr, np.array(targets, dtype=np.int64)
+            indptr, np.diff(indptr), np.array(targets, dtype=np.int64)
         )
         slices = [np.arange(indptr[t], indptr[t + 1]) for t in targets]
         expected = (
