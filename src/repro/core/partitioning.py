@@ -189,6 +189,9 @@ class _Walk:
       destination id, then lowest edge id — from one ``np.lexsort``. A
       visited edge leaves the list, so a step scans only what it may take,
       and "is this successor exhausted" is "is its list empty";
+    - ``dead[v]`` counts the leading edges of ``unvisited[v]`` whose
+      successor is exhausted. Exhaustion is permanent, so the count only
+      grows, except when a step takes an edge from inside that prefix;
     - ``head[e]`` is edge ``e``'s destination.
     """
 
@@ -211,6 +214,7 @@ class _Walk:
         self.unvisited = [
             order[indptr[v] : indptr[v + 1]] for v in range(graph.num_vertices)
         ]
+        self.dead = [0] * graph.num_vertices
         self.head = graph.indices.tolist()
         # Stamp 0 means "never visited"; every traversal gets a fresh one.
         self.visit_stamp = [0] * graph.num_vertices
@@ -258,18 +262,24 @@ class _Walk:
         (line 4's local-subgraph restriction) and at vertices with no
         unvisited out-edges.
         """
-        unvisited, head = self.unvisited, self.head
+        unvisited, head, dead = self.unvisited, self.head, self.dead
         visit_stamp, region, stamp = self.visit_stamp, self.region, self.stamp
         edges: List[int] = []
         vertices = [root]
         visit_stamp[root] = stamp
         v = root
-        while len(edges) < self.d_max:
+        d_max = self.d_max
+        while len(edges) < d_max:
             # First unvisited edge of the best rank in the static order.
+            # The dead prefix ranks 1 or 3, so the search starts past it.
             out = unvisited[v]
+            size = len(out)
+            d = dead[v]
+            while d < size and not unvisited[head[out[d]]]:
+                d += 1
             best_rank, best, u = 4, -1, -1
-            for k, eid in enumerate(out):
-                dst = head[eid]
+            for k in range(d, size):
+                dst = head[out[k]]
                 rank = (2 if visit_stamp[dst] == stamp else 0) + (
                     0 if unvisited[dst] else 1
                 )
@@ -277,8 +287,20 @@ class _Walk:
                     best_rank, best, u = rank, k, dst
                     if rank == 0:
                         break
+            if best_rank and d:
+                # No rank-0 edge: a rank-1 edge in the prefix comes before
+                # anything after it, and failing one, the prefix's first
+                # edge (rank 3) beats only a rank 3 after it.
+                for k in range(d):
+                    if visit_stamp[head[out[k]]] != stamp:
+                        best_rank, best, u = 1, k, head[out[k]]
+                        break
+                else:
+                    if best_rank >= 3:
+                        best_rank, best, u = 3, 0, head[out[0]]
             if best < 0:
                 break
+            dead[v] = d - 1 if best < d else d
             edges.append(out.pop(best))
             vertices.append(u)
             if visit_stamp[u] == stamp or not lo <= u < hi:

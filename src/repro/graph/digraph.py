@@ -209,30 +209,36 @@ class DiGraphCSR:
     def subgraph_vertices(self, vertices: Sequence[int]) -> "DiGraphCSR":
         """Induced subgraph on ``vertices``, relabelled to ``0..k-1``.
 
-        Vertex ``vertices[i]`` becomes vertex ``i`` in the result.
+        The ids are deduplicated and taken in ascending order: the
+        ``i``-th smallest distinct id becomes vertex ``i``, whatever order
+        ``vertices`` lists them in. Each kept vertex's surviving out-edges
+        stay in CSR order.
         """
-        vertices = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-        if vertices.size and (
-            vertices[0] < 0 or vertices[-1] >= self.num_vertices
-        ):
+        ids = np.asarray(vertices, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_vertices):
             raise GraphError("subgraph vertex out of range")
-        remap = -np.ones(self.num_vertices, dtype=np.int64)
-        remap[vertices] = np.arange(vertices.size)
-        indptr = [0]
-        indices = []
-        weights = []
-        for v in vertices:
-            dsts = self.successors(int(v))
-            wts = self.out_weights(int(v))
-            keep = remap[dsts] >= 0
-            indices.extend(remap[dsts[keep]].tolist())
-            weights.extend(wts[keep].tolist())
-            indptr.append(len(indices))
-        return DiGraphCSR(
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(weights, dtype=np.float64),
-        )
+        remap = np.full(self.num_vertices, -1, dtype=np.int64)
+        remap[ids] = 0
+        kept = np.flatnonzero(remap == 0)
+        remap[kept] = np.arange(kept.size)
+        eids, counts = self.out_edge_slices(kept)
+        dsts = remap[self._indices[eids]]
+        inside = dsts >= 0
+        rows = np.repeat(np.arange(kept.size), counts)[inside]
+        indptr = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=kept.size), out=indptr[1:])
+        return DiGraphCSR(indptr, dsts[inside], self._weights[eids[inside]])
+
+    def out_edge_slices(
+        self, vertices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(edge ids, counts)``: the out-edge ids of each of
+        ``vertices`` (an int64 array, repeats allowed), slice after slice,
+        and how many each contributes."""
+        starts = self._indptr[vertices]
+        counts = self._indptr[vertices + 1] - starts
+        slots = np.repeat(starts - (counts.cumsum() - counts), counts)
+        return slots + np.arange(slots.size), counts
 
     # ------------------------------------------------------------------
     # misc

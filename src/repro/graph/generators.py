@@ -17,12 +17,15 @@ Everything is seeded and deterministic.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
+import operator
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.builder import from_edges
+from repro.graph.builder import GraphBuilder, from_edges, sorted_unique
 from repro.graph.digraph import DiGraphCSR
 from repro.knobs import Knob
 
@@ -103,6 +106,9 @@ class _ZipfDraw:
     ``draw(rng, count)`` is bit for bit ``rng.choice(size, size=count,
     p=draw.pmf)`` on NumPy 2.x: ``count`` uniforms searched in the pmf's
     cumsum renormalised to end at 1, a CDF built here once, not per call.
+    ``draw.rank(u)`` is the rank one uniform ``u`` draws:
+    ``cdf.searchsorted(u, side="right")``, as ``bisect_right`` on the CDF
+    as a list.
     """
 
     def __init__(self, size: int, exponent: float) -> None:
@@ -110,9 +116,41 @@ class _ZipfDraw:
         self.pmf = pmf / pmf.sum()
         self.cdf = self.pmf.cumsum()
         self.cdf /= self.cdf[-1]
+        self.rank = functools.partial(bisect.bisect_right, self.cdf.tolist())
 
     def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.cdf.searchsorted(rng.random(count), side="right")
+
+
+class _UniformStream:
+    """The doubles successive ``rng.random()`` calls return, drawn ahead.
+
+    ``rng.random(k)`` yields the same doubles in the same order as ``k``
+    scalar calls, so ``draw()`` hands them out of chunks of ``chunk``,
+    each drawn when the last one runs out. :meth:`close` leaves ``rng``
+    where the scalar calls would have: it restores the state saved before
+    the last chunk and redraws only the doubles taken from it. (Not
+    ``bit_generator.advance``: that also clears the buffered half-word
+    ``rng.integers`` reads next.)
+    """
+
+    def __init__(self, rng: np.random.Generator, chunk: int) -> None:
+        self._rng, self._chunk = rng, chunk
+        self._saved = None  # bit-generator state before the current chunk
+        self._rest = iter(())  # what is left of the current chunk
+        self.draw = itertools.chain.from_iterable(self._chunks()).__next__
+
+    def _chunks(self):
+        while True:
+            self._saved = self._rng.bit_generator.state
+            self._rest = iter(self._rng.random(self._chunk).tolist())
+            yield self._rest
+
+    def close(self) -> None:
+        if self._saved is not None:
+            used = self._chunk - operator.length_hint(self._rest)
+            self._rng.bit_generator.state = self._saved
+            self._rng.random(used)
 
 
 def power_law_directed(
@@ -231,7 +269,12 @@ def scc_profile_graph(
             break
         tried.add(num_layers)
         graph = _build_layered(
-            n, avg_degree, giant_scc_fraction, num_layers, seed, hot_exponent
+            n,
+            avg_degree,
+            giant_scc_fraction,
+            num_layers,
+            np.random.default_rng(seed),
+            hot_exponent,
         )
         measured = _measure(
             graph, sample=32, rng=np.random.default_rng(seed + attempt)
@@ -259,13 +302,30 @@ def _relabel_random(
     gifting id-order engines a perfect processing schedule. Real dataset
     ids carry no such structure, so scramble them. (All metrics are
     label-invariant.)
+
+    Edges come out sorted by relabelled ``(src, dst)``; no two edges share
+    that pair, so it orders them as sorting the weighted triples did.
     """
     n = graph.num_vertices
     perm = rng.permutation(n)
-    edges = [
-        (int(perm[src]), int(perm[dst]), w) for src, dst, w in graph.edges()
-    ]
-    return from_edges(sorted(edges), num_vertices=n)
+    src, dst = perm[graph.edge_sources()], perm[graph.indices]
+    order = np.lexsort((dst, src))
+    return (
+        GraphBuilder(num_vertices=n)
+        .add_edge_arrays(src[order], dst[order], graph.weights[order])
+        .build()
+    )
+
+
+def _from_keys(keys: np.ndarray, n: int) -> DiGraphCSR:
+    """The graph of ascending packed edge keys ``src * n + dst``."""
+    src, dst = np.divmod(keys, n)
+    return GraphBuilder(num_vertices=n).add_edge_arrays(src, dst).build()
+
+
+#: Doubles per pre-drawn chunk of the layered build's uniform stream: the
+#: chunk, not the graph, bounds the stream's memory.
+_UNIFORM_CHUNK = 4096
 
 
 def _build_layered(
@@ -273,11 +333,10 @@ def _build_layered(
     avg_degree: float,
     giant_scc_fraction: float,
     num_layers: int,
-    seed: int,
+    rng: np.random.Generator,
     hot_exponent: float,
 ) -> DiGraphCSR:
     """One layered-crawl instance with a fixed layer count."""
-    rng = np.random.default_rng(seed)
     layer_of = np.sort(rng.integers(0, num_layers, size=n))
     layer_members: List[np.ndarray] = [
         np.flatnonzero(layer_of == l) for l in range(num_layers)
@@ -293,7 +352,6 @@ def _build_layered(
     # Pick the SCC window: contiguous layers centred in the chain whose
     # member count first reaches the target fraction.
     target_core = giant_scc_fraction * n
-    best_lo, best_hi = 0, num_layers  # fallback: everything
     size = 0
     lo = max(0, (num_layers - 1) // 4)
     hi = lo
@@ -310,7 +368,6 @@ def _build_layered(
     # Zipf hotness within each layer.
     hot = [_ZipfDraw(members.size, hot_exponent) for members in layer_members]
 
-    edges: Set[Tuple[int, int]] = set()
     # Out-degree budgets correlate with in-degree hotness: a vertex's Zipf
     # weight within its layer governs both how often it is *targeted* (the
     # draw below) and how many out-edges it gets. Real web/social hubs have
@@ -324,85 +381,93 @@ def _build_layered(
         avg_degree * (0.3 + 0.7 * hotness), 0.1
     )
     budget = rng.poisson(mean_budget) + 1
-    for v in range(n):
-        l = int(layer_of[v])
-        for _ in range(int(budget[v])):
-            r = rng.random()
-            if in_window[v] and r < 0.25 and l > best_lo:
+
+    # Every draw below (the slot's ``r`` and each retry's Zipf rank) takes
+    # exactly one ``rng.random()`` double, so one stream serves them all.
+    # Edges can only collide within one source: ``targets`` holds the
+    # current source's, and ``keys`` collects ``v * n + dst``.
+    uniforms = _UniformStream(rng, _UNIFORM_CHUNK)
+    draw = uniforms.draw
+    members = [m.tolist() for m in layer_members]
+    rank = [zipf.rank for zipf in hot]
+    keys: List[int] = []
+    for v, (l, window, slots) in enumerate(
+        zip(layer_of.tolist(), in_window.tolist(), budget.tolist())
+    ):
+        targets: Set[int] = set()
+        for _ in range(slots):
+            r = draw()
+            if window and r < 0.25 and l > best_lo:
                 target_layer = l - 1  # back-edge inside the SCC window
-            elif r < 0.40 and layer_members[l].size > 1:
+            elif r < 0.40 and len(members[l]) > 1:
                 target_layer = l  # same-layer edge
             elif l + 2 < num_layers and r < 0.50:
                 target_layer = l + 2  # skip edge
             elif l + 1 < num_layers:
                 target_layer = l + 1  # forward crawl edge
-            elif l > 0 and in_window[v] and l > best_lo:
+            elif l > 0 and window and l > best_lo:
                 target_layer = l - 1
             else:
                 target_layer = l
             # Back/same-layer targets outside the window would create
             # unwanted cycles in the periphery; clamp them forward.
-            if not in_window[v] and target_layer <= l:
+            if not window and target_layer <= l:
                 if l + 1 < num_layers:
                     target_layer = l + 1
                 else:
                     continue
             if target_layer <= l and not (
-                in_window[v] and best_lo <= target_layer < best_hi
+                window and best_lo <= target_layer < best_hi
             ):
                 if target_layer < l:
                     continue
             # Retry a few times on hot-target collisions so the realized
             # average degree tracks the requested one.
             for _retry in range(4):
-                rank = hot[target_layer](rng, 1)[0]
-                dst = int(layer_members[target_layer][rank])
-                if dst != v and (v, dst) not in edges:
-                    edges.add((v, dst))
+                dst = members[target_layer][rank[target_layer](draw())]
+                if dst != v and dst not in targets:
+                    targets.add(dst)
+                    keys.append(v * n + dst)
                     break
+    uniforms.close()
 
-    graph = from_edges(sorted(edges), num_vertices=n)
-    edges = _stitch_window_sccs(graph, np.flatnonzero(in_window), edges, rng)
-    return from_edges(sorted(edges), num_vertices=n)
+    staged = np.sort(np.asarray(keys, dtype=np.int64))
+    stitch = _stitch_window_sccs(
+        _from_keys(staged, n), np.flatnonzero(in_window), rng
+    )
+    return _from_keys(sorted_unique(np.concatenate([staged, stitch])), n)
 
 
 def _stitch_window_sccs(
-    graph: DiGraphCSR,
-    window: np.ndarray,
-    edges: Set[Tuple[int, int]],
-    rng: np.random.Generator,
-) -> Set[Tuple[int, int]]:
-    """Merge the window's SCCs into one by threading a cycle through them.
+    graph: DiGraphCSR, window: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Keys ``src * n + dst`` of the edges that merge the window's SCCs
+    into one by threading a cycle through them.
 
-    Components are ordered by their minimum layer position (vertex id order
-    approximates this since layers were assigned to sorted ids), and one
-    edge is added from each component to the next plus a closing back-edge,
-    turning the component chain into a single cycle — hence one SCC —
-    while only adding ``num_components`` edges.
+    One random member represents each component; the representatives
+    are threaded in ascending id order (ids follow layer order, since
+    layers were assigned to sorted ids), one edge from each to the next
+    plus a closing back-edge, turning the component chain into a single
+    cycle — hence one SCC — with only ``num_components`` edges.
     """
     # Import here to avoid a module cycle (scc imports builder).
-    from repro.graph.scc import strongly_connected_components
+    from repro.graph.scc import component_members, strongly_connected_components
 
+    none = np.empty(0, dtype=np.int64)
     if window.size == 0:
-        return edges
-    sub = graph.subgraph_vertices(window.tolist())
-    labels = strongly_connected_components(sub)
+        return none
+    labels = strongly_connected_components(graph.subgraph_vertices(window))
     num_components = int(labels.max()) + 1
     if num_components <= 1:
-        return edges
-    # A representative original vertex per component, ordered by the
-    # smallest original vertex id in the component.
-    reps: List[int] = []
-    for comp in range(num_components):
-        members = np.flatnonzero(labels == comp)
-        reps.append(int(window[members[rng.integers(0, members.size)]]))
-    reps.sort()
-    for i in range(len(reps)):
-        src = reps[i]
-        dst = reps[(i + 1) % len(reps)]
-        if src != dst:
-            edges.add((src, dst))
-    return edges
+        return none
+    # One ``rng.integers`` per component, in component order.
+    reps = np.sort(
+        [
+            window[members[rng.integers(0, len(members))]]
+            for members in component_members(labels, num_components)
+        ]
+    )
+    return reps * graph.num_vertices + np.roll(reps, -1)
 
 
 def add_bidirectional_edges(
@@ -541,10 +606,13 @@ def mutation_trace(
         raise GraphError(f"unknown trace mix {mix!r}")
     rng = np.random.default_rng(seed)
     n = graph.num_vertices
-    edges: Set[Tuple[int, int]] = set()
-    for src, dst, _ in graph.edges():
-        edges.add((int(src), int(dst)))
-    live = sorted(edges)  # ``edges`` in order: deletes / reweights index it
+    # The distinct (src, dst) pairs in order, from packed keys; deletes
+    # and reweights index ``live``, inserts test ``edges``.
+    src, dst = np.divmod(
+        sorted_unique(graph.edge_sources() * n + graph.indices), n
+    )
+    live = list(zip(src.tolist(), dst.tolist()))
+    edges: Set[Tuple[int, int]] = set(live)
 
     def draw_insert() -> Optional[Tuple[int, int]]:
         for _ in range(64):

@@ -10,12 +10,12 @@ make it exact on small graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.graph.digraph import DiGraphCSR
-from repro.graph.traversal import UNREACHED, bfs_levels, sample_sources
+from repro.graph.traversal import multi_source_levels, sample_sources
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,36 @@ def average_degree(graph: DiGraphCSR) -> float:
     return graph.num_edges / graph.num_vertices
 
 
+#: Sources per multi-source sweep: the distance metrics hold at most
+#: ``SWEEP_SOURCES * n`` levels at once, even over every vertex.
+SWEEP_SOURCES = 64
+
+#: (source, edge) pairs one level of a sweep may expand: on a graph with
+#: more edges fewer sources share a sweep, so the expansion's arrays stay
+#: ~4 MiB each. Generating the social recipe at n = 16 000 peaks at
+#: 152 MiB with all 32 calibration sources in one sweep, 81 MiB with this
+#: bound, and peaked at 111 MiB with one BFS per source.
+SWEEP_PAIRS = 1 << 19
+
+
+def _level_blocks(
+    graph: DiGraphCSR,
+    sample: Optional[int],
+    rng: Optional[np.random.Generator],
+) -> Iterator[np.ndarray]:
+    """Hop-level rows from ``sample`` sources (all vertices if ``None``),
+    in source order, a bounded group of sources per sweep."""
+    n = graph.num_vertices
+    if sample is None or sample >= n:
+        sources = np.arange(n)
+    else:
+        sources = sample_sources(graph, sample, rng=rng)
+    rows = SWEEP_PAIRS // max(graph.num_edges, 1)
+    rows = min(SWEEP_SOURCES, max(1, rows))
+    for start in range(0, sources.size, rows):
+        yield multi_source_levels(graph, sources[start : start + rows])
+
+
 def average_distance(
     graph: DiGraphCSR,
     sample: Optional[int] = None,
@@ -51,22 +81,18 @@ def average_distance(
 
     Runs BFS from ``sample`` sources (all vertices if ``None``) and averages
     the finite non-zero distances. Unreachable pairs are excluded, as is
-    conventional for disconnected web graphs.
+    conventional for disconnected web graphs. Each source's distances are
+    summed as integers and added to the total as a float, in source order.
     """
-    n = graph.num_vertices
-    if n <= 1:
+    if graph.num_vertices <= 1:
         return 0.0
-    if sample is None or sample >= n:
-        sources = np.arange(n)
-    else:
-        sources = sample_sources(graph, sample, rng=rng)
     total = 0.0
     count = 0
-    for s in sources:
-        levels = bfs_levels(graph, int(s))
-        finite = levels[(levels != UNREACHED) & (levels > 0)]
-        total += float(finite.sum())
-        count += int(finite.size)
+    for levels in _level_blocks(graph, sample, rng):
+        finite = levels > 0
+        for row_sum in np.where(finite, levels, 0).sum(axis=1).tolist():
+            total += float(row_sum)
+        count += int(finite.sum())
     return total / count if count else 0.0
 
 
@@ -80,19 +106,13 @@ def effective_diameter(
     n = graph.num_vertices
     if n <= 1:
         return 0
-    if sample is None or sample >= n:
-        sources = np.arange(n)
-    else:
-        sources = sample_sources(graph, sample, rng=rng)
-    distances = []
-    for s in sources:
-        levels = bfs_levels(graph, int(s))
-        distances.append(levels[(levels != UNREACHED) & (levels > 0)])
-    if not distances:
+    # Finite non-zero distances are below n: a histogram holds them all.
+    counts = np.zeros(n, dtype=np.int64)
+    for levels in _level_blocks(graph, sample, rng):
+        counts += np.bincount(levels[levels > 0], minlength=n)
+    if not counts.any():
         return 0
-    merged = np.concatenate(distances)
-    if merged.size == 0:
-        return 0
+    merged = np.repeat(np.arange(n), counts)
     return int(np.quantile(merged, quantile, method="higher"))
 
 

@@ -8,7 +8,7 @@ of Section 3.2.2.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,28 +19,46 @@ UNREACHED = -1
 
 
 def bfs_levels(graph: DiGraphCSR, source: int) -> np.ndarray:
-    """Hop distance from ``source`` to every vertex (``-1`` if unreached).
+    """Hop distance from ``source`` to every vertex (``-1`` if unreached)."""
+    return multi_source_levels(graph, [source])[0]
 
-    Expands a whole frontier per level; a vertex's hop level does not
-    depend on the order its level is found in, so a queue gives the same.
+
+def multi_source_levels(
+    graph: DiGraphCSR, sources: Sequence[int]
+) -> np.ndarray:
+    """Hop levels from each of ``sources``, one row per source.
+
+    Row ``i`` is the hop distance from ``sources[i]`` to every vertex
+    (``-1`` if unreached). One level-synchronous sweep serves all rows: a
+    frontier entry is a ``(row, vertex)`` pair packed as ``row * n +
+    vertex``, and a level expands every row's frontier at once. A vertex's
+    hop level does not depend on the order its level is found in, so a
+    queue BFS per source gives the same rows. Memory is
+    ``O(len(sources) * n)``; callers sweep bounded groups of sources.
     """
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise GraphError(f"vertex {source} out of range for {n} vertices")
-    levels = np.full(n, UNREACHED, dtype=np.int64)
-    levels[source] = 0
-    indptr, indices = graph.indptr, graph.indices
-    frontier = np.array([source], dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise GraphError(f"source out of range for {n} vertices")
+    levels = np.full(sources.size * n, UNREACHED, dtype=np.int64)
+    frontier = np.arange(sources.size) * n + sources
+    levels[frontier] = 0
+    # ``winner[key]`` names the one position of ``reached`` that keeps
+    # ``key``: whichever duplicate's write lands last, exactly one
+    # position reads its own index back.
+    winner = np.empty(levels.size, dtype=np.int64)
+    level = 0
     while frontier.size:
-        level = levels[frontier[0]] + 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # The frontier's CSR slices, concatenated.
-        slots = np.repeat(starts - (counts.cumsum() - counts), counts)
-        reached = indices[slots + np.arange(slots.size)]
-        frontier = np.unique(reached[levels[reached] == UNREACHED])
+        level += 1
+        vertex = frontier % n
+        eids, counts = graph.out_edge_slices(vertex)
+        reached = np.repeat(frontier - vertex, counts) + graph.indices[eids]
+        reached = reached[levels[reached] == UNREACHED]
+        positions = np.arange(reached.size)
+        winner[reached] = positions
+        frontier = reached[winner[reached] == positions]
         levels[frontier] = level
-    return levels
+    return levels.reshape(sources.size, n)
 
 
 def dfs_preorder(graph: DiGraphCSR, source: int) -> List[int]:

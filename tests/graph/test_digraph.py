@@ -128,6 +128,19 @@ class TestDerivedGraphs:
         assert sub.has_edge(0, 1)
         assert sub.has_edge(1, 2)
 
+    def test_subgraph_relabels_ascending_and_deduplicated(self):
+        """Input order and repeats do not matter: the i-th smallest
+        distinct id becomes vertex i."""
+        weighted = from_edges(
+            [(0, 1, 2.0), (0, 2, 3.0), (1, 3, 5.0), (2, 3, 7.0), (3, 0, 11.0)]
+        )
+        sub = weighted.subgraph_vertices([3, 0, 1, 3])
+        assert sub == weighted.subgraph_vertices([0, 1, 3])
+        assert sub.num_vertices == 3
+        assert sub.indptr.tolist() == [0, 1, 2, 3]
+        assert sub.indices.tolist() == [1, 2, 0]
+        assert sub.weights.tolist() == [2.0, 5.0, 11.0]
+
     def test_subgraph_out_of_range(self, diamond):
         with pytest.raises(GraphError):
             diamond.subgraph_vertices([0, 9])
