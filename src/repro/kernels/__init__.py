@@ -22,10 +22,11 @@ fits it, each form bit-identical to the protocol:
 Query lanes are a *rank* of the batch form, not a third registry: every
 ``batch_update`` is written over the last axis, so ``resolve_kernel(
 program, graph)`` updates an ``(n,)`` state vector (the vectorized
-bulk-sync round) and ``resolve_kernel(programs, graph)`` — k same-class
-point queries — updates a ``(k, n)`` matrix with the same class, row i
-bit-identical to the one-program kernel on ``programs[i]`` (the serving
-layer). A program sequence has no fallback.
+bulk-sync round and a one-query serving solve) and ``resolve_kernel(
+programs, graph)`` — k >= 2 same-class point queries — updates a
+``(k, n)`` matrix with the same class, row i bit-identical to the
+one-program kernel on ``programs[i]`` (the serving layer). A program
+sequence has no fallback.
 
 Both forms share one lookup rule
 (:func:`repro.kernels.registry.registered_for`): a subclass that

@@ -15,6 +15,16 @@ row i performs the exact IEEE-754 operations of the one-program kernel
 on ``programs[i]`` — so the bulk-sync round and the serving layer
 certify the same code.
 
+The rank rule: no engine builds a one-program sequence — the bulk-sync
+round and a one-query solve both pass the program itself and run the
+1-D kernel; only k >= 2 queries build the ``(k, n)`` one. The
+vertex axis is read through :func:`take_vertices` (``x[idx]`` on 1-D,
+``x.take(idx, axis=1)`` on 2-D), never as ``x[..., idx]``: an Ellipsis
+index sends even a 1-D array down NumPy's general indexing path (about
+1.3 µs per 40-index gather against 0.4 µs for ``x[idx]``, NumPy 2.4 on
+2 vCPUs), and a one-query launch makes a dozen of them
+(``docs/serving.md``, "Host cost of a launch").
+
 Engines drive kernels with three verbs:
 
 - :meth:`BatchKernel.batch_update` — new states + changed flags for a
@@ -48,6 +58,15 @@ from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.kernels.segment import batch_segments, interleave_segments
 from repro.model.gas import VertexProgram
+
+
+def take_vertices(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """``values[..., vertices]`` for 1-D or 2-D ``values``, without the
+    Ellipsis: ``values[vertices]`` resp. ``values.take(vertices, axis=1)``
+    — the same elements, on NumPy's fast paths."""
+    if values.ndim == 1:
+        return values[vertices]
+    return values.take(vertices, axis=1)
 
 
 def same_class_programs(

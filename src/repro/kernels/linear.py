@@ -17,7 +17,7 @@ import numpy as np
 from repro.algorithms.adsorption import Adsorption
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.ppr import PersonalizedPageRank
-from repro.kernels.base import InEdgeKernel
+from repro.kernels.base import InEdgeKernel, take_vertices
 from repro.kernels.registry import register_kernel
 from repro.kernels.segment import segment_sum_ordered
 
@@ -38,7 +38,8 @@ class PageRankKernel(InEdgeKernel):
         sources = self._csc_sources[positions]
         # Every gather source has >= 1 out-edge (the one being gathered),
         # so the division is always defined.
-        contrib = np.asarray(states)[..., sources] / self._out_degree[sources]
+        gathered = take_vertices(np.asarray(states), sources)
+        contrib = gathered / self._out_degree[sources]
         return segment_sum_ordered(contrib, seg_offsets)
 
     def batch_update(
@@ -69,9 +70,9 @@ class PersonalizedPageRankKernel(PageRankKernel):
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
         acc = self._in_sum(dst, states)
-        new = (1.0 - self._damping) * self._teleport[
-            ..., dst
-        ] + self._damping * acc
+        new = (1.0 - self._damping) * take_vertices(
+            self._teleport, dst
+        ) + self._damping * acc
         changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed
 
@@ -110,8 +111,12 @@ class AdsorptionKernel(InEdgeKernel):
             out=np.zeros_like(weights),
             where=denom != 0.0,
         )
-        contrib = np.asarray(states)[..., self._csc_sources[positions]] * ratio
+        sources = self._csc_sources[positions]
+        contrib = take_vertices(np.asarray(states), sources) * ratio
         acc = segment_sum_ordered(contrib, seg_offsets)
-        new = self._p_inj * self._injection[..., dst] + self._p_cont * acc
+        new = (
+            self._p_inj * take_vertices(self._injection, dst)
+            + self._p_cont * acc
+        )
         changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed

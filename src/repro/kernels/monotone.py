@@ -16,7 +16,7 @@ from repro.algorithms.bfs import BFSLevels
 from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WeaklyConnectedComponents
-from repro.kernels.base import BothEdgeKernel, InEdgeKernel
+from repro.kernels.base import BothEdgeKernel, InEdgeKernel, take_vertices
 from repro.kernels.registry import register_kernel
 from repro.kernels.segment import segment_max, segment_min
 
@@ -42,10 +42,12 @@ class _MinRelaxKernel(InEdgeKernel):
         sources = self._csc_sources[positions]
         # inf + finite == inf, so unreached sources propagate the scalar
         # guard's INFINITY without a branch.
-        values = self._relax(np.asarray(states)[..., sources], positions)
+        values = self._relax(
+            take_vertices(np.asarray(states), sources), positions
+        )
         acc = segment_min(values, seg_offsets, identity=np.inf)
         new = np.where(acc < old, acc, old)
-        new = np.where(dst == self._source, 0.0, new)
+        new[dst == self._source] = 0.0
         return new, new != old
 
 
@@ -81,10 +83,11 @@ class WCCKernel(BothEdgeKernel):
         out_pos, out_offsets = self.out_segments(dst)
         acc = np.minimum(
             segment_min(
-                states[..., self._csc_sources[in_pos]], in_offsets
+                take_vertices(states, self._csc_sources[in_pos]), in_offsets
             ),
             segment_min(
-                states[..., self.graph.indices[out_pos]], out_offsets
+                take_vertices(states, self.graph.indices[out_pos]),
+                out_offsets,
             ),
         )
         new = np.where(acc < old, acc, old)
@@ -109,10 +112,12 @@ class ReachabilityKernel(InEdgeKernel):
     ) -> Tuple[np.ndarray, np.ndarray]:
         dst = np.asarray(dst, dtype=np.int64)
         positions, seg_offsets = self.gather_segments(dst)
-        gathered = np.asarray(states)[..., self._csc_sources[positions]]
+        gathered = take_vertices(
+            np.asarray(states), self._csc_sources[positions]
+        )
         acc = segment_max(gathered, seg_offsets, identity=0.0)
         new = np.where(
-            self._source_mask[..., dst],
+            take_vertices(self._source_mask, dst),
             1.0,
             np.maximum(old, np.where(acc > 0.0, 1.0, 0.0)),
         )

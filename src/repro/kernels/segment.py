@@ -52,10 +52,10 @@ def batch_segments(
     starts = indptr[targets]
     counts = degree[targets]
     seg_offsets = np.zeros(targets.size + 1, dtype=np.int64)
-    counts.cumsum(out=seg_offsets[1:])
-    positions = (starts - seg_offsets[:-1]).repeat(counts) + np.arange(
-        seg_offsets[-1], dtype=np.int64
-    )
+    # ``np.add.accumulate`` is ``cumsum`` minus its method wrapper.
+    np.add.accumulate(counts, out=seg_offsets[1:])
+    positions = (starts - seg_offsets[:-1]).repeat(counts)
+    positions += np.arange(int(seg_offsets[-1]), dtype=np.int64)
     return positions, seg_offsets
 
 

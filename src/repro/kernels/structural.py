@@ -12,7 +12,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.algorithms.kcore import KCore
-from repro.kernels.base import BothEdgeKernel
+from repro.kernels.base import BothEdgeKernel, take_vertices
 from repro.kernels.registry import register_kernel
 from repro.kernels.segment import segment_sum_ordered
 
@@ -31,12 +31,12 @@ class KCoreKernel(BothEdgeKernel):
         states = np.asarray(states)
         in_pos, in_offsets = self.gather_segments(dst)
         out_pos, out_offsets = self.out_segments(dst)
-        alive_in = (states[..., self._csc_sources[in_pos]] > 0.0).astype(
-            np.float64
-        )
-        alive_out = (states[..., self.graph.indices[out_pos]] > 0.0).astype(
-            np.float64
-        )
+        alive_in = (
+            take_vertices(states, self._csc_sources[in_pos]) > 0.0
+        ).astype(np.float64)
+        alive_out = (
+            take_vertices(states, self.graph.indices[out_pos]) > 0.0
+        ).astype(np.float64)
         acc = segment_sum_ordered(alive_in, in_offsets) + segment_sum_ordered(
             alive_out, out_offsets
         )

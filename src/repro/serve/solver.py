@@ -3,7 +3,8 @@
 :class:`MultiSourceSolver` runs k same-algorithm queries as one
 computation over a ``(k, n)`` state matrix: the algorithm's batch kernel
 (:mod:`repro.kernels.base`) built from the k programs, one state row
-each. Each round sweeps the shared
+each — or, for one query, the one-program kernel over ``(n,)`` states
+(the kernel layer's rank rule). Each round sweeps the shared
 :class:`~repro.serve.context.ServingContext` layer batches in ascending
 layer order — Jacobi within a batch, Gauss-Seidel across batches — and
 a batch is launched when **any** lane has an active vertex in it (the
@@ -46,6 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError, GPULostError
+from repro.kernels.base import take_vertices
 from repro.kernels.registry import resolve_kernel
 from repro.model.gas import VertexProgram
 from repro.serve.context import ServingContext
@@ -53,8 +55,10 @@ from repro.serve.context import ServingContext
 #: Fixed cost of one kernel launch (real CUDA launch overhead ballpark).
 KERNEL_LAUNCH_OVERHEAD_S = 3.5e-6
 
-#: ``ndarray.any`` minus its method wrapper, for the solve loop's masks.
+#: ``ndarray.any`` / ``ndarray.sum`` minus their method wrappers, for
+#: the solve loop's masks and launch work.
 _any = np.logical_or.reduce
+_sum = np.add.reduce
 
 
 def lane_digest(states: np.ndarray) -> str:
@@ -160,17 +164,27 @@ class MultiSourceSolver:
     # ------------------------------------------------------------------
     def _pending_batches(self, active: np.ndarray) -> np.ndarray:
         """One flag per layer batch: does any lane have an active vertex
-        in it. :meth:`solve` keeps ``pending[b] ⟺ active[:,
+        in it. :meth:`solve` keeps ``pending[b] ⟺ active[...,
         layer_batches[b]].any()`` true at every probe by flagging the
         batch of every vertex it activates and clearing a batch's flag
         when it is launched (a launch selects every active vertex of
-        the batch), so the sweep never gathers an idle batch."""
+        the batch), so the sweep never gathers an idle batch. ``active``
+        is ``(n,)`` for one query, ``(k, n)`` for k."""
         pending = np.zeros(len(self.context.layer_batches), dtype=bool)
-        pending[self.context.batch_of_vertex[_any(active, axis=0)]] = True
+        union = _any(active.reshape(-1, active.shape[-1]), axis=0)
+        pending[self.context.batch_of_vertex[union]] = True
         return pending
 
     def solve(self, time_budget_s: Optional[float] = None) -> SolveResult:
         """Run all lanes to convergence with the registered batch kernel.
+
+        One query runs the one-program kernel: states, active flags and
+        every launch's ``old`` / ``new`` / ``changed`` are ``(n,)`` and
+        ``(len(sel),)`` arrays, on NumPy's 1-D indexing fast path. k
+        queries run the k-program kernel on ``(k, n)``. Only the lane
+        reduction (the union frontier and the moved vertices) and the
+        gated write + activation scatter depend on the rank; the
+        per-lane bookkeeping reads ``(k, n)`` views of both.
 
         With ``time_budget_s`` the solve becomes a **brownout** solve:
         before each round it estimates the round's cost from the
@@ -186,14 +200,20 @@ class MultiSourceSolver:
         instead.
         """
         context = self.context
-        kernel = resolve_kernel(self.programs, context.graph)
+        k = len(self.programs)
+        kernel = resolve_kernel(
+            self.programs[0] if k == 1 else self.programs, context.graph
+        )
+        one_lane = kernel.num_lanes is None
         states = kernel.initial_states()
         active = kernel.initial_active()
+        lane_states = states.reshape(k, -1)
+        lane_active = active.reshape(k, -1)
         batches = context.layer_batches
         batch_of_vertex = context.batch_of_vertex
+        in_degree = self._in_degree
         pending = self._pending_batches(active)
-        k = len(self.programs)
-        live = _any(active, axis=1)
+        live = _any(lane_active, axis=1)
         lane_rounds = np.zeros(k, dtype=np.int64)
         launches = 0
         edge_lane_work = 0
@@ -206,7 +226,10 @@ class MultiSourceSolver:
             frontier; read-only: ``(sel, old, new, changed)``."""
             nonlocal launches, edge_lane_work, modeled
             batch = batches[b]
-            sel = batch[_any(active[:, batch], axis=0)]
+            if one_lane:
+                sel = batch[active[batch]]
+            else:
+                sel = batch[_any(active.take(batch, axis=1), axis=0)]
             if self.fault_hook is not None:
                 try:
                     self.fault_hook(launches)
@@ -218,11 +241,11 @@ class MultiSourceSolver:
                     )
                     exc.launches_completed = launches
                     raise
-            work = k * int(self._in_degree[sel].sum())
+            work = k * int(_sum(in_degree[sel]))
             launches += 1
             edge_lane_work += work
             modeled += self._launch_seconds(work)
-            old = states[:, sel]
+            old = take_vertices(states, sel)
             return (sel, old, *kernel.batch_update(sel, states, old))
 
         while _any(pending):
@@ -235,7 +258,7 @@ class MultiSourceSolver:
                 raise ConvergenceError(
                     f"multi-source {kernel.name} did not converge",
                     rounds=rounds,
-                    active_vertices=int(_any(active, axis=0).sum()),
+                    active_vertices=int(_any(lane_active, axis=0).sum()),
                 )
             rounds += 1
             round_start_s = modeled
@@ -246,31 +269,43 @@ class MultiSourceSolver:
                 if not pending[b]:
                     continue
                 sel, old, new, changed = launch(b)
+                pending[b] = False
                 # Write-gate: apply only where changed. For monotone
                 # kernels this is a no-op (changed ⟺ new != old); for
                 # tolerance-converged kernels (ppr) it discards
                 # sub-tolerance drift, making "state mutated ⟺
                 # dependents activated" exact — the invariant the
-                # union-frontier bit-identity proof stands on.
+                # union-frontier bit-identity proof stands on. Read the
+                # other way, it says a vertex no lane changed has nobody
+                # to activate: dependents are built for the moved
+                # vertices only.
+                if one_lane:
+                    (moved,) = changed.nonzero()
+                    active[sel] = False
+                    if moved.size:
+                        # The gated write: where nothing moved, ``old``
+                        # is what ``states`` already holds.
+                        sources = sel[moved]
+                        states[sources] = new[moved]
+                        targets, _ = kernel.batch_dependents(sources)
+                        active[targets] = True
+                        pending[batch_of_vertex[targets]] = True
+                    continue
+                (moved,) = _any(changed, axis=0).nonzero()
                 states[:, sel] = np.where(changed, new, old)
                 active[:, sel] = False
-                pending[b] = False
-                # Read the other way, the same invariant says a vertex
-                # no lane changed has nobody to activate: dependents are
-                # built for the moved vertices only.
-                (moved,) = _any(changed, axis=0).nonzero()
                 if moved.size:
                     targets, seg_offsets = kernel.batch_dependents(sel[moved])
-                    lanes, cols = changed[:, moved].repeat(
+                    lanes, cols = changed.take(moved, axis=1).repeat(
                         seg_offsets[1:] - seg_offsets[:-1], axis=1
                     ).nonzero()
                     active[lanes, targets[cols]] = True
                     pending[batch_of_vertex[targets]] = True
-            still = _any(active, axis=1)
+            still = _any(lane_active, axis=1)
             lane_rounds[live & ~still] = rounds
             live &= still
             round_cost = modeled - round_start_s
-        lane_converged = ~_any(active, axis=1)
+        lane_converged = ~_any(lane_active, axis=1)
         residuals = [0.0] * k
         if not lane_converged.all():
             # Read-only residual pass: recompute the union frontier
@@ -283,12 +318,13 @@ class MultiSourceSolver:
                 finite = changed & np.isfinite(old) & np.isfinite(new)
                 delta = np.zeros_like(old)
                 np.subtract(new, old, out=delta, where=finite)
+                lane_delta = delta.reshape(k, -1)
                 for i in range(k):
-                    residuals[i] += float(np.abs(delta[i]).sum())
+                    residuals[i] += float(np.abs(lane_delta[i]).sum())
             lane_rounds[~lane_converged] = rounds
         return SolveResult(
-            states=states,
-            digests=tuple(lane_digest(states[i]) for i in range(k)),
+            states=lane_states,
+            digests=tuple(lane_digest(lane_states[i]) for i in range(k)),
             rounds=rounds,
             lane_rounds=tuple(lane_rounds.tolist()),
             launches=launches,

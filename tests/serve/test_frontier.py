@@ -3,10 +3,12 @@
 ``MultiSourceSolver.solve`` visits only the layer batches whose
 ``pending`` flag is set instead of probing every batch's ``active``
 columns. That is sound only while ``pending[b]`` equals
-``active[:, layer_batches[b]].any()`` whenever the sweep reads it; the
+``active[..., layer_batches[b]].any()`` whenever the sweep reads it; the
 recording solver below checks the equality for *every* batch before
 every launch (which is after every previous launch) and once more when
 the solve returns, on graphs where a launch re-flags its own batch.
+``active`` is ``(n,)`` in a one-query solve (the 1-D kernel) and
+``(k, n)`` in a k-query one; every audit and fixture takes both.
 """
 
 import numpy as np
@@ -39,7 +41,7 @@ class RecordingSolver(MultiSourceSolver):
 
     def _audit(self, _launch=None):
         expected = [
-            bool(self.active[:, batch].any())
+            bool(self.active[..., batch].any())
             for batch in self.context.layer_batches
         ]
         assert self.pending.tolist() == expected
@@ -49,6 +51,11 @@ class RecordingSolver(MultiSourceSolver):
         result = super().solve(**kwargs)
         self._audit()
         return result
+
+
+def lane_rows(array):
+    """``(k, n)`` view of a solve's ``(n,)`` or ``(k, n)`` array."""
+    return array.reshape(-1, array.shape[-1])
 
 
 def intra_batch_edges(context):
@@ -91,8 +98,8 @@ def settled_lanes(monkeypatch):
             kernel = resolve(programs, graph)
             states, active = kernel.initial_states(), kernel.initial_active()
             for lane, final in final_states.items():
-                states[lane] = final
-                active[lane] = False
+                lane_rows(states)[lane] = final
+                lane_rows(active)[lane] = False
             kernel.initial_states = lambda: states
             kernel.initial_active = lambda: active
             return kernel
@@ -104,13 +111,33 @@ def settled_lanes(monkeypatch):
     return install
 
 
+@pytest.fixture
+def built_kernels(monkeypatch):
+    """Every kernel a solve resolves, in order."""
+    kernels = []
+    resolve = solver_module.resolve_kernel
+
+    def resolve_recorded(programs, graph):
+        kernels.append(resolve(programs, graph))
+        return kernels[-1]
+
+    monkeypatch.setattr(solver_module, "resolve_kernel", resolve_recorded)
+    return kernels
+
+
 @pytest.mark.parametrize("algorithm", SERVE_ALGORITHMS)
 @pytest.mark.parametrize("lanes", [1, 3, 8])
-def test_pending_flags_track_the_union_frontier(web_context, algorithm, lanes):
+def test_pending_flags_track_the_union_frontier(
+    web_context, built_kernels, algorithm, lanes
+):
     assert intra_batch_edges(web_context) > 0
     programs = programs_for(web_context, algorithm, lanes, seed=5)
     solver = RecordingSolver(web_context, programs)
     result = solver.solve()
+    # One query runs the 1-D kernel, never a (1, n) sequence.
+    (kernel,) = built_kernels
+    assert kernel.num_lanes == (None if lanes == 1 else lanes)
+    assert result.states.shape == (lanes, web_context.graph.num_vertices)
     assert solver.audits == result.launches + 1
     assert not solver.pending.any() and not solver.active.any()
     assert result.digests == (
@@ -148,23 +175,28 @@ def test_a_batch_reflags_itself_across_rounds(ring_context, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", SERVE_ALGORITHMS)
-@pytest.mark.parametrize("idle", [(1,), (0, 2), (0, 1, 2)])
+@pytest.mark.parametrize(
+    "lanes, idle",
+    [(3, (1,)), (3, (0, 2)), (3, (0, 1, 2)), (1, (0,))],
+    ids=["idle0", "idle1", "idle2", "lanes1"],
+)
 def test_lanes_with_an_empty_initial_frontier(
-    web_context, settled_lanes, algorithm, idle
+    web_context, settled_lanes, algorithm, lanes, idle
 ):
-    programs = programs_for(web_context, algorithm, 3, seed=5)
+    programs = programs_for(web_context, algorithm, lanes, seed=5)
     plain = MultiSourceSolver(web_context, programs).solve()
     settled_lanes({lane: plain.states[lane] for lane in idle})
     solver = RecordingSolver(web_context, programs)
     result = solver.solve()
+    assert solver.active.ndim == (1 if lanes == 1 else 2)
     assert solver.audits == result.launches + 1
     assert result.converged
     assert result.digests == plain.digests
-    for lane in range(3):
+    for lane in range(lanes):
         assert result.lane_rounds[lane] == (
             0 if lane in idle else plain.lane_rounds[lane]
         )
-    if len(idle) == 3:
+    if len(idle) == lanes:
         assert (result.rounds, result.launches) == (0, 0)
 
 

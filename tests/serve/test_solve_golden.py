@@ -8,11 +8,14 @@ the modeled clock to the last bit, the brownout certificate
 launch indices ``fault_hook`` is called with, for the 4 servable
 algorithms x {1, 3, 8} lanes x two stand-ins x {unbudgeted, a
 ``time_budget_s`` that stops mid-solve}, plus one launch-6 GPU kill per
-algorithm. The fingerprints in ``solve_fingerprints.json`` were captured
+algorithm at 1 and at 8 lanes. The fingerprints in
+``solve_fingerprints.json`` were captured
 on the commit *before* the solver's scan loop became a pending-flag
 sweep (PR 20), by running this file with ``PYTHONPATH`` at that commit's
 ``src`` — so a mismatch here means the rewrite, or a later change, moved
-a launch, a write or a counter, not just a clock.
+a launch, a write or a counter, not just a clock. The one-lane kill
+rows were added later, captured the same way on the commit before
+one-query solves ran the 1-D kernel.
 
 Regenerate intentionally with:
 
@@ -48,6 +51,8 @@ LANES = (1, 3, 8)
 #: Fraction of the unbudgeted solve's modeled time a budgeted cell gets.
 BUDGET_FRACTION = 0.4
 KILL_LAUNCH = 6
+#: Lane counts of the kill cells: the one-query (1-D) and a k-lane path.
+KILL_LANES = (1, 8)
 
 CASES = [
     (graph_name, algo, lanes, budgeted)
@@ -110,15 +115,15 @@ def fingerprint(graph_name, algo, lanes, budgeted):
     }
 
 
-def kill_fingerprint(algo):
-    """A GPU dies at the seventh launch of an 8-lane web-graph solve."""
+def kill_fingerprint(algo, lanes):
+    """A GPU dies at the seventh launch of a web-graph solve."""
 
     def hook(launch):
         if launch == KILL_LAUNCH:
             raise GPULostError("killed", gpu_id=0)
 
     solver = MultiSourceSolver(
-        _context("webbase"), _programs("webbase", algo, 8), fault_hook=hook
+        _context("webbase"), _programs("webbase", algo, lanes), fault_hook=hook
     )
     with pytest.raises(GPULostError) as info:
         solver.solve()
@@ -129,16 +134,21 @@ def kill_fingerprint(algo):
     }
 
 
-def _kill_key(algo):
-    return f"webbase/{algo}/lanes8/kill{KILL_LAUNCH}"
+def _kill_key(algo, lanes):
+    return f"webbase/{algo}/lanes{lanes}/kill{KILL_LAUNCH}"
+
+
+KILL_CASES = [
+    (algo, lanes) for algo in SERVE_ALGORITHMS for lanes in KILL_LANES
+]
 
 
 @pytest.fixture(scope="module")
 def golden():
     if REGEN:
         digests = {_key(*case): fingerprint(*case) for case in CASES}
-        for algo in SERVE_ALGORITHMS:
-            digests[_kill_key(algo)] = kill_fingerprint(algo)
+        for case in KILL_CASES:
+            digests[_kill_key(*case)] = kill_fingerprint(*case)
         GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
         return digests
     return json.loads(GOLDEN_PATH.read_text())
@@ -149,15 +159,15 @@ def test_solve_fingerprint_pinned(golden, case):
     assert fingerprint(*case) == golden[_key(*case)]
 
 
-@pytest.mark.parametrize("algo", SERVE_ALGORITHMS)
-def test_kill_fingerprint_pinned(golden, algo):
-    assert kill_fingerprint(algo) == golden[_kill_key(algo)]
+@pytest.mark.parametrize("case", KILL_CASES, ids=lambda case: _kill_key(*case))
+def test_kill_fingerprint_pinned(golden, case):
+    assert kill_fingerprint(*case) == golden[_kill_key(*case)]
 
 
 def test_golden_file_covers_all_cases(golden):
     assert sorted(golden) == sorted(
         [_key(*case) for case in CASES]
-        + [_kill_key(algo) for algo in SERVE_ALGORITHMS]
+        + [_kill_key(*case) for case in KILL_CASES]
     )
 
 
