@@ -26,6 +26,7 @@ from repro.model.rounds import drive_rounds, finish_run
 from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE
 from repro.baselines.common import BaselineFaultHarness
+from repro.kernels.steps import dependents_table
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,10 @@ class _AsyncRun(BaselineFaultHarness):
 
     def __init__(self, engine, graph, program, fault_injector, recovery):
         super().__init__(engine, graph, program, fault_injector, recovery)
-        # Each vertex's dependents as a tuple of ints, memoised on first
-        # touch from the program's own ``dependents``.
-        self._dependents: List[Optional[tuple]] = [None] * graph.num_vertices
+        # Each vertex's dependents as a tuple of ints (memoised on first
+        # touch from the program's own ``dependents`` where the table
+        # has no entry).
+        self._dependents = dependents_table(program, graph)
         #: The round's gather reads, one write-through list per GPU
         #: (see :meth:`run_round`).
         self.gpu_reads: Dict[int, List[float]] = {}
@@ -99,7 +101,7 @@ class _AsyncRun(BaselineFaultHarness):
             self.partitions, self.states, self.faulted
         )
         stats = machine.stats
-        step, degree_of = self.step, self.gather_degree
+        step, degree_of, _ = self.step_kernel
         dependents = self._dependents
         values, active = states.values, states.active
         gpu_of_vertex = self.gpu_of_vertex.tolist()

@@ -134,7 +134,7 @@ class _BulkSyncRun(BaselineFaultHarness):
         partitions, states, faulted = (
             self.partitions, self.states, self.faulted
         )
-        step, degree_of = self.step, self.gather_degree
+        step, degree_of, _ = self.step_kernel
         gpu_of_vertex = self.gpu_of_vertex.tolist()
         frontier = Frontier.from_mask(states.active)
         touched_partitions = set(

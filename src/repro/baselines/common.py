@@ -9,6 +9,7 @@ is active — the low loaded-data utilization the paper measures in Fig. 13.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.bench.results import RoundRecord
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.machine import Machine
-from repro.kernels.steps import resolve_step
+from repro.kernels.steps import StepKernel, resolve_step
 from repro.model.rounds import checkpoint_manager
 from repro.model.state import VertexStates
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE
@@ -170,9 +171,6 @@ class BaselineFaultHarness:
         self.graph = graph
         self.program = program
         self.states = VertexStates(graph, program)
-        #: The fused gather-apply step of the scalar rounds, and each
-        #: vertex's gather degree.
-        self.step, self.gather_degree = resolve_step(program, graph)
         self.round_records: List[RoundRecord] = []
         # With the fault machinery engaged, cross-GPU pushes go through
         # the modeled ack/checksum protocol (``deliver_replica_batch``)
@@ -182,6 +180,13 @@ class BaselineFaultHarness:
         #: Set by the round driver (ConvergenceError diagnostics).
         self.last_max_delta = 0.0
         self.checkpoints = checkpoint_manager(machine, self)
+
+    @cached_property
+    def step_kernel(self) -> StepKernel:
+        """The fused gather-apply step of the scalar rounds, and each
+        vertex's gather degree — bound on first use, as the batched
+        round never reads them."""
+        return resolve_step(self.program, self.graph)
 
     # ------------------------------------------------------------------
     # CheckpointManager client protocol

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.model.rounds import (
     drive_rounds,
     finish_run,
 )
-from repro.model.state import StalenessView, VertexStates
+from repro.model.state import VertexStates
 from repro.bench.results import ExecutionResult, RoundRecord
 from repro.core.dependency import DependencyDAG, build_dependency_dag
 from repro.core.dispatch import (
@@ -60,14 +61,14 @@ from repro.core.partitioning import (
 )
 from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable
-from repro.core.scheduling import PathScheduler, balance_paths_to_threads
+from repro.core.scheduling import PathScheduler, pack_ordered
 from repro.core.storage import (
     BYTES_PER_MESSAGE,
     PathStorage,
     build_partitions,
 )
 from repro.core.tables import ExecutionTables
-from repro.kernels.steps import resolve_step
+from repro.kernels.steps import dependents_table, resolve_step
 from repro.baselines.common import resolve_partition_target
 
 #: Bound on SMX-local path iterations within one partition pass.
@@ -352,23 +353,38 @@ class _Run:
         # The fused gather-apply step every scalar update goes through
         # (path walk, vertex-centric pass, prologue), and each vertex's
         # gather degree.
-        self.step, self._gather_degree = resolve_step(program, graph)
+        kernel = resolve_step(program, graph)
+        self.step, self._gather_degree = kernel.step, kernel.degree
         self.round_records: List[RoundRecord] = []
 
         # Per-run tables of the path walk: each vertex's dependents as a
-        # tuple, memoised on first touch from the program's own
-        # ``dependents``, and each path's expected gather work (sum of
-        # gather degrees along it — the pull-model analog of the paper's
-        # equal edges-per-thread balancing rule).
-        self._dependents: List[Optional[tuple]] = [None] * graph.num_vertices
-        self._path_work: List[int] = np.add.reduceat(
+        # tuple (memoised on first touch from the program's own
+        # ``dependents`` where the table has no entry), and each path's
+        # expected gather work (sum of gather degrees along it — the
+        # pull-model analog of the paper's equal edges-per-thread
+        # balancing rule), as an array and a list.
+        self._dependents = dependents_table(program, graph)
+        self._path_work = np.add.reduceat(
             np.asarray(self._gather_degree, dtype=np.int64)[
                 tables.paths.vertices
             ],
             tables.paths.starts,
-        ).tolist()
+        )
+        self._path_work_list: List[int] = self._path_work.tolist()
 
         self.groups = self.dispatcher.groups_in_layer_order()
+        # Frontier selection: partitions in group layer order and their
+        # groups; each group's predecessor groups, flat, and their owner.
+        self._layer_order = np.array(
+            [pid for group in self.groups for pid in group.partition_ids],
+            dtype=np.int64,
+        )
+        self._layer_group = tables.group_of_partition[self._layer_order]
+        preds = tables.group_predecessors
+        self._group_preds = np.concatenate([np.zeros(0, np.int64), *preds])
+        self._group_pred_owner = np.repeat(
+            np.arange(len(preds)), [p.size for p in preds]
+        )
         # Per-round replica-sync accumulator: (src_gpu, dst_gpu) -> bytes.
         self._pending_sync_bytes: Dict[Tuple[int, int], int] = {}
         # Vertices riding each pair's pending batch — tracked only under
@@ -383,10 +399,12 @@ class _Run:
         self.sync_sent_bytes: Dict[Tuple[int, int], int] = {}
         # GPU currently processing (None outside partition processing)
         # and activations waiting for the next wave boundary, as
-        # (vertex, producing_gpu, owner_gpu) — the GPU pair identifies
-        # the replica batch the activation message rides on.
+        # (producing_gpu, dependents) per partition pass or ``activate``
+        # call: every dependent of the changes, flat; those the wave's
+        # owner map puts on another GPU are delivered, on the replica
+        # batch of their GPU pair (:meth:`_apply_deferred_activations`).
         self._processing_gpu: Optional[int] = None
-        self._deferred_activations: List[Tuple[int, int, int]] = []
+        self._deferred_activations: List[Tuple[int, List[int]]] = []
         # Fault recovery: the machine's policy, and the largest state
         # change of the budget's final round (set by the round driver,
         # diagnostic for ConvergenceError).
@@ -505,21 +523,17 @@ class _Run:
         activated them and then deactivate, losing the update.
         """
         producing_gpu = self._processing_gpu
-        for v in vertices:
-            v = int(v)
-            owner = self._owner_pid_list[v]
-            if (
-                producing_gpu is not None
-                and owner >= 0
-                and self.dispatcher.current_gpu[owner] != producing_gpu
-            ):
-                # Always queued — even if currently active: the target may
-                # be processed later this wave against the stale snapshot
-                # and deactivate, which would drop this change's message.
-                self._deferred_activations.append(
-                    (v, producing_gpu, self.dispatcher.current_gpu[owner])
-                )
-                continue
+        local = vertices = [int(v) for v in vertices]
+        if producing_gpu is not None:
+            # Remote targets are always queued — even if currently
+            # active: the target may be processed later this wave
+            # against the stale snapshot and deactivate, which would
+            # drop this change's message. Local ones ride along;
+            # delivery skips them.
+            self._deferred_activations.append((producing_gpu, vertices))
+            owner_gpu = self._owner_gpu_list
+            local = [v for v in vertices if owner_gpu[v] in (producing_gpu, -1)]
+        for v in local:
             self._activate_now(v)
 
     def _activate_now(self, v: int) -> None:
@@ -538,16 +552,30 @@ class _Run:
         fixed-point checkers must catch.
         """
         pending, self._deferred_activations = self._deferred_activations, []
-        if lost_pairs:
-            pending = [p for p in pending if p[1:] not in lost_pairs]
-        if not pending:
+        targets = np.fromiter(
+            chain.from_iterable(dependents for _, dependents in pending),
+            dtype=np.int64,
+        )
+        if targets.size == 0:
             return
+        producer = np.repeat(
+            [gpu for gpu, _ in pending],
+            [len(dependents) for _, dependents in pending],
+        )
+        # The wave's owner map names each message's GPU pair; the
+        # producing GPU's own targets were activated on the spot.
+        target_gpu = self._owner_gpu[targets]
+        remote = (target_gpu != producer) & (target_gpu >= 0)
+        for src_gpu, dst_gpu in lost_pairs:
+            remote &= (producer != src_gpu) | (target_gpu != dst_gpu)
         # Activation only, so the order the messages land in is
         # immaterial: flip every not-yet-active target at once and bump
         # the owner partitions' (and their groups') counters in bulk.
         active = self.states.active
-        targets = np.array([p[0] for p in pending], dtype=np.int64)
-        woken = np.unique(targets[~active[targets]])
+        woken = np.zeros_like(active)
+        woken[targets[remote]] = True
+        woken &= ~active
+        (woken,) = woken.nonzero()
         active[woken] = True
         owners = self._owner_pid[woken]
         gained = np.bincount(
@@ -597,7 +625,7 @@ class _Run:
     def run_round(self, round_index: int) -> None:
         """One sweep over the dependency frontier."""
         self._current_round = round_index + 1
-        processed_this_sweep: Set[int] = set()
+        processed = np.zeros(self.pre.storage.num_partitions, dtype=bool)
         live = self.machine.live_gpu_ids()
         self._sweep_work = {g: [] for g in live}
         self._sweep_atomics = {g: [] for g in live}
@@ -605,11 +633,11 @@ class _Run:
             runnable = [
                 pid
                 for pid in self._select_runnable_partitions()
-                if pid not in processed_this_sweep
+                if not processed[pid]
             ]
             if not runnable:
                 break
-            processed_this_sweep.update(runnable)
+            processed[runnable] = True
             self._run_wave(runnable)
         # One kernel timeline per sweep: the waves above are
         # bookkeeping boundaries for staleness and activation
@@ -692,35 +720,38 @@ class _Run:
         """
         assignment = self.dispatcher.balance_assignments(runnable)
         self._record_round_start(runnable)
-        views = self._wave_views()
+        self._begin_wave()
         for gpu_id, pids in assignment.items():
-            self._run_turn(gpu_id, pids, views[gpu_id])
+            self._run_turn(gpu_id, pids)
         self._prefetch_next(runnable)
         lost_pairs = self._flush_replica_sync()
         self._apply_deferred_activations(lost_pairs)
 
-    def _run_turn(
-        self, gpu_id: int, pids: List[int], view: StalenessView
-    ) -> None:
+    def _run_turn(self, gpu_id: int, pids: List[int]) -> None:
         """One GPU's share of a wave: its partitions, one after another.
 
         Both passes (the path walk, and DiGraph-t's per-vertex loop)
-        gather from the view *materialised once*, at the start of
-        the turn, as a plain list — an edge read is a list index — and
-        write every update through to it. This is exact, not an
-        approximation of the per-read view: during GPU ``g``'s turn only
-        ``g`` writes vertex states, and whatever ``g`` writes is fresh
-        to ``g`` (it owns the vertex, or ``written_gpu`` /
-        ``written_stamp`` now name ``g`` and this wave) — so the list
-        and ``view.as_array()`` agree after every write. Vertex
-        ownership cannot move under it either:
-        ``dispatcher.current_gpu`` changes only in
-        ``balance_assignments`` (before the views are built) and between
-        rounds. The list must be taken at the *turn* start, not the
-        wave start: an earlier GPU's turn may have written a replica of
-        a vertex ``g`` owns, and that write is fresh to ``g``.
+        gather from GPU ``g``'s :class:`~repro.model.state.StalenessView`
+        *materialised once*, at the turn start, as a plain list — an
+        edge read is a list index — and write every update through to
+        it. At the turn start the view is the wave-start states with the
+        vertices ``g`` owns that an earlier turn of the wave wrote read
+        fresh (``g`` has written nothing yet this wave). This is exact:
+        during ``g``'s turn only ``g`` writes vertex states, and whatever
+        ``g`` writes is fresh to ``g`` (it owns the vertex, or
+        ``written_gpu`` / ``written_stamp`` now name ``g`` and this
+        wave), so the list and the view agree after every write; and
+        ``dispatcher.current_gpu`` moves only before a wave begins and
+        between rounds.
         """
-        reads = view.as_array().tolist()
+        values = self.states.values
+        reads = self._wave_start.copy()
+        (fresh,) = (
+            (self._written_stamp == self._wave_counter)
+            & (self._owner_gpu == gpu_id)
+        ).nonzero()
+        for v, x in zip(fresh.tolist(), values[fresh].tolist()):
+            reads[v] = x
         gpu_work: List[int] = []
         gpu_atomics: List[int] = []
         self._processing_gpu = gpu_id
@@ -737,28 +768,16 @@ class _Run:
         self._sweep_work[gpu_id].extend(gpu_work)
         self._sweep_atomics[gpu_id].extend(gpu_atomics)
 
-    def _wave_views(self) -> Dict[int, StalenessView]:
-        """Per-GPU read views for one wave (fresh local, snapshot remote).
-
-        Keyed by live GPU id — dead GPUs get no view (and can get no
-        work)."""
-        snapshot = self.states.copy_values()
-        owner_gpu = self._owner_gpu = self.vertex_gpu()
+    def _begin_wave(self) -> None:
+        """Per-wave state: partition and vertex -> GPU (placement moves
+        only before a wave begins and between rounds), the wave stamp,
+        and the wave-start states as a list."""
+        self._partition_gpu = self._placement()
+        owner_gpu = self._owner_gpu = self._partition_gpu[self._owner_pid]
         # The same map as a list: the walk reads it per dependent.
         self._owner_gpu_list: List[int] = owner_gpu.tolist()
         self._wave_counter += 1
-        return {
-            gpu: StalenessView(
-                self.states.values,
-                snapshot,
-                owner_gpu == gpu,
-                written_gpu=self._written_gpu,
-                written_stamp=self._written_stamp,
-                wave_stamp=self._wave_counter,
-                gpu_id=gpu,
-            )
-            for gpu in self.machine.live_gpu_ids()
-        }
+        self._wave_start: List[float] = self.states.values.tolist()
 
     def prologue(self) -> None:
         """Vertices on no path (no edges at all) get one apply up front."""
@@ -772,7 +791,17 @@ class _Run:
             self.states.values[v] = reads[v] = new
             self.deactivate(v)
             if changed:
-                self.activate(list(self.program.dependents(self.graph, v)))
+                self.activate(self._dependents_of(v))
+
+    def _dependents_of(self, v: int) -> tuple:
+        """``v``'s dependents from the run's table, memoised from the
+        program's own ``dependents`` where the table has no entry."""
+        targets = self._dependents[v]
+        if targets is None:
+            targets = self._dependents[v] = tuple(
+                map(int, self.program.dependents(self.graph, v))
+            )
+        return targets
 
     # ------------------------------------------------------------------
     # scheduling
@@ -782,40 +811,25 @@ class _Run:
         if not self.cfg.use_path_execution:
             # DiGraph-t: no dependency ordering — every active partition.
             return np.flatnonzero(self.partition_active).tolist()
-        group_active = self._views["group_active"]
-        partition_active = self._views["partition_active"]
-        runnable: List[int] = []
-        advance_candidates: List[Tuple[int, List[int]]] = []
-        for group in self.groups:
-            if group_active[group.group_id] == 0:
-                continue
-            active_pids = [
-                pid for pid in group.partition_ids if partition_active[pid]
-            ]
-            blockers = self._active_predecessor_groups(group.group_id)
-            if blockers == 0:
-                runnable.extend(active_pids)
-            else:
-                advance_candidates.append((blockers, active_pids))
+        # Per group, its active predecessor groups; per partition in
+        # layer order, whether it is active and its group's blockers.
+        group_active = self.group_active
+        blockers = np.bincount(
+            self._group_pred_owner[group_active[self._group_preds] > 0],
+            minlength=group_active.size,
+        )[self._layer_group]
+        active = self.partition_active[self._layer_order] > 0
+        runnable = self._layer_order[active & (blockers == 0)]
         # Advance execution: fill idle capacity with the active groups
         # that have the fewest active precursors (Section 3.1).
-        capacity = len(self.machine.live_gpu_ids()) * max(
-            self.cfg.advance_factor, 0
-        )
-        if len(runnable) < capacity and advance_candidates:
-            advance_candidates.sort(key=lambda item: item[0])
-            for _, pids in advance_candidates:
-                if len(runnable) >= capacity:
-                    break
-                runnable.extend(pids[: capacity - len(runnable)])
-        return runnable
-
-    def _active_predecessor_groups(self, group_id: int) -> int:
-        return int(
-            np.count_nonzero(
-                self.group_active[self.tables.group_predecessors[group_id]]
+        capacity = len(self.machine.live_gpu_ids()) * self.cfg.advance_factor
+        if runnable.size < capacity:
+            waiting = np.flatnonzero(active & (blockers > 0))
+            waiting = waiting[np.argsort(blockers[waiting], kind="stable")]
+            runnable = np.concatenate(
+                (runnable, self._layer_order[waiting[: capacity - runnable.size]])
             )
-        )
+        return runnable.tolist()
 
     def _prefetch_next(self, runnable: Sequence[int]) -> None:
         """Queue the successor partitions' transfers behind this round."""
@@ -865,12 +879,10 @@ class _Run:
         stats = self.machine.stats
         stats.note_partition_processed(pid)
 
-        changed_vertices: Set[int] = set()
-        write_counts: Dict[int, int] = {}
+        # The vertex of every master write of the pass, once per write.
+        writes: List[int] = []
         if self.cfg.use_path_execution:
-            work_items = self._walk_partition(
-                pid, gpu_id, reads, changed_vertices, write_counts
-            )
+            work_items = self._walk_partition(pid, gpu_id, reads, writes)
         else:
             # DiGraph-t: traditional execution loads the whole partition
             # and runs one worklist pass over its vertices — one thread
@@ -882,17 +894,19 @@ class _Run:
                 vertices=partition.num_vertex_slots,
             )
             work_items = self._process_vertex_centric(
-                pid, gpu_id, reads, changed_vertices, write_counts
+                pid, gpu_id, reads, writes
             )
+        atomic_items = [0] * len(work_items)
+        if not writes:
+            return work_items, atomic_items
         # Contention is accounted once per partition pass (proxies
         # flush at pass end); the atomic pushes are issued by the
         # threads that produced the writes, so spread them evenly
         # over the pass's threads.
-        contention = self.pre.replicas.contention(write_counts)
+        contention = self.pre.replicas.contention(writes)
         stats.atomic_updates += contention.atomic_updates
         stats.proxy_absorbed += contention.proxy_absorbed
         stats.master_writes += contention.total_writes
-        atomic_items = [0] * len(work_items)
         if work_items and contention.atomic_updates:
             share, remainder = divmod(
                 contention.atomic_updates, len(work_items)
@@ -901,7 +915,7 @@ class _Run:
                 len(work_items) - remainder
             )
 
-        self._synchronize_replicas(pid, gpu_id, changed_vertices)
+        self._synchronize_replicas(pid, gpu_id, set(writes))
         return work_items, atomic_items
 
     def _walk_partition(
@@ -909,11 +923,11 @@ class _Run:
         pid: int,
         gpu_id: int,
         reads: List[float],
-        changed_vertices: Set[int],
-        write_counts: Dict[int, int],
+        writes: List[int],
     ) -> List[int]:
         """Path execution of one partition; returns per-thread gather
-        edges walked.
+        edges walked, and appends each changed update's vertex to
+        ``writes``.
 
         The SMX's warp scheduler keeps re-running its active paths until
         the partition settles (Section 3.2.3): one partition pass
@@ -934,11 +948,12 @@ class _Run:
 
         Everything loop-invariant is read from tables: the partition's
         block of ``E_Idx`` (per preprocess), the fused step with each
-        vertex's gather inputs and the dependents (per run, memoised
-        from the program), the owner-GPU map (per wave) and ``reads``
-        (per GPU turn). Work counters are summed in locals and charged
-        once per local iteration — they are integers, so the totals are
-        the per-update charges.
+        vertex's gather inputs and the dependents (per run), the
+        owner-GPU map (per wave) and ``reads`` (per GPU turn). Work
+        counters are summed in locals and charged once per local
+        iteration — they are integers, so the totals are the per-update
+        charges. A changed vertex's dependents all go on the pass's
+        deferred list; those on this GPU are also activated at once.
         """
         tables = self.tables
         block = tables.blocks[pid]
@@ -946,9 +961,11 @@ class _Run:
         machine, scheduler = self.machine, self.scheduler
         load_global = machine.load_global
         stats = machine.stats
-        graph, program = self.graph, self.program
         step, degree_of = self.step, self._gather_degree
-        dependents = self._dependents
+        dependents, dependents_of = self._dependents, self._dependents_of
+        outgoing: List[int] = []
+        self._deferred_activations.append((gpu_id, outgoing))
+        send, note_write = outgoing.extend, writes.append
         # Per-element reads and writes go through the run's views; the
         # one array-wide read per local iteration uses the array.
         views, active_flags = self._views, self.states.active
@@ -959,9 +976,8 @@ class _Run:
         written_stamp = views["written_stamp"]
         wave, current_round = self._wave_counter, self._current_round
         owner_gpu = self._owner_gpu_list
-        deferred = self._deferred_activations
         flip = self._flip
-        path_work = self._path_work
+        path_work, path_work_list = self._path_work, self._path_work_list
         threads = self.engine.spec.gpu.threads_per_smx
 
         # Iterating to local quiescence is only productive when the
@@ -971,18 +987,16 @@ class _Run:
         # Inside a multi-partition SCC group, or with live upstream
         # inputs, iterating would churn against a stale snapshot, so
         # the pass runs once and waits for the next delivery.
-        quiesce = bool(tables.alone_in_group[pid]) and not np.any(
-            self.partition_active[tables.partition_predecessors[pid]]
+        quiesce = bool(tables.alone_in_group[pid]) and not (
+            self.partition_active[tables.partition_predecessors[pid]].any()
         )
         owned_here = self._owner_gpu[block.vertices] == gpu_id
         work_items: List[int] = []
         for _iteration in range(_MAX_LOCAL_ITERATIONS if quiesce else 1):
             block_active = active_flags[block.vertices]
-            scheduled = np.flatnonzero(
-                np.logical_or.reduceat(
-                    block_active & owned_here, block.starts
-                )
-            )
+            (scheduled,) = np.logical_or.reduceat(
+                block_active & owned_here, block.starts
+            ).nonzero()
             if scheduled.size == 0:
                 break
             self._stamp_counter += 1
@@ -1001,14 +1015,15 @@ class _Run:
                 block.starts,
                 dtype=np.int64,
             )[scheduled]
-            buckets = balance_paths_to_threads(
-                scheduler.order_paths(
-                    block.path_ids[scheduled], active_counts
-                ),
-                path_work,
+            buckets = pack_ordered(
+                scheduler.thread_order(
+                    block.path_ids[scheduled], active_counts, path_work
+                ).tolist(),
+                path_work_list,
                 threads,
             )
-            applies = updates = edges = demand_fetches = 0
+            applies = edges = demand_fetches = 0
+            writes_before = len(writes)
             for bucket in buckets:
                 edges_walked = 0
                 for path_id in bucket:
@@ -1057,28 +1072,24 @@ class _Run:
                         if consumes_active:
                             flip(v, False)
                         if changed:
-                            updates += 1
-                            changed_vertices.add(v)
-                            write_counts[v] = write_counts.get(v, 0) + 1
+                            note_write(v)
                             targets = dependents[v]
                             if targets is None:
-                                targets = dependents[v] = tuple(
-                                    map(int, program.dependents(graph, v))
-                                )
+                                targets = dependents_of(v)
                             # A changed state is visible at once on this
                             # GPU but reaches the others only with the
                             # end-of-wave replica sync (see ``activate``).
+                            send(targets)
                             for u in targets:
-                                target_gpu = owner_gpu[u]
-                                if target_gpu != gpu_id and target_gpu >= 0:
-                                    deferred.append((u, gpu_id, target_gpu))
-                                elif not active[u]:
+                                if not active[u] and (
+                                    owner_gpu[u] == gpu_id or owner_gpu[u] < 0
+                                ):
                                     flip(u, True)
                             upstream_changed = True
                 edges += edges_walked
                 work_items.append(edges_walked)
             stats.apply_calls += applies
-            stats.vertex_updates += updates
+            stats.vertex_updates += len(writes) - writes_before
             stats.edge_traversals += edges
             # The walk streams every loaded slot of its paths
             # sequentially (it must, to follow the chain) — each streamed
@@ -1098,15 +1109,13 @@ class _Run:
         pid: int,
         gpu_id: int,
         reads: List[float],
-        changed_vertices: Set[int],
-        write_counts: Dict[int, int],
+        writes: List[int],
     ) -> List[int]:
         """DiGraph-t: active vertices in id order, immediate visibility.
 
         Like the path walk, only the owner GPU consumes a vertex's active
         flag (see :meth:`_walk_partition`). Returns per-vertex work items
         (gather degrees)."""
-        graph, program = self.graph, self.program
         stats = self.machine.stats
         # The partition's vertices this GPU owns, ascending. Ownership
         # is fixed for the wave; activity is not — an update here may
@@ -1131,9 +1140,8 @@ class _Run:
             flip(v, False)
             if changed:
                 stats.vertex_updates += 1
-                changed_vertices.add(v)
-                write_counts[v] = write_counts.get(v, 0) + 1
-                self.activate(list(program.dependents(graph, v)))
+                writes.append(v)
+                self.activate(self._dependents_of(v))
         degree_sum = sum(items)
         stats.apply_calls += len(items)
         stats.edge_traversals += degree_sum
@@ -1146,34 +1154,35 @@ class _Run:
         return items
 
     def _synchronize_replicas(
-        self, pid: int, gpu_id: int, changed_vertices: Set[int]
+        self, pid: int, gpu_id: int, changed: Set[int]
     ) -> None:
         """Batched replica-update messages to remote mirror partitions.
 
         Messages are grouped per destination partition (Section 3.2.2's
-        arrangement "according to the IDs of the destination partitions")
-        and accumulated per GPU pair; the NCCL ring moves each pair's
-        accumulated batch once per round (flushed by the main loop).
+        arrangement "according to the IDs of the destination partitions"),
+        one batch of the pass's mean batch size each, and accumulated
+        per GPU pair; the NCCL ring moves each pair's accumulated batch
+        once per round (flushed by the main loop).
         """
-        if not changed_vertices:
+        replicas = self.pre.replicas
+        messages = replicas.messages_per_destination(pid, changed)
+        (destinations,) = messages.nonzero()
+        if destinations.size == 0:
             return
-        outcome = self.pre.replicas.sync_after_partition(
-            pid, changed_vertices
+        nbytes = BYTES_PER_MESSAGE * max(
+            1, int(messages.sum()) // destinations.size
         )
-        if outcome.messages == 0:
-            return
         payload = (
-            self.pre.replicas.payload_by_destination(pid, changed_vertices)
+            replicas.payload_by_destination(pid, changed)
             if self._track_payloads
             else None
         )
-        per_batch = max(1, outcome.messages // max(outcome.batches, 1))
-        for dest in outcome.destinations:
-            dest_gpu = self.dispatcher.current_gpu[dest]
-            if dest_gpu == gpu_id:
+        for dest, dst_gpu in zip(
+            destinations.tolist(), self._partition_gpu[destinations].tolist()
+        ):
+            if dst_gpu == gpu_id:
                 continue  # same-GPU sync stays in global memory
-            key = (gpu_id, dest_gpu)
-            nbytes = per_batch * BYTES_PER_MESSAGE
+            key = (gpu_id, dst_gpu)
             self._pending_sync_bytes[key] = (
                 self._pending_sync_bytes.get(key, 0) + nbytes
             )
@@ -1182,7 +1191,7 @@ class _Run:
             )
             if payload is not None:
                 self._pending_sync_payload.setdefault(key, []).extend(
-                    payload.get(dest, ())
+                    payload[dest]
                 )
 
     def _flush_replica_sync(self) -> Set[Tuple[int, int]]:
@@ -1236,13 +1245,19 @@ class _Run:
         }
 
     def vertex_gpu(self) -> np.ndarray:
+        # Unowned vertices (owner_pid == -1) map to the -1 sentinel slot.
+        return self._placement()[self._owner_pid]
+
+    def _placement(self) -> np.ndarray:
+        """Each partition's current GPU, then a -1 sentinel slot."""
+        current = self.dispatcher.current_gpu
         pid_gpu = np.full(
             self.pre.storage.num_partitions + 1, -1, dtype=np.int64
         )
-        for pid, gpu in self.dispatcher.current_gpu.items():
-            pid_gpu[pid] = gpu
-        # Unowned vertices (owner_pid == -1) map to the -1 sentinel slot.
-        return pid_gpu[self._owner_pid]
+        pid_gpu[np.fromiter(current, np.int64, len(current))] = np.fromiter(
+            current.values(), np.int64, len(current)
+        )
+        return pid_gpu
 
     def capture_scalars(self) -> Dict[str, object]:
         return {
@@ -1252,7 +1267,9 @@ class _Run:
             "wave_counter": self._wave_counter,
             "stamp_counter": self._stamp_counter,
             "current_round": self._current_round,
-            "deferred": list(self._deferred_activations),
+            "deferred": [
+                (gpu, list(vs)) for gpu, vs in self._deferred_activations
+            ],
             "pending_sync": dict(self._pending_sync_bytes),
             "pending_payload": {
                 pair: list(vs)
@@ -1271,7 +1288,9 @@ class _Run:
         self._wave_counter = scalars["wave_counter"]
         self._stamp_counter = scalars["stamp_counter"]
         self._current_round = scalars["current_round"]
-        self._deferred_activations = list(scalars["deferred"])
+        self._deferred_activations = [
+            (gpu, list(vs)) for gpu, vs in scalars["deferred"]
+        ]
         self._pending_sync_bytes = dict(scalars["pending_sync"])
         self._pending_sync_payload = {
             pair: list(vs)

@@ -127,7 +127,7 @@ class PathSet:
         datasets)."""
         if not self.paths:
             return 0.0
-        return float(np.mean([p.num_edges for p in self.paths]))
+        return float(np.mean([len(p.edge_ids) for p in self.paths]))
 
     def total_edges(self) -> int:
         return sum(p.num_edges for p in self.paths)

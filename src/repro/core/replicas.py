@@ -20,23 +20,15 @@ paper's fixes, both modeled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import cached_property
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.core.paths import PathSet
-from repro.core.storage import BYTES_PER_MESSAGE, PathStorage
-
-
-@dataclass(frozen=True)
-class SyncOutcome:
-    """Replica synchronization cost of one partition processing pass."""
-
-    messages: int           #: replica-update messages generated
-    batches: int            #: distinct destination partitions (one batch each)
-    nbytes: int             #: total message payload
-    destinations: Tuple[int, ...]  #: destination partition ids
+from repro.core.storage import PathStorage
 
 
 @dataclass(frozen=True)
@@ -209,34 +201,40 @@ class ReplicaTable:
         return tuple(sorted(self._mirror_partitions))
 
     # ------------------------------------------------------------------
-    def sync_after_partition(
-        self, partition_id: int, changed_vertices: Iterable[int]
-    ) -> SyncOutcome:
-        """Replica-update messages for a partition pass's changed vertices.
-
-        One message per (changed vertex, remote mirror partition); messages
-        to the same destination form one batch.
-        """
+    @cached_property
+    def _mirror_slices(self) -> List[Tuple[int, ...]]:
+        """:meth:`mirror_partitions` of every vertex, by vertex id."""
         mirrors = self._mirror_partitions
-        per_destination: Dict[int, int] = {}
-        for v in changed_vertices:
-            for dest in mirrors.get(v, ()):
-                if dest != partition_id:
-                    per_destination[dest] = per_destination.get(dest, 0) + 1
-        messages = sum(per_destination.values())
-        return SyncOutcome(
-            messages=messages,
-            batches=len(per_destination),
-            nbytes=messages * BYTES_PER_MESSAGE,
-            destinations=tuple(sorted(per_destination)),
+        return [
+            mirrors.get(v, ())
+            for v in range(self._path_set.graph.num_vertices)
+        ]
+
+    def messages_per_destination(
+        self, partition_id: int, changed_vertices: Iterable[int]
+    ) -> np.ndarray:
+        """Replica-update messages per partition for a pass's changed
+        vertices: one per changed vertex and mirror partition other
+        than ``partition_id`` (whose count is zero)."""
+        counts = np.bincount(
+            np.fromiter(
+                chain.from_iterable(
+                    map(self._mirror_slices.__getitem__, changed_vertices)
+                ),
+                dtype=np.int64,
+            ),
+            minlength=self._storage.num_partitions,
         )
+        if 0 <= partition_id < counts.size:
+            counts[partition_id] = 0
+        return counts
 
     def payload_by_destination(
         self, partition_id: int, changed_vertices: Iterable[int]
     ) -> Dict[int, Tuple[int, ...]]:
         """The vertices each remote destination receives in the batch.
 
-        The vertex-level view of :meth:`sync_after_partition`: for every
+        The vertex-level view of :meth:`messages_per_destination`: for every
         remote mirror partition, the (sorted) changed vertices with a
         replica there — i.e. the modeled message payload. Fault injection
         uses this to know *which* master states a corrupted batch would
@@ -253,33 +251,21 @@ class ReplicaTable:
             for dest, vs in per_destination.items()
         }
 
-    def contention(
-        self, write_counts: Mapping[int, int]
-    ) -> ContentionOutcome:
+    def contention(self, writes: Sequence[int]) -> ContentionOutcome:
         """Atomic-vs-proxy accounting for one partition pass.
 
-        ``write_counts`` maps vertex -> number of master writes produced
-        while processing the partition. A proxied vertex folds all its
-        local writes into one atomic push at pass end; an unproxied vertex
-        pays one atomic per write.
+        ``writes`` holds the vertex of every master write produced while
+        processing the partition (a vertex once per write). A proxied
+        vertex folds all its local writes into one atomic push at pass
+        end; an unproxied vertex pays one atomic per write.
         """
         proxied = self._proxied
-        atomics = 0
-        absorbed = 0
-        total = 0
-        for v, count in write_counts.items():
-            if count <= 0:
-                continue
-            total += count
-            if v in proxied:
-                atomics += 1
-                absorbed += count - 1
-            else:
-                atomics += count
+        hot = sum(map(proxied.__contains__, writes))
+        folded = len(proxied.intersection(writes))
         return ContentionOutcome(
-            atomic_updates=atomics,
-            proxy_absorbed=absorbed,
-            total_writes=total,
+            atomic_updates=len(writes) - hot + folded,
+            proxy_absorbed=hot - folded,
+            total_writes=len(writes),
         )
 
 

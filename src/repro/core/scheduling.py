@@ -57,6 +57,7 @@ class PathScheduler:
         n_max = float(lengths.max()) if num_paths else 1.0
         #: The paper's preprocessing-time scaling factor.
         self.alpha = 1.0 / max(d_max * n_max, 1.0)
+        self._alpha_degree = self.alpha * avg_degree
 
     # ------------------------------------------------------------------
     # N(p)
@@ -85,10 +86,9 @@ class PathScheduler:
     def _priorities(
         self, path_ids: np.ndarray, active_counts: np.ndarray
     ) -> np.ndarray:
-        tables = self._tables
         return (
-            self.alpha * tables.avg_degree[path_ids] * active_counts
-            - tables.layer[path_ids]
+            self._alpha_degree[path_ids] * active_counts
+            - self._tables.layer[path_ids]
         )
 
     def order_paths(
@@ -113,6 +113,26 @@ class PathScheduler:
             ]
         return path_ids.tolist()
 
+    def thread_order(
+        self,
+        path_ids: np.ndarray,
+        active_counts: np.ndarray,
+        path_work: np.ndarray,
+    ) -> np.ndarray:
+        """``path_ids`` in the order the thread packer deals them:
+        :func:`balance_paths_to_threads` over :meth:`order_paths` as
+        one sort — heaviest ``path_work[p]`` first, among equal work
+        descending ``Pri(p)`` (ties by id) or, disabled, the given
+        order."""
+        lighter = -path_work[path_ids]
+        if not self.enabled:
+            return path_ids[lighter.argsort(kind="stable")]
+        return path_ids[
+            np.lexsort(
+                (path_ids, -self._priorities(path_ids, active_counts), lighter)
+            )
+        ]
+
 
 def balance_paths_to_threads(
     path_ids: Sequence[int],
@@ -128,18 +148,35 @@ def balance_paths_to_threads(
     preserved (priority order from the scheduler). ``path_edges`` is
     anything indexable by path id.
     """
-    if num_threads < 1:
-        raise SchedulingError("num_threads must be >= 1")
     # Stable, also in reverse: keeps scheduler priority order among
     # equal lengths.
     ordered = sorted(path_ids, key=path_edges.__getitem__, reverse=True)
-    if 0 < len(ordered) <= num_threads and path_edges[ordered[-1]] > 0:
-        # No more paths than threads, all with positive work: placement
-        # ``k`` finds threads ``0..k-1`` loaded and thread ``k`` the
-        # lowest empty one, so each path gets its own thread, in order.
-        # (A zero-work path leaves its thread empty and the next path
-        # stacks on it — that case takes the heap.)
-        return [[path_id] for path_id in ordered]
+    return pack_ordered(ordered, path_edges, num_threads)
+
+
+def pack_ordered(
+    ordered: Sequence[int],
+    path_edges: Union[Mapping[int, int], Sequence[int]],
+    num_threads: int,
+) -> List[List[int]]:
+    """LPT packing of paths already in dealing order (heaviest first,
+    as :func:`balance_paths_to_threads` or
+    :meth:`PathScheduler.thread_order` sorts them)."""
+    if num_threads < 1:
+        raise SchedulingError("num_threads must be >= 1")
+    if len(ordered) <= num_threads:
+        # No more paths than threads: placement ``k`` of a positive-work
+        # path finds threads ``0..k-1`` loaded and thread ``k`` the
+        # lowest empty one, so each gets its own thread, in order. The
+        # zero-work paths after them leave the next thread empty, the
+        # lightest, so they all stack on it.
+        positive = len(ordered)
+        while positive and path_edges[ordered[positive - 1]] == 0:
+            positive -= 1
+        buckets = [[path_id] for path_id in ordered[:positive]]
+        if positive < len(ordered):
+            buckets.append(list(ordered[positive:]))
+        return buckets
     # ``(load, thread)`` min-heap: the lightest thread, lowest index
     # among equals. Already a heap — all loads zero, indices ascending.
     # Thread ``j`` can only be picked after ``j`` earlier placements (an

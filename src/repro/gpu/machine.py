@@ -31,7 +31,7 @@ from repro.errors import (
 from repro.gpu.config import GPUSpec, MachineSpec
 from repro.gpu.interconnect import HOST, Endpoint, Interconnect
 from repro.gpu.memory import BoundedMemory
-from repro.gpu.smx import SMX, as_work_arrays
+from repro.gpu.smx import price_launches, thread_costs
 from repro.gpu.stats import MachineStats
 from repro.gpu.stream import StreamPool
 
@@ -58,8 +58,74 @@ class DeliveryOutcome:
     poison: float = 0.0
 
 
+def balanced_cycles(
+    spec: GPUSpec,
+    launches: Sequence[Tuple[Sequence[int], Optional[Sequence[int]]]],
+) -> Tuple[List[int], int, int]:
+    """Price one kernel per GPU, all GPUs in one integer array pass:
+    each launch's slowest-SMX cycles, and the busy and total
+    thread-cycles of all. ``launches`` holds each GPU's per-thread
+    edge-steps and atomics (lists or arrays; atomics ``None`` for
+    none), no launch empty.
+
+    Load-balanced advance: oversized items are split across threads (a
+    hub's gather is processed by many lanes, not one), then each GPU's
+    threads are sorted by cost so warps are cost-homogeneous (lock-step
+    warps pay their max member). All engines get this — it models the
+    standard load-balancing of GPU graph kernels. An item over the
+    threshold becomes ``ceil(item / threshold) - 1`` full pieces and
+    then its remainder, which carries the item's atomics.
+    """
+    sizes = [len(work) for work, _ in launches]
+    if any(a is not None and len(a) != n for (_, a), n in zip(launches, sizes)):
+        raise SimulationError("atomic_counts must parallel work_items")
+    work = np.concatenate([w for w, _ in launches], dtype=np.int64)
+    atomics = np.concatenate(
+        [np.zeros(n, np.int64) if a is None else a
+         for (_, a), n in zip(launches, sizes)],
+        dtype=np.int64,
+    )
+    launch = np.repeat(np.arange(len(sizes)), sizes)
+    threshold = spec.work_split_threshold
+    if work.max() > threshold:
+        full = np.maximum(-(-work // threshold) - 1, 0)
+        last = np.cumsum(full + 1) - 1
+        pieces = np.full(last[-1] + 1, threshold, dtype=np.int64)
+        pieces[last] = work - full * threshold
+        piece_atomics = np.zeros_like(pieces)
+        piece_atomics[last] = atomics
+        work, atomics = pieces, piece_atomics
+        launch = np.repeat(launch, full + 1)
+        sizes = np.bincount(launch, minlength=len(sizes)).tolist()
+    # Per launch, heaviest first; stable, so equal pieces keep the
+    # caller's thread order (one sort key: launch major, work minor —
+    # no piece exceeds the threshold now).
+    order = (launch * (threshold + 1) - work).argsort(kind="stable")
+    costs = thread_costs(spec, work[order], atomics[order])
+
+    # Threads go to SMXs in contiguous blocks, at least one warp wide:
+    # scattering a handful of threads across many SMXs would fragment
+    # them into near-empty warps, which no real block scheduler does.
+    bounds: List[int] = []
+    first_block: List[int] = []
+    start = 0
+    for size in sizes:
+        block = max(spec.threads_per_warp, -(-size // spec.num_smxs))
+        first_block.append(len(bounds))
+        bounds.extend(range(start, start + size, block))
+        start += size
+    cycles, total = price_launches(spec, costs, bounds + [start])
+    first_block.append(len(cycles))
+    return (
+        [max(cycles[lo:hi]) for lo, hi in zip(first_block, first_block[1:])],
+        int(costs.sum()),
+        total,
+    )
+
+
 class GPU:
-    """One simulated GPU: SMXs, global memory, a Hyper-Q stream pool."""
+    """One simulated GPU: global memory and a Hyper-Q stream pool; its
+    SMXs are priced by :func:`balanced_cycles`."""
 
     def __init__(
         self,
@@ -75,7 +141,6 @@ class GPU:
             spec.global_memory_bytes, name=f"gpu{gpu_id}.global"
         )
         self.streams = StreamPool(num_streams)
-        self.smxs = [SMX(spec, stats, smx_id=i) for i in range(spec.num_smxs)]
 
     def seconds(self, cycles: int) -> float:
         """Convert SMX cycles to model seconds."""
@@ -94,45 +159,15 @@ class GPU:
         launching). Returns the elapsed model seconds, with any queued
         stream transfers overlapped against the compute interval.
         """
-        work, atomics = as_work_arrays(work_items, atomic_counts)
-        if work.size == 0:
+        if not len(work_items):
             # Still resolve pending transfers (nothing hides them).
             return self.streams.flush()
-
-        # Load-balanced advance: split oversized items across threads (a
-        # hub's gather is processed by many lanes, not one), then sort by
-        # cost so warps are cost-homogeneous (lock-step warps pay their
-        # max member). All engines get this — it models the standard
-        # load-balancing of GPU graph kernels. An item over the threshold
-        # becomes ``ceil(item / threshold) - 1`` full pieces and then its
-        # remainder, which carries the item's atomics.
-        threshold = self.spec.work_split_threshold
-        full = np.maximum(-(-work // threshold) - 1, 0)
-        last = np.cumsum(full + 1) - 1
-        pieces = np.full(last[-1] + 1, threshold, dtype=np.int64)
-        pieces[last] = work - full * threshold
-        piece_atomics = np.zeros_like(pieces)
-        piece_atomics[last] = atomics
-        # Stable: equal pieces keep the caller's thread order.
-        order = np.argsort(-pieces, kind="stable")
-        work, atomics = pieces[order], piece_atomics[order]
-
-        # Threads go to SMXs in contiguous blocks, at least one warp
-        # wide: scattering a handful of threads across many SMXs would
-        # fragment them into near-empty warps, which no real block
-        # scheduler does.
-        block = max(
-            self.spec.threads_per_warp, -(-work.size // len(self.smxs))
+        (cycles,), busy, total = balanced_cycles(
+            self.spec, [(work_items, atomic_counts)]
         )
-        max_cycles = max(
-            smx.execute(
-                work[start : start + block], atomics[start : start + block]
-            ).cycles
-            for smx, start in zip(self.smxs, range(0, work.size, block))
-        )
-        compute_s = self.seconds(max_cycles)
-        overlap = self.streams.overlap_with_compute(compute_s)
-        return overlap.elapsed_s
+        self._stats.busy_thread_cycles += busy
+        self._stats.total_thread_cycles += total
+        return self.streams.overlap_with_compute(self.seconds(cycles)).elapsed_s
 
 
 class Machine:
@@ -413,8 +448,9 @@ class Machine:
                         gpu_id=fault.kill_gpu,
                     )
                 slowdowns = dict(fault.slowdowns)
-        elapsed_by_gpu: Dict[int, float] = {}
-        base_by_gpu: Dict[int, float] = {}
+        # Every live GPU's share, as GPU.execute_balanced would price it,
+        # in one pass.
+        launches: Dict[int, Tuple[Sequence[int], Optional[Sequence[int]]]] = {}
         for gpu_id, items in work.items():
             if not 0 <= gpu_id < self.num_gpus:
                 raise SimulationError(f"no GPU {gpu_id}")
@@ -425,10 +461,30 @@ class Machine:
                         gpu_id=gpu_id,
                     )
                 continue
-            gpu_atomics = atomics.get(gpu_id) if atomics else None
-            base = self.gpus[gpu_id].execute_balanced(items, gpu_atomics)
-            base_by_gpu[gpu_id] = base
-            elapsed_by_gpu[gpu_id] = base * slowdowns.get(gpu_id, 1.0)
+            launches[gpu_id] = (items, atomics.get(gpu_id) if atomics else None)
+        busy = [g for g, (items, _) in launches.items() if len(items)]
+        cycles: Dict[int, int] = {}
+        if busy:
+            priced, busy_cycles, total = balanced_cycles(
+                self.spec.gpu, [launches[g] for g in busy]
+            )
+            self.stats.busy_thread_cycles += busy_cycles
+            self.stats.total_thread_cycles += total
+            cycles = dict(zip(busy, priced))
+        # An idle GPU still resolves its pending transfers (nothing
+        # hides them).
+        base_by_gpu = {
+            g: self.gpus[g].streams.flush()
+            if g not in cycles
+            else self.gpus[g].streams.overlap_with_compute(
+                self.gpus[g].seconds(cycles[g])
+            ).elapsed_s
+            for g in launches
+        }
+        elapsed_by_gpu = {
+            gpu_id: base * slowdowns.get(gpu_id, 1.0)
+            for gpu_id, base in base_by_gpu.items()
+        }
         if (
             self.recovery is not None
             and self.recovery.redispatch_stragglers

@@ -13,7 +13,7 @@ warp and the aggregate work divided by the slot count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,52 @@ def as_work_arrays(
     return work, atomics
 
 
+def thread_costs(
+    spec: GPUSpec,
+    edge_steps: int | np.ndarray,
+    atomics: int | np.ndarray = 0,
+) -> int | np.ndarray:
+    """Model cycles one thread spends on its work item — or, given
+    parallel integer arrays, each thread on its own."""
+    if np.min(edge_steps) < 0 or np.min(atomics) < 0:
+        raise SimulationError("work item counts must be non-negative")
+    return edge_steps * spec.cycles_per_edge + atomics * spec.cycles_per_atomic
+
+
+def price_launches(
+    spec: GPUSpec, costs: np.ndarray, bounds: Sequence[int]
+) -> Tuple[List[int], int]:
+    """Cycles of SMX launches laid end to end.
+
+    ``costs`` are per-thread cycles; launch ``i`` runs threads
+    ``bounds[i]`` up to ``bounds[i + 1]``, none empty. Returns each
+    launch's SMX cycles and the total thread-cycles of all of them
+    (see :meth:`SMX.execute`).
+    """
+    width, slots = spec.threads_per_warp, spec.warp_slots_per_smx
+    warp_starts: List[int] = []
+    first_warp: List[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first_warp.append(len(warp_starts))
+        warp_starts.extend(range(lo, hi, width))
+    first_warp.append(len(warp_starts))
+    # Lock-step: a warp pays its heaviest member.
+    warp_costs = np.maximum.reduceat(costs, warp_starts).tolist()
+    cycles: List[int] = []
+    total = 0
+    for lo, hi in zip(first_warp, first_warp[1:]):
+        warps = warp_costs[lo:hi]
+        # Round-robin warp scheduling: limited by the heaviest warp and
+        # by aggregate work over the available slots (ceil division).
+        cycles.append(max(max(warps), -(-sum(warps) // slots)))
+        # Occupancy accounting at warp granularity: idle *slots* with
+        # no warp assigned are scheduling headroom, not wasted SIMT
+        # lanes; what Fig. 15 measures is lock-step imbalance and
+        # partially filled warps among the warps actually resident.
+        total += cycles[-1] * width * min(len(warps), slots)
+    return cycles, total
+
+
 class SMX:
     """One simulated streaming multiprocessor."""
 
@@ -58,14 +104,8 @@ class SMX:
     def thread_cost_cycles(
         self, edge_steps: int | np.ndarray, atomics: int | np.ndarray = 0
     ) -> int | np.ndarray:
-        """Model cycles one thread spends on its work item — or, given
-        parallel integer arrays, each thread on its own."""
-        if np.min(edge_steps) < 0 or np.min(atomics) < 0:
-            raise SimulationError("work item counts must be non-negative")
-        return (
-            edge_steps * self._spec.cycles_per_edge
-            + atomics * self._spec.cycles_per_atomic
-        )
+        """:func:`thread_costs` under this SMX's spec."""
+        return thread_costs(self._spec, edge_steps, atomics)
 
     def execute(
         self,
@@ -91,27 +131,9 @@ class SMX:
         work, atomics = as_work_arrays(work_items, atomic_counts)
         if work.size == 0:
             return KernelCost(0, 0, 0)
-
-        width = self._spec.threads_per_warp
         costs = self.thread_cost_cycles(work, atomics)
-        # Lock-step: a warp pays its heaviest member.
-        warp_costs = np.maximum.reduceat(
-            costs, np.arange(0, costs.size, width)
-        )
-        slots = self._spec.warp_slots_per_smx
-        # Round-robin warp scheduling: limited by the heaviest warp and by
-        # aggregate work over the available slots.
-        cycles = max(
-            int(warp_costs.max()),
-            -(-int(warp_costs.sum()) // slots),  # ceil division
-        )
+        (cycles,), total = price_launches(self._spec, costs, [0, costs.size])
         busy = int(costs.sum())
-        # Occupancy accounting at warp granularity: idle *slots* with no
-        # warp assigned are scheduling headroom, not wasted SIMT lanes;
-        # what Fig. 15 measures is lock-step imbalance and partially
-        # filled warps among the warps actually resident.
-        resident_warps = min(warp_costs.size, slots)
-        total = cycles * width * resident_warps
         self._stats.busy_thread_cycles += busy
         self._stats.total_thread_cycles += total
         return KernelCost(

@@ -19,8 +19,9 @@ Bit-equivalence contract
 ------------------------
 ``step(v, old, reads)`` performs the IEEE-754 operations of
 ``gather`` -> ``accumulate`` -> ``apply`` -> ``has_converged`` in the
-same order, over gather inputs memoised on first touch from the
-program's *own* ``gather_edges``:
+same order, over per-vertex gather inputs cut from the graph's CSC / CSR
+arrays in one pass when the step is bound — the edges, in the order,
+the program's *own* ``gather_edges`` yields:
 
 - **linear** (pagerank, ppr, adsorption) — the left-to-right sum
   ``((0.0 + g_0) + g_1) + ...`` with ``g`` the program's own float
@@ -37,12 +38,28 @@ program's *own* ``gather_edges``:
 
 A program without a registered step — or a subclass of a registered one
 that overrides any protocol method — gets :func:`generic_step`, which
-*is* the protocol loop.
+*is* the protocol loop, over inputs memoised on first touch from
+``gather_edges``.
+
+:func:`dependents_table` is the same for ``dependents``: the tuples the
+Gauss-Seidel engines activate from when a state changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
+
+import numpy as np
 
 from repro.algorithms.adsorption import Adsorption
 from repro.algorithms.bfs import BFSLevels
@@ -68,6 +85,11 @@ class StepKernel(NamedTuple):
     step: StepFn
     #: Gather-edge count per vertex (``program.gather_degree``).
     degree: List[int]
+    #: The gather inputs ``step`` reads per vertex, in ``gather_edges``
+    #: order: ``(src, c)`` pairs (``c`` the per-edge constant) or bare
+    #: sources. ``generic_step`` fills its ``None`` entries on first
+    #: touch.
+    inputs: List[Optional[tuple]]
 
 
 StepBuilder = Callable[[VertexProgram, DiGraphCSR], StepKernel]
@@ -101,16 +123,50 @@ def resolve_step(program: VertexProgram, graph: DiGraphCSR) -> StepKernel:
     return builder(program, graph)
 
 
-def _memoised(build: Callable[[int], tuple], num_vertices: int):
-    """``inputs(v)`` computing ``build(v)`` on first touch. The closures
-    below inline the hit path; this is the miss path they share."""
-    table: List[Optional[tuple]] = [None] * num_vertices
+#: Registered programs that gather over both directions: their gather
+#: inputs are in- then out-neighbours, their dependents out- then in-.
+_SYMMETRIC = (WeaklyConnectedComponents, KCore)
 
-    def miss(v: int) -> tuple:
-        inputs = table[v] = build(v)
-        return inputs
 
-    return table, miss
+def _slices(indptr: np.ndarray, flat: Iterable) -> List[tuple]:
+    """``flat`` cut at ``indptr``: one tuple per vertex."""
+    flat, bounds = tuple(flat), indptr.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``indptr`` of the entries ``keep`` leaves in place."""
+    return np.concatenate(([0], np.cumsum(keep)))[indptr]
+
+
+def _neighbours(graph: DiGraphCSR, *directions: str) -> List[tuple]:
+    """Each vertex's ``"in"`` (CSC) and / or ``"out"`` (CSR)
+    neighbours, the directions in the order given."""
+    cuts = []
+    for direction in directions:
+        indptr, flat = (
+            graph.csc_arrays()[:2]
+            if direction == "in"
+            else (graph.indptr, graph.indices)
+        )
+        cuts.append(_slices(indptr, flat.tolist()))
+    return cuts[0] if len(cuts) == 1 else [a + b for a, b in zip(*cuts)]
+
+
+def dependents_table(
+    program: VertexProgram, graph: DiGraphCSR
+) -> List[Optional[tuple]]:
+    """Each vertex's ``program.dependents`` as a tuple of ints.
+
+    For a registered program, every entry is cut from the CSR / CSC
+    arrays here; otherwise every entry is ``None`` and the caller
+    memoises the program's own ``dependents`` on first touch.
+    """
+    if step_builder_for(program) is None:
+        return [None] * graph.num_vertices
+    if isinstance(program, _SYMMETRIC):
+        return _neighbours(graph, "out", "in")
+    return _neighbours(graph, "out")
 
 
 def _in_degrees(graph: DiGraphCSR) -> List[int]:
@@ -129,14 +185,12 @@ def generic_step(program: VertexProgram, graph: DiGraphCSR) -> StepKernel:
     identity = program.identity
     gather, accumulate = program.gather, program.accumulate
     apply, has_converged = program.apply, program.has_converged
-    table, miss = _memoised(
-        lambda v: tuple(program.gather_edges(graph, v)), graph.num_vertices
-    )
+    table: List[Optional[tuple]] = [None] * graph.num_vertices
 
     def step(v, old, reads):
         inputs = table[v]
         if inputs is None:
-            inputs = miss(v)
+            inputs = table[v] = tuple(program.gather_edges(graph, v))
         acc = identity
         for src, weight in inputs:
             acc = accumulate(acc, gather(float(reads[src]), weight, src, v))
@@ -146,23 +200,21 @@ def generic_step(program: VertexProgram, graph: DiGraphCSR) -> StepKernel:
     return StepKernel(
         step,
         [program.gather_degree(graph, v) for v in range(graph.num_vertices)],
+        table,
     )
 
 
 # ----------------------------------------------------------------------
 # linear: new = base(v) + scale * sum_{u -> v} g(u, v)
 # ----------------------------------------------------------------------
-def _linear_step(table, miss, base, scale, tolerance, divide) -> StepFn:
+def _linear_step(table, base, scale, tolerance, divide) -> StepFn:
     """The ordered sum with ``g = x / c`` (``divide``) or ``g = x * c``,
-    ``c`` the per-edge constant memoised next to the source."""
+    ``c`` the per-edge constant kept next to the source."""
     if divide:
 
         def step(v, old, reads):
-            inputs = table[v]
-            if inputs is None:
-                inputs = miss(v)
             acc = 0.0
-            for src, c in inputs:
+            for src, c in table[v]:
                 acc = acc + reads[src] / c
             new = base[v] + scale * acc
             return new, not (abs(new - old) <= tolerance)
@@ -170,11 +222,8 @@ def _linear_step(table, miss, base, scale, tolerance, divide) -> StepFn:
     else:
 
         def step(v, old, reads):
-            inputs = table[v]
-            if inputs is None:
-                inputs = miss(v)
             acc = 0.0
-            for src, c in inputs:
+            for src, c in table[v]:
                 acc = acc + reads[src] * c
             new = base[v] + scale * acc
             return new, not (abs(new - old) <= tolerance)
@@ -187,7 +236,6 @@ def _rank_step(program, graph: DiGraphCSR) -> StepKernel:
     """``base(v) + d * sum x / out_degree[src]`` — ``base`` is ``1 - d``
     (pagerank) or ``(1 - d) * teleport[v]`` (ppr)."""
     n = graph.num_vertices
-    out_degree = graph.out_degree().astype(float).tolist()
     damping = program.damping
     if isinstance(program, PersonalizedPageRank):
         share = 1.0 / len(program.seeds)
@@ -200,18 +248,15 @@ def _rank_step(program, graph: DiGraphCSR) -> StepKernel:
     # ``gather`` returns 0.0 for a source without out-edges; adding
     # 0.0 to a sum that started at +0.0 leaves every bit alone, so such
     # an input (no in-edge has one) is skipped.
-    table, miss = _memoised(
-        lambda v: tuple(
-            (src, out_degree[src])
-            for src, _ in program.gather_edges(graph, v)
-            if out_degree[src] != 0
-        ),
-        n,
+    indptr, sources, _ = graph.csc_arrays()
+    out_degree = graph.out_degree().astype(float)[sources]
+    keep = out_degree != 0
+    table = _slices(
+        _kept(indptr, keep),
+        zip(sources[keep].tolist(), out_degree[keep].tolist()),
     )
-    step = _linear_step(
-        table, miss, base, damping, program.tolerance, divide=True
-    )
-    return StepKernel(step, _in_degrees(graph))
+    step = _linear_step(table, base, damping, program.tolerance, divide=True)
+    return StepKernel(step, _in_degrees(graph), table)
 
 
 @_register(Adsorption)
@@ -220,24 +265,21 @@ def _adsorption_step(program: Adsorption, graph: DiGraphCSR) -> StepKernel:
     if program._injection is None or program._in_weight_sum is None:
         # Deterministic caches; recomputing them is idempotent.
         program.initial_states(graph)
-    in_weight_sum = program._in_weight_sum.tolist()
     p_inj = program.p_inj
     base = [p_inj * x for x in program._injection.tolist()]
-
-    def build(v):
-        denom = in_weight_sum[v]
-        if denom == 0:
-            return ()  # every gather value is 0.0: the sum stays +0.0
-        return tuple(
-            (src, weight / denom)
-            for src, weight in program.gather_edges(graph, v)
-        )
-
-    table, miss = _memoised(build, graph.num_vertices)
-    step = _linear_step(
-        table, miss, base, program.p_cont, program.tolerance, divide=False
+    indptr, sources, weights = graph.csc_arrays()
+    denom = np.repeat(program._in_weight_sum, np.diff(indptr))
+    # A zero in-weight sum makes every gather value 0.0: the sum stays
+    # +0.0 with no input at all.
+    keep = denom != 0
+    table = _slices(
+        _kept(indptr, keep),
+        zip(sources[keep].tolist(), (weights[keep] / denom[keep]).tolist()),
     )
-    return StepKernel(step, _in_degrees(graph))
+    step = _linear_step(
+        table, base, program.p_cont, program.tolerance, divide=False
+    )
+    return StepKernel(step, _in_degrees(graph), table)
 
 
 # ----------------------------------------------------------------------
@@ -248,20 +290,14 @@ def _relax_step(program, graph: DiGraphCSR) -> StepKernel:
     """``min(old, min_{u -> v} x + w)``, source pinned to 0; ``w`` is
     the edge weight (sssp) or ``1.0`` (bfs)."""
     source = program.source
-    unit = isinstance(program, BFSLevels)
-
-    def build(v):
-        edges = program.gather_edges(graph, v)
-        return tuple((src, 1.0) for src, _ in edges) if unit else tuple(edges)
-
-    table, miss = _memoised(build, graph.num_vertices)
+    indptr, sources, weights = graph.csc_arrays()
+    if isinstance(program, BFSLevels):
+        weights = np.ones_like(weights)
+    table = _slices(indptr, zip(sources.tolist(), weights.tolist()))
 
     def step(v, old, reads):
-        inputs = table[v]
-        if inputs is None:
-            inputs = miss(v)
         acc = INFINITY
-        for src, weight in inputs:
+        for src, weight in table[v]:
             x = reads[src]
             g = INFINITY if x == INFINITY else x + weight
             acc = acc if acc <= g else g
@@ -271,34 +307,23 @@ def _relax_step(program, graph: DiGraphCSR) -> StepKernel:
             new = acc if acc < old else old
         return new, not (new == old)
 
-    return StepKernel(step, _in_degrees(graph))
-
-
-def _sources_only(program, graph: DiGraphCSR):
-    """Memo for programs whose gather ignores the weight and the ids."""
-    return _memoised(
-        lambda v: tuple(src for src, _ in program.gather_edges(graph, v)),
-        graph.num_vertices,
-    )
+    return StepKernel(step, _in_degrees(graph), table)
 
 
 @_register(WeaklyConnectedComponents)
 def _min_label_step(program, graph: DiGraphCSR) -> StepKernel:
     """``min(old, min over both directions of x)``."""
-    table, miss = _sources_only(program, graph)
+    table = _neighbours(graph, "in", "out")
 
     def step(v, old, reads):
-        inputs = table[v]
-        if inputs is None:
-            inputs = miss(v)
         acc = INFINITY
-        for src in inputs:
+        for src in table[v]:
             g = reads[src]
             acc = acc if acc <= g else g
         new = acc if acc < old else old
         return new, not (new == old)
 
-    return StepKernel(step, _both_degrees(graph))
+    return StepKernel(step, _both_degrees(graph), table)
 
 
 @_register(Reachability)
@@ -306,23 +331,20 @@ def _reach_step(program: Reachability, graph: DiGraphCSR) -> StepKernel:
     """Monotone OR from the source set; the folds are builtin ``max``
     spelled out (``max(a, b)`` is ``b if b > a else a``)."""
     sources = frozenset(program.sources)
-    table, miss = _sources_only(program, graph)
+    table = _neighbours(graph, "in")
 
     def step(v, old, reads):
         if v in sources:
             return 1.0, not (1.0 == old)
-        inputs = table[v]
-        if inputs is None:
-            inputs = miss(v)
         acc = 0.0
-        for src in inputs:
+        for src in table[v]:
             g = reads[src]
             acc = g if g > acc else acc
         reached = 1.0 if acc > 0 else 0.0
         new = reached if reached > old else old
         return new, not (new == old)
 
-    return StepKernel(step, _in_degrees(graph))
+    return StepKernel(step, _in_degrees(graph), table)
 
 
 # ----------------------------------------------------------------------
@@ -332,19 +354,16 @@ def _reach_step(program: Reachability, graph: DiGraphCSR) -> StepKernel:
 def _kcore_step(program: KCore, graph: DiGraphCSR) -> StepKernel:
     """Peel ``v`` once fewer than ``k`` neighbours are alive."""
     k = program.k
-    table, miss = _sources_only(program, graph)
+    table = _neighbours(graph, "in", "out")
 
     def step(v, old, reads):
         if old == 0.0:
             return 0.0, False  # peeling is permanent
-        inputs = table[v]
-        if inputs is None:
-            inputs = miss(v)
         acc = 0.0
-        for src in inputs:
+        for src in table[v]:
             if reads[src] > 0.0:
                 acc = acc + 1.0
         new = 1.0 if acc >= k else 0.0
         return new, not (new == old)
 
-    return StepKernel(step, _both_degrees(graph))
+    return StepKernel(step, _both_degrees(graph), table)

@@ -60,7 +60,8 @@ class TestFrontierSelection:
         # predecessors only.
         for pid in runnable:
             gid = run.dispatcher.group_of_partition(pid)
-            assert run._active_predecessor_groups(gid) == 0
+            predecessors = run.tables.group_predecessors[gid]
+            assert np.count_nonzero(run.group_active[predecessors]) == 0
 
     def test_advance_admits_blocked_groups(self, test_machine):
         graph = scc_profile_graph(150, 4.0, 0.5, 4.0, seed=41)
@@ -102,7 +103,7 @@ class TestActivationBookkeeping:
 
     def test_remote_activation_deferred(self, medium_run):
         run = medium_run
-        run._wave_views()  # populate owner gpu map
+        run._begin_wave()  # populate owner gpu map
         v = int(np.flatnonzero(run.states.active)[0])
         run.deactivate(v)
         owner_gpu = int(run._owner_gpu[v])
@@ -110,17 +111,21 @@ class TestActivationBookkeeping:
         run.activate([v])
         run._processing_gpu = None
         assert not run.states.active[v]
-        # Deferred entries are (vertex, producing_gpu, owner_gpu): the
-        # GPU pair names the replica batch the activation rides on.
-        deferred = list(run._deferred_activations)
-        assert v in [entry[0] for entry in deferred]
-        assert all(dst == owner_gpu for vv, _, dst in deferred if vv == v)
-        run._apply_deferred_activations()
+        # Deferred entries are (producing_gpu, dependents); with the
+        # wave's owner map they name the GPU pair whose replica batch
+        # the activation rides on.
+        producer = (owner_gpu + 1) % run.machine.num_gpus
+        assert run._deferred_activations == [(producer, [v])]
+        # Lost with its pair's batch; another pair's loss leaves it be.
+        run._apply_deferred_activations({(producer, owner_gpu)})
+        assert not run.states.active[v]
+        run._deferred_activations = [(producer, [v])]
+        run._apply_deferred_activations({(owner_gpu, producer)})
         assert run.states.active[v]
 
     def test_local_activation_immediate(self, medium_run):
         run = medium_run
-        run._wave_views()
+        run._begin_wave()
         v = int(np.flatnonzero(run.states.active)[0])
         run.deactivate(v)
         run._processing_gpu = int(run._owner_gpu[v])

@@ -9,7 +9,11 @@ recovery policy, and one warm-started run. The fingerprints in
 path walk became a table-driven partition pass (PR 14), by running this
 file with ``PYTHONPATH`` at that commit's ``src`` — so a mismatch here
 means the rewrite, or a later change, moved an update, an order or a
-counter, not just a clock.
+counter, not just a clock. Three more cells — a straggler re-dispatch,
+replica batches dropped and corrupted under a recovery policy, and
+advance execution — were captured the same way on the commit before the
+round's pricing, scheduling, replica messages and activation delivery
+became array passes.
 
 Regenerate intentionally with:
 
@@ -28,7 +32,16 @@ import pytest
 
 from repro.algorithms import make_program
 from repro.bench.runner import make_engine
-from repro.faults import ComputeFault, FaultInjector, FaultPlan, RecoveryPolicy
+from repro.core.engine import DiGraphConfig, DiGraphEngine
+from repro.faults import (
+    CORRUPT,
+    DROP,
+    ComputeFault,
+    FaultInjector,
+    FaultPlan,
+    RecoveryPolicy,
+    SyncFault,
+)
 from repro.gpu.config import SCALED_MACHINE
 from repro.graph import datasets
 from repro.verify.oracle import ALL_ALGORITHMS
@@ -101,10 +114,13 @@ def fingerprint(result):
     }
 
 
-def _run(graph_name, algo, engine_name, gpus, **run_kwargs):
+def _run(graph_name, algo, engine_name, gpus, engine=None, **run_kwargs):
     weighted = algo == "sssp"
     graph = _graph(graph_name, weighted)
-    engine = make_engine(engine_name, replace(SCALED_MACHINE, num_gpus=gpus))
+    if engine is None:
+        engine = make_engine(
+            engine_name, replace(SCALED_MACHINE, num_gpus=gpus)
+        )
     result = engine.run(
         graph,
         make_program(algo, graph),
@@ -152,9 +168,60 @@ def _warm_start_cell():
     )
 
 
+def _straggler_cell():
+    """GPU 2 runs 50x slow in the second compute wave; the recovery
+    policy times it out and re-dispatches its wave."""
+    plan = FaultPlan(compute_faults={1: ComputeFault(slowdowns={2: 50.0})})
+    result = _run(
+        "webbase",
+        "pagerank",
+        "digraph",
+        4,
+        fault_injector=FaultInjector(plan),
+        recovery=RecoveryPolicy(),
+    )
+    assert result.stats.straggler_redispatches == 1
+    return result
+
+
+def _sync_faults_cell():
+    """Two replica batches dropped and one corrupted in flight; the
+    recovery policy detects each and resends it."""
+    plan = FaultPlan(
+        sync_faults={
+            0: SyncFault(DROP),
+            3: SyncFault(CORRUPT),
+            7: SyncFault(DROP),
+        }
+    )
+    result = _run(
+        "twitter",
+        "pagerank",
+        "digraph",
+        4,
+        fault_injector=FaultInjector(plan),
+        recovery=RecoveryPolicy(),
+    )
+    assert result.stats.dropped_replica_batches == 2
+    assert result.stats.corrupted_replica_batches == 1
+    assert result.stats.sync_retries == 3
+    return result
+
+
+def _advance_cell():
+    """Advance execution on: idle GPUs take active partitions of
+    groups whose predecessors are still active."""
+    spec = replace(SCALED_MACHINE, num_gpus=4)
+    engine = DiGraphEngine(spec, DiGraphConfig(advance_factor=1))
+    return _run("webbase", "pagerank", "digraph", 4, engine=engine)
+
+
 SPECIAL_CELLS = {
     "webbase/pagerank/digraph/gpus4/recovery": _recovery_cell,
     "webbase/pagerank/digraph/gpus4/warm-start": _warm_start_cell,
+    "webbase/pagerank/digraph/gpus4/straggler": _straggler_cell,
+    "twitter/pagerank/digraph/gpus4/sync-faults": _sync_faults_cell,
+    "webbase/pagerank/digraph/gpus4/advance": _advance_cell,
 }
 
 

@@ -244,17 +244,31 @@ def turns_checked_against_the_view(monkeypatch):
     the log of turns: (gpu, inside a multi-partition SCC?, updates,
     had the view moved since the wave began?)."""
     materialise = StalenessView.as_array
-    wave_start = {}
-    wave_views = _Run._wave_views
+    wave_start, views = {}, {}
+    begin_wave = _Run._begin_wave
 
     def views_and_wave_start_arrays(run):
-        views = wave_views(run)
+        snapshot = run.states.copy_values()
+        begin_wave(run)
+        views.clear()
+        views.update(
+            {
+                gpu: StalenessView(
+                    run.states.values,
+                    snapshot,
+                    run._owner_gpu == gpu,
+                    written_gpu=run._written_gpu,
+                    written_stamp=run._written_stamp,
+                    wave_stamp=run._wave_counter,
+                    gpu_id=gpu,
+                )
+                for gpu in run.machine.live_gpu_ids()
+            }
+        )
         wave_start.clear()
         wave_start.update(
-            {id(view): materialise(view) for view in views.values()}
+            {gpu: materialise(view) for gpu, view in views.items()}
         )
-        return views
-
     gathered_from = {}
     process_partition = _Run._process_partition
 
@@ -266,12 +280,13 @@ def turns_checked_against_the_view(monkeypatch):
     turns = []
     run_turn = _Run._run_turn
 
-    def checked_turn(run, gpu_id, pids, view):
+    def checked_turn(run, gpu_id, pids):
+        view = views[gpu_id]
         stale_at_wave_start = not np.array_equal(
-            wave_start[id(view)], materialise(view)
+            wave_start[gpu_id], materialise(view)
         )
         updates_before = run.machine.stats.vertex_updates
-        run_turn(run, gpu_id, pids, view)
+        run_turn(run, gpu_id, pids)
         written_through = gathered_from.pop(gpu_id)
         assert type(written_through) is list
         assert all(type(x) is float for x in written_through)
@@ -286,7 +301,7 @@ def turns_checked_against_the_view(monkeypatch):
             )
         )
 
-    monkeypatch.setattr(_Run, "_wave_views", views_and_wave_start_arrays)
+    monkeypatch.setattr(_Run, "_begin_wave", views_and_wave_start_arrays)
     monkeypatch.setattr(_Run, "_process_partition", recording)
     monkeypatch.setattr(_Run, "_run_turn", checked_turn)
     return turns
@@ -370,7 +385,7 @@ def hand_built_run(edges, vertex_paths, num_vertices, program=None):
     )
     engine = DiGraphEngine(TWO_GPUS)
     run = _run(engine, graph, pre, program)
-    run._wave_views()
+    run._begin_wave()
     run._current_round = 1
     assert run._owner_gpu.tolist() == [0] * num_vertices
     return run
@@ -398,9 +413,20 @@ def one_sweep_only(run):
 
 
 def walk(run, gpu_id=0):
-    changed, writes = set(), {}
-    run._walk_partition(0, gpu_id, run.states.values.tolist(), changed, writes)
-    return changed
+    writes = []
+    run._walk_partition(0, gpu_id, run.states.values.tolist(), writes)
+    return set(writes)
+
+
+def remote_activations(run):
+    """The deferred activations delivery would send, as (vertex,
+    producing_gpu, owner_gpu)."""
+    return [
+        (v, gpu, run._owner_gpu_list[v])
+        for gpu, dependents in run._deferred_activations
+        for v in dependents
+        if run._owner_gpu_list[v] not in (gpu, -1)
+    ]
 
 
 class TestSkipRules:
@@ -420,7 +446,7 @@ class TestSkipRules:
         assert changed == {1, 2, 3}
         assert run.states.values.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert run.states.active.tolist() == [False, False, True, False]
-        assert run._deferred_activations == [(2, 0, 1)]
+        assert remote_activations(run) == [(2, 0, 1)]
         # With nothing upstream changing, the non-owner does not touch
         # the still-active vertex at all.
         applies = run.machine.stats.apply_calls

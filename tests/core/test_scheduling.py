@@ -1,5 +1,6 @@
 """Unit tests for Pri(p) scheduling and thread balancing."""
 
+import functools
 import heapq
 
 import numpy as np
@@ -8,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
-from repro.core.scheduling import PathScheduler, balance_paths_to_threads
+from repro.core.scheduling import (
+    PathScheduler,
+    balance_paths_to_threads,
+    pack_ordered,
+)
 from repro.errors import SchedulingError
 from repro.graph.generators import scc_profile_graph
 
@@ -168,3 +173,46 @@ def test_one_path_per_thread_keeps_the_given_order_among_equals():
     assert balance_paths_to_threads([7, 3, 9, 1, 4], work, THREADS) == [
         [3], [1], [7], [9], [4],
     ]
+
+
+# ----------------------------------------------------------------------
+# one sort per local iteration: thread_order + pack_ordered against
+# order_paths + balance_paths_to_threads
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def shared_scheduler(enabled):
+    g = scc_profile_graph(150, 4.0, 0.5, 4.0, seed=1)
+    ps = decompose_into_paths(g)
+    return PathScheduler(ps, build_dependency_dag(ps), enabled=enabled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans(),
+    st.one_of(
+        st.integers(0, 12),
+        st.integers(THREADS - 2, THREADS + 2),
+        st.integers(THREADS + 1, 2 * THREADS),
+    ),
+    # Few distinct weights and counts: ties in work and in Pri(p).
+    st.integers(0, 1),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_thread_order_is_the_packer_over_the_priority_order(
+    enabled, num_paths, min_work, max_work, rng
+):
+    sched = shared_scheduler(enabled)
+    total = sched._tables.num_vertices.size
+    path_ids = np.array(
+        rng.sample(range(total), min(num_paths, total)), dtype=np.int64
+    )
+    counts = np.array([rng.randint(0, 2) for _ in path_ids], dtype=np.int64)
+    work = np.array(
+        [rng.randint(min_work, max_work) for _ in range(total)]
+    )
+    ordered = sched.thread_order(path_ids, counts, work).tolist()
+    expected = balance_paths_to_threads(
+        sched.order_paths(path_ids, counts), work.tolist(), THREADS
+    )
+    assert pack_ordered(ordered, work.tolist(), THREADS) == expected

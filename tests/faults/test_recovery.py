@@ -286,7 +286,7 @@ class TestCheckpointRollback:
         run.partition_active[:] = 0
         run.sync_sent_bytes[(0, 1)] = 999
         machine.stats.replica_pair_bytes[(1, 0)] = 777
-        run._deferred_activations.append((0, 0, 1))
+        run._deferred_activations.append((0, [1]))
 
         resume = run.checkpoints.rollback(0)
         assert resume == 0

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.gpu.config import GPUSpec
-from repro.gpu.machine import GPU
+from repro.gpu.config import GPUSpec, MachineSpec
+from repro.gpu.machine import GPU, Machine
 from repro.gpu.smx import SMX
 from repro.gpu.stats import MachineStats
 
@@ -230,3 +230,75 @@ def test_negative_work_is_rejected_not_split():
         gpu.execute_balanced([3, 1], [0, -2])
     with pytest.raises(SimulationError):
         gpu.execute_balanced(np.array([3, 1]), np.array([1]))
+
+
+# ----------------------------------------------------------------------
+# a whole wave: Machine.compute_round against a loop over the GPUs
+# ----------------------------------------------------------------------
+NUM_GPUS = 4
+
+
+def reference_compute_round(spec, stats, dead, work, atomics, barrier):
+    """``Machine.compute_round`` as a per-GPU loop (no faults, no
+    queued transfers): returns the wave's wall seconds."""
+    elapsed = {}
+    for gpu_id, items in work.items():
+        if gpu_id in dead:
+            continue
+        elapsed[gpu_id] = reference_execute_balanced(
+            spec, stats, items, atomics.get(gpu_id) if atomics else None
+        )
+    wall = max(elapsed.values(), default=0.0)
+    if barrier and wall > 0:
+        for gpu_id in range(NUM_GPUS):
+            if gpu_id in dead:
+                continue
+            waited = wall - elapsed.get(gpu_id, 0.0)
+            if waited > 0:
+                stats.total_thread_cycles += (
+                    int(waited * spec.clock_hz)
+                    * spec.threads_per_smx
+                    * spec.num_smxs
+                )
+    stats.compute_time_s += wall
+    return wall
+
+
+@st.composite
+def waves(draw):
+    """Per-GPU launches for some of the GPUs (in any order), one GPU
+    possibly dead with an empty list, atomics for all or none."""
+    dead = draw(st.sampled_from([None, *range(NUM_GPUS)]))
+    gpus = draw(st.permutations(range(NUM_GPUS)))
+    gpus = gpus[: draw(st.integers(0, NUM_GPUS))]
+    with_atomics = draw(st.booleans())
+    work, atomics = {}, {}
+    for gpu_id in gpus:
+        items = [] if gpu_id == dead else draw(work_lists)
+        work[gpu_id] = items
+        atomics[gpu_id] = draw(
+            st.lists(st.integers(0, 3), min_size=len(items),
+                     max_size=len(items))
+        )
+    return dead, work, atomics if with_atomics else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(waves(), st.booleans(), st.booleans())
+def test_compute_round_matches_a_loop_over_the_gpus(wave, barrier, as_arrays):
+    dead, work, atomics = wave
+    machine = Machine(MachineSpec(num_gpus=NUM_GPUS, gpu=SPEC))
+    if dead is not None:
+        machine.kill_gpu(dead)
+    ref_stats = MachineStats()
+    expected = reference_compute_round(
+        SPEC, ref_stats, {dead}, work, atomics, barrier
+    )
+    if as_arrays:
+        work = {g: np.asarray(w, dtype=np.int64) for g, w in work.items()}
+    assert machine.compute_round(work, atomics, barrier=barrier) == expected
+    stats = machine.stats
+    assert stats.compute_time_s == ref_stats.compute_time_s
+    assert type(stats.busy_thread_cycles) is int
+    assert stats.busy_thread_cycles == ref_stats.busy_thread_cycles
+    assert stats.total_thread_cycles == ref_stats.total_thread_cycles

@@ -72,7 +72,7 @@ def test_step_is_update_vertex_bit_for_bit(algo, seed):
     program = make_program(algo, graph)
     vectors = list(state_vectors(program, graph, seed))
     assert step_builder_for(program) is not None
-    step, degree = resolve_step(program, graph)
+    step, degree, _ = resolve_step(program, graph)
     assert degree == [
         program.gather_degree(graph, v) for v in range(graph.num_vertices)
     ]
@@ -133,8 +133,8 @@ def test_unregistered_programs_get_the_generic_step(program):
     assert step_builder_for(program) is None
     states = program.initial_states(graph)
     reads = states.tolist()
-    step, degree = resolve_step(program, graph)
-    reference, reference_degree = generic_step(program, graph)
+    step, degree, _ = resolve_step(program, graph)
+    reference, reference_degree, _ = generic_step(program, graph)
     assert degree == reference_degree == graph.in_degree().tolist()
     for v in range(graph.num_vertices):
         expected, expected_changed = program.update_vertex(graph, v, states)
