@@ -493,7 +493,7 @@ def cmd_chaos(args) -> int:
         status = "PASS" if cell.passed else "FAIL"
         digest = "ok" if cell.digest_match else "MISMATCH"
         print(
-            f"{cell.label:<34}{status}  "
+            f"{cell.label + ' ':<34}{status}  "
             f"faults={cell.faults_injected:<3} "
             f"retries={cell.transfer_retries}+{cell.sync_retries} "
             f"stragglers={cell.stragglers_detected} "
@@ -535,7 +535,7 @@ def cmd_chaos(args) -> int:
             delta = alt.recovered_time_s - cell.recovered_time_s
             sign = "+" if delta >= 0 else ""
             print(
-                f"  {cell.label:<34}"
+                f"  {cell.label + ' ':<34}"
                 f"{cell.recovered_time_s:.3e}s vs "
                 f"{alt.recovered_time_s:.3e}s "
                 f"({sign}{delta:.3e}s, alt "

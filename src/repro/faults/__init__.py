@@ -19,9 +19,9 @@ The robustness subsystem (see ``docs/robustness.md``):
   crash-consistent page + write-ahead-manifest store behind
   ``repro resume`` / ``repro scrub``, and :class:`ServeJournal`, the
   serving layer's batch-completion journal;
-- :mod:`repro.faults.chaos` — the golden-vs-faulted chaos harness
-  behind the ``repro chaos`` CLI, including the crash-restart cells
-  that certify whole-job restarts bit-identical.
+- :mod:`repro.faults.chaos` — the ``repro chaos`` harness: every cell
+  is a row one runner takes through golden, crash (restart rows) and
+  final legs; a ``ReproError`` after golden is a failed cell.
 """
 
 from repro.faults.chaos import (

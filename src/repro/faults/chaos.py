@@ -1,29 +1,25 @@
-"""Chaos harness: prove recovered runs converge to the fault-free state.
+"""Chaos harness: prove faulted and restarted runs end where fault-free
+runs do.
 
-One *chaos cell* is (algorithm, engine, fault plan): the harness runs
-the algorithm fault-free to get the golden fixed point, replays it under
-the plan with recovery enabled, and certifies through the
-:mod:`repro.verify` oracle that the recovered run
-
-- converged,
-- satisfies the program's own fixed-point equations, and
-- matches the golden states (exactly for discrete programs, within the
-  cross-engine tolerance band for contractions).
-
-:func:`chaos_sweep` runs a grid of cells (algorithms x engines x seeds);
-the ``repro chaos`` CLI wraps it. :func:`recovery_digest` hashes the
-injector trace together with the final states — two runs of the same
-seeded cell must produce identical digests (the determinism contract).
+A *chaos cell* is a row of data (:class:`_Row`) that one runner,
+:func:`_run_row`, runs and certifies: engine rows through the
+:mod:`repro.verify` oracle, serve rows through serve digests. The five
+``run_*_cell`` functions each build one row; :func:`chaos_sweep` and
+:func:`crash_restart_sweep` run grids of them (the ``repro chaos``
+CLI). :func:`recovery_digest` hashes the injector trace with the final
+states: a seeded cell run twice gives identical digests (the
+determinism contract).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import os
 import tempfile
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,13 +50,6 @@ from repro.verify.oracle import (
     states_equivalent,
 )
 from repro.verify.structural import check_fixed_point_reached
-
-def _require_round_engine(name: str) -> None:
-    """Only registry rows that run rounds take fault plans."""
-    if name not in ALL_CHAOS_ENGINES:
-        raise ConfigurationError(
-            f"chaos engine must be one of {ALL_CHAOS_ENGINES}, got {name!r}"
-        )
 
 
 def recovery_digest(
@@ -155,77 +144,8 @@ class ChaosCellResult:
 
     @property
     def label(self) -> str:
-        return f"{self.algorithm}/{self.engine}/seed={self.seed}"
-
-    @classmethod
-    def from_run(
-        cls,
-        algorithm: str,
-        engine: str,
-        seed: Optional[int],
-        passed: bool,
-        detail: str,
-        injector: Optional[FaultInjector] = None,
-        golden=None,
-        recovered=None,
-        digests: Sequence[str] = ("", ""),
-        error: Optional[str] = None,
-    ) -> "ChaosCellResult":
-        """An engine cell from its legs: ``golden`` / ``recovered`` are
-        the two ``ExecutionResult``s, ``digests`` their state digests,
-        and every counter is read off the recovered leg's stats. A cell
-        that failed before producing a recovered leg passes neither; its
-        trace digest (given an ``injector``) covers the trace alone."""
-        cell = cls(algorithm, engine, seed, passed, detail, error=error)
-        if injector is not None:
-            cell.faults_injected = injector.faults_injected
-            cell.trace_digest = recovery_digest(
-                injector.trace,
-                np.zeros(0) if recovered is None else recovered.states,
-            )
-        if recovered is not None:
-            for name in _STATS_FIELDS:
-                setattr(cell, name, getattr(recovered.stats, name))
-            cell.golden_digest, cell.recovered_digest = digests
-            cell.digest_match = digests[0] == digests[1]
-            cell.golden_time_s = golden.stats.total_time_s
-            cell.recovered_time_s = recovered.stats.total_time_s
-        return cell
-
-    @classmethod
-    def from_serve(
-        cls,
-        algorithm: str,
-        seed: int,
-        passed: bool,
-        detail: str,
-        golden=None,
-        recovered=None,
-        error: Optional[str] = None,
-    ) -> "ChaosCellResult":
-        """A serving-layer cell from its two ``ServeReport`` legs (none
-        for a cell that failed before producing them): replays stand in
-        for rollbacks, the busy-time delta for recovery time."""
-        cell = cls(algorithm, "serve", seed, passed, detail, error=error)
-        if recovered is None:
-            return cell
-        # Imported lazily: repro.serve depends on repro.faults.plan, so
-        # a module-level import here would be circular.
-        from repro.serve.runner import serve_digest
-
-        cell.golden_digest = serve_digest(golden)
-        cell.recovered_digest = cell.trace_digest = serve_digest(recovered)
-        cell.digest_match = cell.golden_digest == cell.recovered_digest
-        cell.faults_injected = cell.gpu_failures = recovered.faults_injected
-        cell.rounds_rolled_back = recovered.replays
-        cell.recovery_time_s = max(
-            0.0, recovered.gpu_busy_s - golden.gpu_busy_s
-        )
-        cell.golden_time_s = golden.makespan_s
-        cell.recovered_time_s = recovered.makespan_s
-        if recovered.failed:
-            cell.error = recovered.failed[0].error
-        return cell
+        label = f"{self.algorithm}/{self.engine}"
+        return label if self.seed is None else f"{label}/seed={self.seed}"
 
 
 def _verdict(*checks, success: str):
@@ -237,37 +157,242 @@ def _verdict(*checks, success: str):
     return True, success
 
 
-def _engine_legs(graph, algorithm, machine, graph_name, program_kwargs):
-    """The cell's engine legs: ``leg(engine_name, **run_options)`` runs a
-    fresh engine and program (they cache graph-derived state and must
-    not be shared) through the shared cell runner, never memoized."""
-    return functools.partial(
-        run_cell,
-        algo=algorithm,
-        graph_name=graph_name,
-        machine=machine or MachineSpec(),
-        graph=graph,
+@dataclass
+class _Row:
+    """One chaos cell as data, run by :func:`_run_row`.
+
+    ``leg(**options)`` runs one leg from scratch (a fresh engine and
+    program, or a fresh server, never memoized); ``golden``, ``crash``
+    and ``final`` are the options of the three legs. A restart row has a
+    ``crash`` leg, planted at ``crash_at``; a ``storm`` row runs its
+    final leg twice. The subclasses are the two targets: ``span`` says
+    how long the golden leg took, ``certify`` judges the final leg.
+    """
+
+    algorithm: str
+    engine: str
+    seed: Optional[int]
+    leg: Callable[..., object]
+    final: Dict
+    golden: Dict = field(default_factory=dict)
+    crash: Optional[Dict] = None
+    crash_at: str = ""
+    storm: bool = False
+
+    def fail(self, detail: str, exc: Optional[Exception] = None):
+        cell = ChaosCellResult(
+            self.algorithm, self.engine, self.seed, False, detail,
+            error=None if exc is None else str(exc),
+        )
+        # A fault plan fired in the failed leg still reports its trace.
+        injector = self.final.get("fault_injector")
+        if injector is not None:
+            cell.faults_injected = injector.faults_injected
+            cell.trace_digest = recovery_digest(injector.trace, np.zeros(0))
+        return cell
+
+
+def _run_row(row: _Row) -> ChaosCellResult:
+    """The one leg sequence of every chaos cell.
+
+    The golden leg runs fault-free. A restart row's crash leg must then
+    die with :class:`~repro.errors.InjectedCrashError`: completing fails
+    the cell as vacuous, any other :class:`~repro.errors.ReproError`
+    fails it too. The final leg (faulted, or resumed after the crash)
+    runs next, twice for a storm row; a ``ReproError`` from it fails the
+    cell with ``error`` set. Otherwise the row's target certifies it.
+    """
+    golden = row.leg(**row.golden)
+    if row.crash is not None:
+        try:
+            row.leg(**row.crash)
+        except InjectedCrashError:
+            pass
+        except ReproError as exc:
+            return row.fail(
+                f"crashed leg raised {type(exc).__name__} instead of "
+                "InjectedCrashError", exc,
+            )
+        else:
+            return row.fail(
+                f"vacuous: no crash fired at {row.crash_at} "
+                f"(golden took {row.span(golden)})"
+            )
+    try:
+        final = row.leg(**row.final)
+        again = row.leg(**row.final) if row.storm else None
+    except ReproError as exc:
+        leg = "resumed" if row.crash is not None else "faulted"
+        return row.fail(f"{leg} leg raised {type(exc).__name__}", exc)
+    return row.certify(golden, final, again)
+
+
+@dataclass
+class _EngineRow(_Row):
+    """Legs through :func:`~repro.bench.runner.run_cell`. The final
+    states must converge, satisfy ``program``'s fixed-point equations
+    and match golden within ``band``; a restart row's state digests must
+    match bit for bit too."""
+
+    graph: object = None
+    program: object = None
+    band: float = 0.0
+
+    def span(self, golden) -> str:
+        return f"{golden.stats.rounds} rounds"
+
+    def certify(self, golden, final, again) -> ChaosCellResult:
+        exact = self.crash is not None
+        cmp = states_equivalent(golden.states, final.states, self.band)
+        fixed = check_fixed_point_reached(
+            self.program, self.graph, final.states
+        )
+        digests = [state_digest(x.states, self.band) for x in (golden, final)]
+        passed, detail = _verdict(
+            (final.converged, "run did not converge"),
+            (
+                not exact or digests[0] == digests[1],
+                f"resumed states diverge bit-wise from golden after "
+                f"{self.crash_at} crash",
+            ),
+            (cmp.passed, f"states diverge from golden: {cmp.detail}"),
+            (fixed.passed, f"fixed point violated: {fixed.detail}"),
+            success=(
+                f"{self.crash_at} crash restarted bit-identical from the "
+                "durable store" if exact else cmp.detail
+            ),
+        )
+        # The trace is the faulted leg's, or the crashed one's.
+        injector = (self.crash or self.final)["fault_injector"]
+        return ChaosCellResult(
+            self.algorithm, self.engine, self.seed, passed, detail,
+            faults_injected=injector.faults_injected,
+            trace_digest=recovery_digest(injector.trace, final.states),
+            golden_digest=digests[0],
+            recovered_digest=digests[1],
+            digest_match=digests[0] == digests[1],
+            golden_time_s=golden.stats.total_time_s,
+            recovered_time_s=final.stats.total_time_s,
+            **{name: getattr(final.stats, name) for name in _STATS_FIELDS},
+        )
+
+
+@dataclass
+class _ServeRow(_Row):
+    """Legs through :func:`~repro.serve.runner.run_serve_cell`. A
+    faulted leg must have fired, every query must end in a known status
+    and carry a structured error unless answered, and a storm must
+    replay identically. Then every answer must match golden
+    (:func:`~repro.serve.runner.serve_digest`), worded by ``success``,
+    unless an ``overloaded`` storm degraded deterministically."""
+
+    success: Optional[Callable[[object], str]] = None
+    overloaded: bool = False
+
+    def span(self, golden) -> str:
+        return f"{golden.launches} launches"
+
+    def certify(self, golden, final, again) -> ChaosCellResult:
+        from repro.serve.query import ANSWERED_STATUSES, QUERY_STATUSES
+        from repro.serve.runner import serve_digest
+
+        golden_digest, digest = serve_digest(golden), serve_digest(final)
+        recovered = not final.failed and digest == golden_digest
+        bad = [r for r in final.results if r.status not in QUERY_STATUSES]
+        mute = [
+            r for r in final.results
+            if r.status not in ANSWERED_STATUSES and not r.error
+        ]
+        passed, detail = _verdict(
+            (
+                self.crash is not None or final.faults_injected > 0,
+                f"vacuous: no fault fired (golden took {self.span(golden)})",
+            ),
+            (not bad, bad and f"unknown result status {bad[0].status!r}"),
+            (
+                not mute,
+                mute and f"query {mute[0].query.query_id} ended "
+                f"{mute[0].status!r} without a structured error",
+            ),
+            (
+                again is None or (
+                    digest == serve_digest(again)
+                    and final.metrics() == again.metrics()
+                ),
+                "storm replayed twice diverged (digest or metrics)",
+            ),
+            (
+                recovered or self.overloaded,
+                f"{len(final.failed)} queries failed or served answers "
+                "diverge from the fault-free golden run",
+            ),
+            success=self.success(final) if recovered else (
+                f"degraded deterministically: "
+                f"{len(final.degraded)} degraded, {len(final.shed)} shed, "
+                f"{len(final.rejected)} rejected, "
+                f"{len(final.failed)} aborted — all structured"
+            ),
+        )
+        # Replays stand in for rollbacks, busy time gained for recovery
+        # time. A restarted leg runs fault-free: the crash that killed
+        # its predecessor is the cell's one fault.
+        return ChaosCellResult(
+            self.algorithm, "serve", self.seed, passed, detail,
+            faults_injected=1 if self.crash else final.faults_injected,
+            gpu_failures=final.faults_injected,
+            rounds_rolled_back=final.replays,
+            recovery_time_s=max(0.0, final.gpu_busy_s - golden.gpu_busy_s),
+            trace_digest=digest,
+            error=final.failed[0].error if final.failed else None,
+            golden_digest=golden_digest,
+            recovered_digest=digest,
+            digest_match=digest == golden_digest,
+            golden_time_s=golden.makespan_s,
+            recovered_time_s=final.makespan_s,
+        )
+
+
+def _engine_row(
+    graph, algorithm, label, engine_name, machine, graph_name,
+    program_kwargs, **fields,
+) -> _EngineRow:
+    """An engine row labelled ``label`` whose legs run ``algorithm``;
+    certified bit-exact when it restarts, else within the contraction
+    band."""
+    if engine_name not in ALL_CHAOS_ENGINES:  # only these take fault plans
+        raise ConfigurationError(
+            f"chaos engine must be one of {ALL_CHAOS_ENGINES}, "
+            f"got {engine_name!r}"
+        )
+    program = make_program(algorithm, graph, **(program_kwargs or {}))
+    band = 0.0
+    if fields.get("crash") is None and algorithm in CONTRACTION_ALGORITHMS:
+        band = equivalence_band(program, graph)
+    leg = functools.partial(
+        run_cell, algo=algorithm, graph_name=graph_name,
+        machine=machine or MachineSpec(), graph=graph,
         program_kwargs=program_kwargs,
+    )
+    return _EngineRow(
+        label, engine_name, leg=leg, graph=graph, program=program,
+        band=band, **fields,
     )
 
 
-def _serve_legs(graph, algorithm, machine, graph_name, seed, serve_knobs):
-    """The cell's serve legs: ``leg(**overrides)`` serves the same seeded
-    trace under the same knobs, never memoized."""
+def _serve_row(
+    graph, algorithm, label, machine, graph_name, seed, knobs, **fields
+) -> _ServeRow:
+    """A serve row labelled ``label`` whose legs serve the same seeded
+    ``algorithm`` trace under the same knobs."""
     # Imported lazily: repro.serve depends on repro.faults.plan, so a
     # module-level import here would be circular.
     from repro.serve.runner import run_serve_cell
 
-    return functools.partial(
-        run_serve_cell,
-        algorithm,
-        graph_name,
-        seed=seed,
-        machine=machine,
-        graph=graph,
-        use_cache=False,
-        **serve_knobs,
+    leg = functools.partial(
+        run_serve_cell, algorithm, graph_name, seed=seed, machine=machine,
+        graph=graph, use_cache=False, **knobs,
     )
+    return _ServeRow(label, "serve", seed, leg, **fields)
 
 
 def run_chaos_cell(
@@ -287,61 +412,23 @@ def run_chaos_cell(
     explicit policy to tighten or disable individual mechanisms, or set
     ``disable_recovery`` to run the faulted leg with no recovery at all
     (the non-vacuity mode: injected faults are expected to surface as
-    failures).
+    failures). Vectorized cells take their golden from the scalar
+    sibling: the recovered batched run must converge to the scalar
+    fixed point — the strongest form of the batch-kernel equivalence
+    contract under faults.
     """
-    if disable_recovery:
-        recovery = None
-    else:
-        recovery = recovery if recovery is not None else RecoveryPolicy()
-    _require_round_engine(engine_name)
-    leg = _engine_legs(graph, algorithm, machine, graph_name, program_kwargs)
-    # Vectorized cells take their golden from the scalar sibling: the
-    # recovered batched run must converge to the scalar fixed point —
-    # the strongest form of the batch-kernel equivalence contract under
-    # faults.
-    golden = leg(SCALAR_SIBLING.get(engine_name, engine_name))
-    injector = FaultInjector(plan)
-    try:
-        faulted = leg(
-            engine_name, fault_injector=injector, recovery=recovery
-        )
-    except ReproError as exc:
-        return ChaosCellResult.from_run(
-            algorithm,
-            engine_name,
-            plan.seed,
-            False,
-            f"faulted run raised {type(exc).__name__}",
-            injector,
-            error=str(exc),
-        )
-
-    program = make_program(algorithm, graph, **(program_kwargs or {}))
-    band = 0.0
-    if algorithm in CONTRACTION_ALGORITHMS:
-        band = equivalence_band(program, graph)
-    cmp = states_equivalent(golden.states, faulted.states, band)
-    fixed = check_fixed_point_reached(program, graph, faulted.states)
-    passed, detail = _verdict(
-        (faulted.converged, "faulted run did not converge"),
-        (cmp.passed, f"states diverge from golden: {cmp.detail}"),
-        (fixed.passed, f"fixed point violated: {fixed.detail}"),
-        success=cmp.detail,
-    )
-    return ChaosCellResult.from_run(
-        algorithm,
-        engine_name,
-        plan.seed,
-        passed,
-        detail,
-        injector,
-        golden,
-        faulted,
-        (
-            state_digest(golden.states, band),
-            state_digest(faulted.states, band),
-        ),
-    )
+    if recovery is None:
+        recovery = RecoveryPolicy()
+    return _run_row(_engine_row(
+        graph, algorithm, algorithm, engine_name, machine, graph_name,
+        program_kwargs, seed=plan.seed,
+        golden={"engine_name": SCALAR_SIBLING.get(engine_name, engine_name)},
+        final={
+            "engine_name": engine_name,
+            "fault_injector": FaultInjector(plan),
+            "recovery": None if disable_recovery else recovery,
+        },
+    ))
 
 
 def run_serve_chaos_cell(
@@ -366,36 +453,15 @@ def run_serve_chaos_cell(
     ``replay_on_fault=False`` this is the non-vacuity leg: the kill must
     surface as cleanly failed queries and a digest mismatch.
     """
-    from repro.serve.runner import serve_digest
-
-    leg = _serve_legs(
-        graph, algorithm, machine, graph_name, seed,
+    return _run_row(_serve_row(
+        graph, algorithm, f"serve-{algorithm}", machine, graph_name, seed,
         {"num_queries": 24, **serve_knobs},
-    )
-    golden = leg()
-    recovered = leg(kill_launch=kill_launch, replay_on_fault=replay_on_fault)
-    passed, detail = _verdict(
-        (
-            recovered.faults_injected > 0,
-            f"vacuous: no fault fired at launch {kill_launch}",
+        final={"kill_launch": kill_launch, "replay_on_fault": replay_on_fault},
+        success=lambda final: (
+            f"{len(final.completed)} served answers match golden "
+            f"after {final.replays}-query batch replay"
         ),
-        (
-            not recovered.failed,
-            f"{len(recovered.failed)} queries failed "
-            f"(replay_on_fault={replay_on_fault})",
-        ),
-        (
-            serve_digest(golden) == serve_digest(recovered),
-            "served answers diverge from fault-free golden run",
-        ),
-        success=(
-            f"{len(recovered.completed)} served answers match golden "
-            f"after {recovered.replays}-query batch replay"
-        ),
-    )
-    return ChaosCellResult.from_serve(
-        f"serve-{algorithm}", seed, passed, detail, golden, recovered
-    )
+    ))
 
 
 def run_serve_storm_cell(
@@ -426,8 +492,6 @@ def run_serve_storm_cell(
     query carries a structured error) — never a hang, never an
     unstructured exception.
     """
-    from repro.serve.query import ANSWERED_STATUSES, QUERY_STATUSES
-    from repro.serve.runner import serve_digest
     from repro.serve.server import OVERLOAD_KNOBS
 
     plan = FaultPlan.generate_storm(
@@ -443,72 +507,14 @@ def run_serve_storm_cell(
         "replay_backoff_us": 5.0,
         **serve_knobs,
     }
-    leg = _serve_legs(graph, algorithm, machine, graph_name, seed, knobs)
-    cell_algorithm = f"serve-storm-{algorithm}"
-    try:
-        golden = leg()
-        stormed = leg(fault_plan=plan)
-        replayed = leg(fault_plan=plan)
-    except ReproError as exc:
-        return ChaosCellResult.from_serve(
-            cell_algorithm,
-            seed,
-            False,
-            f"storm raised {type(exc).__name__} instead of degrading",
-            error=str(exc),
-        )
-
-    storm_digest = serve_digest(stormed)
-    bad = next(
-        (r for r in stormed.results if r.status not in QUERY_STATUSES), None
-    )
-    mute = next(
-        (
-            r
-            for r in stormed.results
-            if r.status not in ANSWERED_STATUSES and not r.error
+    return _run_row(_serve_row(
+        graph, algorithm, f"serve-storm-{algorithm}", machine, graph_name,
+        seed, knobs, final={"fault_plan": plan}, storm=True,
+        overloaded=any(knobs.get(name) for name in OVERLOAD_KNOBS),
+        success=lambda final: (
+            f"recovered identical digests after {final.replays} lane replays"
         ),
-        None,
-    )
-    recovered_identical = (
-        not stormed.failed and storm_digest == serve_digest(golden)
-    )
-    overloaded = any(knobs.get(name) for name in OVERLOAD_KNOBS)
-    passed, detail = _verdict(
-        (stormed.faults_injected > 0, "vacuous: storm injected no faults"),
-        (bad is None, bad and f"unknown result status {bad.status!r}"),
-        (
-            mute is None,
-            mute
-            and f"query {mute.query.query_id} ended {mute.status!r} "
-            "without a structured error",
-        ),
-        (
-            storm_digest == serve_digest(replayed)
-            and stormed.metrics() == replayed.metrics(),
-            "storm replayed twice diverged (digest or metrics)",
-        ),
-        (
-            overloaded or recovered_identical,
-            f"{len(stormed.failed)} queries failed and digests "
-            "diverge from golden with full replay budget",
-        ),
-        success=(
-            f"recovered identical digests after {stormed.replays} "
-            f"lane replays"
-            if recovered_identical
-            else (
-                f"degraded deterministically: "
-                f"{len(stormed.degraded)} degraded, "
-                f"{len(stormed.shed)} shed, "
-                f"{len(stormed.rejected)} rejected, "
-                f"{len(stormed.failed)} aborted — all structured"
-            )
-        ),
-    )
-    return ChaosCellResult.from_serve(
-        cell_algorithm, seed, passed, detail, golden, stormed
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +573,6 @@ def crash_plan(
     )
 
 
-def _durable_policy(
-    recovery: Optional[RecoveryPolicy], run_dir: str
-) -> RecoveryPolicy:
-    base = recovery if recovery is not None else RecoveryPolicy()
-    durability = (
-        base.durability if base.durability != "none" else "durable"
-    )
-    return replace(base, durability=durability, run_dir=run_dir)
-
-
 def run_crash_restart_cell(
     graph,
     algorithm: str,
@@ -608,71 +604,29 @@ def run_crash_restart_cell(
     of that same trajectory with identical placement — so the digest
     comparison is band 0 (bit-exact) for **every** algorithm.
     """
-    _require_round_engine(engine_name)
-    durable = _durable_policy(recovery, run_dir)
-    golden_policy = replace(durable, durability="none", run_dir="")
-    leg = _engine_legs(graph, algorithm, machine, graph_name, program_kwargs)
-    cell_algorithm = f"{algorithm}@{crash_point}"
-
-    def fail(detail: str, error: Optional[str] = None) -> ChaosCellResult:
-        return ChaosCellResult.from_run(
-            cell_algorithm, engine_name, None, False, detail, error=error
-        )
-
-    golden = leg(engine_name, recovery=golden_policy)
-    injector = FaultInjector(crash_plan(crash_point, engine_name, crash_round))
-    try:
-        leg(engine_name, fault_injector=injector, recovery=durable)
-        return fail(
-            f"vacuous: no crash fired at {crash_point} "
-            f"(golden took {golden.stats.rounds} rounds)"
-        )
-    except InjectedCrashError:
-        pass
-    except ReproError as exc:
-        return fail(
-            f"crashed leg raised {type(exc).__name__} instead of "
-            "InjectedCrashError",
-            str(exc),
-        )
-    try:
-        resumed = leg(engine_name, recovery=durable, resume=True)
-    except ReproError as exc:
-        return fail(f"resume raised {type(exc).__name__}", str(exc))
-
-    fixed = check_fixed_point_reached(
-        make_program(algorithm, graph, **(program_kwargs or {})),
-        graph,
-        resumed.states,
+    base = recovery if recovery is not None else RecoveryPolicy()
+    durable = replace(
+        base, run_dir=run_dir,
+        durability=base.durability if base.durability != "none" else "durable",
     )
-    digests = (
-        state_digest(golden.states, 0.0),
-        state_digest(resumed.states, 0.0),
-    )
-    passed, detail = _verdict(
-        (resumed.converged, "resumed run did not converge"),
-        (
-            digests[0] == digests[1],
-            f"resumed states diverge bit-wise from golden after "
-            f"{crash_point} crash",
-        ),
-        (fixed.passed, f"fixed point violated: {fixed.detail}"),
-        success=(
-            f"{crash_point} crash restarted bit-identical from the "
-            "durable store"
-        ),
-    )
-    return ChaosCellResult.from_run(
-        cell_algorithm,
-        engine_name,
-        None,
-        passed,
-        detail,
-        injector,
-        golden,
-        resumed,
-        digests,
-    )
+    crash = crash_plan(crash_point, engine_name, crash_round)
+    return _run_row(_engine_row(
+        graph, algorithm, f"{algorithm}@{crash_point}", engine_name,
+        machine, graph_name, program_kwargs, seed=None,
+        golden={
+            "engine_name": engine_name,
+            "recovery": replace(durable, durability="none", run_dir=""),
+        },
+        crash={
+            "engine_name": engine_name,
+            "fault_injector": FaultInjector(crash),
+            "recovery": durable,
+        },
+        crash_at=crash_point,
+        final={
+            "engine_name": engine_name, "recovery": durable, "resume": True,
+        },
+    ))
 
 
 def run_serve_crash_restart_cell(
@@ -698,52 +652,23 @@ def run_serve_crash_restart_cell(
     (24 queries unless they say otherwise).
     """
     from repro.faults.store import SERVE_JOURNAL_NAME, ServeJournal
-    from repro.serve.runner import serve_digest
 
-    journal_path = os.path.join(run_dir, SERVE_JOURNAL_NAME)
-    leg = _serve_legs(
-        graph, algorithm, machine, graph_name, seed,
-        {"num_queries": 24, **serve_knobs},
-    )
-    cell_algorithm = f"serve-crash-{algorithm}"
-    golden = leg()
-    plan = FaultPlan(
+    journal = os.path.join(run_dir, SERVE_JOURNAL_NAME)
+    crash = FaultPlan(
         compute_faults={int(crash_launch): ComputeFault(crash=True)}
     )
-    try:
-        leg(fault_plan=plan, journal_path=journal_path)
-        return ChaosCellResult.from_serve(
-            cell_algorithm,
-            seed,
-            False,
-            f"vacuous: no crash fired at launch {crash_launch} "
-            f"(golden took {golden.launches} launches)",
-        )
-    except InjectedCrashError:
-        pass
-    resumed = leg(journal_path=journal_path)
-    passed, detail = _verdict(
-        (
-            serve_digest(golden) == serve_digest(resumed),
-            "restarted serve run diverges from golden",
-        ),
-        (
-            not resumed.failed,
-            f"{len(resumed.failed)} queries failed after restart",
-        ),
-        success=(
-            f"restart replayed {len(ServeJournal(journal_path).load())} "
+    return _run_row(_serve_row(
+        graph, algorithm, f"serve-crash-{algorithm}", machine, graph_name,
+        seed, {"num_queries": 24, **serve_knobs},
+        crash={"fault_plan": crash, "journal_path": journal},
+        crash_at=f"launch {crash_launch}",
+        final={"journal_path": journal},
+        success=lambda final: (
+            f"restart replayed {len(ServeJournal(journal).load())} "
             "journaled batches and re-served the tail bit-identical to "
             "golden"
         ),
-    )
-    cell = ChaosCellResult.from_serve(
-        cell_algorithm, seed, passed, detail, golden, resumed
-    )
-    # The restarted leg ran fault-free; the crash that killed its
-    # predecessor is the cell's one fault.
-    cell.faults_injected = 1
-    return cell
+    ))
 
 
 def _load_header_graph(header: Dict):
@@ -889,6 +814,19 @@ def _resume_repartitioned(
     )
 
 
+def _grid(cell, axes, serve) -> List[ChaosCellResult]:
+    """The sweep loop: ``cell(*point)`` for every point of the product
+    of ``axes``, in order, then ``serve()`` unless it is falsy."""
+    results = [cell(*point) for point in itertools.product(*axes)]
+    return results + [serve()] if serve else results
+
+
+def _in_temp_dir(cell, *args, **kwargs) -> ChaosCellResult:
+    """``cell`` with a fresh temporary ``run_dir``, removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="repro-crash-") as run_dir:
+        return cell(*args, run_dir=run_dir, **kwargs)
+
+
 def crash_restart_sweep(
     graph,
     algorithms: Sequence[str],
@@ -908,37 +846,19 @@ def crash_restart_sweep(
     more than two rounds (pagerank, wcc, ...) — a run that converges
     before the crash point is flagged as a vacuous failure, not skipped.
     """
-    results: List[ChaosCellResult] = []
-    for algorithm in algorithms:
-        for engine_name in engine_names:
-            for crash_point in crash_points:
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-crash-"
-                ) as cell_dir:
-                    results.append(
-                        run_crash_restart_cell(
-                            graph,
-                            algorithm,
-                            cell_dir,
-                            crash_point=crash_point,
-                            engine_name=engine_name,
-                            machine=machine,
-                            recovery=recovery,
-                            graph_name=graph_name,
-                        )
-                    )
-    if include_serve:
-        with tempfile.TemporaryDirectory(prefix="repro-crash-") as cell_dir:
-            results.append(
-                run_serve_crash_restart_cell(
-                    graph,
-                    cell_dir,
-                    crash_launch=serve_crash_launch,
-                    machine=machine,
-                    graph_name=graph_name,
-                )
-            )
-    return results
+    return _grid(
+        lambda algorithm, engine_name, crash_point: _in_temp_dir(
+            run_crash_restart_cell, graph, algorithm,
+            crash_point=crash_point, engine_name=engine_name,
+            machine=machine, recovery=recovery, graph_name=graph_name,
+        ),
+        (algorithms, engine_names, crash_points),
+        include_serve and functools.partial(
+            _in_temp_dir, run_serve_crash_restart_cell, graph,
+            crash_launch=serve_crash_launch, machine=machine,
+            graph_name=graph_name,
+        ),
+    )
 
 
 def chaos_sweep(
@@ -970,50 +890,28 @@ def chaos_sweep(
     (overlapping kills + link flaps; ``plan_options`` then feed the
     storm generator) and the serve cell becomes
     :func:`run_serve_storm_cell` (``serve_storm_options`` forwarded).
+    ``disable_recovery`` reaches the serve cell as ``replay_on_fault``.
     """
-    options = dict(plan_options or {})
+    generate = FaultPlan.generate_storm if storm else FaultPlan.generate
     num_gpus = (machine or MachineSpec()).num_gpus
+    serve_cell, serve_options = (
+        (run_serve_storm_cell, dict(serve_storm_options or {})) if storm
+        else (run_serve_chaos_cell, {"kill_launch": serve_kill_launch})
+    )
+    serve_options.setdefault("replay_on_fault", not disable_recovery)
     results: List[ChaosCellResult] = []
     for seed in seeds:
-        if storm:
-            plan = FaultPlan.generate_storm(seed, num_gpus, **options)
-        else:
-            plan = FaultPlan.generate(seed, num_gpus, **options)
-        for algorithm in algorithms:
-            for engine_name in engine_names:
-                results.append(
-                    run_chaos_cell(
-                        graph,
-                        algorithm,
-                        plan,
-                        engine_name=engine_name,
-                        machine=machine,
-                        recovery=recovery,
-                        graph_name=graph_name,
-                        disable_recovery=disable_recovery,
-                    )
-                )
-        if include_serve and storm:
-            results.append(
-                run_serve_storm_cell(
-                    graph,
-                    "mixed",
-                    seed=seed,
-                    machine=machine,
-                    graph_name=graph_name,
-                    **dict(serve_storm_options or {}),
-                )
-            )
-        elif include_serve:
-            results.append(
-                run_serve_chaos_cell(
-                    graph,
-                    "mixed",
-                    kill_launch=serve_kill_launch,
-                    seed=seed,
-                    replay_on_fault=not disable_recovery,
-                    machine=machine,
-                    graph_name=graph_name,
-                )
-            )
+        plan = generate(seed, num_gpus, **dict(plan_options or {}))
+        results += _grid(
+            lambda algorithm, engine_name: run_chaos_cell(
+                graph, algorithm, plan, engine_name=engine_name,
+                machine=machine, recovery=recovery, graph_name=graph_name,
+                disable_recovery=disable_recovery,
+            ),
+            (algorithms, engine_names),
+            include_serve and functools.partial(
+                serve_cell, graph, "mixed", seed=seed, machine=machine,
+                graph_name=graph_name, **serve_options,
+            ),
+        )
     return results

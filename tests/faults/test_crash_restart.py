@@ -19,6 +19,7 @@ from repro.faults import (
     CheckpointStore,
     FaultInjector,
     RecoveryPolicy,
+    ServeJournal,
     crash_plan,
     crash_restart_sweep,
     resume_run,
@@ -189,3 +190,32 @@ class TestServeCrashRestart:
         )
         assert result.passed, result.detail
         assert result.digest_match
+
+    def test_corrupt_journal_fails_the_cell(
+        self, crash_graph, tmp_path, monkeypatch
+    ):
+        """A journal corrupted between the crash and the restart makes
+        the resumed leg raise ``CheckpointStoreError``; the cell reports
+        it as a failed cell with ``error`` set, never as a traceback."""
+        load = ServeJournal.load
+        calls = []
+
+        def corrupt_before_resume(journal):
+            calls.append(journal.path)
+            if len(calls) == 2:  # the resumed leg's load
+                with open(journal.path, "rb") as fh:
+                    lines = fh.read()
+                assert lines, "the crashed leg journaled no batch"
+                with open(journal.path, "wb") as fh:
+                    fh.write(b"not a journal line\n" + lines)
+            return load(journal)
+
+        monkeypatch.setattr(ServeJournal, "load", corrupt_before_resume)
+        result = run_serve_crash_restart_cell(
+            crash_graph, str(tmp_path), algorithm="mixed",
+            crash_launch=30, machine=SPEC,
+        )
+        assert len(calls) == 2
+        assert not result.passed
+        assert "CheckpointStoreError" in result.detail
+        assert "serve journal line 0 corrupt" in result.error

@@ -173,6 +173,27 @@ class TestEngineStormCells:
         assert serve_cell.faults_injected >= 1
 
 
+    def test_no_recovery_reaches_the_serve_storm_cell(self, graph):
+        """``disable_recovery`` turns batch replay off in the storm's
+        serve cell as well: its kills surface as failed queries."""
+        results = chaos_sweep(
+            graph,
+            algorithms=["bfs"],
+            engine_names=("digraph",),
+            seeds=(3,),
+            machine=SPEC,
+            storm=True,
+            plan_options=dict(kills=2, flaps=1, flap_length=2),
+            disable_recovery=True,
+            include_serve=True,
+            serve_storm_options=dict(kills=2, num_queries=16),
+        )
+        serve_cell = next(c for c in results if c.engine == "serve")
+        assert not serve_cell.passed
+        assert serve_cell.rounds_rolled_back == 0
+        assert "replay disabled" in serve_cell.error
+
+
 class TestServeStormContract:
     def test_full_replay_budget_recovers_identical_digests(self, graph):
         cell = run_serve_storm_cell(

@@ -194,6 +194,24 @@ class TestChaosSweepIntegration:
         assert not cell.passed
         assert "vacuous" in cell.detail
 
+    def test_faulted_leg_error_fails_the_cell(self, graph, monkeypatch):
+        """A structured error out of the faulted leg (here a batch abort
+        the server let escape) is a failed cell, never a traceback."""
+        serve = serve_runner.run_serve_cell
+
+        def abort_faulted_leg(*args, **kwargs):
+            if kwargs.get("kill_launch") is not None:
+                raise QueryAbortedError("batch lost with its GPU")
+            return serve(*args, **kwargs)
+
+        monkeypatch.setattr(serve_runner, "run_serve_cell", abort_faulted_leg)
+        cell = run_serve_chaos_cell(
+            graph, "mixed", kill_launch=KILL_AT, seed=3, machine=SPEC
+        )
+        assert not cell.passed
+        assert "QueryAbortedError" in cell.detail
+        assert cell.error == "batch lost with its GPU"
+
     def test_chaos_sweep_includes_serve_cell(self, graph):
         """The serving layer rides the same sweep as the batch engines."""
         results = chaos_sweep(

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -355,12 +357,17 @@ class TestDurabilityCommands:
         code = main(
             ["chaos", "--crash-restart", "--dataset", "cnr",
              "--scale", "0.2", "--algorithms", "pagerank",
-             "--engines", "digraph", "--strict-digests"]
+             "--engines", "digraph", "bulk-sync-vec", "--strict-digests"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+        # Unseeded labels carry no seed, and a space always parts the
+        # label from the status column.
+        assert "seed=None" not in out
+        assert re.search(r"^pagerank@round-boundary/digraph +PASS ", out, re.M)
+        assert "\npagerank@round-boundary/bulk-sync-vec PASS  " in out
 
 
 class TestPartitionCommand:
