@@ -436,7 +436,6 @@ def run_serve_chaos_cell(
     algorithm: str = "mixed",
     kill_launch: int = 4,
     seed: int = 0,
-    replay_on_fault: bool = True,
     machine: Optional[MachineSpec] = None,
     graph_name: str = "serve-chaos",
     **serve_knobs,
@@ -450,13 +449,13 @@ def run_serve_chaos_cell(
     batch. The cell passes only when the fault actually fired, no query
     failed, and every served answer matches the golden run bit for bit
     (:func:`repro.serve.runner.serve_digest` equality). With
-    ``replay_on_fault=False`` this is the non-vacuity leg: the kill must
-    surface as cleanly failed queries and a digest mismatch.
+    ``max_replays=0`` this is the non-vacuity leg: the kill must surface
+    as cleanly failed queries and a digest mismatch.
     """
     return _run_row(_serve_row(
         graph, algorithm, f"serve-{algorithm}", machine, graph_name, seed,
         {"num_queries": 24, **serve_knobs},
-        final={"kill_launch": kill_launch, "replay_on_fault": replay_on_fault},
+        final={"kill_launch": kill_launch},
         success=lambda final: (
             f"{len(final.completed)} served answers match golden "
             f"after {final.replays}-query batch replay"
@@ -890,7 +889,7 @@ def chaos_sweep(
     (overlapping kills + link flaps; ``plan_options`` then feed the
     storm generator) and the serve cell becomes
     :func:`run_serve_storm_cell` (``serve_storm_options`` forwarded).
-    ``disable_recovery`` reaches the serve cell as ``replay_on_fault``.
+    ``disable_recovery`` reaches the serve cell as ``max_replays=0``.
     """
     generate = FaultPlan.generate_storm if storm else FaultPlan.generate
     num_gpus = (machine or MachineSpec()).num_gpus
@@ -898,7 +897,8 @@ def chaos_sweep(
         (run_serve_storm_cell, dict(serve_storm_options or {})) if storm
         else (run_serve_chaos_cell, {"kill_launch": serve_kill_launch})
     )
-    serve_options.setdefault("replay_on_fault", not disable_recovery)
+    if disable_recovery:
+        serve_options.setdefault("max_replays", 0)
     results: List[ChaosCellResult] = []
     for seed in seeds:
         plan = generate(seed, num_gpus, **dict(plan_options or {}))

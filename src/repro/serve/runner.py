@@ -124,12 +124,13 @@ def run_serve_cell(
     differ in any knob never alias.
 
     ``kill_launch`` schedules a GPU kill at that serve-wide launch
-    index; ``replay_on_fault`` decides replay-to-correct-digests vs
-    clean structured failure. ``fault_plan`` supplies a full correlated
-    schedule instead (storms). ``journal_path`` points the server at a
-    durable :class:`~repro.faults.store.ServeJournal`: completed batches
-    are journaled, and a re-run over the same trace replays them instead
-    of re-solving (crash-restart recovery). Custom inputs (``graph`` /
+    index; ``max_replays`` decides replay-to-correct-digests (the
+    default, 1) vs clean structured failure (0). ``fault_plan``
+    supplies a full correlated schedule instead (storms).
+    ``journal_path`` points the server at a durable
+    :class:`~repro.faults.store.ServeJournal`: completed batches are
+    journaled, and a re-run over the same trace replays them instead of
+    re-solving (crash-restart recovery). Custom inputs (``graph`` /
     ``tenant_weights`` / ``strict`` / ``fault_plan`` / ``journal_path``)
     bypass the memo cache.
     """

@@ -38,21 +38,32 @@ additionally discards answers that complete after their deadline
 (client gone away) with a structured
 :class:`~repro.errors.DeadlineExceededError`.
 
+Every dispatched batch has one outcome, a batch record plus one
+:class:`~repro.serve.query.QueryResult` a lane, from one of two
+sources: the solver (:meth:`QueryServer._solve_batch`) or, on a
+restart, the batch's verified journal record. One commit applies
+either: it frees the GPU at the batch's completion, adds the record's
+service time, launches, work and replays to the totals, journals a
+solved batch and schedules the completion event.
+
 Faults: a :class:`~repro.faults.plan.FaultPlan`'s compute faults are
-keyed by the serve-wide launch counter. A scheduled GPU kill aborts the
-in-flight batch mid-solve; with ``replay_on_fault`` the server charges
-the wasted partial service time, waits out an exponential backoff
-(``replay_backoff_s`` × ``backoff_multiplier``^attempt), and re-runs
-the batch up to ``max_replays`` times — a storm that kills every
-attempt exhausts the budget and aborts the batch cleanly with a
-structured :class:`~repro.errors.QueryAbortedError` — never a silent
-wrong answer, never a hang.
+keyed by the serve-wide launch counter, which restarts at 0 with every
+:meth:`QueryServer.serve` call. A scheduled GPU kill aborts the
+in-flight batch mid-solve; the server charges the wasted partial
+service time, waits out an exponential backoff (``replay_backoff_s`` ×
+``backoff_multiplier``^attempt), and re-runs the batch up to
+``max_replays`` times. ``max_replays=0`` fails the killed batch's
+queries at once (status ``"failed"``); a storm that kills every attempt
+exhausts the budget and aborts the batch (status ``"aborted"``). Either
+way the queries carry a structured
+:class:`~repro.errors.QueryAbortedError` — never a silent wrong answer,
+never a hang.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -70,15 +81,19 @@ from repro.faults.store import ServeJournal
 from repro.knobs import check_fields, knob
 from repro.serve.context import ServingContext
 from repro.serve.query import (
-    ClosedLoopTrace,
-    Query,
-    QueryResult,
-    make_query_program,
+    ClosedLoopTrace, Query, QueryResult, make_query_program,
 )
 from repro.serve.solver import MultiSourceSolver, residual_bound_kind
 
 #: Valid deadline policies (see module docstring).
 DEADLINE_POLICIES: Tuple[str, ...] = ("reject", "abort")
+
+#: The per-query fields of a journaled batch record, written and read
+#: back under the :class:`~repro.serve.query.QueryResult` field names.
+JOURNAL_FIELDS: Tuple[str, ...] = (
+    "status", "digest", "rounds", "replayed", "error", "attempts",
+    "bound_kind", "residual_bound", "deadline_missed",
+)
 
 
 @dataclass(frozen=True)
@@ -103,11 +118,6 @@ class ServeConfig:
     tenant_quota: int = knob(
         int, 8, minimum=1, sweep=True, flag="--tenant-quota",
         help="per-tenant in-flight fairness quota (default: 8)",
-    )
-    replay_on_fault: bool = knob(
-        bool, True, sweep=True, flag="--no-replay", flag_sets=False,
-        help="fail the killed batch's queries cleanly instead of "
-        "replaying them",
     )
     #: Round budget per solve.
     max_rounds: int = knob(int, 100000, minimum=1)
@@ -137,8 +147,8 @@ class ServeConfig:
         help="under deadline pressure return partially-converged answers "
         "with certified residual bounds instead of missing deadlines",
     )
-    #: 0 disables replay even with ``replay_on_fault``; the first
-    #: attempt is not a replay.
+    #: 0 disables replay: a killed batch's queries fail cleanly. The
+    #: first attempt is not a replay.
     max_replays: int = knob(
         int, 1, minimum=0, sweep=True, flag="--max-replays",
         help="replay attempts per fault-killed batch before its queries "
@@ -300,6 +310,8 @@ class QueryServer:
         self._compute_faults = (
             dict(fault_plan.compute_faults) if fault_plan else {}
         )
+        #: Serve-wide launch index and faults fired; both restart at 0
+        #: with every :meth:`serve` call.
         self._launch_counter = 0
         self._faults_injected = 0
         #: Durable completion journal (see
@@ -335,6 +347,123 @@ class QueryServer:
             )
 
     # ------------------------------------------------------------------
+    # one batch outcome: solved here, or read back from the journal
+    # ------------------------------------------------------------------
+    def _l1_bound(self, program, residual: float) -> float:
+        """‖x_ref − x‖₁ ≤ (‖r_meas‖₁ + 2·n·tol)/(1−d): r_meas misses up
+        to tol per vertex (the write gate discards sub-tolerance drift)
+        and the exact reference itself converges only to tol."""
+        n = self.context.graph.num_vertices
+        return (residual + 2.0 * n * float(program.tolerance)) / (
+            1.0 - float(program.damping)
+        )
+
+    def _solve_batch(
+        self, batch: List[Query], start: float, batch_id: int, strict: bool
+    ) -> Tuple[Dict, Tuple[QueryResult, ...]]:
+        """Solve ``batch`` from ``start``, replaying it after GPU kills
+        while the budget lasts; the batch record and one result a lane."""
+        cfg = self.config
+        programs = [make_query_program(q) for q in batch]
+        solver = MultiSourceSolver(
+            self.context, programs, max_rounds=cfg.max_rounds,
+            fault_hook=self._fault_hook,
+        )
+        deadlines = [q.deadline_at(cfg.deadline_s) for q in batch]
+        firm = [d for d in deadlines if d is not None]
+        budget: Optional[float] = None
+        if cfg.brownout and firm:
+            # The batch's tightest deadline sets the compute budget; a
+            # stale batch (already past deadline) still gets its
+            # mandatory first round.
+            budget = max(min(firm) - start, 0.0)
+        wasted = 0.0
+        backoff_total = 0.0
+        attempts = 0
+        result = None
+        error: Optional[QueryAbortedError] = None
+        while result is None and error is None:
+            attempts += 1
+            try:
+                result = solver.solve(time_budget_s=budget)
+            except GPULostError as exc:
+                wasted += float(
+                    getattr(exc, "modeled_seconds_completed", 0.0)
+                )
+                if attempts > cfg.max_replays:
+                    error = QueryAbortedError(
+                        "batch killed mid-solve, replay disabled"
+                        if cfg.max_replays == 0
+                        else f"batch replay budget exhausted after "
+                        f"{attempts} attempts",
+                        query_ids=[q.query_id for q in batch],
+                        tenants=[q.tenant for q in batch],
+                        batch_id=batch_id,
+                        launch_index=getattr(
+                            exc, "launches_completed", None
+                        ),
+                    )
+                else:
+                    backoff_total += cfg.replay_backoff_s * (
+                        cfg.backoff_multiplier ** (attempts - 1)
+                    )
+        service = wasted
+        if result is not None:
+            service += result.modeled_seconds
+        # Backoff is wall time the GPU sits idle between attempts: it
+        # delays completion but is not busy time.
+        completion = start + service + backoff_total
+        replayed = result is not None and attempts > 1
+        lane_results = []
+        for lane, query in enumerate(batch):
+            deadline = deadlines[lane]
+            missed = deadline is not None and completion > deadline
+            digest = kind = bound = states = None
+            rounds = 0 if result is None else result.lane_rounds[lane]
+            if result is None:
+                status = "failed" if cfg.max_replays == 0 else "aborted"
+                message = str(error)
+            elif missed and cfg.deadline_policy == "abort":
+                status = "aborted"
+                message = str(DeadlineExceededError(
+                    "answer completed after deadline, discarded",
+                    query_id=query.query_id,
+                    tenant=query.tenant,
+                    deadline_s=deadline,
+                    detected_s=completion,
+                ))
+            else:
+                message = None
+                digest = result.digests[lane]
+                status = (
+                    "ok" if result.lane_converged[lane] else "degraded"
+                )
+            if status == "degraded":
+                kind = residual_bound_kind(query.algorithm)
+                if kind == "l1":
+                    bound = self._l1_bound(
+                        programs[lane], result.lane_residuals[lane]
+                    )
+                states = result.states[lane].copy()
+            lane_results.append(QueryResult(
+                query=query, status=status, digest=digest, start_s=start,
+                completion_s=completion, batch_id=batch_id,
+                lanes=len(batch), rounds=rounds, replayed=replayed,
+                error=message, attempts=attempts, bound_kind=kind,
+                residual_bound=bound, deadline_missed=missed, states=states,
+            ))
+        if error is not None and strict:
+            raise error
+        record = {
+            "batch_id": batch_id, "query_ids": [q.query_id for q in batch],
+            "start": start, "completion": completion, "service": service,
+            "launches": 0 if result is None else result.launches,
+            "edge_lane_work": 0 if result is None else result.edge_lane_work,
+            "replays": len(batch) * (attempts - 1) if replayed else 0,
+        }
+        return record, tuple(lane_results)
+
+    # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
     def serve(
@@ -350,6 +479,8 @@ class QueryServer:
         outcomes are policy, not failures — strict mode reports them).
         """
         cfg = self.config
+        self._launch_counter = 0
+        self._faults_injected = 0
         closed = isinstance(trace, ClosedLoopTrace)
         if closed:
             sessions = trace.sessions
@@ -371,24 +502,21 @@ class QueryServer:
         # per-(tenant, algorithm) FIFO queues: the arrival backlog
         # (bounded by max_queue when set), then the bounded admitted
         # pool batches are drawn from.
-        backlog: Dict[str, Dict[str, Deque[Query]]] = {
-            t: {} for t in tenants
-        }
-        admitted: Dict[str, Dict[str, Deque[Query]]] = {
-            t: {} for t in tenants
-        }
+        backlog: Dict[str, Dict[str, Deque[Query]]] = {t: {} for t in tenants}
+        admitted: Dict[str, Dict[str, Deque[Query]]] = {t: {} for t in tenants}
         waiting = 0
         num_admitted = 0
         in_flight = 0  # admitted + executing
         tenant_inflight: Dict[str, int] = {t: 0 for t in tenants}
-        gpu_free = 0.0
         rr = 0
-        batch_id = 0
         peak_concurrency = 0
-        gpu_busy = 0.0
-        launches = 0
-        edge_lane_work = 0
-        replays = 0
+        # What every committed batch outcome advances: the GPU's free
+        # instant, the batch count and the record's totals.
+        gpu_free = 0.0
+        batch_id = 0
+        totals = {
+            "service": 0.0, "launches": 0, "edge_lane_work": 0, "replays": 0
+        }
         # Journaled outcomes from a previous (crashed) run of this
         # trace: batch_id -> verified record. The admission loop is
         # deterministic, so batch N re-forms with the same queries and
@@ -443,6 +571,29 @@ class QueryServer:
                 if s_idx is not None:
                     schedule_session(s_idx, qr.completion_s)
 
+        def refuse(query: Query, status: str, err, now: float) -> None:
+            """Shed or reject ``query`` at ``now``: it never runs."""
+            record_result(QueryResult(
+                query=query, status=status, digest=None, start_s=now,
+                completion_s=now, batch_id=-1, lanes=0, rounds=0,
+                error=str(err), deadline_missed=status == "rejected",
+            ))
+
+        def end_queue(pool, pool_tenants, newest=False):
+            """The queue of ``pool_tenants`` whose head is globally
+            oldest (whose tail is newest); None if all are empty."""
+            ends = [
+                queue for t in pool_tenants
+                for queue in pool[t].values() if queue
+            ]
+            if not ends:
+                return None
+            if newest:
+                return max(
+                    ends, key=lambda q: (q[-1].arrival_s, q[-1].query_id)
+                )
+            return min(ends, key=lambda q: (q[0].arrival_s, q[0].query_id))
+
         def shed_excess(now: float) -> None:
             # Deterministic tenant-fair shedding: victim tenant is the
             # one with the largest backlog; victim query is the newest
@@ -455,310 +606,30 @@ class QueryServer:
                     for t in tenants
                 }
                 top = max(counts.values())
-                victim = None  # ((arrival_s, query_id), tenant, algo)
-                for tenant in tenants:
-                    if counts[tenant] != top:
-                        continue
-                    for algo, queue in backlog[tenant].items():
-                        if not queue:
-                            continue
-                        tail = queue[-1]
-                        key = (tail.arrival_s, tail.query_id)
-                        if victim is None or key > victim[0]:
-                            victim = (key, tenant, algo)
-                assert victim is not None
-                _, tenant, algo = victim
-                query = backlog[tenant][algo].pop()
+                tied = [t for t in tenants if counts[t] == top]
+                query = end_queue(backlog, tied, newest=True).pop()
                 waiting -= 1
-                err = QueryShedError(
+                refuse(query, "shed", QueryShedError(
                     "queue full, query shed",
                     query_id=query.query_id,
                     tenant=query.tenant,
                     queue_depth=waiting + 1,
-                )
-                record_result(
-                    QueryResult(
-                        query=query,
-                        status="shed",
-                        digest=None,
-                        start_s=now,
-                        completion_s=now,
-                        batch_id=-1,
-                        lanes=0,
-                        rounds=0,
-                        error=str(err),
-                    )
-                )
+                ), now)
 
-        def dispatch(batch: List[Query], now: float) -> None:
-            nonlocal gpu_free, batch_id, gpu_busy, launches
-            nonlocal edge_lane_work, replays, seq
-            record = journal_replay.get(batch_id)
-            if record is not None:
-                ids = [q.query_id for q in batch]
-                if list(record["query_ids"]) != ids:
-                    raise CheckpointStoreError(
-                        "serve journal batch does not match the "
-                        f"re-formed batch (journal {record['query_ids']}"
-                        f" vs {ids})",
-                        checkpoint=batch_id,
-                        kind="journal-mismatch",
-                    )
-                completion = float(record["completion"])
-                gpu_free = completion
-                gpu_busy += float(record["service"])
-                launches += int(record["launches"])
-                edge_lane_work += record["edge_lane_work"]
-                replays += int(record["replays"])
-                batch_results = []
-                for query, rec in zip(batch, record["results"]):
-                    # Degraded states are not journaled: the recorded
-                    # digest still certifies the answer, but the vector
-                    # itself must be re-derived if needed.
-                    batch_results.append(
-                        QueryResult(
-                            query=query,
-                            status=rec["status"],
-                            digest=rec["digest"],
-                            start_s=float(record["start"]),
-                            completion_s=completion,
-                            batch_id=batch_id,
-                            lanes=len(batch),
-                            rounds=int(rec["rounds"]),
-                            replayed=bool(rec["replayed"]),
-                            error=rec["error"],
-                            attempts=int(rec["attempts"]),
-                            bound_kind=rec["bound_kind"],
-                            residual_bound=rec["residual_bound"],
-                            deadline_missed=bool(rec["deadline_missed"]),
-                        )
-                    )
-                heapq.heappush(
-                    events,
-                    (completion, 0, seq, "completion",
-                     tuple(batch_results)),
-                )
-                seq += 1
-                batch_id += 1
-                return
-            programs = [make_query_program(q) for q in batch]
-            solver = MultiSourceSolver(
-                self.context,
-                programs,
-                max_rounds=cfg.max_rounds,
-                fault_hook=self._fault_hook,
-            )
-            start = max(now, gpu_free)
-            deadlines = [
-                q.deadline_at(cfg.deadline_s)
-                for q in batch
-            ]
-            budget: Optional[float] = None
-            if cfg.brownout:
-                firm = [d for d in deadlines if d is not None]
-                if firm:
-                    # The batch's tightest deadline sets the compute
-                    # budget; a stale batch (already past deadline)
-                    # still gets its mandatory first round.
-                    budget = max(min(firm) - start, 0.0)
-            wasted = 0.0
-            backoff_total = 0.0
-            attempts = 0
-            result = None
-            replayed = False
-            error: Optional[QueryAbortedError] = None
-            while True:
-                attempts += 1
-                try:
-                    result = solver.solve(time_budget_s=budget)
-                    break
-                except GPULostError as exc:
-                    wasted += float(
-                        getattr(exc, "modeled_seconds_completed", 0.0)
-                    )
-                    if not cfg.replay_on_fault or cfg.max_replays == 0:
-                        error = QueryAbortedError(
-                            "batch killed mid-solve, replay disabled",
-                            query_ids=[q.query_id for q in batch],
-                            tenants=[q.tenant for q in batch],
-                            batch_id=batch_id,
-                            launch_index=getattr(
-                                exc, "launches_completed", None
-                            ),
-                        )
-                        break
-                    if attempts > cfg.max_replays:
-                        error = QueryAbortedError(
-                            f"batch replay budget exhausted after "
-                            f"{attempts} attempts",
-                            query_ids=[q.query_id for q in batch],
-                            tenants=[q.tenant for q in batch],
-                            batch_id=batch_id,
-                            launch_index=getattr(
-                                exc, "launches_completed", None
-                            ),
-                        )
-                        break
-                    backoff_total += cfg.replay_backoff_s * (
-                        cfg.backoff_multiplier ** (attempts - 1)
-                    )
-            if result is not None:
-                replayed = attempts > 1
-                replays += len(batch) * (attempts - 1)
-                service = wasted + result.modeled_seconds
-                launches += result.launches
-                edge_lane_work += result.edge_lane_work
-            else:
-                service = wasted
-            # Backoff is wall time the GPU sits idle between attempts:
-            # it delays completion but is not busy time.
-            completion = start + service + backoff_total
-            gpu_free = completion
-            gpu_busy += service
-            batch_results = []
-            for lane, query in enumerate(batch):
-                deadline = deadlines[lane]
-                missed = deadline is not None and completion > deadline
-                if result is None:
-                    status = (
-                        "failed"
-                        if not cfg.replay_on_fault or cfg.max_replays == 0
-                        else "aborted"
-                    )
-                    batch_results.append(
-                        QueryResult(
-                            query=query,
-                            status=status,
-                            digest=None,
-                            start_s=start,
-                            completion_s=completion,
-                            batch_id=batch_id,
-                            lanes=len(batch),
-                            rounds=0,
-                            replayed=False,
-                            error=str(error),
-                            attempts=attempts,
-                            deadline_missed=missed,
-                        )
-                    )
-                    continue
-                if missed and cfg.deadline_policy == "abort":
-                    miss_err = DeadlineExceededError(
-                        "answer completed after deadline, discarded",
-                        query_id=query.query_id,
-                        tenant=query.tenant,
-                        deadline_s=deadline,
-                        detected_s=completion,
-                    )
-                    batch_results.append(
-                        QueryResult(
-                            query=query,
-                            status="aborted",
-                            digest=None,
-                            start_s=start,
-                            completion_s=completion,
-                            batch_id=batch_id,
-                            lanes=len(batch),
-                            rounds=result.lane_rounds[lane],
-                            replayed=replayed,
-                            error=str(miss_err),
-                            attempts=attempts,
-                            deadline_missed=True,
-                        )
-                    )
-                    continue
-                if result.lane_converged[lane]:
-                    batch_results.append(
-                        QueryResult(
-                            query=query,
-                            status="ok",
-                            digest=result.digests[lane],
-                            start_s=start,
-                            completion_s=completion,
-                            batch_id=batch_id,
-                            lanes=len(batch),
-                            rounds=result.lane_rounds[lane],
-                            replayed=replayed,
-                            attempts=attempts,
-                            deadline_missed=missed,
-                        )
-                    )
-                    continue
-                kind = residual_bound_kind(query.algorithm)
-                bound: Optional[float] = None
-                if kind == "l1":
-                    program = programs[lane]
-                    damping = float(program.damping)
-                    tolerance = float(program.tolerance)
-                    n = self.context.graph.num_vertices
-                    # ‖x_ref − x‖₁ ≤ (‖r_meas‖₁ + 2·n·tol)/(1−d):
-                    # r_meas misses up to tol per vertex (write-gate
-                    # discards sub-tolerance drift) and the exact
-                    # reference itself converges only to tol.
-                    bound = (
-                        result.lane_residuals[lane] + 2.0 * n * tolerance
-                    ) / (1.0 - damping)
-                batch_results.append(
-                    QueryResult(
-                        query=query,
-                        status="degraded",
-                        digest=result.digests[lane],
-                        start_s=start,
-                        completion_s=completion,
-                        batch_id=batch_id,
-                        lanes=len(batch),
-                        rounds=result.lane_rounds[lane],
-                        replayed=replayed,
-                        attempts=attempts,
-                        bound_kind=kind,
-                        residual_bound=bound,
-                        deadline_missed=missed,
-                        states=result.states[lane].copy(),
-                    )
-                )
-            if error is not None and strict:
-                raise error
-            if self._journal is not None:
-                self._journal.append(
-                    {
-                        "batch_id": batch_id,
-                        "query_ids": [q.query_id for q in batch],
-                        "start": start,
-                        "completion": completion,
-                        "service": service,
-                        "launches": (
-                            result.launches if result is not None else 0
-                        ),
-                        "edge_lane_work": (
-                            result.edge_lane_work
-                            if result is not None
-                            else 0
-                        ),
-                        "replays": (
-                            len(batch) * (attempts - 1)
-                            if result is not None
-                            else 0
-                        ),
-                        "results": [
-                            {
-                                "query_id": r.query.query_id,
-                                "status": r.status,
-                                "digest": r.digest,
-                                "rounds": r.rounds,
-                                "replayed": r.replayed,
-                                "error": r.error,
-                                "attempts": r.attempts,
-                                "bound_kind": r.bound_kind,
-                                "residual_bound": r.residual_bound,
-                                "deadline_missed": r.deadline_missed,
-                            }
-                            for r in batch_results
-                        ],
-                    }
-                )
+        def commit(record: Dict, batch_results, solved: bool) -> None:
+            """Apply one batch outcome, solved or journaled."""
+            nonlocal gpu_free, batch_id, seq
+            gpu_free = record["completion"]
+            for key in totals:
+                totals[key] += record[key]
+            if solved and self._journal is not None:
+                self._journal.append({**record, "results": [
+                    {"query_id": r.query.query_id,
+                     **{f: getattr(r, f) for f in JOURNAL_FIELDS}}
+                    for r in batch_results
+                ]})
             heapq.heappush(
-                events,
-                (completion, 0, seq, "completion", tuple(batch_results)),
+                events, (gpu_free, 0, seq, "completion", batch_results)
             )
             seq += 1
             batch_id += 1
@@ -770,47 +641,28 @@ class QueryServer:
             # rejected here instead of occupying a lane.
             nonlocal waiting, num_admitted, in_flight, peak_concurrency
             while waiting > 0 and in_flight < cfg.max_concurrent:
-                oldest = None
-                for tenant in tenants:
-                    if tenant_inflight[tenant] >= cfg.tenant_quota:
-                        continue
-                    for algo_queue in backlog[tenant].values():
-                        if not algo_queue:
-                            continue
-                        head = algo_queue[0]
-                        key = (head.arrival_s, head.query_id)
-                        if oldest is None or key < oldest[0]:
-                            oldest = (key, tenant, head.algorithm)
-                if oldest is None:
+                queue = end_queue(backlog, [
+                    t for t in tenants
+                    if tenant_inflight[t] < cfg.tenant_quota
+                ])
+                if queue is None:
                     return
-                _, tenant, algo = oldest
-                query = backlog[tenant][algo].popleft()
+                query = queue.popleft()
+                tenant = query.tenant
                 waiting -= 1
                 deadline = query.deadline_at(cfg.deadline_s)
                 if deadline is not None and now > deadline:
-                    err = DeadlineExceededError(
+                    refuse(query, "rejected", DeadlineExceededError(
                         "deadline passed before admission",
                         query_id=query.query_id,
-                        tenant=query.tenant,
+                        tenant=tenant,
                         deadline_s=deadline,
                         detected_s=now,
-                    )
-                    record_result(
-                        QueryResult(
-                            query=query,
-                            status="rejected",
-                            digest=None,
-                            start_s=now,
-                            completion_s=now,
-                            batch_id=-1,
-                            lanes=0,
-                            rounds=0,
-                            error=str(err),
-                            deadline_missed=True,
-                        )
-                    )
+                    ), now)
                     continue
-                admitted[tenant].setdefault(algo, deque()).append(query)
+                admitted[tenant].setdefault(
+                    query.algorithm, deque()
+                ).append(query)
                 num_admitted += 1
                 in_flight += 1
                 tenant_inflight[tenant] += 1
@@ -822,16 +674,7 @@ class QueryServer:
             nonlocal num_admitted, rr
             if num_admitted == 0 or gpu_free > now:
                 return
-            oldest = None
-            for tenant in tenants:
-                for algo_queue in admitted[tenant].values():
-                    if not algo_queue:
-                        continue
-                    head = algo_queue[0]
-                    key = (head.arrival_s, head.query_id)
-                    if oldest is None or key < oldest[0]:
-                        oldest = (key, head.algorithm)
-            algo = oldest[1]
+            algo = end_queue(admitted, tenants)[0].algorithm
             batch: List[Query] = []
             progress = True
             while len(batch) < cfg.query_lanes and progress:
@@ -847,7 +690,12 @@ class QueryServer:
                     progress = True
             num_admitted -= len(batch)
             rr = (tenant_index[batch[0].tenant] + 1) % len(tenants)
-            dispatch(batch, now)
+            record = journal_replay.get(batch_id)
+            if record is None:
+                commit(*self._solve_batch(batch, now, batch_id, strict),
+                       solved=True)
+            else:
+                commit(*_journaled_outcome(record, batch), solved=False)
 
         while events:
             now, _prio, _seq, kind, payload = heapq.heappop(events)
@@ -872,21 +720,17 @@ class QueryServer:
         per_tenant: Dict[str, Dict[str, float]] = {}
         for tenant in tenants:
             rows = [r for r in results if r.query.tenant == tenant]
+            count = Counter(r.status for r in rows)
             done = [r for r in rows if r.status in ("ok", "degraded")]
-            good = [r for r in done if not r.deadline_missed]
             lats = sorted(r.latency_s for r in done)
             per_tenant[tenant] = {
                 "queries": float(len(rows)),
-                "completed": float(
-                    sum(1 for r in rows if r.status == "ok")
+                "completed": float(count["ok"]),
+                "degraded": float(count["degraded"]),
+                "shed": float(count["shed"]),
+                "goodput": float(
+                    sum(1 for r in done if not r.deadline_missed)
                 ),
-                "degraded": float(
-                    sum(1 for r in rows if r.status == "degraded")
-                ),
-                "shed": float(
-                    sum(1 for r in rows if r.status == "shed")
-                ),
-                "goodput": float(len(good)),
                 "latency_p50_s": _percentile(lats, 0.50),
                 "latency_p99_s": _percentile(lats, 0.99),
                 "latency_max_s": lats[-1] if lats else 0.0,
@@ -897,12 +741,40 @@ class QueryServer:
             max_concurrent=cfg.max_concurrent,
             tenant_quota=cfg.tenant_quota,
             batches=batch_id,
-            launches=launches,
-            edge_lane_work=edge_lane_work,
+            launches=totals["launches"],
+            edge_lane_work=totals["edge_lane_work"],
             peak_concurrency=peak_concurrency,
-            gpu_busy_s=gpu_busy,
+            gpu_busy_s=totals["service"],
             makespan_s=makespan,
             faults_injected=self._faults_injected,
-            replays=replays,
+            replays=totals["replays"],
             per_tenant=per_tenant,
         )
+
+
+def _journaled_outcome(
+    record: Dict, batch: List[Query]
+) -> Tuple[Dict, Tuple[QueryResult, ...]]:
+    """A verified journal record as the outcome of the re-formed
+    ``batch``. Degraded states are not journaled: the recorded digest
+    still certifies the answer, but the vector itself must be
+    re-derived if needed."""
+    ids = [q.query_id for q in batch]
+    if list(record["query_ids"]) != ids:
+        raise CheckpointStoreError(
+            "serve journal batch does not match the re-formed batch "
+            f"(journal {record['query_ids']} vs {ids})",
+            checkpoint=record["batch_id"],
+            kind="journal-mismatch",
+        )
+    return record, tuple(
+        QueryResult(
+            query=query,
+            start_s=float(record["start"]),
+            completion_s=record["completion"],
+            batch_id=record["batch_id"],
+            lanes=len(batch),
+            **{f: lane[f] for f in JOURNAL_FIELDS},
+        )
+        for query, lane in zip(batch, record["results"])
+    )

@@ -96,10 +96,9 @@ class TestConfigValidation:
             "serve": {
                 "num_gpus", "query_lanes", "tenant_count",
                 "max_concurrent", "tenant_quota", "num_queries",
-                "mean_interarrival_us", "kill_launch", "replay_on_fault",
-                "deadline_ms", "deadline_policy", "max_queue", "brownout",
-                "max_replays", "replay_backoff_us", "arrival_model",
-                "mean_think_time_us",
+                "mean_interarrival_us", "kill_launch", "deadline_ms",
+                "deadline_policy", "max_queue", "brownout", "max_replays",
+                "replay_backoff_us", "arrival_model", "mean_think_time_us",
             },
         }
 

@@ -100,7 +100,7 @@ CASES = {
     ),
     "serve/kill4": _serve_case(run_serve_chaos_cell, kill_launch=4),
     "serve/kill4/no-replay": _serve_case(
-        run_serve_chaos_cell, kill_launch=4, replay_on_fault=False
+        run_serve_chaos_cell, kill_launch=4, max_replays=0
     ),
     "serve/kill10000": _serve_case(
         run_serve_chaos_cell, kill_launch=10_000

@@ -97,9 +97,7 @@ class TestReplay:
 class TestCleanFailure:
     def test_no_replay_fails_batch_cleanly(self, graph):
         clean = serve_cell(graph)
-        report = serve_cell(
-            graph, kill_launch=KILL_AT, replay_on_fault=False
-        )
+        report = serve_cell(graph, kill_launch=KILL_AT, max_replays=0)
         assert report.failed
         assert serve_digest(report) != serve_digest(clean)
         for result in report.failed:
@@ -119,7 +117,7 @@ class TestCleanFailure:
         )
         server = QueryServer(
             context,
-            ServeConfig(replay_on_fault=False),
+            ServeConfig(max_replays=0),
             fault_plan=FaultPlan(
                 compute_faults={2: ComputeFault(kill_gpu=0)}
             ),
@@ -143,7 +141,7 @@ class TestCleanFailure:
         )
         server = QueryServer(
             context,
-            ServeConfig(replay_on_fault=True),
+            ServeConfig(),
             fault_plan=FaultPlan(
                 compute_faults={
                     2: ComputeFault(kill_gpu=0),
@@ -181,7 +179,7 @@ class TestChaosSweepIntegration:
         """Replay disabled: the kill must surface, not pass silently."""
         cell = run_serve_chaos_cell(
             graph, "mixed", kill_launch=KILL_AT, seed=3,
-            replay_on_fault=False, machine=SPEC,
+            max_replays=0, machine=SPEC,
         )
         assert not cell.passed
         assert not cell.digest_match

@@ -12,6 +12,7 @@ import pytest
 from repro.bench import runner as bench_runner
 from repro.bench.sweep import SweepConfig, canonical_bytes, run_sweep
 from repro.errors import ConfigurationError
+from repro.faults import ComputeFault, FaultPlan
 from repro.graph.generators import scc_profile_graph, with_random_weights
 from repro.gpu.config import GPUSpec, MachineSpec
 from repro.serve import runner as serve_runner
@@ -208,6 +209,23 @@ class TestDeterminism:
         assert serve_digest(first) == serve_digest(second)
         assert first.metrics() == second.metrics()
         assert first.per_tenant == second.per_tenant
+
+    def test_reused_server_restarts_its_fault_state(self, context):
+        """A second ``serve()`` on the same server starts at launch 0:
+        the scheduled kill fires again, and only once per call."""
+        trace = generate_trace(
+            context.graph.num_vertices, 32, seed=11, tenants=4,
+            mean_interarrival_s=1e-6,
+        )
+        server = QueryServer(
+            context, ServeConfig(max_replays=0),
+            fault_plan=FaultPlan(compute_faults={4: ComputeFault(kill_gpu=0)}),
+        )
+        first = server.serve(trace)
+        second = server.serve(trace)
+        assert first.faults_injected == 1 and first.failed
+        assert second == first
+        assert serve_digest(second) == serve_digest(first)
 
     def test_serve_sweep_rerun_byte_identical(self):
         """Same trace + seed => byte-identical BENCH artifact bytes."""
