@@ -4,11 +4,14 @@ Preprocessing is deterministic, and every engine digest downstream rests
 on its exact output: path order, hot ids, the dependency CSR (rebuilt by
 the tests-side oracle from the stored incidence — preprocessing no longer
 builds it), SCC ids (a property of Tarjan's visiting order, not just of
-the graph), layers and the dispatch groups lifted from them. The
-fingerprints in ``preprocess_fingerprints.json`` were captured on the
-commit *before* preprocessing was rewritten as array passes (PR 13), so a
-digest mismatch here means the rewrite — or a later change — moved an
-output, not just a clock.
+the graph), layers and the dispatch groups lifted from them; and the
+Fig. 4 layout built over them: partitions, ``PTable`` / ``E_Idx`` / ``E_val``, mirror
+partitions and writer weights, default and layer-aware owners, and the
+proxy set. The path, dependency, sketch and dispatch fingerprints in
+``preprocess_fingerprints.json`` were captured on the commit *before*
+preprocessing was rewritten as array passes, and the layout rows on the
+commit before the layout was, so a digest mismatch here means a rewrite —
+or a later change — moved an output, not just a clock.
 
 Regenerate intentionally with:
 
@@ -27,9 +30,11 @@ import pytest
 
 from repro.baselines.common import resolve_partition_target
 from repro.core.dependency import build_dependency_dag
-from repro.core.dispatch import Dispatcher
+from repro.core.dispatch import Dispatcher, lift_to_partitions
 from repro.core.partitioning import decompose_into_paths
+from repro.core.replicas import ReplicaTable
 from repro.core.storage import PathStorage, build_partitions
+from repro.core.tables import ExecutionTables
 from repro.gpu.config import SCALED_MACHINE
 from repro.gpu.machine import Machine
 from repro.graph import datasets
@@ -93,7 +98,52 @@ def fingerprint(name, n_workers, greedy, scc_aware, merge):
     storage = PathStorage(path_set, partitions)
     dispatcher = Dispatcher(storage, dag, Machine(SCALED_MACHINE))
     dependency = dependency_product(dag.writes, dag.reads, dag.num_paths)
+    replicas = ReplicaTable(
+        path_set,
+        storage,
+        proxy_capacity=SCALED_MACHINE.gpu.shared_memory_per_smx_bytes // 16,
+    )
+    replicated = replicas.replicated_vertices()
+    default_owners = replicas.owner_partitions()
+    # Pins the layer-aware owners, as every run's first round does.
+    ExecutionTables.build(
+        path_set, dag, storage, replicas, lift_to_partitions(storage, dag)
+    )
+    # The layout rows come first so that adding them to the pinned file
+    # only added lines (``json.dumps`` keeps this order).
     return {
+        "partitions": _sha(
+            [
+                (
+                    p.partition_id,
+                    p.path_ids,
+                    p.layer,
+                    p.scc_vertices,
+                    p.num_edges,
+                    p.num_vertex_slots,
+                )
+                for p in partitions
+            ]
+        ),
+        "storage": _sha(
+            storage.ptable,
+            storage.e_idx,
+            storage.e_val.tobytes(),
+            storage.slot_of_path,
+            storage.partition_of_paths,
+        ),
+        "replicas": _sha(
+            [
+                (
+                    v,
+                    replicas.mirror_partitions(v),
+                    sorted(replicas.writer_partitions(v).items()),
+                )
+                for v in replicated
+            ]
+        ),
+        "owners": _sha(default_owners, replicas.owner_partitions()),
+        "proxied": _sha(sorted(replicas.proxied_vertices)),
         "paths": _sha(
             [(p.path_id, p.vertices, p.edge_ids) for p in path_set],
             sorted(path_set.hot_path_ids),
