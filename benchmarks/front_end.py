@@ -1,16 +1,19 @@
 """Host seconds of the front end, stage by stage.
 
 Generates the social shape (the twitter recipe's knobs) at each vertex
-count, preprocesses it as a ``digraph`` run does (the partition
-dependencies included), and prints a markdown table of the host seconds
-per stage:
+count, preprocesses it as a ``digraph`` run does (the partition lift and
+the execution tables of its first run included), and prints a markdown
+table of the host seconds per stage:
 
 - ``generate``: ``scc_profile_graph``;
 - ``_walk_regions``: the SCC-region labels the walk is confined to;
 - ``_Walk``: Algorithm 1's traversal;
 - ``_merge_head_to_tail``: the short-path merge;
-- ``rest``: the dependency DAG, partitions, storage, replicas and the
-  partition lift.
+- ``dependency``: the rest of the decomposition (path objects, hot
+  classification) and the dependency DAG;
+- ``layout``: partitions, the storage arrays and the replica table;
+- ``lift + tables``: the partition lift, its dispatch groups and the
+  execution tables.
 
 With two or more sizes, the last row is each stage's growth from the
 first size to the last.
@@ -21,14 +24,28 @@ first size to the last.
 import argparse
 import time
 
-from repro.core import partitioning
+from repro.core import engine as engine_module, partitioning
 from repro.core.engine import DiGraphConfig, DiGraphEngine
 from repro.graph.generators import scc_profile_graph
 
 SOCIAL = dict(
     avg_degree=20.0, giant_scc_fraction=0.80, avg_distance=4.46, seed=106
 )
-STAGES = ("generate", "_walk_regions", "_Walk", "_merge_head_to_tail", "rest")
+STAGES = (
+    "generate", "_walk_regions", "_Walk", "_merge_head_to_tail",
+    "dependency", "layout", "lift + tables",
+)
+#: The walk stages and the layout are timed where ``DiGraphEngine`` calls
+#: them; ``dependency`` is the rest of ``preprocess``.
+PATCHED = (
+    (partitioning, "_walk_regions", "_walk_regions"),
+    (partitioning, "_merge_head_to_tail", "_merge_head_to_tail"),
+    (partitioning._Walk, "__init__", "_Walk"),
+    (partitioning._Walk, "decompose_shard", "_Walk"),
+    (engine_module, "build_partitions", "layout"),
+    (engine_module, "PathStorage", "layout"),
+    (engine_module, "ReplicaTable", "layout"),
+)
 
 
 def _timed(seconds, stage, fn):
@@ -45,35 +62,27 @@ def _timed(seconds, stage, fn):
 def measure(n):
     """``{stage: host seconds}`` for one size, plus the edge count."""
     seconds = dict.fromkeys(STAGES, 0.0)
-    walk = partitioning._Walk
-    originals = (
-        partitioning._walk_regions,
-        partitioning._merge_head_to_tail,
-        walk.__init__,
-        walk.decompose_shard,
-    )
-    partitioning._walk_regions = _timed(seconds, "_walk_regions", originals[0])
-    partitioning._merge_head_to_tail = _timed(
-        seconds, "_merge_head_to_tail", originals[1]
-    )
-    walk.__init__ = _timed(seconds, "_Walk", originals[2])
-    walk.decompose_shard = _timed(seconds, "_Walk", originals[3])
+    originals = [getattr(owner, name) for owner, name, _ in PATCHED]
+    for (owner, name, stage), fn in zip(PATCHED, originals):
+        setattr(owner, name, _timed(seconds, stage, fn))
     try:
         started = time.perf_counter()
         graph = scc_profile_graph(n, **SOCIAL)
         seconds["generate"] = time.perf_counter() - started
         started = time.perf_counter()
         engine = DiGraphEngine(config=DiGraphConfig(n_workers=1))
-        engine.preprocess(graph).partition_dependencies
-        total = time.perf_counter() - started
+        pre = engine.preprocess(graph)
+        preprocess = time.perf_counter() - started
+        started = time.perf_counter()
+        pre.partition_dependencies
+        pre.execution_tables
+        seconds["lift + tables"] = time.perf_counter() - started
     finally:
-        (
-            partitioning._walk_regions,
-            partitioning._merge_head_to_tail,
-            walk.__init__,
-            walk.decompose_shard,
-        ) = originals
-    seconds["rest"] = total - sum(seconds[s] for s in STAGES[1:-1])
+        for (owner, name, _), fn in zip(PATCHED, originals):
+            setattr(owner, name, fn)
+    seconds["dependency"] = preprocess - sum(
+        seconds[s] for s in STAGES[1:4] + ("layout",)
+    )
     return seconds, graph.num_edges
 
 

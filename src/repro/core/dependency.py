@@ -18,7 +18,7 @@ ids, sketch and partition lift are derived from those, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.graph.builder import GraphBuilder, first_occurrences, sorted_unique
 from repro.graph.digraph import DiGraphCSR
 from repro.graph.scc import component_members
 from repro.graph.traversal import dag_layers
-from repro.core.paths import PathSet, flatten_vertices
+from repro.core.paths import PathSet
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,13 @@ def build_dependency_dag(path_set: PathSet) -> DependencyDAG:
     """Construct the dependency incidence, DAG sketch, and layers for a
     path decomposition."""
     num_paths = path_set.num_paths
-    vertex, lengths = flatten_vertices(path_set.paths)
-    path_of = np.repeat(np.arange(num_paths, dtype=np.int64), lengths)
-    ends = np.cumsum(lengths)
+    layout = path_set.layout
+    vertex, lengths = layout.vertices, layout.lengths
+    path_of = layout.path_of_slot
     is_head = np.zeros(vertex.size, dtype=bool)
-    is_head[ends - lengths] = True
+    is_head[layout.starts] = True
     is_tail = np.zeros(vertex.size, dtype=bool)
-    is_tail[ends - 1] = True
+    is_tail[layout.starts + lengths - 1] = True
     base = max(num_paths, 1)
 
     def incidence(keep: np.ndarray) -> np.ndarray:
@@ -243,27 +243,18 @@ def lift_edges(
     return pair // num_groups, pair % num_groups
 
 
-def scc_vertices_by_layer(dag: DependencyDAG) -> List[List[int]]:
-    """SCC-vertex ids grouped by layer, ascending.
+def successor_path_counts(dag: DependencyDAG) -> np.ndarray:
+    """Per SCC-vertex, the total path count of its successor
+    SCC-vertices — the within-layer key of the partition layout, so that
+    finishing an SCC-vertex unlocks the most downstream work (Section
+    3.2.2, "descending order according to the total number of paths in
+    their successive active SCC-vertices").
 
-    Within a layer, SCC-vertices are ordered by descending total path
-    count of their *successor* SCC-vertices — the paper's tie-break so
-    that finishing an SCC-vertex unlocks the most downstream work
-    (Section 3.2.2, "descending order according to the total number of
-    paths in their successive active SCC-vertices").
+    One segment sum over the sketch's CSR rows (a running sum, so empty
+    rows give 0). The sketch lists each successor once, so this is the
+    sum over *distinct* successors.
     """
-    layers: Dict[int, List[int]] = {}
-    for scc in range(dag.num_scc_vertices):
-        layers.setdefault(int(dag.layer_of_scc[scc]), []).append(scc)
-
-    def successor_path_count(scc: int) -> int:
-        return sum(
-            len(dag.members[int(succ)]) for succ in dag.scc_successors(scc)
-        )
-
-    result = []
-    for layer in sorted(layers):
-        members = layers[layer]
-        members.sort(key=lambda s: (-successor_path_count(s), s))
-        result.append(members)
-    return result
+    sizes = np.bincount(dag.scc_of_path, minlength=dag.num_scc_vertices)
+    running = np.zeros(dag.dag.num_edges + 1, dtype=np.int64)
+    np.cumsum(sizes[dag.dag.indices], out=running[1:])
+    return running[dag.dag.indptr[1:]] - running[dag.dag.indptr[:-1]]

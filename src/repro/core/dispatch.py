@@ -461,9 +461,12 @@ def _build_groups(
         # Edge-less graphs decompose into zero paths; the engine still
         # handles their isolated vertices, so an empty schedule is valid.
         return []
-    builder = GraphBuilder(num_vertices=num_partitions)
-    builder.add_edges(sorted(edges))
-    cond = condensation(builder.build())
+    src, dst = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+    cond = condensation(
+        GraphBuilder(num_vertices=num_partitions)
+        .add_edge_arrays(src, dst)
+        .build()
+    )
     layers = dag_layers(cond.dag)
     return [
         DispatchGroup(

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.graph.digraph import DiGraphCSR
-from repro.core.paths import Path, PathSet, flatten_vertices
+from repro.core.paths import Path, PathSet
 
 #: The paper's default traversal-depth bound.
 D_MAX = 16
@@ -116,10 +116,9 @@ def decompose_into_paths(
         Path(path_id=i, vertices=tuple(vs), edge_ids=tuple(seg))
         for i, (vs, seg) in enumerate(zip(vertex_paths, segments))
     ]
-    hot_ids = _classify_hot(graph, paths, hot_fraction)
-    return PathSet(
-        graph=graph, paths=paths, hot_path_ids=hot_ids, d_max=d_max
-    )
+    path_set = PathSet(graph=graph, paths=paths, d_max=d_max)
+    path_set.hot_path_ids = _classify_hot(path_set, hot_fraction)
+    return path_set
 
 
 def modeled_preprocess_seconds(
@@ -404,19 +403,19 @@ def _merge_head_to_tail(
 # ----------------------------------------------------------------------
 # hot/cold classification
 # ----------------------------------------------------------------------
-def _classify_hot(
-    graph: DiGraphCSR, paths: List[Path], hot_fraction: float
-) -> frozenset:
+def _classify_hot(path_set: PathSet, hot_fraction: float) -> frozenset:
     """Mark the top ``hot_fraction`` of paths by average vertex degree."""
-    if not paths or hot_fraction == 0.0:
+    if not path_set.paths or hot_fraction == 0.0:
         return frozenset()
-    vertex, lengths = flatten_vertices(paths)
+    layout = path_set.layout
     # Same value as ``Path.average_degree``: an exact integer sum, one
     # rounding in the division.
     avg_degrees = (
-        np.add.reduceat(graph.degree()[vertex], np.cumsum(lengths) - lengths)
-        / lengths
+        np.add.reduceat(
+            path_set.graph.degree()[layout.vertices], layout.starts
+        )
+        / layout.lengths
     )
-    count = max(1, int(round(hot_fraction * len(paths))))
+    count = max(1, int(round(hot_fraction * path_set.num_paths)))
     hot = np.argsort(-avg_degrees, kind="stable")[:count]
     return frozenset(int(i) for i in hot)

@@ -12,6 +12,8 @@ cost).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,6 +93,36 @@ class Path:
         return self.num_edges
 
 
+@dataclass(frozen=True)
+class PathLayout:
+    """Every path of a :class:`PathSet` end to end, in path-id order —
+    the one flat form the preprocessing stages after the walk read."""
+
+    #: Vertex sequences, concatenated.
+    vertices: np.ndarray
+    #: Edge ids, concatenated (a path has one fewer than vertices).
+    edge_ids: np.ndarray
+    #: Vertices per path, and the position of each path's first vertex
+    #: in :attr:`vertices` (``reduceat`` boundaries).
+    lengths: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self) -> None:
+        # Every stage reads these arrays, none may write them.
+        for array in (self.vertices, self.edge_ids, self.lengths, self.starts):
+            array.setflags(write=False)
+
+    @property
+    def path_of_slot(self) -> np.ndarray:
+        """The path id of every entry of :attr:`vertices`."""
+        return np.repeat(np.arange(self.lengths.size), self.lengths)
+
+    @property
+    def edge_starts(self) -> np.ndarray:
+        """The position of each path's first edge in :attr:`edge_ids`."""
+        return self.starts - np.arange(self.starts.size)
+
+
 @dataclass
 class PathSet:
     """A disjoint decomposition of a graph's edges into directed paths."""
@@ -119,6 +151,32 @@ class PathSet:
     def num_paths(self) -> int:
         return len(self.paths)
 
+    @cached_property
+    def layout(self) -> PathLayout:
+        """The paths as flat arrays, built on first use. A repaired or
+        rebuilt decomposition is a new ``PathSet`` with its own."""
+        count = len(self.paths)
+        lengths = np.fromiter(
+            (len(path.vertices) for path in self.paths),
+            dtype=np.int64,
+            count=count,
+        )
+        total = int(lengths.sum())
+        return PathLayout(
+            vertices=np.fromiter(
+                chain.from_iterable(path.vertices for path in self.paths),
+                dtype=np.int64,
+                count=total,
+            ),
+            edge_ids=np.fromiter(
+                chain.from_iterable(path.edge_ids for path in self.paths),
+                dtype=np.int64,
+                count=total - count,
+            ),
+            lengths=lengths,
+            starts=np.cumsum(lengths) - lengths,
+        )
+
     def is_hot(self, path_id: int) -> bool:
         return path_id in self.hot_path_ids
 
@@ -127,10 +185,10 @@ class PathSet:
         datasets)."""
         if not self.paths:
             return 0.0
-        return float(np.mean([len(p.edge_ids) for p in self.paths]))
+        return float(np.mean(self.layout.lengths - 1))
 
     def total_edges(self) -> int:
-        return sum(p.num_edges for p in self.paths)
+        return int(self.layout.edge_ids.size)
 
     # ------------------------------------------------------------------
     # occurrence maps used by scheduling and replica bookkeeping
@@ -201,20 +259,6 @@ class PathSet:
             raise PartitioningError(
                 f"{missing} edges are not covered by any path"
             )
-
-
-def flatten_vertices(paths: Sequence[Path]) -> Tuple[np.ndarray, np.ndarray]:
-    """Every path's vertex sequence end to end, and the per-path vertex
-    counts that delimit them — the array form of a path list."""
-    lengths = np.fromiter(
-        (len(path.vertices) for path in paths), dtype=np.int64, count=len(paths)
-    )
-    vertex = np.fromiter(
-        (v for path in paths for v in path.vertices),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    return vertex, lengths
 
 
 def renumber(paths: Sequence[Path]) -> List[Path]:

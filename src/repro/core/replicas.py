@@ -29,6 +29,7 @@ import numpy as np
 from repro.errors import StorageError
 from repro.core.paths import PathSet
 from repro.core.storage import PathStorage
+from repro.graph.builder import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -66,48 +67,56 @@ class ReplicaTable:
             raise StorageError("proxy threshold must be >= 1")
         if proxy_capacity < 0:
             raise StorageError("proxy capacity must be >= 0")
-        self._path_set = path_set
         self._storage = storage
         #: Proxy-selection parameters, kept for introspection (the
         #: conformance checkers re-derive the proxy set from these).
         self.proxy_in_degree_threshold = proxy_in_degree_threshold
         self.proxy_capacity = proxy_capacity
         graph = path_set.graph
+        num_vertices = graph.num_vertices
 
-        # vertex -> sorted partition ids holding a mirror of it, plus how
+        # The distinct (vertex, partition) pairs of the layout — the
+        # mirrors — sorted by vertex, then partition, and per pair how
         # many *writer* occurrences (non-head positions, where the vertex
-        # receives in-path updates) each partition holds.
-        partitions_of_vertex: Dict[int, set] = {}
-        writer_weight: Dict[Tuple[int, int], int] = {}
-        for path in path_set:
-            partition = storage.partition_of_path(path.path_id)
-            for position, v in enumerate(path.vertices):
-                v = int(v)
-                partitions_of_vertex.setdefault(v, set()).add(partition)
-                if position > 0:
-                    key = (v, partition)
-                    writer_weight[key] = writer_weight.get(key, 0) + 1
-        self._mirror_partitions: Dict[int, Tuple[int, ...]] = {
-            v: tuple(sorted(parts))
-            for v, parts in partitions_of_vertex.items()
-        }
-        self._writer_weight = writer_weight
+        # receives in-path updates) its partition holds.
+        layout = path_set.layout
+        self._stride = max(storage.num_partitions, 1)
+        keys = (
+            layout.vertices * self._stride
+            + storage.partition_of_paths[layout.path_of_slot]
+        )
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        writer = np.ones(keys.size, dtype=bool)
+        writer[layout.starts] = False
+        pair = np.cumsum(distinct) - 1  # of each slot, in sorted order
+        keys = keys[distinct]
+        self._mirror_vertex = keys // self._stride
+        self._mirror_partition = keys % self._stride
+        self._writer_weight = np.bincount(
+            pair[writer[order]], minlength=keys.size
+        )
+        #: ``_mirror_vertex`` is sorted: vertex v's pairs are the slice
+        #: ``_mirror_start[v]:_mirror_start[v + 1]``.
+        self._mirror_start = np.searchsorted(
+            self._mirror_vertex, np.arange(num_vertices + 1)
+        )
         # Default owner: the partition with the most writer occurrences
-        # (its gather inputs land there), falling back to the first
-        # partition holding the vertex at all (head-only vertices). The
-        # engine refines this with dispatch-group layers (see
-        # :meth:`set_owner_overrides`): activity of a vertex must be
-        # tracked where its *final* value is computed, or upstream groups
-        # flicker active forever and block the dependency frontier.
-        self._owner_partition: Dict[int, int] = {}
-        for v, parts in self._mirror_partitions.items():
-            best = parts[0]
-            best_weight = writer_weight.get((v, best), 0)
-            for pid in parts[1:]:
-                weight = writer_weight.get((v, pid), 0)
-                if weight > best_weight:
-                    best, best_weight = pid, weight
-            self._owner_partition[v] = best
+        # (its gather inputs land there), the lowest such on a tie — so
+        # the first partition holding the vertex at all for head-only
+        # vertices. The engine refines this with dispatch-group layers
+        # (see :meth:`set_layer_aware_owners`): activity of a vertex must
+        # be tracked where its *final* value is computed, or upstream
+        # groups flicker active forever and block the dependency frontier.
+        # Owners are -1 for vertices on no path.
+        self._owner_partition = np.full(num_vertices, -1, dtype=np.int64)
+        best = np.lexsort((-self._writer_weight, self._mirror_vertex))
+        first = best[self._mirror_start[:-1][np.diff(self._mirror_start) > 0]]
+        self._owner_partition[self._mirror_vertex[first]] = (
+            self._mirror_partition[first]
+        )
 
         # Proxy vertices: hottest in-degrees first, up to capacity.
         in_degrees = graph.in_degree()
@@ -118,20 +127,39 @@ class ReplicaTable:
     def writer_partitions(self, v: int) -> Dict[int, int]:
         """Partitions where ``v`` receives in-path updates -> occurrence
         count."""
+        if not 0 <= v < self._owner_partition.size:
+            return {}
+        pairs = slice(self._mirror_start[v], self._mirror_start[v + 1])
         return {
-            pid: self._writer_weight[(v, pid)]
-            for pid in self.mirror_partitions(v)
-            if (v, pid) in self._writer_weight
+            pid: weight
+            for pid, weight in zip(
+                self._mirror_partition[pairs].tolist(),
+                self._writer_weight[pairs].tolist(),
+            )
+            if weight
         }
 
     def set_owner_overrides(self, owners: Mapping[int, int]) -> None:
-        """Replace owner partitions (engine applies layer-aware owners)."""
-        for v, pid in owners.items():
-            if pid not in self.mirror_partitions(v):
-                raise StorageError(
-                    f"owner partition {pid} holds no replica of vertex {v}"
-                )
-            self._owner_partition[v] = pid
+        """Replace owner partitions.
+
+        Raises ``StorageError``, changing no owner, if an override names
+        a partition that holds no replica of its vertex.
+        """
+        count = len(owners)
+        vertex = np.fromiter(owners, dtype=np.int64, count=count)
+        pid = np.fromiter(owners.values(), dtype=np.int64, count=count)
+        mirrors = self._mirror_vertex * self._stride + self._mirror_partition
+        valid = (
+            (vertex >= 0) & (pid >= 0) & (pid < self._stride)
+            & np.isin(vertex * self._stride + pid, mirrors)
+        )
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            raise StorageError(
+                f"owner partition {pid[bad]} holds no replica of vertex "
+                f"{vertex[bad]}"
+            )
+        self._owner_partition[vertex] = pid
 
     def set_layer_aware_owners(self, partition_layer: np.ndarray) -> None:
         """Pin each vertex's activity to its downstream-most writer.
@@ -144,36 +172,27 @@ class ReplicaTable:
         flagged active while a downstream SCC iterates, permanently
         blocking the dependency frontier.
         """
-        keys = np.array(list(self._writer_weight), dtype=np.int64)
-        vertex, pid = keys.reshape(-1, 2).T
-        weight = np.fromiter(
-            self._writer_weight.values(), dtype=np.int64, count=vertex.size
-        )
+        writes = self._writer_weight > 0
+        vertex = self._mirror_vertex[writes]
+        pid = self._mirror_partition[writes]
+        weight = self._writer_weight[writes]
         # Ascending by (vertex, layer, weight, -pid): a vertex's best
         # writer is the last entry of its run.
         order = np.lexsort((-pid, weight, partition_layer[pid], vertex))
         vertex, pid = vertex[order], pid[order]
         best = np.ones(vertex.size, dtype=bool)
         np.not_equal(vertex[1:], vertex[:-1], out=best[:-1])
-        self.set_owner_overrides(
-            dict(zip(vertex[best].tolist(), pid[best].tolist()))
-        )
+        self._owner_partition[vertex[best]] = pid[best]
 
     def owner_partitions(self) -> np.ndarray:
         """:meth:`owner_partition` of every vertex; -1 where isolated."""
-        owners = np.full(self._path_set.graph.num_vertices, -1, dtype=np.int64)
-        count = len(self._owner_partition)
-        owners[
-            np.fromiter(self._owner_partition, dtype=np.int64, count=count)
-        ] = np.fromiter(
-            self._owner_partition.values(), dtype=np.int64, count=count
-        )
-        return owners
+        return self._owner_partition.copy()
 
     # ------------------------------------------------------------------
     def mirror_partitions(self, v: int) -> Tuple[int, ...]:
         """Partitions holding a replica of ``v`` (empty if isolated)."""
-        return self._mirror_partitions.get(v, ())
+        slices = self._mirror_slices
+        return slices[v] if 0 <= v < len(slices) else ()
 
     def replica_count(self, v: int) -> int:
         """Number of partitions carrying ``v``."""
@@ -181,7 +200,10 @@ class ReplicaTable:
 
     def owner_partition(self, v: int) -> Optional[int]:
         """Partition tracking ``v``'s activity (None if ``v`` is isolated)."""
-        return self._owner_partition.get(v)
+        if not 0 <= v < self._owner_partition.size:
+            return None
+        owner = int(self._owner_partition[v])
+        return None if owner < 0 else owner
 
     def has_proxy(self, v: int) -> bool:
         """Whether ``v`` gets a shared-memory proxy accumulator."""
@@ -198,17 +220,17 @@ class ReplicaTable:
 
     def replicated_vertices(self) -> Tuple[int, ...]:
         """All vertices holding at least one replica, ascending."""
-        return tuple(sorted(self._mirror_partitions))
+        mirrors = self._mirror_slices
+        return tuple(v for v, parts in enumerate(mirrors) if parts)
 
     # ------------------------------------------------------------------
     @cached_property
     def _mirror_slices(self) -> List[Tuple[int, ...]]:
-        """:meth:`mirror_partitions` of every vertex, by vertex id."""
-        mirrors = self._mirror_partitions
-        return [
-            mirrors.get(v, ())
-            for v in range(self._path_set.graph.num_vertices)
-        ]
+        """:meth:`mirror_partitions` of every vertex, by vertex id: views
+        of the sorted pairs as tuples."""
+        pids = self._mirror_partition.tolist()
+        bounds = self._mirror_start.tolist()
+        return [tuple(pids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def messages_per_destination(
         self, partition_id: int, changed_vertices: Iterable[int]
@@ -270,14 +292,9 @@ class ReplicaTable:
 
 
 def replication_factor(table: ReplicaTable, path_set: PathSet) -> float:
-    """Mean replicas per vertex that occurs on at least one path."""
-    counts: List[int] = []
-    seen = set()
-    for path in path_set:
-        for v in path.vertices:
-            if v not in seen:
-                seen.add(v)
-                counts.append(table.replica_count(int(v)))
-    if not counts:
+    """Mean replicas per vertex that occurs on at least one path: its
+    (vertex, partition) pairs counted per vertex."""
+    on_path = sorted_unique(path_set.layout.vertices)
+    if not on_path.size:
         return 0.0
-    return float(np.mean(counts))
+    return float(np.mean(np.diff(table._mirror_start)[on_path]))

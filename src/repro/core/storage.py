@@ -20,14 +20,17 @@ first, hot paths together — per Section 3.2.1's placement rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import chain
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.core.dependency import DependencyDAG, scc_vertices_by_layer
+from repro.core.dependency import DependencyDAG, successor_path_counts
 from repro.core.paths import PathSet
+from repro.kernels.segment import batch_segments
 
 #: Bytes per E_Idx entry (int64 vertex index).
 BYTES_PER_INDEX = 8
@@ -72,11 +75,12 @@ class PathStorage:
         path_set: PathSet,
         partitions: List[Partition],
     ) -> None:
-        graph = path_set.graph
-        order: List[int] = []
-        for partition in partitions:
-            order.extend(partition.path_ids)
-        if sorted(order) != list(range(path_set.num_paths)):
+        layout = path_set.layout
+        order = np.fromiter(
+            chain.from_iterable(p.path_ids for p in partitions),
+            dtype=np.int64,
+        )
+        if not np.array_equal(np.sort(order), np.arange(path_set.num_paths)):
             raise StorageError(
                 "partitions must cover every path exactly once"
             )
@@ -85,40 +89,37 @@ class PathStorage:
         self.partitions = partitions
         #: Storage slot of each path (position within PTable).
         self.slot_of_path = np.empty(path_set.num_paths, dtype=np.int64)
-        for slot, path_id in enumerate(order):
-            self.slot_of_path[path_id] = slot
+        self.slot_of_path[order] = np.arange(order.size)
 
-        ptable: List[int] = [0]
-        e_idx: List[int] = []
-        e_val: List[float] = []
-        for path_id in order:
-            path = path_set[path_id]
-            e_idx.extend(int(v) for v in path.vertices)
-            e_val.extend(
-                float(graph.weights[eid]) for eid in path.edge_ids
-            )
-            ptable.append(len(e_idx))
-
-        self.ptable = np.asarray(ptable, dtype=np.int64)
-        self.e_idx = np.asarray(e_idx, dtype=np.int64)
-        self.e_val = np.asarray(e_val, dtype=np.float64)
+        # One gather of the flat layout in slot order: PTable is the
+        # running vertex count, E_Idx / E_val the paths' vertices and
+        # edge weights, path after path.
+        slots, self.ptable = batch_segments(
+            layout.starts, layout.lengths, order
+        )
+        self.e_idx = layout.vertices[slots]
+        edges, _ = batch_segments(
+            layout.edge_starts, layout.lengths - 1, order
+        )
+        self.e_val = path_set.graph.weights[layout.edge_ids[edges]].astype(
+            np.float64
+        )
         #: Mirror state slots, parallel to e_idx (initialized at run start).
         self.s_val = np.zeros(self.e_idx.size, dtype=np.float64)
         #: Master state array (aliases the engine's VertexStates values).
-        self.v_val = np.zeros(graph.num_vertices, dtype=np.float64)
+        self.v_val = np.zeros(path_set.graph.num_vertices, dtype=np.float64)
 
+        counts = [len(p.path_ids) for p in partitions]
         self._partition_of_path = np.empty(
             path_set.num_paths, dtype=np.int64
         )
-        for partition in partitions:
-            for path_id in partition.path_ids:
-                self._partition_of_path[path_id] = partition.partition_id
-            partition.num_edges = sum(
-                path_set[p].num_edges for p in partition.path_ids
-            )
-            partition.num_vertex_slots = sum(
-                path_set[p].num_vertices for p in partition.path_ids
-            )
+        self._partition_of_path[order] = np.repeat(
+            [p.partition_id for p in partitions], counts
+        )
+        bounds = self.ptable[np.cumsum([0] + counts)].tolist()
+        for k, partition in enumerate(partitions):
+            partition.num_vertex_slots = bounds[k + 1] - bounds[k]
+            partition.num_edges = partition.num_vertex_slots - counts[k]
 
     @property
     def num_partitions(self) -> int:
@@ -178,60 +179,52 @@ def build_partitions(
     """
     if target_edges_per_partition < 1:
         raise StorageError("target_edges_per_partition must be >= 1")
+    target = target_edges_per_partition
+    scc = dag.scc_of_path
+    layer = dag.layer_of_scc[scc]
+    cold = np.ones(scc.size, dtype=bool)
+    cold[np.fromiter(path_set.hot_path_ids, dtype=np.int64)] = False
+    # Layer, then most downstream paths, then SCC-vertex, hot first, then
+    # path id (``lexsort`` is stable).
+    order = np.lexsort(
+        (cold, scc, -successor_path_counts(dag)[scc], layer)
+    )
+    scc, layer = scc[order], layer[order]
 
-    ordered_paths: List[int] = []
-    scc_boundaries: List[int] = []  # indices into ordered_paths
-    layer_boundaries: List[int] = []  # indices where a DAG layer ends
-    for layer_members in scc_vertices_by_layer(dag):
-        for scc in layer_members:
-            member_paths = sorted(
-                dag.members[scc],
-                key=lambda p: (not path_set.is_hot(p), p),
-            )
-            ordered_paths.extend(member_paths)
-            scc_boundaries.append(len(ordered_paths))
-        layer_boundaries.append(len(ordered_paths))
+    # The cut scan, one partition per step: a partition ends at the first
+    # path that ends its layer, or ends an SCC-vertex with the partition
+    # at >= target edges, or brings the partition to >= 2 * target edges
+    # (the SCC-vertex alone exceeds the target: split it). Never mixing
+    # DAG layers matters: same-layer SCC-vertices are mutually
+    # independent, but a cross-layer partition welds unrelated layers into
+    # one mutually-dependent dispatch group and destroys the topological
+    # gating. ``reach[i]``: the edges of paths ``0..i`` in this order.
+    reach = np.cumsum(path_set.layout.lengths[order] - 1)
+    layer_ends = np.flatnonzero(np.diff(layer, append=-1)).tolist()
+    scc_ends = np.flatnonzero(np.diff(scc, append=-1))
+    scc_reach = reach[scc_ends].tolist()
+    scc_ends, reach = scc_ends.tolist(), reach.tolist()
+    path_ids, scc, layer = order.tolist(), scc.tolist(), layer.tolist()
 
     partitions: List[Partition] = []
-    current: List[int] = []
-    current_edges = 0
-
-    def flush() -> None:
-        nonlocal current, current_edges
-        if not current:
-            return
-        layers = [dag.layer_of_path(p) for p in current]
-        sccs = sorted({int(dag.scc_of_path[p]) for p in current})
+    start = base = 0
+    while start < len(path_ids):
+        # The SCC-end search is capped at the last path, which ends the
+        # last layer anyway.
+        end = min(
+            layer_ends[bisect_left(layer_ends, start)],
+            scc_ends[
+                bisect_left(scc_reach, base + target, 0, len(scc_ends) - 1)
+            ],
+            bisect_left(reach, base + 2 * target),
+        )
         partitions.append(
             Partition(
                 partition_id=len(partitions),
-                path_ids=current,
-                layer=min(layers),
-                scc_vertices=tuple(sccs),
+                path_ids=path_ids[start : end + 1],
+                layer=layer[start],
+                scc_vertices=tuple(sorted(set(scc[start : end + 1]))),
             )
         )
-        current = []
-        current_edges = 0
-
-    boundary_set = set(scc_boundaries)
-    layer_set = set(layer_boundaries)
-    for idx, path_id in enumerate(ordered_paths):
-        current.append(path_id)
-        current_edges += path_set[path_id].num_edges
-        at_scc_boundary = (idx + 1) in boundary_set
-        if (idx + 1) in layer_set:
-            # Never mix DAG layers in one partition: same-layer
-            # SCC-vertices are mutually independent, but a cross-layer
-            # partition welds unrelated layers into one mutually-dependent
-            # dispatch group and destroys the topological gating.
-            flush()
-        elif current_edges >= target_edges_per_partition and at_scc_boundary:
-            flush()
-        elif current_edges >= 2 * target_edges_per_partition:
-            # The SCC-vertex alone exceeds the target: split it.
-            flush()
-    flush()
-
-    if not partitions and path_set.num_paths:
-        raise StorageError("partitioning produced no partitions")
+        start, base = end + 1, reach[end]
     return partitions

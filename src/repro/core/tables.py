@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.dependency import DependencyDAG
 from repro.core.dispatch import PartitionDependencies
-from repro.core.paths import PathSet, flatten_vertices
+from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable
 from repro.core.storage import PathStorage
 from repro.graph.builder import first_occurrences, sorted_unique
@@ -73,12 +73,11 @@ class PathTables:
     @classmethod
     def build(cls, path_set: PathSet, dag: DependencyDAG) -> "PathTables":
         graph = path_set.graph
-        vertices, lengths = flatten_vertices(path_set.paths)
-        starts = np.cumsum(lengths) - lengths
+        layout = path_set.layout
+        vertices, lengths = layout.vertices, layout.lengths
+        starts = layout.starts
         stride = max(path_set.num_paths, 1)
-        pairs = sorted_unique(
-            vertices * stride + np.repeat(np.arange(lengths.size), lengths)
-        )
+        pairs = sorted_unique(vertices * stride + layout.path_of_slot)
         flat = vertices.tolist()
         bounds = np.append(starts, vertices.size).tolist()
         return cls(

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graph.builder import sorted_unique
 from repro.graph.digraph import DiGraphCSR
 
 UNREACHED = -1
@@ -110,13 +111,30 @@ def dag_layers(graph: DiGraphCSR) -> np.ndarray:
     Sources are layer 0. This is the layering used for dependency-aware
     path dispatching (Section 3.2.2): vertices at a layer only depend on
     lower layers.
+
+    A level-synchronous peel: round ``r`` removes every vertex whose
+    predecessors were all removed in earlier rounds. A vertex leaves in
+    the round after its last predecessor does, so by induction its round
+    is ``1 + max`` of its predecessors' rounds — its longest-path layer.
+
+    Raises
+    ------
+    GraphError
+        If the graph contains a cycle (its vertices are never peeled).
     """
-    order = topological_order(graph)
-    layers = np.zeros(graph.num_vertices, dtype=np.int64)
-    for v in order:
-        for u in graph.successors(int(v)):
-            if layers[u] < layers[v] + 1:
-                layers[u] = layers[v] + 1
+    remaining = graph.in_degree().copy()
+    layers = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
+    frontier = np.flatnonzero(remaining == 0)
+    layer = 0
+    while frontier.size:
+        layers[frontier] = layer
+        layer += 1
+        eids, _ = graph.out_edge_slices(frontier)
+        targets = graph.indices[eids]
+        np.subtract.at(remaining, targets, 1)
+        frontier = sorted_unique(targets[remaining[targets] == 0])
+    if (layers == UNREACHED).any():
+        raise GraphError("dag_layers called on a cyclic graph")
     return layers
 
 

@@ -43,19 +43,23 @@ Every dispatched batch has one outcome, a batch record plus one
 sources: the solver (:meth:`QueryServer._solve_batch`) or, on a
 restart, the batch's verified journal record. One commit applies
 either: it frees the GPU at the batch's completion, adds the record's
-service time, launches, work and replays to the totals, journals a
-solved batch and schedules the completion event.
+service time, launches, work, replays and faults to the totals, moves
+the serve-wide launch counter to the batch's end, journals a solved
+batch and schedules the completion event.
 
 Faults: a :class:`~repro.faults.plan.FaultPlan`'s compute faults are
 keyed by the serve-wide launch counter, which restarts at 0 with every
-:meth:`QueryServer.serve` call. A scheduled GPU kill aborts the
-in-flight batch mid-solve; the server charges the wasted partial
-service time, waits out an exponential backoff (``replay_backoff_s`` ×
-``backoff_multiplier``^attempt), and re-runs the batch up to
-``max_replays`` times. ``max_replays=0`` fails the killed batch's
-queries at once (status ``"failed"``); a storm that kills every attempt
-exhausts the budget and aborts the batch (status ``"aborted"``). Either
-way the queries carry a structured
+:meth:`QueryServer.serve` call; a journaled batch's record carries its
+fault count and end-of-batch launch index, so a resumed serve reports
+the faults of the batches it reads back and numbers the re-served
+tail's launches as the uninterrupted serve did. A scheduled GPU kill
+aborts the in-flight batch mid-solve; the server charges the wasted
+partial service time, waits out an exponential backoff
+(``replay_backoff_s`` × ``backoff_multiplier``^attempt), and re-runs
+the batch up to ``max_replays`` times. ``max_replays=0`` fails the
+killed batch's queries at once (status ``"failed"``); a storm that
+kills every attempt exhausts the budget and aborts the batch (status
+``"aborted"``). Either way the queries carry a structured
 :class:`~repro.errors.QueryAbortedError` — never a silent wrong answer,
 never a hang.
 """
@@ -310,10 +314,9 @@ class QueryServer:
         self._compute_faults = (
             dict(fault_plan.compute_faults) if fault_plan else {}
         )
-        #: Serve-wide launch index and faults fired; both restart at 0
-        #: with every :meth:`serve` call.
+        #: Serve-wide launch index; restarts at 0 with every
+        #: :meth:`serve` call and resumes past every journaled batch.
         self._launch_counter = 0
-        self._faults_injected = 0
         #: Durable completion journal (see
         #: :class:`~repro.faults.store.ServeJournal`): every completed
         #: batch is appended; on restart, journaled batches replay their
@@ -333,14 +336,12 @@ class QueryServer:
         if fault is None:
             return
         if getattr(fault, "crash", False):
-            self._faults_injected += 1
             raise InjectedCrashError(
                 f"whole-job crash at serve launch {index}",
                 crash_point="serve-launch",
                 round_index=index,
             )
         if fault.kill_gpu is not None:
-            self._faults_injected += 1
             raise GPULostError(
                 f"GPU {fault.kill_gpu} lost at serve launch {index}",
                 gpu_id=fault.kill_gpu,
@@ -460,6 +461,9 @@ class QueryServer:
             "launches": 0 if result is None else result.launches,
             "edge_lane_work": 0 if result is None else result.edge_lane_work,
             "replays": len(batch) * (attempts - 1) if replayed else 0,
+            # Every attempt but a solved last one was killed.
+            "faults": attempts - (result is not None),
+            "launch_index": self._launch_counter,
         }
         return record, tuple(lane_results)
 
@@ -480,7 +484,6 @@ class QueryServer:
         """
         cfg = self.config
         self._launch_counter = 0
-        self._faults_injected = 0
         closed = isinstance(trace, ClosedLoopTrace)
         if closed:
             sessions = trace.sessions
@@ -515,7 +518,8 @@ class QueryServer:
         gpu_free = 0.0
         batch_id = 0
         totals = {
-            "service": 0.0, "launches": 0, "edge_lane_work": 0, "replays": 0
+            "service": 0.0, "launches": 0, "edge_lane_work": 0,
+            "replays": 0, "faults": 0,
         }
         # Journaled outcomes from a previous (crashed) run of this
         # trace: batch_id -> verified record. The admission loop is
@@ -622,6 +626,10 @@ class QueryServer:
             gpu_free = record["completion"]
             for key in totals:
                 totals[key] += record[key]
+            # The next batch's launches are numbered on from this one's,
+            # solved or not, so a resumed serve meets the fault plan at
+            # the launches the uninterrupted one did.
+            self._launch_counter = record["launch_index"]
             if solved and self._journal is not None:
                 self._journal.append({**record, "results": [
                     {"query_id": r.query.query_id,
@@ -746,7 +754,7 @@ class QueryServer:
             peak_concurrency=peak_concurrency,
             gpu_busy_s=totals["service"],
             makespan_s=makespan,
-            faults_injected=self._faults_injected,
+            faults_injected=totals["faults"],
             replays=totals["replays"],
             per_tenant=per_tenant,
         )

@@ -16,8 +16,8 @@ from repro.core.paths import PathSet
 from repro.graph.builder import first_occurrences, sorted_unique
 from repro.graph.digraph import DiGraphCSR
 from repro.graph.scc import condensation
-from repro.graph.traversal import dag_layers
 from repro.kernels.segment import batch_segments
+from tests.core.layout_oracle import kahn_dag_layers
 
 
 def path_incidence(path_set: PathSet) -> Tuple[np.ndarray, np.ndarray]:
@@ -66,7 +66,7 @@ class ExplicitDAG:
 
 
 def explicit_dependency_dag(path_set: PathSet) -> ExplicitDAG:
-    """Product keys -> CSR -> ``condensation`` -> ``dag_layers``."""
+    """Product keys -> CSR -> ``condensation`` -> Kahn layers."""
     dependency_graph = dependency_product(
         *path_incidence(path_set), path_set.num_paths
     )
@@ -76,7 +76,7 @@ def explicit_dependency_dag(path_set: PathSet) -> ExplicitDAG:
         scc_of_path=cond.labels,
         dag=cond.dag,
         members=cond.members,
-        layer_of_scc=dag_layers(cond.dag),
+        layer_of_scc=kahn_dag_layers(cond.dag),
     )
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.dependency import build_dependency_dag, scc_vertices_by_layer
+from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
 from repro.core.paths import Path, PathSet
+from repro.core.storage import build_partitions
 from repro.graph.builder import from_edges
 from repro.graph.generators import directed_cycle, directed_path, scc_profile_graph
 from repro.graph.traversal import topological_order
@@ -86,21 +87,36 @@ class TestDAGSketch:
         assert dag.giant_scc_path_fraction() == 1.0
 
 
+def scc_vertices_in_layout_order(path_set, dag):
+    """The SCC-vertices in the order ``build_partitions`` lays out their
+    paths, one partition per layer."""
+    sccs = [
+        int(dag.scc_of_path[p])
+        for partition in build_partitions(path_set, dag, 10 ** 6)
+        for p in partition.path_ids
+    ]
+    return [s for i, s in enumerate(sccs) if i == 0 or s != sccs[i - 1]]
+
+
 class TestLayerOrdering:
     def test_grouped_by_layer_ascending(self):
         g = scc_profile_graph(150, 4.0, 0.5, 4.0, seed=4)
-        dag = build_dependency_dag(decompose_into_paths(g))
-        groups = scc_vertices_by_layer(dag)
-        for layer, members in enumerate(groups):
-            for scc in members:
-                assert dag.layer_of_scc[scc] == layer
+        ps = decompose_into_paths(g)
+        dag = build_dependency_dag(ps)
+        order = scc_vertices_in_layout_order(ps, dag)
+        assert sorted(order) == list(range(dag.num_scc_vertices))
+        layers = dag.layer_of_scc[order]
+        assert (np.diff(layers) >= 0).all()
 
     def test_same_layer_orders_by_downstream_paths(self):
         # two layer-0 SCCs: one feeding a big successor first
         g = from_edges([(0, 1), (2, 3), (1, 4), (4, 5), (1, 6)])
         ps = pathset(g, [[0, 1], [2, 3], [1, 4, 5], [1, 6]])
         dag = build_dependency_dag(ps)
-        layer0 = scc_vertices_by_layer(dag)[0]
+        layer0 = [
+            s for s in scc_vertices_in_layout_order(ps, dag)
+            if dag.layer_of_scc[s] == 0
+        ]
         first = layer0[0]
         # the SCC with more downstream paths comes first
         downstream_of_first = sum(

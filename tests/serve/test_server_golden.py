@@ -219,6 +219,31 @@ def run_journaled(context, key, run_dir):
     }
 
 
+def test_a_resumed_serve_keeps_its_faults_and_launch_index(context, tmp_path):
+    """Kill at launch 4, crash at launch 300, resume: the journal gives
+    back the killed batch's fault, and the re-served tail's launches
+    are numbered past the journaled ones, so a kill kept in the plan
+    does not fire twice."""
+    trace = _trace(context, "kill-replay")
+    crashed = tmp_path / "crashed.jsonl"
+    plan = FaultPlan(compute_faults={
+        4: ComputeFault(kill_gpu=0), 300: ComputeFault(crash=True),
+    })
+    with pytest.raises(InjectedCrashError):
+        _server(context, "kill-replay", plan=plan, journal=str(crashed)).serve(
+            trace
+        )
+    uninterrupted = _server(context, "kill-replay").serve(trace)
+    assert (uninterrupted.faults_injected, uninterrupted.replays) == (1, 1)
+    for resume_plan in (None, _kill(4)):
+        journal = tmp_path / f"resumed-{resume_plan is None}.jsonl"
+        journal.write_bytes(crashed.read_bytes())
+        resumed = _server(
+            context, "kill-replay", plan=resume_plan, journal=str(journal)
+        ).serve(trace)
+        assert resumed == uninterrupted
+
+
 @pytest.fixture(scope="module")
 def golden(context, tmp_path_factory):
     if REGEN:

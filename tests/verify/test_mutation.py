@@ -99,7 +99,7 @@ def test_orphan_mirror_rejected(preprocessed):
     pre = preprocessed
     # Vertex 8 is isolated: it lies on no path, so a mirror entry for
     # it can trace to no master slot in any partition.
-    pre.replicas._mirror_partitions[8] = (0,)
+    pre.replicas._mirror_slices[8] = (0,)
     results = check_replica_table(pre.path_set, pre.storage, pre.replicas)
     assert "replicas.mirrors" in _failed_names(results)
 
@@ -108,8 +108,8 @@ def test_phantom_mirror_partition_rejected(preprocessed):
     pre = preprocessed
     v = int(pre.replicas.replicated_vertices()[0])
     bogus = pre.storage.num_partitions + 5
-    pre.replicas._mirror_partitions[v] = (
-        pre.replicas._mirror_partitions[v] + (bogus,)
+    pre.replicas._mirror_slices[v] = (
+        pre.replicas._mirror_slices[v] + (bogus,)
     )
     results = check_replica_table(pre.path_set, pre.storage, pre.replicas)
     assert "replicas.mirrors" in _failed_names(results)
