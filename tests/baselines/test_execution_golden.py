@@ -13,15 +13,9 @@ commit *before* the engines moved from the per-edge
 running this file with ``PYTHONPATH`` at that commit's ``src`` — so a
 mismatch here means a step kernel, a worklist or a read path moved an
 update, an order, a counter or a float bit.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/baselines/test_execution_golden.py
 """
 
 import functools
-import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,9 +34,9 @@ from repro.gpu.config import SCALED_MACHINE
 from repro.graph import datasets
 from repro.verify.oracle import ALL_ALGORITHMS
 from tests.core.test_execution_golden import fingerprint
+from tests.pinned import load_pinned
 
 GOLDEN_PATH = Path(__file__).with_name("execution_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 GRAPHS = ("webbase", "twitter")
 SCALE = 0.3
@@ -148,13 +142,16 @@ for _engine in FAULTABLE_ENGINES:
 
 @pytest.fixture(scope="module")
 def golden():
-    if REGEN:
-        digests = {_key(*case): fingerprint(_run(*case)) for case in CASES}
-        for key, cell in SPECIAL_CELLS.items():
-            digests[key] = fingerprint(cell())
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
-        return digests
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
+            **{_key(*case): fingerprint(_run(*case)) for case in CASES},
+            **{
+                key: fingerprint(cell())
+                for key, cell in SPECIAL_CELLS.items()
+            },
+        },
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))

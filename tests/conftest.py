@@ -1,8 +1,10 @@
-"""Shared fixtures: small deterministic graphs and machine specs."""
+"""Shared fixtures: small deterministic graphs, machine specs and run-cache
+isolation."""
 
 import numpy as np
 import pytest
 
+from repro.bench import runner as bench_runner
 from repro.graph.builder import from_edges
 from repro.graph.generators import (
     bowtie_graph,
@@ -11,6 +13,7 @@ from repro.graph.generators import (
     scc_profile_graph,
 )
 from repro.gpu.config import GPUSpec, MachineSpec
+from repro.serve import runner as serve_runner
 
 
 @pytest.fixture
@@ -63,3 +66,14 @@ def test_machine():
         pcie_latency_s=1e-6,
         transfer_batch_bytes=1 << 20,
     )
+
+
+@pytest.fixture
+def isolated_caches():
+    """No batch cell or serving context cached before the test is seen,
+    and none it caches is left behind."""
+    bench_runner.clear_cache()
+    serve_runner.clear_context_cache()
+    yield
+    bench_runner.clear_cache()
+    serve_runner.clear_context_cache()

@@ -14,16 +14,10 @@ replica batches dropped and corrupted under a recovery policy, and
 advance execution — were captured the same way on the commit before the
 round's pricing, scheduling, replica messages and activation delivery
 became array passes.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/core/test_execution_golden.py
 """
 
 import functools
 import hashlib
-import json
-import os
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -46,8 +40,9 @@ from repro.gpu.config import SCALED_MACHINE
 from repro.graph import datasets
 from repro.verify.oracle import ALL_ALGORITHMS
 
+from tests.pinned import load_pinned
+
 GOLDEN_PATH = Path(__file__).with_name("execution_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 #: A long-distance web graph (deep sketch, small giant SCC) and a dense
 #: social one (shallow, one giant multi-partition SCC): the two regimes
@@ -245,13 +240,16 @@ def invariants_hold_on_every_cell(monkeypatch):
 
 @pytest.fixture(scope="module")
 def golden():
-    if REGEN:
-        digests = {_key(*case): fingerprint(_run(*case)) for case in CASES}
-        for key, cell in SPECIAL_CELLS.items():
-            digests[key] = fingerprint(cell())
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
-        return digests
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
+            **{_key(*case): fingerprint(_run(*case)) for case in CASES},
+            **{
+                key: fingerprint(cell())
+                for key, cell in SPECIAL_CELLS.items()
+            },
+        },
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))

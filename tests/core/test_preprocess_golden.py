@@ -12,17 +12,11 @@ proxy set. The path, dependency, sketch and dispatch fingerprints in
 preprocessing was rewritten as array passes, and the layout rows on the
 commit before the layout was, so a digest mismatch here means a rewrite —
 or a later change — moved an output, not just a clock.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/core/test_preprocess_golden.py
 """
 
 import functools
 import hashlib
 import itertools
-import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +33,9 @@ from repro.gpu.config import SCALED_MACHINE
 from repro.gpu.machine import Machine
 from repro.graph import datasets
 from tests.core.dependency_oracle import dependency_product
+from tests.pinned import load_pinned
 
 GOLDEN_PATH = Path(__file__).with_name("preprocess_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 #: Half-size stand-ins keep the 96-configuration cross product to a few
 #: seconds; they still have hubs, a giant SCC and multi-layer sketches.
@@ -109,8 +103,6 @@ def fingerprint(name, n_workers, greedy, scc_aware, merge):
     ExecutionTables.build(
         path_set, dag, storage, replicas, lift_to_partitions(storage, dag)
     )
-    # The layout rows come first so that adding them to the pinned file
-    # only added lines (``json.dumps`` keeps this order).
     return {
         "partitions": _sha(
             [
@@ -169,11 +161,9 @@ def fingerprint(name, n_workers, greedy, scc_aware, merge):
 
 @pytest.fixture(scope="module")
 def golden():
-    if REGEN:
-        digests = {_key(*case): fingerprint(*case) for case in CASES}
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
-        return digests
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(
+        GOLDEN_PATH, lambda: {_key(*case): fingerprint(*case) for case in CASES}
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))

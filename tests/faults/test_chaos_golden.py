@@ -12,21 +12,14 @@ vacuous serve crash. Passing rows pin every field; failing rows pin
 every field but the prose ``detail``. The fingerprints were captured
 before the five cell harnesses became rows of one runner, so a mismatch
 means a cell's legs, counters, digests or verdict moved.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/faults/test_chaos_golden.py
 """
 
 import dataclasses
 import itertools
-import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.faults import (
     FaultPlan,
     chaos_sweep,
@@ -39,10 +32,10 @@ from repro.faults import (
 )
 from repro.graph.generators import scc_profile_graph
 from repro.gpu.config import GPUSpec, MachineSpec
-from repro.serve import runner as serve_runner
+
+from tests.pinned import load_pinned
 
 GOLDEN_PATH = Path(__file__).with_name("chaos_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 SPEC = MachineSpec(
     num_gpus=2,
@@ -134,13 +127,7 @@ CASES = {
 VACUOUS_CRASH_CASES = ("crash/sssp/round10000", "serve-crash/launch10000")
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
-    yield
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
+pytestmark = pytest.mark.usefixtures("isolated_caches")
 
 
 def build_graph():
@@ -169,16 +156,13 @@ def run_case(key, graph, run_dir):
 
 @pytest.fixture(scope="module")
 def golden(chaos_graph, tmp_path_factory):
-    if REGEN:
-        prints = {
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
             key: run_case(key, chaos_graph, tmp_path_factory.mktemp("regen"))
             for key in CASES
-        }
-        GOLDEN_PATH.write_text(
-            json.dumps(prints, indent=1, sort_keys=True) + "\n"
-        )
-        return prints
-    return json.loads(GOLDEN_PATH.read_text())
+        },
+    )
 
 
 @pytest.mark.parametrize("key", list(CASES))

@@ -13,14 +13,9 @@ the commit before the store's page writer, page reader and manifest
 commit moved onto :mod:`repro.storage.pages`, so a mismatch means a byte
 on disk moved — or a fault-injector call moved, since the crash points
 index into them.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/faults/test_store_golden.py
 """
 
 import itertools
-import json
 import os
 from pathlib import Path
 
@@ -35,8 +30,9 @@ from repro.faults.chaos import crash_plan
 from repro.gpu.config import MachineSpec
 from repro.storage.pages import sha256_file
 
+from tests.pinned import load_pinned
+
 GOLDEN_PATH = Path(__file__).with_name("store_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 DURABLE_CASES = list(
     itertools.product(
@@ -99,17 +95,15 @@ ALL_CASES = DURABLE_CASES + CRASH_CASES
 
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
-    if REGEN:
-        root = tmp_path_factory.mktemp("regen")
-        prints = {
-            _key(*case): fingerprint(case, str(root / str(index)))
-            for index, case in enumerate(ALL_CASES)
-        }
-        GOLDEN_PATH.write_text(
-            json.dumps(prints, indent=1, sort_keys=True) + "\n"
-        )
-        return prints
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
+            _key(*case): fingerprint(
+                case, str(tmp_path_factory.mktemp("regen") / "run")
+            )
+            for case in ALL_CASES
+        },
+    )
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: _key(*case))

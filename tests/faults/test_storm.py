@@ -7,7 +7,6 @@ errors. Never a hang, never an unstructured exception."""
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.errors import ConfigurationError
 from repro.faults import (
     TRANSIENT,
@@ -18,7 +17,6 @@ from repro.faults import (
 )
 from repro.graph.generators import scc_profile_graph, with_random_weights
 from repro.gpu.config import GPUSpec, MachineSpec
-from repro.serve import runner as serve_runner
 from repro.serve.query import QUERY_STATUSES
 from repro.serve.runner import run_serve_cell, serve_digest
 
@@ -29,13 +27,7 @@ SPEC = MachineSpec(
 )
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
-    yield
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
+pytestmark = pytest.mark.usefixtures("isolated_caches")
 
 
 @pytest.fixture(scope="module")

@@ -6,15 +6,9 @@ mutations of a trace. The fingerprints in ``generator_fingerprints.json``
 were captured on the commit *before* the Zipf draws went through a cached
 CDF and ``bfs_levels`` became a frontier expansion, so a mismatch here
 means a change moved a generated graph, not just a clock.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/graph/test_generator_golden.py
 """
 
 import hashlib
-import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +23,9 @@ from repro.graph.generators import (
     scc_profile_graph,
 )
 
+from tests.pinned import load_pinned
+
 GOLDEN_PATH = Path(__file__).with_name("generator_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 #: The social and web shapes at explicit sizes, with the twitter and it04
 #: recipes' knobs (social as the CI front-end guard generates it).
@@ -91,11 +86,7 @@ SLOW = {key for key in CASES if key.endswith("/x4") or key.endswith("/n4000")}
 
 @pytest.fixture(scope="module")
 def golden():
-    if REGEN:
-        digests = {key: CASES[key]() for key in CASES}
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
-        return digests
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(GOLDEN_PATH, lambda: {key: CASES[key]() for key in CASES})
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,10 @@ from collections import Counter
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.errors import ConfigurationError
 from repro.faults import ComputeFault, FaultPlan
 from repro.graph.generators import scc_profile_graph, with_random_weights
 from repro.gpu.config import GPUSpec, MachineSpec
-from repro.serve import runner as serve_runner
 from repro.serve.context import ServingContext
 from repro.serve.query import ClosedLoopTrace, Query, generate_trace
 from repro.serve.runner import serve_digest
@@ -38,13 +36,7 @@ SPEC = MachineSpec(
 SERIAL = dict(query_lanes=1, max_concurrent=1, tenant_quota=1)
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
-    yield
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
+pytestmark = pytest.mark.usefixtures("isolated_caches")
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ answer. The serving layer also joins the chaos sweep
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.errors import ConfigurationError, QueryAbortedError
 from repro.faults import (
     ComputeFault,
@@ -31,13 +30,7 @@ SPEC = MachineSpec(
 KILL_AT = 4
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
-    yield
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
+pytestmark = pytest.mark.usefixtures("isolated_caches")
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ import copy
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.bench.runner import run_cell
 from repro.bench.schema import validate_artifact
 from repro.bench.sweep import (
@@ -16,7 +15,6 @@ from repro.bench.sweep import (
     run_sweep,
 )
 from repro.errors import ArtifactError, ConfigurationError
-from repro.serve import runner as serve_runner
 from repro.serve.runner import run_serve_cell
 
 SERVE_TINY = {
@@ -30,13 +28,7 @@ SERVE_TINY = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
-    yield
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
+pytestmark = pytest.mark.usefixtures("isolated_caches")
 
 
 @pytest.fixture(scope="module")

@@ -9,13 +9,11 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.bench.sweep import SweepConfig, canonical_bytes, run_sweep
 from repro.errors import ConfigurationError
 from repro.faults import ComputeFault, FaultPlan
 from repro.graph.generators import scc_profile_graph, with_random_weights
 from repro.gpu.config import GPUSpec, MachineSpec
-from repro.serve import runner as serve_runner
 from repro.serve.context import ServingContext
 from repro.serve.query import Query, generate_trace
 from repro.serve.runner import run_serve_cell, serve_digest
@@ -38,13 +36,7 @@ SERVE_TINY = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
-    yield
-    bench_runner.clear_cache()
-    serve_runner.clear_context_cache()
+pytestmark = pytest.mark.usefixtures("isolated_caches")
 
 
 @pytest.fixture(scope="module")

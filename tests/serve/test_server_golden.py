@@ -15,10 +15,6 @@ entirely from that journal, and a restart after a crash-only plan, which
 must equal the uninterrupted run. The fingerprints were captured before
 the server's batch outcomes went through one commit, so a mismatch
 means a status, digest, counter or modeled instant moved.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/serve/test_server_golden.py
 """
 
 import dataclasses
@@ -38,10 +34,10 @@ from repro.serve.context import ServingContext
 from repro.serve.query import TraceSpec
 from repro.serve.server import QueryServer, ServeConfig, ServeReport
 
+from tests.pinned import load_pinned
 from tests.serve.test_overload import SPEC
 
 GOLDEN_PATH = Path(__file__).with_name("server_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 BURST = dict(mean_interarrival_s=1e-7)
 CLOSED = dict(arrival_model="closed")
@@ -246,22 +242,18 @@ def test_a_resumed_serve_keeps_its_faults_and_launch_index(context, tmp_path):
 
 @pytest.fixture(scope="module")
 def golden(context, tmp_path_factory):
-    if REGEN:
-        prints = {key: run_case(context, key) for key in CASES}
-        prints.update(
-            (
-                f"journal/{key}",
-                run_journaled(
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
+            **{key: run_case(context, key) for key in CASES},
+            **{
+                f"journal/{key}": run_journaled(
                     context, key, str(tmp_path_factory.mktemp("regen"))
-                ),
-            )
-            for key in JOURNALED
-        )
-        GOLDEN_PATH.write_text(
-            json.dumps(prints, indent=1, sort_keys=True) + "\n"
-        )
-        return prints
-    return json.loads(GOLDEN_PATH.read_text())
+                )
+                for key in JOURNALED
+            },
+        },
+    )
 
 
 @pytest.mark.parametrize("key", list(CASES))

@@ -16,15 +16,9 @@ sweep (PR 20), by running this file with ``PYTHONPATH`` at that commit's
 a launch, a write or a counter, not just a clock. The one-lane kill
 rows were added later, captured the same way on the commit before
 one-query solves ran the 1-D kernel.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/serve/test_solve_golden.py
 """
 
 import functools
-import json
-import os
 from pathlib import Path
 
 import pytest
@@ -40,8 +34,9 @@ from repro.serve.query import (
 )
 from repro.serve.solver import MultiSourceSolver
 
+from tests.pinned import load_pinned
+
 GOLDEN_PATH = Path(__file__).with_name("solve_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 #: A long-distance web graph (29 layer batches here, sparse frontiers)
 #: and a dense social one (few layers, wide launches).
@@ -145,13 +140,16 @@ KILL_CASES = [
 
 @pytest.fixture(scope="module")
 def golden():
-    if REGEN:
-        digests = {_key(*case): fingerprint(*case) for case in CASES}
-        for case in KILL_CASES:
-            digests[_kill_key(*case)] = kill_fingerprint(*case)
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n")
-        return digests
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
+            **{_key(*case): fingerprint(*case) for case in CASES},
+            **{
+                _kill_key(*case): kill_fingerprint(*case)
+                for case in KILL_CASES
+            },
+        },
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))

@@ -8,15 +8,10 @@ commit *before* the cluster, affinity, route and build passes were
 rewritten in array form (PR 22), so a mismatch here means the rewrite —
 or a later change — moved a vertex to another part or a byte on disk,
 not just a clock.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/storage/test_partition_golden.py
 """
 
 import functools
 import itertools
-import json
 import os
 from pathlib import Path
 
@@ -34,8 +29,9 @@ from repro.storage import (
 )
 from repro.storage.pages import sha256_file
 
+from tests.pinned import load_pinned
+
 GOLDEN_PATH = Path(__file__).with_name("partition_fingerprints.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 STREAMS = ("synthetic", "cnr", "repartition")
 CASES = list(
@@ -99,17 +95,17 @@ def fingerprint(case, first_generation, out_dir):
 
 @pytest.fixture(scope="module")
 def golden(first_generation, tmp_path_factory):
-    if REGEN:
-        root = tmp_path_factory.mktemp("regen")
-        prints = {
+    return load_pinned(
+        GOLDEN_PATH,
+        lambda: {
             _key(*case): fingerprint(
-                case, first_generation, str(root / str(index))
+                case,
+                first_generation,
+                str(tmp_path_factory.mktemp("regen") / "s"),
             )
-            for index, case in enumerate(CASES)
-        }
-        GOLDEN_PATH.write_text(json.dumps(prints, indent=1) + "\n")
-        return prints
-    return json.loads(GOLDEN_PATH.read_text())
+            for case in CASES
+        },
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))

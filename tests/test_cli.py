@@ -232,7 +232,7 @@ class TestSweepCommand:
             assert "running" not in captured.out
 
     def test_committed_bad_value_config_runs_no_cell(self, capsys):
-        """CI's must-fail control for load-time value validation."""
+        """The committed must-fail config for load-time value validation."""
         code = main(
             ["sweep", "--config", "benchmarks/sweep_bad_value_ci.json",
              "--output", "", "--verbose"]

@@ -6,21 +6,16 @@ string, captured from the built parser — so a flag, default or help
 string that moves when an ``add_argument`` block becomes table-derived
 shows up here. The one entry not stored is the ``experiment`` name's
 ``choices``: it is the experiment table's keys, read from the table.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_cli_surface.py
 """
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 from repro.cli import build_parser
+from tests.pinned import load_pinned
 
 SURFACE_PATH = Path(__file__).with_name("cli_surface.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
 def capture_surface():
@@ -52,25 +47,18 @@ def capture_surface():
     return json.loads(json.dumps(surface))
 
 
-def expected_surface():
-    """The pinned surface; `repro experiment NAME` is checked against
-    the experiment table, which the file leaves ``null``."""
-    from repro.bench.experiments import EXPERIMENTS
-
-    surface = json.loads(SURFACE_PATH.read_text())
-    surface["experiment"]["name"]["choices"] = list(EXPERIMENTS)
+def _stored_surface():
+    surface = capture_surface()
+    surface["experiment"]["name"]["choices"] = None
     return surface
 
 
 def test_cli_surface_matches_parent():
-    if REGEN:
-        surface = capture_surface()
-        surface["experiment"]["name"]["choices"] = None
-        SURFACE_PATH.write_text(
-            json.dumps(surface, indent=1, sort_keys=True) + "\n"
-        )
-        return
-    actual, expected = capture_surface(), expected_surface()
+    from repro.bench.experiments import EXPERIMENTS
+
+    expected = load_pinned(SURFACE_PATH, _stored_surface)
+    expected["experiment"]["name"]["choices"] = list(EXPERIMENTS)
+    actual = capture_surface()
     assert sorted(actual) == sorted(expected)
     for command in expected:
         assert actual[command] == expected[command], command

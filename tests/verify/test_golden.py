@@ -5,15 +5,9 @@ vector on a fixed workload is a stable fingerprint. These digests pin
 the current behavior of all 8 algorithms x 4 engines on both canonical
 graphs: any change to convergence order, tolerance handling, or replica
 synchronization that alters the numbers shows up as a digest mismatch.
-
-Regenerate intentionally with:
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/verify/test_golden.py
 """
 
 import hashlib
-import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,8 +19,9 @@ from repro.gpu.config import SCALED_MACHINE
 from repro.verify.fixtures import CANONICAL_GRAPHS
 from repro.verify.oracle import ALL_ALGORITHMS, DEFAULT_ENGINES
 
+from tests.pinned import load_pinned
+
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
 def _digest(graph_name, algo, engine_name):
@@ -54,27 +49,15 @@ CASES = [
 
 @pytest.fixture(scope="module")
 def golden():
-    if REGEN:
-        digests = {
-            _key(g, a, e): _digest(g, a, e) for (g, a, e) in CASES
-        }
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=2) + "\n")
-        return digests
-    if not GOLDEN_PATH.exists():
-        pytest.fail(
-            "golden_digests.json missing; regenerate with REPRO_REGEN_GOLDEN=1"
-        )
-    return json.loads(GOLDEN_PATH.read_text())
+    return load_pinned(
+        GOLDEN_PATH, lambda: {_key(*case): _digest(*case) for case in CASES}
+    )
 
 
 @pytest.mark.parametrize("graph_name,algo,engine_name", CASES)
 def test_state_digest_pinned(golden, graph_name, algo, engine_name):
     key = _key(graph_name, algo, engine_name)
-    assert key in golden, f"no golden digest for {key}; regenerate"
-    assert _digest(graph_name, algo, engine_name) == golden[key], (
-        f"converged states changed for {key}; if intentional, regenerate "
-        "with REPRO_REGEN_GOLDEN=1"
-    )
+    assert _digest(graph_name, algo, engine_name) == golden[key], key
 
 
 def test_golden_file_covers_all_cases(golden):
