@@ -97,9 +97,7 @@ class _AsyncRun(BaselineFaultHarness):
 
     def run_round(self, round_index: int) -> None:
         graph, program, machine = self.graph, self.program, self.machine
-        partitions, states, faulted = (
-            self.partitions, self.states, self.faulted
-        )
+        partitions, states = self.partitions, self.states
         stats = machine.stats
         step, degree_of, _ = self.step_kernel
         dependents = self._dependents
@@ -119,13 +117,12 @@ class _AsyncRun(BaselineFaultHarness):
         }
         updates_this_round = 0
         touched_vertex_total = 0
-        messages_between: Dict[tuple, int] = {}
+        batch_bytes: Dict[tuple, int] = {}
         # Cross-GPU activations deliver with the end-of-round push:
         # activating them instantly would let them consume the stale
         # snapshot of the change that activated them and converge
-        # incorrectly. On the fault path they are kept per GPU pair so a
-        # dropped batch loses exactly its own activations.
-        deferred_activations: List[int] = []
+        # incorrectly. They are kept per GPU pair so a dropped batch
+        # loses exactly its own activations.
         pair_activations: Dict[tuple, List[int]] = {}
         pair_sources: Dict[tuple, List[int]] = {}
 
@@ -182,18 +179,15 @@ class _AsyncRun(BaselineFaultHarness):
                     dst_gpu = gpu_of_vertex[u]
                     if dst_gpu != gpu:
                         remote.add(dst_gpu)
-                        if faulted:
-                            pair_activations.setdefault(
-                                (gpu, dst_gpu), []
-                            ).append(u)
-                        else:
-                            deferred_activations.append(u)
+                        pair_activations.setdefault(
+                            (gpu, dst_gpu), []
+                        ).append(u)
                     else:
                         active[u] = True
                 for dst_gpu in remote:
                     key = (gpu, dst_gpu)
-                    messages_between[key] = (
-                        messages_between.get(key, 0) + 1
+                    batch_bytes[key] = (
+                        batch_bytes.get(key, 0) + BYTES_PER_MESSAGE
                     )
                     pair_sources.setdefault(key, []).append(v)
 
@@ -208,30 +202,10 @@ class _AsyncRun(BaselineFaultHarness):
             stats.atomic_updates += updates
             updates_this_round += updates
 
-        delivered_pairs: List[tuple] = []
-        for (src_gpu, dst_gpu), count in messages_between.items():
-            # Groute pushes worklist messages asynchronously over the
-            # ring; they overlap with compute (no barrier).
-            if not faulted:
-                machine.transfer_async(
-                    src_gpu, dst_gpu, count * BYTES_PER_MESSAGE
-                )
-                continue
-            outcome = machine.deliver_replica_batch(
-                src_gpu, dst_gpu, count * BYTES_PER_MESSAGE
-            )
-            if outcome.status == "dropped":
-                # The push never arrived: its activations are lost.
-                continue
-            if outcome.status == "corrupted" and outcome.poison is not None:
-                # The garbled payload overwrites the states it carried.
-                for v in pair_sources[(src_gpu, dst_gpu)]:
-                    values[v] = outcome.poison
-            delivered_pairs.append((src_gpu, dst_gpu))
+        # Groute pushes worklist messages asynchronously over the ring;
+        # they overlap with compute (no barrier).
+        self.deliver_batches(batch_bytes, pair_sources, pair_activations)
         machine.compute_round(work, atomics, barrier=False)
-        active[deferred_activations] = True
-        for key in delivered_pairs:
-            active[pair_activations.get(key, [])] = True
 
         self.record_round(
             round_index,

@@ -131,9 +131,7 @@ class _BulkSyncRun(BaselineFaultHarness):
 
     def _scalar_round(self, round_index: int) -> None:
         graph, program, machine = self.graph, self.program, self.machine
-        partitions, states, faulted = (
-            self.partitions, self.states, self.faulted
-        )
+        partitions, states = self.partitions, self.states
         step, degree_of, _ = self.step_kernel
         gpu_of_vertex = self.gpu_of_vertex.tolist()
         frontier = Frontier.from_mask(states.active)
@@ -166,11 +164,10 @@ class _BulkSyncRun(BaselineFaultHarness):
         machine.compute_round(work, atomics, barrier=True)
 
         # Barrier + state synchronization: changed vertices whose
-        # dependents live on another GPU are broadcast there. On the
-        # fault path a remote dependent activates only when its pair's
-        # batch actually lands.
+        # dependents live on another GPU are broadcast there. A remote
+        # dependent activates only when its pair's batch lands.
         updates_this_round = 0
-        messages_between: Dict[tuple, int] = {}
+        batch_bytes: Dict[tuple, int] = {}
         pair_activations: Dict[tuple, List[int]] = {}
         pair_sources: Dict[tuple, List[int]] = {}
         for v, new, changed in pending:
@@ -185,35 +182,22 @@ class _BulkSyncRun(BaselineFaultHarness):
             remote_gpus: Set[int] = set()
             for u in program.dependents(graph, v):
                 dst_gpu = gpu_of_vertex[u]
-                if faulted and dst_gpu != src_gpu:
-                    pair_activations.setdefault(
-                        (src_gpu, dst_gpu), []
-                    ).append(int(u))
-                else:
+                if dst_gpu == src_gpu:
                     states.activate([u])
-                if dst_gpu != src_gpu:
-                    remote_gpus.add(dst_gpu)
+                    continue
+                pair_activations.setdefault(
+                    (src_gpu, dst_gpu), []
+                ).append(int(u))
+                remote_gpus.add(dst_gpu)
             for dst_gpu in remote_gpus:
                 key = (src_gpu, dst_gpu)
-                messages_between[key] = messages_between.get(key, 0) + 1
-                pair_sources.setdefault(key, []).append(v)
-        for (src_gpu, dst_gpu), count in messages_between.items():
-            if not faulted:
-                machine.transfer(
-                    src_gpu, dst_gpu, count * BYTES_PER_MESSAGE
+                batch_bytes[key] = (
+                    batch_bytes.get(key, 0) + BYTES_PER_MESSAGE
                 )
-                continue
-            outcome = machine.deliver_replica_batch(
-                src_gpu, dst_gpu, count * BYTES_PER_MESSAGE
-            )
-            if outcome.status == "dropped":
-                # The batch never arrived: its activations are lost.
-                continue
-            if outcome.status == "corrupted" and outcome.poison is not None:
-                # The garbled payload overwrites the states it carried.
-                for v in pair_sources[(src_gpu, dst_gpu)]:
-                    states.values[v] = outcome.poison
-            states.activate(pair_activations.get((src_gpu, dst_gpu), []))
+                pair_sources.setdefault(key, []).append(v)
+        self.deliver_batches(
+            batch_bytes, pair_sources, pair_activations, barrier=True
+        )
         # The barrier itself: an all-to-all control exchange.
         for gpu in machine.live_gpu_ids():
             machine.transfer(gpu, "host", BARRIER_SYNC_BYTES)
@@ -230,7 +214,7 @@ class _BulkSyncRun(BaselineFaultHarness):
         machine, partitions, states = (
             self.machine, self.partitions, self.states
         )
-        kernel, faulted = self.kernel, self.faulted
+        kernel = self.kernel
         gpu_of_vertex = self.gpu_of_vertex
         frontier = np.flatnonzero(states.active)
         stats = machine.stats
@@ -283,12 +267,9 @@ class _BulkSyncRun(BaselineFaultHarness):
                 np.diff(seg_offsets),
             )
             remote = target_gpus != src_gpus[seg_ids]
-            if faulted:
-                # Remote dependents activate only when their pair's
-                # batch lands (mirrors the scalar fault path).
-                states.active[targets[~remote]] = True
-            else:
-                states.active[targets] = True
+            # Remote dependents activate only when their pair's batch
+            # lands (as in the scalar round).
+            states.active[targets[~remote]] = True
             if remote.any():
                 per_vertex_remote = np.unique(
                     seg_ids[remote] * num_gpus + target_gpus[remote]
@@ -299,36 +280,34 @@ class _BulkSyncRun(BaselineFaultHarness):
                     return_index=True,
                     return_counts=True,
                 )
-                pair_of_msg = src_gpus[seg_ids] * num_gpus + target_gpus
-                # Emit transfers in first-occurrence order — the order
-                # the scalar path inserts pairs into its dict while
-                # sweeping vertices ascending — so the float
-                # accumulation of transfer_time_s and the fault plan's
-                # consumption order are bit-identical to the scalar path.
+                # Each pair's remote dependents, grouped by one stable
+                # sort (``pair_keys`` is ascending).
+                carried = np.flatnonzero(remote)
+                carried_pairs = (
+                    src_gpus[seg_ids[carried]] * num_gpus
+                    + target_gpus[carried]
+                )
+                order = np.argsort(carried_pairs, kind="stable")
+                by_pair = np.split(
+                    carried[order],
+                    np.searchsorted(carried_pairs[order], pair_keys[1:]),
+                )
+                # Push in first-occurrence order — the order the scalar
+                # path inserts pairs into its dict while sweeping
+                # vertices ascending — so the float accumulation of
+                # transfer_time_s and the fault plan's consumption order
+                # are bit-identical to the scalar path.
+                batch_bytes, sources, activations = {}, {}, {}
                 for i in np.argsort(pair_first, kind="stable"):
-                    key = int(pair_keys[i])
-                    nbytes = int(pair_counts[i]) * BYTES_PER_MESSAGE
-                    if not faulted:
-                        machine.transfer(
-                            key // num_gpus, key % num_gpus, nbytes
-                        )
-                        continue
-                    outcome = machine.deliver_replica_batch(
-                        key // num_gpus, key % num_gpus, nbytes
+                    pair = divmod(int(pair_keys[i]), num_gpus)
+                    batch_bytes[pair] = (
+                        int(pair_counts[i]) * BYTES_PER_MESSAGE
                     )
-                    if outcome.status == "dropped":
-                        continue
-                    msg_mask = remote & (pair_of_msg == key)
-                    if (
-                        outcome.status == "corrupted"
-                        and outcome.poison is not None
-                    ):
-                        states.values[
-                            np.unique(
-                                changed_frontier[seg_ids[msg_mask]]
-                            )
-                        ] = outcome.poison
-                    states.active[targets[msg_mask]] = True
+                    sources[pair] = changed_frontier[seg_ids[by_pair[i]]]
+                    activations[pair] = targets[by_pair[i]]
+                self.deliver_batches(
+                    batch_bytes, sources, activations, barrier=True
+                )
         # The barrier itself: an all-to-all control exchange.
         for gpu in machine.live_gpu_ids():
             machine.transfer(gpu, "host", BARRIER_SYNC_BYTES)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +129,12 @@ class BaselineFaultHarness:
     :class:`~repro.faults.checkpoint.CheckpointManager`, and the
     redistribution rule a GPU death takes.
     Each engine subclasses it with its own ``run_round``.
+
+    Every cross-GPU push goes through :meth:`deliver_batches`, with or
+    without a fault plan or recovery policy, and the engine's schedule
+    picks its cost channel (barriered for bulk-sync, overlapped for
+    async), so arming recovery changes a fault-free run only by its
+    checkpoints.
     """
 
     #: The engine's constant in the preprocessing-time model (see
@@ -172,11 +178,6 @@ class BaselineFaultHarness:
         self.program = program
         self.states = VertexStates(graph, program)
         self.round_records: List[RoundRecord] = []
-        # With the fault machinery engaged, cross-GPU pushes go through
-        # the modeled ack/checksum protocol (``deliver_replica_batch``)
-        # so they can be dropped, corrupted, retried, and escalated; the
-        # legacy path stays bit-identical for fault-free runs.
-        self.faulted = fault_injector is not None or recovery is not None
         #: Set by the round driver (ConvergenceError diagnostics).
         self.last_max_delta = 0.0
         self.checkpoints = checkpoint_manager(machine, self)
@@ -247,6 +248,30 @@ class BaselineFaultHarness:
             moved.append(partition.nbytes)
         self._refresh_placement()
         return moved
+
+    def deliver_batches(
+        self,
+        batch_bytes: Dict[Tuple[int, int], int],
+        sources: Dict[Tuple[int, int], Sequence[int]],
+        activations: Dict[Tuple[int, int], Sequence[int]],
+        barrier: bool = False,
+    ) -> None:
+        """Push each GPU pair's batch of ``batch_bytes[pair]`` replica
+        bytes, in the dict's order. A batch that lands activates the
+        pair's remote dependents (``activations[pair]``); a dropped one
+        loses them; a corrupted one also overwrites the states it carried
+        (``sources[pair]``) with its poison. ``barrier`` is the engine's
+        schedule (:meth:`Machine.deliver_replica_batch`)."""
+        states = self.states
+        for (src_gpu, dst_gpu), nbytes in batch_bytes.items():
+            outcome = self.machine.deliver_replica_batch(
+                src_gpu, dst_gpu, nbytes, barrier=barrier
+            )
+            if outcome.status == "dropped":
+                continue
+            if outcome.status == "corrupted" and outcome.poison is not None:
+                states.values[sources[src_gpu, dst_gpu]] = outcome.poison
+            states.active[activations[src_gpu, dst_gpu]] = True
 
     def invariant_checks(self) -> List:
         return []

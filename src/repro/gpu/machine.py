@@ -1,10 +1,13 @@
 """The simulated machine: host + GPUs + ring interconnect.
 
-Engines drive the machine with three verbs:
+Engines drive the machine with four verbs:
 
 - :meth:`Machine.transfer` — move bytes between the host and GPUs (or GPU
   to GPU over the ring), optionally overlapped with upcoming compute via a
   GPU's Hyper-Q streams;
+- :meth:`Machine.deliver_replica_batch` — push one engine's batched
+  updates GPU -> GPU, on the channel its schedule picks (barriered or
+  overlapped) and through the fault injector's replica hook;
 - :meth:`Machine.compute_round` — run one parallel kernel wave: per-GPU
   lists of per-thread work items, executed concurrently across GPUs (wall
   time = the slowest GPU);
@@ -260,52 +263,54 @@ class Machine:
         self.stats.transfer_time_s += time_s
         return time_s
 
-    def transfer_async(
-        self, src: Endpoint, dst: Endpoint, nbytes: int
-    ) -> float:
-        """Asynchronous transfer: traffic is recorded normally but the
-        time lands on the machine's communication channel, which runs
-        concurrently with compute (NCCL-style pipelined pushes with no
-        barrier)."""
-        self._check_alive(src)
-        self._check_alive(dst)
-        time_s = self.interconnect.transfer(src, dst, nbytes)
-        self.stats.async_comm_time_s += time_s
-        if isinstance(src, int) and isinstance(dst, int):
-            # Receive-side ledger for the message-conservation check.
-            self.stats.note_pair_transfer(src, dst, nbytes)
-        return time_s
-
     def deliver_replica_batch(
-        self, src_gpu: int, dst_gpu: int, nbytes: int
+        self, src_gpu: int, dst_gpu: int, nbytes: int, barrier: bool = False
     ) -> DeliveryOutcome:
         """Deliver one batched replica-update message GPU -> GPU.
 
-        Like :meth:`transfer_async`, but routed through the fault
-        injector's replica hook so the batch can be dropped or corrupted
-        in flight. The receive-side conservation ledger
-        (``replica_pair_bytes``) is credited only when the payload
-        actually lands: a dropped batch leaves a send/receive mismatch
-        for the conservation checker, a corrupted one that slips through
-        undetected *does* land (garbled — the fixed-point oracle catches
-        it instead). With a recovery policy, both are detected by the
-        modeled ack/checksum protocol and resent with backoff, bounded
-        by ``max_sync_retries``.
+        Every engine's cross-GPU pushes come through here, routed
+        through the fault injector's replica hook so the batch can be
+        dropped or corrupted in flight. With a recovery policy, both are
+        detected by the modeled ack/checksum protocol and resent with
+        backoff, bounded by ``max_sync_retries``.
+
+        ``barrier`` is the engine's schedule. A barriered
+        (bulk-synchronous) push waits on the wire: every attempt and
+        backoff is charged to ``transfer_time_s``, as :meth:`transfer`
+        charges. Otherwise the time lands on the communication channel,
+        which runs concurrently with compute (NCCL-style pipelined
+        pushes), and the receive-side conservation ledger
+        (``replica_pair_bytes``) is credited when the payload lands: a
+        dropped batch leaves a send/receive mismatch for the
+        conservation checker, a corrupted one that slips through
+        undetected *does* land (garbled — the fixed-point oracle
+        catches it instead).
         """
         self._check_alive(src_gpu)
         self._check_alive(dst_gpu)
         injector = self._structured_injector
         failures = 0
         total = 0.0
+
+        def charge(seconds: float) -> None:
+            if barrier:
+                self.stats.transfer_time_s += seconds
+            else:
+                self.stats.async_comm_time_s += seconds
+
+        def land() -> None:
+            if not barrier:
+                self.stats.note_pair_transfer(src_gpu, dst_gpu, nbytes)
+
         while True:
             fault = None
             if injector is not None:
                 fault = injector.on_replica_flush(src_gpu, dst_gpu, nbytes)
             time_s = self.interconnect.transfer(src_gpu, dst_gpu, nbytes)
-            self.stats.async_comm_time_s += time_s
+            charge(time_s)
             total += time_s
             if fault is None:
-                self.stats.note_pair_transfer(src_gpu, dst_gpu, nbytes)
+                land()
                 return DeliveryOutcome("delivered", total)
             # Kinds are plain strings (repro.faults.plan.DROP / CORRUPT);
             # compared literally here to keep gpu/ import-free of faults/.
@@ -318,7 +323,7 @@ class Machine:
                     # The garbled payload still arrives on the wire, so
                     # conservation balances; the fixed-point check is
                     # what flags the poisoned state.
-                    self.stats.note_pair_transfer(src_gpu, dst_gpu, nbytes)
+                    land()
                     return DeliveryOutcome(
                         "corrupted", total, poison=fault.poison
                     )
@@ -336,7 +341,7 @@ class Machine:
             self.stats.resent_sync_bytes += nbytes
             self.stats.backoff_time_s += backoff
             self.stats.recovery_time_s += time_s + backoff
-            self.stats.async_comm_time_s += backoff
+            charge(backoff)
             total += backoff
 
     def checkpoint_spill(

@@ -77,25 +77,43 @@ class TestTransferInjection:
         assert injector.transfer_calls == 3
 
 
+def wire_channel(machine, barrier):
+    """(time on the schedule's channel, time on the other one)."""
+    stats = machine.stats
+    if barrier:
+        return stats.transfer_time_s, stats.async_comm_time_s
+    return stats.async_comm_time_s, stats.transfer_time_s
+
+
 class TestSyncInjection:
-    def test_drop_skips_receive_ledger(self):
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_drop_skips_receive_ledger(self, barrier):
         machine = Machine(SPEC, fault_injector=FaultInjector(sync_plan(DROP)))
-        outcome = machine.deliver_replica_batch(0, 1, 512)
+        outcome = machine.deliver_replica_batch(0, 1, 512, barrier=barrier)
         assert outcome.status == "dropped"
         assert machine.stats.dropped_replica_batches == 1
         assert (0, 1) not in machine.stats.replica_pair_bytes
+        # The lost batch still cost its wire time.
+        assert wire_channel(machine, barrier) == (outcome.time_s, 0.0)
+        assert outcome.time_s > 0
 
-    def test_corrupt_arrives_with_poison(self):
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_corrupt_arrives_with_poison(self, barrier):
         machine = Machine(
             SPEC, fault_injector=FaultInjector(sync_plan(CORRUPT))
         )
-        outcome = machine.deliver_replica_batch(0, 1, 512)
+        outcome = machine.deliver_replica_batch(0, 1, 512, barrier=barrier)
         assert outcome.status == "corrupted"
         assert outcome.poison > 0
         assert machine.stats.corrupted_replica_batches == 1
-        # The garbled payload still crossed the wire: conservation holds,
-        # the fixed-point oracle is the detection channel instead.
-        assert machine.stats.replica_pair_bytes[(0, 1)] == 512
+        assert wire_channel(machine, barrier) == (outcome.time_s, 0.0)
+        # The garbled payload still crossed the wire: conservation holds
+        # on the async channel, the fixed-point oracle is the detection
+        # channel instead. A barriered push credits no receive ledger.
+        if barrier:
+            assert machine.stats.replica_pair_bytes == {}
+        else:
+            assert machine.stats.replica_pair_bytes[(0, 1)] == 512
 
     def test_drop_without_recovery_breaks_conservation(
         self, medium_graph, test_machine

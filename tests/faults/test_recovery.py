@@ -22,10 +22,12 @@ from repro.faults import (
     SyncFault,
     TransferFault,
 )
-from repro.gpu.config import GPUSpec, MachineSpec
+from repro.bench.runner import ALL_CHAOS_ENGINES, run_cell
+from repro.gpu.config import SCALED_MACHINE, GPUSpec, MachineSpec
 from repro.gpu.interconnect import HOST, Interconnect
 from repro.gpu.machine import Machine
 from repro.gpu.stats import MachineStats
+from tests.faults.test_injection import wire_channel
 
 SPEC = MachineSpec(
     num_gpus=2,
@@ -105,22 +107,38 @@ class TestTransferRetry:
             ic.transfer(HOST, 0, 1000)
 
 
+@pytest.mark.parametrize("barrier", [False, True])
 class TestSyncResend:
-    def test_drop_resent_until_delivered(self):
+    def test_delivered_on_schedule_channel(self, barrier):
+        machine = Machine(SPEC)
+        outcome = machine.deliver_replica_batch(0, 1, 512, barrier=barrier)
+        assert outcome.status == "delivered"
+        assert outcome.time_s > 0
+        assert wire_channel(machine, barrier) == (outcome.time_s, 0.0)
+        # Only the async channel credits the receive ledger.
+        expected = {} if barrier else {(0, 1): 512}
+        assert machine.stats.replica_pair_bytes == expected
+
+    def test_drop_resent_until_delivered(self, barrier):
         plan = FaultPlan(sync_faults={0: SyncFault(kind=DROP)})
         machine = Machine(
             SPEC,
             fault_injector=FaultInjector(plan),
             recovery=RecoveryPolicy(),
         )
-        outcome = machine.deliver_replica_batch(0, 1, 512)
+        outcome = machine.deliver_replica_batch(0, 1, 512, barrier=barrier)
         assert outcome.status == "delivered"
         assert machine.stats.sync_retries == 1
         assert machine.stats.resent_sync_bytes == 512
-        # Receive ledger credited exactly once despite the resend.
-        assert machine.stats.replica_pair_bytes[(0, 1)] == 512
+        # Both wire attempts and the backoff land on one channel.
+        assert machine.stats.backoff_time_s > 0
+        assert wire_channel(machine, barrier) == (outcome.time_s, 0.0)
+        # Receive ledger credited exactly once despite the resend (and
+        # never on the barriered channel).
+        expected = {} if barrier else {(0, 1): 512}
+        assert machine.stats.replica_pair_bytes == expected
 
-    def test_escalates_when_resends_exhausted(self):
+    def test_escalates_when_resends_exhausted(self, barrier):
         plan = FaultPlan(sync_faults={0: SyncFault(kind=DROP)})
         machine = Machine(
             SPEC,
@@ -128,7 +146,8 @@ class TestSyncResend:
             recovery=RecoveryPolicy(max_sync_retries=0),
         )
         with pytest.raises(PermanentInterconnectFault):
-            machine.deliver_replica_batch(0, 1, 512)
+            machine.deliver_replica_batch(0, 1, 512, barrier=barrier)
+        assert machine.stats.replica_pair_bytes == {}
 
 
 class TestStragglerRedispatch:
@@ -363,3 +382,27 @@ class TestConvergenceErrorFields:
         assert "rounds=1" in str(exc)
         assert "active_vertices=" in str(exc)
         assert "last_max_delta=" in str(exc)
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "sssp", "wcc"])
+@pytest.mark.parametrize("graph_name", ["webbase", "twitter"])
+@pytest.mark.parametrize("engine_name", ALL_CHAOS_ENGINES)
+def test_arming_recovery_changes_a_fault_free_run_only_by_checkpoints(
+    engine_name, graph_name, algo
+):
+    """A fault-free run with a recovery policy armed computes the same
+    run as with none, and is priced the same apart from its checkpoint
+    spills: arming recovery moves no cost between channels."""
+    cell = dict(scale=0.3, machine=SCALED_MACHINE, use_cache=False)
+    plain = run_cell(engine_name, algo, graph_name, **cell)
+    armed = run_cell(
+        engine_name, algo, graph_name, recovery=RecoveryPolicy(), **cell
+    )
+    assert np.array_equal(armed.states, plain.states, equal_nan=True)
+    assert armed.rounds == plain.rounds
+    assert armed.stats.vertex_updates == plain.stats.vertex_updates
+    assert armed.stats.edge_traversals == plain.stats.edge_traversals
+    assert armed.stats.checkpoints_taken > 0
+    assert armed.stats.total_time_s - armed.stats.checkpoint_time_s == (
+        pytest.approx(plain.stats.total_time_s, rel=1e-9)
+    )

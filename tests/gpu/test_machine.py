@@ -38,7 +38,7 @@ class TestTransfers:
         assert machine.gpus[0].streams.pending_transfer_s > 0
 
     def test_async_transfer_on_comm_channel(self, machine):
-        machine.transfer_async(0, 1, 1000)
+        machine.deliver_replica_batch(0, 1, 1000)
         assert machine.stats.async_comm_time_s > 0
         assert machine.stats.transfer_time_s == 0.0
 
