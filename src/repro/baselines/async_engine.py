@@ -26,7 +26,7 @@ from repro.model.rounds import drive_rounds, finish_run
 from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE
 from repro.baselines.common import BaselineFaultHarness
-from repro.kernels.steps import dependents_table
+from repro.kernels.steps import dependents_table, resolve_step
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,8 @@ class _AsyncRun(BaselineFaultHarness):
 
     def __init__(self, engine, graph, program, fault_injector, recovery):
         super().__init__(engine, graph, program, fault_injector, recovery)
+        #: The fused gather-apply step and each vertex's gather degree.
+        self.step_kernel = resolve_step(program, graph)
         # Each vertex's dependents as a tuple of ints (memoised on first
         # touch from the program's own ``dependents`` where the table
         # has no entry).

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
+from repro.kernels.base import ScalarFallbackKernel
 from repro.kernels.registry import resolve_kernel
-from repro.model.frontier import Frontier
 from repro.model.gas import VertexProgram
 from repro.model.rounds import drive_rounds, finish_run
 from repro.bench.results import ExecutionResult
@@ -40,11 +40,11 @@ class BulkSyncConfig:
     target_edges_per_partition: Optional[int] = None
     max_rounds: int = 100000
     n_workers: int = 1
-    #: Batch each round's gather-apply through the vectorized kernels
-    #: (:mod:`repro.kernels`). Bit-identical rounds and identical
-    #: modeled accounting — BSP already computes against the round-start
-    #: snapshot, which is exactly the batched formulation. Programs
-    #: without a registered kernel run the scalar fallback.
+    #: Run the round on the program's vectorized batch kernel
+    #: (:mod:`repro.kernels`) instead of its step kernel looped per
+    #: vertex. Bit-identical rounds and identical modeled accounting:
+    #: the round is the same, only its kernel changes. Programs without
+    #: a registered batch kernel loop the step kernel either way.
     use_vectorized_kernels: bool = False
     #: Check the converged states against the program's own update
     #: equations (:mod:`repro.verify`), raising
@@ -89,16 +89,17 @@ class BulkSyncEngine:
 
 
 class _BulkSyncRun(BaselineFaultHarness):
-    """One BSP execution: the harness plus the round it runs.
+    """One BSP execution: the harness plus its one round.
 
-    The per-vertex round is the original code path and stays as the
-    differential reference; with ``use_vectorized_kernels`` the batched
-    round replaces it update for update — BSP gathers against the
-    round-start snapshot, which is exactly the batched formulation, so
-    states, round records, and every modeled counter (``apply_calls``,
-    ``edge_traversals``, ``load_global`` bytes, messages) match — the
-    loops just run as NumPy array operations instead of per-vertex
-    Python.
+    The round is batched: BSP gathers against the round-start snapshot,
+    which is exactly the batched formulation, so the frontier's
+    gather-apply, degrees and dependents each come from one kernel call
+    and the accounting runs as NumPy array operations.
+    ``use_vectorized_kernels`` picks only the kernel: the program's
+    registered batch kernel, or its fused step kernel looped behind the
+    same interface (:class:`~repro.kernels.base.ScalarFallbackKernel`).
+    The two are bit-identical, so states, round records and every
+    modeled counter match between them.
     """
 
     def __init__(self, engine, graph, program, fault_injector, recovery):
@@ -106,14 +107,8 @@ class _BulkSyncRun(BaselineFaultHarness):
         self.kernel = (
             resolve_kernel(program, graph)
             if engine.config.use_vectorized_kernels
-            else None
+            else ScalarFallbackKernel(program, graph)
         )
-
-    def run_round(self, round_index: int) -> None:
-        if self.kernel is None:
-            self._scalar_round(round_index)
-        else:
-            self._vectorized_round(round_index)
 
     def _load_touched(self, touched_partitions: Set[int]) -> None:
         """Whole-partition loads for every touched partition (Fig. 13's
@@ -129,88 +124,7 @@ class _BulkSyncRun(BaselineFaultHarness):
                     partition.partition_id
                 )
 
-    def _scalar_round(self, round_index: int) -> None:
-        graph, program, machine = self.graph, self.program, self.machine
-        partitions, states = self.partitions, self.states
-        step, degree_of, _ = self.step_kernel
-        gpu_of_vertex = self.gpu_of_vertex.tolist()
-        frontier = Frontier.from_mask(states.active)
-        touched_partitions = set(
-            np.unique(self.pid_of_vertex[states.active]).tolist()
-        )
-        stats = machine.stats
-        # Jacobi: every update of the round reads the round-start states.
-        snapshot = states.values.tolist()
-        work: Dict[int, List[int]] = {g: [] for g in range(machine.num_gpus)}
-        atomics: Dict[int, List[int]] = {
-            g: [] for g in range(machine.num_gpus)
-        }
-        pending: List = []  # (v, new_state, changed)
-
-        for v in frontier:
-            gpu = gpu_of_vertex[v]
-            new, changed = step(v, snapshot[v], snapshot)
-            degree = degree_of[v]
-            pending.append((v, new, changed))
-            stats.apply_calls += 1
-            stats.edge_traversals += degree
-            # Demand fetches for gather reads (random access).
-            machine.load_global(gpu, nbytes=8 * degree, vertices=degree)
-            machine.note_vertex_uses(1 + degree)
-            work[gpu].append(degree)
-            atomics[gpu].append(1 if changed else 0)
-
-        self._load_touched(touched_partitions)
-        machine.compute_round(work, atomics, barrier=True)
-
-        # Barrier + state synchronization: changed vertices whose
-        # dependents live on another GPU are broadcast there. A remote
-        # dependent activates only when its pair's batch lands.
-        updates_this_round = 0
-        batch_bytes: Dict[tuple, int] = {}
-        pair_activations: Dict[tuple, List[int]] = {}
-        pair_sources: Dict[tuple, List[int]] = {}
-        for v, new, changed in pending:
-            states.deactivate(v)
-        for v, new, changed in pending:
-            states.values[v] = new
-            if not changed:
-                continue
-            updates_this_round += 1
-            stats.vertex_updates += 1
-            src_gpu = gpu_of_vertex[v]
-            remote_gpus: Set[int] = set()
-            for u in program.dependents(graph, v):
-                dst_gpu = gpu_of_vertex[u]
-                if dst_gpu == src_gpu:
-                    states.activate([u])
-                    continue
-                pair_activations.setdefault(
-                    (src_gpu, dst_gpu), []
-                ).append(int(u))
-                remote_gpus.add(dst_gpu)
-            for dst_gpu in remote_gpus:
-                key = (src_gpu, dst_gpu)
-                batch_bytes[key] = (
-                    batch_bytes.get(key, 0) + BYTES_PER_MESSAGE
-                )
-                pair_sources.setdefault(key, []).append(v)
-        self.deliver_batches(
-            batch_bytes, pair_sources, pair_activations, barrier=True
-        )
-        # The barrier itself: an all-to-all control exchange.
-        for gpu in machine.live_gpu_ids():
-            machine.transfer(gpu, "host", BARRIER_SYNC_BYTES)
-
-        self.record_round(
-            round_index,
-            len(touched_partitions),
-            len(frontier),
-            sum(partitions[pid].num_vertices for pid in touched_partitions),
-            updates_this_round,
-        )
-
-    def _vectorized_round(self, round_index: int) -> None:
+    def run_round(self, round_index: int) -> None:
         machine, partitions, states = (
             self.machine, self.partitions, self.states
         )
@@ -268,7 +182,7 @@ class _BulkSyncRun(BaselineFaultHarness):
             )
             remote = target_gpus != src_gpus[seg_ids]
             # Remote dependents activate only when their pair's batch
-            # lands (as in the scalar round).
+            # lands.
             states.active[targets[~remote]] = True
             if remote.any():
                 per_vertex_remote = np.unique(
@@ -292,11 +206,10 @@ class _BulkSyncRun(BaselineFaultHarness):
                     carried[order],
                     np.searchsorted(carried_pairs[order], pair_keys[1:]),
                 )
-                # Push in first-occurrence order — the order the scalar
-                # path inserts pairs into its dict while sweeping
-                # vertices ascending — so the float accumulation of
-                # transfer_time_s and the fault plan's consumption order
-                # are bit-identical to the scalar path.
+                # Push in first-occurrence order — the order a sweep of
+                # the changed vertices, ascending, first meets each pair
+                # — which fixes the float accumulation of
+                # transfer_time_s and the fault plan's consumption order.
                 batch_bytes, sources, activations = {}, {}, {}
                 for i in np.argsort(pair_first, kind="stable"):
                     pair = divmod(int(pair_keys[i]), num_gpus)

@@ -9,7 +9,6 @@ is active — the low loaded-data utilization the paper measures in Fig. 13.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.bench.results import RoundRecord
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.machine import Machine
-from repro.kernels.steps import StepKernel, resolve_step
 from repro.model.rounds import checkpoint_manager
 from repro.model.state import VertexStates
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE
@@ -124,8 +122,8 @@ class BaselineFaultHarness:
     The baselines have far simpler state than the DiGraph engine — two
     vertex arrays plus the partition->GPU placement — so one harness
     covers both: the shared setup (machine, 1-D sharding, initial
-    distribution, vertex states, the fused step kernel and the
-    vertex -> partition / GPU lookup arrays), the duck-typed client of
+    distribution, vertex states and the vertex -> partition / GPU
+    lookup arrays), the duck-typed client of
     :class:`~repro.faults.checkpoint.CheckpointManager`, and the
     redistribution rule a GPU death takes.
     Each engine subclasses it with its own ``run_round``.
@@ -181,13 +179,6 @@ class BaselineFaultHarness:
         #: Set by the round driver (ConvergenceError diagnostics).
         self.last_max_delta = 0.0
         self.checkpoints = checkpoint_manager(machine, self)
-
-    @cached_property
-    def step_kernel(self) -> StepKernel:
-        """The fused gather-apply step of the scalar rounds, and each
-        vertex's gather degree — bound on first use, as the batched
-        round never reads them."""
-        return resolve_step(self.program, self.graph)
 
     # ------------------------------------------------------------------
     # CheckpointManager client protocol

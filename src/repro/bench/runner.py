@@ -40,9 +40,11 @@ _VEC = {"use_vectorized_kernels": True}
 
 #: The engine registry — the only place a name becomes a constructor —
 #: in the order the paper's figures list the engines. A ``-vec`` row is
-#: its scalar sibling with the batched kernels pinned on; only bulk-sync
-#: has one, being the only Jacobi schedule (every other engine is
-#: Gauss-Seidel and runs the step kernels).
+#: its scalar sibling with the vectorized batch kernels pinned on; only
+#: bulk-sync has one, being the only Jacobi schedule (its one round runs
+#: either the vectorized kernel or the step kernel behind the batch
+#: interface; every other engine is Gauss-Seidel and runs the step
+#: kernels).
 ENGINES = {
     "sequential": EngineRow(SequentialEngine, None, {}, None),
     "bulk-sync": EngineRow(BulkSyncEngine, BulkSyncConfig, {}, "baseline"),
@@ -95,11 +97,11 @@ def make_engine(
 ):
     """Build an engine by registry name.
 
-    ``vectorized`` pins the batched gather-apply kernels
+    ``vectorized`` pins the vectorized batch kernels
     (:mod:`repro.kernels`) on, as a ``-vec`` row does, and reaches
-    bulk-sync only: the async baseline and the DiGraph family update
-    one vertex at a time against what it can see now and have no
-    batched formulation.
+    bulk-sync only, where it swaps the kernel its one round calls: the
+    async baseline and the DiGraph family update one vertex at a time
+    against what it can see now and have no batched formulation.
     """
     if name not in ENGINES:
         raise ConfigurationError(

@@ -252,10 +252,10 @@ class DiGraphEngine:
     ) -> ExecutionResult:
         """Run ``program`` to convergence and return the result record.
 
-        ``fault_injector`` (a :class:`repro.faults.FaultInjector` or a
-        legacy plain callable) makes the simulated machine misbehave;
-        ``recovery`` (a :class:`repro.faults.RecoveryPolicy`) turns on
-        retries, replica resends, straggler re-dispatch, and round-level
+        ``fault_injector`` (a :class:`repro.faults.FaultInjector`) makes
+        the simulated machine misbehave; ``recovery`` (a
+        :class:`repro.faults.RecoveryPolicy`) turns on retries, replica
+        resends, straggler re-dispatch, and round-level
         checkpoint/rollback with GPU-loss redistribution. Without a
         policy, injected faults surface raw.
 
@@ -388,10 +388,10 @@ class _Run:
         # Per-round replica-sync accumulator: (src_gpu, dst_gpu) -> bytes.
         self._pending_sync_bytes: Dict[Tuple[int, int], int] = {}
         # Vertices riding each pair's pending batch — tracked only under
-        # a structured fault injector, so corruption knows which master
-        # states a garbled batch poisons.
+        # a fault injector, so corruption knows which master states a
+        # garbled batch poisons.
         self._pending_sync_payload: Dict[Tuple[int, int], List[int]] = {}
-        self._track_payloads = machine._structured_injector is not None
+        self._track_payloads = machine.fault_injector is not None
         # Send-side ledger over the whole run, recorded at message
         # production time — the machine's receive-side
         # ``replica_pair_bytes`` is recorded at flush time, so comparing

@@ -145,7 +145,7 @@ class CheckpointManager:
                 policy.run_dir,
                 retain=policy.store_retain,
                 compact=policy.store_compact,
-                injector=machine._structured_injector,
+                injector=machine.fault_injector,
             )
         self.records: List[CheckpointRecord] = []
         #: Round index of the live checkpoint (None before the first).

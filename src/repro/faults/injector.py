@@ -7,8 +7,7 @@ injection and recovery action is appended to a replayable ``trace``.
 Because counters only ever increment and the plan is frozen before the
 run, two runs of the same (program, plan) produce byte-identical traces.
 
-Hooks (all optional for the machine — it feature-tests with ``hasattr``
-so plain-callable legacy injectors keep working):
+Hooks:
 
 - :meth:`FaultInjector.on_transfer` — per ``Interconnect.transfer``;
 - :meth:`FaultInjector.on_replica_flush` — per replica-batch delivery

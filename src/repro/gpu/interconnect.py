@@ -10,7 +10,7 @@ messages "in batches" per destination partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import (
     PermanentInterconnectFault,
@@ -21,6 +21,7 @@ from repro.gpu.config import MachineSpec
 from repro.gpu.stats import MachineStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
+    from repro.faults.injector import FaultInjector
     from repro.faults.recovery import RecoveryPolicy
 
 #: Endpoint constant for the host.
@@ -40,16 +41,6 @@ class TransferRecord:
     time_s: float
 
 
-#: A fault injector inspects (src, dst, nbytes) before each transfer. It
-#: may raise :class:`~repro.errors.InterconnectFault` to fail the
-#: transfer, or return a non-negative delay factor (1.0 = nominal) to
-#: model link degradation. Returning None means nominal behavior.
-#: Structured injectors (:class:`repro.faults.FaultInjector`) expose the
-#: same contract through an ``on_transfer`` method instead; plain
-#: callables remain supported.
-FaultInjector = Callable[[Endpoint, Endpoint, int], Optional[float]]
-
-
 class Interconnect:
     """Ring of ``num_gpus`` GPUs, each also linked to the host.
 
@@ -57,16 +48,17 @@ class Interconnect:
     host->GPU as ``h2d``, GPU->host as ``d2h``, GPU->GPU as ``p2p``
     (counted once per ring hop, matching measured bus traffic).
 
-    A :data:`FaultInjector` can degrade or fail individual transfers —
-    the robustness tests drive engines through flaky links and assert
-    either clean failure or unchanged results with inflated time.
+    A :class:`~repro.faults.FaultInjector` can degrade or fail
+    individual transfers — the robustness tests drive engines through
+    flaky links and assert either clean failure or unchanged results
+    with inflated time.
     """
 
     def __init__(
         self,
         spec: MachineSpec,
         stats: MachineStats,
-        fault_injector: Optional[FaultInjector] = None,
+        fault_injector: Optional["FaultInjector"] = None,
         recovery: Optional["RecoveryPolicy"] = None,
     ) -> None:
         self._spec = spec
@@ -86,22 +78,14 @@ class Interconnect:
         """Ask the injector about one attempt; returns the delay factor.
 
         May raise an :class:`~repro.errors.InterconnectFault` (the
-        injector failing the attempt). Supports both structured
-        injectors (``on_transfer`` method) and legacy plain callables.
+        injector failing the attempt).
         """
         injector = self.fault_injector
         if injector is None:
             return 1.0
-        if hasattr(injector, "on_transfer"):
-            outcome = injector.on_transfer(src, dst, nbytes)
-        else:
-            outcome = injector(src, dst, nbytes)
+        outcome = injector.on_transfer(src, dst, nbytes)
         if outcome is None:
             return 1.0
-        if outcome < 0:
-            raise SimulationError(
-                "fault injector returned a negative delay factor"
-            )
         self.faults_injected += 1
         return outcome
 

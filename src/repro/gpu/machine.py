@@ -39,6 +39,7 @@ from repro.gpu.stats import MachineStats
 from repro.gpu.stream import StreamPool
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
+    from repro.faults.injector import FaultInjector
     from repro.faults.recovery import RecoveryPolicy
 
 #: Per-thread work: (edge_steps, atomic_updates).
@@ -179,7 +180,7 @@ class Machine:
     def __init__(
         self,
         spec: MachineSpec,
-        fault_injector=None,
+        fault_injector: Optional["FaultInjector"] = None,
         recovery: Optional["RecoveryPolicy"] = None,
     ) -> None:
         self.spec = spec
@@ -201,12 +202,9 @@ class Machine:
         return self.spec.num_gpus
 
     @property
-    def _structured_injector(self):
-        """The fault injector, if it speaks the structured hook protocol."""
-        injector = self.interconnect.fault_injector
-        if injector is not None and hasattr(injector, "on_compute_round"):
-            return injector
-        return None
+    def fault_injector(self) -> Optional["FaultInjector"]:
+        """The run's fault injector (``None``: a fault-free machine)."""
+        return self.interconnect.fault_injector
 
     # ------------------------------------------------------------------
     # GPU liveness
@@ -288,7 +286,7 @@ class Machine:
         """
         self._check_alive(src_gpu)
         self._check_alive(dst_gpu)
-        injector = self._structured_injector
+        injector = self.fault_injector
         failures = 0
         total = 0.0
 
@@ -434,7 +432,7 @@ class Machine:
         re-execution.
         """
         slowdowns: Dict[int, float] = {}
-        injector = self._structured_injector
+        injector = self.fault_injector
         if injector is not None:
             fault = injector.on_compute_round(self.live_gpu_ids())
             if fault is not None:

@@ -10,14 +10,16 @@ fits it, each form bit-identical to the protocol:
   whole frontier against one snapshot, the Jacobi schedules: NumPy
   segment reductions over the CSR/CSC arrays, the shape GPU graph
   compilers (GraphIt/G2) lower to (see :mod:`repro.kernels.segment` for
-  the ordering contract). Unregistered programs fall back to a
-  per-vertex loop behind the same interface.
+  the ordering contract). Unregistered programs fall back to their step
+  kernel looped per vertex behind the same interface
+  (:class:`~repro.kernels.base.ScalarFallbackKernel`), which is also
+  what the bulk-sync round runs with its batch kernels off.
 - **step** (:mod:`repro.kernels.steps`, :func:`resolve_step`) — one
   vertex against what it can see now, the Gauss-Seidel schedules (the
   path walk, DiGraph-t's per-vertex loop, the async worklist, the
-  scalar bulk-sync round, the sequential oracle): one fused closure per
-  algebra, ``step(v, old, reads) -> (new, changed)``. Unregistered
-  programs get the generic step, which is the protocol loop.
+  sequential oracle): one fused closure per algebra,
+  ``step(v, old, reads) -> (new, changed)``. Unregistered programs get
+  the generic step, which is the protocol loop.
 
 Query lanes are a *rank* of the batch form, not a third registry: every
 ``batch_update`` is written over the last axis, so ``resolve_kernel(

@@ -37,20 +37,31 @@ Engines drive kernels with three verbs:
   segment offsets, for activation and replica-message accounting.
 
 The accounting-equivalence invariant: for the same batch, a kernel's
-degrees/dependents must equal what the per-vertex scalar loop would
-produce, so the engines' modeled counters (``apply_calls``,
-``edge_traversals``, ``load_global`` bytes) do not move when the
-vectorized path is enabled.
+degrees/dependents must equal the program's own ``gather_degree`` /
+``dependents``, so the engines' modeled counters (``apply_calls``,
+``edge_traversals``, ``load_global`` bytes) do not depend on which
+kernel runs.
 
 :class:`ScalarFallbackKernel` adapts any :class:`VertexProgram` to the
-batch interface by looping ``update_vertex`` — programs without a
-vectorized formulation run unchanged behind the same engine code path.
+batch interface by looping its fused step kernel
+(:func:`~repro.kernels.steps.resolve_step`) — programs without a
+vectorized formulation run unchanged behind the same engine code path,
+and bulk-sync runs it when its batch kernels are off.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -58,6 +69,9 @@ from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.kernels.segment import batch_segments, interleave_segments
 from repro.model.gas import VertexProgram
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
+    from repro.kernels.steps import StepKernel
 
 
 def take_vertices(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -209,39 +223,71 @@ class BothEdgeKernel(InEdgeKernel):
 
 
 class ScalarFallbackKernel(BatchKernel):
-    """Per-vertex loop behind the batch interface (no vectorization),
-    for one program: the loop has no multi-row form."""
+    """The program's fused step kernel (:mod:`repro.kernels.steps`)
+    looped per vertex behind the batch interface, for one program: the
+    loop has no multi-row form.
+
+    The step, its degree list and the dependents table are bound on
+    first use, not when the kernel is built: :func:`resolve_step` must
+    run after ``program.initial_states(graph)``, and the serving solver
+    builds its kernel before it asks the kernel for initial states.
+    A program that overrides ``update_vertex`` but not the per-edge
+    protocol runs its per-edge protocol here (the generic step), as it
+    does in every other engine.
+    """
+
+    @cached_property
+    def steps(self) -> StepKernel:
+        """The bound step kernel: ``step``, ``degree``, ``inputs``."""
+        from repro.kernels.steps import resolve_step
+
+        return resolve_step(self.program, self.graph)
+
+    @cached_property
+    def _dependents(self) -> List[Optional[tuple]]:
+        """Each vertex's dependents; ``None`` entries are memoised from
+        ``program.dependents`` on first touch."""
+        from repro.kernels.steps import dependents_table
+
+        return dependents_table(self.program, self.graph)
 
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        dst = np.asarray(dst, dtype=np.int64)
-        new = np.empty(dst.size, dtype=np.float64)
-        changed = np.empty(dst.size, dtype=bool)
-        for i in range(dst.size):
-            new[i], changed[i] = self.program.update_vertex(
-                self.graph, int(dst[i]), states, old_state=float(old[i])
+        step = self.steps.step
+        reads = states.tolist()
+        updates = [
+            step(v, old_state, reads)
+            for v, old_state in zip(
+                np.asarray(dst, dtype=np.int64).tolist(),
+                np.asarray(old, dtype=np.float64).tolist(),
             )
-        return new, changed
+        ]
+        return (
+            np.array([new for new, _ in updates], dtype=np.float64),
+            np.array([changed for _, changed in updates], dtype=bool),
+        )
 
     def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
+        degree = self.steps.degree
         return np.array(
-            [
-                self.program.gather_degree(self.graph, int(v))
-                for v in np.asarray(dst, dtype=np.int64)
-            ],
+            [degree[v] for v in np.asarray(dst, dtype=np.int64).tolist()],
             dtype=np.int64,
         )
 
     def batch_dependents(
         self, dst: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        targets = []
+        table, program, graph = self._dependents, self.program, self.graph
+        targets: List[int] = []
         seg_offsets = [0]
-        for v in np.asarray(dst, dtype=np.int64):
-            targets.extend(
-                int(u) for u in self.program.dependents(self.graph, int(v))
-            )
+        for v in np.asarray(dst, dtype=np.int64).tolist():
+            entry = table[v]
+            if entry is None:
+                entry = table[v] = tuple(
+                    map(int, program.dependents(graph, v))
+                )
+            targets.extend(entry)
             seg_offsets.append(len(targets))
         return (
             np.asarray(targets, dtype=np.int64),

@@ -121,8 +121,8 @@ def drive_rounds(run, max_rounds: int, resume: bool = False) -> bool:
                     raise
                 moved = run.redistribute(sorted(machine.dead_gpus))
                 stats.retransferred_bytes += sum(moved)
-                if machine._structured_injector is not None:
-                    machine._structured_injector.note_recovery(
+                if machine.fault_injector is not None:
+                    machine.fault_injector.note_recovery(
                         "gpu_loss", gpu=gpu_id, moved=len(moved), round=rounds
                     )
                 continue

@@ -1,4 +1,4 @@
-"""Exactness of what the baselines' scalar rounds read through: the
+"""Exactness of what the baselines' rounds read through: the
 harness's vertex -> GPU array across recovery, and the async round's
 per-GPU write-through lists against the staleness view they replace."""
 

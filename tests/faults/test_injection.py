@@ -206,14 +206,3 @@ class TestComputeInjection:
             8.0 * base.compute_round(work)
         )
 
-
-class TestLegacyInjector:
-    def test_plain_callable_still_supported(self):
-        machine = Machine(SPEC, fault_injector=lambda *a: 2.0)
-        baseline = Machine(SPEC)
-        assert machine.transfer(HOST, 0, 1000) == pytest.approx(
-            2.0 * baseline.transfer(HOST, 0, 1000)
-        )
-        # No structured hooks: replica delivery and compute are nominal.
-        assert machine._structured_injector is None
-        assert machine.deliver_replica_batch(0, 1, 64).status == "delivered"

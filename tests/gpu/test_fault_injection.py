@@ -3,7 +3,14 @@
 import pytest
 
 from repro.algorithms.pagerank import PageRank
-from repro.errors import InterconnectFault, SimulationError
+from repro.errors import InterconnectFault
+from repro.faults import (
+    DEGRADE,
+    PERMANENT,
+    FaultInjector,
+    FaultPlan,
+    TransferFault,
+)
 from repro.gpu.config import GPUSpec, MachineSpec
 from repro.gpu.interconnect import HOST, Interconnect
 from repro.gpu.machine import Machine
@@ -16,31 +23,37 @@ SPEC = MachineSpec(
 )
 
 
+def injector(transfer_faults=None):
+    """A :class:`FaultInjector` that faults only the transfer calls
+    ``transfer_faults`` maps (call index -> fault)."""
+    return FaultInjector(FaultPlan(transfer_faults=transfer_faults or {}))
+
+
 class TestInjectorMechanics:
     def test_nominal_when_injector_returns_none(self):
-        ic = Interconnect(SPEC, MachineStats(), fault_injector=lambda *a: None)
+        ic = Interconnect(SPEC, MachineStats(), fault_injector=injector())
         baseline = Interconnect(SPEC, MachineStats())
         assert ic.transfer(HOST, 0, 1000) == baseline.transfer(HOST, 0, 1000)
         assert ic.faults_injected == 0
 
     def test_delay_factor_scales_time(self):
-        slow = Interconnect(SPEC, MachineStats(), fault_injector=lambda *a: 4.0)
+        slow = Interconnect(
+            SPEC,
+            MachineStats(),
+            fault_injector=injector({0: TransferFault(DEGRADE, factor=4.0)}),
+        )
         fast = Interconnect(SPEC, MachineStats())
         assert slow.transfer(HOST, 0, 1000) == pytest.approx(
             4.0 * fast.transfer(HOST, 0, 1000)
         )
         assert slow.faults_injected == 1
 
-    def test_negative_factor_rejected(self):
-        ic = Interconnect(SPEC, MachineStats(), fault_injector=lambda *a: -1.0)
-        with pytest.raises(SimulationError):
-            ic.transfer(HOST, 0, 10)
-
     def test_injector_may_fail_transfer(self):
-        def explode(src, dst, nbytes):
-            raise InterconnectFault(f"link {src}->{dst} down")
-
-        ic = Interconnect(SPEC, MachineStats(), fault_injector=explode)
+        ic = Interconnect(
+            SPEC,
+            MachineStats(),
+            fault_injector=injector({0: TransferFault(PERMANENT)}),
+        )
         with pytest.raises(InterconnectFault):
             ic.transfer(HOST, 1, 10)
 
@@ -59,7 +72,15 @@ class TestEngineUnderFaults:
 
         degraded_engine = DiGraphEngine(test_machine)
         pre = degraded_engine.preprocess(medium_graph)
-        machine = Machine(test_machine, fault_injector=lambda *a: 10.0)
+        every_link_slow = FaultPlan.generate(
+            seed=0,
+            num_gpus=test_machine.num_gpus,
+            degrade_rate=1.0,
+            degrade_factor=10.0,
+        )
+        machine = Machine(
+            test_machine, fault_injector=FaultInjector(every_link_slow)
+        )
         machine.stats.preprocess_time_s = pre.modeled_seconds
         from repro.core.engine import _Run
 
@@ -73,17 +94,12 @@ class TestEngineUnderFaults:
         silent wrong answer."""
         from repro.core.engine import DiGraphEngine, _Run
 
-        calls = {"n": 0}
-
-        def fail_fifth(src, dst, nbytes):
-            calls["n"] += 1
-            if calls["n"] == 5:
-                raise InterconnectFault("injected")
-            return None
-
         engine = DiGraphEngine(test_machine)
         pre = engine.preprocess(medium_graph)
-        machine = Machine(test_machine, fault_injector=fail_fifth)
+        machine = Machine(
+            test_machine,
+            fault_injector=injector({4: TransferFault(PERMANENT)}),
+        )
         run = _Run(engine, machine, medium_graph, PageRank(), pre)
         with pytest.raises(InterconnectFault):
             run.execute()

@@ -1,10 +1,11 @@
-"""Differential tests: batched kernels vs per-vertex scalar updates.
+"""Differential tests: vectorized kernels vs per-vertex step updates.
 
-Every registered algorithm runs on every fixture graph against the
-scalar bulk-sync round, the differential reference:
+Every registered algorithm runs on every fixture graph against bulk-sync
+with its batch kernels off — its one round looping the step kernel per
+vertex — the differential reference:
 
 - **bulk-sync**: the engine is Jacobi against a round-start snapshot, so
-  the batched formulation is *exactly* the same computation. States must
+  the vectorized kernel is *exactly* the same computation. States must
   be bit-identical and every round record must match.
 - **digraph-t**: its vertex-centric pass is Gauss-Seidel in id order
   within a partition (later vertices see earlier in-pass writes), the

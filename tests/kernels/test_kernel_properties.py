@@ -1,23 +1,29 @@
 """Property-based tests for the segment primitives and batch kernels.
 
-Four layers:
+Five layers:
 
 1. the segmented-array primitives (:mod:`repro.kernels.segment`) against
    naive per-segment Python loops on arbitrary CSR shapes — empty
    segments, single-vertex graphs, self-loops, duplicate edges;
-2. every registered vectorized kernel against the
-   :class:`ScalarFallbackKernel` (which loops the program's own
-   ``update_vertex``) on arbitrary small graphs and states;
-3. every registered kernel built from a sequence of k same-class
+2. every registered vectorized kernel against the protocol oracle
+   (:class:`tests.kernels.protocol_oracle.ProtocolKernel`, which loops
+   the program's own ``update_vertex``) on arbitrary small graphs and
+   states;
+3. the step-backed :class:`ScalarFallbackKernel` against the same
+   oracle, bit for bit, on weighted multigraphs whose states hold
+   ``inf``, ``±0.0`` and NaN — unregistered subclasses included;
+4. every registered kernel built from a sequence of k same-class
    programs against the same kernel built from each program alone, row
    by row, on states salted with ``inf`` and ``-0.0``;
-4. the registry's lookup rule: a subclass overriding a protocol method
+5. the registry's lookup rule: a subclass overriding a protocol method
    does not inherit its base's kernel.
 
 Sums must be *bit-identical* — the segment reduction is specified as the
 same IEEE-754 operations in the same order as the scalar fold, not as
 "close enough".
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -51,6 +57,7 @@ from repro.kernels import (
     segment_sum_ordered,
 )
 from repro.model.gas import VertexProgram
+from tests.kernels.protocol_oracle import ProtocolKernel
 
 # ----------------------------------------------------------------------
 # strategies
@@ -196,7 +203,7 @@ def test_interleave_segments_matches_concatenation(data):
 
 
 # ----------------------------------------------------------------------
-# vectorized kernels vs the scalar fallback
+# vectorized kernels vs the protocol oracle
 # ----------------------------------------------------------------------
 
 KERNEL_ALGOS = (
@@ -213,12 +220,12 @@ KERNEL_ALGOS = (
 
 @settings(max_examples=25, deadline=None)
 @given(graph=small_digraphs(), algo=st.sampled_from(KERNEL_ALGOS))
-def test_kernels_match_scalar_fallback(graph, algo):
+def test_kernels_match_the_protocol_oracle(graph, algo):
     """batch_update/gather_degrees/batch_dependents agree with the
     per-vertex ``update_vertex`` loop on the whole vertex set."""
     program = make_program(algo, graph)
     vectorized = resolve_kernel(program, graph, allow_fallback=False)
-    scalar = ScalarFallbackKernel(program, graph)
+    oracle = ProtocolKernel(program, graph)
 
     batch = np.arange(graph.num_vertices, dtype=np.int64)
     states = np.asarray(
@@ -227,16 +234,16 @@ def test_kernels_match_scalar_fallback(graph, algo):
     old = states[batch]
 
     v_new, v_changed = vectorized.batch_update(batch, states, old)
-    s_new, s_changed = scalar.batch_update(batch, states, old)
+    s_new, s_changed = oracle.batch_update(batch, states, old)
     assert np.array_equal(v_new, s_new)
     assert np.array_equal(v_changed, s_changed)
 
     assert np.array_equal(
-        vectorized.gather_degrees(batch), scalar.gather_degrees(batch)
+        vectorized.gather_degrees(batch), oracle.gather_degrees(batch)
     )
 
     v_targets, v_offsets = vectorized.batch_dependents(batch)
-    s_targets, s_offsets = scalar.batch_dependents(batch)
+    s_targets, s_offsets = oracle.batch_dependents(batch)
     assert np.array_equal(v_targets, s_targets)
     assert np.array_equal(v_offsets, s_offsets)
 
@@ -248,7 +255,7 @@ def test_pagerank_kernel_on_perturbed_states(graph, data):
     program = make_program("pagerank", graph)
     program.initial_states(graph)  # primes the out-degree cache
     vectorized = resolve_kernel(program, graph, allow_fallback=False)
-    scalar = ScalarFallbackKernel(program, graph)
+    oracle = ProtocolKernel(program, graph)
     n = graph.num_vertices
     states = np.asarray(
         data.draw(
@@ -262,7 +269,7 @@ def test_pagerank_kernel_on_perturbed_states(graph, data):
     )
     batch = np.arange(n, dtype=np.int64)
     v_new, v_changed = vectorized.batch_update(batch, states, states[batch])
-    s_new, s_changed = scalar.batch_update(batch, states, states[batch])
+    s_new, s_changed = oracle.batch_update(batch, states, states[batch])
     assert np.array_equal(v_new, s_new)
     assert np.array_equal(v_changed, s_changed)
 
@@ -426,8 +433,8 @@ def test_subclass_overriding_no_protocol_method_keeps_the_kernel():
 
 
 def test_hop_sssp_bulk_sync_rounds_agree():
-    """The vectorized bulk-sync round runs the subclass's own gather,
-    as the scalar round does (it used to run plain SSSP's kernel)."""
+    """Bulk-sync runs the subclass's own gather under either kernel
+    choice, not plain SSSP's kernel."""
     graph = random_directed(50, 200, seed=1)
     results = [
         BulkSyncEngine(
@@ -439,3 +446,111 @@ def test_hop_sssp_bulk_sync_rounds_agree():
     assert np.isfinite(scalar.states).any() and scalar.states.max() > 100.0
     assert np.array_equal(scalar.states, vectorized.states)
     assert scalar.round_records == vectorized.round_records
+
+
+# ----------------------------------------------------------------------
+# the step-backed fallback vs the protocol oracle
+# ----------------------------------------------------------------------
+
+#: State values the step kernels must treat exactly as the protocol does.
+SPECIAL_STATES = (np.inf, 0.0, -0.0, np.nan, 1.0)
+
+FALLBACK_PROGRAMS = KERNEL_ALGOS + ("hop-sssp", "one-way-sssp")
+
+
+def fallback_program(name, graph):
+    if name == "hop-sssp":
+        return HopSSSP(source=0)
+    if name == "one-way-sssp":
+        return OneWaySSSP(source=0)
+    return make_program(name, graph)
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """Weighted digraphs: self-loops, parallel edges, isolated vertices;
+    a zero weight can make an adsorption in-weight sum vanish."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from((0.0, 0.5, 1.0, 2.5, 7.25))
+    edges = draw(
+        st.lists(st.tuples(vertex, vertex, weight), max_size=40)
+    )
+    return from_edges(edges, num_vertices=n)
+
+
+def state_values(n):
+    value = st.one_of(
+        st.sampled_from(SPECIAL_STATES),
+        st.floats(min_value=0.0, max_value=12.0),
+    )
+    return st.lists(value, min_size=n, max_size=n).map(
+        lambda xs: np.asarray(xs, dtype=np.float64)
+    )
+
+
+def bits(values):
+    return [struct.pack("d", x) for x in values.tolist()]
+
+
+# The protocol side computes on NumPy scalars, which warn about NaN.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("name", FALLBACK_PROGRAMS)
+@settings(max_examples=15, deadline=None)
+@given(graph=weighted_multigraphs(), data=st.data())
+def test_fallback_is_the_protocol_oracle_bit_for_bit(name, graph, data):
+    """The fallback loops the step kernel — the registered one, or the
+    generic step for an unregistered subclass — and returns, bit for
+    bit, what ``update_vertex`` returns, with the protocol's degrees and
+    dependents."""
+    program = fallback_program(name, graph)
+    program.initial_states(graph)
+    fallback = ScalarFallbackKernel(program, graph)
+    oracle = ProtocolKernel(program, graph)
+    n = graph.num_vertices
+    states = data.draw(state_values(n))
+    # ``old`` as the engines pass it, or a stale value gather never reads.
+    old = np.where(
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        states,
+        data.draw(state_values(n)),
+    )
+    batch = np.asarray(
+        data.draw(st.permutations(range(n))), dtype=np.int64
+    )[: data.draw(st.integers(0, n))]
+
+    new, changed = fallback.batch_update(batch, states, old[batch])
+    expected, expected_changed = oracle.batch_update(
+        batch, states, old[batch]
+    )
+    assert bits(new) == bits(expected)
+    assert changed.tolist() == expected_changed.tolist()
+    assert np.array_equal(
+        fallback.gather_degrees(batch), oracle.gather_degrees(batch)
+    )
+    for got, want in zip(
+        fallback.batch_dependents(batch), oracle.batch_dependents(batch)
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_fallback_built_before_initial_states_binds_this_graph():
+    """The serving solver builds its kernel, then asks it for initial
+    states. A program last primed on another graph must still run this
+    graph's step: the fallback binds it on first use."""
+    edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (0, 2, 4.0)]
+    graph = from_edges(edges, num_vertices=3)
+    other = from_edges(
+        [(u, v, 3.0 * w) for u, v, w in edges[:3]], num_vertices=3
+    )
+    program = Adsorption()
+    program.initial_states(other)
+    fallback = ScalarFallbackKernel(program, graph)
+    states = fallback.initial_states()
+    batch = np.arange(3, dtype=np.int64)
+    new, changed = fallback.batch_update(batch, states, states)
+    expected, expected_changed = ProtocolKernel(program, graph).batch_update(
+        batch, states, states
+    )
+    assert bits(new) == bits(expected)
+    assert changed.tolist() == expected_changed.tolist()

@@ -22,12 +22,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import bulk_sync
 from repro.cli import main
 from repro.core import engine, scheduling, storage
 from repro.faults import chaos
 from repro.gpu import machine
 from repro.kernels import linear, segment
 from repro.serve.server import QueryServer
+from tests.baselines import test_execution_golden as baseline_golden
 from tests.core import test_execution_golden as execution_golden
 from tests.core import test_preprocess_golden as preprocess_golden
 from tests.faults import test_chaos_golden as chaos_golden
@@ -111,6 +113,14 @@ def _execution(key):
     return execution_golden.fingerprint(execution_golden._run(*cell))
 
 
+def _baseline_execution(key):
+    special = baseline_golden.SPECIAL_CELLS.get(key)
+    if special is not None:
+        return execution_golden.fingerprint(special())
+    cell = _case(baseline_golden, key)
+    return execution_golden.fingerprint(baseline_golden._run(*cell))
+
+
 _thread_order = scheduling.PathScheduler.thread_order
 
 
@@ -174,6 +184,18 @@ GATES = (
             "piece_atomics[last - full] = atomics",
         ),
         _execution, moves=("webbase/pagerank/digraph/gpus4",),
+    ),
+    Mutation(
+        "bulk-sync: replica pushes in reverse first-occurrence order",
+        baseline_golden,
+        ((bulk_sync._BulkSyncRun, "run_round"),),
+        (
+            'np.argsort(pair_first, kind="stable")',
+            'np.argsort(pair_first, kind="stable")[::-1]',
+        ),
+        _baseline_execution,
+        moves=("webbase/pagerank/bulk-sync/gpus4/drop-corrupt",),
+        holds=("webbase/pagerank/bulk-sync/gpus1",),
     ),
     Mutation(
         "lane solver: reversed fold", solve_golden,
