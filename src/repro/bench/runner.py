@@ -9,7 +9,8 @@ graphs) do not recompute them within a process.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+import statistics
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algorithms import make_program
 from repro.baselines.async_engine import AsyncConfig, AsyncEngine
@@ -225,6 +226,9 @@ def clear_cache() -> None:
 #: label propagation (wcc), and one structural filter (kcore).
 KERNEL_BENCH_ALGOS = ("pagerank", "sssp", "wcc", "kcore")
 
+#: Runs of each (algorithm, kernel) cell; the median wall time is kept.
+KERNEL_BENCH_REPEATS = 3
+
 
 def run_kernel_microbench(
     num_vertices: int = 50_000,
@@ -237,10 +241,12 @@ def run_kernel_microbench(
 ) -> Dict:
     """Time scalar vs vectorized vertex updates on one synthetic graph.
 
-    Runs each algorithm twice on the same ``random_directed`` graph — once
-    with per-vertex scalar updates and once with the batched kernels —
-    and records wall-clock seconds, per-round throughput, and whether the
-    two runs reached bit-identical states. The scalar and vectorized runs
+    Runs each algorithm on the same ``random_directed`` graph with
+    per-vertex scalar updates and with the batched kernels, the two
+    alternating, :data:`KERNEL_BENCH_REPEATS` times each, and records
+    each mode's median wall-clock seconds, per-round throughput, and
+    whether every pair of runs reached bit-identical states. The scalar
+    and vectorized runs
     execute the same modeled work (rounds, edge traversals, loads), so
     the speedup isolates the Python dispatch overhead the kernels remove.
 
@@ -271,29 +277,36 @@ def run_kernel_microbench(
 
     results = []
     for algo in algos:
+        cells: Dict[str, Dict] = {}
+        walls: Dict[str, List[float]] = {"scalar": [], "vectorized": []}
+        states_equal = True
+        for _ in range(KERNEL_BENCH_REPEATS):
+            digests: Dict[str, str] = {}
+            for mode, vectorized in (("scalar", False), ("vectorized", True)):
+                cells[mode] = cell = run_sweep_cell(
+                    CellSpec(
+                        engine=engine_name,
+                        algorithm=algo,
+                        graph=graph_spec,
+                        mode="run",
+                        scale=1.0,
+                        knobs={
+                            "use_vectorized_kernels": vectorized,
+                            "num_gpus": machine.num_gpus,
+                        },
+                    ),
+                    seeds=(seed,),
+                )
+                walls[mode].append(cell["wall_seconds"]["mean"])
+                digests[mode] = cell["digests"][str(seed)]
+            states_equal &= digests["scalar"] == digests["vectorized"]
         per_mode: Dict[str, Dict] = {}
-        digests: Dict[str, str] = {}
-        for mode, vectorized in (("scalar", False), ("vectorized", True)):
-            cell = run_sweep_cell(
-                CellSpec(
-                    engine=engine_name,
-                    algorithm=algo,
-                    graph=graph_spec,
-                    mode="run",
-                    scale=1.0,
-                    knobs={
-                        "use_vectorized_kernels": vectorized,
-                        "num_gpus": machine.num_gpus,
-                    },
-                ),
-                seeds=(seed,),
-            )
-            wall = cell["wall_seconds"]["mean"]
+        for mode, cell in cells.items():
+            wall = statistics.median(walls[mode])
             rounds = int(cell["metrics"]["rounds"]["mean"])
             edge_traversals = int(
                 cell["metrics"]["edge_traversals"]["mean"]
             )
-            digests[mode] = cell["digests"][str(seed)]
             per_mode[mode] = {
                 "wall_seconds": wall,
                 "rounds": rounds,
@@ -314,7 +327,7 @@ def run_kernel_microbench(
                 "speedup": scalar_wall / vectorized_wall
                 if vectorized_wall > 0
                 else 0.0,
-                "states_equal": digests["scalar"] == digests["vectorized"],
+                "states_equal": states_equal,
             }
         )
 
@@ -332,6 +345,7 @@ def run_kernel_microbench(
         "machine": {
             "num_gpus": machine.num_gpus,
         },
+        "repeats": KERNEL_BENCH_REPEATS,
         "results": results,
     }
     write_artifact_file(report, out_path)

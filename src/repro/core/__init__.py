@@ -3,7 +3,8 @@
 The pipeline mirrors Section 3 of the paper:
 
 1. :mod:`~repro.core.partitioning` — Algorithm 1 decomposes the directed
-   graph into disjoint hot/cold paths (plus head-to-tail merging);
+   graph into disjoint hot/cold paths (plus head-to-tail merging), held
+   as one flat :class:`~repro.core.paths.PathSet` layout;
 2. :mod:`~repro.core.dependency` — the path dependency graph, its SCC
    contraction into the DAG sketch, and layer numbers;
 3. :mod:`~repro.core.storage` — the ``E_Idx``/``S_val``/``E_val``/``V_val``/
@@ -21,12 +22,11 @@ The pipeline mirrors Section 3 of the paper:
 
 from repro.core.engine import DiGraphEngine
 from repro.core.partitioning import decompose_into_paths
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.core.variants import digraph_t, digraph_w
 
 __all__ = [
     "DiGraphEngine",
-    "Path",
     "PathSet",
     "decompose_into_paths",
     "digraph_t",

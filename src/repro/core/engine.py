@@ -957,7 +957,7 @@ class _Run:
         """
         tables = self.tables
         block = tables.blocks[pid]
-        sequences = tables.paths.sequences
+        sequences = self.pre.path_set.sequences
         machine, scheduler = self.machine, self.scheduler
         load_global = machine.load_global
         stats = machine.stats

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.graph.digraph import DiGraphCSR
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 
 #: The paper's default traversal-depth bound.
 D_MAX = 16
@@ -112,11 +112,9 @@ def decompose_into_paths(
             graph, vertex_paths, segments, region, max_edges=d_max
         )
 
-    paths = [
-        Path(path_id=i, vertices=tuple(vs), edge_ids=tuple(seg))
-        for i, (vs, seg) in enumerate(zip(vertex_paths, segments))
-    ]
-    path_set = PathSet(graph=graph, paths=paths, d_max=d_max)
+    path_set = PathSet.from_sequences(
+        graph, vertex_paths, segments, d_max=d_max
+    )
     path_set.hot_path_ids = _classify_hot(path_set, hot_fraction)
     return path_set
 
@@ -405,17 +403,8 @@ def _merge_head_to_tail(
 # ----------------------------------------------------------------------
 def _classify_hot(path_set: PathSet, hot_fraction: float) -> frozenset:
     """Mark the top ``hot_fraction`` of paths by average vertex degree."""
-    if not path_set.paths or hot_fraction == 0.0:
+    if not path_set.num_paths or hot_fraction == 0.0:
         return frozenset()
-    layout = path_set.layout
-    # Same value as ``Path.average_degree``: an exact integer sum, one
-    # rounding in the division.
-    avg_degrees = (
-        np.add.reduceat(
-            path_set.graph.degree()[layout.vertices], layout.starts
-        )
-        / layout.lengths
-    )
     count = max(1, int(round(hot_fraction * path_set.num_paths)))
-    hot = np.argsort(-avg_degrees, kind="stable")[:count]
+    hot = np.argsort(-path_set.average_degrees, kind="stable")[:count]
     return frozenset(int(i) for i in hot)

@@ -1,12 +1,15 @@
 """Directed paths — the basic parallel processing unit of DiGraph.
 
-A :class:`Path` is an ordered sequence of connected directed edges
-(Section 3.1): vertices ``v_0 .. v_k`` and the CSR edge ids of
-``v_0->v_1, ..., v_{k-1}->v_k``. A :class:`PathSet` is a disjoint
-decomposition of a graph's edges into such paths: every edge belongs to
-exactly one path, paths may share only vertices (ideally only their
-endpoints — the constraint the partitioner maintains for less reprocessing
-cost).
+A path is an ordered sequence of connected directed edges (Section 3.1):
+vertices ``v_0 .. v_k`` and the CSR edge ids of ``v_0->v_1, ...,
+v_{k-1}->v_k``. A :class:`PathSet` is a disjoint decomposition of a
+graph's edges into such paths: every edge belongs to exactly one path,
+paths may share only vertices (ideally only their endpoints — the
+constraint the partitioner maintains for less reprocessing cost).
+
+A path set holds its paths in one flat :class:`PathLayout`, end to end
+in path-id order (Fig. 4's ``E_Idx``); a path's id is its position
+there, and every per-path read is a view of the layout.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,80 +26,9 @@ from repro.graph.digraph import DiGraphCSR
 
 
 @dataclass(frozen=True)
-class Path:
-    """One directed path.
-
-    Attributes
-    ----------
-    path_id:
-        Index of the path within its :class:`PathSet`.
-    vertices:
-        ``v_0 .. v_k`` along the path (length = edges + 1).
-    edge_ids:
-        CSR edge ids of the path's edges, in order.
-    """
-
-    path_id: int
-    vertices: Tuple[int, ...]
-    edge_ids: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise PartitioningError("a path needs at least one edge")
-        if len(self.edge_ids) != len(self.vertices) - 1:
-            raise PartitioningError(
-                "edge count must be one less than vertex count"
-            )
-
-    @property
-    def head(self) -> int:
-        """First vertex of the path."""
-        return self.vertices[0]
-
-    @property
-    def tail(self) -> int:
-        """Last vertex of the path."""
-        return self.vertices[-1]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_ids)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def inner_vertices(self) -> Tuple[int, ...]:
-        """Vertices that are neither head nor tail (Section 3.2.1's
-        *inner vertex* notion used by the merge constraint)."""
-        return self.vertices[1:-1]
-
-    def average_degree(self, graph: DiGraphCSR) -> float:
-        """Mean total degree of the path's vertices — ``D̄(p)`` in the
-        Pri(p) scheduling formula."""
-        return float(
-            np.mean([graph.degree(int(v)) for v in self.vertices])
-        )
-
-    def validate_against(self, graph: DiGraphCSR) -> None:
-        """Check the path's edges exist and connect head-to-tail."""
-        for i, edge_id in enumerate(self.edge_ids):
-            src, dst = graph.edge_endpoints(int(edge_id))
-            if src != self.vertices[i] or dst != self.vertices[i + 1]:
-                raise PartitioningError(
-                    f"path {self.path_id}: edge {edge_id} is "
-                    f"({src}->{dst}), expected "
-                    f"({self.vertices[i]}->{self.vertices[i + 1]})"
-                )
-
-    def __len__(self) -> int:
-        return self.num_edges
-
-
-@dataclass(frozen=True)
 class PathLayout:
     """Every path of a :class:`PathSet` end to end, in path-id order —
-    the one flat form the preprocessing stages after the walk read."""
+    the one form of the decomposition every stage reads."""
 
     #: Vertex sequences, concatenated.
     vertices: np.ndarray
@@ -122,13 +54,22 @@ class PathLayout:
         """The position of each path's first edge in :attr:`edge_ids`."""
         return self.starts - np.arange(self.starts.size)
 
+    def per_path(self, per_slot: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        """An array parallel to :attr:`vertices`, cut into one tuple of
+        Python ints per path."""
+        flat = per_slot.tolist()
+        bounds = np.append(self.starts, len(flat)).tolist()
+        return tuple(
+            tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        )
+
 
 @dataclass
 class PathSet:
     """A disjoint decomposition of a graph's edges into directed paths."""
 
     graph: DiGraphCSR
-    paths: List[Path]
+    layout: PathLayout
     #: Path ids classified as hot (built by the partitioner from average
     #: vertex degree; hot paths are the fast tracks of Section 3.2.1).
     hot_path_ids: frozenset = field(default_factory=frozenset)
@@ -138,44 +79,89 @@ class PathSet:
     #: the invariant :mod:`repro.verify` checks.
     d_max: Optional[int] = None
 
-    def __len__(self) -> int:
-        return len(self.paths)
+    @classmethod
+    def from_sequences(
+        cls,
+        graph: DiGraphCSR,
+        vertex_seqs: Sequence[Sequence[int]],
+        edge_seqs: Sequence[Sequence[int]],
+        hot_path_ids: Iterable[int] = frozenset(),
+        d_max: Optional[int] = None,
+    ) -> "PathSet":
+        """The path set whose path ``i`` visits ``vertex_seqs[i]`` over
+        the edges ``edge_seqs[i]``.
 
-    def __iter__(self) -> Iterator[Path]:
-        return iter(self.paths)
-
-    def __getitem__(self, path_id: int) -> Path:
-        return self.paths[path_id]
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
-
-    @cached_property
-    def layout(self) -> PathLayout:
-        """The paths as flat arrays, built on first use. A repaired or
-        rebuilt decomposition is a new ``PathSet`` with its own."""
-        count = len(self.paths)
-        lengths = np.fromiter(
-            (len(path.vertices) for path in self.paths),
-            dtype=np.int64,
-            count=count,
-        )
+        Only the shape is checked here — every path has at least one edge
+        and one edge fewer than vertices. Whether the paths trace real
+        edges and cover the graph once is :meth:`validate`'s question.
+        """
+        count = len(vertex_seqs)
+        if len(edge_seqs) != count:
+            raise PartitioningError(
+                f"{count} vertex sequences but {len(edge_seqs)} edge "
+                f"sequences"
+            )
+        lengths = np.fromiter(map(len, vertex_seqs), np.int64, count=count)
+        edges = np.fromiter(map(len, edge_seqs), np.int64, count=count)
+        if (lengths < 2).any():
+            raise PartitioningError("a path needs at least one edge")
+        if (edges != lengths - 1).any():
+            raise PartitioningError(
+                "edge count must be one less than vertex count"
+            )
         total = int(lengths.sum())
-        return PathLayout(
+        layout = PathLayout(
             vertices=np.fromiter(
-                chain.from_iterable(path.vertices for path in self.paths),
-                dtype=np.int64,
-                count=total,
+                chain.from_iterable(vertex_seqs), dtype=np.int64, count=total
             ),
             edge_ids=np.fromiter(
-                chain.from_iterable(path.edge_ids for path in self.paths),
+                chain.from_iterable(edge_seqs),
                 dtype=np.int64,
                 count=total - count,
             ),
             lengths=lengths,
             starts=np.cumsum(lengths) - lengths,
         )
+        return cls(graph, layout, frozenset(hot_path_ids), d_max)
+
+    def __len__(self) -> int:
+        return self.num_paths
+
+    @property
+    def num_paths(self) -> int:
+        return int(self.layout.lengths.size)
+
+    # ------------------------------------------------------------------
+    # per-path views of the layout
+    # ------------------------------------------------------------------
+    @cached_property
+    def sequences(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each path's vertices as a tuple of Python ints — what the
+        engine's walk iterates."""
+        return self.layout.per_path(self.layout.vertices)
+
+    def edges_of(self, path_id: int) -> np.ndarray:
+        """Path ``path_id``'s edge ids: a read-only slice of
+        ``layout.edge_ids``."""
+        if not 0 <= path_id < self.num_paths:
+            raise PartitioningError(f"no path {path_id}")
+        first = int(self.layout.starts[path_id]) - path_id
+        return self.layout.edge_ids[
+            first : first + int(self.layout.lengths[path_id]) - 1
+        ]
+
+    @cached_property
+    def average_degrees(self) -> np.ndarray:
+        """``D̄(p)`` of every path, the mean total degree of its
+        vertices (the ``Pri(p)`` term and the hot/cold ranking): an
+        exact integer sum, one rounding in the division."""
+        layout = self.layout
+        if not layout.lengths.size:
+            return np.zeros(0)
+        degrees = self.graph.degree()[layout.vertices]
+        degrees = np.add.reduceat(degrees, layout.starts) / layout.lengths
+        degrees.setflags(write=False)
+        return degrees
 
     def is_hot(self, path_id: int) -> bool:
         return path_id in self.hot_path_ids
@@ -183,7 +169,7 @@ class PathSet:
     def average_length(self) -> float:
         """Mean edge count per path (the paper reports 3.5-10.9 for its
         datasets)."""
-        if not self.paths:
+        if not self.num_paths:
             return 0.0
         return float(np.mean(self.layout.lengths - 1))
 
@@ -191,79 +177,17 @@ class PathSet:
         return int(self.layout.edge_ids.size)
 
     # ------------------------------------------------------------------
-    # occurrence maps used by scheduling and replica bookkeeping
-    # ------------------------------------------------------------------
-    def paths_of_vertex(self) -> Dict[int, List[int]]:
-        """Map vertex -> path ids it occurs on (each id listed once)."""
-        occurrences: Dict[int, List[int]] = {}
-        for path in self.paths:
-            seen_here = set()
-            for v in path.vertices:
-                if v in seen_here:
-                    continue
-                seen_here.add(v)
-                occurrences.setdefault(int(v), []).append(path.path_id)
-        return occurrences
-
-    def writer_paths(self) -> Dict[int, List[int]]:
-        """Map vertex -> paths where it *receives* an update (has an
-        in-edge on the path, i.e. is a non-head position)."""
-        writers: Dict[int, List[int]] = {}
-        for path in self.paths:
-            seen_here = set()
-            for v in path.vertices[1:]:
-                if v in seen_here:
-                    continue
-                seen_here.add(v)
-                writers.setdefault(int(v), []).append(path.path_id)
-        return writers
-
-    def reader_paths(self) -> Dict[int, List[int]]:
-        """Map vertex -> paths where it *propagates* (has an out-edge on
-        the path, i.e. is a non-tail position)."""
-        readers: Dict[int, List[int]] = {}
-        for path in self.paths:
-            seen_here = set()
-            for v in path.vertices[:-1]:
-                if v in seen_here:
-                    continue
-                seen_here.add(v)
-                readers.setdefault(int(v), []).append(path.path_id)
-        return readers
-
-    # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Assert the decomposition invariants.
+        """Raise :class:`PartitioningError` unless every check of
+        :func:`repro.verify.structural.check_path_set` passes: the paths
+        trace real edges, are edge-disjoint, cover the graph, and keep
+        to ``d_max``."""
+        from repro.verify.structural import check_path_set
 
-        - every path is a real path of the graph (connected edges),
-        - paths are edge-disjoint,
-        - the union of paths is exactly the graph's edge set.
-        """
-        seen = np.zeros(self.graph.num_edges, dtype=bool)
-        for i, path in enumerate(self.paths):
-            if path.path_id != i:
-                raise PartitioningError(
-                    f"path at position {i} carries id {path.path_id}"
-                )
-            path.validate_against(self.graph)
-            for edge_id in path.edge_ids:
-                if seen[edge_id]:
-                    raise PartitioningError(
-                        f"edge {edge_id} appears in more than one path"
-                    )
-                seen[edge_id] = True
-        missing = int((~seen).sum())
-        if missing:
+        failed = [r for r in check_path_set(self) if not r.passed]
+        if failed:
             raise PartitioningError(
-                f"{missing} edges are not covered by any path"
+                "; ".join(f"{r.name}: {r.detail}" for r in failed)
             )
-
-
-def renumber(paths: Sequence[Path]) -> List[Path]:
-    """Return paths with ``path_id`` matching their list position."""
-    return [
-        Path(path_id=i, vertices=p.vertices, edge_ids=p.edge_ids)
-        for i, p in enumerate(paths)
-    ]

@@ -152,14 +152,9 @@ class PathStorage:
         """Check the layout is consistent with the path set."""
         if self.ptable.size != self.path_set.num_paths + 1:
             raise StorageError("PTable must have one offset per path + 1")
-        for path in self.path_set:
-            stored = self.path_vertices(path.path_id)
-            if not np.array_equal(
-                stored, np.asarray(path.vertices, dtype=np.int64)
-            ):
-                raise StorageError(
-                    f"path {path.path_id} stored out of order"
-                )
+        for path_id, vertices in enumerate(self.path_set.sequences):
+            if self.path_vertices(path_id).tolist() != list(vertices):
+                raise StorageError(f"path {path_id} stored out of order")
 
 
 def build_partitions(

@@ -23,7 +23,7 @@ Two levels, by what each is a function of:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -56,11 +56,7 @@ class PathTables:
     starts: np.ndarray
     #: Vertices per path (edges + 1).
     num_vertices: np.ndarray
-    #: The same sequences as tuples of Python ints — what the walk
-    #: iterates (``Path.vertices`` of a hand-built path may hold NumPy
-    #: scalars).
-    sequences: List[Tuple[int, ...]]
-    #: ``D̄(p)``: mean total degree of the path's vertices.
+    #: ``D̄(p)``: ``PathSet.average_degrees``.
     avg_degree: np.ndarray
     #: ``L(p)``: the path's DAG layer, as float for the ``Pri(p)`` term.
     layer: np.ndarray
@@ -72,26 +68,14 @@ class PathTables:
 
     @classmethod
     def build(cls, path_set: PathSet, dag: DependencyDAG) -> "PathTables":
-        graph = path_set.graph
         layout = path_set.layout
-        vertices, lengths = layout.vertices, layout.lengths
-        starts = layout.starts
         stride = max(path_set.num_paths, 1)
-        pairs = sorted_unique(vertices * stride + layout.path_of_slot)
-        flat = vertices.tolist()
-        bounds = np.append(starts, vertices.size).tolist()
+        pairs = sorted_unique(layout.vertices * stride + layout.path_of_slot)
         return cls(
-            vertices=vertices,
-            starts=starts,
-            num_vertices=lengths,
-            sequences=[
-                tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-            ],
-            # Same value as ``Path.average_degree``: an exact integer
-            # sum, one rounding in the division.
-            avg_degree=(
-                np.add.reduceat(graph.degree()[vertices], starts) / lengths
-            ),
+            vertices=layout.vertices,
+            starts=layout.starts,
+            num_vertices=layout.lengths,
+            avg_degree=path_set.average_degrees,
             layer=dag.layer_of_scc[dag.scc_of_path].astype(np.float64),
             incidence_vertex=pairs // stride,
             incidence_path=pairs % stride,

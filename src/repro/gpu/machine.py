@@ -436,9 +436,7 @@ class Machine:
         if injector is not None:
             fault = injector.on_compute_round(self.live_gpu_ids())
             if fault is not None:
-                # `crash` is duck-typed (getattr) so gpu/ keeps working
-                # with legacy plans whose ComputeFault predates it.
-                if getattr(fault, "crash", False):
+                if fault.crash:
                     raise InjectedCrashError(
                         "whole-job crash at a kernel-wave boundary",
                         crash_point="round-boundary",

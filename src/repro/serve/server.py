@@ -335,7 +335,7 @@ class QueryServer:
         fault = self._compute_faults.get(index)
         if fault is None:
             return
-        if getattr(fault, "crash", False):
+        if fault.crash:
             raise InjectedCrashError(
                 f"whole-job crash at serve launch {index}",
                 crash_point="serve-launch",

@@ -211,17 +211,12 @@ class ShardedGraph:
                 if local_graph.num_edges == 0:
                     per_part.append(0)
                     continue
-                path_set = decompose_into_paths(local_graph, **kwargs)
-                count = 0
-                for path in path_set:
-                    all_paths.append(
-                        tuple(
-                            int(local_to_global[v]) for v in path.vertices
-                        )
-                    )
-                    total_edges += path.num_edges
-                    count += 1
-                per_part.append(count)
+                layout = decompose_into_paths(local_graph, **kwargs).layout
+                all_paths.extend(
+                    layout.per_path(local_to_global[layout.vertices])
+                )
+                total_edges += layout.edge_ids.size
+                per_part.append(layout.lengths.size)
         return {
             "paths": all_paths,
             "num_paths": len(all_paths),

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.dependency import DependencyDAG, build_dependency_dag
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE, D_MAX
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.errors import StreamingError
 from repro.graph.digraph import DiGraphCSR
 from repro.streaming.mutations import AppliedBatch
@@ -89,9 +89,11 @@ class PathRepairer:
         self._by_tail: Dict[int, Set[int]] = {}
         self._hot: Set[int] = set()
         self._touched_edge_work = 0
-        for path in path_set:
-            pid = self._add_path(path.vertices, path.edge_ids)
-            if path_set.is_hot(path.path_id):
+        for path_id, vertices in enumerate(path_set.sequences):
+            pid = self._add_path(
+                vertices, path_set.edges_of(path_id).tolist()
+            )
+            if path_set.is_hot(path_id):
                 self._hot.add(pid)
         self._hot_threshold = self._initial_hot_threshold(path_set)
         self._touched_edge_work = 0  # init registration is not repair work
@@ -129,10 +131,8 @@ class PathRepairer:
     def _initial_hot_threshold(self, path_set: PathSet) -> float:
         if not path_set.hot_path_ids:
             return float("inf")
-        return min(
-            path_set[pid].average_degree(path_set.graph)
-            for pid in path_set.hot_path_ids
-        )
+        hot = np.fromiter(path_set.hot_path_ids, dtype=np.int64)
+        return float(path_set.average_degrees[hot].min())
 
     def _may_join(self, junction: int, graph: DiGraphCSR) -> bool:
         """The paper's junction constraint, against the *new* graph."""
@@ -248,17 +248,10 @@ class PathRepairer:
                 touched.add(pid)
                 merged += 1
 
-        # 6. Classify the touched paths against the sticky hot threshold.
-        for pid in touched:
-            vertices, _ = self._paths[pid]
-            avg = float(
-                np.mean([graph.degree(int(v)) for v in vertices])
-            )
-            if avg >= self._hot_threshold:
-                self._hot.add(pid)
-
+        # 6. Renumber, and classify the touched paths against the
+        #    sticky hot threshold.
         self.graph = graph
-        path_set, dag = self._materialize(graph)
+        path_set, dag = self._materialize(graph, touched)
         modeled = (
             CPU_SECONDS_PER_EDGE
             * (self._touched_edge_work + path_set.num_paths)
@@ -307,24 +300,26 @@ class PathRepairer:
         return min(eligible) if eligible else None
 
     def _materialize(
-        self, graph: DiGraphCSR
+        self, graph: DiGraphCSR, touched: Set[int]
     ) -> Tuple[PathSet, DependencyDAG]:
-        """Renumbered PathSet + its DAG."""
+        """Renumbered PathSet + its DAG; a touched path turns hot if
+        its ``D̄(p)`` reaches the threshold."""
         order = sorted(self._paths)
         external = {pid: i for i, pid in enumerate(order)}
-        paths = [
-            Path(
-                path_id=i,
-                vertices=self._paths[pid][0],
-                edge_ids=self._paths[pid][1],
-            )
-            for i, pid in enumerate(order)
-        ]
-        hot = frozenset(
-            external[pid] for pid in self._hot if pid in external
+        path_set = PathSet.from_sequences(
+            graph,
+            [self._paths[pid][0] for pid in order],
+            [self._paths[pid][1] for pid in order],
+            d_max=self.d_max,
         )
-        path_set = PathSet(
-            graph=graph, paths=paths, hot_path_ids=hot, d_max=self.d_max
+        degrees = path_set.average_degrees
+        self._hot.update(
+            pid
+            for pid in touched
+            if degrees[external[pid]] >= self._hot_threshold
+        )
+        path_set.hot_path_ids = frozenset(
+            external[pid] for pid in self._hot if pid in external
         )
         return path_set, build_dependency_dag(path_set)
 

@@ -1,7 +1,7 @@
 """Structural invariants of the preprocessing artifacts.
 
 Every checker *recomputes* the property it certifies from first
-principles (the raw graph and path list) instead of trusting the cached
+principles (the raw graph and path layout) instead of trusting the cached
 fields of the artifact under test — a corrupted artifact must not be
 able to vouch for itself.
 """
@@ -17,6 +17,7 @@ from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable
 from repro.core.storage import PathStorage
 from repro.errors import PartitioningError, StorageError
+from repro.graph.builder import first_occurrences
 from repro.graph.digraph import DiGraphCSR
 from repro.model.gas import VertexProgram
 from repro.model.validate import check_fixed_point
@@ -28,42 +29,52 @@ from repro.verify.report import CheckResult, VerificationReport
 # ----------------------------------------------------------------------
 def check_path_set(path_set: PathSet) -> List[CheckResult]:
     """Algorithm-1 invariants: real connected paths, edge-disjoint,
-    covering every edge, each at most ``d_max`` edges deep."""
+    covering every edge, each at most ``d_max`` edges deep.
+
+    One pass over the flat layout: entry ``k`` of the concatenated edge
+    ids, on path ``p``, must run from vertex slot ``k + p`` to the next.
+    The first failure in layout order is the one reported."""
     results: List[CheckResult] = []
 
     graph = path_set.graph
-    seen = np.zeros(graph.num_edges, dtype=bool)
-    connectivity_bad = 0
-    duplicate_edges = 0
+    layout = path_set.layout
+    edges, vertices = layout.edge_ids, layout.vertices
+    path_of_edge = np.repeat(
+        np.arange(path_set.num_paths), layout.lengths - 1
+    )
+    tail_slot = np.arange(edges.size) + path_of_edge
+    in_graph = (edges >= 0) & (edges < graph.num_edges)
+    traced = in_graph.copy()
+    inside = np.flatnonzero(in_graph)
+    cited, slots = edges[inside], tail_slot[inside]
+    traced[inside] = (graph.edge_sources()[cited] == vertices[slots]) & (
+        graph.indices[cited] == vertices[slots + 1]
+    )
+    good = np.flatnonzero(traced)
+    first_use = good[first_occurrences(edges[good])]
+    duplicate = traced.copy()
+    duplicate[first_use] = False
+    connectivity_bad = int(edges.size - good.size)
+    duplicate_edges = int(duplicate.sum())
+    missing = graph.num_edges - first_use.size
+
     worst = ""
-    for path in path_set:
-        for i, edge_id in enumerate(path.edge_ids):
-            edge_id = int(edge_id)
-            if not 0 <= edge_id < graph.num_edges:
-                connectivity_bad += 1
-                worst = worst or (
-                    f"path {path.path_id} cites edge id {edge_id} "
-                    f"outside the graph"
-                )
-                continue
+    failures = np.flatnonzero(~traced | duplicate)
+    if failures.size:
+        k = int(failures[0])
+        path_id, edge_id, slot = (
+            int(path_of_edge[k]), int(edges[k]), int(tail_slot[k])
+        )
+        if not in_graph[k]:
+            worst = f"path {path_id} cites edge id {edge_id} outside the graph"
+        elif not traced[k]:
             src, dst = graph.edge_endpoints(edge_id)
-            if (
-                src != int(path.vertices[i])
-                or dst != int(path.vertices[i + 1])
-            ):
-                connectivity_bad += 1
-                worst = worst or (
-                    f"path {path.path_id} edge {edge_id} is "
-                    f"({src}->{dst}), path says "
-                    f"({path.vertices[i]}->{path.vertices[i + 1]})"
-                )
-                continue
-            if seen[edge_id]:
-                duplicate_edges += 1
-                worst = worst or (
-                    f"edge {edge_id} appears in more than one path"
-                )
-            seen[edge_id] = True
+            worst = (
+                f"path {path_id} edge {edge_id} is ({src}->{dst}), path "
+                f"says ({vertices[slot]}->{vertices[slot + 1]})"
+            )
+        else:
+            worst = f"edge {edge_id} appears in more than one path"
     results.append(
         CheckResult(
             name="paths.connectivity",
@@ -84,7 +95,6 @@ def check_path_set(path_set: PathSet) -> List[CheckResult]:
             ),
         )
     )
-    missing = int((~seen).sum())
     results.append(
         CheckResult(
             name="paths.coverage",
@@ -98,25 +108,35 @@ def check_path_set(path_set: PathSet) -> List[CheckResult]:
     )
 
     if path_set.d_max is not None:
-        over = [
-            (p.path_id, p.num_edges)
-            for p in path_set
-            if p.num_edges > path_set.d_max
-        ]
+        edge_counts = layout.lengths - 1
+        over = np.flatnonzero(edge_counts > path_set.d_max)
         results.append(
             CheckResult(
                 name="paths.d-max",
-                passed=not over,
+                passed=not over.size,
                 detail=(
-                    f"path {over[0][0]} has {over[0][1]} edges "
+                    f"path {over[0]} has {edge_counts[over[0]]} edges "
                     f"> d_max={path_set.d_max} "
-                    f"({len(over)} path(s) over the bound)"
-                    if over
+                    f"({over.size} path(s) over the bound)"
+                    if over.size
                     else f"every path has <= {path_set.d_max} edges"
                 ),
             )
         )
     return results
+
+
+def _paths_by_vertex(
+    path_set: PathSet, writes: bool
+) -> Dict[int, List[int]]:
+    """Vertex -> the paths it is written on (has an in-edge there: a
+    non-head position) or, with ``writes=False``, read on (has an
+    out-edge: a non-tail position); each path listed once, ascending."""
+    roles: Dict[int, List[int]] = {}
+    for path_id, vertices in enumerate(path_set.sequences):
+        for v in set(vertices[1:] if writes else vertices[:-1]):
+            roles.setdefault(v, []).append(path_id)
+    return roles
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +152,8 @@ def check_dependency_dag(
     # The dependency edges are stored as the incidence they are made of
     # (p_i -> p_j iff some vertex is written on p_i and read on p_j): the
     # stored (vertex, path) lists must equal the roles the paths imply.
-    writers = path_set.writer_paths()
-    readers = path_set.reader_paths()
+    writers = _paths_by_vertex(path_set, writes=True)
+    readers = _paths_by_vertex(path_set, writes=False)
     wrong = 0
     for roles, stored in ((writers, dag.writes), (readers, dag.reads)):
         expected = sorted((v, p) for v, paths in roles.items() for p in paths)
@@ -222,10 +242,10 @@ def check_replica_table(
 
     # Recompute mirror partitions from the path layout.
     expected_mirrors: Dict[int, Set[int]] = {}
-    for path in path_set:
-        partition = storage.partition_of_path(path.path_id)
-        for v in path.vertices:
-            expected_mirrors.setdefault(int(v), set()).add(partition)
+    for path_id, vertices in enumerate(path_set.sequences):
+        partition = storage.partition_of_path(path_id)
+        for v in vertices:
+            expected_mirrors.setdefault(v, set()).add(partition)
     mismatches = 0
     worst = ""
     for v, parts in expected_mirrors.items():

@@ -24,11 +24,20 @@ def path_incidence(path_set: PathSet) -> Tuple[np.ndarray, np.ndarray]:
     """``(writes, reads)`` as ``(2, k)`` arrays of ``(vertex, path)``
     pairs sorted by vertex then path, from the path roles alone."""
 
-    def pairs(roles):
-        rows = sorted((v, p) for v, paths in roles.items() for p in paths)
+    def pairs(positions):
+        rows = sorted(
+            {
+                (v, p)
+                for p, vertices in enumerate(path_set.sequences)
+                for v in vertices[positions]
+            }
+        )
         return np.array(rows, dtype=np.int64).reshape(-1, 2).T
 
-    return pairs(path_set.writer_paths()), pairs(path_set.reader_paths())
+    # A vertex is written where it has an in-edge on the path (every
+    # position but the head), read where it has an out-edge (but the
+    # tail).
+    return pairs(slice(1, None)), pairs(slice(None, -1))
 
 
 def dependency_product(

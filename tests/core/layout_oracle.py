@@ -109,7 +109,7 @@ def build_partitions(
     layer_set = set(layer_boundaries)
     for idx, path_id in enumerate(ordered_paths):
         current.append(path_id)
-        current_edges += path_set[path_id].num_edges
+        current_edges += len(path_set.sequences[path_id]) - 1
         at_scc_boundary = (idx + 1) in boundary_set
         if (idx + 1) in layer_set:
             flush()
@@ -144,9 +144,10 @@ def loop_storage(
     e_idx: List[int] = []
     e_val: List[float] = []
     for path_id in order:
-        path = path_set[path_id]
-        e_idx.extend(int(v) for v in path.vertices)
-        e_val.extend(float(graph.weights[eid]) for eid in path.edge_ids)
+        e_idx.extend(path_set.sequences[path_id])
+        e_val.extend(
+            float(graph.weights[eid]) for eid in path_set.edges_of(path_id)
+        )
         ptable.append(len(e_idx))
 
     partition_of_path = np.empty(path_set.num_paths, dtype=np.int64)
@@ -155,10 +156,10 @@ def loop_storage(
         for path_id in partition.path_ids:
             partition_of_path[path_id] = partition.partition_id
         num_edges.append(
-            sum(path_set[p].num_edges for p in partition.path_ids)
+            sum(len(path_set.edges_of(p)) for p in partition.path_ids)
         )
         num_vertex_slots.append(
-            sum(path_set[p].num_vertices for p in partition.path_ids)
+            sum(len(path_set.sequences[p]) for p in partition.path_ids)
         )
     return SimpleNamespace(
         slot_of_path=slot_of_path,
@@ -178,10 +179,9 @@ class LoopReplicaTable:
     def __init__(self, path_set: PathSet, partition_of_paths: np.ndarray):
         partitions_of_vertex: Dict[int, set] = {}
         writer_weight: Dict[Tuple[int, int], int] = {}
-        for path in path_set:
-            partition = int(partition_of_paths[path.path_id])
-            for position, v in enumerate(path.vertices):
-                v = int(v)
+        for path_id, vertices in enumerate(path_set.sequences):
+            partition = int(partition_of_paths[path_id])
+            for position, v in enumerate(vertices):
                 partitions_of_vertex.setdefault(v, set()).add(partition)
                 if position > 0:
                     key = (v, partition)
@@ -241,11 +241,11 @@ def replication_factor(table, path_set: PathSet) -> float:
     first-occurrence order."""
     counts: List[int] = []
     seen = set()
-    for path in path_set:
-        for v in path.vertices:
+    for vertices in path_set.sequences:
+        for v in vertices:
             if v not in seen:
                 seen.add(v)
-                counts.append(table.replica_count(int(v)))
+                counts.append(table.replica_count(v))
     if not counts:
         return 0.0
     return float(np.mean(counts))

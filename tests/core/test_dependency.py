@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.core.storage import build_partitions
 from repro.graph.builder import from_edges
 from repro.graph.generators import directed_cycle, directed_path, scc_profile_graph
@@ -23,11 +23,11 @@ def pathset(graph, vertex_paths):
     edge_of = {}
     for eid in range(graph.num_edges):
         edge_of[graph.edge_endpoints(eid)] = eid
-    paths = []
-    for i, vs in enumerate(vertex_paths):
-        eids = tuple(edge_of[(vs[j], vs[j + 1])] for j in range(len(vs) - 1))
-        paths.append(Path(path_id=i, vertices=tuple(vs), edge_ids=eids))
-    return PathSet(graph=graph, paths=paths)
+    edge_paths = [
+        [edge_of[(vs[j], vs[j + 1])] for j in range(len(vs) - 1)]
+        for vs in vertex_paths
+    ]
+    return PathSet.from_sequences(graph, vertex_paths, edge_paths)
 
 
 class TestDependencyEdges:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.dependency import build_dependency_dag, lift_edges
 from repro.core.dispatch import _partition_dependency_edges
 from repro.core.partitioning import decompose_into_paths
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.core.storage import PathStorage, build_partitions
 from repro.graph.builder import from_edges
 from repro.verify.structural import check_dependency_dag
@@ -31,23 +31,29 @@ from tests.core.dependency_oracle import (
 from tests.property.test_partitioning_properties import multigraphs
 
 
-def hand_built(vertex_paths, num_vertices):
-    """A PathSet with exactly these vertex sequences, over the multigraph
-    of their edges (edge ids are CSR positions: a stable sort by source
-    of the insertion order)."""
+def traced_edges(vertex_paths, num_vertices):
+    """The multigraph of these vertex sequences' edges, and each
+    sequence's edge ids (CSR positions: a stable sort by source of the
+    insertion order)."""
     edges = [(a, b) for vs in vertex_paths for a, b in zip(vs, vs[1:])]
     graph = from_edges(edges, num_vertices=num_vertices)
     edge_id = np.empty(len(edges), dtype=np.int64)
     edge_id[np.argsort([a for a, _ in edges], kind="stable")] = np.arange(
         len(edges)
     )
-    paths, start = [], 0
-    for i, vs in enumerate(vertex_paths):
+    edge_paths, start = [], 0
+    for vs in vertex_paths:
         stop = start + len(vs) - 1
-        ids = tuple(edge_id[start:stop].tolist())
-        paths.append(Path(path_id=i, vertices=tuple(vs), edge_ids=ids))
+        edge_paths.append(edge_id[start:stop].tolist())
         start = stop
-    return PathSet(graph=graph, paths=paths)
+    return graph, edge_paths
+
+
+def hand_built(vertex_paths, num_vertices):
+    """A PathSet with exactly these vertex sequences, over the multigraph
+    of their edges."""
+    graph, edge_paths = traced_edges(vertex_paths, num_vertices)
+    return PathSet.from_sequences(graph, vertex_paths, edge_paths)
 
 
 def assert_matches_oracle(path_set, target_edges=8):

@@ -17,7 +17,7 @@ from repro.baselines.common import resolve_partition_target
 from repro.core.dependency import build_dependency_dag
 from repro.core.engine import DiGraphConfig, DiGraphEngine
 from repro.core.partitioning import decompose_into_paths
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable, replication_factor
 from repro.core.storage import PathStorage, build_partitions
 from repro.errors import GraphError, StorageError
@@ -238,15 +238,12 @@ def test_a_vertex_repeated_on_one_path_counts_every_writer_slot():
 
 def test_numpy_scalar_vertices_give_the_same_layout():
     plain = hand_built([[0, 1, 2], [2, 3], [3, 0, 1]], 4)
-    scalar = PathSet(
-        graph=plain.graph,
-        paths=[
-            Path(
-                path_id=p.path_id,
-                vertices=tuple(np.int64(v) for v in p.vertices),
-                edge_ids=tuple(np.int32(e) for e in p.edge_ids),
-            )
-            for p in plain
+    scalar = PathSet.from_sequences(
+        plain.graph,
+        [tuple(np.int64(v) for v in vs) for vs in plain.sequences],
+        [
+            tuple(np.int32(e) for e in plain.edges_of(p))
+            for p in range(plain.num_paths)
         ],
     )
     for name in ("vertices", "edge_ids", "lengths", "starts"):
@@ -310,7 +307,11 @@ def test_a_repaired_path_set_gets_its_own_layout():
     assert layouts[0] is not layouts[1]
     for outcome in outcomes:
         path_set = outcome.repair.path_set
-        fresh = PathSet(graph=path_set.graph, paths=list(path_set.paths))
+        fresh = PathSet.from_sequences(
+            path_set.graph,
+            path_set.sequences,
+            [path_set.edges_of(p) for p in range(path_set.num_paths)],
+        )
         for name in ("vertices", "edge_ids", "lengths", "starts"):
             assert_same_array(
                 getattr(path_set.layout, name), getattr(fresh.layout, name)

@@ -48,8 +48,10 @@ def assert_matches_scans(graph, d_max, n_workers, greedy, scc_aware, merge):
         vertex_paths, segments = scan_merge_head_to_tail(
             graph, vertex_paths, segments, region, max_edges=d_max
         )
-    assert [list(p.vertices) for p in path_set] == vertex_paths
-    assert [list(p.edge_ids) for p in path_set] == segments
+    assert [list(vs) for vs in path_set.sequences] == vertex_paths
+    assert [
+        path_set.edges_of(p).tolist() for p in range(path_set.num_paths)
+    ] == segments
 
 
 @settings(max_examples=150, deadline=None)

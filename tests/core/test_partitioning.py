@@ -1,5 +1,6 @@
 """Unit tests for Algorithm 1 path decomposition."""
 
+import numpy as np
 import pytest
 
 from repro.core.partitioning import (
@@ -21,12 +22,12 @@ class TestDecomposition:
     def test_chain_is_one_path(self):
         ps = decompose_into_paths(directed_path(5))
         assert ps.num_paths == 1
-        assert ps[0].vertices == (0, 1, 2, 3, 4)
+        assert ps.sequences[0] == (0, 1, 2, 3, 4)
 
     def test_cycle_is_one_closed_path(self):
         ps = decompose_into_paths(directed_cycle(4))
         assert ps.num_paths == 1
-        assert ps[0].head == ps[0].tail
+        assert ps.sequences[0][0] == ps.sequences[0][-1]
 
     def test_covers_all_edges(self):
         g = random_directed(40, 160, seed=1)
@@ -36,7 +37,8 @@ class TestDecomposition:
     def test_d_max_bounds_length(self):
         g = directed_path(40)
         ps = decompose_into_paths(g, d_max=5)
-        assert all(p.num_edges <= 6 for p in ps)  # d_max hops + final edge
+        # d_max hops + final edge
+        assert all(len(vs) - 1 <= 6 for vs in ps.sequences)
 
     def test_default_d_max_is_paper_value(self):
         assert D_MAX == 16
@@ -45,7 +47,7 @@ class TestDecomposition:
         g = random_directed(30, 100, seed=2)
         a = decompose_into_paths(g)
         b = decompose_into_paths(g)
-        assert [p.vertices for p in a] == [p.vertices for p in b]
+        assert a.sequences == b.sequences
 
     def test_invalid_args(self):
         g = directed_path(3)
@@ -95,9 +97,9 @@ class TestSCCAware:
         g = scc_profile_graph(200, 4.0, 0.5, 5.0, seed=7)
         region = _walk_regions(g, 16)
         ps = decompose_into_paths(g, scc_aware=True)
-        for p in ps:
+        for vertices in ps.sequences:
             # All but the final vertex share one walk region.
-            body = p.vertices[:-1]
+            body = vertices[:-1]
             assert len({int(region[v]) for v in body}) == 1
 
     def test_bands_keep_dag_chains_whole(self):
@@ -121,11 +123,15 @@ class TestHotPaths:
     def test_hot_paths_are_hottest(self):
         g = scc_profile_graph(200, 5.0, 0.6, 4.0, seed=10)
         ps = decompose_into_paths(g, hot_fraction=0.1)
-        hot = [ps[p].average_degree(g) for p in ps.hot_path_ids]
+        average_degree = [
+            float(np.mean([g.degree(v) for v in vertices]))
+            for vertices in ps.sequences
+        ]
+        hot = [average_degree[p] for p in ps.hot_path_ids]
         cold = [
-            p.average_degree(g)
-            for p in ps
-            if p.path_id not in ps.hot_path_ids
+            degree
+            for p, degree in enumerate(average_degree)
+            if p not in ps.hot_path_ids
         ]
         assert min(hot) >= max(cold) - 1e-9
 

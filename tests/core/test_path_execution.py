@@ -13,7 +13,7 @@ from repro.algorithms import make_program
 from repro.algorithms.pagerank import PageRank
 from repro.core.dependency import build_dependency_dag
 from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed, _Run
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable
 from repro.core.scheduling import balance_paths_to_threads
 from repro.core.storage import PathStorage, build_partitions
@@ -78,19 +78,24 @@ class TestTablesMatchTheObjects:
         graph, _, pre = preprocessed
         paths = pre.execution_tables.paths
         path_set, dag = pre.path_set, pre.dag
-        assert paths.sequences == [
-            tuple(int(v) for v in p.vertices) for p in path_set
+        layout = path_set.layout
+        sequences = [
+            tuple(layout.vertices[start : start + length].tolist())
+            for start, length in zip(layout.starts, layout.lengths)
         ]
+        assert list(path_set.sequences) == sequences
         assert paths.avg_degree.tolist() == [
-            p.average_degree(graph) for p in path_set
+            float(np.mean([graph.degree(v) for v in vertices]))
+            for vertices in sequences
         ]
         assert paths.layer.tolist() == [
-            float(dag.layer_of_path(p.path_id)) for p in path_set
+            float(dag.layer_of_path(p)) for p in range(len(sequences))
         ]
-        assert paths.num_vertices.tolist() == [
-            p.num_vertices for p in path_set
-        ]
-        occurrences = path_set.paths_of_vertex()
+        assert paths.num_vertices.tolist() == [len(vs) for vs in sequences]
+        occurrences = {}
+        for path_id, vertices in enumerate(sequences):
+            for v in dict.fromkeys(vertices):
+                occurrences.setdefault(v, []).append(path_id)
         assert list(
             zip(paths.incidence_vertex.tolist(), paths.incidence_path.tolist())
         ) == [
@@ -186,7 +191,7 @@ def test_derived_active_counts_are_the_per_flip_counts():
         [(0, 1, 2, 0, 3), (4, 1), (3, 4, 5, 0)],
         6,
     )
-    sequences = run.tables.paths.sequences
+    sequences = run.pre.path_set.sequences
     assert sequences[0].count(0) == 2
     paths_of_vertex = [
         [p for p, vertices in enumerate(sequences) if v in vertices]
@@ -360,16 +365,10 @@ def hand_built_run(edges, vertex_paths, num_vertices, program=None):
         for src in range(num_vertices)
         for eid, dst in zip(graph.out_edge_ids(src), graph.successors(src))
     }
-    path_set = PathSet(
+    path_set = PathSet.from_sequences(
         graph,
-        [
-            Path(
-                path_id=i,
-                vertices=tuple(vs),
-                edge_ids=tuple(edge_id[pair] for pair in zip(vs, vs[1:])),
-            )
-            for i, vs in enumerate(vertex_paths)
-        ],
+        vertex_paths,
+        [[edge_id[pair] for pair in zip(vs, vs[1:])] for vs in vertex_paths],
     )
     path_set.validate()
     dag = build_dependency_dag(path_set)

@@ -137,7 +137,10 @@ def fingerprint(name, n_workers, greedy, scc_aware, merge):
         "owners": _sha(default_owners, replicas.owner_partitions()),
         "proxied": _sha(sorted(replicas.proxied_vertices)),
         "paths": _sha(
-            [(p.path_id, p.vertices, p.edge_ids) for p in path_set],
+            [
+                (p, vertices, tuple(path_set.edges_of(p).tolist()))
+                for p, vertices in enumerate(path_set.sequences)
+            ],
             sorted(path_set.hot_path_ids),
         ),
         "dependency": _sha(dependency.indptr, dependency.indices),

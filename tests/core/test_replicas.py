@@ -26,10 +26,10 @@ def table():
 class TestMirrors:
     def test_every_path_vertex_has_a_partition(self, table):
         _, ps, storage, replicas = table
-        for path in ps:
-            for v in path.vertices:
-                assert storage.partition_of_path(path.path_id) in (
-                    replicas.mirror_partitions(int(v))
+        for path_id, vertices in enumerate(ps.sequences):
+            for v in vertices:
+                assert storage.partition_of_path(path_id) in (
+                    replicas.mirror_partitions(v)
                 )
 
     def test_isolated_vertex_has_none(self, table):

@@ -34,10 +34,11 @@ class TestPriority:
     def test_alpha_keeps_degree_term_below_one(self, scheduler):
         _, ps, _, sched = scheduler
         for p in range(ps.num_paths):
+            vertices = ps.sequences[p]
             term = (
                 sched.alpha
-                * ps[p].average_degree(ps.graph)
-                * ps[p].num_vertices
+                * float(np.mean([ps.graph.degree(v) for v in vertices]))
+                * len(vertices)
             )
             assert term <= 1.0 + 1e-9
 
@@ -60,7 +61,7 @@ class TestPriority:
         p = 0
         active = everything_active(g)
         before = sched.priority(p, active)
-        active[list(ps[p].vertices)] = False
+        active[list(ps.sequences[p])] = False
         assert sched.priority(p, active) < before
 
     def test_priority_out_of_range(self, scheduler):

@@ -77,9 +77,9 @@ class TestStorageArrays:
 
     def test_path_vertices_roundtrip(self, setup):
         _, ps, _, _, storage = setup
-        for path in ps:
-            stored = storage.path_vertices(path.path_id)
-            assert stored.tolist() == list(path.vertices)
+        for path_id, vertices in enumerate(ps.sequences):
+            stored = storage.path_vertices(path_id)
+            assert stored.tolist() == list(vertices)
 
     def test_validate(self, setup):
         storage = setup[4]
@@ -93,10 +93,10 @@ class TestStorageArrays:
         dag = build_dependency_dag(ps)
         storage = PathStorage(ps, build_partitions(ps, dag, 100))
         # single path: e_val equals edge weights along it
-        path = ps[0]
-        expected = [float(g.weights[e]) for e in path.edge_ids]
+        edge_ids = ps.edges_of(0)
+        expected = [float(g.weights[e]) for e in edge_ids]
         start = int(storage.ptable[int(storage.slot_of_path[0])])
-        got = storage.e_val[start : start + path.num_edges].tolist()
+        got = storage.e_val[start : start + len(edge_ids)].tolist()
         assert got == pytest.approx(expected)
 
     def test_partition_of_path(self, setup):

@@ -42,11 +42,11 @@ def test_paths_cover_edges_exactly_once(graph, d_max):
 @given(graph=small_digraphs())
 def test_paths_are_connected_edge_sequences(graph):
     ps = decompose_into_paths(graph)
-    for path in ps:
-        for i, eid in enumerate(path.edge_ids):
+    for path_id, vertices in enumerate(ps.sequences):
+        for i, eid in enumerate(ps.edges_of(path_id)):
             src, dst = graph.edge_endpoints(int(eid))
-            assert src == path.vertices[i]
-            assert dst == path.vertices[i + 1]
+            assert src == vertices[i]
+            assert dst == vertices[i + 1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -203,15 +203,17 @@ def test_lanes_with_an_empty_initial_frontier(
 @pytest.mark.parametrize("name", ["webbase", "twitter"])
 def test_layer_tables_equal_the_dict_form(name):
     """``vertex_layers`` from the storage arrays is the per-vertex max
-    over ``paths_of_vertex()`` it replaced, and ``batch_of_vertex``
-    inverts ``layer_batches``."""
+    over the paths the vertex lies on, which it replaced, and
+    ``batch_of_vertex`` inverts ``layer_batches``."""
     context = ServingContext(
         datasets.load(name, scale=0.3, weighted=True), SCALED_MACHINE
     )
     pre = context.preprocessed
     expected = np.zeros(context.graph.num_vertices, dtype=np.int64)
-    for v, path_ids in pre.path_set.paths_of_vertex().items():
-        expected[v] = max(pre.dag.layer_of_path(p) for p in path_ids)
+    for path_id, vertices in enumerate(pre.path_set.sequences):
+        layer = pre.dag.layer_of_path(path_id)
+        for v in vertices:
+            expected[v] = max(expected[v], layer)
     assert context.vertex_layers.dtype == np.int64
     assert np.array_equal(context.vertex_layers, expected)
 

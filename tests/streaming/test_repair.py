@@ -102,8 +102,8 @@ class TestRepairOperations:
             result = repairer.apply(applied)
             graph = applied.graph
             result.path_set.validate()
-            for path in result.path_set:
-                assert len(path.edge_ids) <= 4
+            for vertices in result.path_set.sequences:
+                assert len(vertices) - 1 <= 4
 
     def test_stale_graph_rejected(self):
         graph = from_edges([(0, 1), (1, 2)], num_vertices=3)
@@ -162,7 +162,7 @@ class TestRepairMatchesRebuildOnTraces:
         initial = decompose_into_paths(graph)
         repairer = PathRepairer(initial)
         untouched_hot = {
-            initial[pid].vertices
+            initial.sequences[pid]
             for pid in initial.hot_path_ids
         }
         batch = mutation_trace(
@@ -170,10 +170,10 @@ class TestRepairMatchesRebuildOnTraces:
         )[0]
         result = repairer.apply(apply_batch(graph, batch))
         after_hot = {
-            result.path_set[pid].vertices
+            result.path_set.sequences[pid]
             for pid in result.path_set.hot_path_ids
         }
         # Every initially-hot path that survived the batch unchanged is
         # still hot afterwards.
-        surviving = {p.vertices for p in result.path_set}
+        surviving = set(result.path_set.sequences)
         assert (untouched_hot & surviving) <= after_hot

@@ -24,7 +24,7 @@ import pytest
 
 from repro.baselines import bulk_sync
 from repro.cli import main
-from repro.core import engine, scheduling, storage
+from repro.core import engine, paths, scheduling, storage
 from repro.faults import chaos
 from repro.gpu import machine
 from repro.kernels import linear, segment
@@ -128,6 +128,22 @@ def _reversed_ties(self, path_ids, active_counts, path_work):
     """Equal-work paths in reverse priority order."""
     ordered = _thread_order(self, path_ids, active_counts, path_work)[::-1]
     return ordered[np.argsort(-path_work[ordered], kind="stable")]
+
+
+_from_sequences = paths.PathSet.from_sequences
+
+
+@staticmethod
+def _paths_by_head(graph, vertex_seqs, edge_seqs, **kwargs):
+    """The paths stably reordered by head vertex, losing the walk's
+    root order (which the degree-greedy walk and the merge set)."""
+    order = sorted(range(len(vertex_seqs)), key=lambda p: vertex_seqs[p][0])
+    return _from_sequences(
+        graph,
+        [vertex_seqs[p] for p in order],
+        [edge_seqs[p] for p in order],
+        **kwargs,
+    )
 
 
 _fold_ranks = set()
@@ -236,6 +252,17 @@ GATES = (
             for case in preprocess_golden.CASES
             if case[0] == "dblp"
         ),
+    ),
+    Mutation(
+        "path format: paths in head-vertex order", preprocess_golden,
+        ((paths.PathSet, "from_sequences"),), _paths_by_head,
+        lambda key: preprocess_golden.fingerprint(
+            *_case(preprocess_golden, key)
+        ),
+        # Without degree-greedy roots or merging the walk already emits
+        # the paths by head: those cases hold.
+        moves=("dblp/w1/gsm", "webbase/w4/g-m", "dblp/w4/--m"),
+        holds=("dblp/w1/-s-", "webbase/w4/---"),
     ),
     SweepGate("sweep_ci.json", "baseline_ci.json", {"*": 3.0}),
     SweepGate("serve_ci.json", "baseline_serve_ci.json", {"serve/*": 3.0}),

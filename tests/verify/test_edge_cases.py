@@ -43,16 +43,14 @@ def test_decomposition_handles_degenerate(name):
     graph = DEGENERATE[name]()
     path_set = decompose_into_paths(graph)
     # Every edge (self-loops included) must still be covered exactly once.
-    covered = sorted(
-        e for path in path_set.paths for e in path.edge_ids
-    )
+    covered = sorted(path_set.layout.edge_ids.tolist())
     assert covered == list(range(graph.num_edges))
 
 
 def test_build_groups_accepts_zero_partitions():
     graph = empty_graph()
     path_set = decompose_into_paths(graph)
-    assert not path_set.paths
+    assert not path_set.num_paths
     assert _build_groups(0, set()) == []
 
 

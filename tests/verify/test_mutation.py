@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DiGraphEngine
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PathSet
 from repro.errors import VerificationError
 from repro.gpu.stats import MachineStats
 from repro.graph.builder import GraphBuilder
@@ -40,47 +40,51 @@ def _failed_names(results):
 # ----------------------------------------------------------------------
 def test_duplicate_edge_rejected():
     graph = directed_path(4)  # edges 0->1, 1->2, 2->3 with ids 0, 1, 2
-    paths = [
-        Path(path_id=0, vertices=(0, 1), edge_ids=(0,)),
-        # Edge 0 appears again here: not a decomposition.
-        Path(path_id=1, vertices=(0, 1, 2, 3), edge_ids=(0, 1, 2)),
-    ]
-    results = check_path_set(PathSet(graph=graph, paths=paths))
+    path_set = PathSet.from_sequences(
+        graph,
+        # Edge 0 appears again on the second path: not a decomposition.
+        [(0, 1), (0, 1, 2, 3)],
+        [(0,), (0, 1, 2)],
+    )
+    results = check_path_set(path_set)
     assert "paths.edge-disjoint" in _failed_names(results)
 
 
 def test_over_depth_path_rejected():
     graph = directed_path(4)
-    paths = [
-        Path(path_id=0, vertices=(0, 1, 2, 3), edge_ids=(0, 1, 2)),
-    ]
-    results = check_path_set(
-        PathSet(graph=graph, paths=paths, d_max=2)
-    )
+    paths = ([(0, 1, 2, 3)], [(0, 1, 2)])
+    results = check_path_set(PathSet.from_sequences(graph, *paths, d_max=2))
     assert "paths.d-max" in _failed_names(results)
     # The same decomposition under a generous bound is clean.
-    results = check_path_set(
-        PathSet(graph=graph, paths=paths, d_max=3)
-    )
+    results = check_path_set(PathSet.from_sequences(graph, *paths, d_max=3))
     assert not _failed_names(results)
 
 
 def test_wrong_endpoints_rejected():
     graph = two_scc_chain()
     # Edge id 0 is 0->1, but the path claims it runs elsewhere.
-    paths = [
-        Path(path_id=0, vertices=(5, 6), edge_ids=(0,)),
-    ]
-    results = check_path_set(PathSet(graph=graph, paths=paths))
+    path_set = PathSet.from_sequences(graph, [(5, 6)], [(0,)])
+    results = check_path_set(path_set)
     assert "paths.connectivity" in _failed_names(results)
+
+
+def test_edge_outside_the_graph_rejected():
+    graph = directed_path(4)
+    # Edge ids 0..2 exist; 3 and -1 name no edge, and must not be looked
+    # up (or wrap around) while checking the path.
+    for bogus in (3, -1):
+        path_set = PathSet.from_sequences(
+            graph, [(0, 1, 2, 3), (2, 3)], [(0, 1, 2), (bogus,)]
+        )
+        results = check_path_set(path_set)
+        assert _failed_names(results) == {"paths.connectivity"}
+        assert "outside the graph" in results[0].detail
 
 
 def test_missing_edge_rejected():
     graph = directed_path(4)
-    paths = [
-        Path(path_id=0, vertices=(0, 1, 2), edge_ids=(0, 1)),
-    ]
-    results = check_path_set(PathSet(graph=graph, paths=paths))
+    path_set = PathSet.from_sequences(graph, [(0, 1, 2)], [(0, 1)])
+    results = check_path_set(path_set)
     assert "paths.coverage" in _failed_names(results)
 
 
