@@ -13,14 +13,16 @@ timing each of the pass's spans as one column:
 The first table is host microseconds per launch, each cell the median
 over ``--passes`` passes. The second splits every column into parts,
 from as many separate passes that time ``MultiSourceSolver.solve``,
-``batch_update`` and ``batch_dependents`` from outside (each timed call
-adds a fraction of a microsecond to the part around it):
+``GatherTable.select``, the kernel's ``update`` and
+``ScatterTable.cut`` from outside (each timed call adds a fraction of a
+microsecond to the part around it):
 
 - ``server``: everything outside the solves;
-- ``solver loop``: union frontier, fault hook, cost model, gathers,
-  gated write, activation scatter;
-- ``batch_update``: the kernel;
-- ``batch_dependents``: the dependents of the moved vertices.
+- ``solver loop``: union frontier, fault hook, cost model, ``old``
+  gather, gated write, activation writes;
+- ``table cut``: masking the batch's gather table to the frontier;
+- ``kernel``: the kernel's ``update`` over the masked table;
+- ``scatter``: masking the batch's scatter table to the moved rows.
 
 Run it from the repository root; ``PYTHONPATH`` picks the tree measured:
 
@@ -41,6 +43,8 @@ import workloads  # noqa: E402  (benchmarks/e2e)
 from harness import PassContext  # noqa: E402
 
 import repro.serve.solver as solver_module  # noqa: E402
+from repro.kernels.segment import GatherTable  # noqa: E402
+from repro.serve.context import ScatterTable  # noqa: E402
 
 #: ``run_pass`` span -> column label.
 COLUMNS = {
@@ -48,8 +52,14 @@ COLUMNS = {
     "serve.solver.solo8": "1 lane",
     "serve.solver.lane8": "8 lanes",
 }
-KERNEL_PARTS = ("batch_update", "batch_dependents")
-PARTS = ("server", "solver loop") + KERNEL_PARTS
+#: Part label -> ``(owner, attribute)`` timed from outside; ``None``
+#: marks the kernel's ``update``, wrapped on each kernel a solve builds.
+LAUNCH_PARTS = {
+    "table cut": (GatherTable, "select"),
+    "kernel": None,
+    "scatter": (ScatterTable, "cut"),
+}
+PARTS = ("server", "solver loop") + tuple(LAUNCH_PARTS)
 
 
 class ColumnClock:
@@ -79,8 +89,8 @@ def run_pass(workload, inputs, clock):
 
 def instrumented_pass(workload, inputs):
     """``({column: {part: host seconds}}, {column: launches})`` of one
-    pass with the solves and kernel calls timed; a launch is one
-    ``batch_update`` call."""
+    pass with the solves and launch parts timed; a launch is one
+    ``update`` call."""
     seconds = defaultdict(lambda: defaultdict(float))
     launches = defaultdict(int)
     clock = ColumnClock()
@@ -104,28 +114,34 @@ def instrumented_pass(workload, inputs):
 
     solver_cls = solver_module.MultiSourceSolver
     originals = (solver_module.resolve_kernel, solver_cls.solve)
+    patched = {
+        part: bound for part, bound in LAUNCH_PARTS.items() if bound
+    }
+    methods = {part: getattr(*bound) for part, bound in patched.items()}
 
     def resolve_timed(programs, graph):
         kernel = originals[0](programs, graph)
-        for part in KERNEL_PARTS:
-            setattr(kernel, part, timed(part, getattr(kernel, part)))
-        kernel.batch_update = counted(kernel.batch_update)
+        kernel.update = counted(timed("kernel", kernel.update))
         return kernel
 
     solver_module.resolve_kernel = resolve_timed
     solver_cls.solve = timed("solve", originals[1])
+    for part, (owner, attribute) in patched.items():
+        setattr(owner, attribute, timed(part, methods[part]))
     try:
         run_pass(workload, inputs, clock)
     finally:
         solver_module.resolve_kernel, solver_cls.solve = originals
+        for part, (owner, attribute) in patched.items():
+            setattr(owner, attribute, methods[part])
     split = {}
     for span in COLUMNS:
         part = seconds[span]
-        kernel = sum(part[p] for p in KERNEL_PARTS)
+        launch = sum(part[p] for p in LAUNCH_PARTS)
         split[span] = {
             "server": clock.seconds[span] - part["solve"],
-            "solver loop": part["solve"] - kernel,
-            **{p: part[p] for p in KERNEL_PARTS},
+            "solver loop": part["solve"] - launch,
+            **{p: part[p] for p in LAUNCH_PARTS},
         }
     return split, launches
 

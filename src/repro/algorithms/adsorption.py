@@ -90,7 +90,7 @@ class Adsorption(VertexProgram):
 
     def gather(self, src_state: float, weight: float, src: int, dst: int) -> float:
         assert self._in_weight_sum is not None
-        denom = self._in_weight_sum[dst]
+        denom = float(self._in_weight_sum[dst])
         if denom == 0:
             return 0.0
         return src_state * (weight / denom)
@@ -100,4 +100,4 @@ class Adsorption(VertexProgram):
 
     def apply(self, v: int, old_state: float, acc: float) -> float:
         assert self._injection is not None
-        return self.p_inj * self._injection[v] + self.p_cont * acc
+        return self.p_inj * float(self._injection[v]) + self.p_cont * acc

@@ -42,7 +42,11 @@ class PageRank(VertexProgram):
         return 0.0
 
     def gather(self, src_state: float, weight: float, src: int, dst: int) -> float:
-        out_deg = self._out_degree[src] if self._out_degree is not None else 1.0
+        out_deg = (
+            float(self._out_degree[src])
+            if self._out_degree is not None
+            else 1.0
+        )
         if out_deg == 0:
             return 0.0
         return src_state / out_deg

@@ -58,7 +58,11 @@ class PersonalizedPageRank(VertexProgram):
         return 0.0
 
     def gather(self, src_state: float, weight: float, src: int, dst: int) -> float:
-        out_deg = self._out_degree[src] if self._out_degree is not None else 1.0
+        out_deg = (
+            float(self._out_degree[src])
+            if self._out_degree is not None
+            else 1.0
+        )
         if out_deg == 0:
             return 0.0
         return src_state / out_deg
@@ -68,4 +72,6 @@ class PersonalizedPageRank(VertexProgram):
 
     def apply(self, v: int, old_state: float, acc: float) -> float:
         assert self._teleport is not None
-        return (1.0 - self.damping) * self._teleport[v] + self.damping * acc
+        return (1.0 - self.damping) * float(
+            self._teleport[v]
+        ) + self.damping * acc

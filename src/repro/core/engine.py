@@ -364,11 +364,10 @@ class _Run:
         # pull-model analog of the paper's equal edges-per-thread
         # balancing rule), as an array and a list.
         self._dependents = dependents_table(program, graph)
+        layout = pre.path_set.layout
         self._path_work = np.add.reduceat(
-            np.asarray(self._gather_degree, dtype=np.int64)[
-                tables.paths.vertices
-            ],
-            tables.paths.starts,
+            np.asarray(self._gather_degree, dtype=np.int64)[layout.vertices],
+            layout.starts,
         )
         self._path_work_list: List[int] = self._path_work.tolist()
 

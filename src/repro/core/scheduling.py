@@ -50,9 +50,9 @@ class PathScheduler:
         builds it once for every run over one preprocess)."""
         self.enabled = enabled
         self._tables = tables or PathTables.build(path_set, dag)
-        num_paths = path_set.num_paths
-        avg_degree = self._tables.avg_degree
-        lengths = self._tables.num_vertices
+        self.num_paths = num_paths = path_set.num_paths
+        avg_degree = path_set.average_degrees
+        lengths = path_set.layout.lengths
         d_max = float(avg_degree.max()) if num_paths else 1.0
         n_max = float(lengths.max()) if num_paths else 1.0
         #: The paper's preprocessing-time scaling factor.
@@ -68,7 +68,7 @@ class PathScheduler:
         tables = self._tables
         return np.bincount(
             tables.incidence_path[active_mask[tables.incidence_vertex]],
-            minlength=tables.num_vertices.size,
+            minlength=self.num_paths,
         )
 
     # ------------------------------------------------------------------
@@ -76,7 +76,7 @@ class PathScheduler:
     # ------------------------------------------------------------------
     def priority(self, path_id: int, active_mask: np.ndarray) -> float:
         """``Pri(p) = α · D̄(p) · N(p) − L(p)`` under ``active_mask``."""
-        if not 0 <= path_id < self._tables.num_vertices.size:
+        if not 0 <= path_id < self.num_paths:
             raise SchedulingError(f"no path {path_id}")
         ids = np.array([path_id])
         return float(

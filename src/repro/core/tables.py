@@ -47,17 +47,10 @@ def _split_by(
 
 @dataclass(frozen=True)
 class PathTables:
-    """The decomposition as arrays: path vertices, ``Pri(p)`` inputs,
-    and the vertex -> paths incidence."""
+    """What ``Pri(p)`` needs beyond the :class:`PathSet`'s own arrays
+    (``layout`` and ``average_degrees``): each path's layer and the
+    vertex -> paths incidence."""
 
-    #: Every path's vertex sequence end to end in path-id order, and the
-    #: position of each path's first vertex (``reduceat`` boundaries).
-    vertices: np.ndarray
-    starts: np.ndarray
-    #: Vertices per path (edges + 1).
-    num_vertices: np.ndarray
-    #: ``D̄(p)``: ``PathSet.average_degrees``.
-    avg_degree: np.ndarray
     #: ``L(p)``: the path's DAG layer, as float for the ``Pri(p)`` term.
     layer: np.ndarray
     #: The vertex -> paths incidence as parallel arrays sorted by
@@ -72,10 +65,6 @@ class PathTables:
         stride = max(path_set.num_paths, 1)
         pairs = sorted_unique(layout.vertices * stride + layout.path_of_slot)
         return cls(
-            vertices=layout.vertices,
-            starts=layout.starts,
-            num_vertices=layout.lengths,
-            avg_degree=path_set.average_degrees,
             layer=dag.layer_of_scc[dag.scc_of_path].astype(np.float64),
             incidence_vertex=pairs // stride,
             incidence_path=pairs % stride,

@@ -29,7 +29,13 @@ Engines drive kernels with three verbs:
 
 - :meth:`BatchKernel.batch_update` — new states + changed flags for a
   vertex batch, gathering from a plain state array (a snapshot or a
-  materialized :class:`~repro.model.state.StalenessView`);
+  materialized :class:`~repro.model.state.StalenessView`). It cuts the
+  batch's :class:`~repro.kernels.segment.GatherTable` from the CSC
+  arrays (:meth:`BatchKernel.gather_table`, the columns the kernel names
+  in :attr:`BatchKernel.columns`) and runs :meth:`BatchKernel.update`
+  over it — each kernel's one arithmetic path. The serving layer calls
+  :meth:`~BatchKernel.update` directly, with a table masked from one its
+  context cut per layer batch;
 - :meth:`BatchKernel.gather_degrees` — per-vertex gather-edge counts,
   matching what the scalar engines charge to ``edge_traversals`` and
   ``load_global``;
@@ -67,7 +73,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
-from repro.kernels.segment import batch_segments, interleave_segments
+from repro.kernels.segment import (
+    GATHER_COLUMNS,
+    GatherTable,
+    batch_segments,
+    interleave_segments,
+    segment_ids,
+)
 from repro.model.gas import VertexProgram
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
@@ -81,6 +93,32 @@ def take_vertices(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     if values.ndim == 1:
         return values[vertices]
     return values.take(vertices, axis=1)
+
+
+def cut_gather_table(
+    graph: DiGraphCSR,
+    dst: np.ndarray,
+    columns: Sequence[str] = GATHER_COLUMNS,
+) -> GatherTable:
+    """The :class:`GatherTable` of ``dst`` (int64 vertex ids) with
+    ``columns``, cut from ``graph``'s CSC arrays; ``sources`` is always
+    cut (every kernel reads it, and the source degree is its gather)."""
+    indptr, sources, weights = graph.csc_arrays()
+    positions, offsets = batch_segments(indptr, graph.in_degree(), dst)
+    counts = offsets[1:] - offsets[:-1]
+    sources = sources[positions]
+    return GatherTable(
+        counts,
+        offsets,
+        sources,
+        weights[positions] if "weights" in columns else None,
+        (
+            graph.out_degree()[sources].astype(np.float64)
+            if "source_degree" in columns
+            else None
+        ),
+        segment_ids(counts) if "segment" in columns else None,
+    )
 
 
 def same_class_programs(
@@ -106,6 +144,8 @@ class BatchKernel(abc.ABC):
 
     #: Kernel name for reports; defaults to the program's name.
     name = "batch-kernel"
+    #: The per-edge :class:`GatherTable` columns :meth:`update` reads.
+    columns: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -147,11 +187,29 @@ class BatchKernel(abc.ABC):
     # ------------------------------------------------------------------
     # the batch verbs
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def batch_update(
         self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather + apply for every vertex in ``dst``.
+        """Gather + apply for every vertex in ``dst``: :meth:`update`
+        over the batch's table cut from the CSC arrays."""
+        dst = np.asarray(dst, dtype=np.int64)
+        return self.update(self.gather_table(dst), dst, states, old)
+
+    def gather_table(self, dst: np.ndarray) -> Optional[GatherTable]:
+        """The table :meth:`update` reads for ``dst``; ``None`` for a
+        kernel that reads none (the default)."""
+        return None
+
+    @abc.abstractmethod
+    def update(
+        self,
+        table: Optional[GatherTable],
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gather + apply for every vertex in ``dst`` (int64), whose
+        in-edges ``table`` holds row by row with :attr:`columns`.
 
         ``states`` is the array gather reads (snapshot or materialized
         view) — vertices on the last axis; ``old`` the per-vertex
@@ -185,19 +243,11 @@ class BatchKernel(abc.ABC):
 class InEdgeKernel(BatchKernel):
     """Shared plumbing for kernels that gather over in-edges (CSC)."""
 
-    def _bind(self) -> None:
-        (
-            self._csc_indptr,
-            self._csc_sources,
-            self._csc_weights,
-        ) = self.graph.csc_arrays()
-        self._in_degree = self.graph.in_degree()
+    columns: Tuple[str, ...] = ("sources",)
 
-    def gather_segments(
-        self, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """CSC ``(positions, seg_offsets)``; index only what is read."""
-        return batch_segments(self._csc_indptr, self._in_degree, dst)
+    def gather_table(self, dst: np.ndarray) -> GatherTable:
+        """``dst``'s in-edges with :attr:`columns`, from the CSC."""
+        return cut_gather_table(self.graph, dst, self.columns)
 
 
 class BothEdgeKernel(InEdgeKernel):
@@ -206,19 +256,21 @@ class BothEdgeKernel(InEdgeKernel):
 
     def gather_degrees(self, dst: np.ndarray) -> np.ndarray:
         dst = np.asarray(dst, dtype=np.int64)
-        return self._in_degree[dst] + self.graph.out_degree()[dst]
+        return self.graph.in_degree()[dst] + self.graph.out_degree()[dst]
 
     def batch_dependents(
         self, dst: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         # Scalar order: out-neighbors, then in-neighbors, per vertex.
         out_pos, out_offsets = self.out_segments(dst)
-        in_pos, in_offsets = self.gather_segments(dst)
+        in_edges = cut_gather_table(
+            self.graph, np.asarray(dst, dtype=np.int64), ("sources",)
+        )
         return interleave_segments(
             self.graph.indices[out_pos],
             out_offsets,
-            self._csc_sources[in_pos],
-            in_offsets,
+            in_edges.sources,
+            in_edges.offsets,
         )
 
 
@@ -251,8 +303,12 @@ class ScalarFallbackKernel(BatchKernel):
 
         return dependents_table(self.program, self.graph)
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: Optional[GatherTable],
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         step = self.steps.step
         reads = states.tolist()

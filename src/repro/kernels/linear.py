@@ -19,33 +19,36 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.ppr import PersonalizedPageRank
 from repro.kernels.base import InEdgeKernel, take_vertices
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import segment_sum_ordered
+from repro.kernels.segment import GatherTable, segment_sum_ordered
 
 
 @register_kernel(PageRank)
 class PageRankKernel(InEdgeKernel):
     """``new = (1 - d) + d * sum in-states / out-degree``."""
 
+    columns = ("sources", "source_degree", "segment")
+
     def _bind(self) -> None:
-        super()._bind()
-        self._out_degree = self.graph.out_degree().astype(np.float64)
         self._damping = self.stack(lambda p: p.damping)
         self._tolerance = self.stack(lambda p: p.tolerance)
 
-    def _in_sum(self, dst: np.ndarray, states: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _in_sum(table: GatherTable, states: np.ndarray) -> np.ndarray:
         """``sum_{u->v} state(u) / out_degree(u)`` per batch vertex."""
-        positions, seg_offsets = self.gather_segments(dst)
-        sources = self._csc_sources[positions]
         # Every gather source has >= 1 out-edge (the one being gathered),
         # so the division is always defined.
-        gathered = take_vertices(np.asarray(states), sources)
-        contrib = gathered / self._out_degree[sources]
-        return segment_sum_ordered(contrib, seg_offsets)
+        gathered = take_vertices(np.asarray(states), table.sources)
+        contrib = gathered / table.source_degree
+        return segment_sum_ordered(contrib, table.offsets, table.segment)
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        acc = self._in_sum(dst, states)
+        acc = self._in_sum(table, states)
         new = (1.0 - self._damping) + self._damping * acc
         changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed
@@ -57,7 +60,9 @@ class PersonalizedPageRankKernel(PageRankKernel):
 
     def _bind(self) -> None:
         super()._bind()
-        self._teleport = self.stack(self._teleport_of)
+        #: ``(1 - d) * teleport``, the same product per vertex as
+        #: forming it per batch.
+        self._base = (1.0 - self._damping) * self.stack(self._teleport_of)
 
     def _teleport_of(self, program: PersonalizedPageRank) -> np.ndarray:
         # Same construction as the program's initial_states cache.
@@ -65,14 +70,15 @@ class PersonalizedPageRankKernel(PageRankKernel):
         teleport[list(program.seeds)] = 1.0 / len(program.seeds)
         return teleport
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        dst = np.asarray(dst, dtype=np.int64)
-        acc = self._in_sum(dst, states)
-        new = (1.0 - self._damping) * take_vertices(
-            self._teleport, dst
-        ) + self._damping * acc
+        acc = self._in_sum(table, states)
+        new = take_vertices(self._base, dst) + self._damping * acc
         changed = ~(np.abs(new - old) <= self._tolerance)
         return new, changed
 
@@ -81,8 +87,9 @@ class PersonalizedPageRankKernel(PageRankKernel):
 class AdsorptionKernel(InEdgeKernel):
     """Injected prior blended with the weight-normalized in-average."""
 
+    columns = ("sources", "weights", "segment")
+
     def _bind(self) -> None:
-        super()._bind()
         self._injection = self.stack(self._injection_of)
         # A function of the graph alone, so the same for every program.
         self._in_weight_sum = self.program._in_weight_sum
@@ -96,24 +103,23 @@ class AdsorptionKernel(InEdgeKernel):
             program.initial_states(self.graph)
         return program._injection
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        dst = np.asarray(dst, dtype=np.int64)
-        positions, seg_offsets = self.gather_segments(dst)
-        weights = self._csc_weights[positions]
-        denom = np.repeat(
-            self._in_weight_sum[dst], seg_offsets[1:] - seg_offsets[:-1]
-        )
+        weights = table.weights
+        denom = np.repeat(self._in_weight_sum[dst], table.counts)
         ratio = np.divide(
             weights,
             denom,
             out=np.zeros_like(weights),
             where=denom != 0.0,
         )
-        sources = self._csc_sources[positions]
-        contrib = take_vertices(np.asarray(states), sources) * ratio
-        acc = segment_sum_ordered(contrib, seg_offsets)
+        contrib = take_vertices(np.asarray(states), table.sources) * ratio
+        acc = segment_sum_ordered(contrib, table.offsets, table.segment)
         new = (
             self._p_inj * take_vertices(self._injection, dst)
             + self._p_cont * acc

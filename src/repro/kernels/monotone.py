@@ -18,34 +18,34 @@ from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WeaklyConnectedComponents
 from repro.kernels.base import BothEdgeKernel, InEdgeKernel, take_vertices
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import segment_max, segment_min
+from repro.kernels.segment import GatherTable, segment_max, segment_min
 
 
 class _MinRelaxKernel(InEdgeKernel):
     """Shared shape of SSSP/BFS: relax in-edges, keep the minimum."""
 
     def _bind(self) -> None:
-        super()._bind()
         self._source = self.stack(lambda p: p.source)
 
-    #: Per-edge step over the CSC ``positions``; overridden per program.
+    #: Per-edge step over the table's edges; overridden per program.
     def _relax(
-        self, source_states: np.ndarray, positions: np.ndarray
+        self, source_states: np.ndarray, table: GatherTable
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        dst = np.asarray(dst, dtype=np.int64)
-        positions, seg_offsets = self.gather_segments(dst)
-        sources = self._csc_sources[positions]
         # inf + finite == inf, so unreached sources propagate the scalar
         # guard's INFINITY without a branch.
         values = self._relax(
-            take_vertices(np.asarray(states), sources), positions
+            take_vertices(np.asarray(states), table.sources), table
         )
-        acc = segment_min(values, seg_offsets, identity=np.inf)
+        acc = segment_min(values, table.offsets, identity=np.inf)
         new = np.where(acc < old, acc, old)
         new[dst == self._source] = 0.0
         return new, new != old
@@ -55,10 +55,12 @@ class _MinRelaxKernel(InEdgeKernel):
 class SSSPKernel(_MinRelaxKernel):
     """``new = min(old, min_{u->v} dist(u) + w)``, source pinned to 0."""
 
+    columns = ("sources", "weights")
+
     def _relax(
-        self, source_states: np.ndarray, positions: np.ndarray
+        self, source_states: np.ndarray, table: GatherTable
     ) -> np.ndarray:
-        return source_states + self._csc_weights[positions]
+        return source_states + table.weights
 
 
 @register_kernel(BFSLevels)
@@ -66,7 +68,7 @@ class BFSKernel(_MinRelaxKernel):
     """SSSP over unit hop counts."""
 
     def _relax(
-        self, source_states: np.ndarray, positions: np.ndarray
+        self, source_states: np.ndarray, table: GatherTable
     ) -> np.ndarray:
         return source_states + 1.0
 
@@ -75,16 +77,17 @@ class BFSKernel(_MinRelaxKernel):
 class WCCKernel(BothEdgeKernel):
     """Min-label over both edge directions of the undirected view."""
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         states = np.asarray(states)
-        in_pos, in_offsets = self.gather_segments(dst)
         out_pos, out_offsets = self.out_segments(dst)
         acc = np.minimum(
-            segment_min(
-                take_vertices(states, self._csc_sources[in_pos]), in_offsets
-            ),
+            segment_min(take_vertices(states, table.sources), table.offsets),
             segment_min(
                 take_vertices(states, self.graph.indices[out_pos]),
                 out_offsets,
@@ -99,7 +102,6 @@ class ReachabilityKernel(InEdgeKernel):
     """Monotone OR-propagation from the source set."""
 
     def _bind(self) -> None:
-        super()._bind()
         self._source_mask = self.stack(self._mask_of)
 
     def _mask_of(self, program: Reachability) -> np.ndarray:
@@ -107,15 +109,15 @@ class ReachabilityKernel(InEdgeKernel):
         mask[list(program.sources)] = True
         return mask
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        dst = np.asarray(dst, dtype=np.int64)
-        positions, seg_offsets = self.gather_segments(dst)
-        gathered = take_vertices(
-            np.asarray(states), self._csc_sources[positions]
-        )
-        acc = segment_max(gathered, seg_offsets, identity=0.0)
+        gathered = take_vertices(np.asarray(states), table.sources)
+        acc = segment_max(gathered, table.offsets, identity=0.0)
         new = np.where(
             take_vertices(self._source_mask, dst),
             1.0,

@@ -28,13 +28,73 @@ so the contract above is stated — and tested — once.
 All reductions require ``seg_offsets[-1] == len(values)`` — the offsets
 must tile the value array exactly, which :func:`batch_segments`
 guarantees by construction.
+
+A :class:`GatherTable` is what a batch kernel gathers over: the CSC
+in-edges of its batch, end to end, with each edge's operands and segment
+id. The bulk-sync round cuts one from the CSC arrays for every frontier;
+the serving layer cuts one per layer batch when its context is built and
+:meth:`GatherTable.select` masks its rows at every launch.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: The per-edge columns a :class:`GatherTable` can carry.
+GATHER_COLUMNS = ("sources", "weights", "source_degree", "segment")
+
+
+class GatherTable(NamedTuple):
+    """The CSC in-edges of a batch of destination vertices, end to end.
+
+    Row ``r`` is the batch's ``r``-th vertex; its ``counts[r]`` in-edges
+    sit at ``offsets[r]:offsets[r + 1]``, in CSC order. Edge ``j`` reads
+    vertex ``sources[j]`` over weight ``weights[j]``;
+    ``source_degree[j]`` is that vertex's out-degree as a float64 and
+    ``segment[j]`` the row edge ``j`` feeds. A kernel names the
+    per-edge columns it reads (``BatchKernel.columns``); a cut fills
+    those and leaves the others ``None``.
+    """
+
+    counts: np.ndarray
+    offsets: np.ndarray
+    sources: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+    source_degree: Optional[np.ndarray] = None
+    segment: Optional[np.ndarray] = None
+
+    def select(
+        self, rows: np.ndarray, columns: Sequence[str]
+    ) -> "GatherTable":
+        """The table of the rows where the bool mask ``rows`` is set,
+        with ``columns``: the arrays a cut of the CSC for those rows'
+        vertices holds, from boolean masks of this table's arrays. With
+        every row set that is this table itself."""
+        counts = self.counts[rows]
+        if counts.size == rows.size:
+            return self
+        edges = rows.repeat(self.counts)
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.add.accumulate(counts, out=offsets[1:])
+        return GatherTable(
+            counts,
+            offsets,
+            self.sources[edges] if "sources" in columns else None,
+            self.weights[edges] if "weights" in columns else None,
+            (
+                self.source_degree[edges]
+                if "source_degree" in columns
+                else None
+            ),
+            segment_ids(counts) if "segment" in columns else None,
+        )
+
+
+def segment_ids(counts: np.ndarray) -> np.ndarray:
+    """The segment id of every value of segments with ``counts`` values."""
+    return np.arange(counts.size).repeat(counts)
 
 
 def batch_segments(
@@ -91,27 +151,35 @@ def interleave_segments(
 
 
 def segment_sum_ordered(
-    values: np.ndarray, seg_offsets: np.ndarray
+    values: np.ndarray,
+    seg_offsets: np.ndarray,
+    segment: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Left-to-right segment sums, bit-identical to the scalar fold.
 
     One ``np.bincount``: value ``j`` of row ``r`` carries id ``r * nseg
     + seg(j)``, and ``bincount`` adds the weights into their bins one by
     one in index order starting from ``0.0`` — per segment the scalar
-    fold ``((0.0 + x_0) + x_1) + ...``. With no segments or no values
-    the zeros are built directly: ``bincount`` of an empty id array
-    returns int64, not float64.
+    fold ``((0.0 + x_0) + x_1) + ...``. ``segment`` holds ``seg(j)``
+    when the caller has it (a :class:`GatherTable` column), else it is
+    derived from the offsets. With no segments or no values the zeros
+    are built directly: ``bincount`` of an empty id array returns
+    int64, not float64.
     """
-    counts = seg_offsets[1:] - seg_offsets[:-1]
-    nseg = counts.size
+    nseg = seg_offsets.size - 1
     lead = values.shape[:-1]
     if nseg == 0 or values.size == 0:
         return np.zeros(lead + (nseg,), dtype=np.float64)
-    ids = np.arange(nseg).repeat(counts)
+    ids = (
+        segment_ids(seg_offsets[1:] - seg_offsets[:-1])
+        if segment is None
+        else segment
+    )
+    if not lead:
+        return np.bincount(ids, values, nseg)
     bins = values.size // values.shape[-1] * nseg
-    if lead:
-        ids = (ids + np.arange(0, bins, nseg)[:, None]).ravel()
-    out = np.bincount(ids, weights=values.ravel(), minlength=bins)
+    ids = (ids + np.arange(0, bins, nseg)[:, None]).ravel()
+    out = np.bincount(ids, values.ravel(), bins)
     return out.reshape(lead + (nseg,))
 
 

@@ -14,32 +14,36 @@ import numpy as np
 from repro.algorithms.kcore import KCore
 from repro.kernels.base import BothEdgeKernel, take_vertices
 from repro.kernels.registry import register_kernel
-from repro.kernels.segment import segment_sum_ordered
+from repro.kernels.segment import GatherTable, segment_sum_ordered
 
 
 @register_kernel(KCore)
 class KCoreKernel(BothEdgeKernel):
     """Peel a vertex when fewer than ``k`` of its neighbors are alive."""
 
+    columns = ("sources", "segment")
+
     def _bind(self) -> None:
-        super()._bind()
         self._k = self.stack(lambda p: p.k)
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: GatherTable,
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         states = np.asarray(states)
-        in_pos, in_offsets = self.gather_segments(dst)
         out_pos, out_offsets = self.out_segments(dst)
-        alive_in = (
-            take_vertices(states, self._csc_sources[in_pos]) > 0.0
-        ).astype(np.float64)
+        alive_in = (take_vertices(states, table.sources) > 0.0).astype(
+            np.float64
+        )
         alive_out = (
             take_vertices(states, self.graph.indices[out_pos]) > 0.0
         ).astype(np.float64)
-        acc = segment_sum_ordered(alive_in, in_offsets) + segment_sum_ordered(
-            alive_out, out_offsets
-        )
+        acc = segment_sum_ordered(
+            alive_in, table.offsets, table.segment
+        ) + segment_sum_ordered(alive_out, out_offsets)
         new = np.where(
             old == 0.0,  # peeling is permanent
             0.0,

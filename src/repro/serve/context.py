@@ -13,11 +13,19 @@ lies on, and the multi-source solver sweeps vertices layer by layer
 the DAG in one round the way the path engine's Observation 1 propagates
 them along a path. Building that schedule costs one DAG traversal at
 context construction and zero per query.
+
+Every launch of a layer batch gathers over the same in-edges and
+activates along the same out-edges, whichever vertices of the batch are
+active. The context cuts both once per batch — a
+:class:`~repro.kernels.segment.GatherTable` of its CSC in-edges and a
+:class:`ScatterTable` of its CSR out-edges — and a launch masks their
+rows with the batch's active flags instead of re-cutting them from the
+graph.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +33,26 @@ from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec, SCALED_MACHINE
+from repro.kernels.base import cut_gather_table
+from repro.kernels.segment import GatherTable, batch_segments
+
+
+class ScatterTable(NamedTuple):
+    """The CSR out-edges of a layer batch, end to end: row ``r`` (the
+    batch's ``r``-th vertex) owns the next ``counts[r]`` entries of
+    ``targets``, in CSR order; ``target_batch`` is each target's layer
+    batch."""
+
+    targets: np.ndarray
+    target_batch: np.ndarray
+    counts: np.ndarray
+
+    def cut(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(targets, target_batch)`` of the rows where the bool mask
+        ``rows`` is set, row by row: the out-neighbors of those rows'
+        vertices, in ``batch_dependents`` order."""
+        edges = rows.repeat(self.counts)
+        return self.targets[edges], self.target_batch[edges]
 
 
 class ServingContext:
@@ -53,6 +81,14 @@ class ServingContext:
             self.vertex_layers, return_inverse=True
         )
         self.layer_batches = self._build_layer_batches()
+        #: Per layer batch, the in-edges a launch gathers over (every
+        #: column) and the out-edges it activates along.
+        self.gather_tables: List[GatherTable] = [
+            cut_gather_table(graph, batch) for batch in self.layer_batches
+        ]
+        self.scatter_tables = [
+            self._scatter_table(batch) for batch in self.layer_batches
+        ]
 
     # ------------------------------------------------------------------
     # layer schedule
@@ -90,6 +126,16 @@ class ServingContext:
             np.arange(1, int(self.batch_of_vertex.max()) + 1),
         )
         return np.split(order, bounds)
+
+    def _scatter_table(self, batch: np.ndarray) -> ScatterTable:
+        graph = self.graph
+        positions, _ = batch_segments(graph.indptr, graph.out_degree(), batch)
+        targets = graph.indices[positions]
+        return ScatterTable(
+            targets,
+            self.batch_of_vertex[targets],
+            graph.out_degree()[batch],
+        )
 
     @property
     def num_layers(self) -> int:

@@ -26,6 +26,21 @@ trajectory of running query i alone, interleaved with bitwise no-ops —
 which :meth:`MultiSourceSolver.solve_reference` (an independent scalar
 per-vertex code path over per-lane frontiers) certifies end to end.
 
+Launches are cut from tables
+----------------------------
+A launch never cuts the graph: the context holds each layer batch's
+gather table (CSC in-edges with their operands and segment ids) and
+scatter table (CSR out-edges with each target's batch). A launch takes
+the batch's active rows — the one lane's, or the union over k lanes —
+and runs the kernel's one ``update`` either over the whole gather table,
+dropping the changes of the rows no lane has active, or over the table
+masked to those rows (:data:`WHOLE_BATCH_LANE_EDGES` picks); then it
+activates along the masked scatter rows of the vertices that moved.
+Each row's arithmetic is the same either way, and the masked tables hold
+exactly what the frontier cut (``batch_update`` / ``batch_dependents``)
+of the same vertices holds, so launches, work and every bit of state
+are those of that cut.
+
 Modeled cost
 ------------
 ``service = Σ_launches (LAUNCH_OVERHEAD + waves · cycles_per_edge / f)``
@@ -47,7 +62,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError, GPULostError
-from repro.kernels.base import take_vertices
+from repro.kernels.base import BatchKernel, take_vertices
 from repro.kernels.registry import resolve_kernel
 from repro.model.gas import VertexProgram
 from repro.serve.context import ServingContext
@@ -55,10 +70,26 @@ from repro.serve.context import ServingContext
 #: Fixed cost of one kernel launch (real CUDA launch overhead ballpark).
 KERNEL_LAUNCH_OVERHEAD_S = 3.5e-6
 
-#: ``ndarray.any`` / ``ndarray.sum`` minus their method wrappers, for
-#: the solve loop's masks and launch work.
+#: Lanes x in-edges up to which a launch runs the kernel over its whole
+#: layer batch instead of first masking the batch's gather table to the
+#: active rows. Below it the mask's dozen NumPy calls cost more than the
+#: idle rows' arithmetic, above it less: on the ``serve-mixed`` inputs
+#: (2 vCPUs) one lane over a 3 461-edge batch gains from the whole batch,
+#: eight lanes over it take twice as long as masked.
+WHOLE_BATCH_LANE_EDGES = 4096
+
+#: ``ndarray.any`` minus its method wrapper, for the solve loop's masks.
 _any = np.logical_or.reduce
-_sum = np.add.reduce
+
+
+def _batch_rows(picked: Optional[np.ndarray], flags: np.ndarray):
+    """``flags`` over a launch's vertices as a mask over its batch's
+    rows: the launch computed the ``picked`` rows, or all of them."""
+    if picked is None:
+        return flags
+    rows = picked.copy()
+    rows[picked] = flags
+    return rows
 
 
 def lane_digest(states: np.ndarray) -> str:
@@ -204,14 +235,23 @@ class MultiSourceSolver:
         kernel = resolve_kernel(
             self.programs[0] if k == 1 else self.programs, context.graph
         )
+        if type(kernel).batch_dependents is not BatchKernel.batch_dependents:
+            raise ConfigurationError(
+                f"{kernel.name}: the lane solver activates along out-edges;"
+                f" this kernel's dependents are not its out-neighbors"
+            )
         one_lane = kernel.num_lanes is None
         states = kernel.initial_states()
         active = kernel.initial_active()
         lane_states = states.reshape(k, -1)
         lane_active = active.reshape(k, -1)
         batches = context.layer_batches
-        batch_of_vertex = context.batch_of_vertex
-        in_degree = self._in_degree
+        gathers, scatters = context.gather_tables, context.scatter_tables
+        columns = kernel.columns
+        whole_batch = [
+            k * int(table.offsets[-1]) <= WHOLE_BATCH_LANE_EDGES
+            for table in gathers
+        ]
         pending = self._pending_batches(active)
         live = _any(lane_active, axis=1)
         lane_rounds = np.zeros(k, dtype=np.int64)
@@ -221,15 +261,19 @@ class MultiSourceSolver:
         rounds = 0
         round_cost = 0.0
 
-        def launch(b: int):
+        def launch(b: int, whole: bool = True):
             """Charge and run one launch over batch ``b``'s union
-            frontier; read-only: ``(sel, old, new, changed)``."""
+            frontier, its active ``rows``; read-only: ``(picked, dst,
+            old, new, changed)``. The kernel computes the ``dst``
+            vertices: the ``picked`` rows, or with ``picked`` None the
+            whole batch, where ``changed`` is cleared outside ``rows``
+            (a vertex no lane has active is not launched)."""
             nonlocal launches, edge_lane_work, modeled
-            batch = batches[b]
+            batch, table = batches[b], gathers[b]
             if one_lane:
-                sel = batch[active[batch]]
+                rows = active[batch]
             else:
-                sel = batch[_any(active.take(batch, axis=1), axis=0)]
+                rows = _any(active.take(batch, axis=1), axis=0)
             if self.fault_hook is not None:
                 try:
                     self.fault_hook(launches)
@@ -241,12 +285,21 @@ class MultiSourceSolver:
                     )
                     exc.launches_completed = launches
                     raise
-            work = k * int(_sum(in_degree[sel]))
+            if whole and whole_batch[b]:
+                picked, dst = None, batch
+                work = k * int(table.counts @ rows)
+            else:
+                table = table.select(rows, columns)
+                picked, dst = rows, batch[rows]
+                work = k * int(table.offsets[-1])
             launches += 1
             edge_lane_work += work
             modeled += self._launch_seconds(work)
-            old = take_vertices(states, sel)
-            return (sel, old, *kernel.batch_update(sel, states, old))
+            old = take_vertices(states, dst)
+            new, changed = kernel.update(table, dst, states, old)
+            if picked is None:
+                changed &= rows
+            return picked, dst, old, new, changed
 
         while _any(pending):
             if time_budget_s is not None and rounds >= 1:
@@ -268,7 +321,7 @@ class MultiSourceSolver:
             for b in range(len(batches)):
                 if not pending[b]:
                     continue
-                sel, old, new, changed = launch(b)
+                picked, dst, old, new, changed = launch(b)
                 pending[b] = False
                 # Write-gate: apply only where changed. For monotone
                 # kernels this is a no-op (changed ⟺ new != old); for
@@ -277,30 +330,32 @@ class MultiSourceSolver:
                 # dependents activated" exact — the invariant the
                 # union-frontier bit-identity proof stands on. Read the
                 # other way, it says a vertex no lane changed has nobody
-                # to activate: dependents are built for the moved
-                # vertices only.
+                # to activate: the scatter cuts the out-edges of the
+                # moved rows only.
                 if one_lane:
-                    (moved,) = changed.nonzero()
-                    active[sel] = False
-                    if moved.size:
+                    active[dst] = False
+                    if _any(changed):
                         # The gated write: where nothing moved, ``old``
                         # is what ``states`` already holds.
-                        sources = sel[moved]
-                        states[sources] = new[moved]
-                        targets, _ = kernel.batch_dependents(sources)
+                        states[dst] = np.where(changed, new, old)
+                        targets, target_batch = scatters[b].cut(
+                            _batch_rows(picked, changed)
+                        )
                         active[targets] = True
-                        pending[batch_of_vertex[targets]] = True
+                        pending[target_batch] = True
                     continue
-                (moved,) = _any(changed, axis=0).nonzero()
-                states[:, sel] = np.where(changed, new, old)
-                active[:, sel] = False
-                if moved.size:
-                    targets, seg_offsets = kernel.batch_dependents(sel[moved])
-                    lanes, cols = changed.take(moved, axis=1).repeat(
-                        seg_offsets[1:] - seg_offsets[:-1], axis=1
+                moved = _any(changed, axis=0)
+                states[:, dst] = np.where(changed, new, old)
+                active[:, dst] = False
+                if _any(moved):
+                    scatter = scatters[b]
+                    moved_rows = _batch_rows(picked, moved)
+                    targets, target_batch = scatter.cut(moved_rows)
+                    lanes, cols = changed.compress(moved, axis=1).repeat(
+                        scatter.counts[moved_rows], axis=1
                     ).nonzero()
                     active[lanes, targets[cols]] = True
-                    pending[batch_of_vertex[targets]] = True
+                    pending[target_batch] = True
             still = _any(lane_active, axis=1)
             lane_rounds[live & ~still] = rounds
             live &= still
@@ -312,9 +367,10 @@ class MultiSourceSolver:
             # once without applying writes. For a lane where a selected
             # vertex is inactive the recompute is a bitwise no-op
             # (changed=False), so the per-lane sum over the union
-            # frontier is exactly that lane's own residual.
+            # frontier is exactly that lane's own residual, summed over
+            # the frontier's vertices alone.
             for b in np.flatnonzero(pending).tolist():
-                _, old, new, changed = launch(b)
+                _, _, old, new, changed = launch(b, whole=False)
                 finite = changed & np.isfinite(old) & np.isfinite(new)
                 delta = np.zeros_like(old)
                 np.subtract(new, old, out=delta, where=finite)

@@ -84,14 +84,14 @@ class TestTablesMatchTheObjects:
             for start, length in zip(layout.starts, layout.lengths)
         ]
         assert list(path_set.sequences) == sequences
-        assert paths.avg_degree.tolist() == [
+        assert path_set.average_degrees.tolist() == [
             float(np.mean([graph.degree(v) for v in vertices]))
             for vertices in sequences
         ]
         assert paths.layer.tolist() == [
             float(dag.layer_of_path(p)) for p in range(len(sequences))
         ]
-        assert paths.num_vertices.tolist() == [len(vs) for vs in sequences]
+        assert layout.lengths.tolist() == [len(vs) for vs in sequences]
         occurrences = {}
         for path_id, vertices in enumerate(sequences):
             for v in dict.fromkeys(vertices):
@@ -231,7 +231,9 @@ def test_derived_active_counts_are_the_per_flip_counts():
             block.path_ids.tolist(),
             key=lambda p: (
                 -(
-                    scheduler.alpha * tables.avg_degree[p] * per_flip[p]
+                    scheduler.alpha
+                    * run.pre.path_set.average_degrees[p]
+                    * per_flip[p]
                     - tables.layer[p]
                 ),
                 p,

@@ -204,7 +204,7 @@ def test_thread_order_is_the_packer_over_the_priority_order(
     enabled, num_paths, min_work, max_work, rng
 ):
     sched = shared_scheduler(enabled)
-    total = sched._tables.num_vertices.size
+    total = sched.num_paths
     path_ids = np.array(
         rng.sample(range(total), min(num_paths, total)), dtype=np.int64
     )

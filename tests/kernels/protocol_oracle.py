@@ -8,7 +8,8 @@ computes. :class:`ProtocolKernel` is that protocol behind the same batch
 interface, line for line the loop the fallback kernel ran before it ran
 the step kernel:
 
-- ``batch_update`` calls ``program.update_vertex`` per vertex;
+- ``update`` (what ``batch_update`` runs; it reads no gather table)
+  calls ``program.update_vertex`` per vertex;
 - ``gather_degrees`` calls ``program.gather_degree``;
 - ``batch_dependents`` calls ``program.dependents``.
 
@@ -17,21 +18,25 @@ to the protocol here, not to the step kernels they share their algebra
 tables with.
 """
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.base import BatchKernel
+from repro.kernels.segment import GatherTable
 
 
 class ProtocolKernel(BatchKernel):
     """``update_vertex`` per vertex behind the batch interface, for one
     program."""
 
-    def batch_update(
-        self, dst: np.ndarray, states: np.ndarray, old: np.ndarray
+    def update(
+        self,
+        table: Optional[GatherTable],
+        dst: np.ndarray,
+        states: np.ndarray,
+        old: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        dst = np.asarray(dst, dtype=np.int64)
         new = np.empty(dst.size, dtype=np.float64)
         changed = np.empty(dst.size, dtype=bool)
         for i in range(dst.size):

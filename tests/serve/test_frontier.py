@@ -9,10 +9,16 @@ every launch (which is after every previous launch) and once more when
 the solve returns, on graphs where a launch re-flags its own batch.
 ``active`` is ``(n,)`` in a one-query solve (the 1-D kernel) and
 ``(k, n)`` in a k-query one; every audit and fixture takes both.
+
+A launch reads the context's per-batch gather and scatter tables, masked
+to its frontier; the property test at the end holds those masked tables
+to the frontier cut (``batch_update`` / ``batch_dependents``) of the
+same vertices, bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.serve.solver as solver_module
 from repro.graph import datasets
@@ -20,6 +26,7 @@ from repro.graph.builder import from_edges
 from repro.gpu.config import SCALED_MACHINE
 from repro.serve.context import ServingContext
 from repro.serve.query import SERVE_ALGORITHMS
+from repro.kernels.base import take_vertices
 from repro.serve.solver import MultiSourceSolver
 from tests.serve.test_lane_equivalence import SPEC, programs_for
 
@@ -228,3 +235,61 @@ def test_layer_tables_equal_the_dict_form(name):
         previous_layer = min(layers)
         seen[batch] += 1
     assert np.all(seen == 1)
+
+
+@pytest.mark.parametrize("algorithm", SERVE_ALGORITHMS)
+@pytest.mark.parametrize("lanes", [1, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_table_launch_is_the_frontier_cut(
+    web_context, algorithm, lanes, data
+):
+    """Masking a batch's gather and scatter tables with an active mask
+    gives the kernel table, ``new``, ``changed``, dependents and their
+    order that cutting the CSC / CSR for the selected vertices gives;
+    so does the kernel over the whole batch's table, at those rows."""
+    context = web_context
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    programs = programs_for(context, algorithm, lanes, seed)
+    kernel = solver_module.resolve_kernel(
+        programs[0] if lanes == 1 else programs, context.graph
+    )
+    b = data.draw(st.integers(0, context.num_layers - 1), label="batch")
+    batch = context.layer_batches[b]
+    rows = np.array(
+        data.draw(
+            st.lists(st.booleans(), min_size=batch.size, max_size=batch.size)
+        )
+    )
+    rows[data.draw(st.integers(0, batch.size - 1))] = True
+    sel = batch[rows]
+    # Salted states, so that some selected vertices move and some not.
+    rng = np.random.default_rng(seed)
+    states = kernel.initial_states()
+    salt = rng.random(states.shape) < 0.5
+    states[salt] = rng.integers(0, 4, size=int(salt.sum())) * 0.5
+    old = take_vertices(states, sel)
+
+    table = context.gather_tables[b].select(rows, kernel.columns)
+    cut = kernel.gather_table(sel)
+    for name in ("counts", "offsets") + kernel.columns:
+        assert getattr(table, name).tobytes() == getattr(cut, name).tobytes()
+    new, changed = kernel.update(table, sel, states, old)
+    expected_new, expected_changed = kernel.batch_update(sel, states, old)
+    assert new.tobytes() == expected_new.tobytes()
+    assert changed.tobytes() == expected_changed.tobytes()
+    whole_new, whole_changed = kernel.update(
+        context.gather_tables[b], batch, states, take_vertices(states, batch)
+    )
+    assert np.compress(rows, whole_new, axis=-1).tobytes() == new.tobytes()
+    assert np.array_equal(np.compress(rows, whole_changed, axis=-1), changed)
+
+    moved_any = changed.reshape(-1, sel.size).any(axis=0)
+    moved = rows.copy()
+    moved[rows] = moved_any
+    targets, target_batch = context.scatter_tables[b].cut(moved)
+    expected_targets, _ = kernel.batch_dependents(sel[moved_any])
+    assert targets.tolist() == expected_targets.tolist()
+    assert np.array_equal(
+        target_batch, context.batch_of_vertex[expected_targets]
+    )

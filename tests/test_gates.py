@@ -28,6 +28,7 @@ from repro.core import engine, paths, scheduling, storage
 from repro.faults import chaos
 from repro.gpu import machine
 from repro.kernels import linear, segment
+from repro.serve import context as serve_context
 from repro.serve.server import QueryServer
 from tests.baselines import test_execution_golden as baseline_golden
 from tests.core import test_execution_golden as execution_golden
@@ -149,14 +150,47 @@ def _paths_by_head(graph, vertex_seqs, edge_seqs, **kwargs):
 _fold_ranks = set()
 
 
-def _reversed_fold(values, seg_offsets):
-    """Each segment summed last value first."""
-    _fold_ranks.add(values.ndim)
+def _flipped(seg_offsets):
+    """The permutation that reverses every segment in place."""
     counts = np.diff(seg_offsets)
     first = np.repeat(seg_offsets[:-1], counts)
     last = np.repeat(seg_offsets[1:] - 1, counts)
-    flip = first + last - np.arange(counts.sum())
-    return segment.segment_sum_ordered(values[..., flip], seg_offsets)
+    return first + last - np.arange(counts.sum())
+
+
+def _reversed_fold(values, seg_offsets, segment_ids=None):
+    """Each segment summed last value first (a segment's ids are the
+    same in either order)."""
+    _fold_ranks.add(values.ndim)
+    flip = _flipped(seg_offsets)
+    return segment.segment_sum_ordered(
+        values[..., flip], seg_offsets, segment_ids
+    )
+
+
+_cut_gather_table = serve_context.cut_gather_table
+
+
+def _reversed_in_edges(graph, dst, *args):
+    """A serving context's gather table with each vertex's in-edges in
+    reverse CSC order."""
+    table = _cut_gather_table(graph, dst, *args)
+    flip = _flipped(table.offsets)
+    return table._replace(
+        sources=table.sources[flip],
+        weights=table.weights[flip],
+        source_degree=table.source_degree[flip],
+    )
+
+
+def _fresh_context_solve(key):
+    """A solve golden case on a context built under the change; the
+    cached contexts are dropped before and after."""
+    solve_golden._context.cache_clear()
+    try:
+        return solve_golden.fingerprint(*_case(solve_golden, key))
+    finally:
+        solve_golden._context.cache_clear()
 
 
 def _folded_solve(key):
@@ -221,6 +255,19 @@ GATES = (
             for graph in solve_golden.GRAPHS
             for lanes in solve_golden.LANES
         ),
+    ),
+    Mutation(
+        "lane solver: the serve gather table's in-edges reversed",
+        solve_golden,
+        ((serve_context, "cut_gather_table"),), _reversed_in_edges,
+        _fresh_context_solve,
+        moves=tuple(
+            solve_golden._key(graph, "ppr", lanes, False)
+            for graph in solve_golden.GRAPHS
+            for lanes in solve_golden.LANES
+        ),
+        # A min fold reads its inputs in any order.
+        holds=(solve_golden._key("webbase", "sssp", 8, False),),
     ),
     Mutation(
         "chaos: a completed crash leg counts as crashed", chaos_golden,
