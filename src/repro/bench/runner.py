@@ -37,20 +37,19 @@ class EngineRow(NamedTuple):
     family: Optional[str]
 
 
-_VEC = {"use_vectorized_kernels": True}
-
 #: The engine registry — the only place a name becomes a constructor —
 #: in the order the paper's figures list the engines. A ``-vec`` row is
-#: its scalar sibling with the vectorized batch kernels pinned on; only
-#: bulk-sync has one, being the only Jacobi schedule (its one round runs
-#: either the vectorized kernel or the step kernel behind the batch
-#: interface; every other engine is Gauss-Seidel and runs the step
-#: kernels).
+#: its scalar sibling with the vectorized batch kernels pinned on, and
+#: the one way to ask for them; only bulk-sync has one, being the only
+#: Jacobi schedule (its one round runs either the vectorized kernel or
+#: the step kernel behind the batch interface; every other engine is
+#: Gauss-Seidel and runs the step kernels).
 ENGINES = {
     "sequential": EngineRow(SequentialEngine, None, {}, None),
     "bulk-sync": EngineRow(BulkSyncEngine, BulkSyncConfig, {}, "baseline"),
     "bulk-sync-vec": EngineRow(
-        BulkSyncEngine, BulkSyncConfig, _VEC, "baseline"
+        BulkSyncEngine, BulkSyncConfig, {"use_vectorized_kernels": True},
+        "baseline",
     ),
     "async": EngineRow(AsyncEngine, AsyncConfig, {}, "baseline"),
     "digraph-t": EngineRow(digraph_t, DiGraphConfig, {}, "digraph"),
@@ -60,9 +59,7 @@ ENGINES = {
 
 #: Vectorized rows certify against their *scalar* sibling's golden run.
 SCALAR_SIBLING = {
-    name: name[: -len("-vec")]
-    for name, row in ENGINES.items()
-    if row.pinned == _VEC
+    name: name[: -len("-vec")] for name in ENGINES if name.endswith("-vec")
 }
 
 #: All runnable scalar engines including the sequential reference, which
@@ -94,16 +91,9 @@ def make_engine(
     name: str,
     machine: Optional[MachineSpec] = None,
     n_workers: int = 1,
-    vectorized: bool = False,
 ):
-    """Build an engine by registry name.
-
-    ``vectorized`` pins the vectorized batch kernels
-    (:mod:`repro.kernels`) on, as a ``-vec`` row does, and reaches
-    bulk-sync only, where it swaps the kernel its one round calls: the
-    async baseline and the DiGraph family update one vertex at a time
-    against what it can see now and have no batched formulation.
-    """
+    """Build an engine by registry name (``bulk-sync-vec`` is bulk-sync
+    on the vectorized batch kernel)."""
     if name not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {name!r}; expected one of {tuple(ENGINES)}"
@@ -112,10 +102,9 @@ def make_engine(
     machine = machine or SCALED_MACHINE
     if row.config is None:
         return row.constructor(machine)
-    fields = {"n_workers": n_workers, **row.pinned}
-    if vectorized and hasattr(row.config, "use_vectorized_kernels"):
-        fields.update(_VEC)
-    return row.constructor(machine, row.config(**fields))
+    return row.constructor(
+        machine, row.config(n_workers=n_workers, **row.pinned)
+    )
 
 
 _GRAPH_CACHE: Dict[Tuple, object] = {}
@@ -144,7 +133,6 @@ def run_cell(
     use_cache: bool = True,
     graph=None,
     engine_factory: Optional[Callable] = None,
-    vectorized: bool = False,
     recovery=None,
     fault_injector=None,
     resume: bool = False,
@@ -153,8 +141,7 @@ def run_cell(
     """Run one (engine, algorithm, graph) cell, memoized per process.
 
     ``num_gpus`` overrides the GPU count of the (scaled) default machine —
-    the Fig. 16 sweep. ``vectorized`` runs the batched kernels on
-    bulk-sync (see :func:`make_engine`); ``recovery`` (a
+    the Fig. 16 sweep. ``recovery`` (a
     :class:`repro.faults.RecoveryPolicy`) turns on checkpointing knobs.
     ``fault_injector`` / ``resume`` / ``program_kwargs`` are the chaos
     harness's legs: a fault plan fired against the run, a restart from
@@ -186,10 +173,7 @@ def run_cell(
         or run_options or program_kwargs
     )
     spec = machine or SCALED_MACHINE
-    key = (
-        engine_name, algo, graph_name, scale, num_gpus, n_workers,
-        vectorized, spec,
-    )
+    key = (engine_name, algo, graph_name, scale, num_gpus, n_workers, spec)
     if use_cache and not custom and key in _CACHE:
         return _CACHE[key]
 
@@ -200,9 +184,7 @@ def run_cell(
     if engine_factory is not None:
         engine = engine_factory(spec)
     else:
-        engine = make_engine(
-            engine_name, spec, n_workers=n_workers, vectorized=vectorized
-        )
+        engine = make_engine(engine_name, spec, n_workers=n_workers)
     program = make_program(algo, graph, **(program_kwargs or {}))
     result = engine.run(
         graph, program, graph_name=graph_name, **run_options
@@ -226,6 +208,9 @@ def clear_cache() -> None:
 #: label propagation (wcc), and one structural filter (kcore).
 KERNEL_BENCH_ALGOS = ("pagerank", "sssp", "wcc", "kcore")
 
+#: The engine row each kernel mode of the microbenchmark runs.
+KERNEL_BENCH_ROWS = {"scalar": "bulk-sync", "vectorized": "bulk-sync-vec"}
+
 #: Runs of each (algorithm, kernel) cell; the median wall time is kept.
 KERNEL_BENCH_REPEATS = 3
 
@@ -236,13 +221,13 @@ def run_kernel_microbench(
     seed: int = 7,
     algos: Sequence[str] = KERNEL_BENCH_ALGOS,
     machine: Optional[MachineSpec] = None,
-    engine_name: str = "bulk-sync",
     out_path: Optional[str] = "BENCH_kernels.json",
 ) -> Dict:
     """Time scalar vs vectorized vertex updates on one synthetic graph.
 
-    Runs each algorithm on the same ``random_directed`` graph with
-    per-vertex scalar updates and with the batched kernels, the two
+    Runs each algorithm on the same ``random_directed`` graph on the
+    ``bulk-sync`` row (per-vertex scalar updates) and on the
+    ``bulk-sync-vec`` row (the batched kernels), the two
     alternating, :data:`KERNEL_BENCH_REPEATS` times each, and records
     each mode's median wall-clock seconds, per-round throughput, and
     whether every pair of runs reached bit-identical states. The scalar
@@ -254,10 +239,9 @@ def run_kernel_microbench(
     and returns it. Later PRs diff this file for a perf trajectory.
 
     Runs through the shared sweep runner (:mod:`repro.bench.sweep`) —
-    each (algorithm, kernel mode) pair is one sweep cell over a seeded
-    ``random_directed`` graph, with ``use_vectorized_kernels`` as the
-    swept knob; bit-identical states are certified by comparing the
-    cells' determinism digests.
+    each (algorithm, engine row) pair is one sweep cell over a seeded
+    ``random_directed`` graph; bit-identical states are certified by
+    comparing the cells' determinism digests.
     """
     from repro.bench.sweep import CellSpec, run_sweep_cell
 
@@ -282,18 +266,15 @@ def run_kernel_microbench(
         states_equal = True
         for _ in range(KERNEL_BENCH_REPEATS):
             digests: Dict[str, str] = {}
-            for mode, vectorized in (("scalar", False), ("vectorized", True)):
+            for mode, engine in KERNEL_BENCH_ROWS.items():
                 cells[mode] = cell = run_sweep_cell(
                     CellSpec(
-                        engine=engine_name,
+                        engine=engine,
                         algorithm=algo,
                         graph=graph_spec,
                         mode="run",
                         scale=1.0,
-                        knobs={
-                            "use_vectorized_kernels": vectorized,
-                            "num_gpus": machine.num_gpus,
-                        },
+                        knobs={"num_gpus": machine.num_gpus},
                     ),
                     seeds=(seed,),
                 )
@@ -335,7 +316,7 @@ def run_kernel_microbench(
         "schema": "repro-bench-kernels",
         "schema_version": 1,
         "benchmark": "kernel-microbench",
-        "engine": engine_name,
+        "engine": KERNEL_BENCH_ROWS["scalar"],
         "graph": {
             "generator": "random_directed",
             "num_vertices": num_vertices,

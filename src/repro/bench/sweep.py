@@ -8,8 +8,7 @@ path all of them share:
 
 - :class:`SweepConfig` declares the matrix: engines × algorithms ×
   graphs × knobs (checkpoint interval, redistribution policy, streaming
-  batch size, vectorized kernels, GPU count, ...), plus seeds and
-  wall-clock repeats.
+  batch size, GPU count, ...), plus seeds and wall-clock repeats.
 - :func:`run_sweep` expands the matrix into cells, executes every cell
   ``len(seeds) * repeats`` times through the shared
   :func:`repro.bench.runner.run_cell` path (or
@@ -47,7 +46,7 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS
 from repro.bench import runner
-from repro.bench.runner import ALL_ENGINE_NAMES
+from repro.bench.runner import ENGINES
 from repro.bench.schema import validate_artifact, write_artifact_file
 from repro.errors import ArtifactError, ConfigurationError
 from repro.faults.recovery import RecoveryPolicy
@@ -99,7 +98,6 @@ MODE_KNOBS = {
     "run": _knob_table(
         _NUM_GPUS,
         Knob("n_workers", int, 1, minimum=1),
-        Knob("use_vectorized_kernels", bool, False),
         RecoveryPolicy,
     ),
     "stream": _knob_table(_NUM_GPUS, *TRACE_KNOBS),
@@ -265,9 +263,8 @@ class SweepConfig:
                 )
             else:
                 _require(
-                    engine in ALL_ENGINE_NAMES,
-                    f"unknown engine {engine!r}; known: "
-                    f"{ALL_ENGINE_NAMES}",
+                    engine in ENGINES,
+                    f"unknown engine {engine!r}; known: {tuple(ENGINES)}",
                 )
         if self.mode == "serve":
             servable = SERVE_ALGORITHMS + ("mixed",)
@@ -496,7 +493,6 @@ def _run_once(spec: CellSpec, seed: int) -> Dict[str, object]:
         scale=spec.scale,
         num_gpus=_knob(spec, "num_gpus"),
         n_workers=_knob(spec, "n_workers"),
-        vectorized=_knob(spec, "use_vectorized_kernels"),
         recovery=RecoveryPolicy(**policy) if policy else None,
         use_cache=False,
         graph=graph,

@@ -47,6 +47,7 @@ from repro.bench.runner import (
     ALL_CHAOS_ENGINES,
     ALL_ENGINE_NAMES,
     ENGINE_NAMES,
+    SCALAR_SIBLING,
     run_cell,
 )
 from repro.errors import ReproError, VerificationError
@@ -202,7 +203,6 @@ def _durable_run_policy(args):
         {
             "mode": "engine",
             "engine": args.engine,
-            "vectorized": bool(args.vectorized),
             "algorithm": args.algorithm,
             "dataset": args.dataset,
             "scale": args.scale,
@@ -226,7 +226,6 @@ def cmd_run(args) -> int:
         name,
         machine=spec,
         graph=graph,
-        vectorized=args.vectorized,
         recovery=recovery,
     )
     print(result.summary())
@@ -724,9 +723,6 @@ def cmd_sweep(args) -> int:
     if args.config:
         config = SweepConfig.from_json(args.config)
     else:
-        knobs = {}
-        if args.vectorized_knob:
-            knobs["use_vectorized_kernels"] = [False, True]
         config = SweepConfig.from_dict(
             {
                 "engines": args.engines,
@@ -735,7 +731,6 @@ def cmd_sweep(args) -> int:
                 "scale": args.scale,
                 "seeds": args.seeds,
                 "repeats": args.repeats,
-                "knobs": knobs,
             }
         )
 
@@ -834,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine",
-        choices=ENGINE_NAMES,
+        choices=ENGINE_NAMES + tuple(SCALAR_SIBLING),
         default="digraph",
         help="engine to run (default: digraph)",
     )
@@ -842,12 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="print per-round sparklines (Fig. 2-style view)",
-    )
-    run.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="use the batched vertex-update kernels (bulk-sync only; "
-        "same modeled cost, faster simulation)",
     )
     add_flags(
         run,
@@ -1047,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="wall-clock repeats per seed; model metrics must be "
         "bit-identical across repeats (default: 1)",
-    )
-    sw.add_argument(
-        "--vectorized-knob",
-        action="store_true",
-        help="sweep use_vectorized_kernels over {off, on}",
     )
     sw.add_argument(
         "--output",

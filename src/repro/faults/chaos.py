@@ -743,7 +743,6 @@ def resume_run(
         header["dataset"],
         machine=spec,
         graph=graph,
-        vectorized=bool(header.get("vectorized", False)),
         recovery=RecoveryPolicy(
             run_dir=run_dir, **dict(header.get("policy") or {})
         ),
@@ -799,10 +798,7 @@ def _resume_repartitioned(
         graph = _load_header_graph(header)
 
     spec = (machine or SCALED_MACHINE).scaled(gpus)
-    engine = make_engine(
-        header["engine"], spec,
-        vectorized=bool(header.get("vectorized", False)),
-    )
+    engine = make_engine(header["engine"], spec)
     program = make_program(header["algorithm"], graph)
     return engine.run(
         graph,

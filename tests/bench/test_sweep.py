@@ -85,8 +85,7 @@ class TestConfigValidation:
 
         assert {mode: set(table) for mode, table in MODE_KNOBS.items()} == {
             "run": {
-                "num_gpus", "n_workers", "use_vectorized_kernels",
-                "checkpoint_interval", "incremental_checkpoints",
+                "num_gpus", "n_workers", "checkpoint_interval", "incremental_checkpoints",
                 "full_checkpoint_period", "redistribution",
             },
             "stream": {
@@ -160,13 +159,26 @@ class TestMatrixExpansion:
                 "engines": ["bulk-sync", "digraph"],
                 "algorithms": ["pagerank", "sssp"],
                 "graphs": ["cnr", "dblp"],
-                "knobs": {"use_vectorized_kernels": [False, True]},
+                "knobs": {"n_workers": [1, 2]},
                 "seeds": [0],
             }
         )
         cells = config.expand()
         assert len(cells) == 2 * 2 * 2 * 2
         assert len({cell.cell_id for cell in cells}) == len(cells)
+
+    def test_the_engine_row_picks_the_batch_kernel(self):
+        """``bulk-sync-vec`` is a sweep engine like any other row, and
+        its cells equal bulk-sync's in digests and model metrics."""
+        report = run_sweep(
+            SweepConfig.from_dict(
+                {**TINY, "engines": ["bulk-sync", "bulk-sync-vec"]}
+            )
+        )
+        scalar, vectorized = report["cells"]
+        assert vectorized["cell_id"] == "bulk-sync-vec/pagerank/cnr"
+        for key in ("digests", "metrics", "stats"):
+            assert scalar[key] == vectorized[key], key
 
     def test_cell_id_format(self):
         spec = CellSpec(
@@ -175,11 +187,9 @@ class TestMatrixExpansion:
             graph="cnr",
             mode="run",
             scale=0.5,
-            knobs={"use_vectorized_kernels": True, "num_gpus": 2},
+            knobs={"num_gpus": 2, "n_workers": 2},
         )
-        assert spec.cell_id == (
-            "digraph/sssp/cnr/num_gpus=2,use_vectorized_kernels=True"
-        )
+        assert spec.cell_id == "digraph/sssp/cnr/n_workers=2,num_gpus=2"
 
 
 class TestDeterminism:

@@ -97,43 +97,59 @@ class TestCrashRestartCells:
         ]
 
 
+def _crash_and_resume(run_dir, engine_name, header):
+    """Crash ``engine_name`` on cnr pagerank at round 2 under a durable
+    store written with ``header``; the resumed run and its golden."""
+    from repro.algorithms import make_program
+    from repro.bench.runner import load_graph, make_engine
+    from repro.gpu.config import SCALED_MACHINE
+
+    graph = load_graph("cnr", "pagerank", 0.2)
+    spec = SCALED_MACHINE
+    golden = make_engine(engine_name, spec).run(
+        graph, make_program("pagerank", graph), graph_name="cnr"
+    )
+    policy = RecoveryPolicy(
+        durability="durable", run_dir=run_dir, checkpoint_interval=1,
+    )
+    CheckpointStore(run_dir).write_header({
+        "mode": "engine", "algorithm": "pagerank",
+        "dataset": "cnr", "scale": 0.2,
+        "gpus": spec.num_gpus,
+        "policy": {"durability": "durable", "checkpoint_interval": 1},
+        **header,
+    })
+    injector = FaultInjector(crash_plan("round-boundary", crash_round=2))
+    with pytest.raises(InjectedCrashError):
+        make_engine(engine_name, spec).run(
+            graph, make_program("pagerank", graph), graph_name="cnr",
+            fault_injector=injector, recovery=policy,
+        )
+    return resume_run(run_dir), golden
+
+
 class TestResumeRun:
     def test_resume_via_header_matches_golden(self, tmp_path):
-        from repro.algorithms import make_program
-        from repro.bench.runner import load_graph, make_engine
         from repro.faults.chaos import state_digest
-        from repro.gpu.config import SCALED_MACHINE
 
-        run_dir = str(tmp_path)
-        graph = load_graph("cnr", "pagerank", 0.2)
-        spec = SCALED_MACHINE
-        golden = make_engine("digraph", spec).run(
-            graph, make_program("pagerank", graph), graph_name="cnr"
+        resumed, golden = _crash_and_resume(
+            str(tmp_path), "digraph", {"engine": "digraph"}
         )
-
-        policy = RecoveryPolicy(
-            durability="durable", run_dir=run_dir,
-            checkpoint_interval=1,
+        assert state_digest(resumed.states, 0.0) == state_digest(
+            golden.states, 0.0
         )
-        store = CheckpointStore(run_dir)
-        store.write_header({
-            "mode": "engine", "engine": "digraph",
-            "vectorized": False, "algorithm": "pagerank",
-            "dataset": "cnr", "scale": 0.2,
-            "gpus": spec.num_gpus,
-            "policy": {
-                "durability": "durable", "checkpoint_interval": 1,
-            },
-        })
-        injector = FaultInjector(crash_plan("round-boundary",
-                                            crash_round=2))
-        engine = make_engine("digraph", spec)
-        with pytest.raises(InjectedCrashError):
-            engine.run(graph, make_program("pagerank", graph),
-                       graph_name="cnr", fault_injector=injector,
-                       recovery=policy)
+        assert resumed.stats.rounds == golden.stats.rounds
 
-        resumed = resume_run(run_dir)
+    def test_an_old_vectorized_header_resumes(self, tmp_path):
+        """Headers once recorded ``"vectorized": true`` for a bulk-sync
+        run on the batch kernel; resume reads the engine name alone and
+        finishes on the step kernel, which is bit-identical."""
+        from repro.faults.chaos import state_digest
+
+        resumed, golden = _crash_and_resume(
+            str(tmp_path), "bulk-sync-vec",
+            {"engine": "bulk-sync", "vectorized": True},
+        )
         assert state_digest(resumed.states, 0.0) == state_digest(
             golden.states, 0.0
         )
@@ -158,8 +174,7 @@ class TestResumeRun:
         # silently restart from round 0 as if nothing was lost.
         store = CheckpointStore(str(tmp_path))
         store.write_header({
-            "mode": "engine", "engine": "digraph",
-            "vectorized": False, "algorithm": "pagerank",
+            "mode": "engine", "engine": "digraph", "algorithm": "pagerank",
             "dataset": "cnr", "scale": 0.2, "gpus": 2,
             "policy": {"durability": "durable"},
         })

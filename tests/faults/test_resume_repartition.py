@@ -45,7 +45,6 @@ def write_engine_header(run_dir, policy, graph_dir, engine="digraph"):
         {
             "mode": "engine",
             "engine": engine,
-            "vectorized": False,
             "algorithm": "wcc",
             "dataset": "scc-profile",
             "scale": 1.0,

@@ -16,7 +16,10 @@ from repro.algorithms import make_program
 from repro.bench.runner import make_engine
 from repro.graph.generators import scc_profile_graph
 
-ENGINES = ("bulk-sync", "async", "digraph", "digraph-t", "digraph-w")
+ENGINES = (
+    "bulk-sync", "bulk-sync-vec", "async", "digraph", "digraph-t",
+    "digraph-w",
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,21 +30,16 @@ def graph():
     )
 
 
-def _run(graph, engine_name, machine, vectorized, algo="pagerank"):
-    engine = make_engine(engine_name, machine, vectorized=vectorized)
+def _run(graph, engine_name, machine, algo="pagerank"):
+    engine = make_engine(engine_name, machine)
     program = make_program(algo, graph)
     return engine.run(graph, program, graph_name="determinism")
 
 
-@pytest.mark.parametrize("vectorized", (False, True), ids=("scalar", "vec"))
 @pytest.mark.parametrize("engine_name", ENGINES)
-def test_run_twice_identical(engine_name, vectorized, graph, test_machine):
-    # ``vectorized`` reaches bulk-sync only; the DiGraph family ignores
-    # it, so its ``-vec`` cases rerun the scalar engine.
-    if vectorized and engine_name == "async":
-        pytest.skip("async engine has no batched formulation")
-    first = _run(graph, engine_name, test_machine, vectorized)
-    second = _run(graph, engine_name, test_machine, vectorized)
+def test_run_twice_identical(engine_name, graph, test_machine):
+    first = _run(graph, engine_name, test_machine)
+    second = _run(graph, engine_name, test_machine)
 
     assert np.array_equal(first.states, second.states)
     assert first.rounds == second.rounds

@@ -293,3 +293,44 @@ def test_a_table_launch_is_the_frontier_cut(
     assert np.array_equal(
         target_batch, context.batch_of_vertex[expected_targets]
     )
+
+
+def test_a_whole_batch_launch_leaves_the_idle_rows_alone(
+    web_context, monkeypatch
+):
+    """A whole-batch launch recomputes every row of its batch, and must
+    drop the changes of the rows no lane has active. One sssp query
+    whose initial states put an idle vertex off its fixed point (an idle
+    in-neighbor starts at distance 0), in a whole-batch batch that also
+    holds an active vertex: the solve still equals the reference, which
+    computes the active vertices only."""
+    context = web_context
+    graph = context.graph
+    (program,) = programs_for(context, "sssp", 1, seed=5)
+    states = program.initial_states(graph)
+    active = program.initial_active(graph)
+    b, idle, feeder = next(
+        (b, int(u), int(w))
+        for b, batch in enumerate(context.layer_batches)
+        if active[batch].any()
+        and context.gather_tables[b].offsets[-1]
+        <= solver_module.WHOLE_BATCH_LANE_EDGES
+        for u in batch[~active[batch]]
+        for w in graph.predecessors(int(u))
+        if not active[w] and w != program.source
+    )
+    initial_states = program.initial_states
+
+    def off_fixed_point(g):
+        states = initial_states(g)
+        states[feeder] = 0.0
+        return states
+
+    monkeypatch.setattr(program, "initial_states", off_fixed_point)
+    _, moves = program.update_vertex(graph, idle, off_fixed_point(graph))
+    assert moves and context.batch_of_vertex[idle] == b
+    solver = MultiSourceSolver(context, [program])
+    solved, reference = solver.solve(), solver.solve_reference()
+    assert solved.digests == reference.digests
+    assert solved.launches == reference.launches
+    assert solved.edge_lane_work == reference.edge_lane_work

@@ -70,7 +70,7 @@ class TestConfigValidation:
             SweepConfig.from_dict(
                 {
                     **SERVE_TINY,
-                    "knobs": {"use_vectorized_kernels": [True]},
+                    "knobs": {"n_workers": [2]},
                 }
             )
 

@@ -7,12 +7,16 @@ which must still apply, or a replacement callable), then its ``moves``
 cases must differ from their pins and its ``holds`` cases equal theirs.
 A :class:`SweepGate` row runs a committed CI sweep through the CLI: it
 must pass its committed baseline, and fail it with a slowdown injected.
-A new gate is a new row of :data:`GATES`.
+A :class:`MustFail` row runs one input twice through the CLI or the
+named function: as is it must pass, and with its safeguard taken away
+it must fail. A new gate is a new row of :data:`GATES`.
 """
 
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import re
 import tempfile
@@ -25,11 +29,13 @@ import pytest
 from repro.baselines import bulk_sync
 from repro.cli import main
 from repro.core import engine, paths, scheduling, storage
+from repro.errors import StorageError
 from repro.faults import chaos
 from repro.gpu import machine
 from repro.kernels import linear, segment
 from repro.serve import context as serve_context
 from repro.serve.server import QueryServer
+from repro.storage import memory_bound_selftest, partition_graph
 from tests.baselines import test_execution_golden as baseline_golden
 from tests.core import test_execution_golden as execution_golden
 from tests.core import test_preprocess_golden as preprocess_golden
@@ -103,6 +109,16 @@ class SweepGate:
         assert main(["sweep", "--config", str(slowed), *gate]) == 1, (
             f"{self.name}: the injected slowdown passes the gate"
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class MustFail:
+    name: str
+    #: ``(tmp_path) -> None``: asserts the pass, then the failure.
+    run: object
+
+    def check(self, monkeypatch, tmp_path):
+        self.run(tmp_path)
 
 
 def _case(module, key):
@@ -208,6 +224,71 @@ def _flipped_chaos(key):
         rows = chaos_golden.run_case(key, chaos_golden.build_graph(), run_dir)
     assert [row["passed"] for row in rows] == [True], f"{key} still fails"
     return rows
+
+
+CHAOS = [
+    "chaos", "--dataset", "dblp", "--scale", "0.15", "--gpus", "2",
+    "--algorithms", "pagerank", "--sync-drop-rate", "0.5", "--seeds", "3",
+]
+SERVE = [
+    "serve", "--dataset", "dblp", "--scale", "0.2", "--algorithm", "mixed",
+    "--queries", "48", "--tenants", "4", "--lanes", "8", "--seed", "3",
+    "--kill-launch", "6",
+]
+
+
+def _chaos_without_recovery(tmp_path):
+    assert main(CHAOS) == 0
+    assert main([*CHAOS, "--no-recovery"]) == 1
+
+
+def _serve_without_replay(tmp_path):
+    assert main([*SERVE, "--strict"]) == 0
+    assert main([*SERVE, "--max-replays", "0"]) == 1
+
+
+def _scrub_a_flipped_byte(tmp_path):
+    """The byte flipped mid-page in the newest checkpoint's last page
+    is found and named by the damage vocabulary, and repaired."""
+    run_dir = str(tmp_path)
+    assert main([
+        "run", "--dataset", "cnr", "--scale", "0.2", "--engine", "digraph",
+        "--durability", "durable", "--run-dir", run_dir,
+    ]) == 0
+    scrub = ["scrub", "--run-dir", run_dir]
+    assert main(scrub) == 0
+    page = sorted(tmp_path.glob("ckpt-*/*.page*"))[-1]
+    data = bytearray(page.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    page.write_bytes(bytes(data))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(scrub) == 1
+    assert "bitrot" in err.getvalue()
+    assert main([*scrub, "--repair"]) == 0
+    assert main(scrub) == 0
+
+
+def _memory_bound_without_the_cache(tmp_path):
+    store = str(tmp_path / "shards")
+    assert main([
+        "partition", "--dataset", "cnr", "--scale", "0.3", "--num-parts",
+        "4", "--policy", "affinity", "--out-dir", store,
+    ]) == 0
+    assert memory_bound_selftest(store, 4096)["ok"]
+    assert not memory_bound_selftest(store, 4096, disable_cache=True)["ok"]
+
+
+def _one_shot_edge_source(tmp_path):
+    """A source must replay: a one-shot iterator fails before the store
+    commits anything."""
+    chunks = [(np.array([0, 1]), np.array([1, 2]), np.ones(2))]
+    partition_graph(lambda: iter(chunks), 2, str(tmp_path / "replays"))
+    assert (tmp_path / "replays" / "GRAPH.json").exists()
+    one_shot = iter(chunks)
+    with pytest.raises(StorageError, match="source does not replay"):
+        partition_graph(lambda: one_shot, 2, str(tmp_path / "one-shot"))
+    assert not (tmp_path / "one-shot" / "GRAPH.json").exists()
 
 
 SHED_OLDEST = Mutation(
@@ -316,6 +397,14 @@ GATES = (
     SweepGate(
         "overload_ci.json", "baseline_overload_ci.json", {"serve/*": 3.0}
     ),
+    MustFail("chaos: a faulted run without recovery", _chaos_without_recovery),
+    MustFail("serve: a killed launch without replay", _serve_without_replay),
+    MustFail("scrub: a flipped byte in a durable run", _scrub_a_flipped_byte),
+    MustFail(
+        "storage: the bounded scan without its shard cache",
+        _memory_bound_without_the_cache,
+    ),
+    MustFail("storage: a one-shot edge source", _one_shot_edge_source),
 )
 
 
