@@ -47,7 +47,7 @@ from repro.bench.runner import (
     ALL_CHAOS_ENGINES,
     ALL_ENGINE_NAMES,
     ENGINE_NAMES,
-    SCALAR_SIBLING,
+    ENGINES,
     run_cell,
 )
 from repro.errors import ReproError, VerificationError
@@ -829,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine",
-        choices=ENGINE_NAMES + tuple(SCALAR_SIBLING),
+        choices=tuple(name for name, row in ENGINES.items() if row.family),
         default="digraph",
         help="engine to run (default: digraph)",
     )

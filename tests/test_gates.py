@@ -227,8 +227,8 @@ def _flipped_chaos(key):
 
 
 CHAOS = [
-    "chaos", "--dataset", "dblp", "--scale", "0.15", "--gpus", "2",
-    "--algorithms", "pagerank", "--sync-drop-rate", "0.5", "--seeds", "3",
+    "chaos", "--scale", "0.15", "--gpus", "2", "--algorithms", "pagerank",
+    "--sync-drop-rate", "0.5", "--seeds", "3",
 ]
 SERVE = [
     "serve", "--dataset", "dblp", "--scale", "0.2", "--algorithm", "mixed",
@@ -237,9 +237,13 @@ SERVE = [
 ]
 
 
-def _chaos_without_recovery(tmp_path):
-    assert main(CHAOS) == 0
-    assert main([*CHAOS, "--no-recovery"]) == 1
+def _chaos_without_recovery(dataset):
+    def run(tmp_path):
+        chaos_run = [*CHAOS, "--dataset", dataset]
+        assert main(chaos_run) == 0
+        assert main([*chaos_run, "--no-recovery"]) == 1
+
+    return run
 
 
 def _serve_without_replay(tmp_path):
@@ -397,7 +401,13 @@ GATES = (
     SweepGate(
         "overload_ci.json", "baseline_overload_ci.json", {"serve/*": 3.0}
     ),
-    MustFail("chaos: a faulted run without recovery", _chaos_without_recovery),
+    *(
+        MustFail(
+            f"chaos: a faulted {dataset} run without recovery",
+            _chaos_without_recovery(dataset),
+        )
+        for dataset in ("dblp", "cnr")
+    ),
     MustFail("serve: a killed launch without replay", _serve_without_replay),
     MustFail("scrub: a flipped byte in a durable run", _scrub_a_flipped_byte),
     MustFail(
