@@ -24,7 +24,7 @@ from repro.gpu.config import MachineSpec
 from repro.model.gas import VertexProgram
 from repro.model.rounds import drive_rounds, finish_run
 from repro.bench.results import ExecutionResult
-from repro.core.storage import BYTES_PER_MESSAGE
+from repro.core.storage import BYTES_PER_MESSAGE, BYTES_PER_STATE
 from repro.baselines.common import BaselineFaultHarness
 from repro.kernels.steps import dependents_table, resolve_step
 
@@ -197,7 +197,9 @@ class _AsyncRun(BaselineFaultHarness):
             stats.edge_traversals += degree_sum
             # Demand fetches: gather reads pull each predecessor's
             # record into cores individually (random access).
-            machine.load_global(gpu, nbytes=8 * degree_sum, vertices=degree_sum)
+            machine.load_global(
+                gpu, nbytes=BYTES_PER_STATE * degree_sum, vertices=degree_sum
+            )
             machine.note_vertex_uses(processed + degree_sum)
             stats.vertex_updates += updates
             # No proxy vertices: every changed write is an atomic.

@@ -25,7 +25,7 @@ from repro.kernels.registry import resolve_kernel
 from repro.model.gas import VertexProgram
 from repro.model.rounds import drive_rounds, finish_run
 from repro.bench.results import ExecutionResult
-from repro.core.storage import BYTES_PER_MESSAGE
+from repro.core.storage import BYTES_PER_MESSAGE, BYTES_PER_STATE
 from repro.baselines.common import BaselineFaultHarness
 
 #: Per-round barrier/allreduce payload per GPU pair (frontier sizes etc.).
@@ -154,7 +154,9 @@ class _BulkSyncRun(BaselineFaultHarness):
             if degree_sum:
                 # Demand fetches for gather reads (random access).
                 machine.load_global(
-                    gpu, nbytes=8 * degree_sum, vertices=degree_sum
+                    gpu,
+                    nbytes=BYTES_PER_STATE * degree_sum,
+                    vertices=degree_sum,
                 )
             work[gpu] = gpu_degrees
             atomics[gpu] = changed[on_gpu]

@@ -9,7 +9,7 @@ round records for the per-round figures (Fig. 2), and the time breakdown
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -47,7 +47,7 @@ import numpy as np
 from repro.algorithms import ALGORITHMS
 from repro.bench import runner
 from repro.bench.runner import ENGINES
-from repro.bench.schema import validate_artifact, write_artifact_file
+from repro.bench.schema import validate_artifact
 from repro.errors import ArtifactError, ConfigurationError
 from repro.faults.recovery import RecoveryPolicy
 from repro.graph import datasets
@@ -915,11 +915,4 @@ def compare_sweeps(
                 "cell not present in the baseline", "info",
             )
         )
-    return report
-
-
-def refresh_baseline(config: SweepConfig, path: str) -> Dict:
-    """Run the matrix and commit its artifact as the new baseline."""
-    report = run_sweep(config)
-    write_artifact_file(report, path)
     return report

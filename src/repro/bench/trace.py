@@ -36,21 +36,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     return "".join(chars)
 
 
-def round_trace_csv(result: ExecutionResult) -> str:
-    """CSV of the per-round records (one line per round)."""
-    lines = [
-        "round,partitions_processed,partitions_convergent,"
-        "active_fraction,cumulative_updates"
-    ]
-    for rec in result.round_records:
-        lines.append(
-            f"{rec.round_index},{rec.partitions_processed},"
-            f"{rec.partitions_convergent},"
-            f"{rec.active_fraction_nonconvergent:.6f},{rec.vertex_updates}"
-        )
-    return "\n".join(lines)
-
-
 def round_trace_summary(result: ExecutionResult) -> str:
     """Human-readable trace: sparklines over the run's rounds."""
     records = result.round_records

@@ -86,9 +86,6 @@ class DependencyDAG:
     def scc_successors(self, scc: int) -> np.ndarray:
         return self.dag.successors(scc)
 
-    def scc_predecessors(self, scc: int) -> np.ndarray:
-        return self.dag.predecessors(scc)
-
     def num_layers(self) -> int:
         if self.layer_of_scc.size == 0:
             return 0

@@ -244,17 +244,6 @@ class Dispatcher:
             time_s += self._machine.batched_transfer_to_gpu(gpu_id, nbytes)
         return time_s
 
-    def prefetch_group(
-        self,
-        group: DispatchGroup,
-        active_successors: Callable[[int], int],
-    ) -> None:
-        """Queue a group's partitions behind current compute (Hyper-Q)."""
-        if not self._prefetch:
-            return
-        for pid in group.partition_ids:
-            self.ensure_resident(pid, active_successors, overlap=True)
-
     # ------------------------------------------------------------------
     # work stealing
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ dependency ordering), ``use_priority_scheduling=False`` is DiGraph-w.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -63,7 +63,10 @@ from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable
 from repro.core.scheduling import PathScheduler, pack_ordered
 from repro.core.storage import (
+    BYTES_PER_EDGE_VALUE,
     BYTES_PER_MESSAGE,
+    BYTES_PER_STATE,
+    BYTES_PER_VERTEX_RECORD,
     PathStorage,
     build_partitions,
 )
@@ -1004,7 +1007,8 @@ class _Run:
             loaded_edges = loaded_vertices - scheduled.size
             load_global(
                 gpu_id,
-                nbytes=loaded_vertices * 16 + loaded_edges * 8,
+                nbytes=loaded_vertices * BYTES_PER_VERTEX_RECORD
+                + loaded_edges * BYTES_PER_EDGE_VALUE,
                 vertices=loaded_vertices,
             )
             # N(p) where Pri(p) is evaluated: the path's distinct
@@ -1098,7 +1102,7 @@ class _Run:
             if demand_fetches:
                 load_global(
                     gpu_id,
-                    nbytes=8 * demand_fetches,
+                    nbytes=BYTES_PER_STATE * demand_fetches,
                     vertices=demand_fetches,
                 )
         return work_items
@@ -1147,7 +1151,9 @@ class _Run:
         # Demand fetches: no path block to amortize gather reads.
         if degree_sum > 0:
             self.machine.load_global(
-                gpu_id, nbytes=8 * degree_sum, vertices=degree_sum
+                gpu_id,
+                nbytes=BYTES_PER_STATE * degree_sum,
+                vertices=degree_sum,
             )
         self.machine.note_vertex_uses(len(items) + degree_sum)
         return items

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,28 +138,6 @@ class ReplicaTable:
             )
             if weight
         }
-
-    def set_owner_overrides(self, owners: Mapping[int, int]) -> None:
-        """Replace owner partitions.
-
-        Raises ``StorageError``, changing no owner, if an override names
-        a partition that holds no replica of its vertex.
-        """
-        count = len(owners)
-        vertex = np.fromiter(owners, dtype=np.int64, count=count)
-        pid = np.fromiter(owners.values(), dtype=np.int64, count=count)
-        mirrors = self._mirror_vertex * self._stride + self._mirror_partition
-        valid = (
-            (vertex >= 0) & (pid >= 0) & (pid < self._stride)
-            & np.isin(vertex * self._stride + pid, mirrors)
-        )
-        if not valid.all():
-            bad = int(np.argmin(valid))
-            raise StorageError(
-                f"owner partition {pid[bad]} holds no replica of vertex "
-                f"{vertex[bad]}"
-            )
-        self._owner_partition[vertex] = pid
 
     def set_layer_aware_owners(self, partition_layer: np.ndarray) -> None:
         """Pin each vertex's activity to its downstream-most writer.

@@ -177,13 +177,6 @@ class Interconnect:
         )
         return total_time
 
-    def broadcast_from_host(self, nbytes_per_gpu: int) -> float:
-        """Host sends ``nbytes_per_gpu`` to every GPU; returns total time."""
-        total = 0.0
-        for gpu in range(self._spec.num_gpus):
-            total += self.transfer(HOST, gpu, nbytes_per_gpu)
-        return total
-
     def batched_transfer(
         self, src: Endpoint, dst: Endpoint, nbytes: int, batch_bytes: int
     ) -> float:

@@ -42,10 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
     from repro.faults.injector import FaultInjector
     from repro.faults.recovery import RecoveryPolicy
 
-#: Per-thread work: (edge_steps, atomic_updates).
-WorkItem = Tuple[int, int]
-
-
 @dataclass
 class DeliveryOutcome:
     """Result of one replica-batch delivery (:meth:`Machine.deliver_replica_batch`).
@@ -131,16 +127,9 @@ class GPU:
     """One simulated GPU: global memory and a Hyper-Q stream pool; its
     SMXs are priced by :func:`balanced_cycles`."""
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        gpu_id: int,
-        stats: MachineStats,
-        num_streams: int,
-    ) -> None:
+    def __init__(self, spec: GPUSpec, gpu_id: int, num_streams: int) -> None:
         self.spec = spec
         self.gpu_id = gpu_id
-        self._stats = stats
         self.global_memory = BoundedMemory(
             spec.global_memory_bytes, name=f"gpu{gpu_id}.global"
         )
@@ -149,29 +138,6 @@ class GPU:
     def seconds(self, cycles: int) -> float:
         """Convert SMX cycles to model seconds."""
         return cycles / self.spec.clock_hz
-
-    def execute_balanced(
-        self,
-        work_items: Sequence[int],
-        atomic_counts: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Run one kernel, spreading threads across SMXs evenly.
-
-        Work items keep their relative order inside each SMX chunk so
-        callers control warp composition (Section 3.2.2 assigns paths to
-        threads so each thread's edge count is almost equal *before*
-        launching). Returns the elapsed model seconds, with any queued
-        stream transfers overlapped against the compute interval.
-        """
-        if not len(work_items):
-            # Still resolve pending transfers (nothing hides them).
-            return self.streams.flush()
-        (cycles,), busy, total = balanced_cycles(
-            self.spec, [(work_items, atomic_counts)]
-        )
-        self._stats.busy_thread_cycles += busy
-        self._stats.total_thread_cycles += total
-        return self.streams.overlap_with_compute(self.seconds(cycles)).elapsed_s
 
 
 class Machine:
@@ -191,7 +157,7 @@ class Machine:
             recovery=recovery,
         )
         self.gpus = [
-            GPU(spec.gpu, gpu_id, self.stats, spec.num_streams)
+            GPU(spec.gpu, gpu_id, spec.num_streams)
             for gpu_id in range(spec.num_gpus)
         ]
         #: GPUs lost mid-execution (:meth:`kill_gpu`).
@@ -392,16 +358,6 @@ class Machine:
         self.stats.transfer_time_s += time_s
         return time_s
 
-    def flush_streams(self) -> float:
-        """Resolve any still-pending stream transfers at full cost."""
-        total = sum(
-            gpu.streams.flush()
-            for gpu in self.gpus
-            if gpu.gpu_id not in self.dead_gpus
-        )
-        self.stats.transfer_time_s += total
-        return total
-
     # ------------------------------------------------------------------
     # compute
     # ------------------------------------------------------------------
@@ -449,8 +405,7 @@ class Machine:
                         gpu_id=fault.kill_gpu,
                     )
                 slowdowns = dict(fault.slowdowns)
-        # Every live GPU's share, as GPU.execute_balanced would price it,
-        # in one pass.
+        # Every live GPU's share, priced in one pass.
         launches: Dict[int, Tuple[Sequence[int], Optional[Sequence[int]]]] = {}
         for gpu_id, items in work.items():
             if not 0 <= gpu_id < self.num_gpus:

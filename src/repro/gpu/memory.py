@@ -61,10 +61,6 @@ class BoundedMemory:
             )
         return self._regions[region_id]
 
-    def resident_regions(self) -> List[int]:
-        """Ids of all resident regions (insertion order)."""
-        return list(self._regions)
-
     def allocate(
         self,
         region_id: int,

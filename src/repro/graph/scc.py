@@ -2,16 +2,14 @@
 
 The paper's preprocessing (Section 3.2.1) contracts the SCCs of the *path
 dependency graph* into SCC-vertices with Tarjan's algorithm, run first per
-CPU-thread subgraph and then globally. This module provides:
+CPU-thread subgraph and then globally. The dependency DAG runs one global
+pass (:mod:`repro.core.dependency`); the n-worker cost of the two phases
+is modeled by :func:`repro.core.partitioning.modeled_preprocess_seconds`.
+This module provides:
 
 - :func:`strongly_connected_components` — iterative Tarjan (no recursion
   limit problems on long paths),
 - :func:`condensation` — the DAG sketch obtained by contracting SCCs,
-- :func:`parallel_scc` — the paper's two-phase sharded variant: local SCCs
-  per vertex shard, then a global pass over the contracted graph. Produces
-  the same components as the direct algorithm (verified by tests), while
-  exposing an ``n_workers`` knob for the Fig. 17 preprocessing-scaling
-  experiment,
 - :func:`scc_statistics` — giant-SCC fraction and the one-update vertex
   fraction of Observation 2 / Fig. 2(d).
 """
@@ -23,7 +21,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraphCSR
 
@@ -160,47 +157,6 @@ def condensation(graph: DiGraphCSR) -> Condensation:
         dag=_contract(graph, labels, num_components),
         members=component_members(labels, num_components),
     )
-
-
-def parallel_scc(graph: DiGraphCSR, n_workers: int = 1) -> np.ndarray:
-    """Two-phase sharded SCC, mirroring the paper's parallel preprocessing.
-
-    Phase 1: split vertices into ``n_workers`` contiguous shards; run Tarjan
-    on each shard's *induced local subgraph* (edges whose both endpoints lie
-    in the shard), contracting local SCCs. Phase 2: run Tarjan on the
-    contracted graph (local SCCs as vertices plus all cross-shard edges) to
-    produce global components.
-
-    The result is the same partition of vertices into SCCs as
-    :func:`strongly_connected_components` (component *ids* may differ); the
-    two phases mirror lines "each CPU thread uses tarjan algorithm to find
-    local SCCs ... then tarjan algorithm is used again" of Section 3.2.1.
-    """
-    if n_workers < 1:
-        raise GraphError("n_workers must be >= 1")
-    n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n_workers == 1:
-        return strongly_connected_components(graph)
-
-    bounds = np.linspace(0, n, n_workers + 1).astype(np.int64)
-    local_label = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for w in range(n_workers):
-        lo, hi = int(bounds[w]), int(bounds[w + 1])
-        if lo == hi:
-            continue
-        shard = list(range(lo, hi))
-        sub = graph.subgraph_vertices(shard)
-        labels = strongly_connected_components(sub)
-        local_label[lo:hi] = labels + next_id
-        next_id += int(labels.max()) + 1 if labels.size else 0
-
-    # Phase 2: contract local SCCs, keep every edge between distinct ones.
-    contracted = _contract(graph, local_label, next_id)
-    global_of_local = strongly_connected_components(contracted)
-    return global_of_local[local_label]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from repro.algorithms.ppr import PersonalizedPageRank
 from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
 from repro.errors import ConfigurationError
-from repro.graph.digraph import DiGraphCSR
 from repro.knobs import knob
 from repro.model.gas import VertexProgram
 

@@ -130,10 +130,6 @@ class AppliedBatch:
     #: Ids of vertices appended by vertex_add mutations.
     added_vertices: Tuple[int, ...]
 
-    @property
-    def num_structural_changes(self) -> int:
-        return len(self.inserted) + len(self.deleted)
-
     def touched_vertices(self) -> List[int]:
         """Endpoints of every structural/weight change + added vertices."""
         touched = set(self.added_vertices)

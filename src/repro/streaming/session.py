@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-import numpy as np
-
 from repro.algorithms import make_program
 from repro.bench import runner as bench_runner
 from repro.bench.results import ExecutionResult

@@ -18,7 +18,7 @@ tests can hold the array forms to them array for array:
 """
 
 from types import SimpleNamespace
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -209,14 +209,6 @@ class LoopReplicaTable:
             if (v, pid) in self.writer_weight
         }
 
-    def set_owner_overrides(self, owners: Mapping[int, int]) -> None:
-        for v, pid in owners.items():
-            if pid not in self.mirror_partitions.get(v, ()):
-                raise StorageError(
-                    f"owner partition {pid} holds no replica of vertex {v}"
-                )
-            self.owner_partition[v] = pid
-
     def set_layer_aware_owners(self, partition_layer: np.ndarray) -> None:
         """Per writer vertex: highest layer, then most writer
         occurrences, then lowest partition id."""
@@ -230,7 +222,7 @@ class LoopReplicaTable:
                         int(partition_layer[pid]), writers[pid], -pid
                     ),
                 )
-        self.set_owner_overrides(owners)
+        self.owner_partition.update(owners)
 
     def replica_count(self, v: int) -> int:
         return len(self.mirror_partitions.get(v, ()))

@@ -20,7 +20,7 @@ from repro.core.partitioning import decompose_into_paths
 from repro.core.paths import PathSet
 from repro.core.replicas import ReplicaTable, replication_factor
 from repro.core.storage import PathStorage, build_partitions
-from repro.errors import GraphError, StorageError
+from repro.errors import GraphError
 from repro.gpu.config import SCALED_MACHINE
 from repro.graph import datasets
 from repro.graph.builder import from_edges
@@ -272,26 +272,6 @@ def test_ties_break_as_the_loops_do():
     )
     # Equal weights and layers: the lowest partition id wins.
     assert replicas.owner_partition(2) == table.owner_partition[2] == 0
-
-
-def test_an_invalid_owner_override_raises_and_changes_nothing():
-    path_set = hand_built([[0, 1, 2], [2, 3], [3, 0]], 5)
-    dag = build_dependency_dag(path_set)
-    storage = PathStorage(path_set, build_partitions(path_set, dag, 1))
-    replicas = ReplicaTable(path_set, storage)
-    before = replicas.owner_partitions()
-    bogus = storage.num_partitions
-    for overrides in ({0: bogus}, {4: 0}, {-1: 0}, {0: -1}, {99: 0}):
-        with pytest.raises(StorageError):
-            replicas.set_owner_overrides({1: before[1], **overrides})
-        assert_same_array(replicas.owner_partitions(), before)
-    with pytest.raises(StorageError):
-        oracle.LoopReplicaTable(
-            path_set, storage.partition_of_paths
-        ).set_owner_overrides({0: bogus})
-    valid = int(replicas.mirror_partitions(2)[-1])
-    replicas.set_owner_overrides({2: valid})
-    assert replicas.owner_partition(2) == valid
 
 
 def test_a_repaired_path_set_gets_its_own_layout():

@@ -51,15 +51,6 @@ class TestMirrors:
             for pid in replicas.writer_partitions(v):
                 assert pid in replicas.mirror_partitions(v)
 
-    def test_owner_override_validation(self, table):
-        g, _, _, replicas = table
-        v = next(
-            v for v in range(g.num_vertices) if replicas.mirror_partitions(v)
-        )
-        bogus = max(replicas.mirror_partitions(v)) + 100
-        with pytest.raises(StorageError):
-            replicas.set_owner_overrides({v: bogus})
-
     def test_replication_factor_at_least_one(self, table):
         _, ps, _, replicas = table
         assert replication_factor(replicas, ps) >= 1.0

@@ -1,12 +1,13 @@
 """The kernel cost model's array passes against the per-thread loops
 they replaced.
 
-``reference_smx_execute`` and ``reference_execute_balanced`` are
-``SMX.execute`` and ``GPU.execute_balanced`` as they stood in
-``src/repro/gpu/`` before PR 24 — one Python iteration per thread, a
-``while`` loop per oversized item, ``sorted`` over indices. They are the
-differential oracle: for any work list the array form must charge the
-same cycles, the same elapsed model seconds and the same
+``reference_smx_execute`` prices one launch on one SMX and
+``reference_execute_balanced`` one GPU's kernel, as the list
+implementation did — one Python iteration per thread, a ``while`` loop
+per oversized item, ``sorted`` over indices. They are the differential
+oracle for :func:`~repro.gpu.smx.price_launches` and for
+``Machine.compute_round``: for any work list the array form must charge
+the same cycles, the same elapsed model seconds and the same
 ``busy_thread_cycles`` / ``total_thread_cycles``. Everything is integer
 arithmetic, so "same" is ``==``.
 """
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.gpu.config import GPUSpec, MachineSpec
-from repro.gpu.machine import GPU, Machine
-from repro.gpu.smx import SMX
+from repro.gpu.machine import Machine
+from repro.gpu.smx import price_launches, thread_costs
 from repro.gpu.stats import MachineStats
 
 
@@ -129,34 +130,41 @@ def launches(draw):
     return work, atomics
 
 
-def _gpu():
-    stats = MachineStats()
-    return GPU(SPEC, 0, stats, num_streams=1), stats
+def _one_gpu_round(work, atomics):
+    """``work`` as the one GPU's launch of a one-GPU machine: the wave's
+    wall seconds and the machine's stats."""
+    machine = Machine(MachineSpec(num_gpus=1, gpu=SPEC))
+    wall = machine.compute_round(
+        {0: work}, None if atomics is None else {0: atomics}
+    )
+    return wall, machine.stats
 
 
 @settings(max_examples=300, deadline=None)
 @given(launches())
-def test_smx_execute_matches_the_per_thread_loop(launch):
+def test_price_launches_matches_the_per_thread_loop(launch):
+    """One launch on one SMX, in the caller's thread order (no split,
+    no sort): the cycles, busy and total thread-cycles of the loop."""
     work, atomics = launch
-    stats, ref_stats = MachineStats(), MachineStats()
-    cost = SMX(SPEC, stats).execute(work, atomics)
-    assert (
-        cost.cycles, cost.busy_thread_cycles, cost.total_thread_cycles
-    ) == reference_smx_execute(SPEC, ref_stats, work, atomics)
-    assert all(
-        type(x) is int
-        for x in (cost.cycles, cost.busy_thread_cycles,
-                  cost.total_thread_cycles)
+    if not work:
+        return  # an empty launch is priced by compute_round (test_smx)
+    costs = thread_costs(
+        SPEC,
+        np.asarray(work, dtype=np.int64),
+        np.asarray([0] * len(work) if atomics is None else atomics, np.int64),
     )
-    assert stats.busy_thread_cycles == ref_stats.busy_thread_cycles
-    assert stats.total_thread_cycles == ref_stats.total_thread_cycles
+    (cycles,), total = price_launches(SPEC, costs, [0, costs.size])
+    busy = int(costs.sum())
+    assert (cycles, busy, total) == reference_smx_execute(
+        SPEC, MachineStats(), work, atomics
+    )
+    assert type(cycles) is int and type(total) is int
 
 
 @settings(max_examples=400, deadline=None)
 @given(launches(), st.booleans())
-def test_execute_balanced_matches_the_per_thread_loop(launch, as_arrays):
+def test_a_one_gpu_round_matches_the_per_thread_loop(launch, as_arrays):
     work, atomics = launch
-    gpu, stats = _gpu()
     ref_stats = MachineStats()
     expected = reference_execute_balanced(SPEC, ref_stats, work, atomics)
     if as_arrays:
@@ -165,7 +173,7 @@ def test_execute_balanced_matches_the_per_thread_loop(launch, as_arrays):
         work = np.asarray(work, dtype=np.int64)
         if atomics is not None:
             atomics = np.asarray(atomics, dtype=np.int64)
-    elapsed = gpu.execute_balanced(work, atomics)
+    elapsed, stats = _one_gpu_round(work, atomics)
     assert elapsed == expected
     assert type(stats.busy_thread_cycles) is int
     assert stats.busy_thread_cycles == ref_stats.busy_thread_cycles
@@ -181,9 +189,9 @@ def test_every_count_around_a_warp_and_the_smx_blocks(count, with_atomics):
     partial), and blocks of several warps."""
     work = [(i * 5) % (3 * THRESHOLD + 2) for i in range(count)]
     atomics = [i % 3 for i in range(count)] if with_atomics else None
-    gpu, stats = _gpu()
     ref_stats = MachineStats()
-    assert gpu.execute_balanced(work, atomics) == reference_execute_balanced(
+    elapsed, stats = _one_gpu_round(work, atomics)
+    assert elapsed == reference_execute_balanced(
         SPEC, ref_stats, work, atomics
     )
     assert stats.busy_thread_cycles == ref_stats.busy_thread_cycles
@@ -199,9 +207,9 @@ def test_equal_pieces_keep_the_callers_thread_order():
     work = [5] * 16
     atomics = [0] * 16
     atomics[3] = atomics[4] = 9
-    gpu, stats = _gpu()
     ref_stats, reversed_stats = MachineStats(), MachineStats()
-    assert gpu.execute_balanced(work, atomics) == reference_execute_balanced(
+    elapsed, stats = _one_gpu_round(work, atomics)
+    assert elapsed == reference_execute_balanced(
         SPEC, ref_stats, work, atomics
     )
     assert stats.total_thread_cycles == ref_stats.total_thread_cycles
@@ -212,8 +220,7 @@ def test_equal_pieces_keep_the_callers_thread_order():
 def test_an_item_at_the_threshold_is_not_split():
     """``>`` not ``>=``: an item of exactly ``work_split_threshold`` is
     one thread, and its atomics stay with it."""
-    gpu, stats = _gpu()
-    gpu.execute_balanced([THRESHOLD], [2])
+    _, stats = _one_gpu_round([THRESHOLD], [2])
     one_thread = (
         THRESHOLD * SPEC.cycles_per_edge + 2 * SPEC.cycles_per_atomic
     )
@@ -223,13 +230,12 @@ def test_an_item_at_the_threshold_is_not_split():
 
 
 def test_negative_work_is_rejected_not_split():
-    gpu, _ = _gpu()
     with pytest.raises(SimulationError):
-        gpu.execute_balanced([3, -1])
+        _one_gpu_round([3, -1], None)
     with pytest.raises(SimulationError):
-        gpu.execute_balanced([3, 1], [0, -2])
+        _one_gpu_round([3, 1], [0, -2])
     with pytest.raises(SimulationError):
-        gpu.execute_balanced(np.array([3, 1]), np.array([1]))
+        _one_gpu_round(np.array([3, 1]), np.array([1]))
 
 
 # ----------------------------------------------------------------------

@@ -92,8 +92,3 @@ class TestBatching:
             HOST, 1, 10000, batch_bytes=10000
         )
         assert many > one  # more batches -> more latency charges
-
-    def test_broadcast(self, ring):
-        ic, stats = ring
-        ic.broadcast_from_host(100)
-        assert stats.h2d_bytes == 400  # 4 GPUs

@@ -42,12 +42,6 @@ class TestTransfers:
         assert machine.stats.async_comm_time_s > 0
         assert machine.stats.transfer_time_s == 0.0
 
-    def test_flush_streams(self, machine):
-        machine.transfer("host", 1, 500, overlap_with=1)
-        flushed = machine.flush_streams()
-        assert flushed > 0
-        assert machine.stats.transfer_time_s == pytest.approx(flushed)
-
 
 class TestCompute:
     def test_wall_is_slowest_gpu(self, machine):

@@ -1,75 +1,83 @@
-"""Unit tests for the SMX lock-step warp model."""
+"""Unit tests for the SMX lock-step warp model: :func:`thread_costs`
+prices a thread, :func:`price_launches` a launch on one SMX, and
+``Machine.compute_round`` charges a GPU's launches to the stats."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpu.config import GPUSpec
-from repro.gpu.smx import SMX
-from repro.gpu.stats import MachineStats
+from repro.gpu.config import GPUSpec, MachineSpec
+from repro.gpu.machine import Machine
+from repro.gpu.smx import price_launches, thread_costs
 
 
-def make_smx(**kwargs):
-    spec = GPUSpec(
+def make_spec(**kwargs):
+    return GPUSpec(
         num_smxs=1,
         threads_per_warp=kwargs.pop("warp", 4),
         warp_slots_per_smx=kwargs.pop("slots", 2),
         cycles_per_edge=kwargs.pop("cpe", 10),
         cycles_per_atomic=kwargs.pop("cpa", 100),
     )
-    stats = MachineStats()
-    return SMX(spec, stats), stats
+
+
+def launch(spec, work):
+    """One SMX launch of ``work``: (cycles, busy, total thread-cycles)."""
+    costs = thread_costs(spec, np.asarray(work, dtype=np.int64))
+    (cycles,), total = price_launches(spec, costs, [0, costs.size])
+    return cycles, int(costs.sum()), total
 
 
 class TestThreadCost:
     def test_edge_cost(self):
-        smx, _ = make_smx()
-        assert smx.thread_cost_cycles(5) == 50
+        assert thread_costs(make_spec(), 5) == 50
 
     def test_atomic_cost(self):
-        smx, _ = make_smx()
-        assert smx.thread_cost_cycles(2, atomics=3) == 20 + 300
+        assert thread_costs(make_spec(), 2, atomics=3) == 20 + 300
 
     def test_negative_invalid(self):
-        smx, _ = make_smx()
         with pytest.raises(SimulationError):
-            smx.thread_cost_cycles(-1)
+            thread_costs(make_spec(), -1)
+        with pytest.raises(SimulationError):
+            thread_costs(make_spec(), np.array([3, 1]), np.array([0, -2]))
 
 
 class TestLockStepWarps:
     def test_warp_pays_max_member(self):
-        smx, _ = make_smx(warp=4, slots=1)
-        cost = smx.execute([1, 1, 1, 8])
-        assert cost.cycles == 80  # max member = 8 edges x 10 cycles
+        cycles, _, _ = launch(make_spec(warp=4, slots=1), [1, 1, 1, 8])
+        assert cycles == 80  # max member = 8 edges x 10 cycles
 
     def test_balanced_warp_efficient(self):
-        smx, stats = make_smx(warp=4, slots=1)
-        cost = smx.execute([5, 5, 5, 5])
-        assert cost.busy_thread_cycles == 200
-        assert cost.cycles == 50
-        assert stats.gpu_utilization == 1.0
+        cycles, busy, total = launch(make_spec(warp=4, slots=1), [5, 5, 5, 5])
+        assert busy == 200
+        assert cycles == 50
+        assert total == busy  # utilization 1.0
 
     def test_multiple_warps_use_slots(self):
-        smx, _ = make_smx(warp=2, slots=2)
         # 4 warps of cost 10 each: 2 slots -> ceil(40/2) = 20 cycles
-        cost = smx.execute([1, 1, 1, 1, 1, 1, 1, 1])
-        assert cost.cycles == 20
+        cycles, _, _ = launch(make_spec(warp=2, slots=2), [1] * 8)
+        assert cycles == 20
 
     def test_heaviest_warp_lower_bound(self):
-        smx, _ = make_smx(warp=2, slots=4)
-        cost = smx.execute([10, 10, 1, 1])
-        assert cost.cycles >= 100
-
-    def test_empty_work(self):
-        smx, _ = make_smx()
-        cost = smx.execute([])
-        assert cost.cycles == 0
-
-    def test_atomic_counts_parallel(self):
-        smx, _ = make_smx()
-        with pytest.raises(SimulationError):
-            smx.execute([1, 2], atomic_counts=[1])
+        # Warps of 100 and 10 cycles: 4 slots hold both at once.
+        cycles, _, _ = launch(make_spec(warp=2, slots=4), [10, 10, 1, 1])
+        assert cycles == 100
 
     def test_total_counts_resident_warps_only(self):
-        smx, _ = make_smx(warp=4, slots=2)
-        cost = smx.execute([5])  # one partial warp
-        assert cost.total_thread_cycles == cost.cycles * 4  # one warp wide
+        cycles, _, total = launch(make_spec(warp=4, slots=2), [5])
+        assert total == cycles * 4  # one partial warp, one warp wide
+
+    def test_counts_are_python_ints(self):
+        counts = launch(make_spec(), [3, 1, 4, 1, 5])
+        assert all(type(x) is int for x in counts)
+
+    def test_empty_work(self):
+        machine = Machine(MachineSpec(num_gpus=1, gpu=make_spec()))
+        assert machine.compute_round({0: []}) == 0.0
+        assert machine.stats.busy_thread_cycles == 0
+        assert machine.stats.total_thread_cycles == 0
+
+    def test_atomic_counts_parallel(self):
+        machine = Machine(MachineSpec(num_gpus=1, gpu=make_spec()))
+        with pytest.raises(SimulationError):
+            machine.compute_round({0: [1, 2]}, {0: [1]})

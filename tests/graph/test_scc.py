@@ -1,33 +1,15 @@
-"""Unit tests for SCC machinery (Tarjan, condensation, parallel variant)."""
+"""Unit tests for SCC machinery (Tarjan, condensation, statistics)."""
 
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
 from repro.graph.builder import from_edges
-from repro.graph.generators import (
-    bowtie_graph,
-    directed_cycle,
-    directed_path,
-    random_directed,
-)
+from repro.graph.generators import bowtie_graph, directed_cycle, directed_path
 from repro.graph.scc import (
     condensation,
-    parallel_scc,
     scc_statistics,
     strongly_connected_components,
 )
-
-
-def canonical(labels):
-    """Labels up to renaming: map to first-occurrence ids."""
-    seen = {}
-    out = []
-    for value in labels:
-        if value not in seen:
-            seen[value] = len(seen)
-        out.append(seen[value])
-    return out
 
 
 class TestTarjan:
@@ -153,23 +135,6 @@ class TestCondensation:
         cond = condensation(g)
         for a, b, _ in cond.dag.edges():
             assert a != b
-
-
-class TestParallelSCC:
-    @pytest.mark.parametrize("n_workers", [1, 2, 3, 7])
-    def test_matches_direct_tarjan(self, n_workers):
-        g = random_directed(60, 200, seed=5)
-        direct = canonical(strongly_connected_components(g).tolist())
-        sharded = canonical(parallel_scc(g, n_workers=n_workers).tolist())
-        assert direct == sharded
-
-    def test_invalid_workers(self):
-        with pytest.raises(GraphError):
-            parallel_scc(directed_path(3), n_workers=0)
-
-    def test_empty_graph(self):
-        g = from_edges([], num_vertices=0)
-        assert parallel_scc(g, n_workers=2).size == 0
 
 
 class TestStatistics:

@@ -4,11 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.builder import from_edges
-from repro.graph.scc import (
-    condensation,
-    parallel_scc,
-    strongly_connected_components,
-)
+from repro.graph.scc import condensation, strongly_connected_components
 from repro.graph.traversal import is_reachable, topological_order
 
 
@@ -34,17 +30,6 @@ def test_same_component_iff_mutually_reachable(graph):
         for b in range(min(n, 6)):
             mutual = is_reachable(graph, a, b) and is_reachable(graph, b, a)
             assert (labels[a] == labels[b]) == mutual
-
-
-@settings(max_examples=60, deadline=None)
-@given(graph=small_digraphs(), workers=st.integers(1, 4))
-def test_parallel_scc_partition_matches(graph, workers):
-    direct = strongly_connected_components(graph)
-    sharded = parallel_scc(graph, n_workers=workers)
-    n = graph.num_vertices
-    for a in range(n):
-        for b in range(n):
-            assert (direct[a] == direct[b]) == (sharded[a] == sharded[b])
 
 
 @settings(max_examples=60, deadline=None)

@@ -78,6 +78,23 @@ class TestCLI:
         assert code == 0
 
 
+class TestVerifyCommand:
+    def test_engines_take_every_registry_row(self, capsys):
+        code = main(
+            ["verify", "--dataset", "cnr", "--scale", "0.1",
+             "--skip-metamorphic", "--algorithms", "wcc",
+             "--engines", "sequential", "bulk-sync-vec"]
+        )
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_unknown_engine_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--engines", "warp9"])
+        assert exit_info.value.code == 2
+        assert "warp9" in capsys.readouterr().err
+
+
 class TestChaosCommand:
     def test_chaos_recovers_and_exits_zero(self, capsys):
         code = main(

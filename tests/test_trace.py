@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.pagerank import PageRank
-from repro.bench.trace import round_trace_csv, round_trace_summary, sparkline
+from repro.bench.trace import round_trace_summary, sparkline
 from repro.core.engine import DiGraphEngine
 from repro.graph.generators import scc_profile_graph
 
@@ -36,11 +36,6 @@ class TestRoundTrace:
         )
         graph = scc_profile_graph(120, 4.0, 0.5, 4.0, seed=71)
         return DiGraphEngine(machine).run(graph, PageRank())
-
-    def test_csv_has_one_line_per_round(self, result):
-        csv = round_trace_csv(result)
-        assert len(csv.splitlines()) == len(result.round_records) + 1
-        assert csv.startswith("round,")
 
     def test_summary_mentions_engine(self, result):
         summary = round_trace_summary(result)
