@@ -1,9 +1,13 @@
 """Unit tests for the Fig. 4 storage layout and partitioning."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro.algorithms import make_program
 from repro.baselines.common import resolve_partition_target
+from repro.bench.runner import make_engine
 from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
 from repro.core.storage import PathStorage, build_partitions
@@ -122,3 +126,50 @@ class TestStorageArrays:
         g = scc_profile_graph(300, 5.0, 0.5, 4.0, seed=5)
         assert resolve_partition_target(g, None) >= 32
         assert resolve_partition_target(g, 77) == 77
+
+
+class TestChargedRecordSizes:
+    """Every global-memory charge prices its records with the
+    ``repro.core.storage`` constants, not a literal of the same value:
+    raising one constant by ``k`` bytes raises the run's
+    ``global_load_bytes`` by ``k`` times the records it prices, and
+    moves no count."""
+
+    @staticmethod
+    def _run(monkeypatch, engine_name, module, constant, value, graph, machine):
+        monkeypatch.setattr(f"{module}.{constant}", value)
+        engine = make_engine(engine_name, machine)
+        return engine.run(graph, make_program("pagerank", graph)).stats
+
+    @pytest.mark.parametrize(
+        "engine_name, module, constant",
+        [
+            ("bulk-sync", "repro.baselines.bulk_sync", "BYTES_PER_STATE"),
+            ("bulk-sync-vec", "repro.baselines.bulk_sync", "BYTES_PER_STATE"),
+            ("async", "repro.baselines.async_engine", "BYTES_PER_STATE"),
+            ("digraph", "repro.core.engine", "BYTES_PER_VERTEX_RECORD"),
+            ("digraph", "repro.core.engine", "BYTES_PER_EDGE_VALUE"),
+            ("digraph", "repro.core.engine", "BYTES_PER_STATE"),
+            ("digraph-t", "repro.core.engine", "BYTES_PER_STATE"),
+        ],
+    )
+    def test_load_bytes_follow_the_constant(
+        self, monkeypatch, medium_graph, test_machine, engine_name, module,
+        constant,
+    ):
+        base = getattr(importlib.import_module(module), constant)
+        runs = [
+            self._run(
+                monkeypatch, engine_name, module, constant, base + k,
+                medium_graph, test_machine,
+            )
+            for k in (0, 1, 2)
+        ]
+        bytes_ = [stats.global_load_bytes for stats in runs]
+        priced = bytes_[1] - bytes_[0]
+        assert 0 < priced <= runs[0].vertices_loaded + runs[0].edge_traversals
+        assert bytes_[2] - bytes_[0] == 2 * priced
+        for stats in runs[1:]:
+            assert stats.vertices_loaded == runs[0].vertices_loaded
+            assert stats.edge_traversals == runs[0].edge_traversals
+            assert stats.vertex_updates == runs[0].vertex_updates

@@ -2,6 +2,8 @@
 prices a thread, :func:`price_launches` a launch on one SMX, and
 ``Machine.compute_round`` charges a GPU's launches to the stats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,46 @@ class TestLockStepWarps:
         machine = Machine(MachineSpec(num_gpus=1, gpu=make_spec()))
         with pytest.raises(SimulationError):
             machine.compute_round({0: [1, 2]}, {0: [1]})
+
+
+def one_gpu(**kwargs):
+    return Machine(MachineSpec(num_gpus=1, gpu=make_spec(**kwargs)))
+
+
+class TestOneGPURound:
+    """Hand-worked rounds of ``Machine.compute_round`` on one GPU."""
+
+    def test_atomics_stay_with_the_last_piece(self):
+        # 20 edges split at 8: pieces 8, 8, 4, the atomics on the 4.
+        spec = replace(make_spec(warp=4, slots=2), work_split_threshold=8)
+        machine = Machine(MachineSpec(num_gpus=1, gpu=spec))
+        wall = machine.compute_round({0: [20]}, {0: [3]})
+        # Thread costs 80, 80, 40 + 300: one warp of the slowest.
+        assert wall == 340 / spec.clock_hz
+        assert machine.stats.busy_thread_cycles == 20 * 10 + 3 * 100
+        assert machine.stats.total_thread_cycles == 340 * 4
+
+    def test_wall_is_the_slowest_smx(self):
+        # Sorted 9, 1, ... in blocks of one warp: SMX 0 runs the 9.
+        machine = Machine(
+            MachineSpec(num_gpus=1, gpu=replace(make_spec(), num_smxs=2))
+        )
+        wall = machine.compute_round({0: [1, 1, 1, 9, 1, 1, 1, 1]})
+        assert wall == 90 / machine.spec.gpu.clock_hz
+        assert machine.stats.busy_thread_cycles == 16 * 10
+        assert machine.stats.total_thread_cycles == (90 + 10) * 4
+
+    def test_arrays_price_like_lists(self):
+        """What the batch kernel hands over: an integer array of
+        degrees and a boolean array of changed flags."""
+        work, changed = [4, 0, 7, 2, 2, 9], [1, 0, 0, 1, 0, 1]
+        lists, arrays = one_gpu(), one_gpu()
+        wall = lists.compute_round({0: work}, {0: changed})
+        assert wall == arrays.compute_round(
+            {0: np.asarray(work, dtype=np.int64)},
+            {0: np.asarray(changed, dtype=bool)},
+        )
+        assert lists.stats.busy_thread_cycles == 24 * 10 + 3 * 100
+        for field in ("busy_thread_cycles", "total_thread_cycles"):
+            assert getattr(arrays.stats, field) == getattr(lists.stats, field)
+            assert type(getattr(arrays.stats, field)) is int

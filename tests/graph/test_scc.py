@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import from_edges
-from repro.graph.generators import bowtie_graph, directed_cycle, directed_path
+from repro.graph.generators import (
+    bowtie_graph,
+    directed_cycle,
+    directed_path,
+    power_law_directed,
+    random_dag,
+    random_directed,
+    rmat,
+    scc_profile_graph,
+)
 from repro.graph.scc import (
     condensation,
     scc_statistics,
     strongly_connected_components,
 )
+from repro.graph.traversal import reachable_set
 
 
 class TestTarjan:
@@ -135,6 +145,44 @@ class TestCondensation:
         cond = condensation(g)
         for a, b, _ in cond.dag.edges():
             assert a != b
+
+
+#: Graph families for the all-pairs check, each built on first use.
+FAMILIES = {
+    "random": lambda: random_directed(60, 200, seed=5),
+    "random-self-loops": lambda: random_directed(
+        40, 160, seed=11, allow_self_loops=True
+    ),
+    "bowtie": lambda: bowtie_graph(core=8, in_tail=5, out_tail=5, seed=4),
+    "rmat": lambda: rmat(6, edge_factor=4, seed=2),
+    "power-law": lambda: power_law_directed(80, 3.0, seed=3),
+    "dag": lambda: random_dag(50, 120, seed=7),
+    "scc-profile": lambda: scc_profile_graph(120, 4.0, 0.5, 4.0, seed=1),
+}
+
+
+class TestAgainstReachability:
+    """The one SCC the system runs, on every pair of vertices: two
+    vertices share a label exactly when each reaches the other, and
+    labels number the components in reverse topological order."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_labels_are_mutual_reachability_classes(self, family):
+        g = FAMILIES[family]()
+        n = g.num_vertices
+        reach = np.zeros((n, n), dtype=bool)
+        for v in range(n):
+            reach[v, reachable_set(g, v)] = True
+        labels = strongly_connected_components(g)
+        same = labels[:, None] == labels[None, :]
+        assert np.array_equal(same, reach & reach.T)
+        for a, b, _ in g.edges():
+            assert labels[a] >= labels[b]
+
+    def test_empty_graph(self):
+        g = from_edges([], num_vertices=0)
+        assert strongly_connected_components(g).size == 0
+        assert condensation(g).num_components == 0
 
 
 class TestStatistics:

@@ -37,3 +37,24 @@ def test_same_component_iff_mutually_reachable(graph):
 def test_condensation_always_acyclic(graph):
     cond = condensation(graph)
     topological_order(cond.dag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_digraphs())
+def test_labels_number_components_in_reverse_topological_order(graph):
+    """Tarjan completes a component only after every component it
+    reaches, so an edge never points to a higher label."""
+    labels = strongly_connected_components(graph)
+    assert set(labels.tolist()) == set(range(int(labels.max()) + 1))
+    for a, b, _ in graph.edges():
+        assert labels[a] >= labels[b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_digraphs())
+def test_condensation_members_are_the_label_classes(graph):
+    labels = strongly_connected_components(graph)
+    cond = condensation(graph)
+    assert np.array_equal(cond.labels, labels)
+    for component, members in enumerate(cond.members):
+        assert list(members) == np.flatnonzero(labels == component).tolist()

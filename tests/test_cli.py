@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro.bench.runner import ENGINES
 from repro.cli import main
 from repro.graph.generators import directed_path
 from repro.graph.io import write_edge_list
@@ -84,6 +85,22 @@ class TestVerifyCommand:
             ["verify", "--dataset", "cnr", "--scale", "0.1",
              "--skip-metamorphic", "--algorithms", "wcc",
              "--engines", "sequential", "bulk-sync-vec"]
+        )
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "engine",
+        [name for name in ENGINES if name not in ("sequential", "bulk-sync-vec")],
+    )
+    def test_each_registry_row_agrees_with_the_reference(self, capsys, engine):
+        """``verify --engines`` accepts what ``run --engine`` does, and
+        every other row's WCC on the cnr stand-in matches the sequential
+        reference too."""
+        code = main(
+            ["verify", "--dataset", "cnr", "--scale", "0.1",
+             "--skip-metamorphic", "--algorithms", "wcc",
+             "--engines", "sequential", engine]
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out

@@ -166,3 +166,117 @@ def test_every_allowlisted_name_is_defined_and_unreached():
     assert len(allowed) == len(set(allowed))
     stale = sorted(set(allowed) - set(unreached()))
     assert not stale, "TEST_ONLY entries with a caller or no definition: " + ", ".join(stale)
+
+
+# ----------------------------------------------------------------------
+# the scan itself, on a made-up tree
+# ----------------------------------------------------------------------
+def _tree(tmp_path, src_files, bench_files=None):
+    """``src/repro/<name>`` for each of ``src_files`` and
+    ``benchmarks/<name>`` for each of ``bench_files``; returns the
+    ``unreached`` of the tree."""
+    for directory, files in (
+        (tmp_path / "src" / "repro", src_files),
+        (tmp_path / "benchmarks", bench_files or {}),
+    ):
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (directory / name).write_text(text)
+    src = tmp_path / "src"
+    return unreached(src, (src, tmp_path / "benchmarks"))
+
+
+def test_a_definition_nothing_names_is_reported(tmp_path):
+    found = _tree(
+        tmp_path,
+        {"a.py": "def used():\n    pass\n\nused()\n\n"
+                 "def orphan():\n    pass\n"},
+    )
+    assert found == ["a.py::orphan"]
+
+
+def test_a_call_from_its_own_body_does_not_reach_it(tmp_path):
+    found = _tree(
+        tmp_path, {"a.py": "def walk(n):\n    return walk(n - 1)\n"}
+    )
+    assert found == ["a.py::walk"]
+
+
+def test_an_import_or_call_in_another_module_reaches_it(tmp_path):
+    found = _tree(
+        tmp_path,
+        {
+            "a.py": "def helper():\n    pass\n\nclass Shape:\n    pass\n",
+            "b.py": "from repro.a import helper\nimport repro.a\n\n"
+                    "x = repro.a.Shape\n",
+        },
+    )
+    assert found == []
+
+
+def test_a_caller_under_benchmarks_reaches_it(tmp_path):
+    src = {"a.py": "def timed():\n    pass\n"}
+    assert _tree(tmp_path, src) == ["a.py::timed"]
+    bench = {"bench.py": "from repro.a import timed\n"}
+    assert _tree(tmp_path, src, bench) == []
+
+
+def test_a_registry_decorator_reaches_the_definition(tmp_path):
+    found = _tree(
+        tmp_path,
+        {
+            "a.py": "@register_kernel('scalar')\ndef scalar_kernel():\n"
+                    "    pass\n\n@_register\ndef step():\n    pass\n\n"
+                    "@staticmethod\ndef plain():\n    pass\n",
+        },
+    )
+    assert found == ["a.py::plain"]
+
+
+def test_methods_are_held_to_a_caller_but_dunders_are_not(tmp_path):
+    found = _tree(
+        tmp_path,
+        {
+            "a.py": "class Box:\n    def __len__(self):\n        return 0\n\n"
+                    "    def open(self):\n        pass\n\n"
+                    "    def close(self):\n        pass\n\n"
+                    "Box().open()\n",
+        },
+    )
+    assert found == ["a.py::Box.close"]
+
+
+def test_a_string_naming_it_reaches_it(tmp_path):
+    """``__all__`` entries and ``getattr(obj, "name")``."""
+    found = _tree(
+        tmp_path,
+        {
+            "a.py": "__all__ = ['exported']\n\ndef exported():\n    pass\n\n"
+                    "class C:\n    def looked_up(self):\n        pass\n\n"
+                    "getattr(C(), 'looked_up')\n",
+        },
+    )
+    assert found == []
+
+
+def test_nested_functions_are_not_held_to_a_caller(tmp_path):
+    found = _tree(
+        tmp_path,
+        {"a.py": "def outer():\n    def inner():\n        pass\n"
+                 "    return 1\n\nouter()\n"},
+    )
+    assert found == []
+
+
+def test_names_are_matched_without_their_owner(tmp_path):
+    """One ``run`` reached anywhere reaches every ``run``: the scan
+    errs towards keeping code, never towards deleting it."""
+    found = _tree(
+        tmp_path,
+        {
+            "a.py": "class A:\n    def run(self):\n        pass\n\n"
+                    "class B:\n    def run(self):\n        pass\n",
+            "b.py": "from repro.a import A, B\n\nA().run()\n",
+        },
+    )
+    assert found == []
