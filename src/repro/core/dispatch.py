@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, GPULostError
 from repro.graph.builder import GraphBuilder
 from repro.graph.scc import condensation
@@ -70,6 +71,7 @@ class PartitionDependencies:
     groups: List[DispatchGroup]
 
 
+@obs.span
 def lift_to_partitions(
     storage: PathStorage, dag: DependencyDAG
 ) -> PartitionDependencies:

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.digraph import DiGraphCSR
 from repro.gpu.config import MachineSpec
@@ -76,6 +77,10 @@ from repro.baselines.common import resolve_partition_target
 
 #: Bound on SMX-local path iterations within one partition pass.
 _MAX_LOCAL_ITERATIONS = 1000
+
+#: A run's applies, counted once it ends (a span per apply would cost
+#: more than the apply).
+APPLIES = obs.Span("core.engine.applies")
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,7 @@ class DiGraphEngine:
     # ------------------------------------------------------------------
     # preprocessing
     # ------------------------------------------------------------------
+    @obs.span
     def preprocess(self, graph: DiGraphCSR) -> Preprocessed:
         """CPU preprocessing: paths, DAG, partitions, storage, replicas."""
         cfg = self.config
@@ -194,6 +200,7 @@ class DiGraphEngine:
         pre.wall_seconds = time.perf_counter() - started
         return pre
 
+    @obs.span
     def assemble(
         self,
         graph: DiGraphCSR,
@@ -240,6 +247,7 @@ class DiGraphEngine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    @obs.span
     def run(
         self,
         graph: DiGraphCSR,
@@ -296,7 +304,10 @@ class DiGraphEngine:
             machine.stats.vertices_reactivated += int(
                 np.count_nonzero(np.asarray(initial_active, dtype=bool))
             )
-        converged = run.execute(resume=resume)
+        try:
+            converged = run.execute(resume=resume)
+        finally:
+            APPLIES.count(machine.stats.apply_calls)
         if initial_values is not None or initial_active is not None:
             machine.stats.incremental_rounds += machine.stats.rounds
         return finish_run(
@@ -316,6 +327,7 @@ class DiGraphEngine:
 class _Run:
     """Mutable state of one engine execution (keeps ``run`` readable)."""
 
+    @obs.span
     def __init__(
         self,
         engine: DiGraphEngine,
@@ -542,6 +554,7 @@ class _Run:
         if not self._views["active"][v]:
             self._flip(v, True)
 
+    @obs.span
     def _apply_deferred_activations(
         self, lost_pairs: Set[Tuple[int, int]] = frozenset()
     ) -> None:
@@ -708,6 +721,7 @@ class _Run:
             "steals": float(self.dispatcher.steal_count),
         }
 
+    @obs.span
     def _run_wave(self, runnable: List[int]) -> None:
         """Process one set of runnable partitions concurrently.
 
@@ -870,6 +884,7 @@ class _Run:
     # ------------------------------------------------------------------
     # partition processing
     # ------------------------------------------------------------------
+    @obs.span
     def _process_partition(
         self, pid: int, gpu_id: int, reads: List[float]
     ) -> Tuple[List[int], List[int]]:
@@ -920,6 +935,7 @@ class _Run:
         self._synchronize_replicas(pid, gpu_id, set(writes))
         return work_items, atomic_items
 
+    @obs.span
     def _walk_partition(
         self,
         pid: int,
@@ -1107,6 +1123,7 @@ class _Run:
                 )
         return work_items
 
+    @obs.span
     def _process_vertex_centric(
         self,
         pid: int,
@@ -1158,6 +1175,7 @@ class _Run:
         self.machine.note_vertex_uses(len(items) + degree_sum)
         return items
 
+    @obs.span
     def _synchronize_replicas(
         self, pid: int, gpu_id: int, changed: Set[int]
     ) -> None:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import PartitioningError
 from repro.graph.digraph import DiGraphCSR
 from repro.core.paths import PathSet
@@ -136,6 +137,7 @@ def modeled_preprocess_seconds(
     return CPU_SECONDS_PER_EDGE * (per_worker_edges + dependency_cost)
 
 
+@obs.span
 def _walk_regions(graph: DiGraphCSR, d_max: int) -> np.ndarray:
     """Region labels that bound path-level dependency cycles.
 
@@ -192,6 +194,7 @@ class _Walk:
     - ``head[e]`` is edge ``e``'s destination.
     """
 
+    @obs.span
     def __init__(
         self,
         graph: DiGraphCSR,
@@ -221,6 +224,7 @@ class _Walk:
         self.segments: List[List[int]] = []      # edge ids per path
         self.vertex_paths: List[List[int]] = []  # vertices per path
 
+    @obs.span
     def decompose_shard(self, lo: int, hi: int, roots: List[int]) -> None:
         """Decompose the out-edges owned by vertices ``[lo, hi)``.
 
@@ -313,6 +317,7 @@ class _Walk:
 # ----------------------------------------------------------------------
 # head-to-tail merging
 # ----------------------------------------------------------------------
+@obs.span
 def _merge_head_to_tail(
     graph: DiGraphCSR,
     vertex_paths: List[List[int]],

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import StorageError
 from repro.core.paths import PathSet
 from repro.core.storage import PathStorage
@@ -251,6 +252,7 @@ class ReplicaTable:
             for dest, vs in per_destination.items()
         }
 
+    @obs.span
     def contention(self, writes: Sequence[int]) -> ContentionOutcome:
         """Atomic-vs-proxy accounting for one partition pass.
 

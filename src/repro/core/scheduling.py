@@ -23,6 +23,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SchedulingError
 from repro.core.dependency import DependencyDAG
 from repro.core.paths import PathSet
@@ -113,6 +114,7 @@ class PathScheduler:
             ]
         return path_ids.tolist()
 
+    @obs.span
     def thread_order(
         self,
         path_ids: np.ndarray,
@@ -154,6 +156,7 @@ def balance_paths_to_threads(
     return pack_ordered(ordered, path_edges, num_threads)
 
 
+@obs.span
 def pack_ordered(
     ordered: Sequence[int],
     path_edges: Union[Mapping[int, int], Sequence[int]],

@@ -27,6 +27,7 @@ from typing import List
 
 import numpy as np
 
+from repro import obs
 from repro.core.dependency import DependencyDAG
 from repro.core.dispatch import PartitionDependencies
 from repro.core.paths import PathSet
@@ -113,6 +114,7 @@ class ExecutionTables:
     group_predecessors: List[np.ndarray]
 
     @classmethod
+    @obs.span
     def build(
         cls,
         path_set: PathSet,

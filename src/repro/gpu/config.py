@@ -8,7 +8,7 @@ graph sizes are scaled down, so occupancy-style effects stay meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 
@@ -88,10 +88,6 @@ class MachineSpec:
         ~12 GB/s effective).
     pcie_latency_s:
         Fixed per-transfer-batch latency.
-    host_memory_bytes:
-        Host DRAM capacity (paper: 64 GB).
-    num_cpu_threads:
-        CPU worker threads available for preprocessing (Fig. 17 sweeps this).
     transfer_batch_bytes:
         Batch size `S_b` used for Hyper-Q batched path transfer
         (Section 3.2.2); also determines the stream count
@@ -102,8 +98,6 @@ class MachineSpec:
     gpu: GPUSpec = field(default_factory=GPUSpec)
     pcie_bandwidth_bytes_per_s: float = 12e9
     pcie_latency_s: float = 10e-6
-    host_memory_bytes: int = 64 * GIB
-    num_cpu_threads: int = 32
     transfer_batch_bytes: int = 64 * MIB
 
     def __post_init__(self) -> None:
@@ -123,19 +117,8 @@ class MachineSpec:
 
     def scaled(self, num_gpus: int) -> "MachineSpec":
         """Copy of this spec with a different GPU count (Fig. 16 sweeps)."""
-        return MachineSpec(
-            num_gpus=num_gpus,
-            gpu=self.gpu,
-            pcie_bandwidth_bytes_per_s=self.pcie_bandwidth_bytes_per_s,
-            pcie_latency_s=self.pcie_latency_s,
-            host_memory_bytes=self.host_memory_bytes,
-            num_cpu_threads=self.num_cpu_threads,
-            transfer_batch_bytes=self.transfer_batch_bytes,
-        )
+        return replace(self, num_gpus=num_gpus)
 
-
-#: The paper's testbed: 4x K80.
-PAPER_MACHINE = MachineSpec()
 
 #: The experiment default: the paper's 4-GPU topology with each GPU scaled
 #: down (4 SMXs instead of 26) to match the ~500x-scaled-down datasets, so
@@ -154,13 +137,5 @@ SCALED_MACHINE = MachineSpec(
         cycles_per_atomic=400,
     ),
     pcie_latency_s=2e-7,
-    transfer_batch_bytes=1 * MIB,
-)
-
-#: A small machine that keeps unit tests fast and contention visible.
-TINY_MACHINE = MachineSpec(
-    num_gpus=2,
-    gpu=GPUSpec(num_smxs=2, warp_slots_per_smx=2, global_memory_bytes=8 * MIB,
-                shared_memory_per_smx_bytes=16 * 1024),
     transfer_batch_bytes=1 * MIB,
 )

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import (
     GPULostError,
     InjectedCrashError,
@@ -361,6 +362,7 @@ class Machine:
     # ------------------------------------------------------------------
     # compute
     # ------------------------------------------------------------------
+    @obs.span
     def compute_round(
         self,
         work: Dict[int, Sequence[int]],

@@ -42,6 +42,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
+
 #: The per-edge columns a :class:`GatherTable` can carry.
 GATHER_COLUMNS = ("sources", "weights", "source_degree", "segment")
 
@@ -65,6 +67,7 @@ class GatherTable(NamedTuple):
     source_degree: Optional[np.ndarray] = None
     segment: Optional[np.ndarray] = None
 
+    @obs.span
     def select(
         self, rows: np.ndarray, columns: Sequence[str]
     ) -> "GatherTable":

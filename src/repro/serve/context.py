@@ -29,6 +29,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.engine import DiGraphConfig, DiGraphEngine, Preprocessed
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
@@ -47,6 +48,7 @@ class ScatterTable(NamedTuple):
     target_batch: np.ndarray
     counts: np.ndarray
 
+    @obs.span
     def cut(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(targets, target_batch)`` of the rows where the bool mask
         ``rows`` is set, row by row: the out-neighbors of those rows'

@@ -61,6 +61,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, ConvergenceError, GPULostError
 from repro.kernels.base import BatchKernel, take_vertices
 from repro.kernels.registry import resolve_kernel
@@ -77,6 +78,9 @@ KERNEL_LAUNCH_OVERHEAD_S = 3.5e-6
 #: (2 vCPUs) one lane over a 3 461-edge batch gains from the whole batch,
 #: eight lanes over it take twice as long as masked.
 WHOLE_BATCH_LANE_EDGES = 4096
+
+#: The kernel's ``update`` of one launch.
+KERNEL_UPDATE = obs.Span("serve.solver.kernel.update")
 
 #: ``ndarray.any`` minus its method wrapper, for the solve loop's masks.
 _any = np.logical_or.reduce
@@ -206,6 +210,7 @@ class MultiSourceSolver:
         pending[self.context.batch_of_vertex[union]] = True
         return pending
 
+    @obs.span
     def solve(self, time_budget_s: Optional[float] = None) -> SolveResult:
         """Run all lanes to convergence with the registered batch kernel.
 
@@ -296,7 +301,8 @@ class MultiSourceSolver:
             edge_lane_work += work
             modeled += self._launch_seconds(work)
             old = take_vertices(states, dst)
-            new, changed = kernel.update(table, dst, states, old)
+            with KERNEL_UPDATE:
+                new, changed = kernel.update(table, dst, states, old)
             if picked is None:
                 changed &= rows
             return picked, dst, old, new, changed

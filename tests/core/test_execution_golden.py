@@ -16,6 +16,7 @@ round's pricing, scheduling, replica messages and activation delivery
 became array passes.
 """
 
+import contextlib
 import functools
 import hashlib
 from dataclasses import fields, replace
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.algorithms import make_program
 from repro.bench.runner import make_engine
 from repro.core.engine import DiGraphConfig, DiGraphEngine
@@ -252,9 +254,21 @@ def golden():
     )
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: _key(*case))
-def test_execution_fingerprint_pinned(golden, case):
-    assert fingerprint(_run(*case)) == golden[_key(*case)]
+@pytest.mark.parametrize(
+    "case, recording",
+    [pytest.param(case, False, id=_key(*case)) for case in CASES]
+    + [
+        # Recording spans (repro.obs) moves no update, order or counter.
+        pytest.param(case, True, id=_key(*case) + "/recording")
+        for case in CASES
+        if case[:2] == ("webbase", "pagerank") and case[3] == 4
+    ],
+)
+def test_execution_fingerprint_pinned(golden, case, recording):
+    with obs.record() if recording else contextlib.nullcontext() as rec:
+        result = _run(*case)
+    assert fingerprint(result) == golden[_key(*case)]
+    assert not recording or rec.calls
 
 
 @pytest.mark.parametrize("key", sorted(SPECIAL_CELLS))

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gpu.config import (
-    PAPER_MACHINE,
-    SCALED_MACHINE,
-    TINY_MACHINE,
-    GPUSpec,
-    MachineSpec,
-)
+from repro.gpu.config import SCALED_MACHINE, GPUSpec, MachineSpec
 
 
 class TestGPUSpec:
@@ -39,7 +33,7 @@ class TestGPUSpec:
 
 class TestMachineSpec:
     def test_paper_machine_is_4_gpus(self):
-        assert PAPER_MACHINE.num_gpus == 4
+        assert MachineSpec().num_gpus == 4
 
     def test_num_streams_formula(self):
         # N_m = M_G / S_b (Section 3.2.2)
@@ -50,9 +44,14 @@ class TestMachineSpec:
         assert spec.num_streams == 4
 
     def test_scaled_copy(self):
-        two = PAPER_MACHINE.scaled(2)
+        two = SCALED_MACHINE.scaled(2)
         assert two.num_gpus == 2
-        assert two.gpu == PAPER_MACHINE.gpu
+        assert two == MachineSpec(
+            num_gpus=2,
+            gpu=SCALED_MACHINE.gpu,
+            pcie_latency_s=SCALED_MACHINE.pcie_latency_s,
+            transfer_batch_bytes=SCALED_MACHINE.transfer_batch_bytes,
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -68,5 +67,5 @@ class TestMachineSpec:
             MachineSpec(**kwargs)
 
     def test_presets_valid(self):
-        for spec in (PAPER_MACHINE, SCALED_MACHINE, TINY_MACHINE):
+        for spec in (MachineSpec(), SCALED_MACHINE):
             assert spec.num_gpus >= 1

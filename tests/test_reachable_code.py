@@ -1,7 +1,8 @@
 """Every definition in ``src/`` has a caller outside the tests.
 
 The guard walks ``src/`` with :mod:`ast` and collects each top-level
-function and class and each non-dunder method of a top-level class. A
+function, class and constant (a non-dunder name a module-level
+assignment binds) and each non-dunder method of a top-level class. A
 definition is reached when code in ``src/``, ``benchmarks/`` or
 ``examples/`` names it outside its own body: a call, an attribute read,
 an import, a string in ``__all__`` or ``getattr``. Names are matched
@@ -28,7 +29,9 @@ TEST_ONLY = {
     # A slow or independent formulation the tests hold the fast one to,
     # or an entry point of the checkers in repro.verify / model.validate.
     "reference oracle": (
+        "core/scheduling.py::PathScheduler.order_paths",
         "core/scheduling.py::PathScheduler.priority",
+        "core/scheduling.py::balance_paths_to_threads",
         "graph/traversal.py::connected_weakly",
         "graph/traversal.py::dfs_preorder",
         "graph/traversal.py::is_reachable",
@@ -97,6 +100,14 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, str, ast.AST]]:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign)
+            else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, target.id, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(
@@ -195,6 +206,18 @@ def test_a_definition_nothing_names_is_reported(tmp_path):
     assert found == ["a.py::orphan"]
 
 
+def test_a_constant_nothing_names_is_reported(tmp_path):
+    found = _tree(
+        tmp_path,
+        {
+            "a.py": "__all__ = ['USED']\nUSED = 1\nPRESET: int = 2\n"
+                    "ORPHAN = PRESET\n",
+            "b.py": "from repro.a import USED\n",
+        },
+    )
+    assert found == ["a.py::ORPHAN"]
+
+
 def test_a_call_from_its_own_body_does_not_reach_it(tmp_path):
     found = _tree(
         tmp_path, {"a.py": "def walk(n):\n    return walk(n - 1)\n"}
@@ -208,7 +231,7 @@ def test_an_import_or_call_in_another_module_reaches_it(tmp_path):
         {
             "a.py": "def helper():\n    pass\n\nclass Shape:\n    pass\n",
             "b.py": "from repro.a import helper\nimport repro.a\n\n"
-                    "x = repro.a.Shape\n",
+                    "print(repro.a.Shape)\n",
         },
     )
     assert found == []
