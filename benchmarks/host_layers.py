@@ -19,6 +19,8 @@ partition pass and apply, each cell the median over ``--passes``:
 - ``pricing``: ``Machine.compute_round``, the kernel cost model;
 - ``replica sync``: write contention and replica-update messages;
 - ``activation delivery``: cross-GPU activations at the wave boundary;
+- ``checkpoints``: snapshots of a run's state, with their durable
+  commits (pages and manifest written to disk) when the run has a store;
 - ``run set-up``: a run's state and tables (with the partition lift and
   execution tables when a run builds them first);
 - ``scaffolding``: the rest of the run, its waves and passes.
@@ -89,6 +91,10 @@ ENGINE_PARTS = {
         _R + "_synchronize_replicas", "core.replicas.ReplicaTable.contention"
     ),
     "activation delivery": (_R + "_apply_deferred_activations",),
+    "checkpoints": (
+        "faults.checkpoint.CheckpointManager.checkpoint",
+        "faults.store.CheckpointStore.commit_checkpoint",
+    ),
     "run set-up": (_R + "__init__", *LIFT),
     "scaffolding": (RUN, _R + "_run_wave", _R + "_process_partition"),
 }

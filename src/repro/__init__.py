@@ -19,17 +19,18 @@ Public surface:
 - :mod:`repro.algorithms` — PageRank, adsorption, SSSP, k-core (+ BFS,
   WCC);
 - :mod:`repro.core` — DiGraph itself (paths, dependency DAG, storage,
-  scheduling, dispatch, engine, ablation variants);
+  scheduling, dispatch, engine);
 - :mod:`repro.baselines` — Gunrock-like and Groute-like comparators and
   the sequential topological reference;
-- :mod:`repro.bench` — result records and the per-figure experiment
+- :mod:`repro.bench` — result records, the engine registry (with the
+  DiGraph-t / DiGraph-w ablation rows) and the per-figure experiment
   harness.
 """
 
 from repro.algorithms import make_program
 from repro.baselines import AsyncEngine, BulkSyncEngine
 from repro.bench.results import ExecutionResult
-from repro.core import DiGraphEngine, digraph_t, digraph_w
+from repro.core import DiGraphEngine
 from repro.core.engine import DiGraphConfig
 from repro.gpu.config import GPUSpec, MachineSpec
 from repro.graph import DiGraphCSR, from_edges
@@ -47,8 +48,6 @@ __all__ = [
     "GPUSpec",
     "MachineSpec",
     "datasets",
-    "digraph_t",
-    "digraph_w",
     "from_edges",
     "make_program",
     "__version__",

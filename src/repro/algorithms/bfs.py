@@ -1,66 +1,23 @@
 """BFS hop levels as a GAS program (extension beyond the paper's four).
 
-Identical structure to SSSP with unit weights; kept separate because BFS
-levels are integers and the program pins the gather contribution to
-``level(u) + 1``, which several tests use as a ground-truth oracle against
+SSSP with unit weights: everything but the gather contribution is
+SSSP's. The program pins that contribution to ``level(u) + 1``, so the
+levels stay integers whatever the graph's weights, and several tests use
+it as a ground-truth oracle against
 :func:`repro.graph.traversal.bfs_levels`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import ConfigurationError
-from repro.graph.digraph import DiGraphCSR
-from repro.model.gas import VertexProgram
-
-INFINITY = float("inf")
+from repro.algorithms.sssp import INFINITY, SSSP
 
 
-class BFSLevels(VertexProgram):
+class BFSLevels(SSSP):
     """Hop distance from ``source``; unreached vertices stay at infinity."""
 
     name = "bfs"
-    tolerance = 0.0
-
-    def __init__(self, source: int = 0) -> None:
-        if source < 0:
-            raise ConfigurationError("source must be non-negative")
-        self.source = source
-
-    def initial_states(self, graph: DiGraphCSR) -> np.ndarray:
-        if self.source >= graph.num_vertices:
-            raise ConfigurationError(
-                f"source {self.source} out of range for "
-                f"{graph.num_vertices} vertices"
-            )
-        states = np.full(graph.num_vertices, INFINITY, dtype=np.float64)
-        states[self.source] = 0.0
-        return states
-
-    def initial_active(self, graph: DiGraphCSR) -> np.ndarray:
-        active = np.zeros(graph.num_vertices, dtype=bool)
-        active[self.source] = True
-        for u in graph.successors(self.source):
-            active[u] = True
-        return active
-
-    @property
-    def identity(self) -> float:
-        return INFINITY
 
     def gather(self, src_state: float, weight: float, src: int, dst: int) -> float:
         if src_state == INFINITY:
             return INFINITY
         return src_state + 1.0
-
-    def accumulate(self, a: float, b: float) -> float:
-        return a if a <= b else b
-
-    def apply(self, v: int, old_state: float, acc: float) -> float:
-        if v == self.source:
-            return 0.0
-        return acc if acc < old_state else old_state
-
-    def has_converged(self, old_state: float, new_state: float) -> bool:
-        return new_state == old_state

@@ -12,72 +12,21 @@ Fig. 2(a)/(b) measures and DiGraph's dependency-aware dispatch removes.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.graph.digraph import DiGraphCSR
-from repro.gpu.config import MachineSpec
-from repro.model.gas import VertexProgram
-from repro.model.rounds import drive_rounds, finish_run
-from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE, BYTES_PER_STATE
-from repro.baselines.common import BaselineFaultHarness
+from repro.baselines.common import (
+    BaselineConfig,
+    BaselineEngine,
+    BaselineFaultHarness,
+)
 from repro.kernels.steps import dependents_table, resolve_step
 
 
-@dataclass(frozen=True)
-class AsyncConfig:
-    """Tunables of the asynchronous baseline."""
-
-    #: ``None`` sizes partitions adaptively (~64 per graph).
-    target_edges_per_partition: Optional[int] = None
-    max_rounds: int = 100000
-    n_workers: int = 1
-    #: Check the converged states against the program's own update
-    #: equations (:mod:`repro.verify`), raising
-    #: :class:`~repro.errors.VerificationError` on a violation.
-    verify_invariants: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
-
-
-class AsyncEngine:
-    """Asynchronous per-partition worklist engine (the Groute-like
-    comparator)."""
-
-    name = "async"
-
-    def __init__(
-        self,
-        machine_spec: Optional[MachineSpec] = None,
-        config: Optional[AsyncConfig] = None,
-    ) -> None:
-        self.spec = machine_spec or MachineSpec()
-        self.config = config or AsyncConfig()
-
-    def run(
-        self,
-        graph: DiGraphCSR,
-        program: VertexProgram,
-        graph_name: str = "graph",
-        strict_convergence: bool = True,
-        fault_injector=None,
-        recovery=None,
-        resume: bool = False,
-    ) -> ExecutionResult:
-        started = time.perf_counter()
-        run = _AsyncRun(self, graph, program, fault_injector, recovery)
-        converged = drive_rounds(run, self.config.max_rounds, resume)
-        return finish_run(
-            run, self.config, self.name, graph_name, converged,
-            strict_convergence, started,
-        )
+#: The async baseline takes exactly the shared baseline tunables.
+AsyncConfig = BaselineConfig
 
 
 class _AsyncRun(BaselineFaultHarness):
@@ -218,3 +167,11 @@ class _AsyncRun(BaselineFaultHarness):
             touched_vertex_total,
             updates_this_round,
         )
+
+
+class AsyncEngine(BaselineEngine):
+    """Asynchronous per-partition worklist engine (the Groute-like
+    comparator)."""
+
+    name = "async"
+    run_class = _AsyncRun

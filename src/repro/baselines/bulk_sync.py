@@ -11,81 +11,34 @@ loads regardless of how few vertices are active.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.graph.digraph import DiGraphCSR
-from repro.gpu.config import MachineSpec
 from repro.kernels.base import ScalarFallbackKernel
 from repro.kernels.registry import resolve_kernel
-from repro.model.gas import VertexProgram
-from repro.model.rounds import drive_rounds, finish_run
-from repro.bench.results import ExecutionResult
 from repro.core.storage import BYTES_PER_MESSAGE, BYTES_PER_STATE
-from repro.baselines.common import BaselineFaultHarness
+from repro.baselines.common import (
+    BaselineConfig,
+    BaselineEngine,
+    BaselineFaultHarness,
+)
 
 #: Per-round barrier/allreduce payload per GPU pair (frontier sizes etc.).
 BARRIER_SYNC_BYTES = 64
 
 
 @dataclass(frozen=True)
-class BulkSyncConfig:
+class BulkSyncConfig(BaselineConfig):
     """Tunables of the bulk-synchronous baseline."""
 
-    #: ``None`` sizes partitions adaptively (~64 per graph).
-    target_edges_per_partition: Optional[int] = None
-    max_rounds: int = 100000
-    n_workers: int = 1
     #: Run the round on the program's vectorized batch kernel
     #: (:mod:`repro.kernels`) instead of its step kernel looped per
     #: vertex. Bit-identical rounds and identical modeled accounting:
     #: the round is the same, only its kernel changes. Programs without
     #: a registered batch kernel loop the step kernel either way.
     use_vectorized_kernels: bool = False
-    #: Check the converged states against the program's own update
-    #: equations (:mod:`repro.verify`), raising
-    #: :class:`~repro.errors.VerificationError` on a violation.
-    verify_invariants: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
-
-
-class BulkSyncEngine:
-    """Vertex-centric BSP engine (the Gunrock-like comparator)."""
-
-    name = "bulk-sync"
-
-    def __init__(
-        self,
-        machine_spec: Optional[MachineSpec] = None,
-        config: Optional[BulkSyncConfig] = None,
-    ) -> None:
-        self.spec = machine_spec or MachineSpec()
-        self.config = config or BulkSyncConfig()
-
-    def run(
-        self,
-        graph: DiGraphCSR,
-        program: VertexProgram,
-        graph_name: str = "graph",
-        strict_convergence: bool = True,
-        fault_injector=None,
-        recovery=None,
-        resume: bool = False,
-    ) -> ExecutionResult:
-        started = time.perf_counter()
-        run = _BulkSyncRun(self, graph, program, fault_injector, recovery)
-        converged = drive_rounds(run, self.config.max_rounds, resume)
-        return finish_run(
-            run, self.config, self.name, graph_name, converged,
-            strict_convergence, started,
-        )
 
 
 class _BulkSyncRun(BaselineFaultHarness):
@@ -234,3 +187,11 @@ class _BulkSyncRun(BaselineFaultHarness):
             sum(partitions[pid].num_vertices for pid in touched_partitions),
             updates_this_round,
         )
+
+
+class BulkSyncEngine(BaselineEngine):
+    """Vertex-centric BSP engine (the Gunrock-like comparator)."""
+
+    name = "bulk-sync"
+    config_class = BulkSyncConfig
+    run_class = _BulkSyncRun

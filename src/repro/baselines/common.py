@@ -1,23 +1,28 @@
 """Shared pieces of the vertex-centric baseline engines.
 
-Both baselines shard vertices into contiguous ranges balanced by edge
-count (the standard 1-D partitioning Gunrock and Groute use), assign them
-round-robin to GPUs, and load whole partitions when any of their vertices
-is active — the low loaded-data utilization the paper measures in Fig. 13.
+Both baselines are one :class:`BaselineEngine` shell (config, round
+driver, result) around their own run class. Both shard vertices into
+contiguous ranges balanced by edge count (the standard 1-D partitioning
+Gunrock and Groute use), assign them round-robin to GPUs, and load whole
+partitions when any of their vertices is active — the low loaded-data
+utilization the paper measures in Fig. 13.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.results import RoundRecord
+from repro.bench.results import ExecutionResult, RoundRecord
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraphCSR
+from repro.gpu.config import MachineSpec
 from repro.gpu.machine import Machine
-from repro.model.rounds import checkpoint_manager
+from repro.model.gas import VertexProgram
+from repro.model.rounds import checkpoint_manager, drive_rounds, finish_run
 from repro.model.state import VertexStates
 from repro.core.partitioning import CPU_SECONDS_PER_EDGE
 from repro.core.storage import (
@@ -46,6 +51,24 @@ def resolve_partition_target(
             )
         return target_edges_per_partition
     return max(32, graph.num_edges // DEFAULT_PARTITION_COUNT)
+
+
+@dataclass(frozen=True)
+class BaselineConfig:
+    """Tunables every baseline takes (all the async baseline's)."""
+
+    #: ``None`` sizes partitions adaptively (~64 per graph).
+    target_edges_per_partition: Optional[int] = None
+    max_rounds: int = 100000
+    n_workers: int = 1
+    #: Check the converged states against the program's own update
+    #: equations (:mod:`repro.verify`), raising
+    #: :class:`~repro.errors.VerificationError` on a violation.
+    verify_invariants: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 1:
+            raise ConfigurationError("max_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,42 @@ def vertex_range_partitions(
             )
         )
     return partitions
+
+
+class BaselineEngine:
+    """A baseline engine: its ``name``, ``config_class`` and the
+    ``run_class`` (a :class:`BaselineFaultHarness` with the engine's
+    round) that :func:`~repro.model.rounds.drive_rounds` drives."""
+
+    name: str
+    config_class: type = BaselineConfig
+    run_class: type
+
+    def __init__(
+        self,
+        machine_spec: Optional[MachineSpec] = None,
+        config: Optional[BaselineConfig] = None,
+    ) -> None:
+        self.spec = machine_spec or MachineSpec()
+        self.config = config or self.config_class()
+
+    def run(
+        self,
+        graph: DiGraphCSR,
+        program: VertexProgram,
+        graph_name: str = "graph",
+        strict_convergence: bool = True,
+        fault_injector=None,
+        recovery=None,
+        resume: bool = False,
+    ) -> ExecutionResult:
+        started = time.perf_counter()
+        run = self.run_class(self, graph, program, fault_injector, recovery)
+        converged = drive_rounds(run, self.config.max_rounds, resume)
+        return finish_run(
+            run, self.config, self.name, graph_name, converged,
+            strict_convergence, started,
+        )
 
 
 class BaselineFaultHarness:

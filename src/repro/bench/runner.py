@@ -19,7 +19,6 @@ from repro.baselines.sequential import SequentialEngine
 from repro.bench.results import ExecutionResult
 from repro.bench.schema import write_artifact_file
 from repro.core.engine import DiGraphConfig, DiGraphEngine
-from repro.core.variants import digraph_t, digraph_w
 from repro.errors import ConfigurationError
 from repro.gpu.config import SCALED_MACHINE, MachineSpec
 from repro.graph import datasets
@@ -43,7 +42,10 @@ class EngineRow(NamedTuple):
 #: the one way to ask for them; only bulk-sync has one, being the only
 #: Jacobi schedule (its one round runs either the vectorized kernel or
 #: the step kernel behind the batch interface; every other engine is
-#: Gauss-Seidel and runs the step kernels).
+#: Gauss-Seidel and runs the step kernels). ``digraph-t`` and
+#: ``digraph-w`` are the paper's ablations (Section 4.1, Figs. 6 and 7):
+#: DiGraph with the traditional per-vertex asynchronous model, and
+#: DiGraph without the ``Pri(p)`` path scheduling strategy.
 ENGINES = {
     "sequential": EngineRow(SequentialEngine, None, {}, None),
     "bulk-sync": EngineRow(BulkSyncEngine, BulkSyncConfig, {}, "baseline"),
@@ -52,8 +54,15 @@ ENGINES = {
         "baseline",
     ),
     "async": EngineRow(AsyncEngine, AsyncConfig, {}, "baseline"),
-    "digraph-t": EngineRow(digraph_t, DiGraphConfig, {}, "digraph"),
-    "digraph-w": EngineRow(digraph_w, DiGraphConfig, {}, "digraph"),
+    "digraph-t": EngineRow(
+        DiGraphEngine, DiGraphConfig,
+        {"use_path_execution": False, "use_priority_scheduling": False},
+        "digraph",
+    ),
+    "digraph-w": EngineRow(
+        DiGraphEngine, DiGraphConfig, {"use_priority_scheduling": False},
+        "digraph",
+    ),
     "digraph": EngineRow(DiGraphEngine, DiGraphConfig, {}, "digraph"),
 }
 
@@ -92,8 +101,10 @@ def make_engine(
     machine: Optional[MachineSpec] = None,
     n_workers: int = 1,
 ):
-    """Build an engine by registry name (``bulk-sync-vec`` is bulk-sync
-    on the vectorized batch kernel)."""
+    """Build an engine by registry name: the row's constructor with its
+    config, the row's ``pinned`` fields set (``bulk-sync-vec`` is
+    bulk-sync on the vectorized batch kernel, ``digraph-t`` / ``-w``
+    DiGraph with its path walk / ``Pri(p)`` off)."""
     if name not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {name!r}; expected one of {tuple(ENGINES)}"

@@ -16,19 +16,18 @@ The pipeline mirrors Section 3 of the paper:
 6. :mod:`~repro.core.dispatch` — dependency-aware dispatch to GPUs with
    batched transfer, prefetch, and work stealing;
 7. :mod:`~repro.core.engine` — the path-based asynchronous execution engine
-   tying it together; :mod:`~repro.core.variants` configures the paper's
-   DiGraph-t / DiGraph-w ablations.
+   tying it together; its config flags ``use_path_execution`` and
+   ``use_priority_scheduling`` switch off the two halves the paper's
+   DiGraph-t / DiGraph-w ablations remove (the ``digraph-t`` /
+   ``digraph-w`` rows of :data:`repro.bench.runner.ENGINES`).
 """
 
 from repro.core.engine import DiGraphEngine
 from repro.core.partitioning import decompose_into_paths
 from repro.core.paths import PathSet
-from repro.core.variants import digraph_t, digraph_w
 
 __all__ = [
     "DiGraphEngine",
     "PathSet",
     "decompose_into_paths",
-    "digraph_t",
-    "digraph_w",
 ]

@@ -7,9 +7,80 @@ while still distinguishing subsystems.
 
 from __future__ import annotations
 
+import inspect
+from typing import Callable, NamedTuple, Optional, Tuple
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
+
+
+def _as_is(value):
+    return value
+
+
+def _g6(value) -> str:
+    return f"{value:.6g}"
+
+
+def _distinct(values) -> list:
+    return sorted(set(values))
+
+
+class Field(NamedTuple):
+    """One structured field of a :class:`StructuredError`: the attribute
+    ``name``, its ``label`` in the message (``""``: the name), how the
+    value is shown there (``None``: not in the message) and how it is
+    stored on the error."""
+
+    name: str
+    label: str = ""
+    show: Optional[Callable] = format
+    store: Callable = _as_is
+
+
+class StructuredError(ReproError):
+    """An error whose fields name the casualty without message parsing.
+
+    A subclass declares its ``fields`` and, if the message may be left
+    out, a ``default_message``. The constructor takes the message, then
+    the fields in table order, positional or by name, each defaulting to
+    ``None``. Every set (non-``None``) field with a ``show`` is appended
+    to the message as ``label=shown``, in table order inside one pair of
+    parentheses; it is stored as ``store(value)``, an unset field as
+    ``None``.
+    """
+
+    fields: Tuple[Field, ...] = ()
+    default_message: Optional[str] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._signature = inspect.Signature([
+            inspect.Parameter(
+                name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default
+            )
+            for name, default in (
+                ("message", cls.default_message or inspect.Parameter.empty),
+                *((field.name, None) for field in cls.fields),
+            )
+        ])
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = self._signature.bind(*args, **kwargs).arguments
+        message = values.pop("message", self.default_message)
+        details = []
+        for field in self.fields:
+            value = values.get(field.name)
+            if value is not None:
+                if field.show is not None:
+                    label = field.label or field.name
+                    details.append(f"{label}={field.show(value)}")
+                value = field.store(value)
+            setattr(self, field.name, value)
+        if details:
+            message = f"{message} ({', '.join(details)})"
+        super().__init__(message)
 
 
 class GraphError(ReproError):
@@ -20,7 +91,7 @@ class PartitioningError(ReproError):
     """Path-based partitioning produced or received inconsistent data."""
 
 
-class StorageError(ReproError):
+class StorageError(StructuredError):
     """Storage arrays or the on-disk shard store are inconsistent.
 
     Covers both the in-memory path storage arrays (Fig. 4 layout) and
@@ -35,26 +106,7 @@ class StorageError(ReproError):
     unchanged.
     """
 
-    def __init__(
-        self,
-        message: str,
-        path=None,
-        shard=None,
-        kind=None,
-    ) -> None:
-        details = []
-        if path is not None:
-            details.append(f"path={path}")
-        if shard is not None:
-            details.append(f"shard={shard}")
-        if kind is not None:
-            details.append(f"kind={kind}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.path = str(path) if path is not None else None
-        self.shard = shard
-        self.kind = kind
+    fields = (Field("path", store=str), Field("shard"), Field("kind"))
 
 
 class SchedulingError(ReproError):
@@ -69,22 +121,15 @@ class MemoryCapacityError(SimulationError):
     """A simulated GPU ran out of global or shared memory."""
 
 
-class InterconnectFault(SimulationError):
+class InterconnectFault(StructuredError, SimulationError):
     """A fault injector failed a transfer (robustness testing).
 
     Carries the transfer endpoints when the injector knows them, so
     recovery code can tell *which* link misbehaved.
     """
 
-    def __init__(
-        self,
-        message: str = "interconnect fault",
-        src=None,
-        dst=None,
-    ) -> None:
-        super().__init__(message)
-        self.src = src
-        self.dst = dst
+    fields = (Field("src", show=None), Field("dst", show=None))
+    default_message = "interconnect fault"
 
 
 class TransientInterconnectFault(InterconnectFault):
@@ -95,17 +140,14 @@ class PermanentInterconnectFault(InterconnectFault):
     """A link is down for good (or retries were exhausted)."""
 
 
-class GPULostError(SimulationError):
+class GPULostError(StructuredError, SimulationError):
     """A simulated GPU died mid-execution (fault injection)."""
 
-    def __init__(
-        self, message: str = "GPU lost", gpu_id=None
-    ) -> None:
-        super().__init__(message)
-        self.gpu_id = gpu_id
+    fields = (Field("gpu_id", show=None),)
+    default_message = "GPU lost"
 
 
-class ConvergenceError(ReproError):
+class ConvergenceError(StructuredError):
     """An iterative algorithm failed to converge within its round budget.
 
     Structured fields make stalled runs (chaos runs especially)
@@ -115,26 +157,11 @@ class ConvergenceError(ReproError):
     frontier was live but no state moved — a lost-update smell).
     """
 
-    def __init__(
-        self,
-        message: str,
-        rounds=None,
-        active_vertices=None,
-        last_max_delta=None,
-    ) -> None:
-        details = []
-        if rounds is not None:
-            details.append(f"rounds={rounds}")
-        if active_vertices is not None:
-            details.append(f"active_vertices={active_vertices}")
-        if last_max_delta is not None:
-            details.append(f"last_max_delta={last_max_delta:.6g}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.rounds = rounds
-        self.active_vertices = active_vertices
-        self.last_max_delta = last_max_delta
+    fields = (
+        Field("rounds"),
+        Field("active_vertices"),
+        Field("last_max_delta", show=_g6),
+    )
 
 
 class StreamingError(ReproError):
@@ -159,7 +186,7 @@ class ServeError(ReproError):
     """The query-serving layer was misused or failed structurally."""
 
 
-class QueryAbortedError(ServeError):
+class QueryAbortedError(StructuredError, ServeError):
     """Served queries failed and could not (or may not) be replayed.
 
     Structured fields name the blast radius without message parsing:
@@ -168,33 +195,15 @@ class QueryAbortedError(ServeError):
     ``launch_index`` where the fault struck.
     """
 
-    def __init__(
-        self,
-        message: str,
-        query_ids=None,
-        tenants=None,
-        batch_id=None,
-        launch_index=None,
-    ) -> None:
-        details = []
-        if query_ids is not None:
-            details.append(f"queries={list(query_ids)}")
-        if tenants is not None:
-            details.append(f"tenants={sorted(set(tenants))}")
-        if batch_id is not None:
-            details.append(f"batch={batch_id}")
-        if launch_index is not None:
-            details.append(f"launch={launch_index}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.query_ids = tuple(query_ids) if query_ids is not None else None
-        self.tenants = tuple(tenants) if tenants is not None else None
-        self.batch_id = batch_id
-        self.launch_index = launch_index
+    fields = (
+        Field("query_ids", "queries", show=list, store=tuple),
+        Field("tenants", show=_distinct, store=tuple),
+        Field("batch_id", "batch"),
+        Field("launch_index", "launch"),
+    )
 
 
-class QueryShedError(ServeError):
+class QueryShedError(StructuredError, ServeError):
     """A query was deterministically shed under overload.
 
     Raised (in strict mode) or recorded (otherwise) when the bounded
@@ -203,29 +212,12 @@ class QueryShedError(ServeError):
     its tenant, and the queue depth at the shedding decision.
     """
 
-    def __init__(
-        self,
-        message: str,
-        query_id=None,
-        tenant=None,
-        queue_depth=None,
-    ) -> None:
-        details = []
-        if query_id is not None:
-            details.append(f"query={query_id}")
-        if tenant is not None:
-            details.append(f"tenant={tenant}")
-        if queue_depth is not None:
-            details.append(f"queue_depth={queue_depth}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.query_id = query_id
-        self.tenant = tenant
-        self.queue_depth = queue_depth
+    fields = (
+        Field("query_id", "query"), Field("tenant"), Field("queue_depth")
+    )
 
 
-class DeadlineExceededError(ServeError):
+class DeadlineExceededError(StructuredError, ServeError):
     """A query missed its deadline under the active ``deadline_policy``.
 
     Carries the deadline and the virtual-clock time at which the miss
@@ -233,30 +225,12 @@ class DeadlineExceededError(ServeError):
     ``abort``), so tail-latency reports need no message parsing.
     """
 
-    def __init__(
-        self,
-        message: str,
-        query_id=None,
-        tenant=None,
-        deadline_s=None,
-        detected_s=None,
-    ) -> None:
-        details = []
-        if query_id is not None:
-            details.append(f"query={query_id}")
-        if tenant is not None:
-            details.append(f"tenant={tenant}")
-        if deadline_s is not None:
-            details.append(f"deadline_s={deadline_s:.6g}")
-        if detected_s is not None:
-            details.append(f"detected_s={detected_s:.6g}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.query_id = query_id
-        self.tenant = tenant
-        self.deadline_s = deadline_s
-        self.detected_s = detected_s
+    fields = (
+        Field("query_id", "query"),
+        Field("tenant"),
+        Field("deadline_s", show=_g6),
+        Field("detected_s", show=_g6),
+    )
 
 
 class ArtifactError(ReproError):
@@ -265,7 +239,7 @@ class ArtifactError(ReproError):
     measurements)."""
 
 
-class CheckpointStoreError(ReproError):
+class CheckpointStoreError(StructuredError):
     """A durable checkpoint store is missing, corrupt, or inconsistent.
 
     Structured fields name the damage without message parsing: the
@@ -275,33 +249,15 @@ class CheckpointStoreError(ReproError):
     ``"orphan"``, ``"missing-page"``, ...).
     """
 
-    def __init__(
-        self,
-        message: str,
-        run_dir=None,
-        checkpoint=None,
-        page=None,
-        kind=None,
-    ) -> None:
-        details = []
-        if run_dir is not None:
-            details.append(f"run_dir={run_dir}")
-        if checkpoint is not None:
-            details.append(f"checkpoint={checkpoint}")
-        if page is not None:
-            details.append(f"page={page}")
-        if kind is not None:
-            details.append(f"kind={kind}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.run_dir = str(run_dir) if run_dir is not None else None
-        self.checkpoint = checkpoint
-        self.page = str(page) if page is not None else None
-        self.kind = kind
+    fields = (
+        Field("run_dir", store=str),
+        Field("checkpoint"),
+        Field("page", store=str),
+        Field("kind"),
+    )
 
 
-class InjectedCrashError(SimulationError):
+class InjectedCrashError(StructuredError, SimulationError):
     """A fault plan crashed the whole job at an injected crash point.
 
     This models a process death (power loss, OOM-kill): nothing
@@ -313,19 +269,5 @@ class InjectedCrashError(SimulationError):
     ``"mid-spill"``, or ``"mid-manifest"``.
     """
 
-    def __init__(
-        self,
-        message: str = "injected whole-job crash",
-        crash_point=None,
-        round_index=None,
-    ) -> None:
-        details = []
-        if crash_point is not None:
-            details.append(f"crash_point={crash_point}")
-        if round_index is not None:
-            details.append(f"round={round_index}")
-        if details:
-            message = f"{message} ({', '.join(details)})"
-        super().__init__(message)
-        self.crash_point = crash_point
-        self.round_index = round_index
+    fields = (Field("crash_point"), Field("round_index", "round"))
+    default_message = "injected whole-job crash"

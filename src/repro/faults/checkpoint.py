@@ -71,6 +71,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import CheckpointStoreError, SimulationError
 from repro.gpu.machine import Machine
 
@@ -229,6 +230,7 @@ class CheckpointManager:
         """
         self._settle_pending()
 
+    @obs.span
     def checkpoint(self, round_index: int) -> CheckpointRecord:
         """Snapshot the client's state and charge the host spill."""
         # Settle the previous double-buffered spill first: its drain

@@ -74,6 +74,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import CheckpointStoreError
 from repro.storage import pages as pagelib
 
@@ -258,6 +259,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # committing checkpoints
     # ------------------------------------------------------------------
+    @obs.span
     def commit_checkpoint(
         self,
         round_index: int,

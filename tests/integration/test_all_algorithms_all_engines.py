@@ -2,14 +2,16 @@
 classes (web-like and social-like), asserting convergence and basic
 counter sanity. Catches regressions in any engine/program pairing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.algorithms import make_program
 from repro.baselines.async_engine import AsyncEngine
 from repro.baselines.bulk_sync import BulkSyncEngine
+from repro.bench.runner import make_engine
 from repro.core.engine import DiGraphEngine
-from repro.core.variants import digraph_t, digraph_w
 from repro.graph.generators import scc_profile_graph, with_random_weights
 
 pytestmark = pytest.mark.slow
@@ -17,8 +19,8 @@ pytestmark = pytest.mark.slow
 ENGINES = {
     "bulk-sync": BulkSyncEngine,
     "async": AsyncEngine,
-    "digraph-t": digraph_t,
-    "digraph-w": digraph_w,
+    "digraph-t": partial(make_engine, "digraph-t"),
+    "digraph-w": partial(make_engine, "digraph-w"),
     "digraph": DiGraphEngine,
 }
 

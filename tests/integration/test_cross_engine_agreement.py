@@ -6,6 +6,8 @@ configurations must agree on the final states for every benchmark
 algorithm, differing only in cost.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,15 @@ from repro.algorithms import make_program
 from repro.baselines.async_engine import AsyncEngine
 from repro.baselines.bulk_sync import BulkSyncEngine
 from repro.bench.results import states_close
+from repro.bench.runner import make_engine
 from repro.core.engine import DiGraphEngine
-from repro.core.variants import digraph_t, digraph_w
 from repro.graph.generators import scc_profile_graph, with_random_weights
 
 ENGINES = [
     ("bulk-sync", BulkSyncEngine),
     ("async", AsyncEngine),
-    ("digraph-t", digraph_t),
-    ("digraph-w", digraph_w),
+    ("digraph-t", partial(make_engine, "digraph-t")),
+    ("digraph-w", partial(make_engine, "digraph-w")),
     ("digraph", DiGraphEngine),
 ]
 

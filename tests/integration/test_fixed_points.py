@@ -5,21 +5,23 @@ per-algorithm ad-hoc checks — the strongest end-to-end correctness
 statement the reproduction makes.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms import make_program
 from repro.baselines.async_engine import AsyncEngine
 from repro.baselines.bulk_sync import BulkSyncEngine
+from repro.bench.runner import make_engine
 from repro.core.engine import DiGraphEngine
-from repro.core.variants import digraph_t, digraph_w
 from repro.graph.generators import scc_profile_graph, with_random_weights
 from repro.model.validate import check_fixed_point
 
 ENGINES = {
     "bulk-sync": BulkSyncEngine,
     "async": AsyncEngine,
-    "digraph-t": digraph_t,
-    "digraph-w": digraph_w,
+    "digraph-t": partial(make_engine, "digraph-t"),
+    "digraph-w": partial(make_engine, "digraph-w"),
     "digraph": DiGraphEngine,
 }
 

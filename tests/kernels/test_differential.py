@@ -20,8 +20,7 @@ import pytest
 
 from repro.algorithms import make_program
 from repro.baselines.bulk_sync import BulkSyncConfig, BulkSyncEngine
-from repro.core.engine import DiGraphConfig
-from repro.core.variants import digraph_t
+from repro.bench.runner import make_engine
 from repro.graph.builder import from_edges
 from repro.graph.generators import random_directed, scc_profile_graph
 from repro.kernels import has_vectorized_kernel, registered_program_classes
@@ -91,7 +90,7 @@ def _run_bulk_sync(graph, algo, machine, vectorized, max_rounds=100000):
 
 
 def _run_digraph_t(graph, algo, machine):
-    engine = digraph_t(machine, DiGraphConfig())
+    engine = make_engine("digraph-t", machine)
     program = make_program(algo, graph)
     return engine.run(graph, program, graph_name="diff")
 

@@ -1,7 +1,8 @@
 """The span recorder (``repro.obs``) and the view over it.
 
 Recording the three layers a view reads — a preprocess, the DiGraph runs
-over it and one 8-lane serve batch — fires every span ``src/`` declares:
+over it (one with a durable checkpoint store) and one 8-lane serve
+batch — fires every span ``src/`` declares:
 a span moved off its choke point, or one that nothing runs, fails here.
 Every span a ``benchmarks/host_layers.py`` table names is declared.
 """
@@ -15,6 +16,7 @@ import pytest
 from repro import obs
 from repro.algorithms import make_program
 from repro.bench.runner import make_engine
+from repro.faults.recovery import RecoveryPolicy
 from repro.gpu.config import SCALED_MACHINE
 from repro.graph import datasets
 from repro.serve.context import ServingContext
@@ -25,13 +27,20 @@ VIEW = Path(__file__).resolve().parent.parent / "benchmarks/host_layers.py"
 
 
 @pytest.fixture(scope="module")
-def recording():
+def recording(tmp_path_factory):
     graph = datasets.load("twitter", scale=0.3, weighted=True)
+    durable = RecoveryPolicy(
+        checkpoint_interval=2, durability="durable",
+        run_dir=str(tmp_path_factory.mktemp("durable")),
+    )
     with obs.record() as rec:
         pre = make_engine("digraph", SCALED_MACHINE).preprocess(graph)
-        for name in ("digraph", "digraph-t"):
+        for name, recovery in (
+            ("digraph", None), ("digraph-t", None), ("digraph", durable)
+        ):
             make_engine(name, SCALED_MACHINE).run(
-                graph, make_program("pagerank", graph), preprocessed=pre
+                graph, make_program("pagerank", graph), preprocessed=pre,
+                recovery=recovery,
             )
         context = ServingContext(graph, SCALED_MACHINE)
         trace = generate_trace(
